@@ -198,7 +198,7 @@ class LogStructuredKVStore:
     def space_report(self) -> Dict[str, float]:
         """Occupancy of the value log."""
         cfg = self.store.config
-        live_units = sum(self.store.segments.live_units)
+        live_units = int(self.store.segments.live_units.sum())
         if self.store.buffer is not None:
             live_units += self.store.buffer.used_units
         return {

@@ -12,7 +12,13 @@ Public surface:
 from repro.store.buffer import SortBuffer
 from repro.store.cleaner import IncrementalCleaner
 from repro.store.config import StoreConfig, paper_config
-from repro.store.errors import ConfigError, OutOfSpaceError, PageSizeError, StoreError
+from repro.store.errors import (
+    ConfigError,
+    OutOfSpaceError,
+    PageIdError,
+    PageSizeError,
+    StoreError,
+)
 from repro.store.log_store import (
     CleanCursor,
     GC_STREAM,
@@ -49,6 +55,7 @@ __all__ = [
     "NEVER_WRITTEN",
     "OPEN",
     "OutOfSpaceError",
+    "PageIdError",
     "PageSizeError",
     "PageTable",
     "PersistenceError",

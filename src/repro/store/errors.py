@@ -24,3 +24,8 @@ class OutOfSpaceError(StoreError):
 class PageSizeError(StoreError):
     """A page write carries an invalid size (non-positive or larger than
     a whole segment)."""
+
+
+class PageIdError(StoreError):
+    """A write or trim names a negative page id (numpy indexing would
+    silently alias it onto the tail of the page table)."""

@@ -26,14 +26,15 @@ Write paths
 :meth:`LogStructuredStore.write` is the scalar reference path: one page
 per call, one branch per bookkeeping rule.  :meth:`write_batch` is the
 vectorized engine the benchmarks drive: it splits a workload batch into
-*runs* — maximal prefixes with distinct page ids that fit the open
-segment (or the sorting buffer) — applies each run's bookkeeping with
-numpy fancy indexing, and falls back to the scalar path for exactly the
-writes that cross a seal / flush / clean boundary.  The two paths are
-bit-identical: every float accumulation in the batch path replays the
-scalar update order (``np.add.at`` and ``np.cumsum`` are sequential
-left-to-right folds), which the differential test suite locks down by
-comparing full state digests.
+*runs* — maximal prefixes that fit the open segment (or the sorting
+buffer), repeated page ids included: a repeat rewrites the version its
+previous occurrence in the run just placed — applies each run's
+bookkeeping with numpy fancy indexing, and falls back to the scalar path
+for exactly the writes that cross a seal / flush / clean boundary.  The
+two paths are bit-identical: every float accumulation in the batch path
+replays the scalar update order (``np.add.at`` and ``np.cumsum`` are
+sequential left-to-right folds), which the differential test suite locks
+down by comparing full state digests.
 
 Cleaning cycle
 --------------
@@ -71,7 +72,12 @@ import numpy as np
 
 from repro.store.buffer import SortBuffer
 from repro.store.config import StoreConfig
-from repro.store.errors import OutOfSpaceError, PageSizeError, StoreError
+from repro.store.errors import (
+    OutOfSpaceError,
+    PageIdError,
+    PageSizeError,
+    StoreError,
+)
 from repro.store.kernels import fold_add as _fold_add
 from repro.store.kernels import prev_occurrence as _prev_occurrence
 from repro.store.pagetable import (
@@ -92,8 +98,9 @@ GC_STREAM = -1
 #: Batch chunk for the sequential load (one workload batch's worth).
 _LOAD_CHUNK = 1 << 14
 
-#: How far ahead a run may scan for a duplicate page id before chunking.
-_DUP_WINDOW = 1 << 12
+#: Most writes one run attempt looks at (each attempt gathers table
+#: state for its whole window, however few writes it ends up taking).
+_RUN_WINDOW = 1 << 12
 
 
 def _stream_runs(streams: np.ndarray):
@@ -233,11 +240,16 @@ class LogStructuredStore:
         The previous version (if any) is invalidated, the update clock
         ticks, and the new version is placed either in the sorting buffer
         or directly into an open segment via the policy's routing.
+        Raises :class:`PageSizeError` / :class:`PageIdError` (before any
+        state changes) for a size outside ``[1, segment_units]`` or a
+        negative page id.
         """
         if size < 1 or size > self.config.segment_units:
             raise PageSizeError(
                 "page size %d outside [1, %d]" % (size, self.config.segment_units)
             )
+        if page_id < 0:
+            raise PageIdError("negative page id %d" % page_id)
         pages = self.pages
         if page_id >= len(pages.seg):
             pages.ensure(page_id)
@@ -290,15 +302,19 @@ class LogStructuredStore:
         """Apply a batch of user updates — equivalent to calling
         :meth:`write` once per element, but vectorized.
 
-        The batch is consumed as runs of *distinct* page ids that fit the
-        current open segment (direct placement) or the sorting buffer;
-        each run's invalidation, placement, and statistics bookkeeping is
-        applied with array operations that replay the exact scalar update
-        order, so batch and scalar execution produce byte-identical state
-        (the testkit's :func:`~repro.testkit.trace.state_digest` is the
-        oracle for this).  Writes at a seal / flush / clean boundary —
-        and whole batches for policies whose routing is inherently
-        per-page (multi-log) — go through the scalar path.
+        The batch is consumed as runs that fit the current open segment
+        (direct placement) or the sorting buffer.  A page id may repeat
+        inside a run: the repeat rewrites the version its previous
+        occurrence just placed (a slot of the open segment, or the
+        still-buffered page), so a run ends only at a stream change or
+        where the segment / buffer is full.  Each run's invalidation,
+        placement, and statistics bookkeeping is applied with array
+        operations that replay the exact scalar update order, so batch
+        and scalar execution produce byte-identical state (the testkit's
+        :func:`~repro.testkit.trace.state_digest` is the oracle for
+        this).  Writes at a seal / flush / clean boundary — and whole
+        batches for policies whose routing is inherently per-page
+        (multi-log) — go through the scalar path.
         """
         pids = np.ascontiguousarray(page_ids, dtype=np.int64)
         if pids.ndim != 1:
@@ -311,14 +327,17 @@ class LogStructuredStore:
             size_arr = np.ascontiguousarray(sizes, dtype=np.int64)
             if size_arr.shape != pids.shape:
                 raise ValueError("sizes must be parallel to page_ids")
-            if (
+        if pids.min() < 0 or (
+            size_arr is not None
+            and (
                 size_arr.min() < 1
                 or size_arr.max() > self.config.segment_units
-            ):
-                # An invalid size must fail exactly where the scalar loop
-                # would: after the preceding valid writes were applied.
-                self._write_scalar_span(pids, size_arr, 0, n)
-                return
+            )
+        ):
+            # An invalid id or size must fail exactly where the scalar
+            # loop would: after the preceding valid writes were applied.
+            self._write_scalar_span(pids, size_arr, 0, n)
+            return
         self.pages.ensure(int(pids.max()))
 
         routes: Optional[np.ndarray] = None
@@ -335,34 +354,22 @@ class LogStructuredStore:
                 raise ValueError("route_user_batch returned a bad shape")
             uniform_routes = bool((routes == routes[0]).all())
 
+        # Both run engines take repeated page ids in their stride (the
+        # repeat's old version is the one its previous occurrence in the
+        # run placed), so runs break only at stream changes and capacity
+        # boundaries.
         prev = _prev_occurrence(pids)
-        direct = self.buffer is None
         start = 0
         while start < n:
-            stop = min(n, start + _DUP_WINDOW)
-            if direct:
-                # The direct path handles repeated page ids inside a run
-                # (the dup's old location is a known slot of the open
-                # segment); runs break only at stream changes and
-                # capacity boundaries.
-                limit = stop
-            else:
-                # The buffered path replays rewrites through the sort
-                # buffer's replace bookkeeping; a repeated id ends the
-                # run so table state is committed before it recurs.
-                dup = np.flatnonzero(prev[start:stop] >= start)
-                limit = start + int(dup[0]) if dup.size else stop
+            limit = min(n, start + _RUN_WINDOW)
             run = pids[start:limit]
             run_sizes = None if size_arr is None else size_arr[start:limit]
-            if not direct:
-                took = self._write_run_buffered(run, run_sizes)
+            prev_rel = prev[start:limit] - start
+            if self.buffer is not None:
+                took = self._write_run_buffered(run, run_sizes, prev_rel)
             else:
                 took = self._write_run_direct(
-                    run,
-                    run_sizes,
-                    routes[start:limit],
-                    uniform_routes,
-                    prev[start:limit] - start,
+                    run, run_sizes, routes[start:limit], uniform_routes, prev_rel
                 )
             if took == 0:
                 # Boundary write: the next write seals, flushes, or
@@ -408,8 +415,10 @@ class LogStructuredStore:
         Frees the page's space for the cleaner immediately.  Counts as
         an update event on the containing segment — a delete is activity
         — and ticks the clock.  Returns False when the page holds no
-        current version.
+        current version; a negative id raises :class:`PageIdError`.
         """
+        if page_id < 0:
+            raise PageIdError("negative page id %d" % page_id)
         pages = self.pages
         if page_id >= len(pages.seg):
             return False
@@ -435,19 +444,19 @@ class LogStructuredStore:
         if buffer is None or len(buffer) == 0:
             return
         failpoint("store.flush.pre_drain", buffered=len(buffer))
-        pids = buffer.drain()
+        arr = np.asarray(buffer.drain(), dtype=np.int64)
         obs = self.obs
         if obs is not None:
-            obs.on_flush(len(pids))
-        self._resolve_first_writes(pids)
-        keys = self.policy.user_sort_key(pids)
-        if keys is not None:
-            pids = [pid for _, pid in sorted(zip(keys, pids))]
+            obs.on_flush(arr.size)
+        self._resolve_first_writes(arr)
         policy = self.policy
-        arr = np.asarray(pids, dtype=np.int64)
+        keys = policy.user_sort_key(arr)
+        if keys is not None:
+            # Ascending by key, ties broken by page id.
+            arr = arr[np.lexsort((arr, keys))]
         routes = policy.route_user_batch(arr)
         if routes is None:
-            for pid in pids:
+            for pid in arr.tolist():
                 self._emit(pid, policy.route_user(pid), is_gc=False)
             return
         routes = np.ascontiguousarray(routes, dtype=np.int64)
@@ -873,22 +882,33 @@ class LogStructuredStore:
         return k
 
     def _write_run_buffered(
-        self, run: np.ndarray, run_sizes: Optional[np.ndarray]
+        self,
+        run: np.ndarray,
+        run_sizes: Optional[np.ndarray],
+        prev_rel: np.ndarray,
     ) -> int:
         """Absorb as many of ``run`` as the sorting buffer takes without
         flushing; returns the number of writes consumed (0 when the next
-        write must flush first)."""
+        write must flush first).
+
+        ``prev_rel`` is as in :meth:`_write_run_direct`.  A repeated id
+        rewrites the still-buffered version its previous occurrence
+        added, so a run ends only where the buffer must flush."""
         buffer = self.buffer
         pages = self.pages
         k0 = run.size
-        old_seg = pages.seg[run]
-        old_size = pages.size[run]
-        in_buf = old_seg == IN_BUFFER
         sz = (
             np.ones(k0, dtype=np.int64)
             if run_sizes is None
             else run_sizes
         )
+        old_seg = pages.seg[run]
+        old_size = pages.size[run]
+        dup = prev_rel >= 0
+        if dup.any():
+            old_seg[dup] = IN_BUFFER
+            old_size[dup] = sz[prev_rel[dup]]
+        in_buf = old_seg == IN_BUFFER
         # A rewrite of a buffered page replaces in place (net size delta,
         # no capacity check — mirroring SortBuffer.replace); a new page
         # must fit or the run ends at it (the scalar path flushes there).
@@ -919,17 +939,20 @@ class LogStructuredStore:
             run, old_seg, old_size, clocks,
             subtract_freq=pages.oracle_active,
         )
-        if in_buf.any():
-            # Midpoint rule for rewrites of still-buffered pages.
-            bp = np.flatnonzero(in_buf)
-            carried = pages.carried_up2[run[bp]]
-            known = ~np.isnan(carried)
-            if known.any():
-                sel = bp[known]
-                carried = carried[known]
-                pages.carried_up2[run[sel]] = carried + 0.5 * (
-                    clocks[sel].astype(np.float64) - carried
-                )
+        bp = np.flatnonzero(in_buf)
+        if bp.size:
+            # Midpoint rule for rewrites of still-buffered pages, folded
+            # per page in position order (a repeat compounds on its
+            # previous occurrence's result); NaN first-write estimates
+            # stay untouched.
+            bpids = run[bp]
+            pid_list = bpids.tolist()
+            vals = dict(zip(pid_list, pages.carried_up2[bpids].tolist()))
+            for pid, clk in zip(pid_list, clocks[bp].tolist()):
+                carried = vals[pid]
+                if carried == carried:  # not NaN
+                    vals[pid] = carried + 0.5 * (clk - carried)
+            pages.carried_up2[list(vals)] = list(vals.values())
 
         # dict.update keeps existing keys in place and appends new ones
         # in order — exactly SortBuffer.replace / SortBuffer.add.

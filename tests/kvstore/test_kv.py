@@ -135,5 +135,8 @@ class TestGcUnderChurn:
         report = kv.space_report()
         assert report["keys"] == 1
         assert report["live_bytes"] == 32
+        # Plain Python numbers, not numpy scalars leaking out of the table.
+        assert type(report["live_bytes"]) is int
+        assert type(report["utilization"]) is float
         assert 0 < report["utilization"] < 1
         assert "util" in repr(kv)

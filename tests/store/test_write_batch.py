@@ -14,8 +14,14 @@ import numpy as np
 import pytest
 
 from repro.policies import available_policies, make_policy
-from repro.store import LogStructuredStore, PageSizeError, StoreConfig
+from repro.store import (
+    LogStructuredStore,
+    PageIdError,
+    PageSizeError,
+    StoreConfig,
+)
 from repro.testkit.trace import state_digest
+from repro.workloads import ZipfianWorkload
 
 
 def _config(sort_buffer=0):
@@ -197,6 +203,115 @@ def test_invalid_size_fails_after_identical_prefix():
     with pytest.raises(PageSizeError):
         batch_store.write_batch(pids, sizes=sizes)
     _assert_identical(scalar_store, batch_store)
+
+
+@pytest.mark.parametrize("sort_buffer", [0, 2])
+def test_negative_id_fails_after_identical_prefix(sort_buffer):
+    """A negative page id mid-batch must fail where the scalar loop
+    fails instead of aliasing onto the tail of the page table."""
+    cfg, scalar_store, batch_store = _pair("mdc", sort_buffer)
+    scalar_store.load_sequential(cfg.user_pages)
+    batch_store.load_sequential(cfg.user_pages)
+    pids = np.arange(10, dtype=np.int64)
+    pids[6] = -1
+    with pytest.raises(PageIdError):
+        for pid in pids:
+            scalar_store.write(int(pid))
+    with pytest.raises(PageIdError):
+        batch_store.write_batch(pids)
+    assert scalar_store.clock == cfg.user_pages + 6
+    _assert_identical(scalar_store, batch_store)
+
+
+@pytest.mark.parametrize("entry", ["write", "trim"])
+def test_negative_id_rejected_without_side_effects(entry):
+    cfg = _config()
+    store = LogStructuredStore(cfg, make_policy("greedy"))
+    store.load_sequential(cfg.user_pages)
+    before = state_digest(store)
+    with pytest.raises(PageIdError):
+        getattr(store, entry)(-1)
+    assert state_digest(store) == before
+
+
+def _count_calls(store, name):
+    """Count calls of a store method through an instance-attribute
+    wrapper; returns the list its results are appended to."""
+    results = []
+    method = getattr(store, name)
+
+    def wrapper(*args, **kwargs):
+        result = method(*args, **kwargs)
+        results.append(result)
+        return result
+
+    setattr(store, name, wrapper)
+    return results
+
+
+def test_buffered_runs_end_only_at_flushes():
+    """Run-count guard: under Zipf(0.99) a page id repeats every ~10
+    writes, and a run engine that ended runs at repeats would make
+    hundreds of numpy-overhead-bound calls for one batch."""
+    cfg = StoreConfig(
+        n_segments=512,
+        segment_units=64,
+        fill_factor=0.8,
+        clean_trigger=4,
+        clean_batch=8,
+        sort_buffer_segments=16,
+    )
+    store = LogStructuredStore(cfg, make_policy("mdc"))
+    store.load_sequential(cfg.user_pages)
+    warm, batch = ZipfianWorkload.eighty_twenty(cfg.user_pages, seed=0).batches(
+        2 * 4096, 4096
+    )
+    store.write_batch(warm)
+    assert np.unique(batch).size < batch.size - 1000  # heavy repeats
+    runs = _count_calls(store, "_write_run_buffered")
+    flushes = _count_calls(store, "flush")
+    boundary_writes = _count_calls(store, "write")
+    store.write_batch(batch)
+    assert flushes  # the batch crosses at least one buffer fill
+    assert len(runs) <= len(flushes) + len(boundary_writes) + 2
+    assert sum(runs) + len(boundary_writes) == batch.size
+
+
+def test_buffered_run_capacity_rules():
+    """A repeat that grows a buffered page past capacity does not end
+    the run (SortBuffer.replace has no capacity check); a new page that
+    does not fit does."""
+    cfg, scalar_store, batch_store = _pair("mdc", sort_buffer=2)
+    capacity = batch_store.buffer.capacity_units
+    u = cfg.segment_units
+    assert capacity == 2 * u
+    pids = np.array([0, 1, 2, 2, 3, 3, 4], dtype=np.int64)
+    sizes = np.array([u, u - 1, 1, u, 1, 1, 1], dtype=np.int64)
+    runs = _count_calls(batch_store, "_write_run_buffered")
+    _drive_both(scalar_store, batch_store, pids, sizes=sizes)
+    # [0, 1, 2, 2-grown] | new page 3 must flush first | [3, 4].
+    assert runs == [4, 0, 2]
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_flush_orders_by_key_then_page_id():
+    cfg = _config(sort_buffer=2)
+    store = LogStructuredStore(cfg, make_policy("mdc"))
+    pids = np.array([9, 3, 7, 1, 8, 2, 6], dtype=np.int64)
+    store.write_batch(pids)
+    keys = np.array([5.0, 2.0, 5.0, 2.0, 0.5, 5.0, 2.0])
+    store.pages.carried_up2[pids] = keys
+    emitted = []
+    route = store.policy.route_user_batch
+
+    def capture(arr):
+        emitted.extend(arr.tolist())
+        return route(arr)
+
+    store.policy.route_user_batch = capture
+    store.flush()
+    expected = [pid for _, pid in sorted(zip(keys.tolist(), pids.tolist()))]
+    assert emitted == expected == [8, 1, 3, 6, 2, 7, 9]
 
 
 def test_batch_rejects_bad_shapes():
