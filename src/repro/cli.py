@@ -169,14 +169,8 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         help="largest budget fraction one shard may spend (default 0.5)",
     )
     parser.add_argument(
-        "--cleaner", default=None, choices=["batch", "incremental"],
-        help="cleaning mode: whole cycles per maintenance visit (batch, "
-        "default) or bounded preemptible steps (incremental)",
-    )
-    parser.add_argument(
         "--pages-per-step", type=int, default=None,
-        help="relocations per incremental cleaner step (default 32; "
-        "only with --cleaner incremental)",
+        help="relocations per cleaner step (default 32)",
     )
     _add_quick(parser)
     _add_seed(parser)
@@ -209,7 +203,6 @@ def _harness_config(args: argparse.Namespace):
         "tenant_spread": "tenant_spread",
         "gc_budget": "gc_budget",
         "gc_max_share": "gc_max_share",
-        "cleaner": "cleaner",
         "pages_per_step": "pages_per_step",
         "sample_interval": "sample_interval",
     }
@@ -409,12 +402,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_seed(p)
     p = bench_sub.add_parser(
         "latency",
-        help="tail-latency contrast: batch vs incremental cleaning at "
-        "equal GC budget (BENCH_latency.json)",
+        help="tail-latency benchmark: p99 flush stall against one "
+        "cleaner step budget (BENCH_latency.json)",
     )
     p.add_argument(
         "--ops", type=int, default=None,
-        help="client ops per mode (default 200000; --quick: 24000)",
+        help="client ops (default 200000; --quick: 24000)",
     )
     p.add_argument(
         "--out", default=None,
@@ -423,7 +416,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--check", default=None, metavar="BASELINE",
         help="compare against a committed BENCH_latency.json; exit 1 "
-        "when the p99 stall ratio regresses past the baseline",
+        "when the p99 flush stall exceeds one step budget or Wamp "
+        "regresses past the baseline",
     )
     p.add_argument(
         "--history", default=None, metavar="JSONL",
@@ -1326,7 +1320,7 @@ def _run_bench_service_command(args: argparse.Namespace) -> int:
 
 
 def _run_bench_latency_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench latency``: stall contrast + gates."""
+    """Dispatch ``repro bench latency``: stall report + gates."""
     from repro.bench.micro import HISTORY_PATH
     from repro.service.latency import (
         BENCH_PATH,

@@ -431,7 +431,7 @@ _CHECK_KINDS = {
     "latency-baseline": ("latency",),
     "sweep-scaling": ("sweep",),
     # The burn-rate gate reads an SLOTracker report embedded in a cell
-    # result (the latency bench emits one per mode).
+    # result (the latency bench emits one).
     "slo": ("latency",),
 }
 
@@ -490,7 +490,7 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
         raise _fail(
             path,
             "slo checks need a metric: field (dotted path to the "
-            "embedded SLO report, e.g. modes.incremental.slo)",
+            "embedded SLO report, e.g. slo)",
         )
     if ctype in ("micro-baseline", "latency-baseline") and not check.get("file"):
         raise _fail(path, "%s checks need a file: field" % ctype)

@@ -436,9 +436,9 @@ def _check_slo(
     """Burn-rate ceiling over an embedded SLOTracker report.
 
     ``metric:`` is the dotted path to the report inside the cell result
-    (the latency bench embeds one per mode, e.g.
-    ``modes.incremental.slo``); ``max:`` is the sustained-burn ceiling,
-    default 1.0 — burning the error budget no faster than allotted.
+    (the latency bench embeds one at ``slo``); ``max:`` is the
+    sustained-burn ceiling, default 1.0 — burning the error budget no
+    faster than allotted.
     """
     ceiling = check.max if check.max is not None else 1.0
     problems = []

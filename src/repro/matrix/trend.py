@@ -59,14 +59,8 @@ FAMILY_COLUMNS: Dict[str, List[Tuple[str, _Extractor, bool]]] = {
         ("queue p95", lambda e: e.get("queue_depth_p95"), False),
     ],
     "latency": [
-        ("stall p99 ratio", lambda e: e.get("stall_p99_ratio"), False),
-        (
-            "incr Wamp",
-            lambda e: e.get("modes", {})
-            .get("incremental", {})
-            .get("wamp_aggregate"),
-            False,
-        ),
+        ("stall p99 pages", lambda e: e.get("flush_stall_p99_pages"), False),
+        ("Wamp", lambda e: e.get("wamp_aggregate"), False),
     ],
 }
 
@@ -160,7 +154,6 @@ def detect_trend_regressions(
     history: Sequence[Dict[str, Any]],
     root: str = ".",
     rate_tolerance: float = 0.30,
-    ratio_margin: float = 0.25,
 ) -> List[str]:
     """Compare each family's *latest* trajectory entry against the
     committed ``BENCH_*.json`` baselines (same tolerances the CI gates
@@ -196,17 +189,13 @@ def detect_trend_regressions(
         with open(lat_path) as fh:
             base = json.load(fh)
         entry = latest[-1]
-        base_ratio = base.get("stall_p99_ratio")
-        ratio = entry.get("stall_p99_ratio")
-        if (
-            base_ratio is not None
-            and ratio is not None
-            and ratio > base_ratio + ratio_margin
-        ):
+        step = base.get("config", {}).get("pages_per_step")
+        p99 = entry.get("flush_stall_p99_pages")
+        if step is not None and p99 is not None and p99 > step:
             warnings.append(
-                "latency: latest stall p99 ratio %.3f exceeds the committed "
-                "baseline %.3f by more than %.2f (sha %s)"
-                % (ratio, base_ratio, ratio_margin, entry.get("sha", "?"))
+                "latency: latest p99 flush stall %.1f pages exceeds the "
+                "committed step budget of %d pages (sha %s)"
+                % (p99, step, entry.get("sha", "?"))
             )
 
     latest = families.get("service", [])

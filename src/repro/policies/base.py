@@ -301,7 +301,6 @@ class CleaningPolicy(abc.ABC):
 
 def _ascending_prefix(priorities: np.ndarray, need: int) -> np.ndarray:
     """The first ``>= need`` entries of ``argsort(priorities, stable)``
-    without sorting everything — the victim-scoring selection, dispatched
-    through :mod:`repro.store.kernels` (optional numba implementation
-    behind a bit-identical numpy fallback)."""
+    without sorting everything — the victim-scoring selection, from
+    :mod:`repro.store.kernels`."""
     return ascending_prefix(priorities, need, _PARTITION_FACTOR)

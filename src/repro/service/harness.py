@@ -80,7 +80,6 @@ class HarnessConfig:
     gc_budget: Optional[int] = None
     gc_max_share: float = 0.5
     free_target: Optional[int] = None
-    cleaner: str = "batch"
     pages_per_step: int = 32
     sample_interval: Optional[int] = None
     seed: int = 0
@@ -89,11 +88,6 @@ class HarnessConfig:
         if self.dist not in HARNESS_DISTS:
             raise ValueError(
                 "dist must be one of %s, got %r" % (",".join(HARNESS_DISTS), self.dist)
-            )
-        if self.cleaner not in ("batch", "incremental"):
-            raise ValueError(
-                "cleaner must be 'batch' or 'incremental', got %r"
-                % (self.cleaner,)
             )
         if self.n_clients < 1 or self.n_tenants < 1:
             raise ValueError("n_clients and n_tenants must be >= 1")
@@ -237,7 +231,6 @@ def build_service(cfg: HarnessConfig) -> Service:
         gc_budget=cfg.gc_budget,
         gc_max_share=cfg.gc_max_share,
         free_target=cfg.free_target,
-        cleaner=cfg.cleaner,
         pages_per_step=cfg.pages_per_step,
         seed=cfg.seed,
         sample_interval=cfg.sample_interval,

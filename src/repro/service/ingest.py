@@ -78,7 +78,9 @@ class IngestQueue:
             raise ValueError("flush_interval must be >= 1")
         if max_depth < batch_size:
             raise ValueError("max_depth must be >= batch_size")
-        self.shards = shards
+        # A private copy: the pool appends to its own list on growth,
+        # and add_shard() appends here.
+        self.shards = list(shards)
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self.max_depth = max_depth

@@ -1,30 +1,28 @@
 """The tail-latency benchmark behind ``repro bench latency``.
 
-Runs the same deterministic client load twice — batch cleaning (whole
-victim cycles per maintenance visit) and incremental cleaning (bounded
-preemptible steps) — at the *same* global GC budget, and contrasts what
-foreground writes waited behind:
+Drives one deterministic client load through the service and reports
+what foreground writes waited behind:
 
 * ``flush_stall_pages`` — the deterministic stall signal: GC pages
   relocated anywhere in the pool while one client-facing flush ran
   (inline reactive cleaning plus loaded-round governance).  Stall-free
   flushes observe 0, so its percentiles read over the whole flush
-  population.  This histogram's p99 is the gate: the committed report
-  must show incremental p99 ≤ ``GATE_RATIO`` × batch p99.
+  population.  This histogram's p99 is the gate: it must stay at or
+  below one cleaner step budget (``pages_per_step``).
 * per-op wall-clock latency (p50/p99/p999, microseconds) — reported for
   intuition, never gated (wall clock is machine-dependent).
-* aggregate Wamp for both modes — the trade-off axis: the incremental
-  cleaner must win its stall reduction without buying it with extra
-  write amplification beyond ``WAMP_SLACK``.
+* aggregate Wamp — the trade-off axis: bounded stalls must not be
+  bought with write amplification more than ``WAMP_SLACK`` above the
+  committed baseline's.
 
-The run shape leans on the stall contrast deliberately: high target
-fill and a chunky ``clean_batch`` make each batch-mode cycle relocate a
-lot of live data at once, which is exactly the foreground stall the
-incremental cleaner exists to bound.
+The run shape leans on the stall deliberately: high target fill and a
+chunky ``clean_batch`` make each cleaning cycle relocate a lot of live
+data, which is exactly the work the step-granular governor has to keep
+out of the flush path.
 
 ``BENCH_latency.json`` is the committed snapshot (see EXPERIMENTS.md);
-CI's latency smoke job re-runs the quick shape and gates the p99 stall
-ratio against it.
+CI's bench-gates job re-runs the quick shape and gates it against that
+file.
 """
 
 from __future__ import annotations
@@ -43,23 +41,16 @@ from repro.service.harness import HarnessConfig, build_service, ops_stream
 #: Default committed report location.
 BENCH_PATH = "BENCH_latency.json"
 
-#: The acceptance gate: incremental p99 flush stall must be at or below
-#: this fraction of the batch-mode p99.
-GATE_RATIO = 0.5
-
-#: How much extra aggregate Wamp the incremental mode may cost at the
-#: same GC budget before the gate fails the trade.
+#: How far aggregate Wamp may sit above the committed baseline's before
+#: the gate fails the trade.
 WAMP_SLACK = 0.25
-
-#: The two contrasted modes, in run order.
-MODES = ("batch", "incremental")
 
 
 def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
-    """The benchmark's base run shape (mode is overlaid per run).
+    """The benchmark's run shape.
 
-    High fill and a chunky batch ``clean_batch`` maximize the stall a
-    whole-cycle clean injects; small frequent flushes give the stall
+    High fill and a chunky ``clean_batch`` maximize the live data each
+    cleaning cycle moves; small frequent flushes give the stall
     histogram a dense population of foreground waits to rank.
     """
     base = HarnessConfig.quick(seed=seed) if quick else HarnessConfig(seed=seed)
@@ -70,20 +61,23 @@ def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
         batch_size=64,
         flush_interval=2,
         tick_every=128,
-        # Both modes get the same proactive floor and budget (the
-        # "equal Wamp budget" axis): enough headroom that idle rounds
-        # can absorb a whole flush's segment consumption.  What differs
-        # is *where* the work runs — batch governance tops up inside
-        # the flush path, incremental defers to the idle tick.
+        # Enough proactive headroom that idle rounds can absorb a whole
+        # flush's segment consumption, so loaded rounds have nothing
+        # urgent to do inside the flush path.
         free_target=10,
         gc_budget=128,
         pages_per_step=16,
     )
 
 
-def _drive(cfg: HarnessConfig) -> Dict:
-    """One measured run: returns stall histograms + wall-clock
-    percentiles + the pool's closing counters for ``cfg``."""
+def run_latency_bench(
+    quick: bool = False, seed: int = 0, ops: Optional[int] = None
+) -> Dict:
+    """Drive the seeded load once; returns the stall histogram, the
+    wall-clock percentiles and the pool's closing counters."""
+    cfg = latency_config(quick=quick, seed=seed)
+    if ops is not None:
+        cfg = cfg.scaled(ops=ops)
     service = build_service(cfg)
     latencies: List[float] = []
     applied = 0
@@ -119,8 +113,11 @@ def _drive(cfg: HarnessConfig) -> Dict:
     summary = service.pool.stats_summary()
     counters = metrics.snapshot().counters
     lat_us = np.asarray(latencies) * 1e6
-    result = {
-        "cleaner": cfg.cleaner,
+    report = {
+        "benchmark": "latency",
+        "quick": quick,
+        "seed": seed,
+        "config": dataclasses.asdict(cfg),
         "ops": applied,
         "elapsed_s": round(elapsed, 4),
         "writes_per_sec": round(applied / elapsed, 1) if elapsed > 0 else 0.0,
@@ -142,118 +139,73 @@ def _drive(cfg: HarnessConfig) -> Dict:
             "max": round(float(lat_us.max()), 2),
         },
         # Burn-rate view over the same flush-stall stream; the
-        # ``kind: slo`` matrix gate reads modes.<mode>.slo from here.
+        # ``kind: slo`` matrix gate reads it from here.
         "slo": service.slo.report(),
     }
     service.close()
-    return result
-
-
-def run_latency_bench(
-    quick: bool = False, seed: int = 0, ops: Optional[int] = None
-) -> Dict:
-    """Run both cleaning modes on the same seeded load; returns the
-    contrast report."""
-    cfg = latency_config(quick=quick, seed=seed)
-    if ops is not None:
-        cfg = cfg.scaled(ops=ops)
-    modes = {
-        mode: _drive(cfg.scaled(cleaner=mode)) for mode in MODES
-    }
-    batch_p99 = modes["batch"]["flush_stall_p99_pages"]
-    incr_p99 = modes["incremental"]["flush_stall_p99_pages"]
-    return {
-        "benchmark": "latency",
-        "quick": quick,
-        "seed": seed,
-        "gate_ratio": GATE_RATIO,
-        "wamp_slack": WAMP_SLACK,
-        "config": dataclasses.asdict(cfg),
-        "modes": modes,
-        "stall_p99_ratio": (
-            round(incr_p99 / batch_p99, 4) if batch_p99 > 0 else 0.0
-        ),
-    }
+    return report
 
 
 def render_latency_report(report: Dict) -> str:
-    """Human-readable contrast table."""
+    """Human-readable stall summary."""
     cfg = report["config"]
-    lines = [
-        "tail-latency benchmark (ops=%d, dist=%s, fill=%.2f, seed=%d)"
-        % (cfg["ops"], cfg["dist"], cfg["target_fill"], report["seed"]),
-        "  %-12s %10s %10s %10s %9s %9s %10s %10s"
-        % ("cleaner", "stall p99", "p999", "max", "stalls", "Wamp",
-           "lat p99us", "lat p999us"),
-    ]
-    for mode in MODES:
-        r = report["modes"][mode]
-        lines.append(
-            "  %-12s %10.1f %10.1f %10.0f %9d %9.4f %10.1f %10.1f"
+    return "\n".join(
+        [
+            "tail-latency benchmark (ops=%d, dist=%s, fill=%.2f, seed=%d)"
+            % (cfg["ops"], cfg["dist"], cfg["target_fill"], report["seed"]),
+            "  %10s %10s %10s %9s %9s %10s %10s"
+            % ("stall p99", "p999", "max", "stalls", "Wamp",
+               "lat p99us", "lat p999us"),
+            "  %10.1f %10.1f %10.0f %9d %9.4f %10.1f %10.1f"
             % (
-                mode,
-                r["flush_stall_p99_pages"],
-                r["flush_stall_p999_pages"],
-                r["flush_stall_max_pages"],
-                r["reactive_write_stalls"],
-                r["wamp_aggregate"],
-                r["op_latency_us"]["p99"],
-                r["op_latency_us"]["p999"],
-            )
-        )
-    lines.append(
-        "  p99 stall ratio (incremental/batch) = %.3f  (gate <= %.2f)"
-        % (report["stall_p99_ratio"], report["gate_ratio"])
+                report["flush_stall_p99_pages"],
+                report["flush_stall_p999_pages"],
+                report["flush_stall_max_pages"],
+                report["reactive_write_stalls"],
+                report["wamp_aggregate"],
+                report["op_latency_us"]["p99"],
+                report["op_latency_us"]["p999"],
+            ),
+            "  p99 flush stall gate: <= %d pages (one cleaner step)"
+            % cfg["pages_per_step"],
+        ]
     )
-    return "\n".join(lines)
 
 
 def check_latency_report(report: Dict) -> List[str]:
-    """Acceptance checks on one report: the p99 stall gate and the
-    equal-budget Wamp trade."""
+    """Acceptance checks on one report: cleaning ran, and the p99 flush
+    stall fits inside one cleaner step budget."""
     problems = []
-    batch = report["modes"]["batch"]
-    incr = report["modes"]["incremental"]
-    b_p99 = batch["flush_stall_p99_pages"]
-    i_p99 = incr["flush_stall_p99_pages"]
-    gate = report.get("gate_ratio", GATE_RATIO)
-    if b_p99 <= 0:
+    if report["wamp_aggregate"] <= 0:
         problems.append(
-            "batch run shows no p99 flush stall (%.3f pages) — the "
-            "benchmark shape is not exercising cleaning" % b_p99
+            "run relocated no pages (Wamp %.4f) — the benchmark shape is "
+            "not exercising cleaning" % report["wamp_aggregate"]
         )
-    elif i_p99 > gate * b_p99:
+    p99 = report["flush_stall_p99_pages"]
+    step = report["config"]["pages_per_step"]
+    if p99 > step:
         problems.append(
-            "incremental p99 flush stall %.1f pages exceeds %.2fx the "
-            "batch p99 of %.1f" % (i_p99, gate, b_p99)
-        )
-    slack = report.get("wamp_slack", WAMP_SLACK)
-    b_wamp = batch["wamp_aggregate"]
-    i_wamp = incr["wamp_aggregate"]
-    if b_wamp > 0 and i_wamp > b_wamp * (1.0 + slack):
-        problems.append(
-            "incremental Wamp %.4f exceeds batch %.4f by more than %.0f%% "
-            "— the stall win is being bought with extra GC writes"
-            % (i_wamp, b_wamp, 100 * slack)
+            "p99 flush stall %.1f pages exceeds one cleaner step budget "
+            "of %d pages" % (p99, step)
         )
     return problems
 
 
 def check_latency_regression(
-    report: Dict, baseline: Dict, margin: float = 0.25
+    report: Dict, baseline: Dict, margin: float = WAMP_SLACK
 ) -> List[str]:
-    """CI smoke gate: the current run's p99 stall ratio must not regress
-    past the committed baseline's ratio by more than ``margin``
-    (absolute), and the hard ``gate_ratio`` ceiling still applies."""
+    """CI smoke gate: :func:`check_latency_report`, plus aggregate Wamp
+    must not exceed the committed baseline's by more than ``margin``
+    (relative)."""
     problems = check_latency_report(report)
-    base_ratio = baseline.get("stall_p99_ratio")
-    ratio = report.get("stall_p99_ratio")
-    if base_ratio is not None and ratio is not None:
-        if ratio > base_ratio + margin:
-            problems.append(
-                "p99 stall ratio %.3f regressed past the committed "
-                "baseline %.3f by more than %.2f" % (ratio, base_ratio, margin)
-            )
+    wamp = report["wamp_aggregate"]
+    base_wamp = baseline["wamp_aggregate"]
+    if wamp > base_wamp * (1.0 + margin):
+        problems.append(
+            "Wamp %.4f exceeds the committed baseline %.4f by more than "
+            "%.0f%% — bounded stalls are being bought with extra GC writes"
+            % (wamp, base_wamp, 100 * margin)
+        )
     return problems
 
 
@@ -269,25 +221,18 @@ def load_latency_report(path: str = BENCH_PATH) -> Dict:
 
 
 def latency_history_entry(report: Dict, sha: Optional[str] = None) -> Dict:
-    """One ``benchmarks/history.jsonl`` line: the stall contrast."""
-    entry: Dict = {
+    """One ``benchmarks/history.jsonl`` line: the stall headline."""
+    return {
         "sha": sha if sha is not None else _git_sha(),
         "benchmark": "latency",
         "seed": report["seed"],
         "quick": report["quick"],
         "ops": report["config"]["ops"],
-        "stall_p99_ratio": report["stall_p99_ratio"],
-        "modes": {},
+        "flush_stall_p99_pages": report["flush_stall_p99_pages"],
+        "flush_stall_p999_pages": report["flush_stall_p999_pages"],
+        "wamp_aggregate": round(report["wamp_aggregate"], 6),
+        "reactive_write_stalls": report["reactive_write_stalls"],
     }
-    for mode in MODES:
-        r = report["modes"][mode]
-        entry["modes"][mode] = {
-            "flush_stall_p99_pages": r["flush_stall_p99_pages"],
-            "flush_stall_p999_pages": r["flush_stall_p999_pages"],
-            "wamp_aggregate": round(r["wamp_aggregate"], 6),
-            "reactive_write_stalls": r["reactive_write_stalls"],
-        }
-    return entry
 
 
 def append_latency_history(

@@ -27,15 +27,15 @@ Reactive cleaning stays enabled underneath as the correctness
 backstop: the budget shapes *when* cleaning happens, never whether a
 write can complete.
 
-Incremental mode
+Step granularity
 ----------------
 
-With ``cleaner="incremental"`` the governor dispatches bounded
-:class:`~repro.store.IncrementalCleaner` *steps* instead of whole
-cycles: a needy shard gets at most ``pages_per_step`` relocations per
-round (still under the global budget and per-shard share cap), so the
-stall any single maintenance round injects into the ingest path is
-bounded by pages, not by victim liveness.  Rounds run in two modes:
+Every shard is driven by an :class:`~repro.store.IncrementalCleaner`,
+so the governor dispatches bounded *steps*, never whole cycles: a needy
+shard gets at most ``pages_per_step`` relocations per visit (still
+under the global budget and per-shard share cap), so the stall any
+single maintenance round injects into the ingest path is bounded by
+pages, not by victim liveness.  Rounds run in two modes:
 
 * **loaded** (``maintain()``, fired after every flush): only shards
   *behind* — free pool below the reactive trigger, meaning the very
@@ -56,9 +56,6 @@ from repro.obs import MetricsRegistry
 from repro.policies.base import CleaningPolicy
 from repro.store import IncrementalCleaner, StoreConfig
 
-#: Accepted ``cleaner`` modes.
-CLEANER_MODES = ("batch", "incremental")
-
 
 class StorePool:
     """``n_shards`` independent KV shards plus the cleaning governor.
@@ -77,10 +74,7 @@ class StorePool:
             ``clean_trigger + 1`` — one segment of headroom before the
             reactive trigger).
         metrics: Service metrics registry for governor counters.
-        cleaner: ``"batch"`` (whole cycles per maintenance visit, the
-            historical behavior) or ``"incremental"`` (bounded
-            preemptible steps; see module docstring).
-        pages_per_step: Relocation budget per incremental step.
+        pages_per_step: Relocation budget per cleaner step.
     """
 
     def __init__(
@@ -93,7 +87,6 @@ class StorePool:
         gc_max_share: float = 0.5,
         free_target: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        cleaner: str = "batch",
         pages_per_step: int = 32,
     ) -> None:
         if n_shards < 1:
@@ -105,10 +98,6 @@ class StorePool:
             )
         if not 0.0 < gc_max_share <= 1.0:
             raise ValueError("gc_max_share must be in (0, 1]")
-        if cleaner not in CLEANER_MODES:
-            raise ValueError(
-                "cleaner must be one of %r, got %r" % (CLEANER_MODES, cleaner)
-            )
         self.config = config
         self.policy_name = policy
         self.unit_bytes = unit_bytes
@@ -126,13 +115,11 @@ class StorePool:
             free_target if free_target is not None else config.clean_trigger + 1
         )
         self.metrics = metrics
-        self.cleaner_mode = cleaner
         self.pages_per_step = int(pages_per_step)
-        self.cleaners: Optional[List[IncrementalCleaner]] = None
-        if cleaner == "incremental":
-            self.cleaners = [
-                self._make_cleaner(kv) for kv in self.shards
-            ]
+        #: One step driver per shard, index-aligned with ``shards``.
+        self.cleaners: List[IncrementalCleaner] = [
+            self._make_cleaner(kv) for kv in self.shards
+        ]
         #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
         #: maintenance round opens a ``pool.maintain`` span (shard-level
         #: clean_begin/clean_step spans nest under it via the store
@@ -165,8 +152,7 @@ class StorePool:
             self.config, policy=self.policy_name, unit_bytes=self.unit_bytes
         )
         self.shards.append(shard)
-        if self.cleaners is not None:
-            self.cleaners.append(self._make_cleaner(shard))
+        self.cleaners.append(self._make_cleaner(shard))
         return shard
 
     # -- cleaning governance --------------------------------------------
@@ -174,12 +160,9 @@ class StorePool:
     def maintain(self, idle: bool = False) -> int:
         """One budgeted maintenance round; returns pages relocated.
 
-        In batch mode, tops up shards below ``free_target``
-        most-starved-first with whole cleaning cycles until the round
-        budget (or every shard's per-round share) is spent; ``idle`` is
-        accepted for interface symmetry but changes nothing.  In
-        incremental mode, dispatches bounded cleaner steps — see the
-        module docstring for the loaded/idle split.
+        Dispatches bounded cleaner steps most-starved-first until the
+        round budget (or every shard's per-round share) is spent — see
+        the module docstring for the loaded/idle split.
         """
         tracer = self.tracer
         span = (
@@ -187,104 +170,50 @@ class StorePool:
             if tracer is not None
             else None
         )
-        moved = 0
-        try:
-            if self.cleaners is not None:
-                moved = self._maintain_incremental(idle)
-            else:
-                moved = self._maintain_batch()
-        finally:
-            if span is not None:
-                tracer.finish(span, pages=moved)
-        return moved
-
-    def _maintain_batch(self) -> int:
-        """Whole-cycle governance round (``cleaner="batch"``)."""
-        budget = self.gc_budget
-        share_cap = max(1, int(self.gc_max_share * budget))
-        needy = [
-            (self.free_target - kv.store.free_segment_count, i)
-            for i, kv in enumerate(self.shards)
-            if kv.store.free_segment_count < self.free_target
-        ]
-        if not needy:
-            return 0
-        needy.sort(key=lambda pair: (-pair[0], pair[1]))
-        spent_total = 0
-        capped = False
-        for _deficit, i in needy:
-            if spent_total >= budget:
-                capped = True
-                break
-            store = self.shards[i].store
-            spent_shard = 0
-            while (
-                store.free_segment_count < self.free_target
-                and spent_total < budget
-                and spent_shard < share_cap
-            ):
-                if store.sealed_segments().size == 0:
-                    break  # nothing cleanable yet (young shard)
-                before = store.stats.gc_writes
-                store.clean()
-                moved = store.stats.gc_writes - before
-                spent_shard += moved
-                spent_total += moved
-                if self.metrics is not None:
-                    self.metrics.counter("gc_governed_cycles").inc()
-            if spent_shard >= share_cap and (
-                store.free_segment_count < self.free_target
-            ):
-                capped = True
-        if self.metrics is not None and spent_total:
-            self.metrics.counter("gc_governed_pages").inc(spent_total)
-            if capped:
-                self.metrics.counter("gc_budget_capped_rounds").inc()
-        return spent_total
-
-    def _maintain_incremental(self, idle: bool) -> int:
-        """Step-granular governance round (``cleaner="incremental"``)."""
         cleaners = self.cleaners
-        assert cleaners is not None
         budget = self.gc_budget
         share_cap = max(1, int(self.gc_max_share * budget))
         spent_total = 0
         deferred = 0
         capped = False
-        # Repeated passes only when idle; a loaded round injects at most
-        # one step per urgent shard into the foreground path.
-        while spent_total < budget:
-            needy = [
-                (self.free_target - kv.store.free_segment_count, i)
-                for i, kv in enumerate(self.shards)
-                if cleaners[i].needs_cleaning()
-            ]
-            if not needy:
-                break
-            needy.sort(key=lambda pair: (-pair[0], pair[1]))
-            progressed = False
-            for _deficit, i in needy:
-                if spent_total >= budget:
-                    capped = True
+        try:
+            # Repeated passes only when idle; a loaded round injects at
+            # most one step per urgent shard into the foreground path.
+            while spent_total < budget:
+                needy = [
+                    (self.free_target - kv.store.free_segment_count, i)
+                    for i, kv in enumerate(self.shards)
+                    if cleaners[i].needs_cleaning()
+                ]
+                if not needy:
                     break
-                cleaner = cleaners[i]
-                if not idle and not cleaner.behind():
-                    # Loaded round: this shard still has headroom above
-                    # the reactive trigger — defer its proactive work
-                    # to the next idle round.
-                    deferred += 1
-                    continue
-                step_budget = min(
-                    self.pages_per_step, share_cap, budget - spent_total
-                )
-                moved = cleaner.step(step_budget)
-                if moved:
-                    spent_total += moved
-                    progressed = True
-                    if self.metrics is not None:
-                        self.metrics.counter("gc_governed_steps").inc()
-            if not idle or not progressed:
-                break
+                needy.sort(key=lambda pair: (-pair[0], pair[1]))
+                progressed = False
+                for _deficit, i in needy:
+                    if spent_total >= budget:
+                        capped = True
+                        break
+                    cleaner = cleaners[i]
+                    if not idle and not cleaner.behind():
+                        # Loaded round: this shard still has headroom
+                        # above the reactive trigger — defer its
+                        # proactive work to the next idle round.
+                        deferred += 1
+                        continue
+                    step_budget = min(
+                        self.pages_per_step, share_cap, budget - spent_total
+                    )
+                    moved = cleaner.step(step_budget)
+                    if moved:
+                        spent_total += moved
+                        progressed = True
+                        if self.metrics is not None:
+                            self.metrics.counter("gc_governed_steps").inc()
+                if not idle or not progressed:
+                    break
+        finally:
+            if span is not None:
+                tracer.finish(span, pages=spent_total)
         if self.metrics is not None:
             if spent_total:
                 self.metrics.counter("gc_governed_pages").inc(spent_total)
@@ -314,19 +243,15 @@ class StorePool:
             for kv in self.shards
             if kv.store.stats.user_writes
         ]
-        summary = {
+        return {
             "shards": float(len(self.shards)),
             "keys": float(sum(len(kv) for kv in self.shards)),
             "user_writes": float(user),
             "gc_writes": float(gc),
             "wamp_aggregate": gc / user if user else 0.0,
             "wamp_spread": (max(wamps) - min(wamps)) if wamps else 0.0,
+            "cleaner_pending": float(sum(c.pending for c in self.cleaners)),
         }
-        if self.cleaners is not None:
-            summary["cleaner_pending"] = float(
-                sum(c.pending for c in self.cleaners)
-            )
-        return summary
 
     def check_consistency(self) -> None:
         """Every shard's index/store agreement (test aid)."""

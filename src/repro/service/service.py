@@ -68,10 +68,8 @@ class Service:
         replicas: Router virtual nodes per shard.
         tenant_spread: Router per-tenant affinity window (1.0 = none).
         batch_size / flush_interval / max_depth: Ingest queue knobs.
-        gc_budget / gc_max_share / free_target: Cleaning governor knobs.
-        cleaner / pages_per_step: Cleaning mode — ``"batch"`` (whole
-            cycles) or ``"incremental"`` (bounded preemptible steps of
-            ``pages_per_step`` pages; see :class:`StorePool`).
+        gc_budget / gc_max_share / free_target / pages_per_step:
+            Cleaning governor knobs (see :class:`StorePool`).
         seed: Ring seed (the service itself draws no randomness).
         sample_interval: Per-shard time-series spacing in update ticks.
     """
@@ -90,7 +88,6 @@ class Service:
         gc_budget: Optional[int] = None,
         gc_max_share: float = 0.5,
         free_target: Optional[int] = None,
-        cleaner: str = "batch",
         pages_per_step: int = 32,
         seed: int = 0,
         sample_interval: Optional[int] = None,
@@ -108,7 +105,6 @@ class Service:
             gc_max_share=gc_max_share,
             free_target=free_target,
             metrics=self.metrics,
-            cleaner=cleaner,
             pages_per_step=pages_per_step,
         )
         self.queue = IngestQueue(
@@ -120,7 +116,7 @@ class Service:
         )
         self.queue.after_flush = self._after_flush
         #: Flush-stall SLO: a flush stalling behind more than one
-        #: incremental step's worth of GC pages is a bad event.
+        #: cleaner step's worth of GC pages is a bad event.
         self.slo = SLOTracker()
         self.queue.on_stall = self.slo.record
         #: Trace plane — ``None`` until :meth:`attach_tracer`.
@@ -226,11 +222,10 @@ class Service:
         """One service-clock step: age the queue (flush-on-tick), run a
         maintenance round, and advance the per-shard samplers.
 
-        The tick is the service's idle edge: with the incremental
-        cleaner the maintenance round here runs in *idle* mode (every
-        needy shard gets proactive steps up to the budget), whereas the
-        rounds fired from inside a flush are loaded and defer all
-        non-urgent work to this one."""
+        The tick is the service's idle edge: the maintenance round here
+        runs in *idle* mode (every needy shard gets proactive steps up
+        to the budget), whereas the rounds fired from inside a flush
+        are loaded and defer all non-urgent work to this one."""
         tracer = self.tracer
         span = tracer.start("service.tick") if tracer is not None else None
         self.queue.tick()

@@ -5,9 +5,8 @@ foreground write that trips the free-pool trigger stalls behind an
 entire cycle — every live page of every victim relocated inline.  The
 :class:`IncrementalCleaner` converts that single blocking operation into
 a scheduler: cleaning advances in *steps* that relocate at most
-``pages_per_step`` pages (optionally also bounded by a wall-clock
-deadline), so foreground work interleaves with reclamation at page
-granularity instead of cycle granularity.
+``pages_per_step`` pages, so foreground work interleaves with
+reclamation at page granularity instead of cycle granularity.
 
 The engine is a thin scheduling layer: all cycle state lives in the
 store's :class:`~repro.store.log_store.CleanCursor` (victims, staged
@@ -26,23 +25,15 @@ Two knobs shape the SLO:
   whenever the pool is below it; keeping it above the store's reactive
   trigger is what keeps inline stalls out of the foreground path.
 
-Deadline-bounded steps (``deadline_s``) re-check the clock between
-bounded slices, not inside them, so a deadline never splits a slice —
-byte-determinism is preserved for any fixed sequence of step *budgets*,
-and replaying a recorded budget sequence reproduces the store exactly.
+Step budgets are the only input: replaying a recorded budget sequence
+reproduces the store exactly.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 from repro.store.errors import OutOfSpaceError
-
-#: Pages relocated per unbounded-deadline slice while a deadline is
-#: active: small enough to give ~per-millisecond clock checks, large
-#: enough to amortize the step dispatch.
-_DEADLINE_SLICE = 8
 
 
 class IncrementalCleaner:
@@ -85,8 +76,6 @@ class IncrementalCleaner:
         self.steps_run = 0
         #: Cycles this engine began.
         self.cycles_started = 0
-        #: step() calls cut short by their deadline.
-        self.deadline_preemptions = 0
 
     # -- state ---------------------------------------------------------
 
@@ -119,24 +108,19 @@ class IncrementalCleaner:
 
     # -- driving -------------------------------------------------------
 
-    def step(
-        self,
-        max_pages: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> int:
+    def step(self, max_pages: Optional[int] = None) -> int:
         """Advance cleaning by one bounded step; returns pages relocated.
 
         Relocates at most ``max_pages`` (default ``pages_per_step``),
         beginning a new cycle when none is active and the pool is below
-        ``free_target``, and stopping early once the deadline (when
-        given) expires or the target is reached with no cycle mid-flight.
-        A no-op returning 0 when no cleaning is needed.
+        ``free_target``, and stopping early once the target is reached
+        with no cycle mid-flight.  A no-op returning 0 when no cleaning
+        is needed.
         """
         budget = self.pages_per_step if max_pages is None else int(max_pages)
         if budget <= 0:
             return 0
         store = self.store
-        start = time.monotonic() if deadline_s is not None else 0.0
         done = 0
         while budget > 0:
             if store.clean_cursor is None:
@@ -158,23 +142,9 @@ class IncrementalCleaner:
                     # its first step).
                     store.clean_step(None)
                     break
-            if deadline_s is not None:
-                slice_budget = min(budget, _DEADLINE_SLICE)
-            else:
-                slice_budget = budget
-            moved = store.clean_step(slice_budget)
+            moved = store.clean_step(budget)
             done += moved
             budget -= moved
-            if moved < slice_budget and store.clean_cursor is not None:
-                # The cycle neither drained nor filled the slice: the
-                # remaining staged copies were skipped as obsolete.
-                continue
-            if (
-                deadline_s is not None
-                and time.monotonic() - start >= deadline_s
-            ):
-                self.deadline_preemptions += 1
-                break
         if done:
             self.pages_relocated += done
             self.steps_run += 1
@@ -188,18 +158,12 @@ class IncrementalCleaner:
             self.pages_relocated += moved
         return moved
 
-    def idle_tick(self, max_pages: Optional[int] = None) -> int:
-        """Opportunistic cleaning during idle time: one :meth:`step`
-        (the name marks call sites driven by idleness, not demand)."""
-        return self.step(max_pages)
-
     def stats(self) -> Dict[str, int]:
         """Engine counters, JSON-ready."""
         return {
             "pages_relocated": self.pages_relocated,
             "steps_run": self.steps_run,
             "cycles_started": self.cycles_started,
-            "deadline_preemptions": self.deadline_preemptions,
             "pending": self.pending,
         }
 

@@ -1,4 +1,4 @@
-"""Optional compiled kernels for the store's two hottest loops.
+"""The store's three serial kernels, in plain numpy/python.
 
 The vectorized write engine spends most of its non-numpy time in two
 places: *run folding* (``prev_occurrence`` — mapping each write in a
@@ -6,63 +6,20 @@ batch to the previous write of the same page) and *victim scoring*
 (``ascending_prefix`` — the partial stable argsort behind
 ``select_victims``), plus the strict left-to-right float folds
 (``fold_add``) that keep batch execution bit-identical to the scalar
-path.  This module puts all three behind one dispatch point with an
-optional `numba <https://numba.pydata.org>`_ implementation:
+path.
 
-* numba is **feature-detected at import** — it is not a dependency, and
-  a machine without it silently runs the pure numpy/python fallbacks;
-* ``REPRO_KERNEL=python`` forces the fallbacks even when numba is
-  present (the CI bench-gates job runs the tier-1 suite both ways);
-* ``REPRO_KERNEL=numba`` *requires* numba and raises if it is missing,
-  so a perf run can never silently measure the fallback.
-
-The contract is **bit-identity**: every kernel performs the exact same
-sequence of IEEE-754 operations as its fallback (the numba bodies are
-plain sequential loops — same adds in the same order), so the
-differential oracle and the trace state digests cannot tell the two
-apart.  The Hypothesis parity suite in ``tests/store/test_kernels.py``
-asserts this wherever numba is available, and the fallbacks themselves
-are the reference the rest of the test suite runs against.
+The contract is **bit-identity** with the scalar write loop: each kernel
+performs the same IEEE-754 operations in the same order the scalar path
+would, so the differential oracle and the trace state digests cannot
+tell batch from scalar execution.  ``tests/store/test_kernels.py``
+fuzzes all three against brute-force oracles.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "ACTIVE",
-    "HAVE_NUMBA",
-    "MODE",
-    "ascending_prefix",
-    "fold_add",
-    "kernel_info",
-    "prev_occurrence",
-]
-
-#: Requested mode: ``auto`` (default), ``python``, or ``numba``.
-MODE = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-if MODE not in ("auto", "python", "numba"):
-    raise ValueError(
-        "REPRO_KERNEL must be 'auto', 'python', or 'numba', got %r" % MODE
-    )
-
-HAVE_NUMBA = False
-if MODE != "python":
-    try:
-        import numba  # noqa: F401
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if MODE == "numba":
-            raise ImportError(
-                "REPRO_KERNEL=numba but numba is not importable; install "
-                "numba or unset REPRO_KERNEL"
-            )
-
-#: Which implementation is live: ``"numba"`` or ``"python"``.
-ACTIVE = "numba" if HAVE_NUMBA else "python"
+__all__ = ["ascending_prefix", "fold_add", "kernel_info", "prev_occurrence"]
 
 #: Below this many values the float fold runs as a plain Python loop —
 #: identical adds, no temporary array, faster for the short runs the
@@ -71,16 +28,13 @@ _FOLD_LOOP_MAX = 32
 
 
 def kernel_info() -> dict:
-    """Provenance block for benchmark artifacts."""
-    return {"mode": MODE, "active": ACTIVE, "have_numba": HAVE_NUMBA}
+    """Provenance block for benchmark artifacts.  The shape is fixed:
+    ``benchmarks/stack`` records it as ``env.kernels`` and refuses to
+    compare runs whose blocks differ."""
+    return {"mode": "auto", "active": "python", "have_numba": False}
 
 
-# ----------------------------------------------------------------------
-# Pure fallbacks (the reference implementations)
-# ----------------------------------------------------------------------
-
-
-def _prev_occurrence_py(pids: np.ndarray) -> np.ndarray:
+def prev_occurrence(pids: np.ndarray) -> np.ndarray:
     """For each batch position, the previous position holding the same
     page id (-1 if none).  One stable argsort for the whole batch."""
     n = pids.size
@@ -93,7 +47,7 @@ def _prev_occurrence_py(pids: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _fold_add_py(current: float, values: np.ndarray) -> float:
+def fold_add(current: float, values: np.ndarray) -> float:
     """``current + v0 + v1 + ...`` as a strict left-to-right float fold —
     bit-identical to a scalar ``+=`` loop (cumsum accumulates in order,
     and so does the small-run Python loop: same IEEE adds, same order).
@@ -110,96 +64,6 @@ def _fold_add_py(current: float, values: np.ndarray) -> float:
     return float(np.cumsum(tmp)[-1])
 
 
-def _prefix_gather_py(priorities: np.ndarray, need: int) -> np.ndarray:
-    """Indices of every priority <= the ``need``-th smallest, stable
-    sorted — exactly a prefix of ``argsort(priorities, kind='stable')``.
-
-    Returns an empty array to signal "fall back to the full stable
-    sort" (a NaN landed in the selected prefix, so the cut is
-    undefined)."""
-    part = np.argpartition(priorities, need - 1)[:need]
-    cut = priorities[part].max()
-    if np.isnan(cut):
-        return np.empty(0, dtype=np.int64)
-    eligible = np.flatnonzero(priorities <= cut)
-    return eligible[np.argsort(priorities[eligible], kind="stable")]
-
-
-# ----------------------------------------------------------------------
-# numba kernels
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    from numba import njit
-
-    @njit(cache=True)
-    def _prev_occurrence_nb(pids):  # pragma: no cover - needs numba
-        n = pids.size
-        prev = np.full(n, -1, dtype=np.int64)
-        if n == 0:
-            return prev
-        hi = np.int64(0)
-        for i in range(n):
-            if pids[i] > hi:
-                hi = pids[i]
-        last = np.full(hi + 1, -1, dtype=np.int64)
-        for i in range(n):
-            p = pids[i]
-            prev[i] = last[p]
-            last[p] = i
-        return prev
-
-    @njit(cache=True)
-    def _fold_add_nb(current, values):  # pragma: no cover - needs numba
-        acc = current
-        for i in range(values.size):
-            acc += values[i]
-        return acc
-
-    @njit(cache=True)
-    def _prefix_gather_nb(priorities, need):  # pragma: no cover
-        n = priorities.size
-        # Partial selection: the largest of the `need` smallest values is
-        # the cut; everything <= it is exactly the stable-argsort prefix.
-        part = np.partition(priorities.copy(), need - 1)
-        cut = part[need - 1]
-        if np.isnan(cut):
-            return np.empty(0, dtype=np.int64)
-        count = 0
-        for i in range(n):
-            if priorities[i] <= cut:
-                count += 1
-        eligible = np.empty(count, dtype=np.int64)
-        j = 0
-        for i in range(n):
-            if priorities[i] <= cut:
-                eligible[j] = i
-                j += 1
-        # mergesort is stable, and `eligible` is already in index order,
-        # so ties keep their original relative positions.
-        order = np.argsort(priorities[eligible], kind="mergesort")
-        return eligible[order]
-
-
-# ----------------------------------------------------------------------
-# Dispatch points
-# ----------------------------------------------------------------------
-
-
-def prev_occurrence(pids: np.ndarray) -> np.ndarray:
-    """Previous occurrence of each page id within the batch (-1: none)."""
-    if HAVE_NUMBA and pids.size > 1:
-        return _prev_occurrence_nb(pids)
-    return _prev_occurrence_py(pids)
-
-
-def fold_add(current: float, values: np.ndarray) -> float:
-    """Strict left-to-right float fold of ``current`` with ``values``."""
-    if HAVE_NUMBA and values.size > _FOLD_LOOP_MAX:
-        return float(_fold_add_nb(float(current), values))
-    return _fold_add_py(current, values)
-
-
 def ascending_prefix(
     priorities: np.ndarray, need: int, partition_factor: int = 4
 ) -> np.ndarray:
@@ -214,13 +78,12 @@ def ascending_prefix(
     priorities (and small candidate sets, where partitioning cannot
     win) fall back to the full stable sort.
     """
-    count = priorities.size
-    if need * partition_factor >= count:
+    if need * partition_factor >= priorities.size:
         return np.argsort(priorities, kind="stable")
-    if HAVE_NUMBA:
-        out = _prefix_gather_nb(priorities, need)
-    else:
-        out = _prefix_gather_py(priorities, need)
-    if out.size == 0:
+    part = np.argpartition(priorities, need - 1)[:need]
+    cut = priorities[part].max()
+    if np.isnan(cut):
+        # A NaN landed in the selected prefix, so the cut is undefined.
         return np.argsort(priorities, kind="stable")
-    return out
+    eligible = np.flatnonzero(priorities <= cut)
+    return eligible[np.argsort(priorities[eligible], kind="stable")]

@@ -160,7 +160,7 @@ def test_committed_history_is_well_formed():
         elif kind == "service":
             assert entry["shards"]
         elif kind == "latency":
-            assert set(entry["modes"]) == {"batch", "incremental"}
+            assert "flush_stall_p99_pages" in entry
 
 
 def test_committed_baseline_is_well_formed():

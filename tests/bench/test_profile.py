@@ -23,7 +23,7 @@ class TestReport:
         assert set(tiny_report["phases"]) == {
             "write_batch", "clean_step", "rank_columns",
         }
-        assert tiny_report["kernel"]["active"] in ("python", "numba")
+        assert tiny_report["kernel"]["active"] == "python"
 
     def test_rows_are_ranked_by_cumtime(self, tiny_report):
         for phase, cell in tiny_report["phases"].items():

@@ -289,38 +289,32 @@ class TestBenchSuiteChecks:
         (verdict,) = evaluate_checks(cfg, {"e": [bad]})
         assert not verdict.passed
 
-    def latency_report(self, ratio):
+    def latency_report(self, p99, wamp=0.2):
         return {
-            "modes": {
-                "batch": {
-                    "flush_stall_p99_pages": 100.0,
-                    "wamp_aggregate": 0.2,
-                },
-                "incremental": {
-                    "flush_stall_p99_pages": 100.0 * ratio,
-                    "wamp_aggregate": 0.2,
-                },
-            },
-            "stall_p99_ratio": ratio,
-            "gate_ratio": 0.5,
-            "wamp_slack": 0.25,
+            "flush_stall_p99_pages": p99,
+            "wamp_aggregate": wamp,
+            "config": {"pages_per_step": 16},
         }
 
     def test_latency_baseline_delegates(self, tmp_path):
         base = tmp_path / "BENCH_latency.json"
-        base.write_text(json.dumps(self.latency_report(0.1)))
+        base.write_text(json.dumps(self.latency_report(0.0)))
         cfg = config_with_checks(
             [{"type": "latency-baseline", "file": str(base),
               "tolerance": 0.25}],
             kind="latency",
         )
         cell = cells_for_experiment(cfg.experiments[0])[0]
-        ok = CellResult(spec=cell, result=self.latency_report(0.2))
-        bad = CellResult(spec=cell, result=self.latency_report(0.45))
+        ok = CellResult(spec=cell, result=self.latency_report(16.0, 0.24))
         (verdict,) = evaluate_checks(cfg, {"e": [ok]})
         assert verdict.passed
-        (verdict,) = evaluate_checks(cfg, {"e": [bad]})
-        assert not verdict.passed
+        for bad_report in (
+            self.latency_report(17.0),  # over one step budget
+            self.latency_report(0.0, wamp=0.26),  # > 25% over baseline
+        ):
+            bad = CellResult(spec=cell, result=bad_report)
+            (verdict,) = evaluate_checks(cfg, {"e": [bad]})
+            assert not verdict.passed
 
     def sweep_report(self, speedup, effective=4, cpus=4, identical=True):
         return {

@@ -48,11 +48,11 @@ def fabricate(cfg, result):
 class TestParsing:
     def test_slo_check_parses_on_latency(self):
         cfg = latency_config(
-            {"type": "slo", "metric": "modes.incremental.slo", "max": 1.0}
+            {"type": "slo", "metric": "slo", "max": 1.0}
         )
         (check,) = cfg.experiments[0].checks
         assert check.type == "slo"
-        assert check.metric == "modes.incremental.slo"
+        assert check.metric == "slo"
 
     def test_slo_check_requires_metric(self):
         with pytest.raises(MatrixConfigError, match="metric"):
@@ -82,10 +82,10 @@ class TestEvaluation:
     def _verdict(self, sustained, max_burn=1.0, result=None):
         cfg = latency_config(
             {"type": "slo", "name": "burn",
-             "metric": "modes.incremental.slo", "max": max_burn}
+             "metric": "slo", "max": max_burn}
         )
         if result is None:
-            result = {"modes": {"incremental": {"slo": slo_report(sustained)}}}
+            result = {"slo": slo_report(sustained)}
         (verdict,) = evaluate_checks(cfg, fabricate(cfg, result))
         return verdict
 
@@ -107,30 +107,30 @@ class TestEvaluation:
 
     def test_default_ceiling_is_one(self):
         cfg = latency_config(
-            {"type": "slo", "metric": "modes.incremental.slo"}
+            {"type": "slo", "metric": "slo"}
         )
-        result = {"modes": {"incremental": {"slo": slo_report(1.2)}}}
+        result = {"slo": slo_report(1.2)}
         (verdict,) = evaluate_checks(cfg, fabricate(cfg, result))
         assert not verdict.passed
         assert verdict.expected == pytest.approx(1.0)
 
     def test_missing_report_path_fails(self):
-        verdict = self._verdict(sustained=0.0, result={"modes": {}})
+        verdict = self._verdict(sustained=0.0, result={})
         assert not verdict.passed
         assert "no SLO report" in verdict.detail
 
     def test_non_report_value_fails(self):
-        result = {"modes": {"incremental": {"slo": {"oops": 1}}}}
+        result = {"slo": {"oops": 1}}
         verdict = self._verdict(sustained=0.0, result=result)
         assert not verdict.passed
         assert "not an SLO report" in verdict.detail
 
     def test_no_matching_cells_fails(self):
         cfg = latency_config(
-            {"type": "slo", "metric": "modes.incremental.slo",
+            {"type": "slo", "metric": "slo",
              "where": {"quick": False}}
         )
-        result = {"modes": {"incremental": {"slo": slo_report(0.1)}}}
+        result = {"slo": slo_report(0.1)}
         (verdict,) = evaluate_checks(cfg, fabricate(cfg, result))
         assert not verdict.passed
         assert "match" in verdict.detail

@@ -23,12 +23,12 @@ def micro_entry(sha, rate):
     }
 
 
-def latency_entry(sha, ratio):
+def latency_entry(sha, p99):
     return {
         "sha": sha,
         "benchmark": "latency",
-        "stall_p99_ratio": ratio,
-        "modes": {"incremental": {"wamp_aggregate": 0.2}},
+        "flush_stall_p99_pages": p99,
+        "wamp_aggregate": 0.2,
     }
 
 
@@ -85,16 +85,18 @@ class TestDriftScan:
         history = [micro_entry("new", 90_000)]
         assert detect_trend_regressions(history, root=str(tmp_path)) == []
 
-    def test_latency_ratio_drift_warns(self, tmp_path):
+    def test_latency_stall_drift_warns(self, tmp_path):
         (tmp_path / "BENCH_latency.json").write_text(
-            json.dumps({"stall_p99_ratio": 0.1})
+            json.dumps({"config": {"pages_per_step": 16}})
         )
-        history = [latency_entry("new", 0.45)]
+        history = [latency_entry("new", 20.0)]
         warnings = detect_trend_regressions(history, root=str(tmp_path))
-        assert len(warnings) == 1 and "stall p99 ratio" in warnings[0]
+        assert len(warnings) == 1 and "p99 flush stall" in warnings[0]
+        history = [latency_entry("new", 16.0)]
+        assert detect_trend_regressions(history, root=str(tmp_path)) == []
 
     def test_no_baseline_files_is_quiet(self, tmp_path):
-        history = [micro_entry("new", 1.0), latency_entry("new", 0.9)]
+        history = [micro_entry("new", 1.0), latency_entry("new", 99.0)]
         assert detect_trend_regressions(history, root=str(tmp_path)) == []
 
 

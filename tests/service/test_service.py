@@ -127,6 +127,26 @@ class TestElasticity:
         assert counters["rebalances"] == 1
         assert counters["keys_migrated"] == moved
 
+    def test_growth_keeps_pool_queue_and_observers_aligned(self):
+        """The queue must not share the pool's shard list: when it did,
+        every grown shard was appended twice."""
+        svc = make_service(2, batch_size=64)
+        model = {}
+        for i in range(100):
+            svc.put("k%d" % i, b"v%d" % i, tenant="t")
+            model["k%d" % i] = b"v%d" % i
+        svc.scale_to(4)
+        svc.scale_to(5)
+        assert svc.pool.n_shards == 5
+        assert len(svc.queue.shards) == len(svc.queue._pending) == 5
+        assert len(svc.observers) == len(svc.pool.cleaners) == 5
+        assert len(svc) == len(model)
+        assert svc.pool.stats_summary()["keys"] == float(len(model))
+        for key, value in model.items():
+            assert svc.get(key, tenant="t") == value
+        svc.pool.maintain(idle=True)
+        svc.pool.check_consistency()
+
     def test_scale_to_same_size_is_noop(self):
         svc = make_service(2)
         assert svc.scale_to(2) == 0

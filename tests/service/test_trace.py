@@ -15,21 +15,21 @@ CFG = HarnessConfig.quick(
     ops=4_000, keys_per_tenant=512, tick_every=128, seed=3
 )
 
-#: High-pressure batch-cleaner shape: every flush can land a whole
-#: cleaning cycle inline, so the stall tail is populated.
+#: High-pressure shape: the default one-segment proactive headroom and
+#: rare idle ticks leave shards behind after flushes, so loaded rounds
+#: (and the odd inline clean) populate the stall tail.
 STALL_CFG = HarnessConfig.quick(
-    ops=6_000,
+    ops=12_000,
     keys_per_tenant=512,
-    tick_every=128,
+    tick_every=1024,
     seed=3,
     target_fill=0.70,
     clean_trigger=2,
     clean_batch=8,
     batch_size=64,
     flush_interval=2,
-    free_target=10,
     gc_budget=128,
-).scaled(cleaner="batch")
+)
 
 
 class TestServiceSpans:
@@ -114,7 +114,7 @@ class TestStallAttribution:
         run_harness(STALL_CFG, trace_out=str(trace))
         rows = load_spans(str(trace))
         names = {r["name"] for r in rows}
-        # The batch shape must actually exercise cleaning under flushes.
+        # The shape must actually exercise cleaning under flushes.
         assert "store.clean_begin" in names or "store.write_stall" in names
         report = critical_path_report(rows)
         assert report["stalled_flushes"] > 0

@@ -294,24 +294,6 @@ class TestIncrementalCleanerEngine:
         cleaner = IncrementalCleaner(store)
         assert not cleaner.behind()  # fresh store: whole pool free
 
-    def test_deadline_preemption_counted(self):
-        store = make_store("greedy")
-        preload(store, workload_writes("uniform", 2500, seed=9))
-        cleaner = IncrementalCleaner(store, pages_per_step=10_000)
-        moved = cleaner.step(deadline_s=0.0)
-        # An already-expired deadline stops after the first slice.
-        assert 0 <= moved <= 8
-        if moved:
-            assert cleaner.deadline_preemptions == 1
-
-    def test_idle_tick_is_a_step(self):
-        store = make_store("greedy")
-        preload(store, workload_writes("uniform", 2500, seed=9))
-        cleaner = IncrementalCleaner(store, pages_per_step=4)
-        if not cleaner.needs_cleaning():
-            pytest.skip("pool already at target at this seed")
-        assert cleaner.idle_tick() > 0
-
     def test_legacy_clean_still_whole_cycle(self):
         """``clean()`` remains the one-shot API: no cursor survives it."""
         store = make_store("greedy")
