@@ -21,7 +21,6 @@ from repro.bench.runner import (
     prepare_store,
     run_simulation,
     run_until_converged,
-    sweep,
 )
 from repro.bench.tables import banner, format_series, format_table
 
@@ -48,5 +47,4 @@ __all__ = [
     "prepare_store",
     "run_simulation",
     "run_until_converged",
-    "sweep",
 ]

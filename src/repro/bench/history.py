@@ -1,18 +1,14 @@
 """The shared benchmark-history trajectory (``benchmarks/history.jsonl``).
 
-Every benchmark front-end (``repro bench micro`` / ``service`` /
-``latency`` and ``repro serve``) appends one SHA-keyed JSONL row per run
+Every benchmark run (``repro bench <kind>``, the bench cells of ``repro
+bench run`` and ``repro serve``) appends one SHA-keyed JSONL row
 through :func:`append_entry`, so the repository carries a single
 perf-trend file that the matrix report (``repro bench run`` /
-``repro bench report``) can plot and gate against.  Rows share three
-common keys — ``sha`` (the commit), ``benchmark`` (the family name the
-trend report groups by), and ``seed`` — and otherwise carry the
-benchmark's own headline numbers.
-
-This module is the one place that knows how entries are keyed and
-appended; the per-benchmark ``*_history_entry`` builders live next to
-their report formats (:mod:`repro.bench.micro`,
-:mod:`repro.service.bench`, :mod:`repro.service.latency`).
+``repro bench report``) can plot and scan for drift.  Rows share two
+common keys — ``sha`` (the commit, stamped here) and ``benchmark`` (the
+family name the trend report groups by) — and otherwise carry the
+benchmark's own headline numbers: the row a registered kind's
+``headline`` returns (:mod:`repro.bench.registry`).
 """
 
 from __future__ import annotations
@@ -43,11 +39,15 @@ def git_sha() -> str:
 
 
 def append_entry(entry: Dict, path: str = HISTORY_PATH) -> Dict:
-    """Append one entry to the JSONL trajectory; returns the entry.
+    """Append one entry to the JSONL trajectory, keyed by
+    :func:`git_sha` unless it already carries a ``sha``; returns the
+    entry as written.
 
     Creates the parent directory on first use so a fresh checkout can
     start a trajectory without setup.
     """
+    if "sha" not in entry:
+        entry = {"sha": git_sha(), **entry}
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -10,8 +10,9 @@ update streams through both :meth:`~repro.store.LogStructuredStore.write`
 
 as both a human-readable table and a JSON report (``BENCH_store.json``)
 committed to the repository so the performance trajectory is tracked
-across changes.  ``--check`` compares a fresh run against a committed
-baseline and fails on regression — the CI perf-smoke gate.
+across changes.  :func:`check` compares a fresh run against a committed
+baseline and fails on regression — the CI perf-smoke gate.  The kind's
+parameters and defaults are declared in :mod:`repro.bench.registry`.
 
 Timing protocol: each (workload, path) cell runs ``trials`` times and
 keeps the fastest wall clock — the minimum is the estimator least
@@ -24,12 +25,12 @@ byte-identical) and the ratio isolates interpreter overhead.
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bench.registry import subset
 from repro.policies import make_policy
 from repro.store import LogStructuredStore, StoreConfig
 
@@ -43,15 +44,9 @@ MICRO_GRID = dict(
     clean_batch=8,
 )
 
-#: The three synthetic update streams the paper's experiments use.
-MICRO_WORKLOADS = ("uniform", "hotcold", "zipfian")
-
 #: Client batch size for the vectorized path (one ``write_batch`` call
 #: per this many updates).
 BATCH_SIZE = 4096
-
-_DEFAULT_WRITES = 200_000
-_QUICK_WRITES = 60_000
 
 
 def micro_workload(name: str, n_pages: int, n_writes: int, seed: int) -> np.ndarray:
@@ -76,7 +71,7 @@ def micro_workload(name: str, n_pages: int, n_writes: int, seed: int) -> np.ndar
     return np.ascontiguousarray(pids, dtype=np.int64)
 
 
-def _build_store(policy: str, seed: int) -> LogStructuredStore:
+def build_store(policy: str, seed: int) -> LogStructuredStore:
     config = StoreConfig(seed=seed, **MICRO_GRID)
     store = LogStructuredStore(config, make_policy(policy))
     store.load_sequential(config.user_pages)
@@ -146,20 +141,19 @@ def _best_of_paired(
     return best_scalar, best_batch
 
 
-def run_micro(
-    n_writes: int = _DEFAULT_WRITES,
-    trials: int = 3,
+def run(
+    writes: int,
+    trials: int,
+    policy: str,
+    workloads: Sequence[str],
     seed: int = 0,
-    policy: str = "greedy",
-    workloads=MICRO_WORKLOADS,
-    profile_path: Optional[str] = None,
 ) -> Dict:
     """Run the full scalar-vs-batch grid; returns the report dict."""
     report: Dict = {
         "benchmark": "store-micro",
         "grid": dict(MICRO_GRID),
         "policy": policy,
-        "writes": n_writes,
+        "writes": writes,
         "trials": trials,
         "seed": seed,
         "batch_size": BATCH_SIZE,
@@ -167,13 +161,13 @@ def run_micro(
     }
     n_pages = StoreConfig(seed=seed, **MICRO_GRID).user_pages
     for name in workloads:
-        pids = micro_workload(name, n_pages, n_writes, seed)
+        pids = micro_workload(name, n_pages, writes, seed)
 
         def scalar_pass():
-            return _timed_pass(_build_store(policy, seed), pids, batch=False)
+            return _timed_pass(build_store(policy, seed), pids, batch=False)
 
         def batch_pass():
-            return _timed_pass(_build_store(policy, seed), pids, batch=True)
+            return _timed_pass(build_store(policy, seed), pids, batch=True)
 
         scalar, batch = _best_of_paired(trials, scalar_pass, batch_pass)
         report["workloads"][name] = {
@@ -181,22 +175,10 @@ def run_micro(
             "batch": batch,
             "speedup": batch["writes_per_sec"] / scalar["writes_per_sec"],
         }
-    if profile_path:
-        import cProfile
-
-        store = _build_store(policy, seed)
-        pids = micro_workload(workloads[0], n_pages, n_writes, seed)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        for start in range(0, pids.size, BATCH_SIZE):
-            store.write_batch(pids[start : start + BATCH_SIZE])
-        profiler.disable()
-        profiler.dump_stats(profile_path)
-        report["profile"] = profile_path
     return report
 
 
-def render_micro(report: Dict) -> str:
+def render(report: Dict) -> str:
     """The human-readable table for one report."""
     lines = [
         "store micro-benchmark (policy=%s, %d writes, best of %d):"
@@ -224,24 +206,35 @@ def render_micro(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def check_against_baseline(
-    report: Dict, baseline: Dict, tolerance: float = 0.30
+#: Default fractional drop in batch writes/sec that :func:`check`
+#: tolerates.  Absolute rates vary across machines; the tolerance
+#: absorbs that for same-class runners, and the CI label escape hatch
+#: covers intentional changes or slower hardware.
+RATE_TOLERANCE = 0.30
+
+
+def check(
+    report: Dict, baseline: Optional[Dict], tolerance: Optional[float] = None
 ) -> List[str]:
     """Regression check: batch writes/sec per workload vs the committed
-    baseline.  Returns the list of violations (empty = pass).
+    baseline.  Returns the list of violations (empty = pass); with no
+    baseline there is nothing to compare.
 
-    Absolute rates vary across machines; the tolerance absorbs that for
-    same-class runners, and the CI label escape hatch covers intentional
-    changes or slower hardware.
+    Workloads only one side ran are skipped, but a baseline with no
+    workload in common gates nothing and is itself a violation.
     """
+    if baseline is None:
+        return []
+    if tolerance is None:
+        tolerance = RATE_TOLERANCE
+    shared = [n for n in baseline["workloads"] if n in report["workloads"]]
+    if not shared:
+        return ["the baseline covers no workload of this run"]
     problems: List[str] = []
-    for name, base_cell in baseline.get("workloads", {}).items():
-        if name not in report["workloads"]:
-            continue
-        base_rate = base_cell["batch"]["writes_per_sec"]
+    for name in shared:
+        base_rate = baseline["workloads"][name]["batch"]["writes_per_sec"]
         cur_rate = report["workloads"][name]["batch"]["writes_per_sec"]
-        floor = base_rate * (1.0 - tolerance)
-        if cur_rate < floor:
+        if cur_rate < base_rate * (1.0 - tolerance):
             problems.append(
                 "%s: batch %.0f writes/s is more than %.0f%% below the "
                 "baseline %.0f writes/s"
@@ -250,56 +243,13 @@ def check_against_baseline(
     return problems
 
 
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_report(path: str) -> Dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-# ----------------------------------------------------------------------
-# Benchmark history (benchmarks/history.jsonl)
-# ----------------------------------------------------------------------
-
-# The shared trajectory helpers live in repro.bench.history; the legacy
-# names are re-exported because the other benchmark modules (and older
-# scripts) import them from here.
-from repro.bench.history import (  # noqa: E402
-    HISTORY_PATH,
-    append_entry,
-    git_sha as _git_sha,
-    load_history,
-)
-
-
-def history_entry(report: Dict, sha: Optional[str] = None) -> Dict:
-    """One history line: the commit plus each workload's headline rates
-    (batch/scalar writes per second and the speedup)."""
-    entry: Dict = {
-        "sha": sha if sha is not None else _git_sha(),
-        "benchmark": report.get("benchmark", "store-micro"),
-        "policy": report.get("policy"),
-        "writes": report.get("writes"),
-        "trials": report.get("trials"),
-        "workloads": {},
-    }
-    for name, cell in report.get("workloads", {}).items():
-        entry["workloads"][name] = {
-            "batch_writes_per_sec": cell["batch"]["writes_per_sec"],
-            "scalar_writes_per_sec": cell["scalar"]["writes_per_sec"],
-            "speedup": cell["speedup"],
-            "cycle_p95_ms": cell["batch"]["cycle_p95_ms"],
-        }
-    return entry
-
-
-def append_history(
-    report: Dict, path: str = HISTORY_PATH, sha: Optional[str] = None
-) -> Dict:
-    """Append the report's :func:`history_entry` to the JSONL benchmark
-    trajectory; returns the appended entry."""
-    return append_entry(history_entry(report, sha=sha), path)
+def headline(report: Dict) -> Dict:
+    """The history row: each workload's headline rates (batch/scalar
+    writes per second and the speedup)."""
+    return subset(report, (
+        "benchmark", "policy", "writes", "trials", "seed",
+        "workloads.*.batch.writes_per_sec",
+        "workloads.*.batch.cycle_p95_ms",
+        "workloads.*.scalar.writes_per_sec",
+        "workloads.*.speedup",
+    ))

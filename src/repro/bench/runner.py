@@ -12,7 +12,7 @@ slow-converging policies (the paper calls out multi-log for needing
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -251,22 +251,3 @@ def _policy_extras(policy: CleaningPolicy) -> Dict[str, float]:
     if n_logs is not None:
         extras["n_logs"] = float(n_logs)
     return extras
-
-
-def sweep(
-    configs: List[StoreConfig],
-    policy_names: List[str],
-    workload_factory,
-    **run_kwargs,
-) -> List[SimulationResult]:
-    """Cartesian sweep helper: one simulation per (config, policy).
-
-    ``workload_factory(config)`` builds a fresh workload per run so
-    policies never share generator state.
-    """
-    results = []
-    for config in configs:
-        for name in policy_names:
-            workload = workload_factory(config)
-            results.append(run_simulation(config, name, workload, **run_kwargs))
-    return results

@@ -11,8 +11,10 @@ Usage (installed as ``repro``, or ``python -m repro``):
     repro ablation               # estimator + batch-size ablations
     repro simulate --policy mdc --dist zipf-80-20 --fill 0.8
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
-    repro bench micro            # scalar vs batch write-engine benchmark
-    repro bench service          # sharded-service scaling vs serial baseline
+    repro bench micro            # one registered benchmark kind (also
+                                 #   service, latency, sweep, profile)
+    repro bench run config.yml   # a declarative experiment matrix + gates
+    repro bench report           # perf-trend dashboard from the history
     repro serve --shards 4       # drive the sharded service front-end
     repro loadgen ops.jsonl      # record a deterministic client op trace
     repro top telemetry.jsonl    # live per-shard dashboard + SLO burn
@@ -37,6 +39,12 @@ under its deterministic concurrent client harness — or, with
 reports aggregate writes/sec, per-shard Wamp, and queue depth.  The
 same seed and parameters reproduce the same load byte for byte, so a
 recorded trace and the in-process generator are interchangeable.
+
+``repro bench <kind>`` is generated from the benchmark registry
+(``repro.bench.registry``): each kind's flags are its declared
+parameters — the same names a matrix config uses — plus one shared
+``--out/--check/--tolerance/--history/--no-history/--quick/--seed``
+block, and one handler runs, renders, records and gates any kind.
 
 ``repro sweep`` runs a whole experiment grid through the parallel
 orchestrator (``repro.sweep``): jobs fan out over worker processes, each
@@ -63,6 +71,7 @@ from repro.bench import (
     table2_experiment,
 )
 from repro.bench.experiments import _standard_config, make_workload
+from repro.bench.history import HISTORY_PATH
 from repro.policies import available_policies
 from repro.tpcc import TpccScale
 
@@ -78,6 +87,18 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=0,
         help="workload seed (same seed + same parameters = same numbers)",
+    )
+
+
+def _add_history(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--history", default=HISTORY_PATH, metavar="JSONL",
+        help="append the run's headline numbers, keyed by git SHA, to "
+        "this JSONL trajectory (default %(default)s)",
+    )
+    parser.add_argument(
+        "--no-history", action="store_true",
+        help="skip the benchmarks/history.jsonl append",
     )
 
 
@@ -226,8 +247,78 @@ def _experiment_runner(args: argparse.Namespace):
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments and dispatch one subcommand; returns exit code."""
+def _param_type(default):
+    """The argparse ``type=`` of one declared benchmark parameter, read
+    off its default: a tuple is a comma-separated list of its element
+    type; ``None`` (the kind's own shape decides) takes an integer."""
+    if isinstance(default, tuple):
+        cast = type(default[0])
+
+        def parse(text: str):
+            return tuple(cast(x) for x in text.split(","))
+
+        parse.__name__ = "comma-separated %s list" % cast.__name__
+        return parse
+    return int if default is None else type(default)
+
+
+def _add_bench_kinds(bench_sub) -> None:
+    """One ``repro bench <kind>`` subparser per registered benchmark:
+    a flag per declared parameter (named as in a matrix config) plus
+    the shared output/gate/history block."""
+    from repro.bench.registry import REGISTRY
+
+    for bench in REGISTRY.values():
+        p = bench_sub.add_parser(bench.kind, help=bench.help)
+        for name, default in bench.params.items():
+            if name != "quick":  # the shared flag below
+                p.add_argument(
+                    "--" + name.replace("_", "-"), dest=name,
+                    type=_param_type(default), default=argparse.SUPPRESS,
+                    help="default: %s" % (
+                        ",".join(map(str, default))
+                        if isinstance(default, tuple) else default
+                    ),
+                )
+        p.add_argument(
+            "--out", default=None,
+            help="write the JSON report here (default %s; nowhere "
+            "under --check)" % bench.baseline,
+        )
+        p.add_argument(
+            "--check", default=None, metavar="BASELINE",
+            help="gate against a committed report of the same "
+            "benchmark; exit 1 on a violation",
+        )
+        p.add_argument(
+            "--tolerance", type=float, default=None,
+            help="fractional slack for --check (default: the kind's own)",
+        )
+        _add_history(p)
+        p.add_argument(
+            "--quick", action="store_true",
+            help="the quick shape: %s" % dict(bench.quick),
+        )
+        _add_seed(p)
+
+
+def _bench_values(bench, args: argparse.Namespace) -> dict:
+    """The parameter point of one ``repro bench <kind>`` invocation:
+    declared defaults, then the ``--quick`` overrides, then the flags
+    actually given."""
+    values = dict(bench.params)
+    if args.quick:
+        values.update(bench.quick)
+    values.update(
+        (name, getattr(args, name))
+        for name in bench.params
+        if name != "quick" and hasattr(args, name)
+    )
+    return values
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the experiments of 'Efficiently Reclaiming "
@@ -323,143 +414,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="performance micro-benchmarks of the simulator itself",
+        help="benchmarks of the simulator itself: one registered kind, "
+        "a declarative matrix (run), or the trend dashboard (report)",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    p = bench_sub.add_parser(
-        "micro",
-        help="scalar vs vectorized write engine on the fig5 quick grid",
-    )
-    p.add_argument(
-        "--writes", type=int, default=None,
-        help="updates per workload (default 200000; --quick: 60000)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=3,
-        help="timed passes per cell; the fastest wall clock wins",
-    )
-    p.add_argument(
-        "--policy", default="greedy", choices=available_policies(),
-        help="cleaning policy to drive (default greedy)",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="write the JSON report here (default: BENCH_store.json when "
-        "no --check, else nowhere)",
-    )
-    p.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a committed BENCH_store.json; exit 1 when "
-        "batch writes/sec regresses beyond --tolerance",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional regression for --check (default 0.30)",
-    )
-    p.add_argument(
-        "--profile", default=None, metavar="PROF", nargs="?", const="micro.prof",
-        help="also cProfile the batch path and dump stats to PROF "
-        "(default micro.prof)",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="append the headline numbers, keyed by git SHA, to this "
-        "JSONL trajectory (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
-    )
-    _add_quick(p)
-    _add_seed(p)
-    p = bench_sub.add_parser(
-        "service",
-        help="sharded-service scaling: serial baseline vs the batched "
-        "service at several shard counts (BENCH_service.json)",
-    )
-    p.add_argument(
-        "--shards-list", default="1,2,4", metavar="N1,N2,...",
-        help="shard counts to benchmark (default 1,2,4)",
-    )
-    p.add_argument(
-        "--ops", type=int, default=None,
-        help="client ops per configuration (default 200000; --quick: 24000)",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="write the JSON report here (default BENCH_service.json)",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="append the headline numbers, keyed by git SHA, to this "
-        "JSONL trajectory (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
-    )
-    _add_quick(p)
-    _add_seed(p)
-    p = bench_sub.add_parser(
-        "latency",
-        help="tail-latency benchmark: p99 flush stall against one "
-        "cleaner step budget (BENCH_latency.json)",
-    )
-    p.add_argument(
-        "--ops", type=int, default=None,
-        help="client ops (default 200000; --quick: 24000)",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="write the JSON report here (default BENCH_latency.json)",
-    )
-    p.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a committed BENCH_latency.json; exit 1 "
-        "when the p99 flush stall exceeds one step budget or Wamp "
-        "regresses past the baseline",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="append the headline numbers, keyed by git SHA, to this "
-        "JSONL trajectory (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
-    )
-    _add_quick(p)
-    _add_seed(p)
-    p = bench_sub.add_parser(
-        "profile",
-        help="cProfile the hot paths (write_batch / clean_step / "
-        "rank_columns) and emit a ranked-cumtime artifact",
-    )
-    p.add_argument(
-        "--writes", type=int, default=None,
-        help="updates in the write phase (default 120000; --quick: 30000)",
-    )
-    p.add_argument(
-        "--policy", default="greedy", choices=available_policies(),
-        help="cleaning policy to drive (default greedy)",
-    )
-    p.add_argument(
-        "--workload", default="zipfian",
-        choices=("uniform", "hotcold", "zipfian"),
-        help="update stream family (default zipfian)",
-    )
-    p.add_argument(
-        "--top", type=int, default=15,
-        help="functions kept per phase, ranked by cumulative time "
-        "(default 15)",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="write the JSON artifact here (default "
-        "benchmarks/results/PROFILE_store.json)",
-    )
-    _add_quick(p)
-    _add_seed(p)
+    _add_bench_kinds(bench_sub)
     p = bench_sub.add_parser(
         "run",
         help="run a declarative experiment-matrix config: expand the "
@@ -499,15 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="clock ticks between time-series samples for obs "
         "experiments (default: a quarter of the store's user pages)",
     )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="append executed bench cells' headline numbers, keyed by "
-        "git SHA, to this trajectory (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
-    )
+    _add_history(p)
     p = bench_sub.add_parser(
         "report",
         help="render the SHA-keyed perf trend dashboard from the "
@@ -564,15 +515,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "queue/stall + SLO burn state) to this file; watch live with "
         "'repro top'",
     )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="append aggregate writes/sec, keyed by git SHA, to this "
-        "JSONL trajectory (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
-    )
+    _add_history(p)
 
     p = sub.add_parser(
         "loadgen",
@@ -744,7 +687,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_seed(p)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Parse arguments and dispatch one subcommand; returns exit code."""
+    args = build_parser().parse_args(argv)
 
     if args.command == "table1":
         print(
@@ -1096,7 +1044,6 @@ def _run_obs_command(args: argparse.Namespace) -> int:
 def _run_serve_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro serve``: generate or replay load, report."""
     from repro.service import read_ops_jsonl, replay_ops, run_harness
-    from repro.service.bench import append_serve_history
 
     if args.from_file:
         try:
@@ -1135,12 +1082,14 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     if args.telemetry_out:
         print("telemetry rows written to %s" % args.telemetry_out)
     if not args.no_history:
-        from repro.bench.micro import HISTORY_PATH
+        from repro.bench.history import append_entry
+        from repro.service.harness import serve_history_entry
 
-        history_path = args.history or HISTORY_PATH
-        entry = append_serve_history(result, cfg.seed, path=history_path)
+        entry = append_entry(
+            serve_history_entry(result, cfg.seed), args.history
+        )
         print(
-            "headline appended to %s (sha %s)" % (history_path, entry["sha"])
+            "headline appended to %s (sha %s)" % (args.history, entry["sha"])
         )
     return 0
 
@@ -1180,187 +1129,57 @@ def _run_loadgen_command(args: argparse.Namespace) -> int:
 
 
 def _run_bench_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench ...``: run, render, optionally gate."""
-    if args.bench_command == "service":
-        return _run_bench_service_command(args)
-    if args.bench_command == "latency":
-        return _run_bench_latency_command(args)
-    if args.bench_command == "profile":
-        return _run_bench_profile_command(args)
+    """Dispatch ``repro bench ...``."""
     if args.bench_command == "run":
         return _run_bench_matrix_command(args)
     if args.bench_command == "report":
         return _run_bench_report_command(args)
-    from repro.bench.micro import (
-        HISTORY_PATH,
-        append_history,
-        check_against_baseline,
-        load_report,
-        render_micro,
-        run_micro,
-        write_report,
-    )
+    return _run_bench_kind_command(args)
 
-    writes = args.writes
-    if writes is None:
-        writes = 60_000 if args.quick else 200_000
-    report = run_micro(
-        n_writes=writes,
-        trials=args.trials,
-        seed=args.seed,
-        policy=args.policy,
-        profile_path=args.profile,
-    )
-    print(render_micro(report))
-    out = args.out
-    if out is None and args.check is None:
-        out = "BENCH_store.json"
+
+def _run_bench_kind_command(args: argparse.Namespace) -> int:
+    """``repro bench <kind>``: run, render, record, gate."""
+    from repro.bench.history import append_entry
+    from repro.bench.registry import REGISTRY, write_report
+
+    bench = REGISTRY[args.bench_command]
+    baseline = None
+    if args.check:
+        # Before the run: a wrong file should not cost a benchmark.
+        try:
+            baseline = bench.load_baseline(args.check)
+        except (OSError, ValueError) as exc:
+            print(
+                "bench %s: cannot gate against %s: %s"
+                % (bench.kind, args.check, exc),
+                file=sys.stderr,
+            )
+            return 1
+    report = bench.run(seed=args.seed, **_bench_values(bench, args))
+    print(bench.render(report))
+    # A gate run must not overwrite the file it is compared with.
+    out = args.out or (None if args.check else bench.baseline)
     if out:
         write_report(report, out)
         print("report written to %s" % out)
-    if not args.no_history:
-        history_path = args.history or HISTORY_PATH
-        entry = append_history(report, path=history_path)
+    entry = bench.headline(report)
+    if entry is not None and not args.no_history:
+        entry = append_entry(entry, args.history)
         print(
-            "headline appended to %s (sha %s)" % (history_path, entry["sha"])
+            "headline appended to %s (sha %s)" % (args.history, entry["sha"])
         )
-    if args.check:
-        baseline = load_report(args.check)
-        problems = check_against_baseline(report, baseline, args.tolerance)
-        if problems:
-            for problem in problems:
-                print("perf regression: %s" % problem, file=sys.stderr)
-            return 1
-        print(
-            "no perf regression vs %s (tolerance %.0f%%)"
-            % (args.check, args.tolerance * 100.0)
-        )
-    return 0
-
-
-def _run_bench_profile_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench profile``: ranked-cumtime hot-path report."""
-    from repro.bench.profile import (
-        PROFILE_PATH,
-        render_profile,
-        run_profile,
-        write_profile,
-    )
-
-    writes = args.writes
-    if writes is None:
-        writes = 30_000 if args.quick else 120_000
-    report = run_profile(
-        n_writes=writes,
-        seed=args.seed,
-        policy=args.policy,
-        workload=args.workload,
-        top=args.top,
-    )
-    print(render_profile(report))
-    out = args.out or PROFILE_PATH
-    write_profile(report, out)
-    print("profile artifact written to %s" % out)
-    return 0
-
-
-def _run_bench_service_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench service``: scaling report + gate."""
-    from repro.bench.micro import HISTORY_PATH
-    from repro.service.bench import (
-        BENCH_PATH,
-        append_service_history,
-        check_service_report,
-        render_service_bench,
-        run_service_bench,
-        write_service_report,
-    )
-
-    try:
-        shard_counts = tuple(
-            int(x) for x in args.shards_list.split(",") if x.strip()
-        )
-    except ValueError:
-        print(
-            "bench service: --shards-list must be comma-separated "
-            "integers, got %r" % args.shards_list,
-            file=sys.stderr,
-        )
-        return 1
-    report = run_service_bench(
-        shard_counts=shard_counts,
-        quick=args.quick,
-        seed=args.seed,
-        ops=args.ops,
-    )
-    print(render_service_bench(report))
-    out = args.out or BENCH_PATH
-    write_service_report(report, out)
-    print("report written to %s" % out)
-    if not args.no_history:
-        history_path = args.history or HISTORY_PATH
-        entry = append_service_history(report, path=history_path)
-        print(
-            "headline appended to %s (sha %s)" % (history_path, entry["sha"])
-        )
-    problems = check_service_report(report)
+    problems = bench.check(report, baseline, args.tolerance)
+    for problem in problems:
+        print("%s regression: %s" % (bench.kind, problem), file=sys.stderr)
     if problems:
-        for problem in problems:
-            print("service regression: %s" % problem, file=sys.stderr)
-        if args.quick:
-            # At --quick op counts fixed overheads dominate and the
-            # batching advantage has no room to show; report, don't gate.
-            print(
-                "bench service: throughput gate is advisory under --quick",
-                file=sys.stderr,
-            )
-            return 0
-        return 1
-    return 0
-
-
-def _run_bench_latency_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench latency``: stall report + gates."""
-    from repro.bench.micro import HISTORY_PATH
-    from repro.service.latency import (
-        BENCH_PATH,
-        append_latency_history,
-        check_latency_regression,
-        check_latency_report,
-        load_latency_report,
-        render_latency_report,
-        run_latency_bench,
-        write_latency_report,
-    )
-
-    report = run_latency_bench(quick=args.quick, seed=args.seed, ops=args.ops)
-    print(render_latency_report(report))
-    out = args.out or BENCH_PATH
-    write_latency_report(report, out)
-    print("report written to %s" % out)
-    if not args.no_history:
-        history_path = args.history or HISTORY_PATH
-        entry = append_latency_history(report, path=history_path)
-        print(
-            "headline appended to %s (sha %s)" % (history_path, entry["sha"])
-        )
-    if args.check:
-        baseline = load_latency_report(args.check)
-        problems = check_latency_regression(report, baseline)
-    else:
-        problems = check_latency_report(report)
-    if problems:
-        for problem in problems:
-            print("latency regression: %s" % problem, file=sys.stderr)
         return 1
     if args.check:
-        print("no latency regression vs %s" % args.check)
+        print("no %s regression vs %s" % (bench.kind, args.check))
     return 0
 
 
 def _run_bench_matrix_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro bench run CONFIG``: the declarative matrix."""
-    from repro.bench.history import HISTORY_PATH
     from repro.matrix import MatrixConfigError, load_config, run_matrix
     from repro.matrix.gates import blocking_failures
     from repro.sweep.report import ProgressPrinter
@@ -1381,7 +1200,7 @@ def _run_bench_matrix_command(args: argparse.Namespace) -> int:
             retries=args.retries,
             progress=ProgressPrinter(),
             history=not args.no_history,
-            history_path=args.history or HISTORY_PATH,
+            history_path=args.history,
             sample_interval=args.sample_interval,
         )
     except (MatrixConfigError, SweepError) as exc:
@@ -1441,7 +1260,6 @@ def _run_bench_report_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro bench report``: trend dashboard, report-only."""
     import os
 
-    from repro.bench.history import HISTORY_PATH
     from repro.matrix.trend import load_trend
 
     history_path = args.history or HISTORY_PATH

@@ -1,4 +1,4 @@
-"""Content-addressed matrix cells and the multi-kind job runner.
+"""Content-addressed matrix cells and the job runner that executes them.
 
 A :class:`CellSpec` is to the matrix what
 :class:`repro.sweep.spec.JobSpec` is to a sweep: a canonical,
@@ -10,16 +10,14 @@ and inherit its process isolation, retries, timeouts, and the fsynced
 resume manifest — ``repro bench run --resume`` skips completed cells
 exactly the way ``repro sweep --resume`` skips completed jobs.
 
-Five cell kinds map onto the existing engines:
+There are two sorts of cell:
 
 * ``sim`` — one :func:`repro.bench.runner.run_simulation` call, carried
   as an embedded :class:`~repro.sweep.spec.JobSpec` payload (so a sim
   cell's identity is the same content address a sweep would use).
-* ``micro`` / ``service`` / ``latency`` / ``sweep`` — one run of the
-  corresponding benchmark harness (:func:`repro.bench.micro.run_micro`,
-  :func:`repro.service.bench.run_service_bench`,
-  :func:`repro.service.latency.run_latency_bench`,
-  :func:`repro.sweep.bench.run_sweep_bench`).
+* any kind in :data:`repro.bench.registry.REGISTRY` — one
+  ``Benchmark.run`` of that kind, with the cell's parameter point (and
+  seed) as the payload.
 
 Observability is pure output and never enters a digest: toggling
 ``obs:`` on an experiment reuses the same manifest entries, but cells
@@ -36,6 +34,7 @@ import random
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.bench.experiments import make_workload
+from repro.bench.registry import REGISTRY
 from repro.matrix.config import ExperimentDef, MatrixConfigError, expand_experiment
 from repro.store import StoreConfig
 from repro.store.errors import ConfigError
@@ -129,16 +128,15 @@ def _sim_payload(axes: Mapping[str, Any]) -> Dict[str, Any]:
     return spec.to_dict()
 
 
-def _bench_payload(kind: str, axes: Mapping[str, Any]) -> Dict[str, Any]:
-    """Canonical payload for a bench cell (JSON round-trip safe)."""
-    payload = {k: v for k, v in axes.items()}
-    # Tuples arrive from config defaults; JSON canonicalization needs
-    # lists so manifest round trips compare equal.
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    payload["kind"] = kind
-    return payload
+def _bench_payload(axes: Mapping[str, Any]) -> Dict[str, Any]:
+    """Canonical payload for a bench cell (JSON round-trip safe).
+
+    Tuples arrive from config defaults; JSON canonicalization needs
+    lists so manifest round trips compare equal.
+    """
+    return {
+        k: list(v) if isinstance(v, tuple) else v for k, v in axes.items()
+    }
 
 
 def cells_for_experiment(exp: ExperimentDef) -> List[CellSpec]:
@@ -148,7 +146,7 @@ def cells_for_experiment(exp: ExperimentDef) -> List[CellSpec]:
         if exp.kind == "sim":
             payload = _sim_payload(axes)
         else:
-            payload = _bench_payload(exp.kind, axes)
+            payload = _bench_payload(axes)
         cells.append(
             CellSpec(
                 experiment=exp.name,
@@ -172,9 +170,10 @@ class MatrixJobRunner:
     """The ``job_runner`` handed to :func:`repro.sweep.executor.run_sweep`.
 
     A plain picklable class (it crosses process boundaries under spawn
-    as well as fork).  Dispatches on the cell's ``kind`` and returns a
+    as well as fork).  Runs a sim cell's JobSpec, or the registered
+    benchmark of any other ``kind``, and returns a
     JSON-ready ``{"kind": ..., "result": ...}`` payload; sim cells with
-    ``obs`` on additionally write their schema-v1 rows to a per-cell
+    ``obs`` on additionally write their metrics rows to a per-cell
     file under ``metrics_dir`` (merged in cell order afterwards, the
     same protocol as :class:`repro.sweep.executor.ObsJobRunner`).
     """
@@ -214,45 +213,8 @@ class MatrixJobRunner:
             result = result_to_dict(
                 run_job(spec, observe=observe, sample_interval=self.sample_interval)
             )
-        elif kind == "micro":
-            from repro.bench.micro import run_micro
-
-            result = run_micro(
-                n_writes=int(payload["writes"]),
-                trials=int(payload["trials"]),
-                seed=int(payload["seed"]),
-                policy=str(payload["policy"]),
-                workloads=tuple(payload["workloads"]),
-            )
-        elif kind == "service":
-            from repro.service.bench import run_service_bench
-
-            result = run_service_bench(
-                shard_counts=tuple(int(n) for n in payload["shards"]),
-                quick=bool(payload["quick"]),
-                seed=int(payload["seed"]),
-                ops=payload.get("ops"),
-            )
-        elif kind == "latency":
-            from repro.service.latency import run_latency_bench
-
-            result = run_latency_bench(
-                quick=bool(payload["quick"]),
-                seed=int(payload["seed"]),
-                ops=payload.get("ops"),
-            )
-        elif kind == "sweep":
-            from repro.sweep.bench import run_sweep_bench
-
-            result = run_sweep_bench(
-                grid=str(payload["grid"]),
-                dist=payload.get("dist"),
-                quick=bool(payload["quick"]),
-                workers=int(payload["workers"]),
-                seed=int(payload["seed"]),
-            )
         else:
-            raise MatrixConfigError("unknown cell kind %r" % (kind,))
+            result = REGISTRY[kind].run(**payload)
         return {"kind": kind, "result": result}
 
 
@@ -292,6 +254,16 @@ def dig(data: Any, path: str) -> Any:
             raise KeyError(path)
         node = node[part]
     return node
+
+
+def dig_number(data: Any, path: str) -> Optional[float]:
+    """The number at a dotted path, or ``None`` when the path is
+    missing or holds something else (an older row, a partial report)."""
+    try:
+        value = dig(data, path)
+    except KeyError:
+        return None
+    return value if isinstance(value, (int, float)) else None
 
 
 def cell_metric(cell: CellResult, path: str) -> float:

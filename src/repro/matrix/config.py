@@ -9,7 +9,7 @@ content-addressed cells, plus declarative ``checks:`` (gates) and
     description: one line for the report header
     experiments:                    # required; at least one
       - name: fig5                  # required; unique per config
-        kind: sim                   # sim (default) | micro | service | latency | sweep
+        kind: sim                   # sim (default) or a registered bench kind
         matrix:                     # axes; each value list becomes a grid
           policy: [age, mdc]        #   dimension.  Scalars are allowed and
           dist: [uniform]           #   mean a fixed (non-swept) axis.
@@ -18,7 +18,7 @@ content-addressed cells, plus declarative ``checks:`` (gates) and
         seed: 0                     # base seed (default 0)
         params:                     # kind-specific fixed parameters
           write_multiplier: 6.25
-        obs: true                   # sim only: record schema-v1 rows
+        obs: true                   # sim only: record metrics rows
         checks:                     # per-experiment gates
           - type: meanfield         # analytical closed-form Wamp
             where: {policy: age, dist: uniform}
@@ -37,6 +37,10 @@ content-addressed cells, plus declarative ``checks:`` (gates) and
         experiment: fig5
       - type: trend                 # history.jsonl perf trend
         last: 10
+
+The bench kinds, their parameters (with defaults) and the suite gate
+each answers to are whatever :mod:`repro.bench.registry` declares; this
+module names none of them.
 
 Parsing is strict: unknown keys, wrong types, and out-of-range values
 raise :class:`MatrixConfigError` with the config path of the offending
@@ -57,25 +61,18 @@ import json
 import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.bench.registry import REGISTRY, Benchmark
+
 
 class MatrixConfigError(Exception):
     """Raised for unparseable or invalid matrix configs."""
 
 
-#: Experiment kinds and the runner each maps to.
-KINDS = ("sim", "micro", "service", "latency", "sweep")
-
-#: Check types understood by :mod:`repro.matrix.gates`.
-CHECK_TYPES = (
-    "metric",
-    "baseline",
-    "meanfield",
-    "micro-baseline",
-    "service-floor",
-    "latency-baseline",
-    "sweep-scaling",
-    "slo",
-)
+#: Check types that are not tied to one kind; ``meanfield`` is
+#: sim-only and each registered kind adds its own suite gate
+#: (``Benchmark.gate``).  ``slo`` reads an SLOTracker report embedded in
+#: a cell result (the latency bench emits one).
+GENERIC_CHECK_TYPES = ("metric", "baseline", "slo")
 
 #: Result-section types understood by :mod:`repro.matrix.report`.
 RESULT_TYPES = ("table", "convergence", "trend")
@@ -98,35 +95,15 @@ SIM_PARAMS: Dict[str, Any] = {
     "measure_fraction": 0.5,
 }
 
-#: Parameters accepted per bench kind (defaults mirror the CLI).
-MICRO_PARAMS: Dict[str, Any] = {
-    "writes": 60_000,
-    "trials": 3,
-    "policy": "greedy",
-    "workloads": ("uniform", "hotcold", "zipfian"),
-}
-SERVICE_PARAMS: Dict[str, Any] = {
-    "shards": (1, 2, 4),
-    "ops": None,
-    "quick": False,
-}
-LATENCY_PARAMS: Dict[str, Any] = {
-    "ops": None,
-    "quick": False,
-}
-SWEEP_PARAMS: Dict[str, Any] = {
-    "grid": "fig5",
-    "dist": "zipf-80-20",
-    "quick": True,
-    "workers": 4,
-}
 
-_BENCH_PARAMS = {
-    "micro": MICRO_PARAMS,
-    "service": SERVICE_PARAMS,
-    "latency": LATENCY_PARAMS,
-    "sweep": SWEEP_PARAMS,
-}
+def kind_params(kind: str) -> Mapping[str, Any]:
+    """Parameter name -> default for one experiment kind."""
+    return SIM_PARAMS if kind == "sim" else REGISTRY[kind].params
+
+
+def suite_gates() -> Dict[str, Benchmark]:
+    """Suite gate name -> the registered kind it belongs to."""
+    return {b.gate: b for b in REGISTRY.values() if b.gate}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -346,12 +323,13 @@ def _parse_experiment(node: Any, path: str) -> ExperimentDef:
     )
     name = _require_str(exp.get("name"), "%s.name" % path)
     kind = exp.get("kind", "sim")
-    if kind not in KINDS:
+    if kind != "sim" and kind not in REGISTRY:
         raise _fail(
             "%s.kind" % path,
-            "unknown kind %r (have: %s)" % (kind, ", ".join(KINDS)),
+            "unknown kind %r (have: %s)"
+            % (kind, ", ".join(("sim", *REGISTRY))),
         )
-    allowed = SIM_PARAMS if kind == "sim" else _BENCH_PARAMS[kind]
+    allowed = kind_params(kind)
 
     matrix: Dict[str, Tuple[Any, ...]] = {}
     for key, value in _require_mapping(
@@ -421,21 +399,6 @@ def _parse_experiment(node: Any, path: str) -> ExperimentDef:
     )
 
 
-#: Which check types make sense on which experiment kinds.
-_CHECK_KINDS = {
-    "metric": ("sim", "micro", "service", "latency", "sweep"),
-    "baseline": ("sim", "micro", "service", "latency", "sweep"),
-    "meanfield": ("sim",),
-    "micro-baseline": ("micro",),
-    "service-floor": ("service",),
-    "latency-baseline": ("latency",),
-    "sweep-scaling": ("sweep",),
-    # The burn-rate gate reads an SLOTracker report embedded in a cell
-    # result (the latency bench emits one).
-    "slo": ("latency",),
-}
-
-
 def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
     check = _require_mapping(node, path)
     _reject_unknown(
@@ -447,13 +410,23 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
         path,
     )
     ctype = check.get("type")
-    if ctype not in CHECK_TYPES:
+    suites = suite_gates()
+    known = (*GENERIC_CHECK_TYPES, "meanfield", *suites)
+    if ctype not in known:
         raise _fail(
             "%s.type" % path,
-            "unknown check type %r (have: %s)"
-            % (ctype, ", ".join(CHECK_TYPES)),
+            "unknown check type %r (have: %s)" % (ctype, ", ".join(known)),
         )
-    if kind not in _CHECK_KINDS[ctype]:
+    if ctype in suites:
+        applies = suites[ctype] is REGISTRY.get(kind)
+    elif ctype == "meanfield":
+        applies = kind == "sim"
+    elif ctype == "slo":
+        # Reads an embedded report no sim result carries.
+        applies = kind != "sim"
+    else:
+        applies = True
+    if not applies:
         raise _fail(
             "%s.type" % path,
             "check type %r does not apply to kind %r experiments"
@@ -492,7 +465,7 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
             "slo checks need a metric: field (dotted path to the "
             "embedded SLO report, e.g. slo)",
         )
-    if ctype in ("micro-baseline", "latency-baseline") and not check.get("file"):
+    if ctype in suites and suites[ctype].gate_needs_file and not check.get("file"):
         raise _fail(path, "%s checks need a file: field" % ctype)
     direction = check.get("direction", "min")
     if direction not in ("min", "max"):
@@ -561,9 +534,8 @@ def expand_experiment(exp: ExperimentDef) -> List[Dict[str, Any]]:
     innermost.  The order is a pure function of the config, which is
     what makes cell digests — and resume — stable across runs.
     """
-    defaults = SIM_PARAMS if exp.kind == "sim" else _BENCH_PARAMS[exp.kind]
     base: Dict[str, Any] = {
-        k: v for k, v in defaults.items() if v is not None
+        k: v for k, v in kind_params(exp.kind).items() if v is not None
     }
     base.update(exp.params)
     axes = list(exp.matrix.items())

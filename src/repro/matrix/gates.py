@@ -31,20 +31,20 @@ Check types
     bound by more than ``tolerance`` (a simulator beating a proven
     floor is miscounting), while any gap above it is legal.
 
-``micro-baseline`` / ``service-floor`` / ``latency-baseline``
-    Delegate to the benchmark suites' own committed-baseline checkers
-    (:func:`repro.bench.micro.check_against_baseline`,
-    :func:`repro.service.bench.check_service_report`,
-    :func:`repro.service.latency.check_latency_regression`), so a
-    matrix-driven CI job reproduces exactly the verdicts the dedicated
-    smoke jobs used to compute.
+Suite gates (``micro-baseline`` / ``service-floor`` /
+``latency-baseline`` / ``sweep-scaling`` / any registered kind's)
+    One evaluator for all of them: every matching cell's report goes
+    through its kind's own ``check`` (:mod:`repro.bench.registry`) with
+    the ``file:`` baseline and ``tolerance:`` the config gives, so a
+    matrix-driven CI job computes exactly the verdict ``repro bench
+    <kind> --check`` does.  A ``file:`` that holds another benchmark
+    family's report is a config error, not a vacuous pass.  The passing
+    detail lists the kind's headline numbers — for ``sweep-scaling``
+    that names the hardware-conditional floor tier that applied.
 
-``sweep-scaling``
-    Delegates to :func:`repro.sweep.bench.check_sweep_report`: the
-    pooled sweep's output must be byte-identical to the serial run,
-    and the pool-vs-serial speedup must clear a hardware-conditional
-    floor (2.0x with >= 4 effective workers on >= 4 CPUs, 0.95x when
-    the executor clamp shrank the pool to one worker, 1.0x between).
+``slo``
+    Burn-rate ceiling over an SLOTracker report embedded in the cell
+    result.
 
 A check with ``advisory: true`` reports its verdict but never fails the
 run — the pattern the service gate already uses under ``--quick``,
@@ -55,21 +55,31 @@ binding.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.matrix.cells import CellResult, cell_metric, dig, matches_where
-from repro.matrix.config import CheckDef, MatrixConfig, MatrixConfigError
+from repro.bench.registry import load_report
+from repro.matrix.cells import (
+    CellResult,
+    cell_metric,
+    dig,
+    dig_number,
+    matches_where,
+)
+from repro.matrix.config import (
+    CheckDef,
+    MatrixConfig,
+    MatrixConfigError,
+    suite_gates,
+)
 from repro.matrix.meanfield import MeanFieldError, predict_for_workload
 
 #: Default fractional tolerances per check type, used when the config
-#: does not set one.  The mean-field tolerance is documented in
-#: EXPERIMENTS.md next to the agreement measurement that justifies it.
+#: does not set one (a suite gate's default is its kind's own).  The
+#: mean-field tolerance is documented in EXPERIMENTS.md next to the
+#: agreement measurement that justifies it.
 DEFAULT_TOLERANCES = {
     "baseline": 0.30,
     "meanfield": 0.12,
-    "micro-baseline": 0.30,
-    "latency-baseline": 0.25,
 }
 
 
@@ -97,17 +107,12 @@ class GateResult:
         return dataclasses.asdict(self)
 
 
-def _load_baseline(path: str) -> Dict:
+def _load_baseline(path: str, load=load_report) -> Dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+        return load(path)
+    except (OSError, ValueError) as exc:
         raise MatrixConfigError(
             "cannot read baseline file %s: %s" % (path, exc)
-        )
-    except ValueError as exc:
-        raise MatrixConfigError(
-            "baseline file %s is not valid JSON: %s" % (path, exc)
         )
 
 
@@ -328,94 +333,25 @@ def _check_meanfield(
     )
 
 
-def _check_micro_baseline(
+def _check_suite(
     experiment: str, check: CheckDef, cells: Sequence[CellResult]
 ) -> GateResult:
-    from repro.bench.micro import check_against_baseline
-
-    baseline = _load_baseline(check.file)
-    tolerance = (
-        check.tolerance
-        if check.tolerance is not None
-        else DEFAULT_TOLERANCES["micro-baseline"]
-    )
+    """Every cell's report through its kind's own ``check``."""
+    bench = suite_gates()[check.type]
+    baseline = None
+    if check.file is not None:
+        baseline = _load_baseline(check.file, bench.load_baseline)
     problems = []
     for cell in cells:
-        for problem in check_against_baseline(
-            cell.result, baseline, tolerance=tolerance
-        ):
+        for problem in bench.check(cell.result, baseline, check.tolerance):
             problems.append("%s: %s" % (cell.spec.label, problem))
-    if problems:
-        return _result(experiment, check, False, "; ".join(problems))
-    return _result(
-        experiment,
-        check,
-        True,
-        "%d run(s) within %.0f%% of %s"
-        % (len(cells), 100 * tolerance, check.file),
-    )
-
-
-def _check_service_floor(
-    experiment: str, check: CheckDef, cells: Sequence[CellResult]
-) -> GateResult:
-    from repro.service.bench import check_service_report
-
-    problems = []
-    for cell in cells:
-        for problem in check_service_report(cell.result):
-            problems.append("%s: %s" % (cell.spec.label, problem))
-    if problems:
-        return _result(experiment, check, False, "; ".join(problems))
-    return _result(
-        experiment,
-        check,
-        True,
-        "%d run(s) at or above the serial baseline" % len(cells),
-    )
-
-
-def _check_latency_baseline(
-    experiment: str, check: CheckDef, cells: Sequence[CellResult]
-) -> GateResult:
-    from repro.service.latency import check_latency_regression
-
-    baseline = _load_baseline(check.file)
-    margin = (
-        check.tolerance
-        if check.tolerance is not None
-        else DEFAULT_TOLERANCES["latency-baseline"]
-    )
-    problems = []
-    for cell in cells:
-        for problem in check_latency_regression(
-            cell.result, baseline, margin=margin
-        ):
-            problems.append("%s: %s" % (cell.spec.label, problem))
-    if problems:
-        return _result(experiment, check, False, "; ".join(problems))
-    return _result(
-        experiment,
-        check,
-        True,
-        "%d run(s) hold the stall gate vs %s" % (len(cells), check.file),
-    )
-
-
-def _check_sweep_scaling(
-    experiment: str, check: CheckDef, cells: Sequence[CellResult]
-) -> GateResult:
-    from repro.sweep.bench import check_sweep_report
-
-    problems = []
-    observed = None
-    for cell in cells:
-        report = cell.result
-        speedup = report.get("speedup_pool_vs_serial")
-        if speedup is not None:
-            observed = float(speedup)
-        for problem in check_sweep_report(report):
-            problems.append("%s: %s" % (cell.spec.label, problem))
+    # The kind's trend columns, read off the last report (None: a
+    # headline-only column the report does not carry).
+    headline = [
+        (label, dig_number(cells[-1].result, path))
+        for label, path in bench.columns
+    ]
+    observed = headline[0][1] if headline else None
     if problems:
         return _result(
             experiment, check, False, "; ".join(problems), observed=observed
@@ -424,8 +360,13 @@ def _check_sweep_scaling(
         experiment,
         check,
         True,
-        "%d run(s) identical across pool modes and above the speedup floor"
-        % len(cells),
+        "%d run(s) pass %s%s: %s"
+        % (
+            len(cells),
+            check.type,
+            " vs %s" % check.file if check.file else "",
+            ", ".join("%s %.6g" % h for h in headline if h[1] is not None),
+        ),
         observed=observed,
     )
 
@@ -497,10 +438,6 @@ _EVALUATORS = {
     "metric": _check_metric,
     "baseline": _check_baseline,
     "meanfield": _check_meanfield,
-    "micro-baseline": _check_micro_baseline,
-    "service-floor": _check_service_floor,
-    "latency-baseline": _check_latency_baseline,
-    "sweep-scaling": _check_sweep_scaling,
     "slo": _check_slo,
 }
 
@@ -523,7 +460,8 @@ def evaluate_checks(
             if not matching:
                 verdicts.append(_no_match(exp.name, check))
                 continue
-            verdicts.append(_EVALUATORS[check.type](exp.name, check, matching))
+            evaluate = _EVALUATORS.get(check.type, _check_suite)
+            verdicts.append(evaluate(exp.name, check, matching))
     return verdicts
 
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.charts import line_plot
+from repro.bench.history import HISTORY_PATH
 from repro.matrix.cells import CellResult, cell_metric
 from repro.matrix.config import MatrixConfig, ResultDef
 from repro.matrix.gates import GateResult
-from repro.matrix.trend import detect_trend_regressions, render_trend
+from repro.matrix.trend import load_trend
 
 
 def _fmt_value(value: Optional[float]) -> str:
@@ -274,15 +275,10 @@ def render_report(
             )
         elif res.type == "trend":
             lines += ["", "## Perf trend", ""]
-            if history_path is None:
-                from repro.bench.history import HISTORY_PATH
-
-                history_path = HISTORY_PATH
-            from repro.bench.history import load_history
-
-            history = load_history(history_path)
-            lines += render_trend(history, last=res.last)
-            warnings = detect_trend_regressions(history, root=root)
+            trend, warnings = load_trend(
+                history_path or HISTORY_PATH, last=res.last, root=root
+            )
+            lines += trend
             if warnings:
                 lines += ["", "**Trajectory drift (report-only):**", ""]
                 lines += ["- %s" % w for w in warnings]

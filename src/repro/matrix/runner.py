@@ -9,15 +9,16 @@ unchanged config replays entirely from the manifest.
 
 After execution it:
 
-* merges per-cell schema-v1 metrics files (obs experiments) into one
+* merges per-cell metrics files (obs experiments) into one
   ``metrics-<experiment>.jsonl`` per experiment, in cell order, and
   schema-validates the merge — an implicit gate, because a matrix that
   claims observability but emits malformed rows should fail CI;
-* appends SHA-keyed ``benchmarks/history.jsonl`` entries for every
-  *executed* bench cell (resumed cells were not re-run and would
-  duplicate their original entry) — suppressed entirely by
-  ``history=False`` (``--no-history``), the same switch every dedicated
-  bench command honors;
+* appends the ``headline`` row of every *executed* bench cell to
+  ``benchmarks/history.jsonl`` (resumed cells were not re-run and would
+  duplicate their original row; sim cells have no history family —
+  their regression story is the gates + report) — suppressed entirely
+  by ``history=False`` (``--no-history``), the same switch ``repro
+  bench <kind>`` honors;
 * evaluates the declarative ``checks:`` into gate verdicts;
 * renders ``report.md`` and writes machine-readable ``gates.json``.
 """
@@ -25,12 +26,12 @@ After execution it:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pathlib
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.history import HISTORY_PATH, append_entry, git_sha
+from repro.bench.registry import REGISTRY, write_report
 from repro.matrix.cells import (
     CellResult,
     CellSpec,
@@ -124,25 +125,6 @@ def _validate_metrics(path: str, experiment: str) -> List[str]:
         "%s: %s" % (experiment, problem)
         for problem in validate_rows(load_rows(path))
     ]
-
-
-def _history_entry_for(cell: CellResult) -> Optional[Dict]:
-    """The trajectory line a bench cell contributes (sim cells have no
-    history family; their regression story is the gates + report)."""
-    kind = cell.spec.kind
-    if kind == "micro":
-        from repro.bench.micro import history_entry
-
-        return history_entry(cell.result)
-    if kind == "service":
-        from repro.service.bench import service_history_entry
-
-        return service_history_entry(cell.result)
-    if kind == "latency":
-        from repro.service.latency import latency_history_entry
-
-        return latency_history_entry(cell.result)
-    return None
 
 
 def run_matrix(
@@ -267,9 +249,9 @@ def run_matrix(
     if history:
         for cells in results.values():
             for cell in cells:
-                if cell.resumed:
+                if cell.resumed or cell.spec.kind == "sim":
                     continue
-                entry = _history_entry_for(cell)
+                entry = REGISTRY[cell.spec.kind].headline(cell.result)
                 if entry is not None:
                     history_entries.append(append_entry(entry, history_path))
 
@@ -304,24 +286,20 @@ def run_matrix(
         fh.write(markdown)
 
     gates_path = str(out_path / GATES_NAME)
-    with open(gates_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "name": config.name,
-                "sha": sha,
-                "matrix_digest": digest,
-                "cells": stats.total,
-                "executed": stats.executed,
-                "resumed": stats.skipped,
-                "failed": [dataclasses.asdict(f) for f in stats.failed],
-                "obs_problems": obs_problems,
-                "gates": [v.to_dict() for v in verdicts],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_report(
+        {
+            "name": config.name,
+            "sha": sha,
+            "matrix_digest": digest,
+            "cells": stats.total,
+            "executed": stats.executed,
+            "resumed": stats.skipped,
+            "failed": [dataclasses.asdict(f) for f in stats.failed],
+            "obs_problems": obs_problems,
+            "gates": [v.to_dict() for v in verdicts],
+        },
+        gates_path,
+    )
 
     return MatrixRunReport(
         config=config,

@@ -4,9 +4,14 @@
 benchmark run (see :mod:`repro.bench.history`).  This module turns that
 trajectory into a markdown dashboard: one table per benchmark family
 with the family's headline numbers over the last N commits, each cell
-annotated with its change versus the previous entry, plus a regression
-scan of the *latest* entry per family against the committed
-``BENCH_*.json`` baselines.
+annotated with its change versus the previous entry, plus a drift scan
+of the *latest* entry per family.
+
+The columns of a family are the ones its registered kind declares
+(:mod:`repro.bench.registry`), and the drift scan is that kind's own
+``check`` applied to the latest row against its committed baseline — a
+row is a report-shaped subset, so nothing is re-implemented here.  A
+row that predates a field renders ``-`` for it.
 
 Trend regressions are **report-only**: the binding verdicts come from
 the config's ``checks:`` (which re-run the benchmarks and gate on the
@@ -17,55 +22,29 @@ number been drifting across commits?" — which a single-run gate cannot.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.history import HISTORY_PATH, load_history
+from repro.bench.registry import REGISTRY
+from repro.matrix.cells import dig_number
 
-#: Headline columns per benchmark family: (label, extractor,
-#: higher-is-better).  Extractors return None when the entry predates
-#: the field, keeping old trajectory lines renderable.
-_Extractor = Callable[[Dict[str, Any]], Optional[float]]
-
-
-def _micro_rate(workload: str) -> _Extractor:
-    def extract(entry: Dict[str, Any]) -> Optional[float]:
-        cell = entry.get("workloads", {}).get(workload)
-        return None if cell is None else cell.get("batch_writes_per_sec")
-
-    return extract
-
-
-def _service_shard_rate(entry: Dict[str, Any]) -> Optional[float]:
-    shards = entry.get("shards")
-    if not isinstance(shards, dict) or not shards:
-        return None
-    best = max(shards.values(), key=lambda r: r.get("writes_per_sec", 0.0))
-    return best.get("writes_per_sec")
-
-
-FAMILY_COLUMNS: Dict[str, List[Tuple[str, _Extractor, bool]]] = {
-    "store-micro": [
-        ("uniform w/s", _micro_rate("uniform"), True),
-        ("hotcold w/s", _micro_rate("hotcold"), True),
-        ("zipfian w/s", _micro_rate("zipfian"), True),
-    ],
-    "service": [
-        ("serial w/s", lambda e: e.get("serial_writes_per_sec"), True),
-        ("best shard w/s", _service_shard_rate, True),
-    ],
-    "service-serve": [
-        ("w/s", lambda e: e.get("writes_per_sec"), True),
-        ("Wamp spread", lambda e: e.get("wamp_spread"), False),
-        ("queue p95", lambda e: e.get("queue_depth_p95"), False),
-    ],
-    "latency": [
-        ("stall p99 pages", lambda e: e.get("flush_stall_p99_pages"), False),
-        ("Wamp", lambda e: e.get("wamp_aggregate"), False),
-    ],
+#: Families whose rows no registered kind writes: (label, dotted path)
+#: columns, as ``Benchmark.columns``.  ``repro serve`` appends
+#: ``service-serve`` rows.
+EXTRA_FAMILIES: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "service-serve": (
+        ("w/s", "writes_per_sec"),
+        ("Wamp spread", "wamp_spread"),
+        ("queue p95", "queue_depth_p95"),
+    ),
 }
 
-#: Family display order in the report.
-FAMILY_ORDER = ("store-micro", "service", "service-serve", "latency")
+
+def family_columns() -> Dict[str, Tuple[Tuple[str, str], ...]]:
+    """Family -> trend columns, in display order."""
+    columns = {b.family: b.columns for b in REGISTRY.values() if b.columns}
+    columns.update(EXTRA_FAMILIES)
+    return columns
 
 
 def group_by_family(
@@ -101,24 +80,20 @@ def render_family_table(
 ) -> List[str]:
     """Markdown trend table for one family's last N entries (newest
     last, so the table reads chronologically)."""
-    columns = FAMILY_COLUMNS.get(family)
-    if columns is None:
-        # Unknown family: still show the shas so nothing silently
-        # disappears from the dashboard.
-        columns = []
+    # An unknown family still shows its shas, so nothing silently
+    # disappears from the dashboard.
+    columns = family_columns().get(family, ())
     window = list(entries)[-last:]
     lines = [
-        "| sha | " + " | ".join(label for label, _, _ in columns) + " |",
+        "| sha | " + " | ".join(label for label, _ in columns) + " |",
         "|---" * (1 + len(columns)) + "|",
     ]
     prev: Optional[Dict[str, Any]] = None
     for entry in window:
         row = ["`%s`" % entry.get("sha", "?")]
-        for _, extract, _ in columns:
-            value = extract(entry)
-            row.append(
-                _fmt(value) + _delta(value, extract(prev) if prev else None)
-            )
+        for _, path in columns:
+            value = dig_number(entry, path)
+            row.append(_fmt(value) + _delta(value, dig_number(prev, path)))
         lines.append("| " + " | ".join(row) + " |")
         prev = entry
     return lines
@@ -131,8 +106,8 @@ def render_trend(
     if not history:
         return ["_No benchmark history recorded yet._"]
     families = group_by_family(history)
-    ordered = [f for f in FAMILY_ORDER if f in families]
-    ordered += [f for f in sorted(families) if f not in FAMILY_ORDER]
+    ordered = [f for f in family_columns() if f in families]
+    ordered += [f for f in sorted(families) if f not in ordered]
     lines: List[str] = []
     for family in ordered:
         entries = families[family]
@@ -147,77 +122,36 @@ def render_trend(
 
 
 # ----------------------------------------------------------------------
-# Regression scan vs committed baselines
+# Drift scan vs committed baselines
 # ----------------------------------------------------------------------
 
 def detect_trend_regressions(
-    history: Sequence[Dict[str, Any]],
-    root: str = ".",
-    rate_tolerance: float = 0.30,
+    history: Sequence[Dict[str, Any]], root: str = "."
 ) -> List[str]:
-    """Compare each family's *latest* trajectory entry against the
-    committed ``BENCH_*.json`` baselines (same tolerances the CI gates
-    use).  Returns human-readable drift warnings; empty means the
-    trajectory's newest points are consistent with the baselines."""
-    import json
-
+    """Run each registered kind's ``check`` on its family's *latest*
+    trajectory row against the committed baseline under ``root`` (the
+    gate CI applies to a fresh run, at the kind's default tolerance).
+    Returns human-readable drift warnings; empty means the trajectory's
+    newest points are consistent with the baselines.  A family with no
+    committed baseline, and a row too old to carry the fields the check
+    reads, are skipped."""
     families = group_by_family(history)
     warnings: List[str] = []
-
-    latest = families.get("store-micro", [])
-    store_path = os.path.join(root, "BENCH_store.json")
-    if latest and os.path.exists(store_path):
-        with open(store_path) as fh:
-            base = json.load(fh)
-        entry = latest[-1]
-        for name, cell in base.get("workloads", {}).items():
-            base_rate = cell["batch"]["writes_per_sec"]
-            cur = entry.get("workloads", {}).get(name, {}).get(
-                "batch_writes_per_sec"
-            )
-            if cur is not None and cur < base_rate * (1.0 - rate_tolerance):
-                warnings.append(
-                    "store-micro %s: latest %.0f w/s is >%.0f%% below the "
-                    "committed baseline %.0f (sha %s)"
-                    % (name, cur, 100 * rate_tolerance, base_rate,
-                       entry.get("sha", "?"))
-                )
-
-    latest = families.get("latency", [])
-    lat_path = os.path.join(root, "BENCH_latency.json")
-    if latest and os.path.exists(lat_path):
-        with open(lat_path) as fh:
-            base = json.load(fh)
-        entry = latest[-1]
-        step = base.get("config", {}).get("pages_per_step")
-        p99 = entry.get("flush_stall_p99_pages")
-        if step is not None and p99 is not None and p99 > step:
-            warnings.append(
-                "latency: latest p99 flush stall %.1f pages exceeds the "
-                "committed step budget of %d pages (sha %s)"
-                % (p99, step, entry.get("sha", "?"))
-            )
-
-    latest = families.get("service", [])
-    svc_path = os.path.join(root, "BENCH_service.json")
-    if latest and os.path.exists(svc_path):
-        with open(svc_path) as fh:
-            base = json.load(fh)
-        entry = latest[-1]
-        base_serial = base.get("serial", {}).get("writes_per_sec")
-        cur_serial = entry.get("serial_writes_per_sec")
-        if (
-            base_serial is not None
-            and cur_serial is not None
-            and cur_serial < base_serial * (1.0 - rate_tolerance)
-        ):
-            warnings.append(
-                "service: latest serial %.0f w/s is >%.0f%% below the "
-                "committed baseline %.0f (sha %s)"
-                % (cur_serial, 100 * rate_tolerance, base_serial,
-                   entry.get("sha", "?"))
-            )
-
+    for bench in REGISTRY.values():
+        path = os.path.join(root, bench.baseline)
+        if bench.family not in families or not os.path.exists(path):
+            continue
+        entry = families[bench.family][-1]
+        try:
+            problems = bench.check(entry, bench.load_baseline(path), None)
+        except (KeyError, TypeError):
+            continue
+        except ValueError as exc:
+            problems = ["baseline unusable: %s" % exc]
+        warnings += [
+            "%s %s (sha %s)" % (bench.family, problem, entry.get("sha", "?"))
+            for problem in problems
+        ]
     return warnings
 
 

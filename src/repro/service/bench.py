@@ -12,56 +12,49 @@ configuration:
 * the ingest queue-depth p95, the batching/backpressure signal.
 
 ``BENCH_service.json`` is the committed snapshot of this report (see
-EXPERIMENTS.md); CI's service smoke job appends each run's headline to
+EXPERIMENTS.md); each run's :func:`headline` joins
 ``benchmarks/history.jsonl`` next to the micro-benchmark trajectory.
+The kind's parameters and defaults are declared in
+:mod:`repro.bench.registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.history import HISTORY_PATH, append_entry, git_sha as _git_sha
+from repro.bench.registry import subset
 from repro.service.harness import (
     HarnessConfig,
     run_harness,
     run_serial_baseline,
 )
 
-#: Default committed report location.
-BENCH_PATH = "BENCH_service.json"
 
-#: Shard counts the committed baseline covers.
-DEFAULT_SHARD_COUNTS = (1, 2, 4)
-
-
-def run_service_bench(
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    quick: bool = False,
-    seed: int = 0,
-    ops: Optional[int] = None,
+def run(
+    shards: Sequence[int], ops: Optional[int], quick: bool, seed: int = 0
 ) -> Dict:
-    """Run the serial baseline plus one harness run per shard count."""
+    """Run the serial baseline plus one harness run per shard count
+    (``ops`` ``None``: the run shape's own op count)."""
     cfg = HarnessConfig.quick(seed=seed) if quick else HarnessConfig(seed=seed)
     if ops is not None:
         cfg = cfg.scaled(ops=ops)
     serial = run_serial_baseline(cfg.scaled(n_shards=1))
-    shards: Dict[str, Dict] = {}
-    for n in shard_counts:
+    results: Dict[str, Dict] = {}
+    for n in shards:
         result = run_harness(cfg.scaled(n_shards=n))
-        shards[str(n)] = result.to_dict()
+        results[str(n)] = result.to_dict()
     return {
         "benchmark": "service",
         "quick": quick,
         "seed": seed,
         "config": dataclasses.asdict(cfg),
         "serial": serial.to_dict(),
-        "shards": shards,
+        "shards": results,
     }
 
 
-def render_service_bench(report: Dict) -> str:
+def render(report: Dict) -> str:
     """Human-readable table of a service bench report."""
     lines = [
         "service scaling benchmark (ops=%d, dist=%s, seed=%d)"
@@ -92,9 +85,14 @@ def render_service_bench(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def check_service_report(report: Dict) -> List[str]:
-    """Acceptance checks: every batched service configuration must at
-    least match the serial single-shard baseline's throughput."""
+def check(
+    report: Dict,
+    baseline: Optional[Dict] = None,
+    tolerance: Optional[float] = None,
+) -> List[str]:
+    """Acceptance check: every batched service configuration must at
+    least match the serial single-shard baseline's throughput *of the
+    same run* (so neither a committed baseline nor a tolerance enters)."""
     problems = []
     base = report["serial"]["writes_per_sec"]
     for n, r in report["shards"].items():
@@ -106,70 +104,17 @@ def check_service_report(report: Dict) -> List[str]:
     return problems
 
 
-def write_service_report(report: Dict, path: str = BENCH_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_service_report(path: str = BENCH_PATH) -> Dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def service_history_entry(report: Dict, sha: Optional[str] = None) -> Dict:
-    """One ``benchmarks/history.jsonl`` line: the commit plus each
-    configuration's aggregate writes/sec and fairness numbers."""
-    entry: Dict = {
-        "sha": sha if sha is not None else _git_sha(),
-        "benchmark": "service",
-        "seed": report["seed"],
-        "quick": report["quick"],
-        "ops": report["config"]["ops"],
-        "serial_writes_per_sec": round(report["serial"]["writes_per_sec"], 1),
-        "shards": {},
-    }
-    for n, r in sorted(report["shards"].items(), key=lambda kv: int(kv[0])):
-        entry["shards"][n] = {
-            "writes_per_sec": round(r["writes_per_sec"], 1),
-            "wamp_spread": round(r["wamp_spread"], 6),
-            "queue_depth_p95": r["queue_depth_p95"],
-        }
-    return entry
-
-
-#: Legacy alias; the shared appender lives in :mod:`repro.bench.history`.
-_append_entry = append_entry
-
-
-def append_service_history(
-    report: Dict, path: str = HISTORY_PATH, sha: Optional[str] = None
-) -> Dict:
-    """Append :func:`service_history_entry` to the benchmark
-    trajectory; returns the appended entry."""
-    return _append_entry(service_history_entry(report, sha=sha), path)
-
-
-def serve_history_entry(result, seed: int, sha: Optional[str] = None) -> Dict:
-    """One history line for a single ``repro serve`` run (what the CI
-    service smoke job appends): aggregate writes/sec plus the fairness
-    and queueing headline numbers."""
-    return {
-        "sha": sha if sha is not None else _git_sha(),
-        "benchmark": "service-serve",
-        "seed": seed,
-        "shards": result.shards,
-        "ops": result.ops,
-        "writes_per_sec": round(result.writes_per_sec, 1),
-        "wamp_aggregate": round(result.wamp_aggregate, 6),
-        "wamp_spread": round(result.wamp_spread, 6),
-        "queue_depth_p95": result.queue_depth_p95,
-    }
-
-
-def append_serve_history(
-    result, seed: int, path: str = HISTORY_PATH, sha: Optional[str] = None
-) -> Dict:
-    """Append :func:`serve_history_entry` to the benchmark trajectory;
-    returns the appended entry."""
-    return _append_entry(serve_history_entry(result, seed, sha=sha), path)
+def headline(report: Dict) -> Dict:
+    """The history row: each configuration's aggregate writes/sec and
+    fairness numbers, plus the best batched rate."""
+    row = subset(report, (
+        "benchmark", "seed", "quick", "config.ops",
+        "serial.writes_per_sec",
+        "shards.*.writes_per_sec",
+        "shards.*.wamp_spread",
+        "shards.*.queue_depth_p95",
+    ))
+    row["best_writes_per_sec"] = max(
+        (r["writes_per_sec"] for r in report["shards"].values()), default=None
+    )
+    return row

@@ -277,6 +277,21 @@ class HarnessResult:
         return "\n".join(lines)
 
 
+def serve_history_entry(result: HarnessResult, seed: int) -> Dict:
+    """One history line for a single ``repro serve`` run: aggregate
+    writes/sec plus the fairness and queueing headline numbers."""
+    return {
+        "benchmark": "service-serve",
+        "seed": seed,
+        "shards": result.shards,
+        "ops": result.ops,
+        "writes_per_sec": round(result.writes_per_sec, 1),
+        "wamp_aggregate": round(result.wamp_aggregate, 6),
+        "wamp_spread": round(result.wamp_spread, 6),
+        "queue_depth_p95": result.queue_depth_p95,
+    }
+
+
 def run_harness(
     cfg: HarnessConfig,
     metrics_out: Union[None, str, MetricsWriter] = None,

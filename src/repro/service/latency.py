@@ -22,24 +22,21 @@ out of the flush path.
 
 ``BENCH_latency.json`` is the committed snapshot (see EXPERIMENTS.md);
 CI's bench-gates job re-runs the quick shape and gates it against that
-file.
+file.  The kind's parameters and defaults are declared in
+:mod:`repro.bench.registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.bench.history import HISTORY_PATH, append_entry, git_sha as _git_sha
+from repro.bench.registry import subset
 from repro.obs import PAGES_EDGES
 from repro.obs.clock import now_s
 from repro.service.harness import HarnessConfig, build_service, ops_stream
-
-#: Default committed report location.
-BENCH_PATH = "BENCH_latency.json"
 
 #: How far aggregate Wamp may sit above the committed baseline's before
 #: the gate fails the trade.
@@ -70,11 +67,10 @@ def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
     )
 
 
-def run_latency_bench(
-    quick: bool = False, seed: int = 0, ops: Optional[int] = None
-) -> Dict:
+def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
     """Drive the seeded load once; returns the stall histogram, the
-    wall-clock percentiles and the pool's closing counters."""
+    wall-clock percentiles and the pool's closing counters (``ops``
+    ``None``: the run shape's own op count)."""
     cfg = latency_config(quick=quick, seed=seed)
     if ops is not None:
         cfg = cfg.scaled(ops=ops)
@@ -146,7 +142,7 @@ def run_latency_bench(
     return report
 
 
-def render_latency_report(report: Dict) -> str:
+def render(report: Dict) -> str:
     """Human-readable stall summary."""
     cfg = report["config"]
     return "\n".join(
@@ -172,14 +168,21 @@ def render_latency_report(report: Dict) -> str:
     )
 
 
-def check_latency_report(report: Dict) -> List[str]:
-    """Acceptance checks on one report: cleaning ran, and the p99 flush
-    stall fits inside one cleaner step budget."""
+def check(
+    report: Dict,
+    baseline: Optional[Dict] = None,
+    tolerance: Optional[float] = None,
+) -> List[str]:
+    """Acceptance checks: cleaning ran, and the p99 flush stall fits
+    inside one cleaner step budget; against a committed ``baseline``,
+    aggregate Wamp must also not exceed the baseline's by more than
+    ``tolerance`` (relative; default :data:`WAMP_SLACK`)."""
     problems = []
-    if report["wamp_aggregate"] <= 0:
+    wamp = report["wamp_aggregate"]
+    if wamp <= 0:
         problems.append(
             "run relocated no pages (Wamp %.4f) — the benchmark shape is "
-            "not exercising cleaning" % report["wamp_aggregate"]
+            "not exercising cleaning" % wamp
         )
     p99 = report["flush_stall_p99_pages"]
     step = report["config"]["pages_per_step"]
@@ -188,56 +191,22 @@ def check_latency_report(report: Dict) -> List[str]:
             "p99 flush stall %.1f pages exceeds one cleaner step budget "
             "of %d pages" % (p99, step)
         )
+    if baseline is not None:
+        margin = WAMP_SLACK if tolerance is None else tolerance
+        base_wamp = baseline["wamp_aggregate"]
+        if wamp > base_wamp * (1.0 + margin):
+            problems.append(
+                "Wamp %.4f exceeds the committed baseline %.4f by more "
+                "than %.0f%% — bounded stalls are being bought with extra "
+                "GC writes" % (wamp, base_wamp, 100 * margin)
+            )
     return problems
 
 
-def check_latency_regression(
-    report: Dict, baseline: Dict, margin: float = WAMP_SLACK
-) -> List[str]:
-    """CI smoke gate: :func:`check_latency_report`, plus aggregate Wamp
-    must not exceed the committed baseline's by more than ``margin``
-    (relative)."""
-    problems = check_latency_report(report)
-    wamp = report["wamp_aggregate"]
-    base_wamp = baseline["wamp_aggregate"]
-    if wamp > base_wamp * (1.0 + margin):
-        problems.append(
-            "Wamp %.4f exceeds the committed baseline %.4f by more than "
-            "%.0f%% — bounded stalls are being bought with extra GC writes"
-            % (wamp, base_wamp, 100 * margin)
-        )
-    return problems
-
-
-def write_latency_report(report: Dict, path: str = BENCH_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_latency_report(path: str = BENCH_PATH) -> Dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def latency_history_entry(report: Dict, sha: Optional[str] = None) -> Dict:
-    """One ``benchmarks/history.jsonl`` line: the stall headline."""
-    return {
-        "sha": sha if sha is not None else _git_sha(),
-        "benchmark": "latency",
-        "seed": report["seed"],
-        "quick": report["quick"],
-        "ops": report["config"]["ops"],
-        "flush_stall_p99_pages": report["flush_stall_p99_pages"],
-        "flush_stall_p999_pages": report["flush_stall_p999_pages"],
-        "wamp_aggregate": round(report["wamp_aggregate"], 6),
-        "reactive_write_stalls": report["reactive_write_stalls"],
-    }
-
-
-def append_latency_history(
-    report: Dict, path: str = HISTORY_PATH, sha: Optional[str] = None
-) -> Dict:
-    """Append :func:`latency_history_entry` to the benchmark
-    trajectory; returns the appended entry."""
-    return append_entry(latency_history_entry(report, sha=sha), path)
+def headline(report: Dict) -> Dict:
+    """The history row: the stall headline."""
+    return subset(report, (
+        "benchmark", "seed", "quick", "config.ops", "config.pages_per_step",
+        "flush_stall_p99_pages", "flush_stall_p999_pages",
+        "wamp_aggregate", "reactive_write_stalls",
+    ))

@@ -1,14 +1,16 @@
-"""Sweep-pool scaling benchmark (``benchmarks/bench_sweep.py``, matrix
-kind ``sweep``).
+"""Sweep-pool scaling benchmark (``repro bench sweep``, matrix kind
+``sweep``).
 
 Times one named grid through the sweep engine twice — serial
 (``workers=1``, inline) and pooled (``workers=4`` by default) — checks
 the aggregated experiment outputs are byte-identical, and reports the
 pool's phase overheads (worker spawn, spec dispatch, result drain) next
-to the wall clocks.  The report is written to ``BENCH_sweep.json`` at
-the repo root so the orchestration-scaling trajectory is tracked across
-changes, and the same dict is what a ``kind: sweep`` matrix cell
-returns, gated by the ``sweep-scaling`` check.
+to the wall clocks.  ``BENCH_sweep.json`` at the repo root is the
+committed snapshot, each run's :func:`headline` joins
+``benchmarks/history.jsonl`` so the orchestration-scaling trajectory is
+tracked across changes, and the same dict is what a ``kind: sweep``
+matrix cell returns, gated by the ``sweep-scaling`` check.  The kind's
+parameters and defaults are declared in :mod:`repro.bench.registry`.
 
 The speedup bound is hardware-conditional, because the recorded numbers
 must gate meaningfully on both a 4-core CI runner and a 1-core dev
@@ -28,14 +30,11 @@ results.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional
 
+from repro.bench.registry import subset
 from repro.sweep.report import run_named_sweep
-
-#: Default report location (committed at the repo root).
-BENCH_PATH = "BENCH_sweep.json"
 
 #: Pool-vs-serial floors, keyed by the hardware tier (see module doc).
 MIN_SPEEDUP_AT_4 = 2.0
@@ -43,30 +42,25 @@ MIN_SPEEDUP_SMALL = 1.0
 MIN_SPEEDUP_POOL_OF_1 = 0.95
 
 
-def run_sweep_bench(
-    grid: str = "fig5",
-    dist: Optional[str] = "zipf-80-20",
-    quick: bool = True,
-    workers: int = 4,
-    seed: int = 0,
-    start_method: Optional[str] = None,
+def run(
+    grid: str, dist: Optional[str], quick: bool, workers: int, seed: int = 0
 ) -> Dict:
-    """Time ``grid`` serial vs pooled; returns the report dict."""
+    """Time ``grid`` serial vs pooled; returns the report dict (``dist``
+    only applies to the fig5 grid)."""
     dist = dist if grid == "fig5" else None
     outputs = {}
     summaries = {}
     for n in (1, workers):
-        report = run_named_sweep(
+        swept = run_named_sweep(
             grid,
             workers=n,
             quick=quick,
             seed=seed,
             dist=dist,
             progress=None,
-            start_method=start_method,
         )
-        outputs[n] = report.output.rendered
-        summaries[n] = report.summary
+        outputs[n] = swept.output.rendered
+        summaries[n] = swept.summary
     serial, pool = summaries[1], summaries[workers]
     identical = outputs[1] == outputs[workers]
     speedup = (
@@ -74,7 +68,7 @@ def run_sweep_bench(
         if pool["wall_clock_s"]
         else None
     )
-    return {
+    report = {
         "benchmark": "sweep-pool-scaling",
         "grid": serial["experiment"],
         "quick": quick,
@@ -98,6 +92,10 @@ def run_sweep_bench(
         },
         "speedup_pool_vs_serial": speedup,
     }
+    # Recorded for the reader; :func:`check` recomputes it from the
+    # hardware fields rather than trusting the file.
+    report["speedup_floor"] = _floor_for(report)
+    return report
 
 
 def speedup_floor(workers_effective: int, cpu_count: int) -> float:
@@ -109,8 +107,21 @@ def speedup_floor(workers_effective: int, cpu_count: int) -> float:
     return MIN_SPEEDUP_SMALL
 
 
-def check_sweep_report(report: Dict) -> List[str]:
-    """The scaling gate; returns violations (empty = pass)."""
+def _floor_for(report: Dict) -> float:
+    return speedup_floor(
+        int(report["pool"]["workers_effective"]),
+        int(report["cpu_count"] or 1),
+    )
+
+
+def check(
+    report: Dict,
+    baseline: Optional[Dict] = None,
+    tolerance: Optional[float] = None,
+) -> List[str]:
+    """The scaling gate; returns violations (empty = pass).  The floors
+    are absolute, so neither a committed baseline nor a tolerance
+    enters."""
     problems: List[str] = []
     if not report.get("outputs_identical"):
         problems.append(
@@ -118,10 +129,7 @@ def check_sweep_report(report: Dict) -> List[str]:
             "parallelism changed results"
         )
     speedup = report.get("speedup_pool_vs_serial")
-    pool = report.get("pool", {})
-    effective = int(pool.get("workers_effective", 0))
-    cpus = int(report.get("cpu_count") or 1)
-    floor = speedup_floor(effective, cpus)
+    floor = _floor_for(report)
     if speedup is None or speedup < floor:
         problems.append(
             "pool speedup %s below the %.2fx floor for %d effective "
@@ -129,14 +137,24 @@ def check_sweep_report(report: Dict) -> List[str]:
             % (
                 "%.3fx" % speedup if speedup is not None else "n/a",
                 floor,
-                effective,
-                cpus,
+                report["pool"]["workers_effective"],
+                report["cpu_count"] or 1,
             )
         )
     return problems
 
 
-def render_sweep_bench(report: Dict) -> str:
+def headline(report: Dict) -> Dict:
+    """The history row: the speedup, the floor tier that applied to it
+    and the hardware that selected the tier."""
+    return subset(report, (
+        "benchmark", "seed", "quick", "grid", "jobs", "cpu_count",
+        "outputs_identical", "pool.workers_requested",
+        "pool.workers_effective", "speedup_pool_vs_serial", "speedup_floor",
+    ))
+
+
+def render(report: Dict) -> str:
     """One-paragraph human summary."""
     pool = report["pool"]
     overhead = pool["overhead_s"]
@@ -164,9 +182,3 @@ def render_sweep_bench(report: Dict) -> str:
             report["outputs_identical"],
         )
     )
-
-
-def write_sweep_report(report: Dict, path: str = BENCH_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -10,25 +10,24 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.bench.history import append_entry, load_history
 from repro.bench.micro import (
-    MICRO_WORKLOADS,
-    append_history,
-    check_against_baseline,
-    history_entry,
-    load_history,
-    load_report,
+    check as check_against_baseline,
+    headline,
     micro_workload,
-    render_micro,
-    run_micro,
-    write_report,
+    render,
 )
+from repro.bench.registry import REGISTRY, load_report, write_report
 
-_TINY = dict(n_writes=2000, trials=1, workloads=("uniform",))
+#: The three synthetic update streams the paper's experiments use.
+MICRO_WORKLOADS = REGISTRY["micro"].params["workloads"]
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_micro(**_TINY)
+    return REGISTRY["micro"].run(
+        writes=2000, trials=1, workloads=("uniform",)
+    )
 
 
 class TestWorkloads:
@@ -65,7 +64,7 @@ class TestReport:
         )
 
     def test_render_mentions_every_workload(self, tiny_report):
-        text = render_micro(tiny_report)
+        text = render(tiny_report)
         assert "uniform" in text
         assert "speedup" in text
 
@@ -73,12 +72,6 @@ class TestReport:
         path = tmp_path / "bench.json"
         write_report(tiny_report, str(path))
         assert load_report(str(path)) == tiny_report
-
-    def test_profile_dump(self, tmp_path):
-        path = tmp_path / "micro.prof"
-        report = run_micro(profile_path=str(path), **_TINY)
-        assert report["profile"] == str(path)
-        assert path.stat().st_size > 0
 
     def test_batch_and_scalar_do_identical_simulation(self, tiny_report):
         cell = tiny_report["workloads"]["uniform"]
@@ -107,6 +100,17 @@ class TestBaselineCheck:
             self._report(60_000.0), base, tolerance=0.5
         ) == []
 
+    def test_no_baseline_gates_nothing(self):
+        assert check_against_baseline(self._report(1.0), None) == []
+
+    def test_no_shared_workload_is_a_problem(self):
+        """A baseline that covers none of the run's workloads must not
+        pass vacuously (another family's report looks like this)."""
+        (problem,) = check_against_baseline(
+            self._report(1.0), {"workloads": {}}
+        )
+        assert "covers no workload" in problem
+
     def test_workloads_missing_from_run_are_ignored(self):
         base = {
             "workloads": {
@@ -119,23 +123,23 @@ class TestBaselineCheck:
 
 class TestHistory:
     def test_entry_carries_headline_numbers(self, tiny_report):
-        entry = history_entry(tiny_report, sha="abc123")
-        assert entry["sha"] == "abc123"
+        entry = headline(tiny_report)
         assert entry["benchmark"] == "store-micro"
         cell = entry["workloads"]["uniform"]
-        assert cell["batch_writes_per_sec"] == (
+        assert cell["batch"]["writes_per_sec"] == (
             tiny_report["workloads"]["uniform"]["batch"]["writes_per_sec"]
         )
         assert cell["speedup"] == tiny_report["workloads"]["uniform"]["speedup"]
 
-    def test_sha_defaults_to_git_head(self, tiny_report):
-        entry = history_entry(tiny_report)
+    def test_sha_defaults_to_git_head(self, tiny_report, tmp_path):
+        entry = append_entry(headline(tiny_report), str(tmp_path / "h.jsonl"))
         assert entry["sha"]  # repo HEAD, GITHUB_SHA, or "unknown"
 
     def test_append_and_load_round_trip(self, tiny_report, tmp_path):
         path = tmp_path / "nested" / "history.jsonl"
-        first = append_history(tiny_report, path=str(path), sha="one")
-        second = append_history(tiny_report, path=str(path), sha="two")
+        row = headline(tiny_report)
+        first = append_entry(dict(row, sha="one"), str(path))
+        second = append_entry(dict(row, sha="two"), str(path))
         entries = load_history(str(path))
         assert entries == [first, second]
         assert [e["sha"] for e in entries] == ["one", "two"]

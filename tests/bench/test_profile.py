@@ -1,20 +1,21 @@
 """The hot-path profiling harness (``repro bench profile``).
 
 Tiny runs — these pin the artifact contract (three phases, ranked
-cumtime rows, JSON round-trip), not where the time actually goes; the
-committed ``benchmarks/results/PROFILE_store.json`` carries that.
+cumtime rows), not where the time actually goes; the committed
+``benchmarks/results/PROFILE_store.json`` carries that.  The JSON
+round trip through ``repro bench profile`` is
+``tests/bench/test_registry.py``'s.
 """
-
-import json
 
 import pytest
 
-from repro.bench.profile import render_profile, run_profile, write_profile
+from repro.bench.profile import render
+from repro.bench.registry import REGISTRY
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_profile(n_writes=3000, top=5)
+    return REGISTRY["profile"].run(writes=3000, top=5)
 
 
 class TestReport:
@@ -46,12 +47,7 @@ class TestReport:
 
 
 class TestArtifact:
-    def test_json_round_trip(self, tiny_report, tmp_path):
-        path = tmp_path / "nested" / "PROFILE_store.json"
-        write_profile(tiny_report, str(path))
-        assert json.loads(path.read_text()) == tiny_report
-
     def test_render_mentions_every_phase(self, tiny_report):
-        text = render_profile(tiny_report)
+        text = render(tiny_report)
         for phase in ("write_batch", "clean_step", "rank_columns"):
             assert phase in text

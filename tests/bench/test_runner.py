@@ -3,7 +3,7 @@ convergence loop."""
 
 import pytest
 
-from repro.bench import prepare_store, run_simulation, run_until_converged, sweep
+from repro.bench import prepare_store, run_simulation, run_until_converged
 from repro.store import StoreConfig
 from repro.workloads import UniformWorkload
 
@@ -71,15 +71,3 @@ class TestConvergence:
         assert result.wamp > 0.0
         # Convergence means it did not need all rounds' worth of writes.
         assert result.total_user_writes < cfg.user_pages * (1 + 5 * 8)
-
-
-class TestSweep:
-    def test_one_result_per_cell(self, cfg):
-        results = sweep(
-            [cfg, cfg.scaled(fill_factor=0.6)],
-            ["greedy", "age"],
-            lambda c: UniformWorkload(c.user_pages, seed=3),
-            total_writes=3000,
-        )
-        assert len(results) == 4
-        assert {r.policy for r in results} == {"greedy", "age"}

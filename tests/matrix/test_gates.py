@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.matrix.cells import CellResult, cells_for_experiment
-from repro.matrix.config import parse_config
+from repro.matrix.config import MatrixConfigError, parse_config
 from repro.matrix.gates import blocking_failures, evaluate_checks
 from repro.matrix.meanfield import (
     hotcold_meanfield,
@@ -291,6 +291,7 @@ class TestBenchSuiteChecks:
 
     def latency_report(self, p99, wamp=0.2):
         return {
+            "benchmark": "latency",
             "flush_stall_p99_pages": p99,
             "wamp_aggregate": wamp,
             "config": {"pages_per_step": 16},
@@ -315,6 +316,43 @@ class TestBenchSuiteChecks:
             bad = CellResult(spec=cell, result=bad_report)
             (verdict,) = evaluate_checks(cfg, {"e": [bad]})
             assert not verdict.passed
+
+    def test_baseline_of_another_family_is_a_config_error(self, tmp_path):
+        """micro-baseline pointed at a latency report used to pass
+        (no workload to compare), and latency-baseline pointed at a
+        store report used to die with a KeyError."""
+        for gate, kind, report, other in (
+            ("micro-baseline", "micro",
+             self.micro_report(50_000.0), self.latency_report(0.0)),
+            ("latency-baseline", "latency",
+             self.latency_report(0.0), self.micro_report(100_000.0)),
+        ):
+            base = tmp_path / ("BENCH_%s.json" % kind)
+            base.write_text(json.dumps(other))
+            cfg = config_with_checks(
+                [{"type": gate, "file": str(base)}], kind=kind
+            )
+            cell = cells_for_experiment(cfg.experiments[0])[0]
+            with pytest.raises(MatrixConfigError) as err:
+                evaluate_checks(
+                    cfg, {"e": [CellResult(spec=cell, result=report)]}
+                )
+            assert repr(other["benchmark"]) in str(err.value)
+            assert repr(report["benchmark"]) in str(err.value)
+
+    def test_micro_baseline_without_shared_workload_fails(self, tmp_path):
+        base = tmp_path / "BENCH_store.json"
+        base.write_text(
+            json.dumps({"benchmark": "store-micro", "workloads": {}})
+        )
+        cfg = config_with_checks(
+            [{"type": "micro-baseline", "file": str(base)}], kind="micro"
+        )
+        cell = cells_for_experiment(cfg.experiments[0])[0]
+        halved = CellResult(spec=cell, result=self.micro_report(1.0))
+        (verdict,) = evaluate_checks(cfg, {"e": [halved]})
+        assert not verdict.passed
+        assert "covers no workload" in verdict.detail
 
     def sweep_report(self, speedup, effective=4, cpus=4, identical=True):
         return {
@@ -344,6 +382,8 @@ class TestBenchSuiteChecks:
         (verdict,) = evaluate_checks(cfg, {"e": [ok]})
         assert verdict.passed
         assert verdict.observed == pytest.approx(2.5)
+        # The passing detail names the tier the floor came from.
+        assert "workers 4" in verdict.detail and "CPUs 4" in verdict.detail
         slow = CellResult(spec=cell, result=self.sweep_report(1.4))
         (verdict,) = evaluate_checks(cfg, {"e": [slow]})
         assert not verdict.passed

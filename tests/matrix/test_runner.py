@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.matrix.cells import CellResult
 from repro.matrix.config import parse_config
-from repro.matrix.runner import _history_entry_for, run_matrix
+from repro.matrix.runner import run_matrix
 from repro.sweep.spec import SweepError
 
 #: A geometry small enough that one cell simulates in well under a
@@ -213,24 +212,26 @@ class TestCli:
 
 
 class TestHistoryEntryMapping:
-    def micro_cell(self):
+    """Which trajectory family a cell's row is filed under comes from
+    the registry entry of its kind; ``sim`` is the one kind without."""
+
+    def test_micro_cell_maps_to_store_micro_family(self):
+        from repro.bench.registry import REGISTRY
+        from repro.matrix.cells import cells_for_experiment
+
         cfg = parse_config(
             {
                 "name": "t",
                 "experiments": [{"name": "m", "kind": "micro"}],
             }
         )
-        from repro.matrix.cells import cells_for_experiment
-
-        return cells_for_experiment(cfg.experiments[0])[0]
-
-    def test_micro_cell_maps_to_store_micro_family(self):
-        cell = self.micro_cell()
+        cell = cells_for_experiment(cfg.experiments[0])[0]
         report = {
             "benchmark": "store-micro",
             "policy": "greedy",
             "writes": 100,
             "trials": 1,
+            "seed": 0,
             "workloads": {
                 "uniform": {
                     "batch": {
@@ -242,15 +243,13 @@ class TestHistoryEntryMapping:
                 }
             },
         }
-        entry = _history_entry_for(CellResult(spec=cell, result=report))
+        entry = REGISTRY[cell.kind].headline(report)
         assert entry["benchmark"] == "store-micro"
-        assert "sha" in entry
+        assert REGISTRY[cell.kind].family == "store-micro"
 
-    def test_sim_cell_has_no_history_family(self, tmp_path):
-        cfg = tiny_config()
+    def test_sim_cell_has_no_history_family(self):
+        from repro.bench.registry import REGISTRY
         from repro.matrix.cells import cells_for_experiment
 
-        cell = cells_for_experiment(cfg.experiments[0])[0]
-        assert _history_entry_for(
-            CellResult(spec=cell, result={})
-        ) is None
+        cell = cells_for_experiment(tiny_config().experiments[0])[0]
+        assert cell.kind == "sim" and cell.kind not in REGISTRY

@@ -16,9 +16,9 @@ def micro_entry(sha, rate):
         "sha": sha,
         "benchmark": "store-micro",
         "workloads": {
-            "uniform": {"batch_writes_per_sec": rate},
-            "hotcold": {"batch_writes_per_sec": rate * 1.2},
-            "zipfian": {"batch_writes_per_sec": rate * 1.4},
+            "uniform": {"batch": {"writes_per_sec": rate}},
+            "hotcold": {"batch": {"writes_per_sec": rate * 1.2}},
+            "zipfian": {"batch": {"writes_per_sec": rate * 1.4}},
         },
     }
 
@@ -27,6 +27,7 @@ def latency_entry(sha, p99):
     return {
         "sha": sha,
         "benchmark": "latency",
+        "config": {"pages_per_step": 16},
         "flush_stall_p99_pages": p99,
         "wamp_aggregate": 0.2,
     }
@@ -65,9 +66,10 @@ class TestDriftScan:
         (tmp_path / "BENCH_store.json").write_text(
             json.dumps(
                 {
+                    "benchmark": "store-micro",
                     "workloads": {
                         "uniform": {"batch": {"writes_per_sec": rate}}
-                    }
+                    },
                 }
             )
         )
@@ -87,13 +89,37 @@ class TestDriftScan:
 
     def test_latency_stall_drift_warns(self, tmp_path):
         (tmp_path / "BENCH_latency.json").write_text(
-            json.dumps({"config": {"pages_per_step": 16}})
+            json.dumps({"benchmark": "latency", "wamp_aggregate": 0.2})
         )
         history = [latency_entry("new", 20.0)]
         warnings = detect_trend_regressions(history, root=str(tmp_path))
         assert len(warnings) == 1 and "p99 flush stall" in warnings[0]
         history = [latency_entry("new", 16.0)]
         assert detect_trend_regressions(history, root=str(tmp_path)) == []
+
+    def test_rows_older_than_the_row_format_are_skipped(self, tmp_path):
+        """A pre-registry row (flat ``batch_writes_per_sec``) renders
+        ``-`` and is not scanned, rather than crashing the report."""
+        self.baseline(tmp_path, 100_000.0)
+        old = {
+            "sha": "old",
+            "benchmark": "store-micro",
+            "workloads": {"uniform": {"batch_writes_per_sec": 1.0}},
+        }
+        assert detect_trend_regressions([old], root=str(tmp_path)) == []
+        assert any(
+            "`old` | -" in line
+            for line in render_family_table("store-micro", [old])
+        )
+
+    def test_wrong_family_baseline_warns(self, tmp_path):
+        (tmp_path / "BENCH_store.json").write_text(
+            json.dumps({"benchmark": "latency"})
+        )
+        (warning,) = detect_trend_regressions(
+            [micro_entry("new", 1.0)], root=str(tmp_path)
+        )
+        assert "baseline unusable" in warning
 
     def test_no_baseline_files_is_quiet(self, tmp_path):
         history = [micro_entry("new", 1.0), latency_entry("new", 99.0)]

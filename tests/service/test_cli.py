@@ -1,4 +1,5 @@
-"""The service CLI surface: serve, loadgen, bench service."""
+"""The service CLI surface: serve, loadgen (``bench service`` is one of
+the registered kinds ``tests/bench/test_registry.py`` drives)."""
 
 import json
 
@@ -83,29 +84,3 @@ class TestLoadgenRoundtrip:
             ["serve", "--from", str(tmp_path / "nope.jsonl"), "--no-history"]
         ) == 1
         assert "serve error" in capsys.readouterr().err
-
-
-class TestBenchService:
-    def test_bench_service_writes_report_and_history(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_service.json"
-        history = tmp_path / "history.jsonl"
-        code = main(
-            ["bench", "service", "--quick", "--ops", "2500",
-             "--shards-list", "1,2", "--out", str(out),
-             "--history", str(history)]
-        )
-        stdout = capsys.readouterr().out
-        assert code == 0, stdout
-        assert "serial 1 shard" in stdout
-        report = json.loads(out.read_text())
-        assert set(report["shards"]) == {"1", "2"}
-        assert report["serial"]["writes_per_sec"] > 0
-        entry = json.loads(history.read_text().strip())
-        assert entry["benchmark"] == "service"
-
-    def test_bad_shards_list_errors(self, tmp_path, capsys):
-        assert main(
-            ["bench", "service", "--shards-list", "a,b",
-             "--out", str(tmp_path / "r.json")]
-        ) == 1
-        assert "shards-list" in capsys.readouterr().err

@@ -10,13 +10,7 @@ import pytest
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
 from repro.service.harness import HarnessConfig, build_service, ops_stream
-from repro.service.latency import (
-    check_latency_regression,
-    check_latency_report,
-    latency_history_entry,
-    render_latency_report,
-    run_latency_bench,
-)
+from repro.service.latency import check, headline, render, run
 from repro.service.pool import StorePool
 from repro.service.service import Service
 from repro.store import StoreConfig
@@ -218,7 +212,7 @@ class TestStallBound:
 def latency_report():
     """One seeded run shared by the assertions below (the expensive
     part; ~16k ops)."""
-    return run_latency_bench(quick=True, seed=0, ops=16000)
+    return run(quick=True, seed=0, ops=16000)
 
 
 class TestLatencyContrast:
@@ -232,16 +226,15 @@ class TestLatencyContrast:
         )
 
     def test_report_passes_its_own_gate(self, latency_report):
-        assert check_latency_report(latency_report) == []
+        assert check(latency_report) == []
 
     def test_render_mentions_the_gate(self, latency_report):
-        text = render_latency_report(latency_report)
+        text = render(latency_report)
         assert "stall p99" in text and "Wamp" in text
         assert "<= 16 pages" in text
 
     def test_history_entry_shape(self, latency_report):
-        entry = latency_history_entry(latency_report, sha="abc123")
-        assert entry["sha"] == "abc123"
+        entry = headline(latency_report)
         assert entry["benchmark"] == "latency"
         assert entry["flush_stall_p99_pages"] == (
             latency_report["flush_stall_p99_pages"]
@@ -256,15 +249,8 @@ class TestLatencyContrast:
             latency_report,
             wamp_aggregate=latency_report["wamp_aggregate"] * 1.4,
         )
-        assert check_latency_regression(
-            drifted, latency_report, margin=0.25
-        )
-        assert (
-            check_latency_regression(
-                latency_report, latency_report, margin=0.25
-            )
-            == []
-        )
+        assert check(drifted, latency_report, 0.25)
+        assert check(latency_report, latency_report, 0.25) == []
 
 
 class TestGateLogic:
@@ -276,17 +262,17 @@ class TestGateLogic:
         }
 
     def test_flat_run_is_a_problem(self):
-        assert check_latency_report(self._report(0.0, wamp=0.0))
+        assert check(self._report(0.0, wamp=0.0))
 
     def test_p99_over_step_budget_is_a_problem(self):
-        assert check_latency_report(self._report(16.5))
+        assert check(self._report(16.5))
 
     def test_wamp_overrun_is_a_problem(self):
-        assert check_latency_regression(
+        assert check(
             self._report(1.0, wamp=1.3), self._report(1.0, wamp=1.0)
         )
 
     def test_good_report_is_clean(self):
         report = self._report(16.0)
-        assert check_latency_report(report) == []
-        assert check_latency_regression(report, report) == []
+        assert check(report) == []
+        assert check(report, report) == []

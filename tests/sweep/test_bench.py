@@ -9,15 +9,15 @@ import json
 
 import pytest
 
+from repro.bench.registry import REGISTRY
 from repro.sweep.bench import (
     MIN_SPEEDUP_AT_4,
     MIN_SPEEDUP_POOL_OF_1,
     MIN_SPEEDUP_SMALL,
-    check_sweep_report,
-    render_sweep_bench,
-    run_sweep_bench,
+    check as check_sweep_report,
+    headline,
+    render,
     speedup_floor,
-    write_sweep_report,
 )
 
 
@@ -88,18 +88,27 @@ class TestCheckSweepReport:
 class TestDemoSmoke:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_sweep_bench(grid="demo", workers=2)
+        return REGISTRY["sweep"].run(grid="demo", workers=2)
 
-    def test_outputs_identical_and_json_ready(self, report, tmp_path):
+    def test_outputs_identical_and_json_ready(self, report):
         assert report["outputs_identical"] is True
         assert report["pool"]["pool_mode"] != "inline"
         assert report["pool"]["workers_requested"] == 2
         assert report["jobs"] > 0
-        path = tmp_path / "BENCH_sweep.json"
-        write_sweep_report(report, str(path))
-        assert json.loads(path.read_text()) == report
+        assert json.loads(json.dumps(report)) == report
+
+    def test_headline_names_the_floor_tier(self, report):
+        """The trajectory row carries the floor that applied and the
+        hardware that selected it (ROADMAP item 1's unexercised-tier
+        question is answerable from history.jsonl alone)."""
+        row = headline(report)
+        assert row["benchmark"] == "sweep-pool-scaling"
+        assert row["speedup_floor"] == speedup_floor(
+            row["pool"]["workers_effective"], row["cpu_count"]
+        )
+        assert row["outputs_identical"] is True
 
     def test_render_mentions_headline(self, report):
-        text = render_sweep_bench(report)
+        text = render(report)
         assert "outputs identical: True" in text
         assert "pool overhead" in text
