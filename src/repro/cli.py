@@ -59,17 +59,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import (
-    ablation_batch_experiment,
-    ablation_estimator_experiment,
-    fig3_experiment,
-    fig4_experiment,
-    fig5_experiment,
-    fig6_experiment,
-    run_simulation,
-    table1_experiment,
-    table2_experiment,
-)
+from repro.bench import fig6_experiment, run_simulation
 from repro.bench.experiments import _standard_config, make_workload
 from repro.bench.history import HISTORY_PATH
 from repro.policies import available_policies
@@ -100,10 +90,6 @@ def _add_history(parser: argparse.ArgumentParser) -> None:
         "--no-history", action="store_true",
         help="skip the benchmarks/history.jsonl append",
     )
-
-
-def _multiplier(base: float, quick: bool) -> float:
-    return base / 4.0 if quick else base
 
 
 def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
@@ -317,6 +303,23 @@ def _bench_values(bench, args: argparse.Namespace) -> dict:
     return values
 
 
+#: The serial experiment commands: help text and the ``SWEEP_GRIDS``
+#: entries each prints, in order.  The grid entry owns the experiment
+#: function and the base write multiplier, for the serial and the
+#: parallel run alike.
+_SERIAL_GRIDS = {
+    "table1": ("Table 1: analysis vs simulation", ("table1",)),
+    "table2": ("Table 2: hot/cold minimum cost", ("table2",)),
+    "fig3": ("Figure 3: MDC ablation breakdown", ("fig3",)),
+    "fig4": ("Figure 4: sort-buffer size sweep", ("fig4",)),
+    "fig5": ("Figure 5: policy comparison", ("fig5",)),
+    "ablation": (
+        "estimator and batch-size ablations",
+        ("ablation-estimator", "ablation-batch"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser, one subparser per subcommand."""
     parser = argparse.ArgumentParser(
@@ -326,50 +329,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table1", help="Table 1: analysis vs simulation")
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
-    p = sub.add_parser("table2", help="Table 2: hot/cold minimum cost")
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
-    p = sub.add_parser("fig3", help="Figure 3: MDC ablation breakdown")
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
-    p = sub.add_parser("fig4", help="Figure 4: sort-buffer size sweep")
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
-    p = sub.add_parser("fig5", help="Figure 5: policy comparison")
-    p.add_argument(
-        "--dist",
-        default="zipf-80-20",
-        choices=["uniform", "zipf-80-20", "zipf-90-10"],
-    )
-    p.add_argument(
-        "--fills", default=None, metavar="F1,F2,...",
-        help="comma-separated fill factors (default: the paper's grid); "
-        "e.g. --fills 0.5 for a single-fill run",
-    )
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
+    from repro.sweep import SWEEP_DISTS, sweep_grid_names
+
+    for name, (help_text, _) in _SERIAL_GRIDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "fig5":
+            p.add_argument("--dist", default="zipf-80-20", choices=SWEEP_DISTS)
+            p.add_argument(
+                "--fills", default=None, metavar="F1,F2,...",
+                help="comma-separated fill factors (default: the paper's "
+                "grid); e.g. --fills 0.5 for a single-fill run",
+            )
+        _add_quick(p)
+        _add_seed(p)
+        _add_metrics_out(p)
     p = sub.add_parser("fig6", help="Figure 6: TPC-C trace replay")
     p.add_argument("--warehouses", type=int, default=1)
     _add_seed(p)
-    p = sub.add_parser("ablation", help="estimator and batch-size ablations")
-    _add_quick(p)
-    _add_seed(p)
-    _add_metrics_out(p)
 
     p = sub.add_parser(
         "sweep",
         help="run an experiment grid in parallel with checkpointed resume",
     )
-    from repro.sweep import SWEEP_DISTS, sweep_grid_names
-
     p.add_argument("grid", choices=sweep_grid_names())
     p.add_argument(
         "--dist", default=None, choices=list(SWEEP_DISTS),
@@ -694,82 +675,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch one subcommand; returns exit code."""
     args = build_parser().parse_args(argv)
 
-    if args.command == "table1":
-        print(
-            table1_experiment(
-                write_multiplier=_multiplier(8, args.quick),
-                seed=args.seed,
-                runner=_experiment_runner(args),
-            )
-        )
-        _note_metrics(args)
-    elif args.command == "table2":
-        print(
-            table2_experiment(
-                write_multiplier=_multiplier(30, args.quick),
-                seed=args.seed,
-                runner=_experiment_runner(args),
-            )
-        )
-        _note_metrics(args)
-    elif args.command == "fig3":
-        print(
-            fig3_experiment(
-                write_multiplier=_multiplier(30, args.quick),
-                seed=args.seed,
-                runner=_experiment_runner(args),
-            )
-        )
-        _note_metrics(args)
-    elif args.command == "fig4":
-        print(
-            fig4_experiment(
-                write_multiplier=_multiplier(30, args.quick),
-                seed=args.seed,
-                runner=_experiment_runner(args),
-            )
-        )
-        _note_metrics(args)
-    elif args.command == "fig5":
-        fig5_kwargs = {}
-        if args.fills:
-            fig5_kwargs["fills"] = tuple(
-                float(x) for x in args.fills.split(",") if x.strip()
-            )
-        print(
-            fig5_experiment(
-                args.dist,
-                write_multiplier=_multiplier(25, args.quick),
-                seed=args.seed,
-                runner=_experiment_runner(args),
-                **fig5_kwargs,
-            )
-        )
-        _note_metrics(args)
+    if args.command in _SERIAL_GRIDS:
+        return _run_experiment_command(args)
     elif args.command == "fig6":
         print(
             fig6_experiment(
                 scale=TpccScale(warehouses=args.warehouses), seed=args.seed
             )
         )
-    elif args.command == "ablation":
-        runner = _experiment_runner(args)  # shared: one merged metrics file
-        print(
-            ablation_estimator_experiment(
-                write_multiplier=_multiplier(30, args.quick),
-                seed=args.seed,
-                runner=runner,
-            )
-        )
-        print()
-        print(
-            ablation_batch_experiment(
-                write_multiplier=_multiplier(30, args.quick),
-                seed=args.seed,
-                runner=runner,
-            )
-        )
-        _note_metrics(args)
     elif args.command == "sweep":
         return _run_sweep_command(args)
     elif args.command == "bench":
@@ -809,6 +722,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_replay_command(args)
     elif args.command == "difftest":
         return _run_difftest_command(args)
+    return 0
+
+
+def _run_experiment_command(args: argparse.Namespace) -> int:
+    """Dispatch ``repro table1|table2|fig3|fig4|fig5|ablation``: run
+    the command's grids serially and print their tables."""
+    from repro.sweep import SWEEP_GRIDS
+
+    runner = _experiment_runner(args)  # shared: one merged metrics file
+    tables = []
+    for name in _SERIAL_GRIDS[args.command][1]:
+        experiment, kwargs, _ = SWEEP_GRIDS[name].resolve(
+            quick=args.quick, seed=args.seed, dist=getattr(args, "dist", None)
+        )
+        if getattr(args, "fills", None):
+            kwargs["fills"] = tuple(
+                float(x) for x in args.fills.split(",") if x.strip()
+            )
+        tables.append(str(experiment(runner=runner, **kwargs)))
+    print("\n\n".join(tables))
+    _note_metrics(args)
     return 0
 
 
@@ -1043,37 +977,32 @@ def _run_obs_command(args: argparse.Namespace) -> int:
 
 def _run_serve_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro serve``: generate or replay load, report."""
-    from repro.service import read_ops_jsonl, replay_ops, run_harness
+    from repro.service import ops_stream, read_ops_jsonl, replay_ops
 
-    if args.from_file:
-        try:
+    try:
+        if args.from_file:
             file_cfg, ops = read_ops_jsonl(args.from_file)
-        except (OSError, ValueError, KeyError) as exc:
-            print("serve error: %s" % exc, file=sys.stderr)
-            return 1
-        cfg = file_cfg if file_cfg is not None else _harness_config(args)
-        if args.shards is not None:
-            cfg = cfg.scaled(n_shards=args.shards)
-        if args.sample_interval is not None:
-            cfg = cfg.scaled(sample_interval=args.sample_interval)
-        result = replay_ops(
-            cfg,
-            ops,
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            trace_sample=args.trace_sample,
-            telemetry_out=args.telemetry_out,
-        )
+            cfg = file_cfg if file_cfg is not None else _harness_config(args)
+            if args.shards is not None:
+                cfg = cfg.scaled(n_shards=args.shards)
+            if args.sample_interval is not None:
+                cfg = cfg.scaled(sample_interval=args.sample_interval)
+        else:
+            cfg = _harness_config(args)
+            ops = ops_stream(cfg)
+    except (OSError, ValueError, KeyError) as exc:
+        print("serve error: %s" % exc, file=sys.stderr)
+        return 1
+    result = replay_ops(
+        cfg,
+        ops,
+        metrics_out=args.metrics_out,
+        trace_out=args.trace_out,
+        trace_sample=args.trace_sample,
+        telemetry_out=args.telemetry_out,
+    )
+    if args.from_file:
         print("replayed %d ops from %s" % (len(ops), args.from_file))
-    else:
-        cfg = _harness_config(args)
-        result = run_harness(
-            cfg,
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            trace_sample=args.trace_sample,
-            telemetry_out=args.telemetry_out,
-        )
     print(result.report())
     if args.metrics_out:
         print("observability rows written to %s" % args.metrics_out)

@@ -24,14 +24,13 @@ The ablation variants of Figure 3 are expressed as constructor flags:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import sorter
 from repro.core.priority import mdc_decline, mdc_decline_exact
 from repro.policies.base import CleaningPolicy
-from repro.store.log_store import GC_STREAM
 
 #: Accepted values for the ``estimator`` argument.
 ESTIMATOR_UP2 = "up2"
@@ -107,17 +106,11 @@ class MdcPolicy(CleaningPolicy):
             return None
         return self._keys(page_ids)
 
-    def place_gc(
-        self, page_ids: List[int], src_segs: List[int]
-    ) -> Iterable[Tuple[int, int]]:
-        if self.separate_gc and len(page_ids) > 1:
-            page_ids = sorter.order_by_key(page_ids, self._keys(page_ids))
-        return [(pid, GC_STREAM) for pid in page_ids]
-
     def place_gc_batch(
         self, page_ids: np.ndarray, src_segs: np.ndarray
     ) -> Tuple[np.ndarray, None]:
         if self.separate_gc and len(page_ids) > 1:
+            # Coldest first, ties in collection order.
             order = np.argsort(self._keys(page_ids), kind="stable")
             page_ids = page_ids[order]
         return page_ids, None

@@ -15,11 +15,11 @@ deterministic layout.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["order_by_key", "up2_keys", "oracle_keys"]
+__all__ = ["up2_keys", "oracle_keys"]
 
 
 def up2_keys(pages, pids: Sequence[int]) -> np.ndarray:
@@ -33,9 +33,3 @@ def up2_keys(pages, pids: Sequence[int]) -> np.ndarray:
 def oracle_keys(pages, pids: Sequence[int]) -> np.ndarray:
     """Sort keys that cluster by exact update frequency (coldest first)."""
     return pages.oracle_freq[np.asarray(pids, dtype=np.int64)]
-
-
-def order_by_key(pids: Sequence[int], keys: Sequence[float]) -> List[int]:
-    """Return ``pids`` reordered ascending by ``keys`` (stable)."""
-    order = np.argsort(np.asarray(keys, dtype=float), kind="stable")
-    return [pids[i] for i in order]

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.policies import make_policy
 from repro.policies.base import CleaningPolicy
-from repro.store import LogStructuredStore, StoreConfig
+from repro.store import LogStructuredStore, StoreConfig, StoreError
 
 Key = Union[str, bytes, int, Tuple]
 
@@ -87,12 +87,13 @@ class LogStructuredKVStore:
 
     # -- CRUD -------------------------------------------------------------
 
-    def put(self, key: Key, value: bytes) -> None:
-        """Insert or overwrite; the old record's space is reclaimable
-        from this moment."""
+    def _stage(self, key: Key, value: bytes) -> Tuple[int, int, bytes]:
+        """Validate one pair and reserve its record slot; returns
+        ``(slot, units, value)`` ready for the store."""
         if not isinstance(value, (bytes, bytearray)):
             raise KVError("values must be bytes, got %s" % type(value).__name__)
-        units = self._units_for(bytes(value))
+        value = bytes(value)
+        units = self._units_for(value)
         if units > self.store.config.segment_units:
             raise KVError(
                 "value of %d bytes exceeds the %d-byte record limit"
@@ -104,8 +105,31 @@ class LogStructuredKVStore:
             if slot == self._next_slot:
                 self._next_slot += 1
             self._slot_of[key] = slot
-        self.store.write(slot, size=units)
-        self._values[key] = bytes(value)
+        return slot, units, value
+
+    def _unstage(self, keys: Iterable[Key]) -> None:
+        """The store refused a write: unregister the staged keys whose
+        value was never stored.  Their slots are trimmed (the store may
+        have taken a prefix of the batch) and returned; a key that
+        already held a value keeps it."""
+        for key in keys:
+            if key not in self._values:
+                slot = self._slot_of.pop(key, None)
+                if slot is not None:
+                    self.store.trim(slot)
+                    self._free_slots.append(slot)
+
+    def put(self, key: Key, value: bytes) -> None:
+        """Insert or overwrite; the old record's space is reclaimable
+        from this moment.  Takes the store's scalar ``write`` — the
+        per-pair reference :meth:`put_many` is state-identical to."""
+        slot, units, value = self._stage(key, value)
+        try:
+            self.store.write(slot, size=units)
+        except StoreError:
+            self._unstage((key,))
+            raise
+        self._values[key] = value
 
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
         """Insert or overwrite a batch of ``(key, value)`` pairs through
@@ -119,44 +143,32 @@ class LogStructuredKVStore:
         valid prefix was applied, exactly as a ``put`` loop would).
         This is the service ingest fast path: one coalesced multi-key
         batch costs one ``write_batch`` call instead of a per-key loop.
+        A store error (out of space) fails the whole call: no value of
+        the batch is recorded and the keys it introduced are
+        unregistered.
         """
         staged: List[Tuple[Key, bytes]] = []
         slots: List[int] = []
         units: List[int] = []
-
-        def apply(count: int) -> None:
-            if count:
-                self.store.write_batch(
-                    np.asarray(slots[:count], dtype=np.int64),
-                    np.asarray(units[:count], dtype=np.int64),
-                )
-                for key, value in staged[:count]:
-                    self._values[key] = value
-
-        for key, value in items:
-            if not isinstance(value, (bytes, bytearray)):
-                apply(len(staged))
-                raise KVError(
-                    "values must be bytes, got %s" % type(value).__name__
-                )
-            value = bytes(value)
-            u = self._units_for(value)
-            if u > self.store.config.segment_units:
-                apply(len(staged))
-                raise KVError(
-                    "value of %d bytes exceeds the %d-byte record limit"
-                    % (len(value), self.max_value_bytes)
-                )
-            slot = self._slot_of.get(key)
-            if slot is None:
-                slot = self._free_slots.pop() if self._free_slots else self._next_slot
-                if slot == self._next_slot:
-                    self._next_slot += 1
-                self._slot_of[key] = slot
-            staged.append((key, value))
-            slots.append(slot)
-            units.append(u)
-        apply(len(staged))
+        try:
+            for key, value in items:
+                slot, u, value = self._stage(key, value)
+                staged.append((key, value))
+                slots.append(slot)
+                units.append(u)
+        finally:
+            # Also on the way out of an invalid pair: the valid prefix
+            # is applied before the error surfaces.
+            if staged:
+                try:
+                    self.store.write_batch(
+                        np.asarray(slots, dtype=np.int64),
+                        np.asarray(units, dtype=np.int64),
+                    )
+                except StoreError:
+                    self._unstage(key for key, _ in staged)
+                    raise
+                self._values.update(staged)
         return len(staged)
 
     def get(self, key: Key, default: Optional[bytes] = None) -> Optional[bytes]:

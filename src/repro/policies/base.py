@@ -4,21 +4,24 @@ A policy makes the two decisions the paper studies, and only those:
 
 1. **Placement** — which open segment (stream) each page write goes to,
    and whether/how batches of writes are sorted by update frequency
-   before packing (``route_user`` / ``route_user_batch`` /
-   ``user_sort_key`` / ``place_gc``).
+   before packing (``route_user_batch`` / ``user_sort_key`` /
+   ``place_gc_batch``).
 2. **Victim selection** — which sealed segments to clean next
-   (``rank_columns`` / ``select_victims``).
+   (``rank_columns``, which ``select_victims`` turns into a batch).
 
 Everything mechanical (page table, space accounting, sealing, the
 cleaning cycle itself) lives in the store, so policies stay small and
 directly comparable — exactly the paper's experimental methodology.
 
-Victim ranking is column-based: ``rank_columns(segs, ids)`` computes
-priorities directly from the :class:`~repro.store.segments.SegmentTable`
-arrays with fancy indexing, no per-segment Python gathering.  The
-id-list :meth:`CleaningPolicy.rank` remains as a convenience wrapper
-(and as the override point for out-of-tree policies written against the
-old protocol).  Policies whose priority does not reference the moving
+The hooks take and return arrays.  ``route_user_batch`` and
+``place_gc_batch`` see a whole run of page ids at once, and
+``rank_columns(segs, ids)`` computes priorities directly from the
+:class:`~repro.store.segments.SegmentTable` columns with fancy indexing,
+so a new placement or ranking rule is one method over columns.  The one
+per-page hook is ``route_user``: a policy whose routing depends on the
+effects of the preceding write (multi-log's lazily created frequency
+classes) returns ``None`` from ``route_user_batch`` and is then asked
+page by page.  Policies whose priority does not reference the moving
 clock declare ``clock_dependent_rank = False`` and get per-segment
 priority caching for free: the store's segment ``epoch`` counter marks
 which segments changed since the last cleaning cycle, and only those are
@@ -28,12 +31,12 @@ re-scored.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.store.kernels import ascending_prefix
-from repro.store.log_store import GC_STREAM, LogStructuredStore
+from repro.store.log_store import LogStructuredStore
 from repro.store.segments import SegmentTable
 
 #: Candidate-count multiple above which ``select_victims`` switches from
@@ -78,24 +81,21 @@ class CleaningPolicy(abc.ABC):
     # -- placement -----------------------------------------------------
 
     def route_user(self, page_id: int) -> int:
-        """Stream (open segment) for a user write.  Default: one stream."""
+        """Stream (open segment) for one user write: what the scalar
+        ``write`` asks, and so what the batch engine falls back to when
+        :meth:`route_user_batch` returns ``None``.  Default: one stream."""
         return 0
 
     def route_user_batch(self, page_ids: np.ndarray) -> Optional[np.ndarray]:
-        """Streams for a batch of user writes, or ``None`` when routing
-        must be computed write-by-write.
+        """Streams for a batch of user writes (int64, parallel to
+        ``page_ids``), or ``None`` when routing must be computed
+        write-by-write through :meth:`route_user`.
 
         The batch write engine calls this once per batch; a non-None
         return promises that routing each page does not depend on the
-        effects of the preceding writes in the batch.  The default
-        mirrors the default :meth:`route_user` (everything to stream 0)
-        — but only while ``route_user`` itself is not overridden; a
-        policy that overrides ``route_user`` with per-write state
-        (multi-log's frequency classes) automatically falls back to the
-        scalar path unless it also overrides this method.
+        effects of the preceding writes in the batch.  Default: one
+        stream.
         """
-        if type(self).route_user is not CleaningPolicy.route_user:
-            return None
         return np.zeros(len(page_ids), dtype=np.int64)
 
     def user_sort_key(self, page_ids: Sequence[int]) -> Optional[Sequence[float]]:
@@ -103,34 +103,21 @@ class CleaningPolicy(abc.ABC):
         arrival order (no frequency separation of user writes)."""
         return None
 
-    def place_gc(
-        self, page_ids: List[int], src_segs: List[int]
-    ) -> Iterable[Tuple[int, int]]:
+    def place_gc_batch(
+        self, page_ids: np.ndarray, src_segs: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Order and route relocated pages.
 
         ``src_segs`` is parallel to ``page_ids``: the (already freed)
         segment each page came from, for policies that route survivors by
-        their source's properties.  Returns ``(page_id, stream)`` pairs
-        in emission order.  Default: keep collection order, write
-        everything to the dedicated GC stream (standard LFS practice —
-        survivors do not mix with fresh user writes in the same segment).
+        their source's properties.  Returns ``(page_ids, streams)`` in
+        emission order: a permutation of the input and a parallel int64
+        stream array, where ``None`` sends everything to
+        :data:`~repro.store.log_store.GC_STREAM`.  Default: keep
+        collection order on the dedicated GC stream (standard LFS
+        practice — survivors do not mix with fresh user writes in the
+        same segment).
         """
-        return [(pid, GC_STREAM) for pid in page_ids]
-
-    def place_gc_batch(
-        self, page_ids: np.ndarray, src_segs: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Array form of :meth:`place_gc`, or ``None`` to fall back to
-        the tuple protocol.
-
-        Returns ``(page_ids, streams)`` in emission order; a ``None``
-        stream array means everything goes to the GC stream.  The
-        default mirrors the default :meth:`place_gc` — but only while
-        ``place_gc`` itself is not overridden, so tuple-protocol
-        policies keep their behavior.
-        """
-        if type(self).place_gc is not CleaningPolicy.place_gc:
-            return None
         return page_ids, None
 
     def on_segment_open(self, seg: int, stream: int) -> None:
@@ -148,16 +135,7 @@ class CleaningPolicy(abc.ABC):
 
     # -- victim selection ------------------------------------------------
 
-    def rank(self, candidates: Sequence[int]) -> np.ndarray:
-        """Priority per candidate segment; lower = clean earlier.
-
-        Convenience wrapper over :meth:`rank_columns`; out-of-tree
-        policies may override this instead.
-        """
-        return self.rank_columns(
-            self.store.segments, np.asarray(candidates, dtype=np.int64)
-        )
-
+    @abc.abstractmethod
     def rank_columns(self, segs: SegmentTable, ids: np.ndarray) -> np.ndarray:
         """Priority per candidate, computed from the segment-table
         columns; lower = clean earlier.  ``ids`` is an int64 array.
@@ -167,11 +145,6 @@ class CleaningPolicy(abc.ABC):
         priority may depend only on values indexed by ``s`` (the epoch
         cache re-scores segments individually).
         """
-        if type(self).rank is CleaningPolicy.rank:
-            raise NotImplementedError(
-                "%s implements neither rank nor rank_columns" % type(self).__name__
-            )
-        return np.asarray(self.rank([int(s) for s in ids]), dtype=float)
 
     def decision_columns(self, segs: SegmentTable, ids: np.ndarray) -> dict:
         """The ranking context behind a victim choice, one array per

@@ -28,8 +28,9 @@ Two estimator variants, as in the paper:
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,14 +105,7 @@ class MultiLogPolicy(CleaningPolicy):
         if not classes:
             classes.append(cls)
             return cls
-        lo = 0
-        hi = len(classes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if classes[mid] < cls:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(classes, cls)
         if lo < len(classes) and classes[lo] == cls:
             return cls
         if len(classes) >= self._max_logs_effective:
@@ -136,66 +130,34 @@ class MultiLogPolicy(CleaningPolicy):
         self._last_class = cls
         return cls
 
-    def place_gc(
-        self, page_ids: List[int], src_segs: List[int]
-    ) -> Iterable[Tuple[int, int]]:
+    def route_user_batch(self, page_ids: np.ndarray) -> None:
+        # A write's class depends on the clock it lands at and on the
+        # classes the writes before it created: routing is per write.
+        return None
+
+    def place_gc_batch(
+        self, page_ids: np.ndarray, src_segs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         if self.exact:
             # Exact frequencies are authoritative; survivors rejoin the
-            # class they actually belong to.
-            return [(pid, self._class_of(self._freq(pid))) for pid in page_ids]
+            # class they actually belong to.  Reclassifying can create
+            # a class mid-batch, so it goes page by page.
+            streams = [self._class_of(self._freq(pid)) for pid in page_ids.tolist()]
+            return page_ids, np.asarray(streams, dtype=np.int64)
         # Estimated variant: survivors of cleaning were, by definition,
         # not updated while their segment filled with garbage — they are
         # colder than their log assumed.  Demote each one to the next
         # colder class than its source segment's: the gradual hot-to-cold
         # migration of the multi-log design.
-        classes = self._classes
-        if not classes or not page_ids:
+        if not self._classes and page_ids.size:
             # No classes exist yet: the first demotion creates the cold
-            # class, which the scalar path handles.
-            return [
-                (pid, self._colder_class(self._lookup_class(src)))
-                for pid, src in zip(page_ids, src_segs)
-            ]
-        src_cls = self._seg_class[np.asarray(src_segs, dtype=np.int64)]
-        cls_arr = np.asarray(classes, dtype=np.int64)
+            # class.
+            self._ensure_class(_COLD_CLASS)
+        cls_arr = np.asarray(self._classes, dtype=np.int64)
         # bisect_left per source class, one step colder, floored at the
         # coldest (the unassigned sentinel lands there on its own).
-        lo = np.searchsorted(cls_arr, src_cls, side="left")
-        colder = cls_arr[np.maximum(lo - 1, 0)]
-        return list(zip(page_ids, colder.tolist()))
-
-    def _lookup_class(self, seg: int) -> Optional[int]:
-        cls = self._seg_class[seg]
-        return None if cls == _UNASSIGNED else int(cls)
-
-    def place_gc_batch(
-        self, page_ids: np.ndarray, src_segs: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        # The exact variant reclassifies through _class_of, which can
-        # mutate the class set mid-batch — tuple protocol handles that.
-        if self.exact or not self._classes or page_ids.size == 0:
-            return None
-        cls_arr = np.asarray(self._classes, dtype=np.int64)
         lo = np.searchsorted(cls_arr, self._seg_class[src_segs], side="left")
         return page_ids, cls_arr[np.maximum(lo - 1, 0)]
-
-    def _colder_class(self, cls: Optional[int]) -> int:
-        classes = self._classes
-        if not classes:
-            return self._ensure_class(_COLD_CLASS)
-        if cls is None:
-            return classes[0]
-        lo = 0
-        hi = len(classes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if classes[mid] < cls:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo is the position of cls (or its insertion point); one step
-        # colder, floored at the coldest class.
-        return classes[max(0, lo - 1)]
 
     def on_segment_open(self, seg: int, stream: int) -> None:
         self._seg_class[seg] = stream

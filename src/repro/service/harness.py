@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,6 +97,8 @@ class HarnessConfig:
             raise ValueError("ops must be >= 1")
         if not 0.0 <= self.delete_frac < 1.0:
             raise ValueError("delete_frac must be in [0, 1)")
+        if self.tick_every < 1:
+            raise ValueError("tick_every must be >= 1")
 
     def scaled(self, **overrides) -> "HarnessConfig":
         """A copy with some fields replaced."""
@@ -292,95 +294,100 @@ def serve_history_entry(result: HarnessResult, seed: int) -> Dict:
     }
 
 
-def run_harness(
-    cfg: HarnessConfig,
-    metrics_out: Union[None, str, MetricsWriter] = None,
-    meta: Optional[Dict] = None,
-    trace_out: Optional[str] = None,
-    trace_sample: float = 1.0,
-    telemetry_out: Optional[str] = None,
-) -> HarnessResult:
-    """Drive a full harness run; optionally export obs rows.
+def drive(
+    service: Service,
+    ops: Iterable[HarnessOp],
+    tick_every: int,
+    latencies: Optional[List[float]] = None,
+) -> Tuple[int, int, float]:
+    """The client drive loop — the one place harness ops become
+    :class:`Service` calls: apply each op, tick the service clock every
+    ``tick_every`` applied ops, then drain the queue.
 
-    The metrics export contains no wall-clock data, so it is
-    byte-identical across runs with the same config; throughput lives
-    only in the returned result.  ``trace_out``/``telemetry_out`` add
-    the wall-clocked trace plane in *separate* files: a causal span
-    file (head-sampled at ``trace_sample``) and a per-tick telemetry
-    feed for ``repro top``.
+    Returns ``(puts, deletes, elapsed_s)``.  When ``latencies`` is
+    given, each op's wall-clock seconds (the ``put``/``delete`` call
+    alone, not the ticks between) are appended to it.
     """
-    service = build_service(cfg)
-    tracer = _attach_instrumentation(
-        service, cfg, trace_out, trace_sample, telemetry_out, meta
-    )
-    puts = deletes = applied = 0
+    puts = deletes = 0
     t0 = now_s()
-    for op, tenant, key, size in ops_stream(cfg):
+    for op, tenant, key, size in ops:
+        if latencies is not None:
+            t1 = now_s()
         if op == "put":
             service.put(key, bytes(size), tenant=tenant)
             puts += 1
         else:
             service.delete(key, tenant=tenant)
             deletes += 1
-        applied += 1
-        if applied % cfg.tick_every == 0:
+        if latencies is not None:
+            latencies.append(now_s() - t1)
+        if (puts + deletes) % tick_every == 0:
             service.tick()
     service.flush()
     service.tick()
-    elapsed = now_s() - t0
-    result = _result_from_service(
-        "service[%d shards]" % cfg.n_shards, cfg, service, puts, deletes, elapsed
-    )
-    if metrics_out is not None:
-        run_meta = _run_meta(cfg)
-        if meta:
-            run_meta.update(meta)
-        service.export_rows(metrics_out, run_meta)
-    if tracer is not None and trace_out is not None:
-        _export_trace(tracer, trace_out, cfg, meta)
-    service.close()
-    return result
+    return puts, deletes, now_s() - t0
 
 
-def _attach_instrumentation(
-    service: Service,
+def replay_ops(
     cfg: HarnessConfig,
-    trace_out: Optional[str],
-    trace_sample: float,
-    telemetry_out: Optional[str],
-    meta: Optional[Dict],
-) -> Optional[Tracer]:
-    """Wire the optional trace plane into a freshly built service."""
+    ops: Iterable[HarnessOp],
+    metrics_out: Union[None, str, MetricsWriter] = None,
+    meta: Optional[Dict] = None,
+    trace_out: Optional[str] = None,
+    trace_sample: float = 1.0,
+    telemetry_out: Optional[str] = None,
+) -> HarnessResult:
+    """Apply an op stream through a fresh service built from ``cfg``;
+    optionally export obs rows.
+
+    The metrics export contains no wall-clock data, so it is
+    byte-identical across runs with the same config and ops; throughput
+    lives only in the returned result.  ``trace_out``/``telemetry_out``
+    add the wall-clocked trace plane in *separate* files: a causal span
+    file (head-sampled at ``trace_sample``) and a per-tick telemetry
+    feed for ``repro top``.
+    """
+    service = build_service(cfg)
     tracer = None
     if trace_out is not None:
         tracer = Tracer(seed=cfg.seed, sample=trace_sample)
         service.attach_tracer(tracer)
     if telemetry_out is not None:
-        run_meta = _run_meta(cfg)
-        if meta:
-            run_meta.update(meta)
-        run_meta["component"] = "telemetry"
-        service.telemetry_to(telemetry_out, run_meta)
-    return tracer
+        service.telemetry_to(
+            telemetry_out, _run_meta(cfg, meta, component="telemetry")
+        )
+    puts, deletes, elapsed = drive(service, ops, cfg.tick_every)
+    result = _result_from_service(
+        "service[%d shards]" % cfg.n_shards, cfg, service, puts, deletes, elapsed
+    )
+    if metrics_out is not None:
+        service.export_rows(metrics_out, _run_meta(cfg, meta))
+    if tracer is not None:
+        write_spans(
+            trace_out,
+            tracer,
+            _run_meta(cfg, meta, component="trace", trace_sample=tracer.sample),
+        )
+    service.close()
+    return result
 
 
-def _export_trace(
-    tracer: Tracer, trace_out: str, cfg: HarnessConfig, meta: Optional[Dict]
-) -> int:
-    run_meta = _run_meta(cfg)
-    if meta:
-        run_meta.update(meta)
-    run_meta["component"] = "trace"
-    run_meta["trace_sample"] = tracer.sample
-    return write_spans(trace_out, tracer, run_meta)
+def run_harness(cfg: HarnessConfig, **outputs) -> HarnessResult:
+    """Drive a full harness run: :func:`replay_ops` over the config's
+    own deterministic :func:`ops_stream` (``outputs`` as there)."""
+    return replay_ops(cfg, ops_stream(cfg), **outputs)
 
 
-def _run_meta(cfg: HarnessConfig) -> Dict:
+def _run_meta(cfg: HarnessConfig, meta: Optional[Dict] = None, **extra) -> Dict:
     """Meta-row payload for an exported run (config only — never
-    timing, which would break byte-identical exports)."""
-    meta = dataclasses.asdict(cfg)
-    meta["workload"] = cfg.dist
-    return meta
+    timing, which would break byte-identical exports), overlaid with
+    the caller's ``meta`` and the file's own ``extra`` keys."""
+    run = dataclasses.asdict(cfg)
+    run["workload"] = cfg.dist
+    if meta:
+        run.update(meta)
+    run.update(extra)
+    return run
 
 
 def _result_from_service(
@@ -508,47 +515,3 @@ def read_ops_jsonl(path: str) -> Tuple[Optional[HarnessConfig], List[HarnessOp]]
                 (row["op"], row["tenant"], row["key"], int(row.get("size", 0)))
             )
     return cfg, ops
-
-
-def replay_ops(
-    cfg: HarnessConfig,
-    ops: List[HarnessOp],
-    metrics_out: Union[None, str, MetricsWriter] = None,
-    meta: Optional[Dict] = None,
-    trace_out: Optional[str] = None,
-    trace_sample: float = 1.0,
-    telemetry_out: Optional[str] = None,
-) -> HarnessResult:
-    """Apply a recorded op list through a fresh service built from
-    ``cfg`` (the serve-side half of the loadgen/serve pair)."""
-    service = build_service(cfg)
-    tracer = _attach_instrumentation(
-        service, cfg, trace_out, trace_sample, telemetry_out, meta
-    )
-    puts = deletes = applied = 0
-    t0 = now_s()
-    for op, tenant, key, size in ops:
-        if op == "put":
-            service.put(key, bytes(size), tenant=tenant)
-            puts += 1
-        else:
-            service.delete(key, tenant=tenant)
-            deletes += 1
-        applied += 1
-        if applied % cfg.tick_every == 0:
-            service.tick()
-    service.flush()
-    service.tick()
-    elapsed = now_s() - t0
-    result = _result_from_service(
-        "service[%d shards]" % cfg.n_shards, cfg, service, puts, deletes, elapsed
-    )
-    if metrics_out is not None:
-        run_meta = _run_meta(cfg)
-        if meta:
-            run_meta.update(meta)
-        service.export_rows(metrics_out, run_meta)
-    if tracer is not None and trace_out is not None:
-        _export_trace(tracer, trace_out, cfg, meta)
-    service.close()
-    return result

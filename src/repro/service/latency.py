@@ -35,8 +35,12 @@ import numpy as np
 
 from repro.bench.registry import subset
 from repro.obs import PAGES_EDGES
-from repro.obs.clock import now_s
-from repro.service.harness import HarnessConfig, build_service, ops_stream
+from repro.service.harness import (
+    HarnessConfig,
+    build_service,
+    drive,
+    ops_stream,
+)
 
 #: How far aggregate Wamp may sit above the committed baseline's before
 #: the gate fails the trade.
@@ -75,25 +79,12 @@ def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
     if ops is not None:
         cfg = cfg.scaled(ops=ops)
     service = build_service(cfg)
-    latencies: List[float] = []
-    applied = 0
     # Per-op and elapsed timings share the process clock span
     # timestamps use (repro.obs.clock), so a traced run's span file
     # lines up with these numbers directly.
-    t0 = now_s()
-    for op, tenant, key, size in ops_stream(cfg):
-        t1 = now_s()
-        if op == "put":
-            service.put(key, bytes(size), tenant=tenant)
-        else:
-            service.delete(key, tenant=tenant)
-        latencies.append(now_s() - t1)
-        applied += 1
-        if applied % cfg.tick_every == 0:
-            service.tick()
-    service.flush()
-    service.tick()
-    elapsed = now_s() - t0
+    latencies: List[float] = []
+    _, _, elapsed = drive(service, ops_stream(cfg), cfg.tick_every, latencies)
+    applied = len(latencies)
 
     metrics = service.metrics
     stall_hist = metrics.histogram("flush_stall_pages", PAGES_EDGES)

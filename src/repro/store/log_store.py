@@ -20,21 +20,31 @@ The "clock" is the user-update counter (paper Section 4.2): one tick per
 user write, so update-frequency estimates are immune to wall-clock
 artifacts such as load variation.
 
-Write paths
------------
+Write path
+----------
 
-:meth:`LogStructuredStore.write` is the scalar reference path: one page
-per call, one branch per bookkeeping rule.  :meth:`write_batch` is the
-vectorized engine the benchmarks drive: it splits a workload batch into
-*runs* — maximal prefixes that fit the open segment (or the sorting
-buffer), repeated page ids included: a repeat rewrites the version its
-previous occurrence in the run just placed — applies each run's
-bookkeeping with numpy fancy indexing, and falls back to the scalar path
-for exactly the writes that cross a seal / flush / clean boundary.  The
-two paths are bit-identical: every float accumulation in the batch path
+There is one write path.  :meth:`LogStructuredStore.write_batch` is the
+engine every caller drives (the simulator, ``kv.put_many``, the service's
+ingest queue): it splits a batch into *runs* — maximal prefixes that fit
+the open segment (or the sorting buffer), repeated page ids included: a
+repeat rewrites the version its previous occurrence in the run just
+placed — and applies each run's bookkeeping with numpy fancy indexing.
+Every emission, user or GC, lands through :meth:`_append_run`, and every
+change of segment through the one roll in :meth:`_open_segment_for`
+(seal-if-full, a user write's cleaning opportunity, allocate).  The
+policy is asked for arrays only: ``route_user_batch`` /
+``user_sort_key`` for placement, ``place_gc_batch`` for relocation,
+``rank_columns`` for victims.
+
+The scalar :meth:`write` remains as exactly two things.  It is the step
+the run engine takes for the one write at a seal / flush / clean
+boundary (and for every write of a policy whose routing is per write —
+multi-log's ``route_user``); and it is the reference the differential
+suites compare the engine against, one branch per bookkeeping rule.
+The two are bit-identical: every float accumulation in the run engine
 replays the scalar update order (``np.add.at`` and ``np.cumsum`` are
-sequential left-to-right folds), which the differential test suite locks
-down by comparing full state digests.
+sequential left-to-right folds), which the differential suites lock down
+by comparing full state digests.
 
 Cleaning cycle
 --------------
@@ -235,7 +245,9 @@ class LogStructuredStore:
     # ------------------------------------------------------------------
 
     def write(self, page_id: int, size: int = 1) -> None:
-        """Apply one user update to ``page_id``.
+        """Apply one user update to ``page_id`` — the run engine's
+        boundary step and the differential suites' reference (see the
+        module docstring); bulk callers use :meth:`write_batch`.
 
         The previous version (if any) is invalidated, the update clock
         ticks, and the new version is placed either in the sorting buffer
@@ -319,14 +331,14 @@ class LogStructuredStore:
         pids = np.ascontiguousarray(page_ids, dtype=np.int64)
         if pids.ndim != 1:
             raise ValueError("page_ids must be one-dimensional")
-        n = pids.size
-        if n == 0:
-            return
         size_arr: Optional[np.ndarray] = None
         if sizes is not None:
             size_arr = np.ascontiguousarray(sizes, dtype=np.int64)
             if size_arr.shape != pids.shape:
                 raise ValueError("sizes must be parallel to page_ids")
+        n = pids.size
+        if n == 0:
+            return
         if pids.min() < 0 or (
             size_arr is not None
             and (
@@ -386,12 +398,8 @@ class LogStructuredStore:
         stop: int,
     ) -> None:
         """Feed ``pids[start:stop]`` through the scalar write path."""
-        if size_arr is None:
-            for i in range(start, stop):
-                self.write(int(pids[i]))
-        else:
-            for i in range(start, stop):
-                self.write(int(pids[i]), int(size_arr[i]))
+        for i in range(start, stop):
+            self.write(int(pids[i]), 1 if size_arr is None else int(size_arr[i]))
 
     def load_sequential(self, n_pages: int, sizes: Optional[Sequence[int]] = None) -> None:
         """Write pages ``0 .. n_pages-1`` once each (the initial fill).
@@ -456,9 +464,12 @@ class LogStructuredStore:
             arr = arr[np.lexsort((arr, keys))]
         routes = policy.route_user_batch(arr)
         if routes is None:
-            for pid in arr.tolist():
-                self._emit(pid, policy.route_user(pid), is_gc=False)
-            return
+            # Per-write routing reads the state each write leaves behind;
+            # a drained, re-sorted batch no longer has it.
+            raise StoreError(
+                "policy %s takes the sorting buffer but routes per write"
+                % getattr(policy, "name", "?")
+            )
         routes = np.ascontiguousarray(routes, dtype=np.int64)
         for start, stop in _stream_runs(routes):
             self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
@@ -621,41 +632,47 @@ class LogStructuredStore:
         if nan.any():
             carried[arr[nan]] = cold
 
-    def _emit(self, page_id: int, stream: int, is_gc: bool) -> None:
-        """Append ``page_id`` to the open segment of ``stream``, sealing
-        and re-allocating as needed.
+    def _open_segment_for(self, stream: int, size: int, is_gc: bool) -> int:
+        """The open segment of ``stream`` with room for ``size`` more
+        units — the one segment roll every emission goes through: seal
+        the stream's segment if it is full, give a user write its
+        cleaning opportunity, then open a fresh segment.
 
         Sealing removes the stream's map entry *before* any cleaning can
         run: cleaning relocates pages through this same method and (for
         policies whose GC shares streams with user writes) may re-open
-        the very stream we are emitting to, so the open segment is
+        the very stream being emitted to, so the open segment is
         re-fetched after the cleaning opportunity instead of being
         allocated eagerly — otherwise the recursion's segment would be
-        orphaned in the OPEN state.
+        orphaned in the OPEN state.  GC emission never cleans
+        recursively, so its roll is a plain seal + allocate.
         """
+        segs = self.segments
+        may_clean = not is_gc and not self._cleaning
+        while True:
+            seg = self.open_segments.get(stream)
+            if seg is not None:
+                if segs.used_units[seg] + size <= segs.capacity:
+                    return seg
+                self._seal(seg)
+                del self.open_segments[stream]
+            if not may_clean:
+                break
+            self._clean_until_replenished()
+            may_clean = False
+        seg = self._allocate()
+        self.open_segments[stream] = seg
+        segs.stream[seg] = stream
+        self.policy.on_segment_open(seg, stream)
+        return seg
+
+    def _emit(self, page_id: int, stream: int, is_gc: bool) -> None:
+        """Append ``page_id`` to the open segment of ``stream``, rolling
+        the segment first when the page does not fit."""
         segs = self.segments
         pages = self.pages
         size = int(pages.size[page_id])
-        seg = self.open_segments.get(stream)
-        if seg is not None and segs.used_units[seg] + size > segs.capacity:
-            self._seal(seg)
-            del self.open_segments[stream]
-            seg = None
-        if seg is None:
-            if not is_gc and not self._cleaning:
-                self._clean_until_replenished()
-                # Cleaning may have re-opened this very stream (GC can
-                # share streams with user writes); re-fetch.
-                seg = self.open_segments.get(stream)
-                if seg is not None and segs.used_units[seg] + size > segs.capacity:
-                    self._seal(seg)
-                    del self.open_segments[stream]
-                    seg = None
-            if seg is None:
-                seg = self._allocate()
-                self.open_segments[stream] = seg
-                segs.stream[seg] = stream
-                self.policy.on_segment_open(seg, stream)
+        seg = self._open_segment_for(stream, size, is_gc)
         slot = segs.append_slot(seg, page_id, size)
         pages.seg[page_id] = seg
         pages.slot[page_id] = slot
@@ -853,17 +870,7 @@ class LogStructuredStore:
         pages.carried_up2[run] = carried
 
         pages.size[run] = sz
-        slot0 = int(segs.slot_count[seg])
-        segs.slot_page[seg, slot0 : slot0 + k] = run
-        segs.slot_size[seg, slot0 : slot0 + k] = sz
-        segs.slot_count[seg] = slot0 + k
-        pages.seg[run] = seg
-        pages.slot[run] = slot0 + np.arange(k)
-        total = int(sz.sum())
-        segs.live_count[seg] += k
-        segs.live_units[seg] += total
-        segs.used_units[seg] += total
-        segs.up2_sum[seg] = _fold_add(segs.up2_sum[seg], carried)
+        self._append_run(seg, run, sz, carried, is_gc=False)
         if pages.oracle_active:
             # Scalar order per page: subtract from the old segment, add
             # to the new one.  Replayed as one in-order scatter stream.
@@ -877,7 +884,6 @@ class LogStructuredStore:
             keep = np.ones(2 * k, dtype=bool)
             keep[0::2] = on_dev
             np.add.at(segs.freq_sum, idx[keep], val[keep])
-        self.stats.user_device_writes += k
         pages.last_write[run] = clocks
         return k
 
@@ -965,50 +971,53 @@ class LogStructuredStore:
 
     def _emit_run(self, pids: np.ndarray, stream: int, is_gc: bool) -> None:
         """Emit pages (sizes and carried estimates already final in the
-        page table) to ``stream``, vectorizing the fitting prefixes and
-        delegating seal / allocate / clean boundaries to :meth:`_emit`.
+        page table) to ``stream``: one array append per fitting prefix,
+        one :meth:`_open_segment_for` roll between prefixes.
 
         Sizes are gathered once up front: the pages being emitted are
-        not touched by the seal/allocate boundaries in between, so the
-        prefix sums stay valid for the whole run.
+        not touched by the rolls in between, so the prefix sums stay
+        valid for the whole run.
         """
         n = pids.size
         if n == 0:
             return
         segs = self.segments
-        sizes = self.pages.size[pids]
+        pages = self.pages
+        sizes = pages.size[pids]
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(sizes, out=cum[1:])
         i = 0
         while i < n:
-            seg = self.open_segments.get(stream)
-            if seg is not None:
-                fit = segs.capacity - segs.used_units[seg]
-                k = int(np.searchsorted(cum, cum[i] + fit, side="right")) - 1 - i
-                if k > 0:
-                    self._append_run(seg, pids[i : i + k], sizes[i : i + k], is_gc)
-                    i += k
-                    continue
-                if is_gc:
-                    # GC never cleans recursively, so the boundary is a
-                    # plain seal + re-allocate — stay on the array path.
-                    self._seal(seg)
-                    del self.open_segments[stream]
-                    seg = None
-            if is_gc and seg is None:
-                seg = self._allocate()
-                self.open_segments[stream] = seg
-                segs.stream[seg] = stream
-                self.policy.on_segment_open(seg, stream)
-                continue
-            self._emit(int(pids[i]), stream, is_gc)
-            i += 1
+            seg = self._open_segment_for(stream, int(sizes[i]), is_gc)
+            fit = segs.capacity - segs.used_units[seg]
+            k = int(np.searchsorted(cum, cum[i] + fit, side="right")) - 1 - i
+            run = pids[i : i + k]
+            self._append_run(
+                seg, run, sizes[i : i + k], pages.carried_up2[run], is_gc
+            )
+            if pages.oracle_active:
+                segs.freq_sum[seg] = _fold_add(
+                    segs.freq_sum[seg], pages.oracle_freq[run]
+                )
+            i += k
 
     def _append_run(
-        self, seg: int, pids: np.ndarray, sizes: np.ndarray, is_gc: bool
+        self,
+        seg: int,
+        pids: np.ndarray,
+        sizes: np.ndarray,
+        carried: np.ndarray,
+        is_gc: bool,
     ) -> None:
-        """Pure-append emission of a fitting run into an open segment."""
+        """Pure-append emission of a fitting run into an open segment —
+        where every batched page, user or GC, lands.
+
+        ``carried`` holds the per-position ``up2`` estimates (a page id
+        may repeat in a user run, each occurrence with its own).  The
+        segment's ``freq_sum`` is the caller's: the user engine
+        interleaves its additions with the invalidation's subtractions.
+        """
         segs = self.segments
         pages = self.pages
         k = pids.size
@@ -1022,13 +1031,7 @@ class LogStructuredStore:
         segs.live_count[seg] += k
         segs.live_units[seg] += total
         segs.used_units[seg] += total
-        segs.up2_sum[seg] = _fold_add(
-            segs.up2_sum[seg], pages.carried_up2[pids]
-        )
-        if pages.oracle_active:
-            segs.freq_sum[seg] = _fold_add(
-                segs.freq_sum[seg], pages.oracle_freq[pids]
-            )
+        segs.up2_sum[seg] = _fold_add(segs.up2_sum[seg], carried)
         if is_gc:
             self.stats.gc_writes += k
         else:
@@ -1216,20 +1219,7 @@ class LogStructuredStore:
             # The placement order is pinned here, against the policy
             # state of this instant — preemption points between the
             # coming steps cannot change it.
-            batch = self.policy.place_gc_batch(moved_arr, src_arr)
-            if batch is not None:
-                p_arr, s_arr = batch
-            else:
-                placements = list(
-                    self.policy.place_gc(moved_arr.tolist(), src_arr.tolist())
-                )
-                count = len(placements)
-                p_arr = np.fromiter(
-                    (p for p, _ in placements), dtype=np.int64, count=count
-                )
-                s_arr = np.fromiter(
-                    (s for _, s in placements), dtype=np.int64, count=count
-                )
+            p_arr, s_arr = self.policy.place_gc_batch(moved_arr, src_arr)
             for victim in victims:
                 segs.reset(victim)
                 self.free_list.append(victim)

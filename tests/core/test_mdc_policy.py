@@ -1,10 +1,15 @@
 """MdcPolicy behaviour: variant naming, separation flags, placement."""
 
+import numpy as np
 import pytest
 
 from repro.core.mdc import MdcPolicy
 from repro.policies import make_policy
-from repro.store import GC_STREAM, LogStructuredStore, StoreConfig
+from repro.store import LogStructuredStore, StoreConfig
+
+
+def ids(*values):
+    return np.asarray(values, dtype=np.int64)
 
 
 class TestVariants:
@@ -63,17 +68,18 @@ class TestPlacement:
         store = self._store(policy)
         store.pages.ensure(3)
         store.pages.carried_up2[0:3] = [3.0, 1.0, 2.0]
-        placed = list(policy.place_gc([0, 1, 2], [9, 9, 9]))
-        assert [pid for pid, _ in placed] == [1, 2, 0]  # coldest first
-        assert all(stream == GC_STREAM for _, stream in placed)
+        placed, streams = policy.place_gc_batch(ids(0, 1, 2), ids(9, 9, 9))
+        assert placed.tolist() == [1, 2, 0]  # coldest first
+        assert streams is None  # everything to GC_STREAM
 
     def test_place_gc_keeps_order_without_separation(self):
         policy = MdcPolicy(separate_user=False, separate_gc=False)
         store = self._store(policy)
         store.pages.ensure(3)
         store.pages.carried_up2[0:3] = [3.0, 1.0, 2.0]
-        placed = list(policy.place_gc([0, 1, 2], [9, 9, 9]))
-        assert [pid for pid, _ in placed] == [0, 1, 2]
+        placed, streams = policy.place_gc_batch(ids(0, 1, 2), ids(9, 9, 9))
+        assert placed.tolist() == [0, 1, 2]
+        assert streams is None
 
 
 class TestVictimSelection:
@@ -95,7 +101,7 @@ class TestVictimSelection:
         store.write(1)
         store.write(4)
         store.write(5)
-        pri = policy.rank([hot_seg, cold_seg])
+        pri = policy.rank_columns(store.segments, ids(hot_seg, cold_seg))
         # Equal emptiness: clean the cold segment first (smaller decline).
         assert pri[1] < pri[0]
 
@@ -111,5 +117,5 @@ class TestVictimSelection:
             store.write(small_config.user_pages - 1)
         for pid in store.pages.live_pages_of(store.segments, b)[:4]:
             store.write(pid)
-        pri = policy.rank([a, b])
+        pri = policy.rank_columns(store.segments, ids(a, b))
         assert pri[0] < pri[1]

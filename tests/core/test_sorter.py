@@ -1,9 +1,33 @@
-"""Frequency-sorted packing helpers (Section 5.3)."""
+"""Frequency-sorted packing (Section 5.3): the key helpers, and the
+order ``MdcPolicy.place_gc_batch`` packs relocated pages in — stable,
+coldest first, ties by arrival."""
 
+import hypothesis.strategies as st
 import numpy as np
+from hypothesis import given, settings
 
-from repro.core.sorter import oracle_keys, order_by_key, up2_keys
-from repro.store import PageTable
+from repro.core.mdc import MdcPolicy
+from repro.core.sorter import oracle_keys, up2_keys
+from repro.policies import make_policy
+from repro.store import LogStructuredStore, PageTable, StoreConfig
+
+
+def gc_order(pids, keys):
+    """The order ``MdcPolicy.place_gc_batch`` emits ``pids`` in when
+    their carried ``up2`` estimates are ``keys``."""
+    policy = MdcPolicy()
+    store = LogStructuredStore(
+        StoreConfig(n_segments=8, segment_units=4, fill_factor=0.5,
+                    clean_trigger=1, clean_batch=1),
+        policy,
+    )
+    arr = np.asarray(pids, dtype=np.int64)
+    if arr.size:
+        store.pages.ensure(int(arr.max()))
+        store.pages.carried_up2[arr] = keys
+    placed, streams = policy.place_gc_batch(arr, np.zeros_like(arr))
+    assert streams is None  # everything to the GC stream
+    return placed.tolist()
 
 
 class TestKeys:
@@ -20,10 +44,10 @@ class TestKeys:
 
 class TestOrdering:
     def test_orders_coldest_first(self):
-        assert order_by_key([10, 20, 30], [3.0, 1.0, 2.0]) == [20, 30, 10]
+        assert gc_order([10, 20, 30], [3.0, 1.0, 2.0]) == [20, 30, 10]
 
     def test_stable_for_ties(self):
-        assert order_by_key([1, 2, 3], [0.0, 0.0, 0.0]) == [1, 2, 3]
+        assert gc_order([1, 2, 3], [0.0, 0.0, 0.0]) == [1, 2, 3]
 
     def test_clusters_similar_keys_adjacently(self):
         rng = np.random.default_rng(1)
@@ -31,24 +55,20 @@ class TestOrdering:
         keys = [float(p % 2) for p in pids]  # two hotness groups
         mixed = list(rng.permutation(pids))
         mixed_keys = [keys[p] for p in mixed]
-        out = order_by_key(mixed, mixed_keys)
+        out = gc_order(mixed, mixed_keys)
         # After sorting, all members of a group are contiguous.
         group = [p % 2 for p in out]
         assert group == sorted(group)
 
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
-
-from repro.policies import make_policy
-from repro.store import LogStructuredStore, StoreConfig
-
+# A page carries one estimate, so page ids are unique within a batch.
 pid_key_lists = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=5000),
         st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
     ),
     max_size=200,
+    unique_by=lambda pair: pair[0],
 )
 
 
@@ -61,7 +81,7 @@ class TestOrderingInvariants:
     def test_result_is_a_permutation(self, pairs):
         pids = [p for p, _ in pairs]
         keys = [k for _, k in pairs]
-        out = order_by_key(pids, keys)
+        out = gc_order(pids, keys)
         assert sorted(out) == sorted(pids)
 
     @given(pairs=pid_key_lists)
@@ -70,7 +90,7 @@ class TestOrderingInvariants:
         pids = [p for p, _ in pairs]
         keys = [k for _, k in pairs]
         order = np.argsort(np.asarray(keys, dtype=float), kind="stable")
-        assert order_by_key(pids, keys) == [pids[i] for i in order]
+        assert gc_order(pids, keys) == [pids[i] for i in order]
         assert [keys[i] for i in order] == sorted(keys)
 
     @given(pairs=pid_key_lists)
@@ -78,17 +98,17 @@ class TestOrderingInvariants:
     def test_ordering_is_idempotent(self, pairs):
         pids = [p for p, _ in pairs]
         keys = [k for _, k in pairs]
-        once = order_by_key(pids, keys)
+        once = gc_order(pids, keys)
         keys_once = [keys[i] for i in np.argsort(np.asarray(keys), kind="stable")]
-        assert order_by_key(once, keys_once) == once
+        assert gc_order(once, keys_once) == once
 
     def test_empty_input(self):
-        assert order_by_key([], []) == []
+        assert gc_order([], []) == []
 
     def test_all_cold_input_preserves_arrival_order(self):
         """Equal keys (an all-cold batch) must not be reshuffled."""
         pids = list(range(50, 0, -1))
-        assert order_by_key(pids, [0.0] * len(pids)) == pids
+        assert gc_order(pids, [0.0] * len(pids)) == pids
 
 
 class TestStoreIntegration:
@@ -120,8 +140,8 @@ class TestStoreIntegration:
         """Coldest-first ordering puts every cold page before the median
         hot page."""
         store, hot, cold = self._hot_cold_store()
-        keys = up2_keys(store.pages, hot + cold)
-        out = order_by_key(hot + cold, keys)
-        positions = {p: i for i, p in enumerate(out)}
+        pids = np.asarray(hot + cold, dtype=np.int64)
+        out, _ = store.policy.place_gc_batch(pids, np.zeros_like(pids))
+        positions = {p: i for i, p in enumerate(out.tolist())}
         median_hot = sorted(positions[p] for p in hot)[len(hot) // 2]
         assert all(positions[p] < median_hot for p in cold)

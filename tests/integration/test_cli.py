@@ -1,9 +1,26 @@
 """The command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.policies import available_policies
+from repro.sweep import SWEEP_GRIDS
+
+
+def patch_backend(monkeypatch, func, fake):
+    """Swap the experiment function a CLI command ends up calling: the
+    serial commands take theirs from ``SWEEP_GRIDS``, fig6 by name."""
+    import repro.cli as cli
+
+    for name, grid in SWEEP_GRIDS.items():
+        if grid.experiment.__name__ == func:
+            monkeypatch.setitem(
+                SWEEP_GRIDS, name, dataclasses.replace(grid, experiment=fake)
+            )
+            return
+    monkeypatch.setattr(cli, func, fake)
 
 
 class TestCli:
@@ -40,8 +57,6 @@ class TestCli:
         ],
     )
     def test_experiment_commands_invoke_backend(self, argv, func, capsys, monkeypatch):
-        import repro.cli as cli
-
         calls = {}
 
         def fake(*args, **kwargs):
@@ -49,24 +64,30 @@ class TestCli:
             calls["kwargs"] = kwargs
             return "RENDERED-%s" % func
 
-        monkeypatch.setattr(cli, func, fake)
+        patch_backend(monkeypatch, func, fake)
         assert main(argv) == 0
         assert "RENDERED-%s" % func in capsys.readouterr().out
-        if "--quick" in argv:
-            assert calls["kwargs"]["write_multiplier"] < 10
+        if argv[0] != "fig6":
+            # The base multiplier is the grid's; --quick quarters it.
+            base = SWEEP_GRIDS[argv[0]].base_multiplier
+            quick = "--quick" in argv
+            assert calls["kwargs"]["write_multiplier"] == (
+                base / 4.0 if quick else base
+            )
         if argv[0] == "fig5":
-            assert calls["args"] == ("uniform",)
+            assert calls["kwargs"]["dist"] == "uniform"
         if argv[0] == "fig6":
             assert calls["kwargs"]["scale"].warehouses == 2
 
     def test_ablation_invokes_both_backends(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "ablation_estimator_experiment", lambda **k: "EST")
-        monkeypatch.setattr(cli, "ablation_batch_experiment", lambda **k: "BATCH")
+        patch_backend(
+            monkeypatch, "ablation_estimator_experiment", lambda **k: "EST"
+        )
+        patch_backend(
+            monkeypatch, "ablation_batch_experiment", lambda **k: "BATCH"
+        )
         assert main(["ablation"]) == 0
-        out = capsys.readouterr().out
-        assert "EST" in out and "BATCH" in out
+        assert capsys.readouterr().out == "EST\n\nBATCH\n"
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
@@ -76,16 +97,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig5", "--dist", "pareto"])
 
-    def test_seed_flag_reaches_the_experiment(self, capsys, monkeypatch):
-        import repro.cli as cli
+    def test_fig5_fills_flag_reaches_the_experiment(self, capsys, monkeypatch):
+        calls = {}
+        patch_backend(
+            monkeypatch, "fig5_experiment", lambda **k: calls.update(k) or "R"
+        )
+        assert main(["fig5", "--fills", "0.5,0.8"]) == 0
+        assert calls["fills"] == (0.5, 0.8)
+        assert calls["dist"] == "zipf-80-20"
+        capsys.readouterr()
 
+    def test_seed_flag_reaches_the_experiment(self, capsys, monkeypatch):
         calls = {}
 
         def fake(*args, **kwargs):
             calls["kwargs"] = kwargs
             return "RENDERED"
 
-        monkeypatch.setattr(cli, "fig4_experiment", fake)
+        patch_backend(monkeypatch, "fig4_experiment", fake)
         assert main(["fig4", "--seed", "7"]) == 0
         assert calls["kwargs"]["seed"] == 7
         capsys.readouterr()

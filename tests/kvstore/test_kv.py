@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kvstore import KVError, LogStructuredKVStore
-from repro.store import StoreConfig
+from repro.store import OutOfSpaceError, StoreConfig
 
 
 def make_kv(policy="mdc", **overrides):
@@ -140,3 +140,60 @@ class TestGcUnderChurn:
         assert type(report["utilization"]) is float
         assert 0 < report["utilization"] < 1
         assert "util" in repr(kv)
+
+
+class TestOutOfSpace:
+    """A put the store refuses leaves no trace in the index."""
+
+    def _full_kv(self):
+        cfg = StoreConfig(
+            n_segments=8, segment_units=4, fill_factor=0.5,
+            clean_trigger=1, clean_batch=1,
+        )
+        return LogStructuredKVStore(cfg, policy="greedy", unit_bytes=8)
+
+    def _assert_defined_outcome(self, kv, accepted, refused):
+        for key in refused:
+            assert key not in kv
+            assert kv.get(key) is None
+        for key in accepted:
+            assert kv.get(key) == b"x"
+        assert len(kv) == len(accepted)
+        kv.check_consistency()
+        # The store keeps working once there is room again.
+        for key in accepted[:8]:
+            kv.delete(key)
+        kv.put(refused[0], b"y")
+        assert kv.get(refused[0]) == b"y"
+        kv.check_consistency()
+
+    def test_put_unregisters_the_refused_key(self):
+        kv = self._full_kv()
+        accepted = []
+        with pytest.raises(OutOfSpaceError):
+            for i in range(64):
+                kv.put("k%d" % i, b"x")
+                accepted.append("k%d" % i)
+        refused = ["k%d" % len(accepted)]
+        self._assert_defined_outcome(kv, accepted, refused)
+
+    def test_put_many_unregisters_the_refused_batch(self):
+        kv = self._full_kv()
+        accepted = ["k%d" % i for i in range(16)]
+        kv.put_many((key, b"x") for key in accepted)
+        refused = ["r%d" % i for i in range(48)]
+        with pytest.raises(OutOfSpaceError):
+            kv.put_many((key, b"x") for key in refused)
+        self._assert_defined_outcome(kv, accepted, refused)
+
+    def test_refused_overwrite_keeps_the_key_registered(self):
+        kv = self._full_kv()
+        with pytest.raises(OutOfSpaceError):
+            for i in range(64):
+                kv.put("k%d" % i, b"x")
+        before = len(kv)
+        with pytest.raises(OutOfSpaceError):
+            kv.put_many([("k0", b"x"), ("new", b"x")] * 16)
+        assert "new" not in kv and "k0" in kv
+        assert kv.get("k0") == b"x"
+        assert len(kv) == before

@@ -1,9 +1,20 @@
 """Multi-log policy: frequency classes, routing, demotion, locality."""
 
+import numpy as np
 import pytest
 
 from repro.policies import MultiLogPolicy, make_policy
+from repro.policies.multilog import _COLD_CLASS
 from repro.store import LogStructuredStore, StoreConfig
+
+
+def place_gc(policy, page_ids, src_segs):
+    """``place_gc_batch`` as ``(page, stream)`` pairs in emission order."""
+    pids, streams = policy.place_gc_batch(
+        np.asarray(page_ids, dtype=np.int64), np.asarray(src_segs, dtype=np.int64)
+    )
+    assert streams.dtype == np.int64
+    return list(zip(pids.tolist(), streams.tolist()))
 
 
 @pytest.fixture
@@ -113,14 +124,44 @@ class TestPlacement:
         policy._ensure_class(-5)
         policy._ensure_class(-1)
         policy._seg_class[7] = -5
-        placements = policy.place_gc([42], [7])
-        assert placements == [(42, -10)]
+        assert place_gc(policy, [42], [7]) == [(42, -10)]
 
     def test_gc_demotion_floors_at_coldest(self, store_and_policy):
         _, policy = store_and_policy
         policy._ensure_class(-10)
         policy._seg_class[7] = -10
-        assert policy.place_gc([42], [7]) == [(42, -10)]
+        assert place_gc(policy, [42], [7]) == [(42, -10)]
+
+    def test_gc_from_an_unassigned_segment_lands_in_the_coldest(
+        self, store_and_policy
+    ):
+        _, policy = store_and_policy
+        policy._ensure_class(-10)
+        policy._ensure_class(-5)
+        # Segment 9 was never opened by a class.
+        assert place_gc(policy, [42], [9]) == [(42, -10)]
+
+    def test_first_demotion_creates_the_cold_class(self, store_and_policy):
+        _, policy = store_and_policy
+        assert place_gc(policy, [], []) == []
+        assert policy._classes == []  # nothing demoted, nothing created
+        assert place_gc(policy, [4, 5], [7, 8]) == [
+            (4, _COLD_CLASS), (5, _COLD_CLASS)
+        ]
+        assert policy._classes == [_COLD_CLASS]
+
+    def test_exact_gc_can_create_a_class_mid_batch(self):
+        cfg = StoreConfig(
+            n_segments=64, segment_units=8, fill_factor=0.6,
+            clean_trigger=2, clean_batch=2,
+        )
+        policy = MultiLogPolicy(exact=True)
+        store = LogStructuredStore(cfg, policy)
+        store.set_oracle_frequencies([0.5, 0.5, 0.001])
+        placed = place_gc(policy, [0, 2, 1], [3, 3, 3])
+        hot, cold = policy._class_of(0.5), policy._class_of(0.001)
+        assert placed == [(0, hot), (2, cold), (1, hot)]
+        assert policy._classes == [cold, hot]
 
     def test_exact_gc_routes_by_oracle(self):
         cfg = StoreConfig(
@@ -131,7 +172,7 @@ class TestPlacement:
         store = LogStructuredStore(cfg, policy)
         store.set_oracle_frequencies([0.5])
         expected = policy._class_of(0.5)
-        assert policy.place_gc([0], [3]) == [(0, expected)]
+        assert place_gc(policy, [0], [3]) == [(0, expected)]
 
 
 class TestVictimLocality:

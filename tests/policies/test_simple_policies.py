@@ -1,5 +1,6 @@
 """Age, greedy, and cost-benefit victim selection on a live store."""
 
+import numpy as np
 import pytest
 
 from repro.policies import make_policy
@@ -10,6 +11,13 @@ def loaded_store(cfg, name):
     store = LogStructuredStore(cfg, make_policy(name))
     store.load_sequential(cfg.user_pages)
     return store
+
+
+def rank(store, segs):
+    """The policy's priorities for ``segs`` (lower = cleaned earlier)."""
+    return store.policy.rank_columns(
+        store.segments, np.asarray(segs, dtype=np.int64)
+    )
 
 
 class TestAge:
@@ -66,7 +74,7 @@ class TestCostBenefit:
         segs.live_units[old_seg] = capacity // 2
         segs.seal_time[new_seg] = 9_990
         segs.live_units[new_seg] = capacity // 4
-        ranks = store.policy.rank([old_seg, new_seg])
+        ranks = rank(store, [old_seg, new_seg])
         assert ranks[0] < ranks[1]
 
     def test_emptier_wins_at_equal_age(self, small_config):
@@ -77,7 +85,7 @@ class TestCostBenefit:
         segs.seal_time[a] = segs.seal_time[b] = 100
         segs.live_units[a] = segs.capacity // 2
         segs.live_units[b] = segs.capacity // 4
-        ranks = store.policy.rank([a, b])
+        ranks = rank(store, [a, b])
         assert ranks[1] < ranks[0]
 
     def test_paper_variant_is_pathological_under_uniform(self, small_config):

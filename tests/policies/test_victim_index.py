@@ -1,8 +1,9 @@
 """The incremental victim-selection index.
 
 Covers the three pieces the index is built from: the column-based
-ranking protocol (``rank_columns`` must agree with the scalar ``rank``),
-the partial-order shortcut (``_ascending_prefix`` must be an exact
+ranking protocol (``rank_columns`` over many candidates must agree with
+ranking them one at a time — the purity the epoch cache relies on), the
+partial-order shortcut (``_ascending_prefix`` must be an exact
 prefix of the full stable argsort), and the epoch-keyed priority cache
 (stale entries re-score, fresh ones don't).  Plus the selection rule
 that a segment with nothing reclaimable is never picked.
@@ -49,8 +50,14 @@ def test_rank_columns_agrees_with_rank(policy_name):
     via_columns = np.asarray(
         store.policy.rank_columns(store.segments, ids), dtype=float
     )
-    via_scalar = np.asarray(
-        store.policy.rank([int(s) for s in ids]), dtype=float
+    via_scalar = np.concatenate(
+        [
+            np.asarray(
+                store.policy.rank_columns(store.segments, ids[i : i + 1]),
+                dtype=float,
+            )
+            for i in range(ids.size)
+        ]
     )
     np.testing.assert_array_equal(via_columns, via_scalar)
 

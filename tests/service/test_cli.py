@@ -84,3 +84,7 @@ class TestLoadgenRoundtrip:
             ["serve", "--from", str(tmp_path / "nope.jsonl"), "--no-history"]
         ) == 1
         assert "serve error" in capsys.readouterr().err
+
+    def test_serve_bad_config_is_an_error_not_a_traceback(self, capsys):
+        assert main(["serve", "--quick", "--tick-every", "0", "--no-history"]) == 1
+        assert "serve error: tick_every must be >= 1" in capsys.readouterr().err

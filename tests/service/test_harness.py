@@ -34,6 +34,8 @@ class TestConfig:
             HarnessConfig(delete_frac=1.0)
         with pytest.raises(ValueError):
             HarnessConfig(ops=0)
+        with pytest.raises(ValueError, match="tick_every"):
+            HarnessConfig(tick_every=0)
 
     def test_shard_config_has_cleaning_headroom(self):
         cfg = quick_cfg()

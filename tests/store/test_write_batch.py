@@ -323,7 +323,11 @@ def test_batch_rejects_bad_shapes():
         store.write_batch(
             np.arange(4, dtype=np.int64), sizes=np.ones(3, dtype=np.int64)
         )
+    with pytest.raises(ValueError):
+        # The shape rule does not depend on the batch being non-empty.
+        store.write_batch([], sizes=[1, 2])
     store.write_batch(np.empty(0, dtype=np.int64))  # no-op, no error
+    store.write_batch([], sizes=[])
     assert store.clock == 0
 
 
