@@ -22,7 +22,6 @@ write amplification — are exact.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -82,30 +81,47 @@ class LogStructuredKVStore:
         """Largest storable value (one whole segment of units)."""
         return self.store.config.segment_units * self.unit_bytes
 
-    def _units_for(self, value: bytes) -> int:
-        return max(1, math.ceil(len(value) / self.unit_bytes))
+    def _units(self, nbytes):
+        """Record size in whole units (at least one) for a value length,
+        or for an array of lengths."""
+        return np.maximum(1, -(-nbytes // self.unit_bytes))
 
     # -- CRUD -------------------------------------------------------------
 
-    def _stage(self, key: Key, value: bytes) -> Tuple[int, int, bytes]:
-        """Validate one pair and reserve its record slot; returns
-        ``(slot, units, value)`` ready for the store."""
-        if not isinstance(value, (bytes, bytearray)):
-            raise KVError("values must be bytes, got %s" % type(value).__name__)
-        value = bytes(value)
-        units = self._units_for(value)
-        if units > self.store.config.segment_units:
-            raise KVError(
-                "value of %d bytes exceeds the %d-byte record limit"
-                % (len(value), self.max_value_bytes)
-            )
-        slot = self._slot_of.get(key)
-        if slot is None:
-            slot = self._free_slots.pop() if self._free_slots else self._next_slot
-            if slot == self._next_slot:
-                self._next_slot += 1
-            self._slot_of[key] = slot
-        return slot, units, value
+    def _stage(
+        self,
+        items: Iterable[Tuple[Key, bytes]],
+        staged: List[Tuple[Key, bytes]],
+        slots: List[int],
+        lengths: List[int],
+    ) -> None:
+        """Validate each pair and reserve its record slot, in order,
+        appending the ``(key, value)`` pair, its slot and its value
+        length to the caller's lists.  Raises :class:`KVError` at the
+        first invalid pair; the valid prefix stays staged."""
+        limit = self.max_value_bytes
+        slot_of, free = self._slot_of, self._free_slots
+        for key, value in items:
+            if type(value) is not bytes:
+                if not isinstance(value, (bytes, bytearray)):
+                    raise KVError(
+                        "values must be bytes, got %s" % type(value).__name__
+                    )
+                value = bytes(value)
+            if len(value) > limit:
+                raise KVError(
+                    "value of %d bytes exceeds the %d-byte record limit"
+                    % (len(value), limit)
+                )
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = free.pop() if free else self._next_slot
+                if slot == self._next_slot:
+                    self._next_slot += 1
+                slot_of[key] = slot
+            staged.append((key, value))
+            slots.append(slot)
+            lengths.append(len(value))
 
     def _unstage(self, keys: Iterable[Key]) -> None:
         """The store refused a write: unregister the staged keys whose
@@ -123,13 +139,14 @@ class LogStructuredKVStore:
         """Insert or overwrite; the old record's space is reclaimable
         from this moment.  Takes the store's scalar ``write`` — the
         per-pair reference :meth:`put_many` is state-identical to."""
-        slot, units, value = self._stage(key, value)
+        staged, slots, lengths = [], [], []
+        self._stage(((key, value),), staged, slots, lengths)
         try:
-            self.store.write(slot, size=units)
+            self.store.write(slots[0], size=int(self._units(lengths[0])))
         except StoreError:
             self._unstage((key,))
             raise
-        self._values[key] = value
+        self._values.update(staged)
 
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
         """Insert or overwrite a batch of ``(key, value)`` pairs through
@@ -149,13 +166,9 @@ class LogStructuredKVStore:
         """
         staged: List[Tuple[Key, bytes]] = []
         slots: List[int] = []
-        units: List[int] = []
+        lengths: List[int] = []
         try:
-            for key, value in items:
-                slot, u, value = self._stage(key, value)
-                staged.append((key, value))
-                slots.append(slot)
-                units.append(u)
+            self._stage(items, staged, slots, lengths)
         finally:
             # Also on the way out of an invalid pair: the valid prefix
             # is applied before the error surfaces.
@@ -163,7 +176,7 @@ class LogStructuredKVStore:
                 try:
                     self.store.write_batch(
                         np.asarray(slots, dtype=np.int64),
-                        np.asarray(units, dtype=np.int64),
+                        self._units(np.asarray(lengths, dtype=np.int64)),
                     )
                 except StoreError:
                     self._unstage(key for key, _ in staged)
@@ -228,7 +241,7 @@ class LogStructuredKVStore:
         for key, slot in self._slot_of.items():
             seg, slot_idx = self.store.pages.location(slot)
             assert seg != -1, "live key %r has no stored record" % (key,)
-            expected = self._units_for(self._values[key])
+            expected = self._units(len(self._values[key]))
             assert self.store.pages.size[slot] == expected
         self.store.check_invariants()
 

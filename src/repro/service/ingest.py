@@ -15,17 +15,31 @@ multi-key batch.  Three mechanisms bound the staleness and the memory:
   enqueue completes (counted, so saturated runs are visible in the
   metrics rather than silently slow).
 
-A flushed batch is **coalesced** before it touches the shard: within
-one batch the last op per key wins, so ten queued updates of a hot key
-cost the store one user write, not ten.  The surviving puts go down in
-a single vectorized
-:meth:`~repro.kvstore.LogStructuredKVStore.put_many` call (first-
-arrival order, which is deterministic), the surviving deletes as
-TRIMs; after coalescing the two groups touch disjoint keys, so the
-final shard state is exactly what applying the client ops one by one
-would leave.  The ``ops_coalesced`` counter records how many queued
-ops the dedup absorbed — on skewed tenant keyspaces this is the
-service's second amplification lever, upstream of the cleaner.
+A batch is **coalesced** as it is queued: each shard's pending run is
+one ``key -> last op`` map, so within one batch the last op per key
+wins and ten queued updates of a hot key cost the store one user
+write, not ten.  The same map answers read-your-writes
+(:meth:`IngestQueue.pending_value` is one probe of it), so coalescing
+and the read path share one structure and neither walks the run.
+Reassigning a key keeps its first-arrival position, which makes the
+replay order deterministic: the surviving puts go down in a single
+vectorized :meth:`~repro.kvstore.LogStructuredKVStore.put_many` call,
+the surviving deletes as TRIMs; the two groups touch disjoint keys, so
+the final shard state is exactly what applying the client ops one by
+one would leave.
+
+Beside each map the queue keeps the shard's **raw op count**
+(:meth:`IngestQueue.shard_depth`): every trigger and every figure that
+means "ops queued" reads it, not the map's size -- ``batch_size``,
+``max_depth`` and the backpressure choice of the deepest shard fire on
+the op they would fire on if nothing coalesced, and ``ops_flushed``,
+the ``batch_size`` histogram and the telemetry depth count client ops.
+Their difference at flush time is the ``ops_coalesced`` counter: how
+many queued ops the map absorbed — on skewed tenant keyspaces this is
+the service's second amplification lever, upstream of the cleaner.
+
+A flush the store refuses (out of space) puts the run back: every op
+the queue acknowledged is either applied or still pending and readable.
 
 Everything is synchronous and deterministic: "async" is a property of
 the *ordering contract* (acknowledge now, apply on flush), not of
@@ -35,9 +49,10 @@ seed.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
+from repro.store import StoreError
 
 #: Batch-size histogram buckets (ops per flushed batch).
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -88,7 +103,10 @@ class IngestQueue:
         self.depth = 0
         #: Queue depth observed at every tick (p95 source for benches).
         self.depth_samples: List[int] = []
-        self._pending: List[List[Op]] = [[] for _ in shards]
+        #: Per shard: key -> its last queued op, in first-arrival order.
+        self._pending: List[Dict[object, Op]] = [{} for _ in shards]
+        #: Per shard: client ops queued (coalesced ones included).
+        self._queued: List[int] = [0 for _ in shards]
         #: Tick at which each shard's oldest pending op was enqueued.
         self._oldest_tick: List[Optional[int]] = [None for _ in shards]
         self._tick = 0
@@ -106,31 +124,33 @@ class IngestQueue:
     def add_shard(self, shard) -> None:
         """Track one more shard (pool growth)."""
         self.shards.append(shard)
-        self._pending.append([])
+        self._pending.append({})
+        self._queued.append(0)
         self._oldest_tick.append(None)
 
     # -- enqueue ---------------------------------------------------------
 
     def put(self, shard: int, key, value: bytes) -> None:
         """Queue an upsert for ``shard``."""
-        self._push(shard, (OP_PUT, key, value))
+        self.enqueue(shard, (OP_PUT, key, value))
 
     def delete(self, shard: int, key) -> None:
         """Queue a delete for ``shard``."""
-        self._push(shard, (OP_DELETE, key, None))
+        self.enqueue(shard, (OP_DELETE, key, None))
 
-    def _push(self, shard: int, op: Op) -> None:
+    def enqueue(self, shard: int, op: Op) -> None:
+        """Queue one op for ``shard``, superseding any queued op on the
+        same key, then flush if a size or depth bound was reached."""
         pending = self._pending[shard]
         if not pending:
             self._oldest_tick[shard] = self._tick
-        pending.append(op)
+        pending[op[1]] = op
+        queued = self._queued[shard] = self._queued[shard] + 1
         self.depth += 1
-        if len(pending) >= self.batch_size:
+        if queued >= self.batch_size:
             self.flush_shard(shard)
         elif self.depth >= self.max_depth:
-            deepest = max(
-                range(len(self._pending)), key=lambda s: len(self._pending[s])
-            )
+            deepest = max(range(len(self._queued)), key=self.shard_depth)
             if self.metrics is not None:
                 self.metrics.counter("backpressure_flushes").inc()
             self.flush_shard(deepest)
@@ -158,22 +178,23 @@ class IngestQueue:
     def flush_shard(self, shard: int) -> int:
         """Apply ``shard``'s pending ops as one coalesced batch;
         returns the number of queued ops consumed."""
-        ops = self._pending[shard]
-        if not ops:
+        final = self._pending[shard]
+        if not final:
             return 0
+        n = self._queued[shard]
+        oldest = self._oldest_tick[shard]
         tracer = self.tracer
         span = None
         if tracer is not None:
-            oldest = self._oldest_tick[shard]
             span = tracer.start(
                 "queue.flush",
                 shard=shard,
-                ops=len(ops),
+                ops=n,
                 queue_wait_ticks=0 if oldest is None else self._tick - oldest,
             )
-        self._pending[shard] = []
+        self._pending[shard] = {}
+        self._queued[shard] = 0
         self._oldest_tick[shard] = None
-        n = len(ops)
         self.depth -= n
         kv = self.shards[shard]
         # Foreground stall accounting: every GC page relocated anywhere
@@ -187,11 +208,6 @@ class IngestQueue:
             if self.metrics is not None
             else 0
         )
-        # Last write wins per key; dict insertion keeps first-arrival
-        # order for the surviving ops, so replay order is deterministic.
-        final: dict = {}
-        for op in ops:
-            final[op[1]] = op
         puts = [
             (key, op[2]) for key, op in final.items() if op[0] == OP_PUT
         ]
@@ -203,6 +219,16 @@ class IngestQueue:
             )
             try:
                 kv.put_many(puts)
+            except StoreError:
+                # Out of space is the refusal a later flush can get
+                # past (after deletes or cleaning), and put_many
+                # recorded none of the batch: the acknowledged run goes
+                # back whole.
+                self._pending[shard] = final
+                self._queued[shard] = n
+                self._oldest_tick[shard] = oldest
+                self.depth += n
+                raise
             finally:
                 if pspan is not None:
                     tracer.finish(pspan)
@@ -243,10 +269,11 @@ class IngestQueue:
     def pending_value(self, shard: int, key) -> Optional[Op]:
         """The most recent queued op for ``key`` on ``shard`` (read-
         your-writes support), or None."""
-        for op in reversed(self._pending[shard]):
-            if op[1] == key:
-                return op
-        return None
+        return self._pending[shard].get(key)
+
+    def shard_depth(self, shard: int) -> int:
+        """Client ops queued on ``shard``, coalesced ones included."""
+        return self._queued[shard]
 
     def __len__(self) -> int:
         return self.depth

@@ -49,7 +49,7 @@ from repro.obs import (
 )
 from repro.obs.clock import now_s
 from repro.obs.export import SCHEMA_VERSION
-from repro.service.ingest import OP_PUT, IngestQueue
+from repro.service.ingest import OP_DELETE, OP_PUT, IngestQueue
 from repro.service.pool import StorePool
 from repro.service.router import ConsistentHashRouter
 from repro.store import StoreConfig
@@ -143,13 +143,9 @@ class Service:
 
     # -- internals -------------------------------------------------------
 
-    @staticmethod
-    def _skey(tenant: Optional[Key], key: Key) -> tuple:
-        """The stored (namespaced) form of a client key."""
-        return (tenant, key)
-
     def shard_of(self, key: Key, tenant: Optional[Key] = None) -> int:
-        """The shard index owning ``key`` under ``tenant``."""
+        """The shard index owning ``key`` under ``tenant``.  The client
+        ops probe the route memo inline and come here on a miss."""
         skey = (tenant, key)
         shard = self._routes.get(skey)
         if shard is None:
@@ -174,9 +170,12 @@ class Service:
         owning shard index."""
         tracer = self.tracer
         span = tracer.start("service.put") if tracer is not None else None
-        shard = self.shard_of(key, tenant)
-        self._c_puts.inc()
-        self.queue.put(shard, self._skey(tenant, key), value)
+        skey = (tenant, key)  # the stored (namespaced) form of the key
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
+        self._c_puts.value += 1
+        self.queue.enqueue(shard, (OP_PUT, skey, value))
         if span is not None:
             tracer.finish(span, shard=shard)
         return shard
@@ -185,9 +184,12 @@ class Service:
         """Acknowledge a delete; returns the owning shard index."""
         tracer = self.tracer
         span = tracer.start("service.delete") if tracer is not None else None
-        shard = self.shard_of(key, tenant)
-        self._c_deletes.inc()
-        self.queue.delete(shard, self._skey(tenant, key))
+        skey = (tenant, key)
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
+        self._c_deletes.value += 1
+        self.queue.enqueue(shard, (OP_DELETE, skey, None))
         if span is not None:
             tracer.finish(span, shard=shard)
         return shard
@@ -199,13 +201,15 @@ class Service:
         default: Optional[bytes] = None,
     ) -> Optional[bytes]:
         """Read-your-writes fetch: pending queue first, then the shard."""
-        shard = self.shard_of(key, tenant)
-        self._c_gets.inc()
-        skey = self._skey(tenant, key)
+        skey = (tenant, key)
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
+        self._c_gets.value += 1
         pending = self.queue.pending_value(shard, skey)
         if pending is not None:
             return pending[2] if pending[0] == OP_PUT else default
-        return self.pool[shard].get(skey, default)
+        return self.pool.shards[shard].get(skey, default)
 
     def __contains__(self, key: Key) -> bool:
         return self.get(key) is not None
@@ -346,7 +350,7 @@ class Service:
                     "wamp": round(kv.write_amplification, 4),
                     "fill": round(store.fill_factor_now(), 4),
                     "free_segments": store.free_segment_count,
-                    "queue_depth": len(self.queue._pending[i]),
+                    "queue_depth": self.queue.shard_depth(i),
                     "write_stalls": stalls,
                     "stall_p99_pages": round(stall_p99, 2),
                 }

@@ -1,5 +1,7 @@
 """put_many must be state-identical to a sequential put loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,86 @@ class TestBatchSemantics:
         kv.put_many([("a", b"new")])
         assert kv._slot_of["a"] == slot
         assert kv.get("a") == b"new"
+
+
+def assert_same_state(kv, ref):
+    """Store, index, value map, slot free list and counters all agree."""
+    assert state_digest(kv.store) == state_digest(ref.store)
+    assert kv._slot_of == ref._slot_of
+    assert list(kv._slot_of) == list(ref._slot_of)
+    assert kv._values == ref._values
+    assert (kv._free_slots, kv._next_slot) == (ref._free_slots, ref._next_slot)
+    assert kv.store.stats.snapshot() == ref.store.stats.snapshot()
+    kv.check_consistency()
+
+
+def put_loop(ref, items):
+    """The reference: ``put`` per pair, stopping at the first error."""
+    for key, value in items:
+        ref.put(key, value)
+
+
+class TestStagingPass:
+    """Cases a batch-wide staging pass could get wrong where a per-pair
+    one could not."""
+
+    def test_array_sizes_match_the_scalar_ceiling(self):
+        kv = make_kv()
+        lengths = np.arange(0, kv.max_value_bytes + 1)
+        want = [max(1, math.ceil(n / kv.unit_bytes)) for n in lengths.tolist()]
+        assert kv._units(lengths).tolist() == want
+
+    def test_bytearray_is_stored_as_bytes(self):
+        kv, ref = make_kv(), make_kv()
+        batch = [("a", bytearray(b"mutable")), ("b", b"plain")]
+        assert kv.put_many(batch) == 2
+        put_loop(ref, batch)
+        assert type(kv.get("a")) is bytes and kv.get("a") == b"mutable"
+        batch[0][1][:] = b"changed"
+        assert kv.get("a") == b"mutable"
+        assert_same_state(kv, ref)
+
+    @pytest.mark.parametrize("bad", ["not-bytes", 7, None, b"x" * (32 * 16 + 1)])
+    def test_invalid_pair_mid_batch_splits_it(self, bad):
+        kv, ref = make_kv(), make_kv()
+        for store in (kv, ref):
+            store.put("old", b"kept")
+        batch = [("a", b"1"), ("old", b"new"), ("bad", bad), ("old", b"no"), ("z", b"9")]
+        with pytest.raises(KVError) as raised:
+            kv.put_many(batch)
+        with pytest.raises(KVError) as expected:
+            put_loop(ref, batch)
+        assert str(raised.value) == str(expected.value)
+        assert kv.get("old") == b"new"
+        assert "bad" not in kv and "z" not in kv
+        assert_same_state(kv, ref)
+
+    def test_duplicate_and_new_keys_interleaved(self):
+        kv, ref = make_kv(), make_kv()
+        batch = [("n1", b"a"), ("n2", b"bb" * 20), ("n1", b"c" * 40), ("n3", b""), ("n2", b"d")]
+        assert kv.put_many(batch) == 5
+        put_loop(ref, batch)
+        assert_same_state(kv, ref)
+
+    def test_freed_slots_are_reused_in_pop_order(self):
+        kv, ref = make_kv(), make_kv()
+        first = [("k%d" % i, b"v") for i in range(8)]
+        second = [("m0", b"a"), ("k2", b"b"), ("m1", b"c"), ("m2", b"d"), ("m3", b"e"), ("m0", b"f")]
+        for store, write in ((kv, kv.put_many), (ref, lambda b: put_loop(ref, b))):
+            write(first)
+            for key in ("k1", "k5", "k3"):
+                store.delete(key)
+            write(second)
+        # Last freed, first reused; a fourth new key takes a fresh slot.
+        assert [kv._slot_of[k] for k in ("m0", "m1", "m2", "m3")] == [3, 5, 1, 8]
+        assert_same_state(kv, ref)
+
+    def test_empty_and_generator_arguments(self):
+        kv, ref = make_kv(), make_kv()
+        assert kv.put_many(iter(())) == 0
+        assert kv.put_many(()) == 0
+        assert_same_state(kv, ref)
+        batch = [("g%d" % (i % 4), bytes(i)) for i in range(1, 12)]
+        assert kv.put_many(pair for pair in batch) == len(batch)
+        put_loop(ref, batch)
+        assert_same_state(kv, ref)

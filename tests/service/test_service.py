@@ -5,7 +5,7 @@ import pytest
 
 from repro.obs.export import validate_rows
 from repro.service import Service
-from repro.store import StoreConfig
+from repro.store import OutOfSpaceError, StoreConfig
 
 
 def make_service(n_shards=2, **overrides):
@@ -167,7 +167,59 @@ class TestElasticity:
         assert svc.get("b", tenant="t") == b"2"
 
 
+class TestRefusedFlush:
+    """A flush the store refuses (out of space): every op the queue
+    acknowledged is either applied or still pending and readable."""
+
+    @pytest.mark.parametrize("trigger", ["size", "tick", "flush_all"])
+    def test_acknowledged_ops_survive_and_retry(self, trigger):
+        svc = Service(
+            1,
+            StoreConfig(n_segments=16, segment_units=8, fill_factor=0.5),
+            unit_bytes=8,
+            batch_size=16 if trigger == "size" else 64,
+            flush_interval=1,
+            max_depth=64,
+        )
+        drain = {"size": lambda: None, "tick": svc.tick, "flush_all": svc.flush}
+        n = 0
+        with pytest.raises(OutOfSpaceError):
+            while n < 1000:
+                # Counted first: the put whose own flush is refused was
+                # acknowledged into the queue all the same.
+                n += 1
+                svc.put(n - 1, b"x" * 8)
+                if n % 16 == 0:
+                    drain[trigger]()
+        assert all(svc.get(key) == b"x" * 8 for key in range(n))
+        pending = svc.queue.depth
+        assert pending == svc.queue.shard_depth(0) >= 16
+        assert len(svc) == n - pending
+        svc.pool.check_consistency()
+        # Still full: a retry (the run kept its age) is refused again
+        # and loses nothing.
+        with pytest.raises(OutOfSpaceError):
+            svc.tick()
+        assert svc.queue.depth == pending
+        # Room made beneath the queue: the same run now goes down.
+        for key in range(32):
+            svc.pool[0].delete((None, key))
+        assert svc.flush() == pending
+        assert svc.queue.depth == 0
+        assert all(svc.get(key) == b"x" * 8 for key in range(32, n))
+        assert len(svc) == n - 32
+        svc.pool.check_consistency()
+
+
 class TestObservability:
+    def test_telemetry_shard_depth_counts_client_ops(self):
+        svc = make_service(1, batch_size=1000, flush_interval=1000)
+        for value in (b"1", b"2", b"3"):
+            svc.put("hot", value)
+        svc.put("cold", b"4")
+        row = svc.telemetry_row()
+        assert row["queue_depth"] == row["shards"][0]["queue_depth"] == 4
+
     def test_rows_pass_schema_validation(self):
         svc = make_service(2, sample_interval=64)
         for i in range(500):
