@@ -48,11 +48,6 @@ PAGES_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 _PAGES_EDGES = PAGES_EDGES
 
 
-def _py(value):
-    """Plain-Python scalar for JSON export (numpy scalars have .item)."""
-    return value.item() if hasattr(value, "item") else value
-
-
 class StoreObserver:
     """Event stream + metrics + time-series sampling for one store.
 
@@ -144,14 +139,12 @@ class StoreObserver:
         policy = store.policy
         ids = np.asarray(victims, dtype=np.int64)
         columns = policy.decision_columns(store.segments, ids)
-        names = list(columns)
-        rows = [
-            dict(
-                {"seg": int(seg)},
-                **{name: _py(columns[name][i]) for name in names},
-            )
-            for i, seg in enumerate(victims)
-        ]
+        # Plain-Python cells for JSON export: one tolist() per column,
+        # not one .item() per cell.
+        victim_ids = ids.tolist()
+        names = ["seg"] + list(columns)
+        cells = [np.asarray(col).tolist() for col in columns.values()]
+        rows = [dict(zip(names, row)) for row in zip(victim_ids, *cells)]
         if len(self.decisions) == self.decisions.maxlen:
             self.decisions_dropped += 1
         self.decisions.append(
@@ -167,7 +160,7 @@ class StoreObserver:
         self.bus.emit(
             ev.VICTIM_SELECTED,
             store.clock,
-            victims=[int(v) for v in victims],
+            victims=victim_ids,
             candidates=int(len(candidates)),
         )
 

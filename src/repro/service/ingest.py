@@ -218,7 +218,11 @@ class IngestQueue:
                 else None
             )
             try:
-                kv.put_many(puts)
+                try:
+                    kv.put_many(puts)
+                finally:
+                    if pspan is not None:
+                        tracer.finish(pspan)
             except StoreError:
                 # Out of space is the refusal a later flush can get
                 # past (after deletes or cleaning), and put_many
@@ -228,10 +232,9 @@ class IngestQueue:
                 self._queued[shard] = n
                 self._oldest_tick[shard] = oldest
                 self.depth += n
+                if span is not None:
+                    tracer.finish(span, refused=True)
                 raise
-            finally:
-                if pspan is not None:
-                    tracer.finish(pspan)
         for key, op in final.items():
             if op[0] == OP_DELETE:
                 kv.delete(key)

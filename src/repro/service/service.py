@@ -172,12 +172,16 @@ class Service:
         span = tracer.start("service.put") if tracer is not None else None
         skey = (tenant, key)  # the stored (namespaced) form of the key
         shard = self._routes.get(skey)
-        if shard is None:
-            shard = self.shard_of(key, tenant)
-        self._c_puts.value += 1
-        self.queue.enqueue(shard, (OP_PUT, skey, value))
-        if span is not None:
-            tracer.finish(span, shard=shard)
+        try:
+            if shard is None:
+                shard = self.shard_of(key, tenant)
+            self._c_puts.value += 1
+            self.queue.enqueue(shard, (OP_PUT, skey, value))
+        finally:
+            # Also when the op's own flush is refused: an open span
+            # would adopt every later one.
+            if span is not None:
+                tracer.finish(span, shard=shard)
         return shard
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
@@ -186,12 +190,14 @@ class Service:
         span = tracer.start("service.delete") if tracer is not None else None
         skey = (tenant, key)
         shard = self._routes.get(skey)
-        if shard is None:
-            shard = self.shard_of(key, tenant)
-        self._c_deletes.value += 1
-        self.queue.enqueue(shard, (OP_DELETE, skey, None))
-        if span is not None:
-            tracer.finish(span, shard=shard)
+        try:
+            if shard is None:
+                shard = self.shard_of(key, tenant)
+            self._c_deletes.value += 1
+            self.queue.enqueue(shard, (OP_DELETE, skey, None))
+        finally:
+            if span is not None:
+                tracer.finish(span, shard=shard)
         return shard
 
     def get(

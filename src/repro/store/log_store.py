@@ -25,20 +25,36 @@ Write path
 
 There is one write path.  :meth:`LogStructuredStore.write_batch` is the
 engine every caller drives (the simulator, ``kv.put_many``, the service's
-ingest queue): it splits a batch into *runs* — maximal prefixes that fit
-the open segment (or the sorting buffer), repeated page ids included: a
-repeat rewrites the version its previous occurrence in the run just
-placed — and applies each run's bookkeeping with numpy fancy indexing.
+ingest queue): it splits a batch into *runs* and applies each run's
+bookkeeping with numpy fancy indexing — one gather, one invalidation,
+one carried-``up2`` resolution per run.  A run takes repeated page ids
+in its stride (a repeat rewrites the version its previous occurrence in
+the run just placed) and ends only where the engine must stop:
+
+* with a sorting buffer, where the buffer must flush;
+* without one, a run *rolls*: it fills the open segment and then as many
+  fresh segments as the free pool allows before the next cleaning
+  opportunity that would actually clean — ``len(free_list) - trigger +
+  1`` rolls, none while a :class:`CleanCursor` is active — going through
+  the ordinary roll (:meth:`_open_segment_for`) and append
+  (:meth:`_append_run`) once per segment, with the clock set to the
+  rolling write's own tick.  Because a run's invalidations are applied
+  before its rolls, it is cut before the first position whose old
+  version lies in a segment the run has sealed by then (the *cut rule*,
+  :meth:`_write_run_direct`); that position starts the next run.
+
 Every emission, user or GC, lands through :meth:`_append_run`, and every
 change of segment through the one roll in :meth:`_open_segment_for`
-(seal-if-full, a user write's cleaning opportunity, allocate).  The
-policy is asked for arrays only: ``route_user_batch`` /
-``user_sort_key`` for placement, ``place_gc_batch`` for relocation,
-``rank_columns`` for victims.
+(seal-if-full, a user write's cleaning opportunity, allocate), both
+driven by the one roll/append loop in :meth:`_emit_run`.  The policy is
+asked for arrays only: ``route_user_batch`` / ``user_sort_key`` for
+placement, ``place_gc_batch`` for relocation, ``rank_columns`` for
+victims.
 
 The scalar :meth:`write` remains as exactly two things.  It is the step
-the run engine takes for the one write at a seal / flush / clean
-boundary (and for every write of a policy whose routing is per write —
+the run engine takes for the one write whose roll cleans (or drains an
+active cursor), that flushes the buffer, or that opens a stream's first
+segment (and for every write of a policy whose routing is per write —
 multi-log's ``route_user``); and it is the reference the differential
 suites compare the engine against, one branch per bookkeeping rule.
 The two are bit-identical: every float accumulation in the run engine
@@ -108,18 +124,17 @@ GC_STREAM = -1
 #: Batch chunk for the sequential load (one workload batch's worth).
 _LOAD_CHUNK = 1 << 14
 
-#: Most writes one run attempt looks at (each attempt gathers table
-#: state for its whole window, however few writes it ends up taking).
+#: Most writes one run attempt looks at (a buffered attempt gathers
+#: table state for its whole window, a direct one for everything it
+#: planned, however few writes either ends up taking).
 _RUN_WINDOW = 1 << 12
 
 
 def _stream_runs(streams: np.ndarray):
     """Yield ``(start, stop)`` bounds of maximal constant-stream runs."""
-    n = streams.size
-    bounds = np.flatnonzero(np.diff(streams) != 0) + 1
-    starts = np.concatenate(([0], bounds))
-    stops = np.concatenate((bounds, [n]))
-    return zip(starts.tolist(), stops.tolist())
+    changes = np.flatnonzero(streams[1:] != streams[:-1]) + 1
+    edges = [0, *changes.tolist(), streams.size]
+    return zip(edges, edges[1:])
 
 
 class CleanCursor:
@@ -314,18 +329,19 @@ class LogStructuredStore:
         """Apply a batch of user updates — equivalent to calling
         :meth:`write` once per element, but vectorized.
 
-        The batch is consumed as runs that fit the current open segment
-        (direct placement) or the sorting buffer.  A page id may repeat
-        inside a run: the repeat rewrites the version its previous
-        occurrence just placed (a slot of the open segment, or the
-        still-buffered page), so a run ends only at a stream change or
-        where the segment / buffer is full.  Each run's invalidation,
-        placement, and statistics bookkeeping is applied with array
-        operations that replay the exact scalar update order, so batch
-        and scalar execution produce byte-identical state (the testkit's
+        The batch is consumed as runs: what the sorting buffer takes
+        without flushing, or (direct placement) what fits the open
+        segment and the fresh segments the free pool lets the run roll
+        into without cleaning.  A page id may repeat inside a run: the
+        repeat rewrites the version its previous occurrence just placed
+        (a slot of a segment the run fills, or the still-buffered page).
+        Each run's invalidation, placement, and statistics bookkeeping
+        is applied with array operations that replay the exact scalar
+        update order, so batch and scalar execution produce
+        byte-identical state (the testkit's
         :func:`~repro.testkit.trace.state_digest` is the oracle for
-        this).  Writes at a seal / flush / clean boundary — and whole
-        batches for policies whose routing is inherently per-page
+        this).  The one write at a flush or at a roll that cleans — and
+        whole batches for policies whose routing is inherently per-page
         (multi-log) — go through the scalar path.
         """
         pids = np.ascontiguousarray(page_ids, dtype=np.int64)
@@ -352,9 +368,9 @@ class LogStructuredStore:
             return
         self.pages.ensure(int(pids.max()))
 
-        routes: Optional[np.ndarray] = None
-        uniform_routes = False
-        if self.buffer is None:
+        direct = self.buffer is None
+        spans = [(0, n)]
+        if direct:
             routes = self.policy.route_user_batch(pids)
             if routes is None:
                 # Routing depends on per-write state; the scalar path is
@@ -364,31 +380,39 @@ class LogStructuredStore:
             routes = np.ascontiguousarray(routes, dtype=np.int64)
             if routes.shape != pids.shape:
                 raise ValueError("route_user_batch returned a bad shape")
-            uniform_routes = bool((routes == routes[0]).all())
+            spans = _stream_runs(routes)
+            # One size prefix sum for the batch: every run plans its
+            # first-fit segment bounds against it.
+            if size_arr is None:
+                size_arr = np.ones(n, dtype=np.int64)
+            cum = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(size_arr, out=cum[1:])
 
         # Both run engines take repeated page ids in their stride (the
         # repeat's old version is the one its previous occurrence in the
-        # run placed), so runs break only at stream changes and capacity
-        # boundaries.
+        # run placed), so runs break only at stream changes, where the
+        # buffer must flush, and where a segment roll must clean.
         prev = _prev_occurrence(pids)
-        start = 0
-        while start < n:
-            limit = min(n, start + _RUN_WINDOW)
-            run = pids[start:limit]
-            run_sizes = None if size_arr is None else size_arr[start:limit]
-            prev_rel = prev[start:limit] - start
-            if self.buffer is not None:
-                took = self._write_run_buffered(run, run_sizes, prev_rel)
-            else:
-                took = self._write_run_direct(
-                    run, run_sizes, routes[start:limit], uniform_routes, prev_rel
-                )
-            if took == 0:
-                # Boundary write: the next write seals, flushes, or
-                # cleans; the scalar path handles those transitions.
-                self._write_scalar_span(pids, size_arr, start, start + 1)
-                took = 1
-            start += took
+        for start, stop in spans:
+            while start < stop:
+                limit = min(stop, start + _RUN_WINDOW)
+                if direct:
+                    took = self._write_run_direct(
+                        pids, size_arr, cum, prev, start, limit, int(routes[start])
+                    )
+                else:
+                    took = self._write_run_buffered(
+                        pids[start:limit],
+                        None if size_arr is None else size_arr[start:limit],
+                        prev[start:limit] - start,
+                    )
+                if took == 0:
+                    # Boundary write: the next write flushes, or rolls
+                    # into a cleaning cycle; the scalar path handles
+                    # those transitions.
+                    self._write_scalar_span(pids, size_arr, start, start + 1)
+                    took = 1
+                start += took
 
     def _write_scalar_span(
         self,
@@ -794,62 +818,95 @@ class LogStructuredStore:
 
     def _write_run_direct(
         self,
-        run: np.ndarray,
-        run_sizes: Optional[np.ndarray],
-        run_routes: np.ndarray,
-        uniform_routes: bool,
-        prev_rel: np.ndarray,
+        pids: np.ndarray,
+        sizes: np.ndarray,
+        cum: np.ndarray,
+        prev: np.ndarray,
+        start: int,
+        limit: int,
+        stream: int,
     ) -> int:
-        """Place as many of ``run`` as fit the open segment of the run's
-        first stream; returns the number of writes consumed (0 when the
-        next write needs a seal, an allocation, or a different stream's
-        state to advance first).
+        """Place a run of ``pids[start:limit]`` in the open segment of
+        ``stream`` and the segments it rolls into; returns the number of
+        writes consumed (0 when the next write must open the stream or
+        roll into a cleaning cycle first — the scalar step's job).
 
-        ``prev_rel`` maps each position to the previous occurrence of
-        its page id, relative to the run start (negative: none inside
-        the run).  A repeated id invalidates the slot its previous
-        occurrence just filled — the open segment itself — so in-run
-        rewrites stay on the vectorized path and merely leave garbage
-        behind in the open segment, as the scalar sequence would."""
+        *The plan.*  With no cleaning cycle mid-flight, a user roll
+        cleans nothing while the free pool is at or above
+        :meth:`_reactive_trigger`, so the run may roll ``len(free_list)
+        - trigger + 1`` times (never under an active cursor: its first
+        roll must drain it).  Destinations are the open segment, then
+        the head of the FIFO free list in pop order; their first-fit
+        bounds are one ``searchsorted`` each against ``cum``, the
+        batch's size prefix sum.
+
+        *The cut rule.*  The run's invalidations are applied up front,
+        its rolls after, so the run ends before the first position whose
+        old version lies in a destination the run has sealed by then: a
+        page of the first open segment, or a repeat (``prev`` maps each
+        position to the previous occurrence of its page id in the batch,
+        negative for none) whose previous occurrence landed in an
+        earlier destination, at any position after the one whose write
+        seals that destination.  That position starts the next run,
+        where its old segment is an ordinary sealed one.  Everything
+        else commutes with the rolls: a seal reads only the sealed
+        segment's own columns, which no later position writes, and a
+        repeat inside a not-yet-allocated destination reads the zeros
+        its reset left, as the scalar order would."""
         segs = self.segments
         pages = self.pages
-        stream = int(run_routes[0])
-        seg = self.open_segments.get(stream)
-        if seg is None:
+        seg0 = self.open_segments.get(stream)
+        if seg0 is None:
             return 0
-        k = run.size
-        if not uniform_routes:
-            same = run_routes == stream
-            if not same.all():
-                k = int(np.argmin(same))
-        fit = int(segs.capacity - segs.used_units[seg])
-        if run_sizes is None:
-            k = min(k, fit)
-            if k == 0:
-                return 0
-            run = run[:k]
-            sz = np.ones(k, dtype=np.int64)
-        else:
-            cum = np.cumsum(run_sizes[:k])
-            k = int(np.searchsorted(cum, fit, side="right"))
-            if k == 0:
-                return 0
-            run = run[:k]
-            sz = run_sizes[:k]
-
-        clock0 = self.clock
-        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
-        self.clock = clock0 + k
-        self.stats.user_writes += k
-
+        free = self.free_list
+        rolls = (
+            len(free) - self._reactive_trigger() + 1
+            if self._clean_cursor is None
+            else 0
+        )
+        room = int(segs.capacity - segs.used_units[seg0])
+        dests = [seg0]
+        bounds = [start]
+        stop = start
+        while True:
+            stop = min(limit, int(cum.searchsorted(cum[stop] + room, "right")) - 1)
+            bounds.append(stop)
+            if stop == limit or len(dests) > rolls:
+                break
+            dests.append(free[len(dests) - 1])
+            room = segs.capacity
+        k = stop - start
+        if k == 0:
+            return 0
+        run = pids[start:stop]
+        sz = sizes[start:stop]
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
+        dst = np.repeat(dests, counts)
         old_seg = pages.seg[run]
         old_size = pages.size[run]
-        dup = prev_rel[:k] >= 0
-        if dup.any():
+        prev_rel = prev[start:stop] - start
+        dup = prev_rel >= 0
+        back = prev_rel[dup]
+        if back.size:
             # In-run rewrite: the page's current version is the one this
-            # very run emitted at its previous occurrence.
-            old_seg[dup] = seg
-            old_size[dup] = sz[prev_rel[:k][dup]]
+            # very run emits at its previous occurrence.
+            old_seg[dup] = dst[back]
+            old_size[dup] = sz[back]
+        if len(dests) > 1:
+            # sealed_at[i]: the position whose write seals the
+            # destination holding position i's old version (k: none).
+            first = np.asarray(bounds[1:]) - start
+            sealed_at = np.where(old_seg == seg0, first[0], k)
+            if back.size:
+                sealed_at[dup] = np.repeat(first, counts)[back]
+            cut = np.flatnonzero(np.arange(k) > sealed_at)
+            if cut.size:
+                k = int(cut[0])
+                run, sz, dst = run[:k], sz[:k], dst[:k]
+                old_seg, old_size = old_seg[:k], old_size[:k]
+
+        clocks = self.clock + 1 + np.arange(k, dtype=np.int64)
+        self.stats.user_writes += k
         # Per-position carried values must be gathered before the
         # invalidation scatters new ones (a later rewrite of the same
         # page must not leak its value into an earlier emission).
@@ -870,7 +927,7 @@ class LogStructuredStore:
         pages.carried_up2[run] = carried
 
         pages.size[run] = sz
-        self._append_run(seg, run, sz, carried, is_gc=False)
+        self._emit_run(run, stream, False, sz, carried, tick=1)
         if pages.oracle_active:
             # Scalar order per page: subtract from the old segment, add
             # to the new one.  Replayed as one in-order scatter stream.
@@ -878,7 +935,7 @@ class LogStructuredStore:
             idx = np.empty(2 * k, dtype=np.int64)
             val = np.empty(2 * k, dtype=np.float64)
             idx[0::2] = np.where(on_dev, old_seg, 0)
-            idx[1::2] = seg
+            idx[1::2] = dst
             val[0::2] = -freqs
             val[1::2] = freqs
             keep = np.ones(2 * k, dtype=bool)
@@ -897,9 +954,11 @@ class LogStructuredStore:
         flushing; returns the number of writes consumed (0 when the next
         write must flush first).
 
-        ``prev_rel`` is as in :meth:`_write_run_direct`.  A repeated id
-        rewrites the still-buffered version its previous occurrence
-        added, so a run ends only where the buffer must flush."""
+        ``prev_rel`` maps each position to the previous occurrence of
+        its page id, relative to the run start (negative: none inside
+        the run).  A repeated id rewrites the still-buffered version its
+        previous occurrence added, so a run ends only where the buffer
+        must flush."""
         buffer = self.buffer
         pages = self.pages
         k0 = run.size
@@ -969,38 +1028,62 @@ class LogStructuredStore:
         pages.last_write[run] = clocks
         return k
 
-    def _emit_run(self, pids: np.ndarray, stream: int, is_gc: bool) -> None:
-        """Emit pages (sizes and carried estimates already final in the
-        page table) to ``stream``: one array append per fitting prefix,
-        one :meth:`_open_segment_for` roll between prefixes.
+    def _emit_run(
+        self,
+        pids: np.ndarray,
+        stream: int,
+        is_gc: bool,
+        sizes: Optional[np.ndarray] = None,
+        carried: Optional[np.ndarray] = None,
+        tick: int = 0,
+    ) -> None:
+        """Emit pages to ``stream`` — the one roll/append loop: one
+        array append per fitting prefix, one :meth:`_open_segment_for`
+        roll between prefixes.
 
-        Sizes are gathered once up front: the pages being emitted are
-        not touched by the rolls in between, so the prefix sums stay
-        valid for the whole run.
+        GC and buffer-flush emission pass the pages alone: their sizes
+        and carried estimates are final in the page table, and the pages
+        are not touched by the rolls in between, so one up-front gather
+        of the sizes stays valid for the whole run.  A user run
+        (:meth:`_write_run_direct`) passes its own ``sizes`` and
+        per-position ``carried`` (a page id may repeat, each occurrence
+        with its own estimate) and ``tick=1``: the clock reads the
+        rolling write's own tick at every roll, so seal times and the
+        stall span's clock are the scalar ones, and ``freq_sum`` stays
+        with the caller, which interleaves its additions with the
+        invalidation's subtractions.
         """
         n = pids.size
         if n == 0:
             return
         segs = self.segments
         pages = self.pages
-        sizes = pages.size[pids]
+        if sizes is None:
+            sizes = pages.size[pids]
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(sizes, out=cum[1:])
+        clock0 = self.clock
         i = 0
         while i < n:
+            self.clock = clock0 + tick * (i + 1)
             seg = self._open_segment_for(stream, int(sizes[i]), is_gc)
             fit = segs.capacity - segs.used_units[seg]
-            k = int(np.searchsorted(cum, cum[i] + fit, side="right")) - 1 - i
+            k = int(cum.searchsorted(cum[i] + fit, "right")) - 1 - i
             run = pids[i : i + k]
             self._append_run(
-                seg, run, sizes[i : i + k], pages.carried_up2[run], is_gc
+                seg,
+                run,
+                sizes[i : i + k],
+                pages.carried_up2[run] if carried is None else carried[i : i + k],
+                is_gc,
             )
-            if pages.oracle_active:
+            if pages.oracle_active and not tick:
                 segs.freq_sum[seg] = _fold_add(
                     segs.freq_sum[seg], pages.oracle_freq[run]
                 )
             i += k
+        self.clock = clock0 + tick * n
 
     def _append_run(
         self,
@@ -1059,6 +1142,11 @@ class LogStructuredStore:
         if obs is not None:
             obs.on_seal(seg)
 
+    def _reactive_trigger(self) -> int:
+        """Free-pool level below which a user roll cleans inline (what
+        a run's plan and the roll itself must agree on)."""
+        return max(self.config.clean_trigger, self.policy.min_free_target())
+
     def _clean_until_replenished(self) -> None:
         """Run cleaning cycles until the free pool recovers to the
         trigger.
@@ -1069,7 +1157,7 @@ class LogStructuredStore:
         reclaim no space at all are bounded so a degenerate policy fails
         fast instead of looping forever.
         """
-        trigger = max(self.config.clean_trigger, self.policy.min_free_target())
+        trigger = self._reactive_trigger()
         obs = self.obs
         gc_before = self.stats.gc_writes if obs is not None else 0
         tracer = obs.tracer if obs is not None else None

@@ -1,9 +1,15 @@
 """Shared fixtures: small store configurations sized for fast tests."""
 
 import pytest
+from hypothesis import settings
 
 from repro.store import StoreConfig
 from repro.testkit.failpoints import FAILPOINTS
+
+# ``--hypothesis-profile nightly``: the depth the differential-nightly CI
+# job runs the batch == scalar property at (15x the default profile's
+# examples).  Only tests that do not pin ``max_examples`` follow it.
+settings.register_profile("nightly", max_examples=1500)
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,7 @@
 """The store observer: hooks, decision tracing, failpoints, export rows."""
 
+import json
+
 import pytest
 
 from repro.obs import (
@@ -137,6 +139,38 @@ class TestDecisions:
             victim = observer.decisions[-1]["victims"][0]
             for key in ("seg", "A", "C", "up2", "score") + extra_keys:
                 assert key in victim, "%s missing %s" % (policy, key)
+
+    @pytest.mark.parametrize("policy", ["mdc", "cost-benefit"])
+    def test_rows_equal_a_cell_by_cell_reference(self, small_config, policy):
+        """The rows are built a column at a time; pin them, types and
+        JSON bytes included, against one ``.item()`` per cell."""
+        store = LogStructuredStore(small_config, make_policy(policy))
+        store.load_sequential(small_config.user_pages)
+        seen = []
+        columns_of = store.policy.decision_columns
+
+        def capture(segs, ids):
+            columns = columns_of(segs, ids)
+            seen.append((ids.copy(), {k: v.copy() for k, v in columns.items()}))
+            return columns
+
+        store.policy.decision_columns = capture
+        with StoreObserver(store) as observer:
+            _drive(store, 6000, stride=11)
+        assert len(seen) == len(observer.decisions) > 3
+        for (ids, columns), decision in zip(seen, observer.decisions):
+            reference = [
+                dict(
+                    {"seg": int(seg)},
+                    **{name: col[i].item() for name, col in columns.items()},
+                )
+                for i, seg in enumerate(ids)
+            ]
+            rows = decision["victims"]
+            assert json.dumps(rows) == json.dumps(reference)
+            assert [list(map(type, row.values())) for row in rows] == [
+                list(map(type, row.values())) for row in reference
+            ]
 
     def test_decision_ring_bounds_memory(self, small_config):
         store = LogStructuredStore(small_config, make_policy("greedy"))

@@ -1,19 +1,28 @@
-"""Property-based differential of the buffered ``write_batch`` path.
+"""Property-based differential of ``write_batch``, both run engines.
 
-The sorting-buffer run engine takes repeated page ids in its stride: a
-repeat inside a run rewrites the still-buffered version its previous
-occurrence added.  Whatever Hypothesis throws at it — batches drawn from
-a handful of pages, sizes that grow a buffered page past the buffer's
-capacity, new pages that do not fit, first-writes (NaN carried
-estimates), trims between batches, pages staged by a mid-flight
-cleaning cycle and rewritten twice in one batch — the batch execution
-must leave the store byte-identical to the scalar ``write`` loop.
+Either engine takes repeated page ids in its stride.  On the buffered
+path (``sort_buffer_segments=2``) a repeat inside a run rewrites the
+still-buffered version its previous occurrence added; on the direct
+path (``0``) it rewrites the slot its previous occurrence just filled,
+and one run rolls through as many segments as the free pool allows
+(8-unit segments: a 48-write batch rolls several times, also under the
+active ``CleanCursor`` the ``relocate`` and ``step`` ops leave behind).
+Whatever Hypothesis throws at it — batches drawn from a handful of
+pages, sizes that grow a buffered page past the buffer's capacity or
+leave a gap at a segment's end, new pages that do not fit,
+first-writes (NaN carried estimates), trims between batches, pages
+staged by a mid-flight cleaning cycle and rewritten twice in one batch
+— the batch execution must leave the store byte-identical to the
+scalar ``write`` loop, and an attached observer and tracer must have
+seen the same events (seal clocks, live counts, stalls) and the same
+``store.*`` spans at the same clocks.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
+from repro.obs import StoreObserver, Tracer
 from repro.policies import make_policy
 from repro.store import IN_RELOCATION, LogStructuredStore, StoreConfig
 from repro.store.errors import OutOfSpaceError
@@ -24,21 +33,39 @@ N_LOADED = N_PAGES // 2  # the rest are first-writes when they appear
 MAX_SIZE = 4
 
 
-def build_store(policy_name):
+def build_store(policy_name, sort_buffer_segments):
+    """An observed, traced store: the buffered engine when the policy
+    takes a sort buffer (``greedy`` never does), the direct one
+    otherwise."""
     cfg = StoreConfig(
         n_segments=32,
         segment_units=8,
         fill_factor=0.5,
         clean_trigger=2,
         clean_batch=2,
-        sort_buffer_segments=2,
+        sort_buffer_segments=sort_buffer_segments,
     )
     store = LogStructuredStore(cfg, make_policy(policy_name))
-    assert store.buffer is not None
+    assert (store.buffer is not None) == (
+        sort_buffer_segments > 0 and store.policy.uses_sort_buffer
+    )
     if policy_name.endswith("-opt"):
         store.set_oracle_frequencies(np.linspace(0.001, 0.2, N_PAGES).tolist())
+    StoreObserver(store, capture_failpoints=False).attach().tracer = Tracer()
     store.load_sequential(N_LOADED)
     return store
+
+
+def _observed(store):
+    """Everything the observer and its tracer saw: the event stream
+    (``SEGMENT_SEALED`` clock / live_count / used_units, ``WRITE_STALL``
+    pages, ...) and the ``store.*`` spans as ``(name, clock)``."""
+    events = [event.to_dict() for event in store.obs.bus.events()]
+    spans = [
+        (span.name, span.clock) for span in store.obs.tracer.collector.spans()
+    ]
+    assert all(name.startswith("store.") for name, _ in spans)
+    return events, spans
 
 
 def _writes(max_page):
@@ -92,15 +119,16 @@ def _write_both(scalar_store, batch_store, pids, sizes):
 
 
 @given(
-    policy=st.sampled_from(["mdc", "mdc-opt"]),
+    policy=st.sampled_from(["mdc", "mdc-opt", "greedy"]),
+    sort_buffer=st.sampled_from([0, 2]),
     schedule=st.lists(ops, min_size=1, max_size=30),
 )
-@settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-def test_buffered_batch_matches_scalar(policy, schedule):
-    scalar_store = build_store(policy)
-    batch_store = build_store(policy)
+# max_examples comes from the Hypothesis profile (tests/conftest.py):
+# the default in tier-1, ``nightly`` at depth.
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batch_matches_scalar(policy, sort_buffer, schedule):
+    scalar_store = build_store(policy, sort_buffer)
+    batch_store = build_store(policy, sort_buffer)
     for kind, arg in schedule:
         if kind == "batch":
             pids, sizes = zip(*arg)
@@ -121,3 +149,4 @@ def test_buffered_batch_matches_scalar(policy, schedule):
     batch_store.flush()
     assert state_digest(scalar_store) == state_digest(batch_store)
     batch_store.check_invariants()
+    assert _observed(scalar_store) == _observed(batch_store)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import Tracer
 from repro.obs.export import validate_rows
 from repro.service import Service
 from repro.store import OutOfSpaceError, StoreConfig
@@ -209,6 +210,35 @@ class TestRefusedFlush:
         assert all(svc.get(key) == b"x" * 8 for key in range(32, n))
         assert len(svc) == n - 32
         svc.pool.check_consistency()
+
+    def test_refused_ops_close_their_spans(self):
+        svc = Service(
+            1,
+            StoreConfig(n_segments=16, segment_units=8, fill_factor=0.5),
+            unit_bytes=8,
+            batch_size=16,
+            max_depth=64,
+        )
+        tracer = svc.attach_tracer(Tracer())
+        n = 0
+        with pytest.raises(OutOfSpaceError):
+            while n < 1000:
+                n += 1
+                svc.put(n - 1, b"x" * 8)
+        assert tracer._stack == []
+        refused = [
+            s for s in tracer.collector.spans() if s.attrs.get("refused")
+        ]
+        assert [s.name for s in refused] == ["queue.flush"]
+        # The next op is refused too, and starts a trace of its own
+        # instead of hanging under a dead flush.
+        with pytest.raises(OutOfSpaceError):
+            svc.put(n, b"y" * 8)
+        assert tracer._stack == []
+        flush, put = tracer.collector.spans()[-2:]
+        assert (put.name, put.parent_id) == ("service.put", None)
+        assert (flush.name, flush.parent_id) == ("queue.flush", put.span_id)
+        assert flush.attrs["refused"] is True
 
 
 class TestObservability:

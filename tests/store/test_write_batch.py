@@ -7,15 +7,19 @@ The grids below cross every registered policy family with the three
 synthetic distributions, plus the edge cases where the batch engine
 falls back to (or splits around) the scalar path: segment boundaries,
 sizes that stop fitting, rewrites inside a single batch, interleaved
-trims, and errors thrown mid-batch.
+trims, and errors thrown mid-batch.  The last section pins the direct
+engine's mechanism: one run rolls through as many segments as the free
+pool allows, ends early only by the cut rule, and takes the scalar step
+only at a roll that cleans.
 """
 
 import numpy as np
 import pytest
 
-from repro.policies import available_policies, make_policy
+from repro.policies import GreedyPolicy, available_policies, make_policy
 from repro.store import (
     LogStructuredStore,
+    OutOfSpaceError,
     PageIdError,
     PageSizeError,
     StoreConfig,
@@ -337,3 +341,231 @@ def test_batch_grows_page_table():
     high = np.array([cfg.user_pages + 100, cfg.user_pages + 500], dtype=np.int64)
     store.write_batch(high)
     assert store.pages.seg[int(high[1])] >= 0
+
+
+# ----------------------------------------------------------------------
+# The direct engine's mechanism: runs that roll
+# ----------------------------------------------------------------------
+
+
+def _roomy_pair(policy_name="greedy"):
+    """Two identical steady-state stores whose free pool sits well above
+    the reactive trigger, so a run's destinations are recycled (reset)
+    segments and several rolls are no-op cleaning opportunities."""
+    cfg, scalar_store, batch_store = _pair(policy_name)
+    warm = _stream("uniform", cfg.user_pages // 2, 1500)
+    for store in (scalar_store, batch_store):
+        if policy_name.endswith("-opt"):
+            store.set_oracle_frequencies(
+                np.linspace(0.001, 0.2, cfg.user_pages).tolist()
+            )
+        store.load_sequential(cfg.user_pages // 2)
+        store.write_batch(warm)
+        while store.free_segment_count < store._reactive_trigger() + 8:
+            store.clean()
+    assert state_digest(scalar_store) == state_digest(batch_store)
+    assert scalar_store.stats.clean_cycles > 8
+    return cfg, scalar_store, batch_store
+
+
+def _watch(store):
+    """Count the batch store's run calls, scalar steps, seals, and per
+    user roll whether its cleaning opportunity cleaned anything."""
+    cleaned = []
+    inner = store._clean_until_replenished
+
+    def roll():
+        before = (store.stats.clean_cycles, store.clean_pending)
+        inner()
+        cleaned.append((store.stats.clean_cycles, store.clean_pending) != before)
+
+    store._clean_until_replenished = roll
+    return (
+        _count_calls(store, "_write_run_direct"),
+        _count_calls(store, "write"),
+        _count_calls(store, "_seal"),
+        cleaned,
+    )
+
+
+def _open_segment(store):
+    """The user stream's open segment and its remaining room."""
+    seg = store.open_segments[0]
+    return seg, int(store.segments.capacity - store.segments.used_units[seg])
+
+
+def _outside(store, seg, count, skip=0):
+    """``count`` distinct written pages whose version is not in ``seg``."""
+    where = store.pages.seg
+    return np.flatnonzero((where >= 0) & (where != seg))[skip : skip + count]
+
+
+def test_run_rolls_while_the_pool_allows():
+    cfg, scalar_store, batch_store = _roomy_pair()
+    seg0, room = _open_segment(batch_store)
+    pids = _outside(batch_store, seg0, 5 * cfg.segment_units)
+    runs, steps, seals, cleaned = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    assert runs == [len(pids)] and steps == []
+    assert len(seals) == 5 and cleaned == [False] * 5
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_scalar_step_only_at_rolls_that_clean():
+    """A batch longer than the pool's allowance: the rolls past it each
+    clean, and only those go through scalar ``write``."""
+    cfg, scalar_store, batch_store = _roomy_pair()
+    seg0, _ = _open_segment(batch_store)
+    allowance = batch_store.free_segment_count - batch_store._reactive_trigger() + 1
+    pids = _outside(batch_store, seg0, (allowance + 6) * cfg.segment_units)
+    runs, steps, seals, cleaned = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    assert len(seals) == len(cleaned) >= allowance + 6
+    assert cleaned[:allowance] == [False] * allowance
+    assert 0 < sum(cleaned) == len(steps)
+    assert runs.count(0) == len(steps)
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_cut_where_the_old_version_lies_in_a_segment_the_run_sealed():
+    """Cut rule (a): a page of the run's first open segment, rewritten
+    after the write that seals that segment, starts the next run; at
+    the sealing write itself it does not (its invalidation precedes the
+    roll in the scalar order too)."""
+    for offset, expected_runs in ((0, 1), (1, 2), (9, 2)):
+        cfg, scalar_store, batch_store = _roomy_pair()
+        seg0, room = _open_segment(batch_store)
+        assert 0 < room < cfg.segment_units
+        resident = int(batch_store.segments.slot_page[seg0, 0])
+        assert batch_store.pages.seg[resident] == seg0
+        pids = _outside(batch_store, seg0, 3 * cfg.segment_units)
+        pids[room + offset] = resident
+        runs, steps, _, _ = _watch(batch_store)
+        _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+        assert steps == []
+        if expected_runs == 1:
+            assert runs == [len(pids)]
+        else:
+            assert runs == [room + offset, len(pids) - room - offset]
+        _assert_identical(scalar_store, batch_store)
+
+
+def test_repeats_across_a_roll_and_inside_a_new_segment():
+    """Cut rule (b): a repeat whose previous occurrence landed in an
+    earlier segment of the run ends it; repeats inside one segment the
+    run has yet to allocate do not (they read its reset zeros)."""
+    cfg, scalar_store, batch_store = _roomy_pair("mdc")
+    seg0, room = _open_segment(batch_store)
+    u = cfg.segment_units
+    pids = _outside(batch_store, seg0, 4 * u)
+    # Three occurrences inside the run's second destination...
+    pids[room + 2] = pids[room + 4] = pids[room + 5] = pids[room + 1]
+    # ...and one id on either side of the third roll.
+    pids[room + 2 * u + 3] = pids[room + u + 7]
+    runs, steps, seals, _ = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    assert steps == []
+    assert runs == [room + 2 * u + 3, len(pids) - (room + 2 * u + 3)]
+    assert len(seals) == 4
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_roll_at_position_zero_and_gaps_at_every_segment_end():
+    """Variable sizes: the first page does not fit the open segment's
+    remainder, and every later segment closes with a unit to spare."""
+    cfg, scalar_store, batch_store = _roomy_pair()
+    u = cfg.segment_units
+    for store in (scalar_store, batch_store):
+        store.write(0, u)  # fills a segment to the brim,
+        store.write(1, u - 3)  # so this one leaves 3 units in a fresh one
+    seg0, room = _open_segment(batch_store)
+    assert room == 3
+    pids = _outside(batch_store, seg0, 12, skip=2)
+    sizes = np.full(12, 5, dtype=np.int64)
+    runs, steps, seals, cleaned = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, sizes=sizes, chunk=12)
+    assert runs == [12] and steps == []
+    assert cleaned == [False] * 4  # rolls at positions 0, 3, 6 and 9
+    landed = np.unique(batch_store.pages.seg[pids])
+    assert landed.size == 4 and seg0 not in landed
+    assert (batch_store.segments.used_units[landed] == 15).all()
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_active_cursor_keeps_the_run_inside_the_open_segment():
+    cfg, scalar_store, batch_store = _roomy_pair()
+    for store in (scalar_store, batch_store):
+        store.clean_begin()
+        assert store.clean_pending > 0
+    seg0, room = _open_segment(batch_store)
+    pids = _outside(batch_store, seg0, 3 * cfg.segment_units)
+    runs, steps, _, cleaned = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    # The first roll drains the cursor through the scalar step; with the
+    # cycle closed the rest of the batch is one run again.
+    assert runs == [room, 0, len(pids) - room - 1]
+    assert len(steps) == 1 and cleaned[0] and not any(cleaned[1:])
+    assert batch_store.clean_cursor is None
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_oracle_frequencies_follow_per_position_destinations():
+    cfg, scalar_store, batch_store = _roomy_pair("mdc-opt")
+    seg0, room = _open_segment(batch_store)
+    u = cfg.segment_units
+    pids = _outside(batch_store, seg0, room + 2 * u + 5)
+    pids[room + 3] = pids[room + 1]  # subtract and add on one new segment
+    pids[1] = int(batch_store.segments.slot_page[seg0, 0])
+    runs, steps, seals, _ = _watch(batch_store)
+    _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    assert runs == [len(pids)] and steps == [] and len(seals) == 3
+    assert np.array_equal(
+        scalar_store.segments.freq_sum, batch_store.segments.freq_sum
+    )
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_runs_end_at_stream_changes():
+    """A policy with two user streams: each constant-stream stretch of
+    the batch is planned against its own stream's open segment."""
+    half = _config().user_pages // 2
+
+    class TwoStreams(GreedyPolicy):
+        def route_user(self, page_id):
+            return int(page_id < half)
+
+        def route_user_batch(self, page_ids):
+            return (page_ids < half).astype(np.int64)
+
+    cfg = _config()
+    scalar_store = LogStructuredStore(cfg, TwoStreams())
+    batch_store = LogStructuredStore(cfg, TwoStreams())
+    scalar_store.load_sequential(cfg.user_pages)
+    batch_store.load_sequential(cfg.user_pages)
+    # Sorted rows: two stretches of ~25 writes each, longer than a segment.
+    pids = np.sort(_stream("uniform", cfg.user_pages, 3000).reshape(-1, 50))
+    runs = _count_calls(batch_store, "_write_run_direct")
+    _drive_both(scalar_store, batch_store, pids.ravel(), chunk=50)
+    assert len(batch_store.open_segments) == 3  # two user streams + GC
+    assert max(runs) > cfg.segment_units
+    _assert_identical(scalar_store, batch_store)
+
+
+def test_out_of_space_fails_after_identical_prefix():
+    """A batch of new pages that overfills the device: raised at the
+    same position, after the same prefix, as the scalar loop."""
+    cfg = StoreConfig(n_segments=16, segment_units=8, fill_factor=0.5)
+    scalar_store = LogStructuredStore(cfg, make_policy("mdc"))
+    batch_store = LogStructuredStore(cfg, make_policy("mdc"))
+    pids = np.arange(2 * cfg.n_segments * cfg.segment_units, dtype=np.int64)
+    for store in (scalar_store, batch_store):
+        # write_batch sizes the page table for the whole batch up front.
+        store.pages.ensure(int(pids[-1]))
+    with pytest.raises(OutOfSpaceError) as scalar_error:
+        for pid in pids:
+            scalar_store.write(int(pid))
+    with pytest.raises(OutOfSpaceError) as batch_error:
+        batch_store.write_batch(pids)
+    assert str(scalar_error.value) == str(batch_error.value)
+    assert scalar_store.clock == batch_store.clock > cfg.user_pages
+    assert state_digest(scalar_store) == state_digest(batch_store)
