@@ -65,7 +65,12 @@ class Event:
 
 
 class EventBus:
-    """Ring buffer of :class:`Event` plus cumulative per-kind counts.
+    """Ring buffer of events plus cumulative per-kind counts.
+
+    ``emit`` records — the ring holds plain ``(seq, clock, kind,
+    payload)`` tuples — and :meth:`events` / :meth:`tail` format them as
+    :class:`Event` on read; only a subscriber makes ``emit`` build the
+    :class:`Event` on the spot.
 
     Args:
         capacity: Ring size; the oldest events are dropped (and counted
@@ -76,7 +81,7 @@ class EventBus:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._ring: "deque[Event]" = deque(maxlen=capacity)
+        self._ring: "deque[tuple]" = deque(maxlen=capacity)
         #: Cumulative emissions per kind — never truncated by the ring.
         self.counts: Dict[str, int] = {}
         #: Events pushed out of the ring by newer ones.
@@ -85,30 +90,28 @@ class EventBus:
         #: Callables invoked synchronously with each new event.
         self.subscribers: List[Callable[[Event], None]] = []
 
-    def emit(self, kind: str, clock: int, **payload: Any) -> Event:
-        """Record one event; returns it (mostly for tests)."""
+    def emit(self, kind: str, clock: int, **payload: Any) -> None:
+        """Record one event."""
         self._seq += 1
-        event = Event(seq=self._seq, clock=clock, kind=kind, payload=payload)
+        record = (self._seq, clock, kind, payload)
         if len(self._ring) == self.capacity:
             self.dropped += 1
-        self._ring.append(event)
+        self._ring.append(record)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        for subscriber in self.subscribers:
-            subscriber(event)
-        return event
+        if self.subscribers:
+            event = Event(*record)
+            for subscriber in self.subscribers:
+                subscriber(event)
 
     def events(self) -> List[Event]:
         """The retained events, oldest first."""
-        return list(self._ring)
+        return self.tail(len(self._ring))
 
     def tail(self, n: int) -> List[Event]:
         """The most recent ``n`` retained events, oldest first."""
         if n <= 0:
             return []
-        ring = self._ring
-        if n >= len(ring):
-            return list(ring)
-        return list(ring)[-n:]
+        return [Event(*record) for record in list(self._ring)[-n:]]
 
     def total_emitted(self) -> int:
         """Events ever emitted (retained + dropped)."""

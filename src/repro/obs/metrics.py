@@ -18,6 +18,7 @@ instantaneous, so a delta carries the *later* snapshot's value.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -125,12 +126,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = len(self.edges)
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
+        # First edge >= value; past the last edge, the overflow bucket.
+        self.bucket_counts[bisect_left(self.edges, value)] += 1
         self.total += value
         self.count += 1
         if value > self.max_observed:
@@ -248,7 +245,11 @@ class MetricsRegistry:
                     "histogram %r does not exist yet; pass bucket edges" % name
                 )
             histogram = self._histograms[name] = Histogram(edges)
-        elif edges is not None and tuple(float(e) for e in edges) != histogram.edges:
+        elif (
+            edges is not None
+            and edges != histogram.edges
+            and tuple(float(e) for e in edges) != histogram.edges
+        ):
             raise ValueError("histogram %r already exists with other edges" % name)
         return histogram
 

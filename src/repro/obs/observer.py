@@ -15,11 +15,21 @@ for the chosen victims via
 :meth:`~repro.policies.base.CleaningPolicy.decision_columns` — MDC's
 ``A``/``C``/``up2``/decline score, and each other family's equivalents —
 *before* the store resets the victims and wipes their columns.
+
+The hook contract: **record scalars and copies; format on read.**  A hook
+runs inside the write path, so it appends a tuple (the clock, a few
+ints, the decision columns as the small array copies the policy hands
+over) and bumps instruments it holds; the row dicts, the ``Event``
+objects and the JSON-ready cells are built by :attr:`StoreObserver.
+decisions`, ``bus.events()`` and :meth:`StoreObserver.rows`, which run
+once, at export.  (With a bus subscriber attached the ``Event`` is
+built at emit — a subscriber is a reader.)
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -46,6 +56,13 @@ _EMPTINESS_EDGES = tuple((i + 1) / 10 for i in range(10))
 PAGES_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
                256.0, 512.0, 1024.0, 2048.0, 4096.0)
 _PAGES_EDGES = PAGES_EDGES
+
+
+def _bound(kind: str, name: str, *edges) -> cached_property:
+    """An observer attribute that is the named instrument, looked up in
+    the registry on first read — so an instrument enters the snapshot
+    when its hook first fires, and every later read is a plain load."""
+    return cached_property(lambda obs: getattr(obs.metrics, kind)(name, *edges))
 
 
 class StoreObserver:
@@ -77,7 +94,9 @@ class StoreObserver:
         self.sampler = TimeSeriesSampler(
             store, interval=sample_interval, hist_buckets=hist_buckets
         )
-        self.decisions: "deque[Dict]" = deque(maxlen=max_decisions)
+        #: Recorded decisions ``(clock, policy, candidates, victim ids,
+        #: decision columns)``; :attr:`decisions` formats them.
+        self._decisions: "deque[tuple]" = deque(maxlen=max_decisions)
         self.decisions_dropped = 0
         #: Optional :class:`~repro.obs.trace.Tracer` the store hooks use
         #: to open spans around stalls and clean begin/step work.  Left
@@ -115,10 +134,31 @@ class StoreObserver:
         self.detach()
 
     # -- store hooks (per-segment frequency, never per-write) ----------
+    #
+    # A hook records: scalars and small array copies, on instruments it
+    # binds the first time it runs.  Formatting (row dicts, ``Event``s)
+    # happens when ``decisions`` / ``bus.events()`` / ``rows()`` are read.
+
+    _sealed = _bound("counter", "segments_sealed")
+    _flushes = _bound("counter", "buffer_flushes")
+    _flush_pages = _bound("counter", "buffer_flush_pages")
+    _selections = _bound("counter", "victim_selections")
+    _cycles = _bound("counter", "clean_cycles")
+    _relocated = _bound("counter", "pages_relocated")
+    _reclaimed = _bound("counter", "units_reclaimed")
+    _emptiness = _bound("histogram", "cleaned_emptiness", _EMPTINESS_EDGES)
+    _free = _bound("gauge", "free_segments")
+    _steps = _bound("counter", "cleaner_steps")
+    _skipped = _bound("counter", "cleaner_pages_skipped")
+    _step_pages = _bound("histogram", "cleaner_step_pages", _PAGES_EDGES)
+    _pending = _bound("gauge", "cleaner_pending")
+    _stalls = _bound("counter", "write_stalls")
+    _stall_pages = _bound("histogram", "write_stall_pages", _PAGES_EDGES)
+    _failpoints = _bound("counter", "failpoints_hit")
 
     def on_seal(self, seg: int) -> None:
         segs = self.store.segments
-        self.metrics.counter("segments_sealed").inc()
+        self._sealed.value += 1
         self.bus.emit(
             ev.SEGMENT_SEALED,
             self.store.clock,
@@ -128,41 +168,58 @@ class StoreObserver:
         )
 
     def on_flush(self, pages: int) -> None:
-        self.metrics.counter("buffer_flushes").inc()
-        self.metrics.counter("buffer_flush_pages").inc(pages)
+        self._flushes.value += 1
+        self._flush_pages.inc(pages)
         self.bus.emit(ev.BUFFER_FLUSH, self.store.clock, pages=int(pages))
 
     def on_victims(self, candidates: np.ndarray, victims: Sequence[int]) -> None:
         """Called right after victim validation, before the victims'
-        segment-table columns are reset."""
+        segment-table columns are reset: the policy's decision columns
+        are copies, so the record outlives the reset."""
         store = self.store
         policy = store.policy
         ids = np.asarray(victims, dtype=np.int64)
-        columns = policy.decision_columns(store.segments, ids)
-        # Plain-Python cells for JSON export: one tolist() per column,
-        # not one .item() per cell.
         victim_ids = ids.tolist()
-        names = ["seg"] + list(columns)
-        cells = [np.asarray(col).tolist() for col in columns.values()]
-        rows = [dict(zip(names, row)) for row in zip(victim_ids, *cells)]
-        if len(self.decisions) == self.decisions.maxlen:
+        if len(self._decisions) == self._decisions.maxlen:
             self.decisions_dropped += 1
-        self.decisions.append(
-            {
-                "type": "decision",
-                "clock": store.clock,
-                "policy": getattr(policy, "name", type(policy).__name__),
-                "candidates": int(len(candidates)),
-                "victims": rows,
-            }
+        self._decisions.append(
+            (
+                store.clock,
+                getattr(policy, "name", type(policy).__name__),
+                len(candidates),
+                victim_ids,
+                policy.decision_columns(store.segments, ids),
+            )
         )
-        self.metrics.counter("victim_selections").inc()
+        self._selections.value += 1
         self.bus.emit(
             ev.VICTIM_SELECTED,
             store.clock,
             victims=victim_ids,
-            candidates=int(len(candidates)),
+            candidates=len(candidates),
         )
+
+    @property
+    def decisions(self) -> List[Dict]:
+        """The retained decision records, oldest first, formatted on
+        read: plain-Python cells for JSON export, one ``tolist()`` per
+        column."""
+        records = []
+        for clock, policy, candidates, victim_ids, columns in self._decisions:
+            names = ["seg"] + list(columns)
+            cells = [np.asarray(col).tolist() for col in columns.values()]
+            records.append(
+                {
+                    "type": "decision",
+                    "clock": clock,
+                    "policy": policy,
+                    "candidates": candidates,
+                    "victims": [
+                        dict(zip(names, row)) for row in zip(victim_ids, *cells)
+                    ],
+                }
+            )
+        return records
 
     def on_clean(
         self,
@@ -171,17 +228,17 @@ class StoreObserver:
         reclaimed_units: int,
         emptiness: Sequence[float],
     ) -> None:
-        self.metrics.counter("clean_cycles").inc()
-        self.metrics.counter("pages_relocated").inc(int(moved))
-        self.metrics.counter("units_reclaimed").inc(int(reclaimed_units))
-        hist = self.metrics.histogram("cleaned_emptiness", _EMPTINESS_EDGES)
-        for e in emptiness:
-            hist.observe(float(e))
-        self.metrics.gauge("free_segments").set(self.store.free_segment_count)
+        self._cycles.value += 1
+        self._relocated.inc(int(moved))
+        self._reclaimed.inc(int(reclaimed_units))
+        observe = self._emptiness.observe
+        for e in np.asarray(emptiness).tolist():
+            observe(e)
+        self._free.value = float(self.store.free_segment_count)
         self.bus.emit(
             ev.CLEAN_CYCLE,
             self.store.clock,
-            victims=[int(v) for v in victims],
+            victims=list(victims),
             moved=int(moved),
             reclaimed_units=int(reclaimed_units),
         )
@@ -189,24 +246,20 @@ class StoreObserver:
     def on_clean_step(self, relocated: int, skipped: int, remaining: int) -> None:
         """Called after each incremental cleaner step (metrics only —
         steps are too frequent for the event ring)."""
-        self.metrics.counter("cleaner_steps").inc()
-        self.metrics.counter("cleaner_pages_skipped").inc(int(skipped))
-        self.metrics.histogram("cleaner_step_pages", _PAGES_EDGES).observe(
-            float(relocated)
-        )
-        self.metrics.gauge("cleaner_pending").set(int(remaining))
+        self._steps.value += 1
+        self._skipped.inc(int(skipped))
+        self._step_pages.observe(relocated)
+        self._pending.value = float(remaining)
 
     def on_write_stall(self, pages: int) -> None:
         """Called when a foreground write ran inline (reactive) cleaning;
         ``pages`` is how many GC relocations it waited behind."""
-        self.metrics.counter("write_stalls").inc()
-        self.metrics.histogram("write_stall_pages", _PAGES_EDGES).observe(
-            float(pages)
-        )
+        self._stalls.value += 1
+        self._stall_pages.observe(pages)
         self.bus.emit(ev.WRITE_STALL, self.store.clock, pages=int(pages))
 
     def _on_failpoint(self, name: str, ctx: Dict) -> None:
-        self.metrics.counter("failpoints_hit").inc()
+        self._failpoints.value += 1
         self.bus.emit(ev.FAILPOINT_FIRED, self.store.clock, name=name)
 
     # -- sampling ------------------------------------------------------

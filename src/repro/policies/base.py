@@ -40,7 +40,7 @@ from repro.store.log_store import LogStructuredStore
 from repro.store.segments import SegmentTable
 
 #: Candidate-count multiple above which ``select_victims`` switches from
-#: a full sort to ``np.argpartition`` of the needed prefix.
+#: a full sort to an ``np.partition`` cut of the needed prefix.
 _PARTITION_FACTOR = 4
 #: Extra order entries taken beyond the requested batch, covering the
 #: net-gain extension and skipped zero-avail segments before the full
@@ -73,6 +73,9 @@ class CleaningPolicy(abc.ABC):
         self.store: Optional[LogStructuredStore] = None
         self._prio_cache: Optional[np.ndarray] = None
         self._prio_epoch: Optional[np.ndarray] = None
+        #: What the last selection took and the priorities it took them
+        #: by: ``(victim ids, scores, store clock, victim epochs)``.
+        self._chosen: tuple = (None, None, None, None)
 
     def bind(self, store: LogStructuredStore) -> None:
         """Called once by the store's constructor."""
@@ -157,12 +160,24 @@ class CleaningPolicy(abc.ABC):
         (lower = cleaned earlier) — and subclasses append the inputs
         specific to their formula (MDC's decline estimate, cost-benefit's
         age, multi-log's class, ...).
+
+        The score of a batch :meth:`select_victims` just took is the one
+        it was ranked by (elementwise float ops are position-independent,
+        so it equals a re-evaluation bit for bit); any other ``ids``, a
+        moved clock or a changed segment is ranked afresh.
         """
+        victims, score, clock, epochs = self._chosen
+        if not (
+            clock == self.store.clock
+            and victims == ids.tolist()
+            and epochs == segs.epoch[ids].tolist()
+        ):
+            score = np.asarray(self.rank_columns(segs, ids), dtype=float)
         return {
             "A": (segs.capacity - segs.live_units[ids]).astype(np.float64),
             "C": segs.live_count[ids].astype(np.float64),
-            "up2": segs.up2[ids].copy(),
-            "score": np.asarray(self.rank_columns(segs, ids), dtype=float),
+            "up2": segs.up2[ids],
+            "score": score,
         }
 
     def _ranked_priorities(self, ids: np.ndarray) -> np.ndarray:
@@ -217,8 +232,6 @@ class CleaningPolicy(abc.ABC):
             # only the full sort can tell whether more is reclaimable.
             order = np.argsort(priorities, kind="stable")
             victims, reclaim = self._take_victims(ids, order, priorities, n)
-        if reclaim == 0:
-            return []
         return victims
 
     def _take_victims(
@@ -228,20 +241,31 @@ class CleaningPolicy(abc.ABC):
         priorities: np.ndarray,
         n: int,
     ) -> Tuple[List[int], int]:
+        """The victims ``order`` yields and the units they reclaim; the
+        chosen ids leave with the priorities they were ranked by (see
+        :meth:`decision_columns`)."""
         segs = self.store.segments
         capacity = segs.capacity
         ranked = ids[order]
-        avail = capacity - segs.live_units[ranked]
-        pos = np.flatnonzero(avail > 0)
-        if pos.size == 0:
-            return [], 0
-        cum = np.cumsum(avail[pos])
-        # Stop after the earliest prefix that satisfies both the batch
-        # size and the whole-segment net gain; take everything when the
-        # order runs out first.
-        t = max(n - 1, int(np.searchsorted(cum, capacity, side="left")))
-        t = min(t, pos.size - 1)
-        return ranked[pos[: t + 1]].tolist(), int(cum[t])
+        keep: List[int] = []
+        reclaim = 0
+        for i, avail in enumerate((capacity - segs.live_units[ranked]).tolist()):
+            if avail > 0:
+                keep.append(i)
+                reclaim += avail
+                # Stop after the earliest prefix that satisfies both the
+                # batch size and the whole-segment net gain; take
+                # everything when the order runs out first.
+                if len(keep) >= n and reclaim >= capacity:
+                    break
+        chosen = ranked[keep]
+        self._chosen = (
+            chosen.tolist(),
+            priorities[order[keep]],
+            self.store.clock,
+            segs.epoch[chosen].tolist(),
+        )
+        return chosen.tolist(), reclaim
 
     # -- persistence ------------------------------------------------------
 

@@ -70,20 +70,20 @@ def ascending_prefix(
     """The first ``>= need`` entries of ``argsort(priorities, stable)``
     without sorting everything (the victim-scoring selection).
 
-    ``argpartition`` finds the ``need`` smallest values; every index
-    whose priority is <= the largest of those is gathered and
-    stable-sorted.  Anything outside that set has a strictly larger
-    priority, so the result is exactly a prefix of the full stable
-    argsort — same victims, same tie-breaking, at O(n + k log k).  NaN
-    priorities (and small candidate sets, where partitioning cannot
-    win) fall back to the full stable sort.
+    ``partition`` finds the ``need``-th smallest value; every index
+    whose priority is <= that cut is gathered and stable-sorted.
+    Anything outside that set has a strictly larger priority, so the
+    result is exactly a prefix of the full stable argsort — same
+    victims, same tie-breaking, at O(n + k log k).  NaN priorities (and
+    small candidate sets, where partitioning cannot win) fall back to
+    the full stable sort.
     """
     if need * partition_factor >= priorities.size:
         return np.argsort(priorities, kind="stable")
-    part = np.argpartition(priorities, need - 1)[:need]
-    cut = priorities[part].max()
-    if np.isnan(cut):
-        # A NaN landed in the selected prefix, so the cut is undefined.
+    cut = np.partition(priorities, need - 1)[need - 1]
+    if cut != cut:
+        # A NaN (they partition last) landed in the selected prefix, so
+        # the cut is undefined.
         return np.argsort(priorities, kind="stable")
     eligible = np.flatnonzero(priorities <= cut)
     return eligible[np.argsort(priorities[eligible], kind="stable")]

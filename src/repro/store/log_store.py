@@ -115,7 +115,7 @@ from repro.store.pagetable import (
 )
 from repro.store.segments import FREE, OPEN, SEALED, SegmentTable
 from repro.store.stats import StoreStats
-from repro.testkit.failpoints import failpoint
+from repro.testkit.failpoints import FAILPOINTS, failpoint
 
 #: Stream id used by policies that send relocated (GC) pages to their own
 #: open segment, separate from user writes.
@@ -495,8 +495,19 @@ class LogStructuredStore:
                 % getattr(policy, "name", "?")
             )
         routes = np.ascontiguousarray(routes, dtype=np.int64)
-        for start, stop in _stream_runs(routes):
-            self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
+        try:
+            for start, stop in _stream_runs(routes):
+                self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
+        except OutOfSpaceError:
+            # The device refused part of the drain: what was not emitted
+            # (still IN_BUFFER in the page table) goes back, in emission
+            # order, so the pages stay trimmable and rewritable and the
+            # next flush retries them.
+            pages = self.pages
+            left = arr[pages.seg[arr] == IN_BUFFER]
+            for pid, size in zip(left.tolist(), pages.size[left].tolist()):
+                buffer.add(pid, size)
+            raise
 
     def set_oracle_frequencies(self, freqs: Sequence[float]) -> None:
         """Install exact per-page update frequencies for the ``-opt``
@@ -1251,8 +1262,8 @@ class LogStructuredStore:
             )
         segs = self.segments
         pages = self.pages
-        obs_t = self.obs
-        tracer = obs_t.tracer if obs_t is not None else None
+        obs = self.obs
+        tracer = obs.tracer if obs is not None else None
         span = (
             tracer.start("store.clean_begin", clock=self.clock)
             if tracer is not None
@@ -1275,53 +1286,48 @@ class LogStructuredStore:
                     "policy selected non-sealed victim %d (%s)"
                     % (victim, segs.state_name(victim))
                 )
-            obs = self.obs
+            # Plain ints from here on, whatever the policy's list held.
+            victims = v_arr.tolist()
             if obs is not None:
                 # The decision record needs the victims' ranking columns,
                 # which segs.reset() below wipes — capture them now.
-                obs.on_victims(candidates, victims)
+                obs.on_victims(candidates, v_arr)
             stats.segments_cleaned += len(victims)
             avail = segs.capacity - segs.live_units[v_arr]
+            emptiness = avail / float(segs.capacity)
             stats.cleaned_emptiness_sum = _fold_add(
-                stats.cleaned_emptiness_sum, avail / float(segs.capacity)
+                stats.cleaned_emptiness_sum, emptiness
             )
-            reclaimed_units = int(avail.sum())
-            # Liveness of every victim's slots, resolved in one scatter
-            # (victims in selection order, slots in slot order — the
-            # relocation order the scalar path produces).
-            slot_pids, seg_rep, local_slot = segs.gather_slots(v_arr)
-            live_mask = (pages.seg[slot_pids] == seg_rep) & (
-                pages.slot[slot_pids] == local_slot
-            )
-            moved_arr = slot_pids[live_mask]
-            src_arr = seg_rep[live_mask]
+            # Victims in selection order, slots in slot order — the
+            # relocation order the scalar path produces.
+            moved_arr, src_arr = segs.live_slots(v_arr, pages)
             # GC'd pages carry their source segment's up2
             # (Section 5.2.2, "Garbage Collection Writes").
             if moved_arr.size:
                 pages.carried_up2[moved_arr] = segs.up2[src_arr]
-            failpoint(
-                "store.clean.pre_relocate",
-                victims=victims,
-                moved=moved_arr.tolist(),
-            )
+            if FAILPOINTS.active:
+                failpoint(
+                    "store.clean.pre_relocate",
+                    victims=victims,
+                    moved=moved_arr.tolist(),
+                )
             # The placement order is pinned here, against the policy
             # state of this instant — preemption points between the
             # coming steps cannot change it.
             p_arr, s_arr = self.policy.place_gc_batch(moved_arr, src_arr)
-            for victim in victims:
-                segs.reset(victim)
-                self.free_list.append(victim)
+            segs.reset(v_arr)
+            self.free_list.extend(victims)
             self._sealed_dirty = True
-            sizes = pages.size[p_arr].copy()
+            sizes = pages.size[p_arr]
             if p_arr.size:
                 pages.seg[p_arr] = IN_RELOCATION
             cursor = CleanCursor(
-                victims=list(victims),
+                victims=victims,
                 pending=p_arr,
                 streams=s_arr,
                 sizes=sizes,
-                reclaimed_units=reclaimed_units,
-                emptiness=avail / float(segs.capacity),
+                reclaimed_units=int(avail.sum()),
+                emptiness=emptiness,
             )
             self._clean_cursor = cursor
             if span is not None:
@@ -1371,12 +1377,13 @@ class LogStructuredStore:
         )
         self._cleaning = True
         try:
-            failpoint(
-                "store.clean.step",
-                pos=cur.pos,
-                remaining=cur.remaining,
-                budget=budget,
-            )
+            if FAILPOINTS.active:
+                failpoint(
+                    "store.clean.step",
+                    pos=cur.pos,
+                    remaining=cur.remaining,
+                    budget=budget,
+                )
             while cur.pos < n and relocated < budget:
                 start = cur.pos
                 if cur.streams is None:

@@ -27,8 +27,9 @@ page occupies at least one unit, so a segment can never hold more than
 
 * the batch write engine appends whole runs with one slice assignment
   (``slot_page[s, cnt:cnt+k] = run``) instead of list ``extend``;
-* ``clean_begin`` gathers every victim's slots in one 2-D fancy-index +
-  mask, with no Python loop over victims or slots;
+* ``clean_begin`` stages every victim's live pages in one pass over a
+  2-D fancy-indexed slot block (:meth:`SegmentTable.live_slots`), with
+  no Python loop over victims or slots;
 * erase (:meth:`reset`) is O(1) — it rewinds ``slot_count`` instead of
   rebuilding per-segment lists.
 
@@ -127,8 +128,9 @@ class SegmentTable:
     def __len__(self) -> int:
         return len(self.state)
 
-    def reset(self, seg: int) -> None:
-        """Return a segment to FREE state (an erase, in SSD terms)."""
+    def reset(self, seg) -> None:
+        """Return a segment — or an array of distinct segments, in one
+        store per column — to FREE state (an erase, in SSD terms)."""
         self.erase_count[seg] += 1
         self.state[seg] = FREE
         self.live_count[seg] = 0
@@ -192,21 +194,28 @@ class SegmentTable:
         self.slot_count[seg] = cnt + 1
         return cnt
 
-    def gather_slots(self, segs: np.ndarray):
-        """Concatenated slot logs of ``segs`` in the given order.
+    def live_slots(self, segs: np.ndarray, pages):
+        """The live pages of ``segs`` and the segment each sits in, as
+        ``(pids, owners)`` in (given segment order, slot order) — what a
+        cleaning cycle stages, in its relocation order.
 
-        Returns ``(pids, owners, local_slots)`` — page ids in (segment,
-        slot) order, the owning segment of each entry, and its slot
-        index.  One 2-D gather + mask; no Python loop over segments.
+        One pass over the segments' 2-D slot block: a slot is live iff
+        ``pages`` (the :class:`~repro.store.pagetable.PageTable`) still
+        maps its page id to that very ``(segment, slot)``; slots past a
+        segment's ``slot_count`` hold ids from an earlier life and never
+        count.  No Python loop over segments or slots.
         """
         counts = self.slot_count[segs]
         width = int(counts.max()) if counts.size else 0
-        cols = np.arange(width, dtype=np.int64)
-        mask = cols < counts[:, None]
-        pids = self.slot_page[segs, :width][mask]
-        owners = np.repeat(segs, counts)
-        local = np.broadcast_to(cols, mask.shape)[mask]
-        return pids, owners, local
+        cols = np.arange(width)
+        rows = self.slot_page.take(segs, axis=0)[:, :width]
+        owner = pages.seg[rows]
+        live = (
+            (owner == segs[:, None])
+            & (pages.slot[rows] == cols)
+            & (cols < counts[:, None])
+        )
+        return rows[live], owner[live]
 
     # -- derived values -------------------------------------------------
 

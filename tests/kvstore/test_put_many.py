@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kvstore import KVError, LogStructuredKVStore
-from repro.store import StoreConfig
+from repro.store import StoreConfig, StoreError
 from repro.testkit.trace import state_digest
 
 
@@ -199,3 +199,28 @@ class TestStagingPass:
         assert kv.put_many(pair for pair in batch) == len(batch)
         put_loop(ref, batch)
         assert_same_state(kv, ref)
+
+
+class TestRefusedBatch:
+    def test_refused_put_many_on_a_buffered_shard_unregisters_its_keys(self):
+        """The store's flush refuses mid-batch with part of the drained
+        buffer unwritten; ``_unstage`` then trims every staged slot,
+        buffered ones included — a ``StoreError``, never a ``KeyError``
+        out of the sort buffer."""
+        kv = make_kv(
+            n_segments=12, segment_units=8, sort_buffer_segments=2, clean_batch=2
+        )
+        assert kv.store.buffer is not None
+        kept = [("old%d" % i, b"x") for i in range(40)]
+        kv.put_many(kept)
+        with pytest.raises(StoreError):
+            kv.put_many([("new%d" % i, b"y") for i in range(200)])
+        assert len(kv) == len(kept)
+        assert all(kv.get(key) == value for key, value in kept)
+        assert not any(("new%d" % i) in kv for i in range(200))
+        kv.check_consistency()
+        # The freed slots are usable again.
+        kv.delete("old0")
+        kv.put_many([("again", b"z")])
+        assert kv.get("again") == b"z"
+        kv.check_consistency()

@@ -1,5 +1,7 @@
 """The typed ring-buffered event bus."""
 
+from collections import deque
+
 import pytest
 
 from repro.obs import (
@@ -66,3 +68,65 @@ class TestEventBus:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventBus(capacity=0)
+
+
+class EagerBus:
+    """The bus as it was before it recorded tuples — an ``Event`` built
+    and ringed at every emit.  The reference the recording bus (and, in
+    ``test_observer``, the recording observer) is compared against."""
+
+    def __init__(self, capacity=4096):
+        self.capacity = capacity
+        self._ring = deque(maxlen=capacity)
+        self.counts = {}
+        self.dropped = 0
+        self._seq = 0
+        self.subscribers = []
+
+    def emit(self, kind, clock, **payload):
+        self._seq += 1
+        event = Event(seq=self._seq, clock=clock, kind=kind, payload=payload)
+        if len(self._ring) == self.capacity:
+            self.dropped += 1
+        self._ring.append(event)
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        for subscriber in self.subscribers:
+            subscriber(event)
+
+    def events(self):
+        return list(self._ring)
+
+    def tail(self, n):
+        return list(self._ring)[-n:] if n > 0 else []
+
+    def total_emitted(self):
+        return self._seq
+
+
+class TestRecordingBusEqualsEager:
+    @pytest.mark.parametrize("capacity", [1, 4, 64])
+    def test_same_events_counts_and_drops(self, capacity):
+        bus, ref = EventBus(capacity), EagerBus(capacity)
+        for clock in range(23):
+            kind = EVENT_KINDS[clock % len(EVENT_KINDS)]
+            for b in (bus, ref):
+                b.emit(kind, clock, seg=clock, victims=[clock, clock + 1])
+            assert bus.events() == ref.events()
+            assert bus.tail(3) == ref.tail(3)
+            assert (bus.counts, bus.dropped, bus.total_emitted(), len(bus)) == (
+                ref.counts, ref.dropped, ref.total_emitted(), len(ref._ring)
+            )
+        assert all(type(e) is Event for e in bus.events())
+        assert bus.tail(0) == [] and bus.tail(-1) == []
+
+    def test_subscriber_gets_an_event_at_emit_time(self):
+        """With a subscriber the ``Event`` exists before ``emit``
+        returns, and what ``events()`` formats later equals it."""
+        bus = EventBus(capacity=2)
+        seen = []
+        bus.subscribers.append(seen.append)
+        for clock in range(5):
+            bus.emit(CLEAN_CYCLE, clock, moved=clock)
+            assert type(seen[-1]) is Event
+            assert seen[-1] == Event(clock + 1, clock, CLEAN_CYCLE, {"moved": clock})
+        assert bus.events() == seen[-2:]

@@ -29,6 +29,20 @@ class TestInstruments:
         assert h.count == 5
         assert h.mean == pytest.approx((0.05 + 0.1 + 0.3 + 0.9 + 2.0) / 5)
 
+    def test_bucket_search_equals_the_linear_scan(self):
+        """``observe`` bisects; the rule stays "first edge >= value",
+        on every edge, either side of it, and past both ends."""
+        edges = (0.0, 1.0, 2.0, 4.0, 8.0)
+        values = [-1.0, 9.0, 100] + [e + d for e in edges for d in (-0.5, 0, 0.5)]
+        h = Histogram(edges)
+        expected = [0] * (len(edges) + 1)
+        for value in values:
+            h.observe(value)
+            expected[
+                next((i for i, e in enumerate(edges) if value <= e), len(edges))
+            ] += 1
+        assert h.bucket_counts == expected
+
     def test_histogram_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             Histogram(edges=())
@@ -54,6 +68,11 @@ class TestRegistry:
         assert reg.histogram("h").count == 1
         with pytest.raises(ValueError):
             reg.histogram("h", edges=(1.0, 3.0))
+        # The same edges in any spelling are the same histogram.
+        for same in ((1.0, 2.0), [1, 2], (1, 2.0)):
+            assert reg.histogram("h", edges=same) is reg.histogram("h")
+        with pytest.raises(ValueError):
+            reg.histogram("h", edges=[1, 2, 3])
 
     def test_snapshot_is_immutable_copy(self):
         reg = MetricsRegistry()

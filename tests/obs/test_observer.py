@@ -1,7 +1,10 @@
 """The store observer: hooks, decision tracing, failpoints, export rows."""
 
+import functools
 import json
+from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -9,12 +12,18 @@ from repro.obs import (
     CLEAN_CYCLE,
     SEGMENT_SEALED,
     VICTIM_SELECTED,
+    WRITE_STALL,
+    MetricsRegistry,
     StoreObserver,
+    TimeSeriesSampler,
     validate_rows,
 )
+from repro.obs.export import SCHEMA_VERSION
+from repro.obs.observer import PAGES_EDGES
 from repro.policies import make_policy
-from repro.store import LogStructuredStore
+from repro.store import LogStructuredStore, StoreConfig
 from repro.testkit.failpoints import failpoint
+from tests.obs.test_events import EagerBus
 
 
 def _drive(store, n_writes, stride=7):
@@ -219,3 +228,235 @@ class TestExportRows:
         assert window.write_amplification == pytest.approx(
             store.stats.gc_writes / 3000
         )
+
+
+# -- the recording observer against the eager one it replaced ------------
+
+
+class EagerObserver:
+    """The observer's hooks as they were when every hook *formatted*:
+    instruments looked up by name per call, decision rows built at
+    ``on_victims``, an ``Event`` built at every emit.  Shares no code
+    with :class:`StoreObserver` — it is the reference the recording
+    hooks are driven beside, on the same store events."""
+
+    def __init__(self, store, sample_interval=None, ring_capacity=4096,
+                 max_decisions=1024):
+        self.store = store
+        self.bus = EagerBus(capacity=ring_capacity)
+        self.metrics = MetricsRegistry()
+        self.sampler = TimeSeriesSampler(store, interval=sample_interval)
+        self.decisions = deque(maxlen=max_decisions)
+        self.decisions_dropped = 0
+        self.tracer = None
+
+    def on_seal(self, seg):
+        segs = self.store.segments
+        self.metrics.counter("segments_sealed").inc()
+        self.bus.emit(
+            SEGMENT_SEALED, self.store.clock, seg=int(seg),
+            live_count=int(segs.live_count[seg]),
+            used_units=int(segs.used_units[seg]),
+        )
+
+    def on_flush(self, pages):
+        self.metrics.counter("buffer_flushes").inc()
+        self.metrics.counter("buffer_flush_pages").inc(pages)
+        self.bus.emit(BUFFER_FLUSH, self.store.clock, pages=int(pages))
+
+    def on_victims(self, candidates, victims):
+        store = self.store
+        policy = store.policy
+        ids = np.asarray(victims, dtype=np.int64)
+        columns = policy.decision_columns(store.segments, ids)
+        victim_ids = ids.tolist()
+        names = ["seg"] + list(columns)
+        cells = [np.asarray(col).tolist() for col in columns.values()]
+        rows = [dict(zip(names, row)) for row in zip(victim_ids, *cells)]
+        if len(self.decisions) == self.decisions.maxlen:
+            self.decisions_dropped += 1
+        self.decisions.append(
+            {
+                "type": "decision",
+                "clock": store.clock,
+                "policy": getattr(policy, "name", type(policy).__name__),
+                "candidates": int(len(candidates)),
+                "victims": rows,
+            }
+        )
+        self.metrics.counter("victim_selections").inc()
+        self.bus.emit(
+            VICTIM_SELECTED, store.clock, victims=victim_ids,
+            candidates=int(len(candidates)),
+        )
+
+    def on_clean(self, victims, moved, reclaimed_units, emptiness):
+        self.metrics.counter("clean_cycles").inc()
+        self.metrics.counter("pages_relocated").inc(int(moved))
+        self.metrics.counter("units_reclaimed").inc(int(reclaimed_units))
+        hist = self.metrics.histogram(
+            "cleaned_emptiness", tuple((i + 1) / 10 for i in range(10))
+        )
+        for e in emptiness:
+            hist.observe(float(e))
+        self.metrics.gauge("free_segments").set(self.store.free_segment_count)
+        self.bus.emit(
+            CLEAN_CYCLE, self.store.clock, victims=[int(v) for v in victims],
+            moved=int(moved), reclaimed_units=int(reclaimed_units),
+        )
+
+    def on_clean_step(self, relocated, skipped, remaining):
+        self.metrics.counter("cleaner_steps").inc()
+        self.metrics.counter("cleaner_pages_skipped").inc(int(skipped))
+        self.metrics.histogram("cleaner_step_pages", PAGES_EDGES).observe(
+            float(relocated)
+        )
+        self.metrics.gauge("cleaner_pending").set(int(remaining))
+
+    def on_write_stall(self, pages):
+        self.metrics.counter("write_stalls").inc()
+        self.metrics.histogram("write_stall_pages", PAGES_EDGES).observe(
+            float(pages)
+        )
+        self.bus.emit(WRITE_STALL, self.store.clock, pages=int(pages))
+
+    def rows(self, meta=None):
+        header = {"type": "meta", "schema": SCHEMA_VERSION}
+        header["run"] = dict(meta) if meta else {}
+        header["run"].setdefault("policy", self.store.policy.name)
+        yield header
+        yield from self.sampler.samples
+        yield from self.decisions
+        row = self.metrics.snapshot().to_dict()
+        row["type"] = "metrics"
+        row["clock"] = self.store.clock
+        row["events_dropped"] = self.bus.dropped
+        row["decisions_dropped"] = self.decisions_dropped
+        row["ring_capacity"] = self.bus.capacity
+        row["event_counts"] = dict(self.bus.counts)
+        yield row
+        for event in self.bus.events():
+            yield event.to_dict()
+
+
+_HOOKS = ("on_seal", "on_flush", "on_victims", "on_clean", "on_clean_step",
+          "on_write_stall")
+
+
+class FanOut:
+    """Sits in ``store.obs`` and feeds every hook call to the observer
+    under test and to the reference, then holds their instruments to
+    each other — so a lazily bound instrument has to appear in the very
+    hook call the eager lookup creates it in."""
+
+    tracer = None
+
+    def __init__(self, observer, reference):
+        self.pair = (observer, reference)
+        self.hook_calls = 0
+        for hook in _HOOKS:
+            setattr(self, hook, functools.partial(self._fan, hook))
+
+    def _fan(self, hook, *args):
+        observer, reference = self.pair
+        getattr(observer, hook)(*args)
+        getattr(reference, hook)(*args)
+        self.hook_calls += 1
+        assert observer.metrics.snapshot() == reference.metrics.snapshot(), hook
+
+
+def drive_beside(make_observer, policy, buffered, stepped, **bounds):
+    """One store, two observers: a random write stream (optionally with
+    an incremental cycle begun and stepped between batches), then every
+    export compared.  Raises ``AssertionError`` on the first difference."""
+    cfg = StoreConfig(
+        n_segments=48, segment_units=16, fill_factor=0.7, clean_trigger=3,
+        clean_batch=4, sort_buffer_segments=2 if buffered else 0,
+    )
+    store = LogStructuredStore(cfg, make_policy(policy))
+    rng = np.random.default_rng(11)
+    n = cfg.user_pages
+    if policy.endswith("-opt"):
+        store.set_oracle_frequencies(rng.random(n))
+    store.load_sequential(n)
+    observer = make_observer(store, sample_interval=500, **bounds)
+    reference = EagerObserver(store, sample_interval=500, **bounds)
+    store.obs = fan = FanOut(observer, reference)
+    for _ in range(30):
+        store.write_batch(np.minimum(rng.zipf(1.3, 150) - 1, n - 1))
+        if stepped:
+            if store.clean_cursor is None and store.sealed_segments().size:
+                store.clean_begin()
+            store.clean_step(7)
+        for obs in fan.pair:
+            obs.sampler.maybe_sample()
+    store.obs = None
+    assert store.stats.clean_cycles > 5 and fan.hook_calls > 100
+    assert observer.decisions_dropped == reference.decisions_dropped
+    assert observer.bus.dropped == reference.bus.dropped
+    assert observer.bus.events() == reference.bus.events()
+    assert list(observer.decisions) == list(reference.decisions)
+    ours, theirs = (
+        [json.dumps(row) for row in obs.rows({"run": 1})] for obs in fan.pair
+    )
+    assert ours == theirs
+    assert validate_rows(list(observer.rows()), require_decisions=True) == []
+    return store, observer
+
+
+class TestRecordingEqualsEager:
+    """ISSUE 18: hooks record, export formats — and nothing a reader can
+    see moved.  Every policy family's decision columns (multi-log picks
+    its own victims, so its score is the no-stash recomputation), both
+    write paths, whole and stepped cycles."""
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["whole", "stepped"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["direct", "buffered"])
+    @pytest.mark.parametrize(
+        "policy", ["mdc", "mdc-opt", "cost-benefit", "greedy", "multi-log"]
+    )
+    def test_rows_metrics_and_drops_are_equal(self, policy, buffered, stepped):
+        store, observer = drive_beside(StoreObserver, policy, buffered, stepped)
+        assert len(observer.decisions) == store.stats.clean_cycles + (
+            store.clean_cursor is not None
+        )
+
+    @pytest.mark.parametrize("policy", ["mdc", "multi-log"])
+    def test_bounded_rings_drop_the_same_records(self, policy):
+        _, observer = drive_beside(
+            StoreObserver, policy, False, True, max_decisions=3, ring_capacity=4
+        )
+        assert observer.decisions_dropped > 0 and observer.bus.dropped > 0
+        assert len(observer.decisions) == 3 and len(observer.bus) == 4
+
+    def test_mutant_reading_columns_at_export_fails(self):
+        """Formatting is deferred; *capturing* must not be: the victims'
+        columns are wiped by ``segs.reset`` before the cycle is over."""
+
+        class LateColumns(StoreObserver):
+            @property
+            def decisions(self):
+                segs, policy = self.store.segments, self.store.policy
+                self._decisions = deque(
+                    record[:4]
+                    + (policy.decision_columns(segs, np.asarray(record[3])),)
+                    for record in self._decisions
+                )
+                return StoreObserver.decisions.fget(self)
+
+        with pytest.raises(AssertionError):
+            drive_beside(LateColumns, "mdc", False, False)
+
+    def test_mutant_binding_instruments_at_construction_fails(self):
+        """An instrument enters the snapshot when its hook first fires
+        (the exported metrics row lists what *happened*), not before."""
+
+        class BoundUpFront(StoreObserver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                for name, attr in vars(StoreObserver).items():
+                    if isinstance(attr, functools.cached_property):
+                        getattr(self, name)
+
+        with pytest.raises(AssertionError):
+            drive_beside(BoundUpFront, "mdc", False, False)

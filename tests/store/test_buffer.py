@@ -1,8 +1,12 @@
-"""SortBuffer semantics: occupancy, dedup-by-replace, drain order."""
+"""SortBuffer semantics: occupancy, dedup-by-replace, drain order — and
+what the store owes the buffer when a flush is refused."""
 
+import numpy as np
 import pytest
 
-from repro.store import SortBuffer
+from repro.policies import make_policy
+from repro.store import LogStructuredStore, OutOfSpaceError, SortBuffer, StoreConfig
+from repro.store.pagetable import IN_BUFFER
 
 
 class TestBasics:
@@ -56,3 +60,67 @@ class TestReplace:
         buf.add(2, 1)
         buf.replace(1, 2)
         assert buf.drain() == [1, 2]
+
+
+class TestRefusedFlush:
+    """A ``flush()`` the device refuses (``OutOfSpaceError`` out of the
+    emission) must not strand the pages it had drained: they go back to
+    the buffer, so the store stays consistent and the next flush retries
+    them."""
+
+    CONFIG = dict(
+        n_segments=12, segment_units=8, fill_factor=0.5,
+        clean_trigger=2, clean_batch=2, sort_buffer_segments=2,
+    )
+
+    def fill_until_refused(self, size_of=lambda pid: 1):
+        """Write fresh pages until the device is full of live data; the
+        last buffer fill arrives in *descending* page order, so emission
+        order (key, then page id) differs from arrival order."""
+        store = LogStructuredStore(StoreConfig(**self.CONFIG), make_policy("mdc"))
+        order = list(range(80)) + list(range(199, 79, -1))
+        with pytest.raises(OutOfSpaceError):
+            for pid in order:
+                store.write(pid, size_of(pid))
+        return store
+
+    def stranded(self, store):
+        return np.flatnonzero(store.pages.seg == IN_BUFFER).tolist()
+
+    @pytest.mark.parametrize(
+        "size_of", [lambda pid: 1, lambda pid: 2], ids=["unit", "two-unit"]
+    )
+    def test_undrained_pages_return_to_the_buffer(self, size_of):
+        store = self.fill_until_refused(size_of)
+        left = self.stranded(store)
+        assert left, "the refused flush emitted everything: nothing tested"
+        store.check_invariants()
+        assert all(pid in store.buffer for pid in left)
+        assert len(store.buffer) == len(left)
+        assert store.buffer.used_units == sum(size_of(pid) for pid in left)
+        assert store.buffer.used_units == int(store.pages.size[left].sum())
+        # Emission order: ascending key (all first writes: equal), ties
+        # by page id — not the descending arrival order.
+        assert store.buffer.drain() == sorted(left)
+
+    def test_stranded_page_can_be_trimmed_and_rewritten(self):
+        store = self.fill_until_refused()
+        first, second = self.stranded(store)[:2]
+        used = store.buffer.used_units
+        assert store.trim(first) is True
+        assert first not in store.buffer
+        assert store.buffer.used_units == used - 1
+        store.write(second, 3)  # a rewrite of a buffered page: in place
+        assert store.pages.seg[second] == IN_BUFFER
+        assert store.buffer.used_units == used - 1 + 2
+        store.check_invariants()
+
+    def test_next_flush_lands_them_once_room_is_made(self):
+        store = self.fill_until_refused()
+        left = self.stranded(store)
+        for pid in range(40):
+            assert store.trim(pid)
+        store.flush()
+        assert len(store.buffer) == 0
+        assert (store.pages.seg[left] >= 0).all()
+        store.check_invariants()

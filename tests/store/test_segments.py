@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.store import FREE, OPEN, SEALED, SegmentTable
+from repro.store.pagetable import PageTable
 from repro.store.segments import NO_STREAM
 
 
@@ -75,23 +76,44 @@ class TestSlotLog:
         table.slot_page[0, 1] = 9
         assert view.tolist() == [4, 9]
 
-    def test_gather_slots_concatenates_in_segment_order(self, table):
+    def test_live_slots_concatenates_in_segment_order(self, table):
+        """Live pages come out in (given segment order, slot order) with
+        their owners; a slot the page table no longer points at, and a
+        tail slot past ``slot_count``, are not live."""
+        pages = PageTable(30)
         table.set_slots(2, [20, 21, 22], [1, 2, 1])
         table.set_slots(0, [7])
-        pids, owners, local = table.gather_slots(
-            np.asarray([2, 0, 1], dtype=np.int64)
+        for seg, slot, pid in ((2, 0, 20), (2, 2, 22), (0, 0, 7)):
+            pages.seg[pid], pages.slot[pid] = seg, slot
+        pages.seg[21], pages.slot[21] = 1, 1  # rewritten elsewhere
+        # An earlier life of segment 0 left page 9 in slot 3, and the
+        # page table still says (0, 3): past slot_count, so not live.
+        table.slot_page[0, 3] = 9
+        pages.seg[9], pages.slot[9] = 0, 3
+        pids, owners = table.live_slots(
+            np.asarray([2, 0, 1], dtype=np.int64), pages
         )
-        assert pids.tolist() == [20, 21, 22, 7]
-        assert owners.tolist() == [2, 2, 2, 0]
-        assert local.tolist() == [0, 1, 2, 0]
+        assert pids.tolist() == [20, 22, 7]
+        assert owners.tolist() == [2, 2, 0]
 
-    def test_gather_slots_empty_victim_set(self, table):
-        pids, owners, local = table.gather_slots(
-            np.empty(0, dtype=np.int64)
+    def test_live_slots_empty_victim_set(self, table):
+        pids, owners = table.live_slots(
+            np.empty(0, dtype=np.int64), PageTable(4)
         )
         assert pids.size == 0
         assert owners.size == 0
-        assert local.size == 0
+
+    def test_reset_takes_an_array_of_segments(self, table):
+        for seg in (1, 3):
+            table.state[seg] = SEALED
+            table.up2[seg] = 5.0
+            table.set_slots(seg, [4, 5])
+        table.reset(np.asarray([3, 1], dtype=np.int64))
+        assert table.state.tolist() == [FREE] * 4
+        assert table.slot_count.tolist() == [0] * 4
+        assert table.up2.tolist() == [0.0] * 4
+        assert table.erase_count.tolist() == [0, 1, 0, 1]
+        assert table.epoch.tolist() == [0, 1, 0, 1]
 
 
 class TestAccounting:
