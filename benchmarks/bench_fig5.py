@@ -9,27 +9,11 @@ Paper shapes to reproduce:
   of the classic trio at high fill.
 * (b)/(c) age is worst, greedy poor, cost-benefit mid, multi-log-opt and
   the MDC family best, with MDC tracking MDC-opt; gaps grow with fill.
-
-Set ``REPRO_SWEEP_WORKERS=N`` (N > 1) to fan each grid out over the
-sweep orchestrator's worker processes; the aggregated output is
-byte-identical to the serial run (same seeds, same code path), only the
-wall-clock changes.
 """
-
-import os
 
 import pytest
 
 from repro.bench import fig5_experiment
-
-
-def _run_fig5(dist):
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
-    if workers > 1:
-        from repro.sweep import parallel_experiment
-
-        return parallel_experiment(fig5_experiment, workers=workers, dist=dist).output
-    return fig5_experiment(dist)
 
 
 def _at(output, fill):
@@ -38,7 +22,7 @@ def _at(output, fill):
 
 def test_fig5a_uniform(benchmark, emit):
     output = benchmark.pedantic(
-        lambda: _run_fig5("uniform"), rounds=1, iterations=1
+        lambda: fig5_experiment("uniform"), rounds=1, iterations=1
     )
     emit(output)
     s = output.data["series"]
@@ -54,7 +38,7 @@ def test_fig5a_uniform(benchmark, emit):
 
 def test_fig5b_zipf_80_20(benchmark, emit):
     output = benchmark.pedantic(
-        lambda: _run_fig5("zipf-80-20"), rounds=1, iterations=1
+        lambda: fig5_experiment("zipf-80-20"), rounds=1, iterations=1
     )
     emit(output)
     s = output.data["series"]
@@ -67,7 +51,7 @@ def test_fig5b_zipf_80_20(benchmark, emit):
 
 def test_fig5c_zipf_90_10(benchmark, emit):
     output = benchmark.pedantic(
-        lambda: _run_fig5("zipf-90-10"), rounds=1, iterations=1
+        lambda: fig5_experiment("zipf-90-10"), rounds=1, iterations=1
     )
     emit(output)
     s = output.data["series"]

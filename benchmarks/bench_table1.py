@@ -9,13 +9,7 @@ Scaled setup: reserve-compensated 1024x32-page device (paper: 51,200
 segments of 512 pages); per-row agreement is within a few percent except
 at the extreme F=0.975 row, where the small device's emptiness
 granularity shows (see EXPERIMENTS.md).
-
-Set ``REPRO_SWEEP_WORKERS=N`` (N > 1) to run the per-row simulations
-through the sweep orchestrator's worker pool; the table is byte-identical
-to the serial run.
 """
-
-import os
 
 import pytest
 
@@ -23,20 +17,9 @@ from repro.analysis.fixpoint import TABLE1_FILL_FACTORS
 from repro.bench import table1_experiment
 
 
-def _run_table1():
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
-    if workers > 1:
-        from repro.sweep import parallel_experiment
-
-        return parallel_experiment(
-            table1_experiment, workers=workers, fill_factors=TABLE1_FILL_FACTORS
-        ).output
-    return table1_experiment(TABLE1_FILL_FACTORS)
-
-
 def test_table1(benchmark, emit):
     output = benchmark.pedantic(
-        _run_table1,
+        lambda: table1_experiment(TABLE1_FILL_FACTORS),
         rounds=1,
         iterations=1,
     )

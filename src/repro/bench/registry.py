@@ -1,13 +1,18 @@
 """The benchmark registry: every bench kind is declared once, here.
 
+A kind is a seeded, clock-free report with a gate: its ``run`` is a
+pure function of its parameters and seed, so two runs are equal as
+dicts and a committed report is a golden file.  Time is measured by one
+instrument only, ``benchmarks/stack``.
+
 A :class:`Benchmark` states everything the rest of the program needs to
 know about one kind — the YAML/CLI parameters and their defaults, what
-``--quick`` changes, the history family its rows are filed under, the
-matrix gate it answers to, where its committed report lives, and which
-headline numbers the trend dashboard shows.  The matrix
-(:mod:`repro.matrix`) and the CLI (``repro bench <kind>``) are written
-against this record and name no kind themselves, so a new kind is one
-:func:`register` call plus a module with four functions:
+``--quick`` changes, the family name its reports carry, the matrix gate
+it answers to, where its committed report lives (if it keeps one), and
+which numbers a gate verdict prints.  The matrix (:mod:`repro.matrix`)
+and the CLI (``repro bench <kind>``) are written against this record
+and name no kind themselves, so a new kind is one :func:`register` call
+plus a module with three functions:
 
 ``run(seed, **params) -> report``
     Run the benchmark; ``report["benchmark"]`` is the family name.
@@ -17,11 +22,6 @@ against this record and name no kind themselves, so a new kind is one
     The kind's acceptance gate.  ``baseline`` is a committed report of
     the same family or ``None``; ``tolerance`` ``None`` means the
     kind's own default.  An empty list is a pass.
-``headline(report) -> row``
-    The ``benchmarks/history.jsonl`` row (``None``: the kind keeps no
-    trajectory).  A row is a report-shaped subset (:func:`subset`) —
-    the fields ``check`` reads sit at the same paths — so the trend's
-    drift scan is the same ``check`` applied to the latest row.
 
 The functions are looked up in ``module`` on first use; importing this
 file, or building the CLI parser from it, imports no harness.
@@ -33,7 +33,7 @@ import dataclasses
 import importlib
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 
 class BaselineMismatch(ValueError):
@@ -45,9 +45,9 @@ class Benchmark:
     """The declaration of one bench kind (see the module docstring)."""
 
     kind: str
-    #: ``report["benchmark"]`` and the history family.
+    #: ``report["benchmark"]``: what a baseline file must hold.
     family: str
-    #: Module providing ``run`` / ``render`` / ``check`` / ``headline``.
+    #: Module providing ``run`` / ``render`` / ``check``.
     module: str
     help: str
     #: Parameter name -> default: the ``params:`` / ``matrix:`` keys a
@@ -55,19 +55,22 @@ class Benchmark:
     params: Mapping[str, Any]
     #: Parameter overrides ``--quick`` applies.
     quick: Mapping[str, Any]
-    #: The committed report: the default ``--out`` and the file the
-    #: trend's drift scan compares the latest row with.
-    baseline: str
-    #: Trend columns: (label, dotted path into a history row).  The
-    #: first is the number a gate verdict reports as ``observed``.
+    #: What a passing gate verdict prints: (label, dotted path into a
+    #: report).  The first is the number it reports as ``observed``.
     columns: Tuple[Tuple[str, str], ...] = ()
     #: The ``checks: - type:`` name that runs ``check`` in a matrix.
     gate: Optional[str] = None
-    #: Whether that gate is meaningless without a ``file:`` baseline.
-    gate_needs_file: bool = False
+    #: The committed report, for a kind that keeps one: running its own
+    #: shape and seed reproduces it exactly.
+    baseline: Optional[str] = None
+
+    @property
+    def gate_needs_file(self) -> bool:
+        """A kind that declares a committed report gates against it."""
+        return self.baseline is not None
 
     def __getattr__(self, name: str):
-        if name in ("render", "check", "headline"):
+        if name in ("render", "check"):
             return getattr(importlib.import_module(self.module), name)
         raise AttributeError(name)
 
@@ -86,23 +89,6 @@ class Benchmark:
                 "reports" % (path, found, self.kind, self.family)
             )
         return baseline
-
-
-def subset(report: Mapping, paths: Sequence[str]) -> Dict:
-    """``report`` cut down to the dotted ``paths``, nesting kept; a
-    ``*`` component takes every key at its level."""
-    row: Dict = {}
-    for path in paths:
-        _copy(report, row, path.split("."))
-    return row
-
-
-def _copy(src: Mapping, dst: Dict, parts: List[str]) -> None:
-    for key in src if parts[0] == "*" else parts[:1]:
-        if parts[1:]:
-            _copy(src[key], dst.setdefault(key, {}), parts[1:])
-        else:
-            dst[key] = src[key]
 
 
 def write_report(report: Dict, path: str) -> None:
@@ -131,65 +117,25 @@ def register(bench: Benchmark) -> Benchmark:
 
 
 register(Benchmark(
-    kind="micro",
-    family="store-micro",
-    module="repro.bench.micro",
-    help="scalar vs vectorized write engine on the fig5 quick grid",
-    params={
-        "writes": 200_000,
-        "trials": 3,
-        "policy": "greedy",
-        "workloads": ("uniform", "hotcold", "zipfian"),
-    },
-    quick={"writes": 60_000},
-    baseline="BENCH_store.json",
-    columns=(
-        ("uniform w/s", "workloads.uniform.batch.writes_per_sec"),
-        ("hotcold w/s", "workloads.hotcold.batch.writes_per_sec"),
-        ("zipfian w/s", "workloads.zipfian.batch.writes_per_sec"),
-    ),
-    gate="micro-baseline",
-    gate_needs_file=True,
-))
-
-register(Benchmark(
-    kind="service",
-    family="service",
-    module="repro.service.bench",
-    help="sharded-service scaling: serial baseline vs the batched "
-    "service at several shard counts",
-    params={"shards": (1, 2, 4), "ops": None, "quick": False},
-    quick={"quick": True},
-    baseline="BENCH_service.json",
-    columns=(
-        ("serial w/s", "serial.writes_per_sec"),
-        ("best shard w/s", "best_writes_per_sec"),
-    ),
-    gate="service-floor",
-))
-
-register(Benchmark(
     kind="latency",
     family="latency",
     module="repro.service.latency",
     help="tail latency: p99 flush stall against one cleaner step budget",
     params={"ops": None, "quick": False},
     quick={"quick": True},
-    baseline="BENCH_latency.json",
     columns=(
         ("stall p99 pages", "flush_stall_p99_pages"),
         ("Wamp", "wamp_aggregate"),
     ),
     gate="latency-baseline",
-    gate_needs_file=True,
+    baseline="BENCH_latency.json",
 ))
 
 register(Benchmark(
     kind="sweep",
-    family="sweep-pool-scaling",
+    family="sweep-pool-identity",
     module="repro.sweep.bench",
-    help="sweep-pool scaling: one grid serial vs pooled, outputs "
-    "byte-identical",
+    help="sweep pool: one grid serial vs pooled, outputs byte-identical",
     params={
         "grid": "fig5",
         "dist": "zipf-80-20",
@@ -197,29 +143,10 @@ register(Benchmark(
         "workers": 4,
     },
     quick={"quick": True},
-    baseline="BENCH_sweep.json",
     columns=(
-        ("speedup", "speedup_pool_vs_serial"),
-        ("floor", "speedup_floor"),
+        ("identical", "outputs_identical"),
         ("workers", "pool.workers_effective"),
         ("CPUs", "cpu_count"),
-        ("identical", "outputs_identical"),
     ),
-    gate="sweep-scaling",
-))
-
-register(Benchmark(
-    kind="profile",
-    family="store-profile",
-    module="repro.bench.profile",
-    help="cProfile the hot paths (write_batch / clean_step / "
-    "rank_columns) into a ranked-cumtime artifact",
-    params={
-        "writes": 120_000,
-        "policy": "greedy",
-        "workload": "zipfian",
-        "top": 15,
-    },
-    quick={"writes": 30_000},
-    baseline="benchmarks/results/PROFILE_store.json",
+    gate="sweep-identical",
 ))

@@ -11,10 +11,9 @@ Usage (installed as ``repro``, or ``python -m repro``):
     repro ablation               # estimator + batch-size ablations
     repro simulate --policy mdc --dist zipf-80-20 --fill 0.8
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
-    repro bench micro            # one registered benchmark kind (also
-                                 #   service, latency, sweep, profile)
+    repro bench latency          # one registered benchmark kind (also
+                                 #   sweep)
     repro bench run config.yml   # a declarative experiment matrix + gates
-    repro bench report           # perf-trend dashboard from the history
     repro serve --shards 4       # drive the sharded service front-end
     repro loadgen ops.jsonl      # record a deterministic client op trace
     repro top telemetry.jsonl    # live per-shard dashboard + SLO burn
@@ -43,8 +42,8 @@ recorded trace and the in-process generator are interchangeable.
 ``repro bench <kind>`` is generated from the benchmark registry
 (``repro.bench.registry``): each kind's flags are its declared
 parameters — the same names a matrix config uses — plus one shared
-``--out/--check/--tolerance/--history/--no-history/--quick/--seed``
-block, and one handler runs, renders, records and gates any kind.
+``--out/--check/--tolerance/--quick/--seed`` block, and one handler
+runs, renders, writes (only where ``--out`` says) and gates any kind.
 
 ``repro sweep`` runs a whole experiment grid through the parallel
 orchestrator (``repro.sweep``): jobs fan out over worker processes, each
@@ -61,7 +60,6 @@ from typing import List, Optional
 
 from repro.bench import fig6_experiment, run_simulation
 from repro.bench.experiments import _standard_config, make_workload
-from repro.bench.history import HISTORY_PATH
 from repro.policies import available_policies
 from repro.tpcc import TpccScale
 
@@ -77,18 +75,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=0,
         help="workload seed (same seed + same parameters = same numbers)",
-    )
-
-
-def _add_history(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--history", default=HISTORY_PATH, metavar="JSONL",
-        help="append the run's headline numbers, keyed by git SHA, to "
-        "this JSONL trajectory (default %(default)s)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmarks/history.jsonl append",
     )
 
 
@@ -233,25 +219,10 @@ def _experiment_runner(args: argparse.Namespace):
     )
 
 
-def _param_type(default):
-    """The argparse ``type=`` of one declared benchmark parameter, read
-    off its default: a tuple is a comma-separated list of its element
-    type; ``None`` (the kind's own shape decides) takes an integer."""
-    if isinstance(default, tuple):
-        cast = type(default[0])
-
-        def parse(text: str):
-            return tuple(cast(x) for x in text.split(","))
-
-        parse.__name__ = "comma-separated %s list" % cast.__name__
-        return parse
-    return int if default is None else type(default)
-
-
 def _add_bench_kinds(bench_sub) -> None:
     """One ``repro bench <kind>`` subparser per registered benchmark:
     a flag per declared parameter (named as in a matrix config) plus
-    the shared output/gate/history block."""
+    the shared output/gate block."""
     from repro.bench.registry import REGISTRY
 
     for bench in REGISTRY.values():
@@ -260,16 +231,14 @@ def _add_bench_kinds(bench_sub) -> None:
             if name != "quick":  # the shared flag below
                 p.add_argument(
                     "--" + name.replace("_", "-"), dest=name,
-                    type=_param_type(default), default=argparse.SUPPRESS,
-                    help="default: %s" % (
-                        ",".join(map(str, default))
-                        if isinstance(default, tuple) else default
-                    ),
+                    # None: the kind's own shape decides; an integer.
+                    type=int if default is None else type(default),
+                    default=argparse.SUPPRESS,
+                    help="default: %s" % (default,),
                 )
         p.add_argument(
             "--out", default=None,
-            help="write the JSON report here (default %s; nowhere "
-            "under --check)" % bench.baseline,
+            help="write the JSON report here (default: nowhere)",
         )
         p.add_argument(
             "--check", default=None, metavar="BASELINE",
@@ -280,7 +249,6 @@ def _add_bench_kinds(bench_sub) -> None:
             "--tolerance", type=float, default=None,
             help="fractional slack for --check (default: the kind's own)",
         )
-        _add_history(p)
         p.add_argument(
             "--quick", action="store_true",
             help="the quick shape: %s" % dict(bench.quick),
@@ -396,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="benchmarks of the simulator itself: one registered kind, "
-        "a declarative matrix (run), or the trend dashboard (report)",
+        "or a declarative matrix (run)",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     _add_bench_kinds(bench_sub)
@@ -439,24 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="clock ticks between time-series samples for obs "
         "experiments (default: a quarter of the store's user pages)",
     )
-    _add_history(p)
-    p = bench_sub.add_parser(
-        "report",
-        help="render the SHA-keyed perf trend dashboard from the "
-        "benchmark history trajectory (no benchmarks are run)",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="trajectory to read (default benchmarks/history.jsonl)",
-    )
-    p.add_argument(
-        "--last", type=int, default=10,
-        help="entries shown per benchmark family (default 10)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="MD",
-        help="also write the markdown to this file",
-    )
 
     p = sub.add_parser(
         "serve",
@@ -496,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         "queue/stall + SLO burn state) to this file; watch live with "
         "'repro top'",
     )
-    _add_history(p)
 
     p = sub.add_parser(
         "loadgen",
@@ -1010,16 +959,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         print("causal spans written to %s" % args.trace_out)
     if args.telemetry_out:
         print("telemetry rows written to %s" % args.telemetry_out)
-    if not args.no_history:
-        from repro.bench.history import append_entry
-        from repro.service.harness import serve_history_entry
-
-        entry = append_entry(
-            serve_history_entry(result, cfg.seed), args.history
-        )
-        print(
-            "headline appended to %s (sha %s)" % (args.history, entry["sha"])
-        )
     return 0
 
 
@@ -1061,14 +1000,11 @@ def _run_bench_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro bench ...``."""
     if args.bench_command == "run":
         return _run_bench_matrix_command(args)
-    if args.bench_command == "report":
-        return _run_bench_report_command(args)
     return _run_bench_kind_command(args)
 
 
 def _run_bench_kind_command(args: argparse.Namespace) -> int:
-    """``repro bench <kind>``: run, render, record, gate."""
-    from repro.bench.history import append_entry
+    """``repro bench <kind>``: run, render, write, gate."""
     from repro.bench.registry import REGISTRY, write_report
 
     bench = REGISTRY[args.bench_command]
@@ -1086,17 +1022,9 @@ def _run_bench_kind_command(args: argparse.Namespace) -> int:
             return 1
     report = bench.run(seed=args.seed, **_bench_values(bench, args))
     print(bench.render(report))
-    # A gate run must not overwrite the file it is compared with.
-    out = args.out or (None if args.check else bench.baseline)
-    if out:
-        write_report(report, out)
-        print("report written to %s" % out)
-    entry = bench.headline(report)
-    if entry is not None and not args.no_history:
-        entry = append_entry(entry, args.history)
-        print(
-            "headline appended to %s (sha %s)" % (args.history, entry["sha"])
-        )
+    if args.out:
+        write_report(report, args.out)
+        print("report written to %s" % args.out)
     problems = bench.check(report, baseline, args.tolerance)
     for problem in problems:
         print("%s regression: %s" % (bench.kind, problem), file=sys.stderr)
@@ -1128,8 +1056,6 @@ def _run_bench_matrix_command(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             progress=ProgressPrinter(),
-            history=not args.no_history,
-            history_path=args.history,
             sample_interval=args.sample_interval,
         )
     except (MatrixConfigError, SweepError) as exc:
@@ -1138,11 +1064,6 @@ def _run_bench_matrix_command(args: argparse.Namespace) -> int:
     print(run.markdown)
     print("report written to %s" % run.report_path)
     print("gate verdicts written to %s" % run.gates_path)
-    for entry in run.history_entries:
-        print(
-            "headline appended to history (%s, sha %s)"
-            % (entry.get("benchmark"), entry.get("sha"))
-        )
     failed = False
     if run.stats.failed:
         for f in run.stats.failed:
@@ -1164,15 +1085,6 @@ def _run_bench_matrix_command(args: argparse.Namespace) -> int:
         failed = True
     if failed:
         return 1
-    advisories = [
-        v for v in run.verdicts if not v.passed and v.advisory
-    ]
-    for verdict in advisories:
-        print(
-            "gate failed (advisory): %s/%s: %s"
-            % (verdict.experiment, verdict.name, verdict.detail),
-            file=sys.stderr,
-        )
     print(
         "matrix %s: %d cell(s), %d resumed, %d gate(s) passed"
         % (
@@ -1182,33 +1094,6 @@ def _run_bench_matrix_command(args: argparse.Namespace) -> int:
             sum(1 for v in run.verdicts if v.passed),
         )
     )
-    return 0
-
-
-def _run_bench_report_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench report``: trend dashboard, report-only."""
-    import os
-
-    from repro.matrix.trend import load_trend
-
-    history_path = args.history or HISTORY_PATH
-    if not os.path.exists(history_path):
-        print(
-            "bench report: no trajectory at %s (run a benchmark first)"
-            % history_path,
-            file=sys.stderr,
-        )
-        return 1
-    lines, warnings = load_trend(history_path, last=args.last)
-    markdown = "\n".join(["# Benchmark trend"] + lines) + "\n"
-    if warnings:
-        markdown += "\n**Trajectory drift (report-only):**\n\n"
-        markdown += "\n".join("- %s" % w for w in warnings) + "\n"
-    print(markdown)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(markdown)
-        print("trend written to %s" % args.out)
     return 0
 
 

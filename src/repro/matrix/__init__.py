@@ -2,10 +2,9 @@
 
 The matrix subsystem turns a YAML/JSON experiment config into
 content-addressed cells, executes them through the sweep executor (with
-resume), evaluates declarative gates — empirical baselines and the
-mean-field analytical check — and renders a markdown regression report
-with an SHA-keyed perf trend.  See EXPERIMENTS.md for the authoring
-guide.
+resume), evaluates declarative gates — committed baselines and the
+mean-field analytical check — and renders a markdown regression report.
+See EXPERIMENTS.md for the authoring guide.
 """
 
 from repro.matrix.cells import (
@@ -40,11 +39,6 @@ from repro.matrix.meanfield import (
 )
 from repro.matrix.report import render_report
 from repro.matrix.runner import MatrixRunReport, run_matrix
-from repro.matrix.trend import (
-    detect_trend_regressions,
-    load_trend,
-    render_trend,
-)
 
 __all__ = [
     "CellResult",
@@ -62,17 +56,14 @@ __all__ = [
     "blocking_failures",
     "cells_for_experiment",
     "default_out_dir",
-    "detect_trend_regressions",
     "evaluate_checks",
     "expand_experiment",
     "hotcold_meanfield",
     "load_config",
-    "load_trend",
     "matrix_digest",
     "parse_config",
     "predict_for_workload",
     "render_report",
-    "render_trend",
     "run_matrix",
     "uniform_meanfield",
 ]

@@ -128,25 +128,13 @@ def _sim_payload(axes: Mapping[str, Any]) -> Dict[str, Any]:
     return spec.to_dict()
 
 
-def _bench_payload(axes: Mapping[str, Any]) -> Dict[str, Any]:
-    """Canonical payload for a bench cell (JSON round-trip safe).
-
-    Tuples arrive from config defaults; JSON canonicalization needs
-    lists so manifest round trips compare equal.
-    """
-    return {
-        k: list(v) if isinstance(v, tuple) else v for k, v in axes.items()
-    }
-
-
 def cells_for_experiment(exp: ExperimentDef) -> List[CellSpec]:
     """Expand one experiment definition into its ordered cell list."""
     cells = []
     for axes in expand_experiment(exp):
-        if exp.kind == "sim":
-            payload = _sim_payload(axes)
-        else:
-            payload = _bench_payload(axes)
+        # A bench cell's parameter point (scalars only, so JSON
+        # round-trip safe as it is) is its runner input.
+        payload = _sim_payload(axes) if exp.kind == "sim" else dict(axes)
         cells.append(
             CellSpec(
                 experiment=exp.name,
@@ -246,8 +234,8 @@ def sim_metrics(result: Dict[str, Any]) -> Dict[str, float]:
 
 
 def dig(data: Any, path: str) -> Any:
-    """Resolve a dotted path (``workloads.uniform.batch.writes_per_sec``)
-    into a nested dict; raises KeyError with the full path on a miss."""
+    """Resolve a dotted path (``pool.workers_effective``) into a
+    nested dict; raises KeyError with the full path on a miss."""
     node = data
     for part in path.split("."):
         if not isinstance(node, Mapping) or part not in node:

@@ -35,8 +35,6 @@ content-addressed cells, plus declarative ``checks:`` (gates) and
         metric: wamp
       - type: convergence
         experiment: fig5
-      - type: trend                 # history.jsonl perf trend
-        last: 10
 
 The bench kinds, their parameters (with defaults) and the suite gate
 each answers to are whatever :mod:`repro.bench.registry` declares; this
@@ -72,10 +70,10 @@ class MatrixConfigError(Exception):
 #: sim-only and each registered kind adds its own suite gate
 #: (``Benchmark.gate``).  ``slo`` reads an SLOTracker report embedded in
 #: a cell result (the latency bench emits one).
-GENERIC_CHECK_TYPES = ("metric", "baseline", "slo")
+GENERIC_CHECK_TYPES = ("metric", "slo")
 
 #: Result-section types understood by :mod:`repro.matrix.report`.
-RESULT_TYPES = ("table", "convergence", "trend")
+RESULT_TYPES = ("table", "convergence")
 
 #: Axis/param names accepted for ``kind: sim`` cells, with defaults
 #: (``None`` = required or derived).  ``dist`` uses the experiment
@@ -113,19 +111,14 @@ class CheckDef:
     type: str
     name: str
     where: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    #: Fractional tolerance for baseline / meanfield comparisons.
+    #: Fractional tolerance for suite-gate / meanfield comparisons.
     tolerance: Optional[float] = None
     #: Bounds for ``metric`` checks.
     metric: Optional[str] = None
     min: Optional[float] = None
     max: Optional[float] = None
-    #: Baseline file for baseline-flavoured checks.
+    #: The committed report a suite gate compares against.
     file: Optional[str] = None
-    #: Higher-is-better (``min``) or lower-is-better (``max``) for the
-    #: generic ``baseline`` check.
-    direction: str = "min"
-    #: A failing advisory check is reported but does not fail the run.
-    advisory: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,11 +126,10 @@ class ResultDef:
     """One declarative report section."""
 
     type: str
-    experiment: Optional[str] = None
+    experiment: str
     rows: Optional[str] = None
     columns: Optional[str] = None
     metric: str = "wamp"
-    last: int = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,13 +354,7 @@ def _parse_experiment(node: Any, path: str) -> ExperimentDef:
             )
         if key in matrix:
             raise _fail(param_path, "already declared as a matrix axis")
-        if isinstance(value, list):
-            params[key] = tuple(
-                _scalar(v, "%s[%d]" % (param_path, j))
-                for j, v in enumerate(value)
-            )
-        else:
-            params[key] = _scalar(value, param_path)
+        params[key] = _scalar(value, param_path)
 
     if kind == "sim" and "policy" not in matrix and "policy" not in params:
         raise _fail("%s" % path, "sim experiments need a policy axis or param")
@@ -405,7 +391,7 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
         check,
         (
             "type", "name", "where", "tolerance", "metric", "min", "max",
-            "file", "direction", "advisory",
+            "file",
         ),
         path,
     )
@@ -457,8 +443,6 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
             raise _fail(path, "metric checks need a metric: field")
         if lo is None and hi is None:
             raise _fail(path, "metric checks need min: and/or max: bounds")
-    if ctype == "baseline" and (metric is None or check.get("file") is None):
-        raise _fail(path, "baseline checks need metric: and file: fields")
     if ctype == "slo" and metric is None:
         raise _fail(
             path,
@@ -467,11 +451,6 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
         )
     if ctype in suites and suites[ctype].gate_needs_file and not check.get("file"):
         raise _fail(path, "%s checks need a file: field" % ctype)
-    direction = check.get("direction", "min")
-    if direction not in ("min", "max"):
-        raise _fail(
-            "%s.direction" % path, "must be 'min' or 'max', got %r" % direction
-        )
     file_ = check.get("file")
     if file_ is not None:
         file_ = _require_str(file_, "%s.file" % path)
@@ -484,17 +463,13 @@ def _parse_check(node: Any, path: str, kind: str) -> CheckDef:
         min=lo,
         max=hi,
         file=file_,
-        direction=direction,
-        advisory=_require_bool(
-            check.get("advisory", False), "%s.advisory" % path
-        ),
     )
 
 
 def _parse_result(node: Any, path: str, experiment_names) -> ResultDef:
     res = _require_mapping(node, path)
     _reject_unknown(
-        res, ("type", "experiment", "rows", "columns", "metric", "last"), path
+        res, ("type", "experiment", "rows", "columns", "metric"), path
     )
     rtype = res.get("type")
     if rtype not in RESULT_TYPES:
@@ -503,21 +478,18 @@ def _parse_result(node: Any, path: str, experiment_names) -> ResultDef:
             "unknown result type %r (have: %s)"
             % (rtype, ", ".join(RESULT_TYPES)),
         )
-    experiment = res.get("experiment")
-    if rtype in ("table", "convergence"):
-        experiment = _require_str(experiment, "%s.experiment" % path)
-        if experiment not in experiment_names:
-            raise _fail(
-                "%s.experiment" % path,
-                "references unknown experiment %r" % experiment,
-            )
+    experiment = _require_str(res.get("experiment"), "%s.experiment" % path)
+    if experiment not in experiment_names:
+        raise _fail(
+            "%s.experiment" % path,
+            "references unknown experiment %r" % experiment,
+        )
     return ResultDef(
         type=rtype,
         experiment=experiment,
         rows=res.get("rows"),
         columns=res.get("columns"),
         metric=str(res.get("metric", "wamp")),
-        last=_require_int(res.get("last", 10), "%s.last" % path, minimum=1),
     )
 
 

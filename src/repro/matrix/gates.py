@@ -14,13 +14,6 @@ Check types
     into the raw result) with ``min:`` and/or ``max:`` on every matching
     cell.
 
-``baseline``
-    Compare a metric against the same dotted path inside a committed
-    JSON baseline file, within a fractional ``tolerance``.
-    ``direction: min`` means higher-is-better (throughput must not drop
-    below baseline × (1 − tol)); ``direction: max`` means
-    lower-is-better (Wamp must not exceed baseline × (1 + tol)).
-
 ``meanfield``
     The analytical gate (arXiv:1303.4816; see
     :mod:`repro.matrix.meanfield`).  Matching sim cells are grouped by
@@ -31,25 +24,22 @@ Check types
     bound by more than ``tolerance`` (a simulator beating a proven
     floor is miscounting), while any gap above it is legal.
 
-Suite gates (``micro-baseline`` / ``service-floor`` /
-``latency-baseline`` / ``sweep-scaling`` / any registered kind's)
+Suite gates (``latency-baseline`` / ``sweep-identical`` / any
+registered kind's)
     One evaluator for all of them: every matching cell's report goes
     through its kind's own ``check`` (:mod:`repro.bench.registry`) with
     the ``file:`` baseline and ``tolerance:`` the config gives, so a
     matrix-driven CI job computes exactly the verdict ``repro bench
-    <kind> --check`` does.  A ``file:`` that holds another benchmark
-    family's report is a config error, not a vacuous pass.  The passing
-    detail lists the kind's headline numbers — for ``sweep-scaling``
-    that names the hardware-conditional floor tier that applied.
+    <kind> --check`` does.  A ``file:`` that cannot be read, or that
+    holds another benchmark family's report, is a config error, not a
+    vacuous pass.  The passing detail lists the numbers the kind
+    declares as its ``columns``.
 
 ``slo``
     Burn-rate ceiling over an SLOTracker report embedded in the cell
     result.
 
-A check with ``advisory: true`` reports its verdict but never fails the
-run — the pattern the service gate already uses under ``--quick``,
-where wall-clock throughput on shared CI runners is informative, not
-binding.
+Every failed check fails the run.
 """
 
 from __future__ import annotations
@@ -57,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.registry import load_report
 from repro.matrix.cells import (
     CellResult,
     cell_metric,
@@ -73,14 +62,10 @@ from repro.matrix.config import (
 )
 from repro.matrix.meanfield import MeanFieldError, predict_for_workload
 
-#: Default fractional tolerances per check type, used when the config
-#: does not set one (a suite gate's default is its kind's own).  The
-#: mean-field tolerance is documented in EXPERIMENTS.md next to the
-#: agreement measurement that justifies it.
-DEFAULT_TOLERANCES = {
-    "baseline": 0.30,
-    "meanfield": 0.12,
-}
+#: The mean-field gate's fractional tolerance when the config does not
+#: set one (a suite gate's default is its kind's own); EXPERIMENTS.md
+#: documents it next to the agreement measurement that justifies it.
+MEANFIELD_TOLERANCE = 0.12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,29 +76,14 @@ class GateResult:
     name: str
     type: str
     passed: bool
-    advisory: bool
     #: Human-readable verdict detail (one line per problem when failed).
     detail: str
     #: Headline observed/expected numbers where the check has them.
     observed: Optional[float] = None
     expected: Optional[float] = None
 
-    @property
-    def blocking(self) -> bool:
-        """True when this result should fail the run."""
-        return not self.passed and not self.advisory
-
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
-
-
-def _load_baseline(path: str, load=load_report) -> Dict:
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise MatrixConfigError(
-            "cannot read baseline file %s: %s" % (path, exc)
-        )
 
 
 def _matching(
@@ -135,7 +105,6 @@ def _result(
         name=check.name,
         type=check.type,
         passed=passed,
-        advisory=check.advisory,
         detail=detail,
         observed=observed,
         expected=expected,
@@ -191,68 +160,6 @@ def _check_metric(
     )
 
 
-def _check_baseline(
-    experiment: str, check: CheckDef, cells: Sequence[CellResult]
-) -> GateResult:
-    baseline = _load_baseline(check.file)
-    try:
-        expected = float(dig(baseline, check.metric))
-    except (KeyError, TypeError, ValueError):
-        return _result(
-            experiment,
-            check,
-            False,
-            "baseline %s has no numeric metric %r" % (check.file, check.metric),
-        )
-    tolerance = (
-        check.tolerance
-        if check.tolerance is not None
-        else DEFAULT_TOLERANCES["baseline"]
-    )
-    problems = []
-    values = []
-    for cell in cells:
-        try:
-            value = cell_metric(cell, check.metric)
-        except KeyError:
-            problems.append(
-                "%s: result has no metric %r" % (cell.spec.label, check.metric)
-            )
-            continue
-        values.append(value)
-        if check.direction == "min":
-            floor = expected * (1.0 - tolerance)
-            if value < floor:
-                problems.append(
-                    "%s: %s=%.4f dropped below baseline %.4f - %.0f%%"
-                    % (cell.spec.label, check.metric, value, expected,
-                       100 * tolerance)
-                )
-        else:
-            ceiling = expected * (1.0 + tolerance)
-            if value > ceiling:
-                problems.append(
-                    "%s: %s=%.4f rose above baseline %.4f + %.0f%%"
-                    % (cell.spec.label, check.metric, value, expected,
-                       100 * tolerance)
-                )
-    observed = sum(values) / len(values) if values else None
-    if problems:
-        return _result(
-            experiment, check, False, "; ".join(problems),
-            observed=observed, expected=expected,
-        )
-    return _result(
-        experiment,
-        check,
-        True,
-        "%d cell(s) within %.0f%% of %s:%s"
-        % (len(cells), 100 * tolerance, check.file, check.metric),
-        observed=observed,
-        expected=expected,
-    )
-
-
 def _group_key(cell: CellResult) -> Tuple:
     return tuple(
         sorted((k, v) for k, v in cell.axes.items() if k != "seed")
@@ -266,9 +173,7 @@ def _check_meanfield(
     from repro.sweep.spec import JobSpec
 
     tolerance = (
-        check.tolerance
-        if check.tolerance is not None
-        else DEFAULT_TOLERANCES["meanfield"]
+        MEANFIELD_TOLERANCE if check.tolerance is None else check.tolerance
     )
     groups: Dict[Tuple, List[CellResult]] = {}
     for cell in cells:
@@ -340,13 +245,18 @@ def _check_suite(
     bench = suite_gates()[check.type]
     baseline = None
     if check.file is not None:
-        baseline = _load_baseline(check.file, bench.load_baseline)
+        try:
+            baseline = bench.load_baseline(check.file)
+        except (OSError, ValueError) as exc:
+            raise MatrixConfigError(
+                "cannot read baseline file %s: %s" % (check.file, exc)
+            )
     problems = []
     for cell in cells:
         for problem in bench.check(cell.result, baseline, check.tolerance):
             problems.append("%s: %s" % (cell.spec.label, problem))
-    # The kind's trend columns, read off the last report (None: a
-    # headline-only column the report does not carry).
+    # The kind's declared columns, read off the last report (None: a
+    # column this report does not carry).
     headline = [
         (label, dig_number(cells[-1].result, path))
         for label, path in bench.columns
@@ -436,7 +346,6 @@ def _check_slo(
 
 _EVALUATORS = {
     "metric": _check_metric,
-    "baseline": _check_baseline,
     "meanfield": _check_meanfield,
     "slo": _check_slo,
 }
@@ -466,5 +375,5 @@ def evaluate_checks(
 
 
 def blocking_failures(verdicts: Sequence[GateResult]) -> List[GateResult]:
-    """The subset of verdicts that must fail the run."""
-    return [v for v in verdicts if v.blocking]
+    """The verdicts that fail the run: every check that did not pass."""
+    return [v for v in verdicts if not v.passed]

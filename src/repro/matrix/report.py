@@ -4,15 +4,13 @@ One matrix run produces one self-contained markdown document:
 
 1. **Header** — config name/description, git SHA, matrix digest, cell
    counts (run vs resumed).
-2. **Gates** — one table row per ``checks:`` verdict, advisory
-   failures marked distinctly from blocking ones.
+2. **Gates** — one table row per ``checks:`` verdict.
 3. **Results** — the declared ``results:`` sections: pivoted
    comparison tables (``rows:`` × ``columns:`` of a metric,
-   seed-averaged), ASCII convergence plots from the run's merged
-   schema-v1 metrics, and the SHA-keyed perf trend over
-   ``benchmarks/history.jsonl``.  Every experiment also gets a default
-   flat table, so a config with no ``results:`` block still renders
-   something useful.
+   seed-averaged) and ASCII convergence plots from the run's merged
+   schema-v1 metrics.  Every experiment also gets a default flat table,
+   so a config with no ``results:`` block still renders something
+   useful.
 
 Plots are the repo's ASCII charts inside code fences — the report stays
 reviewable in a terminal, a PR diff, and a CI artifact without any
@@ -24,11 +22,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.charts import line_plot
-from repro.bench.history import HISTORY_PATH
 from repro.matrix.cells import CellResult, cell_metric
 from repro.matrix.config import MatrixConfig, ResultDef
 from repro.matrix.gates import GateResult
-from repro.matrix.trend import load_trend
 
 
 def _fmt_value(value: Optional[float]) -> str:
@@ -63,12 +59,7 @@ def render_gates_table(verdicts: Sequence[GateResult]) -> List[str]:
         "|---|---|---|---|---|",
     ]
     for v in verdicts:
-        if v.passed:
-            verdict = "pass"
-        elif v.advisory:
-            verdict = "**fail** (advisory)"
-        else:
-            verdict = "**FAIL**"
+        verdict = "pass" if v.passed else "**FAIL**"
         detail = v.detail.replace("|", "\\|")
         if len(detail) > 160:
             detail = detail[:157] + "..."
@@ -221,8 +212,6 @@ def render_report(
     matrix_digest: str,
     resumed: int,
     metrics_paths: Optional[Mapping[str, str]] = None,
-    history_path: Optional[str] = None,
-    root: str = ".",
 ) -> str:
     """The full markdown report for one matrix run."""
     metrics_paths = metrics_paths or {}
@@ -273,14 +262,5 @@ def render_report(
                 metrics_paths.get(res.experiment, ""),
                 title="windowed Wamp vs clock (%s)" % res.experiment,
             )
-        elif res.type == "trend":
-            lines += ["", "## Perf trend", ""]
-            trend, warnings = load_trend(
-                history_path or HISTORY_PATH, last=res.last, root=root
-            )
-            lines += trend
-            if warnings:
-                lines += ["", "**Trajectory drift (report-only):**", ""]
-                lines += ["- %s" % w for w in warnings]
     lines.append("")
     return "\n".join(lines)

@@ -13,12 +13,6 @@ After execution it:
   ``metrics-<experiment>.jsonl`` per experiment, in cell order, and
   schema-validates the merge — an implicit gate, because a matrix that
   claims observability but emits malformed rows should fail CI;
-* appends the ``headline`` row of every *executed* bench cell to
-  ``benchmarks/history.jsonl`` (resumed cells were not re-run and would
-  duplicate their original row; sim cells have no history family —
-  their regression story is the gates + report) — suppressed entirely
-  by ``history=False`` (``--no-history``), the same switch ``repro
-  bench <kind>`` honors;
 * evaluates the declarative ``checks:`` into gate verdicts;
 * renders ``report.md`` and writes machine-readable ``gates.json``.
 """
@@ -28,10 +22,10 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
+import subprocess
 from typing import Callable, Dict, List, Optional
 
-from repro.bench.history import HISTORY_PATH, append_entry, git_sha
-from repro.bench.registry import REGISTRY, write_report
+from repro.bench.registry import write_report
 from repro.matrix.cells import (
     CellResult,
     CellSpec,
@@ -68,7 +62,6 @@ class MatrixRunReport:
     verdicts: List[GateResult]
     stats: SweepStats
     obs_problems: List[str]
-    history_entries: List[Dict]
     report_path: str
     gates_path: str
     markdown: str
@@ -88,6 +81,22 @@ class MatrixRunReport:
             and not self.obs_problems
             and not blocking_failures(self.verdicts)
         )
+
+
+def git_sha() -> str:
+    """Short commit id for the report header: the working tree's HEAD,
+    or ``GITHUB_SHA`` under CI, or ``"unknown"``."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+        if out.returncode == 0 and out.stdout.strip():
+            return out.stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pass
+    sha = os.environ.get("GITHUB_SHA", "")
+    return sha[:12] if sha else "unknown"
 
 
 def _merge_experiment_metrics(
@@ -135,10 +144,7 @@ def run_matrix(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    history: bool = True,
-    history_path: str = HISTORY_PATH,
     sample_interval: Optional[int] = None,
-    root: str = ".",
     trace: bool = True,
 ) -> MatrixRunReport:
     """Execute a parsed config end to end; returns the run report.
@@ -245,16 +251,6 @@ def run_matrix(
             metrics_paths[exp.name] = merged
             obs_problems.extend(_validate_metrics(merged, exp.name))
 
-    history_entries: List[Dict] = []
-    if history:
-        for cells in results.values():
-            for cell in cells:
-                if cell.resumed or cell.spec.kind == "sim":
-                    continue
-                entry = REGISTRY[cell.spec.kind].headline(cell.result)
-                if entry is not None:
-                    history_entries.append(append_entry(entry, history_path))
-
     verdicts = evaluate_checks(config, results)
     sha = git_sha()
 
@@ -268,8 +264,6 @@ def run_matrix(
             1 for cells in results.values() for c in cells if c.resumed
         ),
         metrics_paths=metrics_paths,
-        history_path=history_path,
-        root=root,
     )
     if stats.failed:
         markdown += "\n## Failed cells\n\n" + "\n".join(
@@ -310,7 +304,6 @@ def run_matrix(
         verdicts=verdicts,
         stats=stats,
         obs_problems=obs_problems,
-        history_entries=history_entries,
         report_path=report_path,
         gates_path=gates_path,
         markdown=markdown,

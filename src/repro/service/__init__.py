@@ -13,8 +13,8 @@ Entry points:
   ``tick``, ``scale_to``, obs export).
 * :mod:`repro.service.harness` — the deterministic concurrent client
   harness behind ``repro serve`` / ``repro loadgen``.
-* :mod:`repro.service.bench` — the shard-count scaling benchmark
-  behind ``repro bench service`` (``BENCH_service.json``).
+* :mod:`repro.service.latency` — the flush-stall benchmark behind
+  ``repro bench latency`` (``BENCH_latency.json``).
 """
 
 from repro.service.harness import (
@@ -26,7 +26,6 @@ from repro.service.harness import (
     read_ops_jsonl,
     replay_ops,
     run_harness,
-    run_serial_baseline,
     shard_config,
     write_ops_jsonl,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "read_ops_jsonl",
     "replay_ops",
     "run_harness",
-    "run_serial_baseline",
     "shard_config",
     "write_ops_jsonl",
 ]

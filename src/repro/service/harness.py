@@ -14,11 +14,6 @@ exported obs metrics) is byte-identical across runs with the same
 :class:`HarnessConfig`.  Wall-clock throughput (aggregate writes/sec)
 is measured around the drive loop and reported separately — it never
 enters the metrics file, which keeps the determinism contract intact.
-
-:func:`run_serial_baseline` provides the comparison floor: the same op
-stream applied to a single shard through per-key scalar ``put`` calls —
-no routing, no batching, no coalescing.  The batched sharded service
-must beat it; ``repro bench service`` records by how much.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.kvstore import LogStructuredKVStore
 from repro.obs import MetricsWriter, Tracer, write_spans
 from repro.obs.clock import now_s
 from repro.service.router import ConsistentHashRouter
@@ -241,7 +235,7 @@ def build_service(cfg: HarnessConfig) -> Service:
 
 @dataclasses.dataclass(frozen=True)
 class HarnessResult:
-    """Outcome of one harness (or serial-baseline) run."""
+    """Outcome of one harness run."""
 
     label: str
     shards: int
@@ -279,48 +273,26 @@ class HarnessResult:
         return "\n".join(lines)
 
 
-def serve_history_entry(result: HarnessResult, seed: int) -> Dict:
-    """One history line for a single ``repro serve`` run: aggregate
-    writes/sec plus the fairness and queueing headline numbers."""
-    return {
-        "benchmark": "service-serve",
-        "seed": seed,
-        "shards": result.shards,
-        "ops": result.ops,
-        "writes_per_sec": round(result.writes_per_sec, 1),
-        "wamp_aggregate": round(result.wamp_aggregate, 6),
-        "wamp_spread": round(result.wamp_spread, 6),
-        "queue_depth_p95": result.queue_depth_p95,
-    }
-
-
 def drive(
     service: Service,
     ops: Iterable[HarnessOp],
     tick_every: int,
-    latencies: Optional[List[float]] = None,
 ) -> Tuple[int, int, float]:
     """The client drive loop — the one place harness ops become
     :class:`Service` calls: apply each op, tick the service clock every
     ``tick_every`` applied ops, then drain the queue.
 
-    Returns ``(puts, deletes, elapsed_s)``.  When ``latencies`` is
-    given, each op's wall-clock seconds (the ``put``/``delete`` call
-    alone, not the ticks between) are appended to it.
+    Returns ``(puts, deletes, elapsed_s)``.
     """
     puts = deletes = 0
     t0 = now_s()
     for op, tenant, key, size in ops:
-        if latencies is not None:
-            t1 = now_s()
         if op == "put":
             service.put(key, bytes(size), tenant=tenant)
             puts += 1
         else:
             service.delete(key, tenant=tenant)
             deletes += 1
-        if latencies is not None:
-            latencies.append(now_s() - t1)
         if (puts + deletes) % tick_every == 0:
             service.tick()
     service.flush()
@@ -421,45 +393,6 @@ def _result_from_service(
         batches_flushed=counters.get("batches_flushed", 0),
         backpressure_flushes=counters.get("backpressure_flushes", 0),
         keys_live=int(summary["keys"]),
-    )
-
-
-def run_serial_baseline(cfg: HarnessConfig) -> HarnessResult:
-    """The same op stream on one shard, per-key scalar puts — the
-    floor the batched sharded service must beat."""
-    kv = LogStructuredKVStore(
-        shard_config(cfg, n_shards=1),
-        policy=cfg.policy,
-        unit_bytes=cfg.unit_bytes,
-    )
-    puts = deletes = 0
-    t0 = now_s()
-    for op, tenant, key, size in ops_stream(cfg):
-        if op == "put":
-            kv.put((tenant, key), bytes(size))
-            puts += 1
-        else:
-            kv.delete((tenant, key))
-            deletes += 1
-    elapsed = now_s() - t0
-    total = puts + deletes
-    wamp = kv.write_amplification
-    return HarnessResult(
-        label="serial[1 shard]",
-        shards=1,
-        ops=total,
-        puts=puts,
-        deletes=deletes,
-        elapsed_s=elapsed,
-        writes_per_sec=total / elapsed if elapsed > 0 else float("inf"),
-        wamp_per_shard=[wamp],
-        wamp_aggregate=wamp,
-        wamp_spread=0.0,
-        queue_depth_p95=0,
-        ops_per_shard=[total],
-        batches_flushed=0,
-        backpressure_flushes=0,
-        keys_live=len(kv),
     )
 
 

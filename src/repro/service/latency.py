@@ -9,8 +9,6 @@ what foreground writes waited behind:
   flushes observe 0, so its percentiles read over the whole flush
   population.  This histogram's p99 is the gate: it must stay at or
   below one cleaner step budget (``pages_per_step``).
-* per-op wall-clock latency (p50/p99/p999, microseconds) — reported for
-  intuition, never gated (wall clock is machine-dependent).
 * aggregate Wamp — the trade-off axis: bounded stalls must not be
   bought with write amplification more than ``WAMP_SLACK`` above the
   committed baseline's.
@@ -20,9 +18,13 @@ chunky ``clean_batch`` make each cleaning cycle relocate a lot of live
 data, which is exactly the work the step-granular governor has to keep
 out of the flush path.
 
-``BENCH_latency.json`` is the committed snapshot (see EXPERIMENTS.md);
-CI's bench-gates job re-runs the quick shape and gates it against that
-file.  The kind's parameters and defaults are declared in
+The report carries no clock, so it is a pure function of the run shape
+and the seed (put latencies in time are ``write_p50_us`` /
+``write_tail_us`` of ``benchmarks/stack``).  ``BENCH_latency.json`` is
+the committed report at the default shape (see EXPERIMENTS.md): CI's
+bench-gates job re-runs that shape and gates it against the file, and
+``tests/bench/test_registry.py`` pins that the run reproduces it
+exactly.  The kind's parameters and defaults are declared in
 :mod:`repro.bench.registry`.
 """
 
@@ -31,9 +33,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.bench.registry import subset
 from repro.obs import PAGES_EDGES
 from repro.service.harness import (
     HarnessConfig,
@@ -72,19 +71,14 @@ def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
 
 
 def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
-    """Drive the seeded load once; returns the stall histogram, the
-    wall-clock percentiles and the pool's closing counters (``ops``
-    ``None``: the run shape's own op count)."""
+    """Drive the seeded load once; returns the stall histogram and the
+    pool's closing counters (``ops`` ``None``: the run shape's own op
+    count)."""
     cfg = latency_config(quick=quick, seed=seed)
     if ops is not None:
         cfg = cfg.scaled(ops=ops)
     service = build_service(cfg)
-    # Per-op and elapsed timings share the process clock span
-    # timestamps use (repro.obs.clock), so a traced run's span file
-    # lines up with these numbers directly.
-    latencies: List[float] = []
-    _, _, elapsed = drive(service, ops_stream(cfg), cfg.tick_every, latencies)
-    applied = len(latencies)
+    puts, deletes, _ = drive(service, ops_stream(cfg), cfg.tick_every)
 
     metrics = service.metrics
     stall_hist = metrics.histogram("flush_stall_pages", PAGES_EDGES)
@@ -99,15 +93,12 @@ def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
             reactive_pages += int(hist.total)
     summary = service.pool.stats_summary()
     counters = metrics.snapshot().counters
-    lat_us = np.asarray(latencies) * 1e6
     report = {
         "benchmark": "latency",
         "quick": quick,
         "seed": seed,
         "config": dataclasses.asdict(cfg),
-        "ops": applied,
-        "elapsed_s": round(elapsed, 4),
-        "writes_per_sec": round(applied / elapsed, 1) if elapsed > 0 else 0.0,
+        "ops": puts + deletes,
         "wamp_aggregate": summary["wamp_aggregate"],
         "flush_count": stall_hist.count,
         "flush_stall_mean_pages": round(stall_hist.mean, 4),
@@ -119,12 +110,6 @@ def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
         "gc_governed_pages": counters.get("gc_governed_pages", 0),
         "gc_deferred_shards": counters.get("gc_deferred_shards", 0),
         "gc_governed_steps": counters.get("gc_governed_steps", 0),
-        "op_latency_us": {
-            "p50": round(float(np.percentile(lat_us, 50)), 2),
-            "p99": round(float(np.percentile(lat_us, 99)), 2),
-            "p999": round(float(np.percentile(lat_us, 99.9)), 2),
-            "max": round(float(lat_us.max()), 2),
-        },
         # Burn-rate view over the same flush-stall stream; the
         # ``kind: slo`` matrix gate reads it from here.
         "slo": service.slo.report(),
@@ -140,18 +125,15 @@ def render(report: Dict) -> str:
         [
             "tail-latency benchmark (ops=%d, dist=%s, fill=%.2f, seed=%d)"
             % (cfg["ops"], cfg["dist"], cfg["target_fill"], report["seed"]),
-            "  %10s %10s %10s %9s %9s %10s %10s"
-            % ("stall p99", "p999", "max", "stalls", "Wamp",
-               "lat p99us", "lat p999us"),
-            "  %10.1f %10.1f %10.0f %9d %9.4f %10.1f %10.1f"
+            "  %10s %10s %10s %9s %9s"
+            % ("stall p99", "p999", "max", "stalls", "Wamp"),
+            "  %10.1f %10.1f %10.0f %9d %9.4f"
             % (
                 report["flush_stall_p99_pages"],
                 report["flush_stall_p999_pages"],
                 report["flush_stall_max_pages"],
                 report["reactive_write_stalls"],
                 report["wamp_aggregate"],
-                report["op_latency_us"]["p99"],
-                report["op_latency_us"]["p999"],
             ),
             "  p99 flush stall gate: <= %d pages (one cleaner step)"
             % cfg["pages_per_step"],
@@ -167,7 +149,10 @@ def check(
     """Acceptance checks: cleaning ran, and the p99 flush stall fits
     inside one cleaner step budget; against a committed ``baseline``,
     aggregate Wamp must also not exceed the baseline's by more than
-    ``tolerance`` (relative; default :data:`WAMP_SLACK`)."""
+    ``tolerance`` (relative; default :data:`WAMP_SLACK`).  Wamp depends
+    on the run shape, so a baseline recorded at another one (any
+    ``config`` key but ``seed`` differs) is a problem, not a
+    comparison."""
     problems = []
     wamp = report["wamp_aggregate"]
     if wamp <= 0:
@@ -183,6 +168,17 @@ def check(
             "of %d pages" % (p99, step)
         )
     if baseline is not None:
+        cfg, base_cfg = report["config"], baseline["config"]
+        moved = [
+            "%s %s vs %s" % (key, base_cfg.get(key), cfg.get(key))
+            for key in {**cfg, **base_cfg}
+            if key != "seed" and base_cfg.get(key) != cfg.get(key)
+        ]
+        if moved:
+            problems.append(
+                "baseline recorded at another shape: " + ", ".join(moved)
+            )
+            return problems
         margin = WAMP_SLACK if tolerance is None else tolerance
         base_wamp = baseline["wamp_aggregate"]
         if wamp > base_wamp * (1.0 + margin):
@@ -192,12 +188,3 @@ def check(
                 "GC writes" % (wamp, base_wamp, 100 * margin)
             )
     return problems
-
-
-def headline(report: Dict) -> Dict:
-    """The history row: the stall headline."""
-    return subset(report, (
-        "benchmark", "seed", "quick", "config.ops", "config.pages_per_step",
-        "flush_stall_p99_pages", "flush_stall_p999_pages",
-        "wamp_aggregate", "reactive_write_stalls",
-    ))

@@ -414,7 +414,7 @@ def run_sweep(
         t0 = time.perf_counter()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         # Not daemonic: a job may legitimately spawn its own pool (the
-        # sweep-scaling bench runs as a matrix cell inside a worker),
+        # sweep bench runs as a matrix cell inside a worker),
         # and daemonic processes cannot have children.  An orphaned
         # worker still exits on its own — losing the parent closes the
         # pipe and the worker's recv sees EOF.

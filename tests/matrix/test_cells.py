@@ -1,5 +1,7 @@
 """Cell specs: content addressing, labels, and the runner dispatch."""
 
+import json
+
 import pytest
 
 from repro.matrix.cells import (
@@ -65,12 +67,12 @@ class TestContentAddressing:
         assert cell.label == "e/age/uniform/F0.80/s0"
 
     def test_bench_payload_json_safe(self):
-        exp = one_exp(kind="service", matrix={}, params={"quick": True})
+        exp = one_exp(kind="latency", matrix={}, params={"quick": True})
         cell = cells_for_experiment(exp)[0]
-        # Tuple defaults must become lists so manifest JSON round trips
-        # compare equal.
-        assert cell.payload["shards"] == [1, 2, 4]
-        assert cell.label == "e/service/s0"
+        # Manifest JSON round trips must compare equal.
+        assert json.loads(json.dumps(cell.payload)) == cell.payload
+        assert cell.payload == {"quick": True, "seed": 0}
+        assert cell.label == "e/latency/s0"
 
     def test_invalid_geometry_is_a_config_error(self):
         # fill 0.99 at a tiny store leaves fewer slack segments than the

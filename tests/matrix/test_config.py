@@ -84,7 +84,7 @@ class TestStrictParsing:
 
     def test_obs_on_bench_kind_rejected(self):
         doc = minimal()
-        doc["experiments"][0] = {"name": "m", "kind": "micro", "obs": True}
+        doc["experiments"][0] = {"name": "m", "kind": "latency", "obs": True}
         with pytest.raises(MatrixConfigError, match="only available"):
             parse_config(doc)
 
@@ -114,31 +114,17 @@ class TestCheckParsing:
 
     def test_check_kind_mismatch_rejected(self):
         with pytest.raises(MatrixConfigError, match="does not apply"):
-            parse_config(self.check_doc({"type": "micro-baseline",
+            parse_config(self.check_doc({"type": "latency-baseline",
                                          "file": "B.json"}))
 
     def test_metric_check_needs_bounds(self):
         with pytest.raises(MatrixConfigError, match="min: and/or max:"):
             parse_config(self.check_doc({"type": "metric", "metric": "wamp"}))
 
-    def test_baseline_check_needs_file(self):
-        with pytest.raises(MatrixConfigError, match="metric: and file:"):
-            parse_config(self.check_doc({"type": "baseline",
-                                         "metric": "wamp"}))
-
     def test_negative_tolerance_rejected(self):
         with pytest.raises(MatrixConfigError, match="positive"):
             parse_config(
                 self.check_doc({"type": "meanfield", "tolerance": -0.1})
-            )
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(MatrixConfigError, match="'min' or 'max'"):
-            parse_config(
-                self.check_doc(
-                    {"type": "baseline", "metric": "m", "file": "f",
-                     "direction": "sideways"}
-                )
             )
 
     def test_valid_meanfield_check_parses(self):
@@ -163,10 +149,6 @@ class TestResultParsing:
         doc = minimal(results=[{"type": "hologram"}])
         with pytest.raises(MatrixConfigError, match="unknown result type"):
             parse_config(doc)
-
-    def test_trend_needs_no_experiment(self):
-        cfg = parse_config(minimal(results=[{"type": "trend", "last": 5}]))
-        assert cfg.results[0].last == 5
 
 
 class TestLoading:

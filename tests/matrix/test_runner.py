@@ -44,7 +44,7 @@ class TestRunMatrix:
     def test_runs_cells_and_writes_artifacts(self, tmp_path):
         cfg = tiny_config(policies=("age", "greedy"))
         run = run_matrix(
-            cfg, out_dir=str(tmp_path / "out"), workers=1, history=False
+            cfg, out_dir=str(tmp_path / "out"), workers=1
         )
         assert run.ok
         assert run.stats.executed == 2 and run.stats.skipped == 0
@@ -58,9 +58,9 @@ class TestRunMatrix:
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg = tiny_config()
         out = str(tmp_path / "out")
-        first = run_matrix(cfg, out_dir=out, workers=1, history=False)
+        first = run_matrix(cfg, out_dir=out, workers=1)
         second = run_matrix(
-            cfg, out_dir=out, resume=True, workers=1, history=False
+            cfg, out_dir=out, resume=True, workers=1
         )
         assert second.stats.executed == 0
         assert second.stats.skipped == first.stats.total
@@ -73,22 +73,21 @@ class TestRunMatrix:
     def test_existing_manifest_without_resume_rejected(self, tmp_path):
         cfg = tiny_config()
         out = str(tmp_path / "out")
-        run_matrix(cfg, out_dir=out, workers=1, history=False)
+        run_matrix(cfg, out_dir=out, workers=1)
         with pytest.raises(SweepError, match="--resume"):
-            run_matrix(cfg, out_dir=out, workers=1, history=False)
+            run_matrix(cfg, out_dir=out, workers=1)
 
     def test_changed_grid_cannot_reuse_manifest(self, tmp_path):
         out = str(tmp_path / "out")
-        run_matrix(tiny_config(), out_dir=out, workers=1, history=False)
+        run_matrix(tiny_config(), out_dir=out, workers=1)
         other = tiny_config(policies=("greedy",))
         with pytest.raises(SweepError):
-            run_matrix(other, out_dir=out, resume=True, workers=1,
-                       history=False)
+            run_matrix(other, out_dir=out, resume=True, workers=1)
 
     def test_obs_cells_merge_and_validate(self, tmp_path):
         cfg = tiny_config(obs=True)
         run = run_matrix(
-            cfg, out_dir=str(tmp_path / "out"), workers=1, history=False
+            cfg, out_dir=str(tmp_path / "out"), workers=1
         )
         assert run.ok and not run.obs_problems
         merged = tmp_path / "out" / "metrics-grid.jsonl"
@@ -101,38 +100,11 @@ class TestRunMatrix:
             checks=[{"type": "metric", "metric": "wamp", "max": 0.0001}]
         )
         run = run_matrix(
-            cfg, out_dir=str(tmp_path / "out"), workers=1, history=False
+            cfg, out_dir=str(tmp_path / "out"), workers=1
         )
         assert not run.ok
         (verdict,) = run.verdicts
         assert not verdict.passed
-
-    def test_history_off_appends_nothing(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        cfg = tiny_config()
-        run = run_matrix(
-            cfg,
-            out_dir=str(tmp_path / "out"),
-            workers=1,
-            history=False,
-            history_path=str(history),
-        )
-        assert run.history_entries == []
-        assert not history.exists()
-
-    def test_sim_cells_never_write_history(self, tmp_path):
-        # Only bench cells carry a history family; a sim-only matrix
-        # leaves the trajectory untouched even with history on.
-        history = tmp_path / "history.jsonl"
-        run = run_matrix(
-            tiny_config(),
-            out_dir=str(tmp_path / "out"),
-            workers=1,
-            history=True,
-            history_path=str(history),
-        )
-        assert run.history_entries == []
-        assert not history.exists()
 
 
 class TestCli:
@@ -162,7 +134,7 @@ class TestCli:
         rc = main(
             [
                 "bench", "run", str(config),
-                "--out", str(out), "--no-history", "--workers", "1",
+                "--out", str(out), "--workers", "1",
             ]
         )
         assert rc == 0
@@ -194,8 +166,7 @@ class TestCli:
         rc = main(
             [
                 "bench", "run", str(config),
-                "--out", str(tmp_path / "run"), "--no-history",
-                "--workers", "1",
+                "--out", str(tmp_path / "run"), "--workers", "1",
             ]
         )
         assert rc == 1
@@ -206,50 +177,6 @@ class TestCli:
 
         config = tmp_path / "bad.yml"
         config.write_text("name: x\nexperiments: []\n")
-        rc = main(["bench", "run", str(config), "--no-history"])
+        rc = main(["bench", "run", str(config)])
         assert rc == 1
         assert "matrix config error" in capsys.readouterr().err
-
-
-class TestHistoryEntryMapping:
-    """Which trajectory family a cell's row is filed under comes from
-    the registry entry of its kind; ``sim`` is the one kind without."""
-
-    def test_micro_cell_maps_to_store_micro_family(self):
-        from repro.bench.registry import REGISTRY
-        from repro.matrix.cells import cells_for_experiment
-
-        cfg = parse_config(
-            {
-                "name": "t",
-                "experiments": [{"name": "m", "kind": "micro"}],
-            }
-        )
-        cell = cells_for_experiment(cfg.experiments[0])[0]
-        report = {
-            "benchmark": "store-micro",
-            "policy": "greedy",
-            "writes": 100,
-            "trials": 1,
-            "seed": 0,
-            "workloads": {
-                "uniform": {
-                    "batch": {
-                        "writes_per_sec": 1.0,
-                        "cycle_p95_ms": 0.1,
-                    },
-                    "scalar": {"writes_per_sec": 0.5},
-                    "speedup": 2.0,
-                }
-            },
-        }
-        entry = REGISTRY[cell.kind].headline(report)
-        assert entry["benchmark"] == "store-micro"
-        assert REGISTRY[cell.kind].family == "store-micro"
-
-    def test_sim_cell_has_no_history_family(self):
-        from repro.bench.registry import REGISTRY
-        from repro.matrix.cells import cells_for_experiment
-
-        cell = cells_for_experiment(tiny_config().experiments[0])[0]
-        assert cell.kind == "sim" and cell.kind not in REGISTRY

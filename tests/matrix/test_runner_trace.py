@@ -34,8 +34,7 @@ def tiny_config(policies=("age", "greedy")):
 class TestMatrixSpans:
     def test_run_writes_validating_span_file(self, tmp_path):
         run = run_matrix(
-            tiny_config(), out_dir=str(tmp_path / "out"), workers=1,
-            history=False,
+            tiny_config(), out_dir=str(tmp_path / "out"), workers=1
         )
         assert run.ok
         path = tmp_path / "out" / "spans.jsonl"
@@ -52,6 +51,6 @@ class TestMatrixSpans:
     def test_trace_false_skips_span_file(self, tmp_path):
         run_matrix(
             tiny_config(("age",)), out_dir=str(tmp_path / "out"),
-            workers=1, history=False, trace=False,
+            workers=1, trace=False,
         )
         assert not (tmp_path / "out" / "spans.jsonl").exists()

@@ -101,7 +101,6 @@ class TestEvaluation:
     def test_over_ceiling_fails_with_context(self):
         verdict = self._verdict(sustained=2.5)
         assert not verdict.passed
-        assert not verdict.advisory
         assert "2.500" in verdict.detail
         assert "objective" in verdict.detail
 

@@ -1,7 +1,5 @@
-"""The service CLI surface: serve, loadgen (``bench service`` is one of
+"""The service CLI surface: serve, loadgen (``bench latency`` is one of
 the registered kinds ``tests/bench/test_registry.py`` drives)."""
-
-import json
 
 from repro.cli import main
 
@@ -14,25 +12,17 @@ QUICK = [
 class TestServe:
     def test_serve_reports_and_exports(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
-        history = tmp_path / "history.jsonl"
-        code = main(
-            ["serve", *QUICK, "--metrics-out", str(metrics),
-             "--history", str(history)]
-        )
+        code = main(["serve", *QUICK, "--metrics-out", str(metrics)])
         assert code == 0
         out = capsys.readouterr().out
         assert "writes/sec" in out
         assert "Wamp" in out
         assert metrics.exists()
-        entry = json.loads(history.read_text().strip())
-        assert entry["benchmark"] == "service-serve"
-        assert entry["shards"] == 4
-        assert entry["writes_per_sec"] > 0
 
     def test_serve_metrics_validate(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
         assert main(
-            ["serve", *QUICK, "--metrics-out", str(metrics), "--no-history"]
+            ["serve", *QUICK, "--metrics-out", str(metrics)]
         ) == 0
         capsys.readouterr()
         assert main(["obs", "validate", str(metrics)]) == 0
@@ -42,8 +32,7 @@ class TestServe:
         m1, m2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
         for path in (m1, m2):
             assert main(
-                ["serve", *QUICK, "--seed", "5", "--metrics-out", str(path),
-                 "--no-history"]
+                ["serve", *QUICK, "--seed", "5", "--metrics-out", str(path)]
             ) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
@@ -57,8 +46,7 @@ class TestLoadgenRoundtrip:
         assert trace.exists()
         metrics = tmp_path / "metrics.jsonl"
         code = main(
-            ["serve", "--from", str(trace), "--metrics-out", str(metrics),
-             "--no-history"]
+            ["serve", "--from", str(trace), "--metrics-out", str(metrics)]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -70,21 +58,19 @@ class TestLoadgenRoundtrip:
         assert main(["loadgen", str(trace), *QUICK, "--seed", "3"]) == 0
         live, replay = tmp_path / "live.jsonl", tmp_path / "replay.jsonl"
         assert main(
-            ["serve", *QUICK, "--seed", "3", "--metrics-out", str(live),
-             "--no-history"]
+            ["serve", *QUICK, "--seed", "3", "--metrics-out", str(live)]
         ) == 0
         assert main(
-            ["serve", "--from", str(trace), "--metrics-out", str(replay),
-             "--no-history"]
+            ["serve", "--from", str(trace), "--metrics-out", str(replay)]
         ) == 0
         assert live.read_bytes() == replay.read_bytes()
 
     def test_serve_from_missing_file_errors(self, tmp_path, capsys):
         assert main(
-            ["serve", "--from", str(tmp_path / "nope.jsonl"), "--no-history"]
+            ["serve", "--from", str(tmp_path / "nope.jsonl")]
         ) == 1
         assert "serve error" in capsys.readouterr().err
 
     def test_serve_bad_config_is_an_error_not_a_traceback(self, capsys):
-        assert main(["serve", "--quick", "--tick-every", "0", "--no-history"]) == 1
+        assert main(["serve", "--quick", "--tick-every", "0"]) == 1
         assert "serve error: tick_every must be >= 1" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from repro.cli import main
 
 QUICK = [
     "--quick", "--ops", "2500", "--keys-per-tenant", "192",
-    "--tick-every", "128", "--no-history",
+    "--tick-every", "128",
 ]
 
 

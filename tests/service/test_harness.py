@@ -1,4 +1,4 @@
-"""Harness determinism, the op-trace roundtrip, and the serial baseline."""
+"""Harness determinism and the op-trace roundtrip."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ from repro.service import (
     read_ops_jsonl,
     replay_ops,
     run_harness,
-    run_serial_baseline,
     shard_config,
     write_ops_jsonl,
 )
@@ -129,15 +128,6 @@ class TestResults:
         assert result.keys_live > 0
         assert result.writes_per_sec > 0
         assert "writes/sec" in result.report()
-
-    def test_serial_baseline_runs_unbatched(self):
-        cfg = quick_cfg()
-        result = run_serial_baseline(cfg)
-        assert result.shards == 1
-        assert result.ops == cfg.ops
-        assert result.batches_flushed == 0
-        assert result.queue_depth_p95 == 0
-        assert result.keys_live > 0
 
     def test_result_dict_roundtrip(self):
         result = run_harness(quick_cfg(ops=800))
