@@ -13,7 +13,6 @@ from repro.bench.experiments import (
     table1_experiment,
     table2_experiment,
 )
-from repro.bench.charts import bar_chart, line_plot
 from repro.bench.runner import (
     SimulationResult,
     drive,
@@ -29,9 +28,7 @@ __all__ = [
     "SimulationResult",
     "ablation_batch_experiment",
     "ablation_estimator_experiment",
-    "bar_chart",
     "demo_experiment",
-    "line_plot",
     "make_workload",
     "fig3_experiment",
     "fig4_experiment",

@@ -11,9 +11,7 @@ Usage (installed as ``repro``, or ``python -m repro``):
     repro ablation               # estimator + batch-size ablations
     repro simulate --policy mdc --dist zipf-80-20 --fill 0.8
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
-    repro bench latency          # one registered benchmark kind (also
-                                 #   sweep)
-    repro bench run config.yml   # a declarative experiment matrix + gates
+    repro bench latency          # the service's flush-stall report
     repro serve --shards 4       # drive the sharded service front-end
     repro loadgen ops.jsonl      # record a deterministic client op trace
     repro top telemetry.jsonl    # live per-shard dashboard + SLO burn
@@ -39,11 +37,11 @@ reports aggregate writes/sec, per-shard Wamp, and queue depth.  The
 same seed and parameters reproduce the same load byte for byte, so a
 recorded trace and the in-process generator are interchangeable.
 
-``repro bench <kind>`` is generated from the benchmark registry
-(``repro.bench.registry``): each kind's flags are its declared
-parameters — the same names a matrix config uses — plus one shared
-``--out/--check/--tolerance/--quick/--seed`` block, and one handler
-runs, renders, writes (only where ``--out`` says) and gates any kind.
+``repro bench latency`` runs ``repro.service.latency``: a seeded,
+clock-free report of what foreground flushes waited behind, written only
+where ``--out`` says and gated against a committed report with
+``--check`` (``BENCH_latency.json`` is that report at the default
+shape).
 
 ``repro sweep`` runs a whole experiment grid through the parallel
 orchestrator (``repro.sweep``): jobs fan out over worker processes, each
@@ -219,58 +217,6 @@ def _experiment_runner(args: argparse.Namespace):
     )
 
 
-def _add_bench_kinds(bench_sub) -> None:
-    """One ``repro bench <kind>`` subparser per registered benchmark:
-    a flag per declared parameter (named as in a matrix config) plus
-    the shared output/gate block."""
-    from repro.bench.registry import REGISTRY
-
-    for bench in REGISTRY.values():
-        p = bench_sub.add_parser(bench.kind, help=bench.help)
-        for name, default in bench.params.items():
-            if name != "quick":  # the shared flag below
-                p.add_argument(
-                    "--" + name.replace("_", "-"), dest=name,
-                    # None: the kind's own shape decides; an integer.
-                    type=int if default is None else type(default),
-                    default=argparse.SUPPRESS,
-                    help="default: %s" % (default,),
-                )
-        p.add_argument(
-            "--out", default=None,
-            help="write the JSON report here (default: nowhere)",
-        )
-        p.add_argument(
-            "--check", default=None, metavar="BASELINE",
-            help="gate against a committed report of the same "
-            "benchmark; exit 1 on a violation",
-        )
-        p.add_argument(
-            "--tolerance", type=float, default=None,
-            help="fractional slack for --check (default: the kind's own)",
-        )
-        p.add_argument(
-            "--quick", action="store_true",
-            help="the quick shape: %s" % dict(bench.quick),
-        )
-        _add_seed(p)
-
-
-def _bench_values(bench, args: argparse.Namespace) -> dict:
-    """The parameter point of one ``repro bench <kind>`` invocation:
-    declared defaults, then the ``--quick`` overrides, then the flags
-    actually given."""
-    values = dict(bench.params)
-    if args.quick:
-        values.update(bench.quick)
-    values.update(
-        (name, getattr(args, name))
-        for name in bench.params
-        if name != "quick" and hasattr(args, name)
-    )
-    return values
-
-
 #: The serial experiment commands: help text and the ``SWEEP_GRIDS``
 #: entries each prints, in order.  The grid entry owns the experiment
 #: function and the base write multiplier, for the serial and the
@@ -362,51 +308,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
 
     p = sub.add_parser(
-        "bench",
-        help="benchmarks of the simulator itself: one registered kind, "
-        "or a declarative matrix (run)",
+        "bench", help="the service's seeded, clock-free benchmark report"
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    _add_bench_kinds(bench_sub)
     p = bench_sub.add_parser(
-        "run",
-        help="run a declarative experiment-matrix config: expand the "
-        "matrix, execute every cell (resumably), evaluate the gates, "
-        "and render a markdown regression report",
+        "latency",
+        help="tail latency: p99 flush stall against one cleaner step budget",
     )
     p.add_argument(
-        "config", metavar="CONFIG",
-        help="YAML or JSON matrix config (see benchmarks/configs/ and "
-        "EXPERIMENTS.md for the grammar)",
+        "--ops", type=int, default=None,
+        help="total client ops (default 200000; --quick: 24000)",
     )
     p.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="output directory for the manifest, metrics, report.md and "
-        "gates.json (default bench_runs/<config name>)",
+        "--out", default=None,
+        help="write the JSON report here (default: nowhere)",
     )
     p.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted run from the manifest in --out; "
-        "completed cells are skipped",
+        "--check", default=None, metavar="BASELINE",
+        help="gate against a committed latency report; exit 1 on a "
+        "violation",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
-        help="concurrent worker processes (default: CPU count; clamped "
-        "to the CPU count)",
+        "--quick", action="store_true",
+        help="the harness's quick shape (24000 ops, 1024 keys per tenant)",
     )
-    p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-cell wall-clock limit in seconds",
-    )
-    p.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts for a failing cell (default 1)",
-    )
-    p.add_argument(
-        "--sample-interval", type=int, default=None,
-        help="clock ticks between time-series samples for obs "
-        "experiments (default: a quarter of the store's user pages)",
-    )
+    _add_seed(p)
 
     p = sub.add_parser(
         "serve",
@@ -997,103 +923,33 @@ def _run_loadgen_command(args: argparse.Namespace) -> int:
 
 
 def _run_bench_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench ...``."""
-    if args.bench_command == "run":
-        return _run_bench_matrix_command(args)
-    return _run_bench_kind_command(args)
+    """``repro bench latency``: run, render, write, gate."""
+    from repro.service import latency
 
-
-def _run_bench_kind_command(args: argparse.Namespace) -> int:
-    """``repro bench <kind>``: run, render, write, gate."""
-    from repro.bench.registry import REGISTRY, write_report
-
-    bench = REGISTRY[args.bench_command]
     baseline = None
     if args.check:
         # Before the run: a wrong file should not cost a benchmark.
         try:
-            baseline = bench.load_baseline(args.check)
+            baseline = latency.load_report(args.check)
         except (OSError, ValueError) as exc:
             print(
-                "bench %s: cannot gate against %s: %s"
-                % (bench.kind, args.check, exc),
+                "bench latency: cannot gate against %s: %s"
+                % (args.check, exc),
                 file=sys.stderr,
             )
             return 1
-    report = bench.run(seed=args.seed, **_bench_values(bench, args))
-    print(bench.render(report))
+    report = latency.run(ops=args.ops, quick=args.quick, seed=args.seed)
+    print(latency.render(report))
     if args.out:
-        write_report(report, args.out)
+        latency.write_report(report, args.out)
         print("report written to %s" % args.out)
-    problems = bench.check(report, baseline, args.tolerance)
+    problems = latency.check(report, baseline)
     for problem in problems:
-        print("%s regression: %s" % (bench.kind, problem), file=sys.stderr)
+        print("latency regression: %s" % problem, file=sys.stderr)
     if problems:
         return 1
     if args.check:
-        print("no %s regression vs %s" % (bench.kind, args.check))
-    return 0
-
-
-def _run_bench_matrix_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro bench run CONFIG``: the declarative matrix."""
-    from repro.matrix import MatrixConfigError, load_config, run_matrix
-    from repro.matrix.gates import blocking_failures
-    from repro.sweep.report import ProgressPrinter
-    from repro.sweep.spec import SweepError
-
-    try:
-        config = load_config(args.config)
-    except MatrixConfigError as exc:
-        print("matrix config error: %s" % exc, file=sys.stderr)
-        return 1
-    try:
-        run = run_matrix(
-            config,
-            out_dir=args.out,
-            resume=args.resume,
-            workers=args.workers,
-            timeout=args.timeout,
-            retries=args.retries,
-            progress=ProgressPrinter(),
-            sample_interval=args.sample_interval,
-        )
-    except (MatrixConfigError, SweepError) as exc:
-        print("matrix run error: %s" % exc, file=sys.stderr)
-        return 1
-    print(run.markdown)
-    print("report written to %s" % run.report_path)
-    print("gate verdicts written to %s" % run.gates_path)
-    failed = False
-    if run.stats.failed:
-        for f in run.stats.failed:
-            print(
-                "matrix cell failed: %s after %d attempt(s): %s"
-                % (f.label, f.attempts, f.error),
-                file=sys.stderr,
-            )
-        failed = True
-    for problem in run.obs_problems:
-        print("obs schema problem: %s" % problem, file=sys.stderr)
-        failed = True
-    for verdict in blocking_failures(run.verdicts):
-        print(
-            "gate FAILED: %s/%s (%s): %s"
-            % (verdict.experiment, verdict.name, verdict.type, verdict.detail),
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print(
-        "matrix %s: %d cell(s), %d resumed, %d gate(s) passed"
-        % (
-            config.name,
-            run.stats.total,
-            run.stats.skipped,
-            sum(1 for v in run.verdicts if v.passed),
-        )
-    )
+        print("no latency regression vs %s" % args.check)
     return 0
 
 

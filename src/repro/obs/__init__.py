@@ -12,8 +12,8 @@ surface:
   spans with deterministic IDs and head sampling; Chrome trace export
   and the flush-stall critical-path analyzer live alongside them in
   :mod:`repro.obs.trace`.
-* :class:`SLOTracker` — multi-window burn-rate evaluation backing the
-  ``kind: slo`` matrix gate.
+* :class:`SLOTracker` — multi-window burn-rate evaluation of the
+  service's flush-stall stream.
 * :mod:`repro.obs.clock` — the shared monotonic wall clock every
   timing field (spans, benches, telemetry) is stamped against.
 * :mod:`repro.obs.export` — JSONL/CSV writers, validation, aggregation.

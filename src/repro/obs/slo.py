@@ -13,8 +13,7 @@ service is tick-driven, not wall-clock-driven, so sample windows keep
 the math deterministic).  The *sustained* burn — the minimum across
 windows — only rises when every window is burning, which filters
 one-flush blips; the *worst* burn (maximum) surfaces short spikes.
-The ``kind: slo`` matrix gate compares sustained burn against a
-ceiling.
+Sustained burn above 1.0 is what the report calls ``burning``.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ class SLOTracker:
         objective: Target good fraction in ``[0, 1)`` — e.g. ``0.95``
             allows 5% of events to exceed the threshold.
         threshold: A recorded value strictly above this is a bad event.
-            The default of 32.0 pages matches one incremental cleaner
-            step budget: a flush that stalls behind more than one step's
-            worth of GC writes is out of budget.
+            The service passes its ``pages_per_step`` (default 32),
+            one incremental cleaner step budget: a flush that stalls
+            behind more than one step's worth of GC writes is out of
+            budget.
         windows: Trailing window lengths, in samples, shortest first.
     """
 

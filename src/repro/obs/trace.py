@@ -50,8 +50,8 @@ __all__ = [
 
 #: Sentinel: ``start(parent=_STACK)`` means "parent is the current top
 #: of the span stack" (the common, nested case).  Passing an explicit
-#: span (or ``None`` for a detached root) bypasses the stack — used by
-#: the sweep pool, where jobs overlap and stack discipline would lie.
+#: span (or ``None`` for a detached root) bypasses the stack — for
+#: work that overlaps, where stack discipline would lie.
 _STACK = object()
 
 
@@ -216,7 +216,7 @@ class Tracer:
         top of the stack (and is pushed, so later ``start`` calls nest
         under it).  An explicit ``parent`` span — or ``None`` for a
         detached root — bypasses the stack entirely; that is the form
-        for overlapping work like pool job dispatch.
+        for overlapping work.
         """
         on_stack = parent is _STACK
         parent_span: Optional[Span]

@@ -21,16 +21,16 @@ out of the flush path.
 The report carries no clock, so it is a pure function of the run shape
 and the seed (put latencies in time are ``write_p50_us`` /
 ``write_tail_us`` of ``benchmarks/stack``).  ``BENCH_latency.json`` is
-the committed report at the default shape (see EXPERIMENTS.md): CI's
-bench-gates job re-runs that shape and gates it against the file, and
-``tests/bench/test_registry.py`` pins that the run reproduces it
-exactly.  The kind's parameters and defaults are declared in
-:mod:`repro.bench.registry`.
+the committed report at the default shape (see EXPERIMENTS.md), and
+``tests/service/test_latency.py`` pins that re-running that shape passes
+:func:`check` against the file and reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 from typing import Dict, List, Optional
 
 from repro.obs import PAGES_EDGES
@@ -110,8 +110,7 @@ def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
         "gc_governed_pages": counters.get("gc_governed_pages", 0),
         "gc_deferred_shards": counters.get("gc_deferred_shards", 0),
         "gc_governed_steps": counters.get("gc_governed_steps", 0),
-        # Burn-rate view over the same flush-stall stream; the
-        # ``kind: slo`` matrix gate reads it from here.
+        # Burn-rate view over the same flush-stall stream.
         "slo": service.slo.report(),
     }
     service.close()
@@ -141,18 +140,13 @@ def render(report: Dict) -> str:
     )
 
 
-def check(
-    report: Dict,
-    baseline: Optional[Dict] = None,
-    tolerance: Optional[float] = None,
-) -> List[str]:
+def check(report: Dict, baseline: Optional[Dict] = None) -> List[str]:
     """Acceptance checks: cleaning ran, and the p99 flush stall fits
     inside one cleaner step budget; against a committed ``baseline``,
     aggregate Wamp must also not exceed the baseline's by more than
-    ``tolerance`` (relative; default :data:`WAMP_SLACK`).  Wamp depends
-    on the run shape, so a baseline recorded at another one (any
-    ``config`` key but ``seed`` differs) is a problem, not a
-    comparison."""
+    :data:`WAMP_SLACK` (relative).  Wamp depends on the run shape, so a
+    baseline recorded at another one (any ``config`` key but ``seed``
+    differs) is a problem, not a comparison."""
     problems = []
     wamp = report["wamp_aggregate"]
     if wamp <= 0:
@@ -179,12 +173,35 @@ def check(
                 "baseline recorded at another shape: " + ", ".join(moved)
             )
             return problems
-        margin = WAMP_SLACK if tolerance is None else tolerance
         base_wamp = baseline["wamp_aggregate"]
-        if wamp > base_wamp * (1.0 + margin):
+        if wamp > base_wamp * (1.0 + WAMP_SLACK):
             problems.append(
                 "Wamp %.4f exceeds the committed baseline %.4f by more "
                 "than %.0f%% — bounded stalls are being bought with extra "
-                "GC writes" % (wamp, base_wamp, 100 * margin)
+                "GC writes" % (wamp, base_wamp, 100 * WAMP_SLACK)
             )
     return problems
+
+
+def write_report(report: Dict, path: str) -> None:
+    """Write a report as ``BENCH_latency.json`` is written (indented,
+    keys sorted), creating the directory if need be."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_report(path: str) -> Dict:
+    """Load a committed report; a file holding anything else (another
+    benchmark family's report, a non-object) is a ``ValueError``."""
+    with open(path) as fh:
+        report = json.load(fh)
+    found = report.get("benchmark") if isinstance(report, dict) else None
+    if found != "latency":
+        raise ValueError(
+            "%s holds a %r report, not a 'latency' report" % (path, found)
+        )
+    return report

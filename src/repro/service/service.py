@@ -30,7 +30,7 @@ default so the metrics export stays byte-deterministic):
   the flush/maintain/clean work it triggers form one causal span tree.
 * Every flush's stall pages feed an :class:`~repro.obs.SLOTracker`
   (``service.slo``) — multi-window burn rates over the flush-stall
-  stream, embedded in bench results for the ``kind: slo`` matrix gate.
+  stream, embedded in the ``repro bench latency`` report.
 * :meth:`telemetry_to` appends one ``telemetry`` row per tick (wall
   time, per-shard Wamp/fill/queue/stall, SLO state) — the file
   ``repro top`` tails.
@@ -117,7 +117,7 @@ class Service:
         self.queue.after_flush = self._after_flush
         #: Flush-stall SLO: a flush stalling behind more than one
         #: cleaner step's worth of GC pages is a bad event.
-        self.slo = SLOTracker()
+        self.slo = SLOTracker(threshold=float(pages_per_step))
         self.queue.on_stall = self.slo.record
         #: Trace plane — ``None`` until :meth:`attach_tracer`.
         self.tracer = None

@@ -213,7 +213,7 @@ class SweepStats:
 class _PoolWorker:
     """Parent-side handle of one pool worker."""
 
-    __slots__ = ("proc", "conn", "spec", "attempt", "started", "span")
+    __slots__ = ("proc", "conn", "spec", "attempt", "started")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
@@ -222,8 +222,6 @@ class _PoolWorker:
         self.spec: Optional[JobSpec] = None
         self.attempt = 0
         self.started = 0.0
-        #: Parent-side dispatch span for the in-flight job, if traced.
-        self.span = None
 
     @property
     def busy(self) -> bool:
@@ -239,7 +237,6 @@ def run_sweep(
     job_runner: Callable[[Dict], Dict] = execute_job,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     start_method: Optional[str] = None,
-    tracer=None,
 ) -> "tuple[Dict[str, Dict], SweepStats]":
     """Run a job grid, return ``(results_by_digest, stats)``.
 
@@ -276,33 +273,10 @@ def run_sweep(
             (``"fork"``, ``"spawn"``, ``"forkserver"``); None uses the
             platform default.  Results are identical either way — only
             the bootstrap cost differs.
-        tracer: Optional :class:`repro.obs.Tracer`.  The parent records
-            one detached ``sweep.run`` root span plus a ``sweep.job``
-            span per dispatch (covering ship-to-worker through
-            result-drained, i.e. job wall time as the parent sees it).
-            Jobs run in other processes, so the spans are parent-side
-            and detached from the tracer's span stack — overlapping
-            jobs cannot nest.
     """
     start = time.perf_counter()
     requested = max(1, workers)
     stats = SweepStats(workers=requested, workers_requested=requested)
-    sweep_root = (
-        tracer.start("sweep.run", parent=None, workers=requested)
-        if tracer is not None
-        else None
-    )
-
-    def job_span(spec: JobSpec, attempt: int):
-        if tracer is None:
-            return None
-        return tracer.start(
-            "sweep.job", parent=sweep_root, label=spec.label, attempt=attempt
-        )
-
-    def finish_span(span, status: str) -> None:
-        if span is not None:
-            tracer.finish(span, status=status)
 
     unique: Dict[str, JobSpec] = {}
     for spec in specs:
@@ -383,19 +357,14 @@ def run_sweep(
         stats.workers = 1 if requested <= 1 else 0
         while pending:
             spec, attempt = pending.popleft()
-            span = job_span(spec, attempt)
             t0 = time.perf_counter()
             try:
                 payload = job_runner(spec.to_dict())
             except Exception as exc:
-                finish_span(span, "error")
                 finish_failure(spec, attempt, "%s: %s" % (type(exc).__name__, exc))
             else:
-                finish_span(span, "ok")
                 finish_ok(spec, attempt, payload, time.perf_counter() - t0)
         stats.wall_seconds = time.perf_counter() - start
-        if sweep_root is not None:
-            tracer.finish(sweep_root, executed=stats.executed)
         _record_run(manifest, stats)
         return results, stats
 
@@ -413,11 +382,9 @@ def run_sweep(
     def spawn_worker() -> _PoolWorker:
         t0 = time.perf_counter()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        # Not daemonic: a job may legitimately spawn its own pool (the
-        # sweep bench runs as a matrix cell inside a worker),
-        # and daemonic processes cannot have children.  An orphaned
-        # worker still exits on its own — losing the parent closes the
-        # pipe and the worker's recv sees EOF.
+        # Not daemonic, and it need not be: an orphaned worker exits on
+        # its own, because losing the parent closes the pipe and the
+        # worker's recv sees EOF.
         proc = ctx.Process(
             target=_pool_worker_main,
             args=(job_runner, child_conn),
@@ -435,7 +402,6 @@ def run_sweep(
         worker.spec = spec
         worker.attempt = attempt
         worker.started = t0
-        worker.span = job_span(spec, attempt)
 
     def recycle(worker: _PoolWorker, pool: List[_PoolWorker]) -> None:
         """Replace a dead/killed worker if there is still work for it."""
@@ -498,8 +464,6 @@ def run_sweep(
                 elif timeout is not None and now - worker.started > timeout:
                     spec, attempt = worker.spec, worker.attempt
                     worker.spec = None
-                    finish_span(worker.span, "timeout")
-                    worker.span = None
                     # Requeue (finish_failure) BEFORE the recycle
                     # decision, so the replacement worker is spawned
                     # when the retry is the only work left.
@@ -517,8 +481,6 @@ def run_sweep(
                 took = now - worker.started
                 if crashed:
                     worker.spec = None
-                    finish_span(worker.span, "crashed")
-                    worker.span = None
                     finish_failure(
                         spec,
                         attempt,
@@ -529,8 +491,6 @@ def run_sweep(
                     continue
                 worker.spec = None
                 _, status, payload = outcome
-                finish_span(worker.span, status)
-                worker.span = None
                 if status == "ok":
                     finish_ok(spec, attempt, payload, took)
                 else:
@@ -551,8 +511,6 @@ def run_sweep(
                 pass
 
     stats.wall_seconds = time.perf_counter() - start
-    if sweep_root is not None:
-        tracer.finish(sweep_root, executed=stats.executed)
     _record_run(manifest, stats)
     return results, stats
 

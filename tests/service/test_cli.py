@@ -1,5 +1,5 @@
-"""The service CLI surface: serve, loadgen (``bench latency`` is one of
-the registered kinds ``tests/bench/test_registry.py`` drives)."""
+"""The service CLI surface: serve, loadgen (``bench latency`` is driven
+by ``TestCommand`` in ``tests/service/test_latency.py``)."""
 
 from repro.cli import main
 

@@ -3,16 +3,27 @@
 The property the governor exists for rides here: what a foreground
 flush waits behind is bounded by pages — measured through the service's
 own ``flush_stall_pages`` histogram, the same signal ``repro bench
-latency`` gates on.
+latency`` gates on.  ``TestCommittedReport`` is the service stack's
+counterpart of ``test_golden_digests.py`` (TESTING.md says when to
+re-record ``BENCH_latency.json``); ``TestCommand`` drives the CLI.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
+from repro.cli import main
 from repro.obs import PAGES_EDGES, MetricsRegistry
 from repro.service.harness import HarnessConfig, build_service, ops_stream
-from repro.service.latency import check, latency_config, render, run
+from repro.service.latency import (
+    check,
+    latency_config,
+    load_report,
+    render,
+    run,
+    write_report,
+)
 from repro.service.pool import StorePool
 from repro.service.service import Service
 from repro.store import StoreConfig
@@ -236,26 +247,28 @@ class TestLatencyContrast:
         assert "<= 16 pages" in text
 
     def test_regression_check_catches_ratio_drift(self, latency_report):
-        """Wamp more than ``margin`` above the baseline's is a problem."""
+        """Wamp more than ``WAMP_SLACK`` above the baseline's is a
+        problem."""
         drifted = dict(
             latency_report,
             wamp_aggregate=latency_report["wamp_aggregate"] * 1.4,
         )
-        assert check(drifted, latency_report, 0.25)
-        assert check(latency_report, latency_report, 0.25) == []
+        assert check(drifted, latency_report)
+        assert check(latency_report, latency_report) == []
 
     def test_baseline_of_another_shape_is_a_problem(self, latency_report):
         """CI used to pass the quick shape (Wamp 0.1088) against the
         200k-op baseline's 0.2025, a ceiling 2.33x what the run
-        measures.  Wamp depends on the shape, so that is no comparison
-        at any tolerance."""
-        full = dict(
-            latency_report,
-            wamp_aggregate=2 * latency_report["wamp_aggregate"],
-            config=dataclasses.asdict(latency_config(quick=False)),
-        )
-        for tolerance in (None, 0.25, 100.0):
-            assert check(latency_report, full, tolerance) == [
+        measures.  Wamp depends on the shape, so that is no comparison,
+        whichever way the numbers fall."""
+        config = dataclasses.asdict(latency_config(quick=False))
+        for factor in (0.5, 1.0, 2.0):
+            full = dict(
+                latency_report,
+                wamp_aggregate=factor * latency_report["wamp_aggregate"],
+                config=config,
+            )
+            assert check(latency_report, full) == [
                 "baseline recorded at another shape: ops 200000 vs 16000, "
                 "keys_per_tenant 4096 vs 1024, sample_interval None vs 2048"
             ]
@@ -266,9 +279,9 @@ class TestLatencyContrast:
             seed=1,
             config=dict(latency_report["config"], seed=1),
         )
-        assert check(latency_report, other, 0.25) == []
+        assert check(latency_report, other) == []
         other["wamp_aggregate"] = latency_report["wamp_aggregate"] / 1.4
-        (problem,) = check(latency_report, other, 0.25)
+        (problem,) = check(latency_report, other)
         assert "exceeds the committed baseline" in problem
 
 
@@ -295,3 +308,133 @@ class TestGateLogic:
         report = self._report(16.0)
         assert check(report) == []
         assert check(report, report) == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+COMMITTED = ROOT / "BENCH_latency.json"
+
+
+@pytest.fixture(scope="module")
+def committed_rerun():
+    """``(baseline, report)``: the committed file, and one run at its
+    own shape and seed (200k ops, ~3 s)."""
+    baseline = load_report(str(COMMITTED))
+    report = run(
+        ops=baseline["config"]["ops"],
+        quick=baseline["quick"],
+        seed=baseline["seed"],
+    )
+    return baseline, report
+
+
+class TestCommittedReport:
+    def test_rerun_reproduces_the_file_byte_for_byte(
+        self, committed_rerun, tmp_path
+    ):
+        _, report = committed_rerun
+        out = tmp_path / "report.json"
+        write_report(report, str(out))
+        assert out.read_bytes() == COMMITTED.read_bytes()
+
+    def test_rerun_passes_every_gate_ci_used_to_evaluate(
+        self, committed_rerun
+    ):
+        """Implied by byte identity with a file that passes; stated, so
+        a re-recorded file that does not pass fails here by name."""
+        baseline, report = committed_rerun
+        assert check(report, baseline) == []
+        p99 = report["flush_stall_p99_pages"]
+        step = report["config"]["pages_per_step"]
+        assert p99 <= step, "p99 flush stall %.1f pages vs step budget %d" % (
+            p99, step,
+        )
+        slo = report["slo"]
+        assert slo["threshold"] == step
+        assert slo["sustained_burn"] <= 1.0, (
+            "sustained burn %.3f over %d flushes (%d bad)"
+            % (slo["sustained_burn"], slo["samples"], slo["bad"])
+        )
+
+    def test_run_is_a_pure_function_of_its_parameters(self):
+        tiny = dict(ops=4000, quick=True, seed=3)
+        assert run(**tiny) == run(**tiny)
+
+    def test_load_report_refuses_what_is_not_a_latency_report(self, tmp_path):
+        other = tmp_path / "other.json"
+        write_report({"benchmark": "stack", "wamp_aggregate": 0.0}, str(other))
+        with pytest.raises(ValueError, match="'stack' report, not a 'latency'"):
+            load_report(str(other))
+        other.write_text("[]\n")
+        with pytest.raises(ValueError, match="None report"):
+            load_report(str(other))
+
+
+#: Flags of a run small enough for tier-1 (~0.3 s).
+TINY = ["--quick", "--ops", "4000"]
+
+
+class TestCommand:
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "latency", "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--quick", "--ops", "--seed", "--out", "--check"):
+            assert flag in text
+
+    def test_out_writes_a_loadable_report(self, tmp_path, capsys):
+        out = tmp_path / "nested" / "report.json"
+        code = main(
+            ["bench", "latency", *TINY, "--seed", "3", "--out", str(out)]
+        )
+        stdout = capsys.readouterr().out
+        report = load_report(str(out))
+        assert report["seed"] == 3 and report["config"]["ops"] == 4000
+        # (First line only: the file sorts keys, the table need not.)
+        assert render(report).splitlines()[0] in stdout
+        # The exit status is the gate's verdict on this run.
+        assert code == (1 if check(report) else 0), stdout
+
+    def test_without_out_the_command_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A bare run used to replace the committed report in the
+        working directory."""
+        monkeypatch.chdir(tmp_path)
+        main(["bench", "latency", *TINY])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_refuses_a_non_latency_report_before_running(
+        self, tmp_path, capsys
+    ):
+        other = tmp_path / "other.json"
+        write_report({"benchmark": "stack"}, str(other))
+        code = main(["bench", "latency", *TINY, "--check", str(other)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "cannot gate against" in captured.err
+        assert "'stack' report, not a 'latency'" in captured.err
+        assert captured.out == ""  # no run was rendered
+        missing = str(tmp_path / "missing.json")
+        assert main(["bench", "latency", *TINY, "--check", missing]) == 1
+        assert "cannot gate against" in capsys.readouterr().err
+
+    def test_check_passes_against_a_report_of_the_same_shape(
+        self, latency_report, tmp_path, capsys
+    ):
+        baseline = tmp_path / "baseline.json"
+        write_report(latency_report, str(baseline))
+        code = main(
+            ["bench", "latency", "--quick", "--ops", "16000",
+             "--check", str(baseline)]
+        )
+        assert code == 0
+        assert "no latency regression vs" in capsys.readouterr().out
+
+    def test_check_refuses_the_committed_shape_from_a_quick_run(self, capsys):
+        code = main(["bench", "latency", *TINY, "--check", str(COMMITTED)])
+        assert code == 1
+        assert (
+            "baseline recorded at another shape: ops 200000 vs 4000"
+            in capsys.readouterr().err
+        )

@@ -242,6 +242,15 @@ class TestRefusedFlush:
 
 
 class TestObservability:
+    def test_slo_threshold_is_the_governors_step_budget(self):
+        """The flush-stall SLO used to burn above 32 pages whatever
+        ``pages_per_step`` was, so at 16 a 17-page stall was good."""
+        svc = make_service(pages_per_step=16)
+        assert svc.slo.threshold == svc.pool.pages_per_step == 16
+        assert svc.queue.on_stall(16) is False
+        assert svc.queue.on_stall(17) is True
+        assert svc.slo.report()["bad"] == 1
+
     def test_telemetry_shard_depth_counts_client_ops(self):
         svc = make_service(1, batch_size=1000, flush_interval=1000)
         for value in (b"1", b"2", b"3"):
