@@ -28,6 +28,7 @@ from repro.bench.runner import run_simulation
 from repro.bench.tables import format_series, format_table
 from repro.policies import FIGURE3_POLICIES, FIGURE5_POLICIES
 from repro.store import StoreConfig
+from repro.store.config import DEFAULT_SORT_BUFFER
 from repro.tpcc import TpccScale, generate_tpcc_trace
 from repro.workloads import (
     HotColdWorkload,
@@ -44,10 +45,6 @@ FIGURE3_SKEWS = (50, 60, 70, 80, 90)
 #: Figure 4's x-axis, rescaled to our device (the paper sweeps up to
 #: 1024 of 51,200 segments = 2 %; 16 of 512 is 3 %, and 64 saturates).
 FIGURE4_BUFFERS = (0, 1, 4, 16, 64)
-
-#: Default sort-buffer for the separating MDC variants in comparative
-#: figures (Figure 4 shows 16 segments is already near-optimal).
-DEFAULT_SORT_BUFFER = 16
 
 
 @dataclasses.dataclass(frozen=True)

@@ -466,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-attribution", type=float, default=None, metavar="FRAC",
         help="exit 1 unless at least this fraction of tail samples "
-        "is attributed to a concrete child span",
+        "is attributed to a concrete child span (a file with no tail "
+        "sample fails: nothing was examined)",
     )
     p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -837,16 +838,25 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             )
             for cause, count in report["by_cause"].items():
                 print("  %-28s %4d sample(s)" % (cause, count))
-        if (
-            args.min_attribution is not None
-            and report["attribution_fraction"] < args.min_attribution
-        ):
-            print(
-                "critical-path attribution %.3f below required %.3f"
-                % (report["attribution_fraction"], args.min_attribution),
-                file=sys.stderr,
-            )
-            return 1
+        if args.min_attribution is not None:
+            if report["tail_samples"] == 0:
+                # 0 of 0 is not "all of them": a gate that examined no
+                # sample has checked nothing.
+                print(
+                    "critical-path gate examined nothing: %s has no "
+                    "stalled flush (0 tail samples), so --min-attribution "
+                    "%.3f is unmet; drive a run that stalls"
+                    % (args.file, args.min_attribution),
+                    file=sys.stderr,
+                )
+                return 1
+            if report["attribution_fraction"] < args.min_attribution:
+                print(
+                    "critical-path attribution %.3f below required %.3f"
+                    % (report["attribution_fraction"], args.min_attribution),
+                    file=sys.stderr,
+                )
+                return 1
     return 0
 
 

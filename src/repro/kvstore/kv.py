@@ -28,7 +28,13 @@ import numpy as np
 
 from repro.policies import make_policy
 from repro.policies.base import CleaningPolicy
-from repro.store import LogStructuredStore, StoreConfig, StoreError
+from repro.store import (
+    IN_BUFFER,
+    IN_RELOCATION,
+    LogStructuredStore,
+    StoreConfig,
+    StoreError,
+)
 
 Key = Union[str, bytes, int, Tuple]
 
@@ -221,11 +227,12 @@ class LogStructuredKVStore:
         return self.store.stats.write_amplification
 
     def space_report(self) -> Dict[str, float]:
-        """Occupancy of the value log."""
+        """Occupancy of the value log, on the store's own definition of
+        live (:meth:`~repro.store.LogStructuredStore.live_units_now`):
+        a record counts whether it sits in a segment, in the sorting
+        buffer, or staged by a cleaning cycle that is mid-flight."""
         cfg = self.store.config
-        live_units = int(self.store.segments.live_units.sum())
-        if self.store.buffer is not None:
-            live_units += self.store.buffer.used_units
+        live_units = self.store.live_units_now()
         return {
             "keys": len(self._slot_of),
             "live_bytes": live_units * self.unit_bytes,
@@ -234,16 +241,37 @@ class LogStructuredKVStore:
         }
 
     def check_consistency(self) -> None:
-        """Index, value map, and store must agree (test/debug aid)."""
+        """Index, value map, and store must agree (test/debug aid).
+
+        A live key's record is in exactly one of three places: a
+        segment, the sorting buffer (written, not yet drained — its
+        value is served from the value map like any other), or the
+        pages the *active* cleaning cycle has staged; the store's
+        ``check_invariants`` holds each of the two sentinels to its
+        backing (buffer membership, the active cursor's pending list).
+        Any other page-table state — never written, in flight — is a
+        key with no stored record.  And the records are all the store
+        holds: their units add up to its live units."""
         assert set(self._slot_of) == set(self._values)
         slots = list(self._slot_of.values())
         assert len(slots) == len(set(slots)), "slot double-booked"
+        store = self.store
+        pages = store.pages
+        units = 0
         for key, slot in self._slot_of.items():
-            seg, slot_idx = self.store.pages.location(slot)
-            assert seg != -1, "live key %r has no stored record" % (key,)
+            seg = pages.seg[slot]
+            assert seg >= 0 or seg in (IN_BUFFER, IN_RELOCATION), (
+                "live key %r has no stored record (page-table state %d)"
+                % (key, seg)
+            )
             expected = self._units(len(self._values[key]))
-            assert self.store.pages.size[slot] == expected
-        self.store.check_invariants()
+            assert pages.size[slot] == expected
+            units += expected
+        store.check_invariants()
+        assert store.live_units_now() == units, (
+            "store counts %d live units, the records add up to %d"
+            % (store.live_units_now(), units)
+        )
 
     def __repr__(self) -> str:
         report = self.space_report()

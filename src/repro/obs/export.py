@@ -62,6 +62,16 @@ _EVENT_KEYS = ("seq", "clock", "kind")
 _METRICS_KEYS = ("counters", "gauges", "histograms")
 _SPAN_KEYS = ("trace", "span", "name", "start_us", "dur_us")
 _TELEMETRY_KEYS = ("t_s", "clock", "shards", "slo")
+_TELEMETRY_SHARD_KEYS = (
+    "shard",
+    "wamp",
+    "fill",
+    "free_segments",
+    "buffered_units",
+    "queue_depth",
+    "write_stalls",
+    "stall_p99_pages",
+)
 
 
 class MetricsWriter:
@@ -227,6 +237,14 @@ def validate_rows(
             if _check_keys(row, _TELEMETRY_KEYS, where, errors):
                 if not isinstance(row["shards"], list):
                     errors.append("%s: shards must be a list" % where)
+                else:
+                    for j, shard in enumerate(row["shards"]):
+                        _check_keys(
+                            shard,
+                            _TELEMETRY_SHARD_KEYS,
+                            "%s shard %d" % (where, j),
+                            errors,
+                        )
     if runs == 0:
         errors.append("no meta header found")
     elif require_decisions and saw_rows_in_run and decisions_in_run == 0:

@@ -1,10 +1,10 @@
 """`repro top`: a live terminal view over a telemetry JSONL file.
 
 A running service (``repro serve --telemetry-out``) appends one
-``type: "telemetry"`` row per tick — per-shard Wamp/fill/queue depth/
-stall plus the SLO burn state.  ``repro top`` tails that file and
-renders the latest row as a fixed-width frame, like ``top`` over a
-procfile.
+``type: "telemetry"`` row per tick — per-shard Wamp/fill/free pool/
+buffered units/queue depth/stall plus the SLO burn state.  ``repro
+top`` tails that file and renders the latest row as a fixed-width
+frame, like ``top`` over a procfile.
 
 The file-following primitive (:func:`follow_lines`) is poll-based with
 bounded exponential backoff — no inotify dependency — and is shared
@@ -131,19 +131,20 @@ def render_top(row: Mapping[str, Any]) -> str:
         )
     lines.append("")
     lines.append(
-        "%5s  %7s  %-16s  %6s  %7s  %6s  %10s"
-        % ("shard", "wamp", "fill", "free", "queue", "stall", "stall_p99")
+        "%5s  %7s  %-16s  %6s  %6s  %7s  %6s  %10s"
+        % ("shard", "wamp", "fill", "free", "buf", "queue", "stall", "stall_p99")
     )
     for shard in row.get("shards") or []:
         fill = float(shard.get("fill", 0.0))
         lines.append(
-            "%5s  %7.4f  %s %0.2f  %6s  %7s  %6s  %10.1f"
+            "%5s  %7.4f  %s %0.2f  %6s  %6s  %7s  %6s  %10.1f"
             % (
                 shard.get("shard", "?"),
                 float(shard.get("wamp", 0.0)),
                 _bar(fill),
                 fill,
                 shard.get("free_segments", "?"),
+                shard.get("buffered_units", "?"),
                 shard.get("queue_depth", "?"),
                 shard.get("write_stalls", 0),
                 float(shard.get("stall_p99_pages", 0.0)),

@@ -208,7 +208,6 @@ def shard_config(cfg: HarnessConfig, n_shards: Optional[int] = None) -> StoreCon
         fill_factor=cfg.target_fill,
         clean_trigger=cfg.clean_trigger,
         clean_batch=cfg.clean_batch,
-        sort_buffer_segments=0,
     )
 
 

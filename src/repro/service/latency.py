@@ -61,10 +61,10 @@ def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
         batch_size=64,
         flush_interval=2,
         tick_every=128,
-        # Enough proactive headroom that idle rounds can absorb a whole
-        # flush's segment consumption, so loaded rounds have nothing
-        # urgent to do inside the flush path.
-        free_target=10,
+        # No free_target: the floor rule of repro.store.cleaner (default
+        # headroom plus one drain of the shard's buffer) is what lets
+        # idle rounds absorb a whole drain's segment consumption, so
+        # loaded rounds have nothing urgent to do inside the flush path.
         gc_budget=128,
         pages_per_step=16,
     )

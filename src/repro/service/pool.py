@@ -5,6 +5,21 @@ Each shard is a complete :class:`~repro.kvstore.LogStructuredKVStore`
 bind to exactly one store, so the pool always constructs per-shard
 policies from the policy *name*).
 
+The shard's sorting buffer
+--------------------------
+
+A shard runs the policy the paper evaluates, not its ablation: Section
+5.3 sorts user writes by carried ``up2`` in a RAM buffer before they
+reach a segment, and ``mdc`` without that buffer *is* Figure 3's
+``mdc-no-sep-user``.  So a config that names no buffer gets one, sized
+from the shard's own geometry (:func:`with_sort_buffer`): ``min(K,
+n_segments // K)`` segments with ``K`` =
+:data:`~repro.store.config.DEFAULT_SORT_BUFFER`, Figure 4's knee — the
+knee where the device affords it, never more RAM than 1/K of the
+device, and none at all under ``K`` segments.  An explicit non-zero
+``sort_buffer_segments`` is honoured, and a policy that takes no buffer
+(``uses_sort_buffer`` false) builds none whatever the config says.
+
 Cleaning governance
 -------------------
 
@@ -12,7 +27,9 @@ Left alone, every shard cleans reactively: the store runs cleaning
 cycles inline the moment its free pool dips below ``clean_trigger``,
 stalling whatever write triggered it.  The pool adds a *proactive*
 layer: :meth:`StorePool.maintain` runs between ingest batches, tops up
-any shard whose free pool fell below ``free_target`` — and meters the
+any shard whose free pool fell below its floor — ``free_target`` of
+headroom plus the segments one drain of the shard's buffer allocates,
+the one rule of :mod:`repro.store.cleaner` — and meters the
 work with a **global slack budget**: at most ``gc_budget`` page
 relocations per maintenance round across the whole pool, of which one
 shard may consume at most ``gc_max_share``.  A hot shard (skewed
@@ -43,8 +60,9 @@ pages, not by victim liveness.  Rounds run in two modes:
   shards are deferred, and counted in ``gc_deferred_shards``.
 * **idle** (``maintain(idle=True)``, fired from the service tick):
   every needy shard gets steps, repeatedly, until the round budget is
-  spent or nobody is below ``free_target`` — the idle-triggered
-  cleaning that keeps the proactive headroom topped up between bursts.
+  spent or nobody is below its floor — the idle-triggered cleaning that
+  keeps the proactive headroom topped up between bursts, so that a
+  drain lands in segments these rounds already freed.
 """
 
 from __future__ import annotations
@@ -55,6 +73,19 @@ from repro.kvstore import LogStructuredKVStore
 from repro.obs import MetricsRegistry
 from repro.policies.base import CleaningPolicy
 from repro.store import IncrementalCleaner, StoreConfig
+from repro.store.config import DEFAULT_SORT_BUFFER
+
+
+def with_sort_buffer(config: StoreConfig) -> StoreConfig:
+    """The geometry a shard is built with: ``config``, given the
+    paper's sorting buffer when it names none (module docstring)."""
+    if config.sort_buffer_segments:
+        return config
+    return config.scaled(
+        sort_buffer_segments=min(
+            DEFAULT_SORT_BUFFER, config.n_segments // DEFAULT_SORT_BUFFER
+        )
+    )
 
 
 class StorePool:
@@ -62,7 +93,8 @@ class StorePool:
 
     Args:
         n_shards: Number of shards (>= 1).
-        config: Per-shard device geometry (every shard gets the same).
+        config: Per-shard device geometry (every shard gets the same,
+            through :func:`with_sort_buffer`).
         policy: Cleaning-policy *name* (each shard binds its own
             instance; a shared policy object is rejected).
         unit_bytes: KV record granularity, passed to every shard.
@@ -70,9 +102,10 @@ class StorePool:
             pool-wide (default: two segments' worth).
         gc_max_share: Largest fraction of a round's budget one shard
             may consume.
-        free_target: Proactive free-segment floor per shard (default:
-            ``clean_trigger + 1`` — one segment of headroom before the
-            reactive trigger).
+        free_target: Headroom of each shard's proactive free-segment
+            floor, handed to its :class:`~repro.store.IncrementalCleaner`
+            (default there: one segment above the reactive trigger);
+            the floor adds the shard's buffer segments.
         metrics: Service metrics registry for governor counters.
         pages_per_step: Relocation budget per cleaner step.
     """
@@ -98,7 +131,7 @@ class StorePool:
             )
         if not 0.0 < gc_max_share <= 1.0:
             raise ValueError("gc_max_share must be in (0, 1]")
-        self.config = config
+        self.config = config = with_sort_buffer(config)
         self.policy_name = policy
         self.unit_bytes = unit_bytes
         self.shards: List[LogStructuredKVStore] = [
@@ -111,9 +144,7 @@ class StorePool:
         if self.gc_budget < 1:
             raise ValueError("gc_budget must be >= 1")
         self.gc_max_share = gc_max_share
-        self.free_target = (
-            free_target if free_target is not None else config.clean_trigger + 1
-        )
+        self.free_target = free_target
         self.metrics = metrics
         self.pages_per_step = int(pages_per_step)
         #: One step driver per shard, index-aligned with ``shards``.
@@ -181,9 +212,9 @@ class StorePool:
             # most one step per urgent shard into the foreground path.
             while spent_total < budget:
                 needy = [
-                    (self.free_target - kv.store.free_segment_count, i)
-                    for i, kv in enumerate(self.shards)
-                    if cleaners[i].needs_cleaning()
+                    (cleaner.free_target - cleaner.store.free_segment_count, i)
+                    for i, cleaner in enumerate(cleaners)
+                    if cleaner.needs_cleaning()
                 ]
                 if not needy:
                     break

@@ -337,7 +337,8 @@ class Service:
 
     def telemetry_row(self) -> Dict:
         """One live-state row: wall time on the shared clock, service
-        clock/queue/SLO state, and per-shard Wamp/fill/queue/stall."""
+        clock/queue/SLO state, and per-shard Wamp/fill/free pool/
+        buffered units/queue/stall."""
         flush_hist = self.metrics.histogram("flush_stall_pages", PAGES_EDGES)
         shards = []
         for i, kv in enumerate(self.pool.shards):
@@ -356,6 +357,11 @@ class Service:
                     "wamp": round(kv.write_amplification, 4),
                     "fill": round(store.fill_factor_now(), 4),
                     "free_segments": store.free_segment_count,
+                    # What the next drain will put on the device: a
+                    # flush that stalls is one that drained.
+                    "buffered_units": (
+                        0 if store.buffer is None else store.buffer.used_units
+                    ),
                     "queue_depth": self.queue.shard_depth(i),
                     "write_stalls": stalls,
                     "stall_p99_pages": round(stall_p99, 2),

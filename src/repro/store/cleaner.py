@@ -21,9 +21,24 @@ Two knobs shape the SLO:
 
 * ``pages_per_step`` — the per-step relocation budget, the bound on how
   long any single step (and thus any foreground interleave gap) runs;
-* ``free_target`` — the proactive free-pool depth.  Cleaning is *needed*
-  whenever the pool is below it; keeping it above the store's reactive
-  trigger is what keeps inline stalls out of the foreground path.
+* ``free_target`` — the proactive headroom.  Cleaning is *needed*
+  whenever the free pool is below the **floor** derived from it.
+
+The floor rule (the only one: :class:`~repro.service.pool.StorePool` and
+the latency shape pass headroom or nothing, and hold no default of their
+own) is *enough free segments that the next thing a write allocates
+finds them already free*::
+
+    floor = headroom + segments one drain of the sorting buffer allocates
+
+``headroom`` is ``free_target`` when given, else one segment above the
+store's reactive trigger; the second term is the capacity of the buffer
+the store actually built (0 without one: a direct write allocates one
+segment at a time, which the headroom covers).  A Section 5.3 buffer
+reaches the device as one drain of ``sort_buffer_segments`` segments
+under a single user write, so a floor that leaves the drain out lets
+that write run the free pool through the reactive trigger and clean
+inline — several cycle set-ups behind one put.
 
 Step budgets are the only input: replaying a recorded budget sequence
 reproduces the store exactly.
@@ -42,10 +57,11 @@ class IncrementalCleaner:
     Args:
         store: The :class:`~repro.store.LogStructuredStore` to clean.
         pages_per_step: Default relocation budget per :meth:`step` call.
-        free_target: Free-segment depth to proactively maintain; default
-            is the store's reactive trigger plus two segments of
-            headroom (so foreground writes essentially never clean
-            inline while steps keep pace).
+        free_target: Headroom of the floor rule (module docstring), in
+            free segments; default is one above the store's reactive
+            trigger.  The depth the engine maintains,
+            ``self.free_target``, is this plus the segments one drain of
+            the store's sorting buffer allocates.
         clean_batch: Victims per cycle, passed to ``clean_begin``
             (None = the policy's own batch size).
     """
@@ -67,8 +83,14 @@ class IncrementalCleaner:
             trigger = max(
                 store.config.clean_trigger, store.policy.min_free_target()
             )
-            free_target = trigger + 2
-        self.free_target = int(free_target)
+            free_target = trigger + 1
+        buffer = store.buffer
+        drain = (
+            0
+            if buffer is None
+            else buffer.capacity_units // store.config.segment_units
+        )
+        self.free_target = int(free_target) + drain
         self.clean_batch = clean_batch
         #: Cumulative pages relocated through this engine.
         self.pages_relocated = 0

@@ -29,6 +29,13 @@ PAPER_DEVICE_SEGMENTS = PAPER_DEVICE_BYTES // PAPER_SEGMENT_BYTES  # 51200
 PAPER_CLEAN_TRIGGER = 32
 PAPER_CLEAN_BATCH = 64
 
+#: Figure 4's knee: a sorting buffer of this many segments is already
+#: near-optimal (Wamp 1.396 with none, 0.898 at 4, 0.713 at 16 on the
+#: scaled device), so it is the buffer the comparative figures give the
+#: separating MDC variants and the one a service shard gets when its
+#: config names none (:func:`repro.service.pool.with_sort_buffer`).
+DEFAULT_SORT_BUFFER = 16
+
 
 @dataclasses.dataclass(frozen=True)
 class StoreConfig:

@@ -480,22 +480,31 @@ class LogStructuredStore:
         obs = self.obs
         if obs is not None:
             obs.on_flush(arr.size)
-        self._resolve_first_writes(arr)
-        policy = self.policy
-        keys = policy.user_sort_key(arr)
-        if keys is not None:
-            # Ascending by key, ties broken by page id.
-            arr = arr[np.lexsort((arr, keys))]
-        routes = policy.route_user_batch(arr)
-        if routes is None:
-            # Per-write routing reads the state each write leaves behind;
-            # a drained, re-sorted batch no longer has it.
-            raise StoreError(
-                "policy %s takes the sorting buffer but routes per write"
-                % getattr(policy, "name", "?")
-            )
-        routes = np.ascontiguousarray(routes, dtype=np.int64)
+        tracer = obs.tracer if obs is not None else None
+        # The drain is the one user write that allocates several
+        # segments: inline cleaning under it hangs off this span, so
+        # "why did the flush stall" reads "it drained".
+        span = (
+            tracer.start("store.flush", clock=self.clock, pages=int(arr.size))
+            if tracer is not None
+            else None
+        )
         try:
+            self._resolve_first_writes(arr)
+            policy = self.policy
+            keys = policy.user_sort_key(arr)
+            if keys is not None:
+                # Ascending by key, ties broken by page id.
+                arr = arr[np.lexsort((arr, keys))]
+            routes = policy.route_user_batch(arr)
+            if routes is None:
+                # Per-write routing reads the state each write leaves
+                # behind; a drained, re-sorted batch no longer has it.
+                raise StoreError(
+                    "policy %s takes the sorting buffer but routes per write"
+                    % getattr(policy, "name", "?")
+                )
+            routes = np.ascontiguousarray(routes, dtype=np.int64)
             for start, stop in _stream_runs(routes):
                 self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
         except OutOfSpaceError:
@@ -508,6 +517,9 @@ class LogStructuredStore:
             for pid, size in zip(left.tolist(), pages.size[left].tolist()):
                 buffer.add(pid, size)
             raise
+        finally:
+            if span is not None:
+                tracer.finish(span)
 
     def set_oracle_frequencies(self, freqs: Sequence[float]) -> None:
         """Install exact per-page update frequencies for the ``-opt``
@@ -563,16 +575,21 @@ class LogStructuredStore:
             self._sealed_dirty = False
         return self._sealed_cache
 
-    def fill_factor_now(self) -> float:
-        """Current fraction of device units holding live data (staged
-        relocations count: their versions are current, just in cleaner
-        memory rather than a segment)."""
+    def live_units_now(self) -> int:
+        """Units of current versions, wherever they sit: in a segment,
+        in the sorting buffer, or staged by the active cleaning cycle
+        (in cleaner memory rather than a segment, but current)."""
         live = int(self.segments.live_units.sum())
         if self.buffer is not None:
             live += self.buffer.used_units
         if self._clean_cursor is not None:
             live += self.relocating_units()
-        return live / self.config.device_units
+        return live
+
+    def fill_factor_now(self) -> float:
+        """Current fraction of device units holding live data
+        (:meth:`live_units_now` over the device)."""
+        return self.live_units_now() / self.config.device_units
 
     @property
     def clean_pending(self) -> int:

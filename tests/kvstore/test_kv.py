@@ -3,7 +3,14 @@
 import pytest
 
 from repro.kvstore import KVError, LogStructuredKVStore
-from repro.store import OutOfSpaceError, StoreConfig
+from repro.store import (
+    IN_BUFFER,
+    IN_FLIGHT,
+    IN_RELOCATION,
+    NEVER_WRITTEN,
+    OutOfSpaceError,
+    StoreConfig,
+)
 
 
 def make_kv(policy="mdc", **overrides):
@@ -140,6 +147,102 @@ class TestGcUnderChurn:
         assert type(report["utilization"]) is float
         assert 0 < report["utilization"] < 1
         assert "util" in repr(kv)
+
+
+    def test_space_report_counts_what_a_cycle_has_staged(self):
+        """Under the governor a cleaning cycle is mid-flight between
+        most steps; its staged pages are live records in cleaner memory.
+        The report used to count segments + buffer only (reproduced on
+        this shape: utilization 0.2480 against ``fill_factor_now()``'s
+        0.5859 with 173 units staged)."""
+        kv = LogStructuredKVStore(
+            StoreConfig(
+                n_segments=32, segment_units=16, fill_factor=0.6,
+                clean_trigger=2, clean_batch=16,
+            ),
+            policy="greedy", unit_bytes=8,
+        )
+        keys = ["k%03d" % i for i in range(300)]
+        kv.put_many((key, b"12345678") for key in keys)
+        kv.put_many((key, b"87654321") for key in keys[::2])  # half-live
+        kv.store.clean_begin()
+        kv.store.clean_step(3)
+        assert kv.store.clean_pending > 0
+        staged = kv.store.relocating_units()
+        assert staged > 100
+        mid = kv.space_report()
+        # keys x units bounds live from below (every record is 1 unit).
+        assert mid["live_bytes"] >= len(keys) * kv.unit_bytes
+        assert mid["utilization"] == kv.store.fill_factor_now()
+        kv.store.clean_step(None)
+        assert kv.store.clean_cursor is None
+        assert kv.space_report() == mid
+        kv.check_consistency()
+
+
+class TestBufferedRecordRule:
+    """A record that is buffered is written: readable, overwritable,
+    deletable, and counted, before any segment holds it.  The rule
+    ``check_consistency`` states: a live key's slot is in a segment, in
+    the buffer, or staged by the active cycle — nothing else."""
+
+    def _buffered(self):
+        kv = make_kv(n_segments=32, sort_buffer_segments=2)
+        kv.put_many([("k%d" % i, b"v" * 16) for i in range(20)])
+        seg = kv.store.pages.seg
+        assert all(seg[slot] == IN_BUFFER for slot in kv._slot_of.values())
+        return kv
+
+    def test_put_put_many_and_delete_of_a_still_buffered_key(self):
+        kv = self._buffered()
+        kv.put("k0", b"w" * 40)  # 3 units, replaced in the buffer
+        kv.put_many([("k1", b"x"), ("k1", b"y" * 20), ("new", b"z")])
+        assert kv.delete("k2")
+        assert kv.get("k0") == b"w" * 40
+        assert kv.get("k1") == b"y" * 20
+        assert kv.get("new") == b"z"
+        assert "k2" not in kv
+        assert kv.store.buffer.used_units == 17 + 3 + 2 + 1
+        assert len(kv.store.buffer) == len(kv) == 20
+        kv.check_consistency()
+        report = kv.space_report()
+        assert report["live_bytes"] == 23 * kv.unit_bytes
+        kv.store.flush()  # the drain changes where they are, nothing else
+        assert kv.space_report() == report
+        kv.check_consistency()
+
+    @pytest.mark.parametrize("state", [NEVER_WRITTEN, IN_FLIGHT, IN_RELOCATION])
+    def test_any_other_page_table_state_is_a_lost_record(self, state):
+        """``seg != -1`` let ``IN_FLIGHT`` pass; a stale
+        ``IN_RELOCATION`` (no active cycle staging the page) is the
+        store's own invariant, checked on the way."""
+        kv = self._buffered()
+        kv.store.flush()
+        kv.check_consistency()
+        slot = kv._slot_of["k3"]
+        kv.store.trim(slot)  # the store forgets it; the index does not
+        kv.store.pages.seg[slot] = state
+        assert kv.store.clean_cursor is None
+        with pytest.raises(
+            AssertionError, match="no stored record|not pending in the active"
+        ):
+            kv.check_consistency()
+
+    def test_a_page_the_active_cycle_staged_is_a_stored_record(self):
+        kv = make_kv(n_segments=32, sort_buffer_segments=2, clean_batch=8)
+        keys = ["k%03d" % i for i in range(200)]
+        for _ in range(3):
+            kv.put_many((key, b"v" * 40) for key in keys)
+        kv.store.flush()
+        kv.store.clean_begin()
+        staged = [
+            slot for slot in kv._slot_of.values()
+            if kv.store.pages.seg[slot] == IN_RELOCATION
+        ]
+        assert staged and kv.store.clean_cursor is not None
+        kv.check_consistency()
+        kv.store.clean_step(None)
+        kv.check_consistency()
 
 
 class TestOutOfSpace:

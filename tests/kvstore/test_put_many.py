@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kvstore import KVError, LogStructuredKVStore
-from repro.store import StoreConfig, StoreError
+from repro.store import NEVER_WRITTEN, StoreConfig, StoreError
 from repro.testkit.trace import state_digest
 
 
@@ -218,6 +218,10 @@ class TestRefusedBatch:
         assert len(kv) == len(kept)
         assert all(kv.get(key) == value for key, value in kept)
         assert not any(("new%d" % i) in kv for i in range(200))
+        # The refused keys' slots are trimmed wherever the batch left
+        # them (still in the buffer, drained, or never reached).
+        seg = kv.store.pages.seg
+        assert all(seg[slot] == NEVER_WRITTEN for slot in kv._free_slots)
         kv.check_consistency()
         # The freed slots are usable again.
         kv.delete("old0")

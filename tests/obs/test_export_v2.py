@@ -86,6 +86,17 @@ class TestTelemetryRows:
         (problem,) = validate_rows([_meta(), _telemetry(shards={})])
         assert "shards must be a list" in problem
 
+    def test_telemetry_shard_blocks_are_checked(self):
+        shard = {
+            "shard": 0, "wamp": 0.2, "fill": 0.5, "free_segments": 9,
+            "buffered_units": 120, "queue_depth": 3, "write_stalls": 0,
+            "stall_p99_pages": 0.0,
+        }
+        assert validate_rows([_meta(), _telemetry(shards=[shard])]) == []
+        del shard["buffered_units"]
+        (problem,) = validate_rows([_meta(), _telemetry(shards=[shard])])
+        assert "shard 0: missing keys buffered_units" in problem
+
     def test_telemetry_missing_keys(self):
         row = _telemetry()
         del row["slo"]

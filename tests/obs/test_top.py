@@ -29,9 +29,11 @@ def _telemetry_row(t=1.0, burning=False):
         },
         "shards": [
             {"shard": 0, "wamp": 0.21, "fill": 0.55, "free_segments": 40,
-             "queue_depth": 3, "write_stalls": 1, "stall_p99_pages": 2.5},
+             "buffered_units": 317, "queue_depth": 3, "write_stalls": 1,
+             "stall_p99_pages": 2.5},
             {"shard": 1, "wamp": 0.19, "fill": 0.50, "free_segments": 44,
-             "queue_depth": 2, "write_stalls": 0, "stall_p99_pages": 0.0},
+             "buffered_units": 0, "queue_depth": 2, "write_stalls": 0,
+             "stall_p99_pages": 0.0},
         ],
     }
 
@@ -150,6 +152,16 @@ class TestRenderTop:
         assert "ok" in frame
         assert "0.2100" in frame  # shard 0 wamp
         assert frame.count("#") > 0  # fill bar
+
+    def test_frame_has_a_buffered_units_column(self):
+        header, first, second = render_top(_telemetry_row()).splitlines()[-3:]
+        assert header.split() == [
+            "shard", "wamp", "fill", "free", "buf", "queue", "stall",
+            "stall_p99",
+        ]
+        # (The fill bar and its number are two tokens.)
+        assert first.split()[4:6] == ["40", "317"]
+        assert second.split()[4:6] == ["44", "0"]
 
     def test_burning_state_called_out(self):
         frame = render_top(_telemetry_row(burning=True))

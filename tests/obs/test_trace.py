@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.export import load_rows, validate_rows
 from repro.obs.trace import (
     Span,
@@ -326,3 +327,22 @@ class TestCriticalPath:
         # Nonzero stalls are 1..9; nearest-rank p50 is 4 -> stalls >= 4.
         assert report["tail_threshold_pages"] == 4.0
         assert report["tail_samples"] == 6
+
+    def test_min_attribution_fails_a_file_with_nothing_to_attribute(
+        self, tmp_path, capsys
+    ):
+        """0 of 0 tail samples is a fraction of 1.0, so the >= 95 % gate
+        passed on a run where no flush stalled — having examined
+        nothing.  Without the gate the report is just a report."""
+        rows = [{"type": "meta", "schema": 2, "run": {"component": "trace"}}]
+        for i in range(5):
+            rows.extend(self._flush(i, stall=0.0))
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["obs", "critical", str(spans)]) == 0
+        assert "attributed 0/0 tail sample(s)" in capsys.readouterr().out
+        assert main(
+            ["obs", "critical", str(spans), "--min-attribution", "0.95"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "examined nothing" in err and "0 tail samples" in err

@@ -6,6 +6,7 @@ import pytest
 
 from repro.service import (
     HarnessConfig,
+    build_service,
     ops_stream,
     read_ops_jsonl,
     replay_ops,
@@ -13,6 +14,7 @@ from repro.service import (
     shard_config,
     write_ops_jsonl,
 )
+from repro.service.harness import drive
 
 QUICK = dict(ops=3000, keys_per_tenant=192, tick_every=128, sample_interval=512)
 
@@ -134,3 +136,64 @@ class TestResults:
         d = result.to_dict()
         assert d["label"].startswith("service[")
         assert set(d) == set(dataclasses.asdict(result))
+
+
+#: The harness's own zipf shape with one-unit records (so Equation 2 is
+#: exact in pages) and half the keys (so 150k ops reach steady state):
+#: 156-segment shards, a 9-segment buffer under ``mdc``.
+PAPER_SHAPE = HarnessConfig(
+    ops=150_000, keys_per_tenant=2048, value_bytes=32, seed=0
+)
+
+
+@pytest.fixture(scope="module")
+def paper_arms():
+    """``policy -> pool`` after one seeded run per arm (~1 s each)."""
+    pools = {}
+    for policy in ("mdc", "mdc-no-sep-user"):
+        cfg = PAPER_SHAPE.scaled(policy=policy)
+        service = build_service(cfg)
+        drive(service, ops_stream(cfg), cfg.tick_every)
+        service.close()
+        pools[policy] = service.pool
+    return pools
+
+
+class TestPaperShapeAtTheServiceBoundary:
+    """The paper's claims one layer up: what Figure 3 says of the raw
+    store, asked of the pool the service runs."""
+
+    def test_mdc_is_below_its_ablation(self, paper_arms):
+        """Figure 3's ordering (``mdc`` 1.17 vs ``mdc-no-sep-user`` 1.49
+        at 80-20).  Measured here: 0.0800 vs 0.1325, -39.6 % (seeds 1-3:
+        -40.8, -43.4, -42.7 %); asserted with a 25 % margin."""
+        assert paper_arms["mdc"][0].store.buffer is not None
+        assert paper_arms["mdc-no-sep-user"][0].store.buffer is None
+        wamp = {
+            policy: pool.stats_summary()["wamp_aggregate"]
+            for policy, pool in paper_arms.items()
+        }
+        assert 0 < wamp["mdc"] < 0.75 * wamp["mdc-no-sep-user"]
+
+    @pytest.mark.parametrize("policy", ["mdc", "mdc-no-sep-user"])
+    def test_pool_wamp_is_the_aggregate_of_its_shards(self, paper_arms, policy):
+        pool = paper_arms[policy]
+        stats = [kv.store.stats for kv in pool.shards]
+        gc = sum(s.gc_writes for s in stats)
+        user = sum(s.user_writes for s in stats)
+        assert gc > 0
+        assert pool.stats_summary()["wamp_aggregate"] == gc / user
+
+    @pytest.mark.parametrize("policy", ["mdc", "mdc-no-sep-user"])
+    def test_equation_2_is_exact_on_every_shard(self, paper_arms, policy):
+        """``gc_writes == B * (segments_cleaned - cleaned_emptiness_sum)``
+        in completed form (a governed cycle may be mid-flight)."""
+        for kv in paper_arms[policy].shards:
+            store, stats = kv.store, kv.store.stats
+            assert stats.segments_cleaned > 0
+            moved = stats.gc_writes + store.relocating_units()
+            expected = store.segments.capacity * (
+                stats.segments_cleaned - stats.cleaned_emptiness_sum
+            ) - store.relocating_dead_units()
+            assert moved == pytest.approx(expected, rel=1e-9)
+            kv.check_consistency()

@@ -193,9 +193,19 @@ def loaded_round_bound(pool):
 
 
 #: Small flushes and rare ticks: cleaning is driven by the loaded rounds
-#: fired after each flush, not by the idle tick.
+#: fired after each flush, not by the idle tick.  A loaded round has
+#: work only on a shard that is *behind* without having cleaned inline,
+#: i.e. one whose last write took the free pool exactly one segment
+#: through the trigger.  Under the shard's sorting buffer that is a
+#: drain of one segment of one-unit records (25-26 segments a shard:
+#: ``n // 16`` = a one-segment buffer; ``value_bytes`` = one unit, so no
+#: record straddles a roll and a drain allocates at most one segment) —
+#: what an 8-record flush was before shards buffered.  A drain of many
+#: segments is not kept off the flush path by loaded rounds at all but
+#: by idle rounds holding the floor: ``TestFloorRule`` below.
 LOADED_CFG = HarnessConfig.quick(
-    ops=14_000, batch_size=8, tick_every=4096, clean_batch=2
+    ops=14_000, batch_size=8, tick_every=4096, clean_batch=2,
+    keys_per_tenant=256, value_bytes=32,
 )
 
 
@@ -205,6 +215,7 @@ class TestStallBound:
         """With no inline (reactive) cleaning, all a flush waits behind
         is one loaded round: at most one step per shard."""
         hist, write_stalls, pool = drive(LOADED_CFG.scaled(seed=seed))
+        assert pool.config.sort_buffer_segments == 1
         assert write_stalls == 0
         assert hist.total > 0  # loaded rounds did relocate pages
         assert hist.max_observed <= loaded_round_bound(pool)
@@ -219,6 +230,45 @@ class TestStallBound:
         )
         assert write_stalls > 0
         assert 0 < max(rounds) <= loaded_round_bound(pool) == 4
+
+
+class TestFloorRule:
+    """The governor's floor covers one drain (``repro.store.cleaner``):
+    on the latency shape, which passes no ``free_target`` of its own,
+    idle rounds keep every drain off the flush path."""
+
+    def test_latency_shape_holds_the_derived_floor(self):
+        cfg = latency_config(quick=True)
+        assert cfg.free_target is None
+        svc = build_service(cfg)
+        buffer_segments = svc.pool.config.sort_buffer_segments
+        assert buffer_segments > 1
+        assert [c.free_target for c in svc.pool.cleaners] == [
+            cfg.clean_trigger + 1 + buffer_segments
+        ] * cfg.n_shards
+        svc.close()
+
+    def test_drains_do_not_stall_flushes_on_the_latency_shape(
+        self, latency_report
+    ):
+        step = latency_report["config"]["pages_per_step"]
+        assert latency_report["gc_governed_pages"] > 0
+        assert latency_report["flush_stall_p99_pages"] <= step
+        assert latency_report["reactive_write_stalls"] == 0
+        assert latency_report["reactive_stall_pages"] == 0
+
+    def test_the_ablation_on_the_same_shape_does_stall(self):
+        """Same shape, no buffer, the floor it held before (one segment
+        above the trigger): flushes clean inline.  The difference is
+        the rule, not the shape."""
+        cfg = latency_config(quick=True).scaled(
+            ops=16000, policy="mdc-no-sep-user"
+        )
+        hist, write_stalls, pool = drive(cfg)
+        assert pool[0].store.buffer is None
+        assert pool.cleaners[0].free_target == cfg.clean_trigger + 1
+        assert write_stalls > 0
+        assert hist.max_observed > cfg.pages_per_step
 
 
 @pytest.fixture(scope="module")

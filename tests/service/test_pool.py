@@ -52,6 +52,107 @@ class TestShape:
             StorePool(1, pool_config(), gc_budget=0)
 
 
+class TestShardBufferAndFloor:
+    """The two derived quantities: the buffer a shard gets from its own
+    geometry, and the floor its cleaner holds for one drain of it."""
+
+    @pytest.mark.parametrize(
+        "n_segments, named, built",
+        [
+            (15, 0, 0),      # under 16 segments: none
+            (16, 0, 1),
+            (24, 0, 1),
+            (160, 0, 10),    # n // 16: never more RAM than 1/16 of the device
+            (256, 0, 16),    # Figure 4's knee ...
+            (1024, 0, 16),   # ... and no more where the device affords it
+            (24, 5, 5),      # an explicit size is honoured
+            (1024, 2, 2),
+        ],
+    )
+    def test_a_shard_gets_the_papers_buffer_from_its_geometry(
+        self, n_segments, named, built
+    ):
+        config = pool_config(
+            n_segments=n_segments, sort_buffer_segments=named
+        )
+        pool = StorePool(1, config, policy="mdc")
+        assert pool.config.sort_buffer_segments == built
+        shard = pool.add_shard()  # growth builds the same shard
+        for kv in (pool[0], shard):
+            buffer = kv.store.buffer
+            if built == 0:
+                assert buffer is None
+            else:
+                assert buffer.capacity_units == built * config.segment_units
+        assert pool.config == config.scaled(sort_buffer_segments=built)
+
+    @pytest.mark.parametrize(
+        "policy", ["greedy", "age", "mdc-no-sep-user", "multi-log"]
+    )
+    def test_a_policy_that_takes_no_buffer_builds_none(self, policy):
+        pool = StorePool(1, pool_config(n_segments=256), policy=policy)
+        assert pool[0].store.buffer is None
+
+    def test_floor_is_headroom_plus_one_drain(self):
+        config = pool_config(n_segments=160)
+        trigger = config.clean_trigger
+        default = StorePool(2, config, policy="mdc")
+        assert [c.free_target for c in default.cleaners] == [trigger + 1 + 10] * 2
+        passed = StorePool(1, config, policy="mdc", free_target=6)
+        assert passed.cleaners[0].free_target == 6 + 10
+        passed.add_shard()
+        assert passed.cleaners[1].free_target == 16
+        named = StorePool(
+            1, config.scaled(sort_buffer_segments=3), policy="mdc"
+        )
+        assert named.cleaners[0].free_target == trigger + 1 + 3
+
+    @pytest.mark.parametrize("policy", ["greedy", "age", "mdc-no-sep-user"])
+    def test_a_no_buffer_policy_holds_the_floor_it_held_before(self, policy):
+        config = pool_config(n_segments=160)
+        default = StorePool(1, config, policy=policy)
+        assert default.cleaners[0].free_target == config.clean_trigger + 1
+        passed = StorePool(1, config, policy=policy, free_target=6)
+        assert passed.cleaners[0].free_target == 6
+
+    def test_idle_rounds_restore_the_floor_and_a_drain_lands_in_it(self):
+        """What the floor is for: with it held, the put that drains the
+        buffer allocates only segments the idle rounds already freed —
+        no inline cycle under it."""
+        pool = StorePool(
+            1, pool_config(n_segments=64, segment_units=16, clean_batch=4),
+            policy="mdc", unit_bytes=8, gc_budget=10_000,
+        )
+        kv, cleaner = pool[0], pool.cleaners[0]
+        store = kv.store
+        assert store.buffer.capacity_units == 4 * 16
+        assert cleaner.free_target == 2 + 1 + 4
+        keys = [("k", i) for i in range(440)]
+        for r in range(6):
+            kv.put_many((key, bytes([r]) * 8) for key in keys[r % 2 :: 2])
+        kv.put_many((key, b"z" * 8) for key in keys)
+        drains = cycles = 0
+        for r in range(40):
+            guard = 0
+            while cleaner.needs_cleaning() and guard < 100:
+                pool.maintain(idle=True)
+                guard += 1
+            assert store.free_segment_count >= cleaner.free_target
+            assert store.clean_cursor is None
+            before = store.stats.clean_cycles
+            flushed = store.stats.user_device_writes
+            kv.put_many(
+                (keys[(7 * r + 11 * j) % len(keys)], bytes([r + 1]) * 8)
+                for j in range(24)
+            )
+            drains += store.stats.user_device_writes > flushed
+            cycles += store.stats.clean_cycles - before
+        assert drains >= 10
+        assert cycles == 0  # every cycle ran in a governed round
+        assert store.stats.gc_writes > 0
+        pool.check_consistency()
+
+
 class TestGovernance:
     def test_maintain_noop_when_all_shards_healthy(self):
         pool = StorePool(2, pool_config(), policy="greedy", unit_bytes=8)

@@ -148,6 +148,38 @@ class TestElasticity:
         svc.pool.maintain(idle=True)
         svc.pool.check_consistency()
 
+    def test_scale_to_migrates_records_still_in_a_source_buffer(self):
+        """A record buffered on its source shard is a stored record:
+        migration reads it from the value map and deletes it with a
+        buffer TRIM.  None lost, none duplicated."""
+        svc = make_service(2, policy="mdc", batch_size=64)
+        assert all(kv.store.buffer is not None for kv in svc.pool.shards)
+        model = {}
+        for i in range(300):
+            tenant = "t%d" % (i % 3)
+            svc.put("k%d" % i, b"v%d" % i, tenant=tenant)
+            model[(tenant, "k%d" % i)] = b"v%d" % i
+        svc.flush()
+        buffered = {
+            skey
+            for kv in svc.pool.shards
+            for skey, slot in kv._slot_of.items()
+            if slot in kv.store.buffer
+        }
+        assert buffered
+        moved = svc.scale_to(4)
+        movers = {
+            skey for skey in model if svc.shard_of(skey[1], skey[0]) >= 2
+        }
+        assert moved == len(movers) and movers & buffered
+        held = [skey for kv in svc.pool.shards for skey in kv.keys()]
+        assert sorted(held) == sorted(model)  # each key on exactly one shard
+        for (tenant, key), value in model.items():
+            assert svc.get(key, tenant=tenant) == value
+            assert (tenant, key) in svc.pool[svc.shard_of(key, tenant)]
+        svc.pool.check_consistency()
+        assert len(svc) == len(model)
+
     def test_scale_to_same_size_is_noop(self):
         svc = make_service(2)
         assert svc.scale_to(2) == 0

@@ -123,6 +123,28 @@ class TestStallAttribution:
         assert report["attribution_fraction"] >= 0.95
         assert report["by_cause"]
 
+    def test_a_stalled_flush_reads_it_drained(self, tmp_path):
+        """The store's drain is a ``store.flush`` span under
+        ``shard.put_many`` carrying its page count, and the inline
+        cleaning a drain runs into hangs off it: the tail samples'
+        dominant chains pass through the drain."""
+        trace = tmp_path / "spans.jsonl"
+        run_harness(STALL_CFG, trace_out=str(trace))
+        rows = load_spans(str(trace))
+        by_id = {r["span"]: r for r in rows}
+        drains = [r for r in rows if r["name"] == "store.flush"]
+        assert drains
+        for drain in drains:
+            assert drain["attrs"]["pages"] > 0
+            assert by_id[drain["parent"]]["name"] == "shard.put_many"
+        stalls = [r for r in rows if r["name"] == "store.write_stall"]
+        assert stalls
+        assert all(by_id[r["parent"]]["name"] == "store.flush" for r in stalls)
+        samples = critical_path_report(rows)["samples"]
+        assert samples
+        for sample in samples:
+            assert sample["chain"][:2] == ["shard.put_many", "store.flush"]
+
 
 class TestTelemetry:
     def test_telemetry_rows_written_and_validate(self, tmp_path):
@@ -139,6 +161,43 @@ class TestTelemetry:
         assert {"shard", "wamp", "fill", "free_segments", "queue_depth",
                 "write_stalls", "stall_p99_pages"} <= set(shard)
         assert last["slo"]["objective"] == 0.95
+
+    def test_telemetry_shows_what_the_next_drain_holds(self):
+        """``buffered_units`` is the shard buffer's occupancy: it grows
+        with flushes that do not drain, and a buffer-less policy reads 0."""
+        service = build_service(CFG)
+        try:
+            capacity = service.pool.shards[0].store.buffer.capacity_units
+            assert capacity > 0
+            seen = set()
+            for i in range(600):
+                service.put(i, b"v" * 40, tenant="t0")
+                if i % 64 == 63:
+                    service.tick()
+                    row = service.telemetry_row()
+                    for shard, kv in zip(row["shards"], service.pool.shards):
+                        assert (
+                            shard["buffered_units"]
+                            == kv.store.buffer.used_units
+                            <= capacity
+                        )
+                        seen.add(shard["buffered_units"])
+            assert max(seen) > 0
+            assert validate_rows(
+                [{"type": "meta", "schema": 2, "run": {}}, row]
+            ) == []
+        finally:
+            service.close()
+        direct = build_service(CFG.scaled(policy="greedy"))
+        try:
+            direct.put(1, b"v", tenant="t0")
+            direct.flush()
+            assert [
+                shard["buffered_units"]
+                for shard in direct.telemetry_row()["shards"]
+            ] == [0] * CFG.n_shards
+        finally:
+            direct.close()
 
     def test_telemetry_slo_tracks_flush_stalls(self):
         service = build_service(STALL_CFG)
