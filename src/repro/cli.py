@@ -13,7 +13,6 @@ Usage (installed as ``repro``, or ``python -m repro``):
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
     repro bench latency          # the service's flush-stall report
     repro serve --shards 4       # drive the sharded service front-end
-    repro loadgen ops.jsonl      # record a deterministic client op trace
     repro top telemetry.jsonl    # live per-shard dashboard + SLO burn
     repro policies               # list registered cleaning policies
     repro replay trace.jsonl     # re-run a recorded op trace, verify digest
@@ -31,11 +30,9 @@ write counts by ~4x (coarser numbers, same shapes).  Every experiment
 takes ``--seed`` so single runs are reproducible from the command line.
 
 ``repro serve`` runs the sharded service front-end (``repro.service``)
-under its deterministic concurrent client harness — or, with
-``--from``, replays an op trace recorded by ``repro loadgen`` — and
-reports aggregate writes/sec, per-shard Wamp, and queue depth.  The
-same seed and parameters reproduce the same load byte for byte, so a
-recorded trace and the in-process generator are interchangeable.
+under its deterministic concurrent client harness and reports per-shard
+ops and Wamp and the queue depth.  The same seed and parameters
+reproduce the same load, report and metrics file byte for byte.
 
 ``repro bench latency`` runs ``repro.service.latency``: a seeded,
 clock-free report of what foreground flushes waited behind, written only
@@ -91,8 +88,8 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by ``repro serve`` and ``repro loadgen`` (the
-    :class:`repro.service.HarnessConfig` surface)."""
+    """The :class:`repro.service.HarnessConfig` flags of ``repro
+    serve``."""
     parser.add_argument(
         "--shards", type=int, default=None,
         help="store shards behind the router (default 4)",
@@ -147,17 +144,9 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         help="client ops between service clock ticks (default 512)",
     )
     parser.add_argument(
-        "--tenant-spread", type=float, default=None,
-        help="fraction of the ring one tenant's keys cover (default 1.0)",
-    )
-    parser.add_argument(
         "--gc-budget", type=int, default=None,
         help="page relocations per maintenance round, pool-wide "
         "(default: two segments' worth)",
-    )
-    parser.add_argument(
-        "--gc-max-share", type=float, default=None,
-        help="largest budget fraction one shard may spend (default 0.5)",
     )
     parser.add_argument(
         "--pages-per-step", type=int, default=None,
@@ -191,9 +180,7 @@ def _harness_config(args: argparse.Namespace):
         "flush_interval": "flush_interval",
         "max_depth": "max_depth",
         "tick_every": "tick_every",
-        "tenant_spread": "tenant_spread",
         "gc_budget": "gc_budget",
-        "gc_max_share": "gc_max_share",
         "pages_per_step": "pages_per_step",
         "sample_interval": "sample_interval",
     }
@@ -337,15 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="drive the sharded service front-end under the concurrent "
-        "client harness (or replay a recorded op trace)",
+        "client harness",
     )
     _add_harness_flags(p)
-    p.add_argument(
-        "--from", dest="from_file", default=None, metavar="OPS_JSONL",
-        help="replay an op trace recorded by 'repro loadgen' instead of "
-        "generating load in-process (the trace's embedded config is "
-        "used; --shards still overrides the shard count)",
-    )
     p.add_argument(
         "--metrics-out", default=None, metavar="JSONL",
         help="export the service + per-shard observability rows "
@@ -372,14 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "queue/stall + SLO burn state) to this file; watch live with "
         "'repro top'",
     )
-
-    p = sub.add_parser(
-        "loadgen",
-        help="record the harness's deterministic client op trace as "
-        "JSONL for later 'repro serve --from' replay",
-    )
-    p.add_argument("out", help="output path for the op-trace JSONL")
-    _add_harness_flags(p)
 
     p = sub.add_parser("simulate", help="one custom simulation")
     p.add_argument("--policy", default="mdc", choices=available_policies())
@@ -565,8 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_bench_command(args)
     elif args.command == "serve":
         return _run_serve_command(args)
-    elif args.command == "loadgen":
-        return _run_loadgen_command(args)
     elif args.command == "simulate":
         config = _standard_config(args.fill, args.sort_buffer)
         if args.report:
@@ -861,33 +832,21 @@ def _run_obs_command(args: argparse.Namespace) -> int:
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro serve``: generate or replay load, report."""
-    from repro.service import ops_stream, read_ops_jsonl, replay_ops
+    """Dispatch ``repro serve``: generate load, report."""
+    from repro.service import run_harness
 
     try:
-        if args.from_file:
-            file_cfg, ops = read_ops_jsonl(args.from_file)
-            cfg = file_cfg if file_cfg is not None else _harness_config(args)
-            if args.shards is not None:
-                cfg = cfg.scaled(n_shards=args.shards)
-            if args.sample_interval is not None:
-                cfg = cfg.scaled(sample_interval=args.sample_interval)
-        else:
-            cfg = _harness_config(args)
-            ops = ops_stream(cfg)
-    except (OSError, ValueError, KeyError) as exc:
+        cfg = _harness_config(args)
+    except ValueError as exc:
         print("serve error: %s" % exc, file=sys.stderr)
         return 1
-    result = replay_ops(
+    result = run_harness(
         cfg,
-        ops,
         metrics_out=args.metrics_out,
         trace_out=args.trace_out,
         trace_sample=args.trace_sample,
         telemetry_out=args.telemetry_out,
     )
-    if args.from_file:
-        print("replayed %d ops from %s" % (len(ops), args.from_file))
     print(result.report())
     if args.metrics_out:
         print("observability rows written to %s" % args.metrics_out)
@@ -916,19 +875,6 @@ def _run_top_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _run_loadgen_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro loadgen``: record the deterministic op trace."""
-    from repro.service import write_ops_jsonl
-
-    cfg = _harness_config(args)
-    n = write_ops_jsonl(cfg, args.out)
-    print(
-        "%d ops (%d clients, %d tenants, %s) written to %s"
-        % (n, cfg.n_clients, cfg.n_tenants, cfg.dist, args.out)
-    )
     return 0
 
 

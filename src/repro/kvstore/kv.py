@@ -43,6 +43,26 @@ class KVError(Exception):
     """Key-value layer errors (oversized values, bad keys)."""
 
 
+def check_value(value, limit: int) -> bytes:
+    """``value`` as the ``bytes`` a shard stores, or :class:`KVError`
+    when no shard would store it: it is not ``bytes`` or ``bytearray``,
+    or it is longer than ``limit`` bytes.  A ``bytearray`` is copied, so
+    a caller's later mutation never reaches a queued or stored value.
+    The one rule for values, applied wherever one is accepted."""
+    if type(value) is not bytes:
+        if not isinstance(value, (bytes, bytearray)):
+            raise KVError(
+                "values must be bytes, got %s" % type(value).__name__
+            )
+        value = bytes(value)
+    if len(value) > limit:
+        raise KVError(
+            "value of %d bytes exceeds the %d-byte record limit"
+            % (len(value), limit)
+        )
+    return value
+
+
 class LogStructuredKVStore:
     """A key-value store whose value log is cleaned by a pluggable
     policy.
@@ -108,17 +128,8 @@ class LogStructuredKVStore:
         limit = self.max_value_bytes
         slot_of, free = self._slot_of, self._free_slots
         for key, value in items:
-            if type(value) is not bytes:
-                if not isinstance(value, (bytes, bytearray)):
-                    raise KVError(
-                        "values must be bytes, got %s" % type(value).__name__
-                    )
-                value = bytes(value)
-            if len(value) > limit:
-                raise KVError(
-                    "value of %d bytes exceeds the %d-byte record limit"
-                    % (len(value), limit)
-                )
+            if type(value) is not bytes or len(value) > limit:
+                value = check_value(value, limit)
             slot = slot_of.get(key)
             if slot is None:
                 slot = free.pop() if free else self._next_slot

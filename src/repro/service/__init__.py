@@ -12,7 +12,7 @@ Entry points:
 * :class:`Service` — the in-process front-end (put/get/delete,
   ``tick``, ``scale_to``, obs export).
 * :mod:`repro.service.harness` — the deterministic concurrent client
-  harness behind ``repro serve`` / ``repro loadgen``.
+  harness behind ``repro serve``.
 * :mod:`repro.service.latency` — the flush-stall benchmark behind
   ``repro bench latency`` (``BENCH_latency.json``).
 """
@@ -23,11 +23,8 @@ from repro.service.harness import (
     HarnessResult,
     build_service,
     ops_stream,
-    read_ops_jsonl,
-    replay_ops,
     run_harness,
     shard_config,
-    write_ops_jsonl,
 )
 from repro.service.ingest import IngestQueue
 from repro.service.pool import StorePool
@@ -46,9 +43,6 @@ __all__ = [
     "build_service",
     "encode_key",
     "ops_stream",
-    "read_ops_jsonl",
-    "replay_ops",
     "run_harness",
     "shard_config",
-    "write_ops_jsonl",
 ]

@@ -9,24 +9,21 @@ client samples it through one of the repository's workload generators
 different tenants' hot sets land on different shards.
 
 Concurrency is *simulated interleaving*: a seeded RNG picks which
-client issues each successive op, so the op stream (and therefore the
-exported obs metrics) is byte-identical across runs with the same
-:class:`HarnessConfig`.  Wall-clock throughput (aggregate writes/sec)
-is measured around the drive loop and reported separately — it never
-enters the metrics file, which keeps the determinism contract intact.
+client issues each successive op, so the op stream, the exported obs
+metrics and the :class:`HarnessResult` are pure functions of the
+:class:`HarnessConfig`.  The harness keeps no clock: time is measured
+by ``benchmarks/stack`` alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs import MetricsWriter, Tracer, write_spans
-from repro.obs.clock import now_s
 from repro.service.router import ConsistentHashRouter
 from repro.service.service import Service
 from repro.store import StoreConfig
@@ -69,11 +66,7 @@ class HarnessConfig:
     flush_interval: int = 4
     max_depth: int = 4096
     tick_every: int = 512
-    replicas: int = 64
-    tenant_spread: float = 1.0
     gc_budget: Optional[int] = None
-    gc_max_share: float = 0.5
-    free_target: Optional[int] = None
     pages_per_step: int = 32
     sample_interval: Optional[int] = None
     seed: int = 0
@@ -187,9 +180,7 @@ def shard_config(cfg: HarnessConfig, n_shards: Optional[int] = None) -> StoreCon
     rest without over-provisioning the pool into a cleaning-free toy.
     """
     n = n_shards if n_shards is not None else cfg.n_shards
-    router = ConsistentHashRouter(
-        n, replicas=cfg.replicas, seed=cfg.seed, tenant_spread=cfg.tenant_spread
-    )
+    router = ConsistentHashRouter(n, seed=cfg.seed)
     load = [0 for _ in range(n)]
     for tenant_idx in range(cfg.n_tenants):
         tenant = "t%d" % tenant_idx
@@ -218,14 +209,10 @@ def build_service(cfg: HarnessConfig) -> Service:
         shard_config(cfg),
         policy=cfg.policy,
         unit_bytes=cfg.unit_bytes,
-        replicas=cfg.replicas,
-        tenant_spread=cfg.tenant_spread,
         batch_size=cfg.batch_size,
         flush_interval=cfg.flush_interval,
         max_depth=cfg.max_depth,
         gc_budget=cfg.gc_budget,
-        gc_max_share=cfg.gc_max_share,
-        free_target=cfg.free_target,
         pages_per_step=cfg.pages_per_step,
         seed=cfg.seed,
         sample_interval=cfg.sample_interval,
@@ -241,8 +228,6 @@ class HarnessResult:
     ops: int
     puts: int
     deletes: int
-    elapsed_s: float
-    writes_per_sec: float
     wamp_per_shard: List[float]
     wamp_aggregate: float
     wamp_spread: float
@@ -257,8 +242,8 @@ class HarnessResult:
 
     def report(self) -> str:
         lines = [
-            "%s: %d ops over %d shard(s) in %.2fs -> %.0f writes/sec"
-            % (self.label, self.ops, self.shards, self.elapsed_s, self.writes_per_sec),
+            "%s: %d ops (%d puts, %d deletes) over %d shard(s)"
+            % (self.label, self.ops, self.puts, self.deletes, self.shards),
             "  aggregate Wamp=%.4f  spread=%.4f  queue p95=%d  batches=%d"
             % (
                 self.wamp_aggregate,
@@ -276,15 +261,14 @@ def drive(
     service: Service,
     ops: Iterable[HarnessOp],
     tick_every: int,
-) -> Tuple[int, int, float]:
+) -> Tuple[int, int]:
     """The client drive loop — the one place harness ops become
     :class:`Service` calls: apply each op, tick the service clock every
     ``tick_every`` applied ops, then drain the queue.
 
-    Returns ``(puts, deletes, elapsed_s)``.
+    Returns ``(puts, deletes)``.
     """
     puts = deletes = 0
-    t0 = now_s()
     for op, tenant, key, size in ops:
         if op == "put":
             service.put(key, bytes(size), tenant=tenant)
@@ -296,27 +280,25 @@ def drive(
             service.tick()
     service.flush()
     service.tick()
-    return puts, deletes, now_s() - t0
+    return puts, deletes
 
 
-def replay_ops(
+def run_harness(
     cfg: HarnessConfig,
-    ops: Iterable[HarnessOp],
     metrics_out: Union[None, str, MetricsWriter] = None,
     meta: Optional[Dict] = None,
     trace_out: Optional[str] = None,
     trace_sample: float = 1.0,
     telemetry_out: Optional[str] = None,
 ) -> HarnessResult:
-    """Apply an op stream through a fresh service built from ``cfg``;
-    optionally export obs rows.
+    """Drive the config's own deterministic :func:`ops_stream` through
+    a fresh service built from it; optionally export obs rows.
 
-    The metrics export contains no wall-clock data, so it is
-    byte-identical across runs with the same config and ops; throughput
-    lives only in the returned result.  ``trace_out``/``telemetry_out``
-    add the wall-clocked trace plane in *separate* files: a causal span
-    file (head-sampled at ``trace_sample``) and a per-tick telemetry
-    feed for ``repro top``.
+    The result and the metrics export contain no wall-clock data, so
+    both are identical across runs with the same config.
+    ``trace_out``/``telemetry_out`` add the wall-clocked trace plane in
+    *separate* files: a causal span file (head-sampled at
+    ``trace_sample``) and a per-tick telemetry feed for ``repro top``.
     """
     service = build_service(cfg)
     tracer = None
@@ -327,9 +309,9 @@ def replay_ops(
         service.telemetry_to(
             telemetry_out, _run_meta(cfg, meta, component="telemetry")
         )
-    puts, deletes, elapsed = drive(service, ops, cfg.tick_every)
+    puts, deletes = drive(service, ops_stream(cfg), cfg.tick_every)
     result = _result_from_service(
-        "service[%d shards]" % cfg.n_shards, cfg, service, puts, deletes, elapsed
+        "service[%d shards]" % cfg.n_shards, service, puts, deletes
     )
     if metrics_out is not None:
         service.export_rows(metrics_out, _run_meta(cfg, meta))
@@ -341,12 +323,6 @@ def replay_ops(
         )
     service.close()
     return result
-
-
-def run_harness(cfg: HarnessConfig, **outputs) -> HarnessResult:
-    """Drive a full harness run: :func:`replay_ops` over the config's
-    own deterministic :func:`ops_stream` (``outputs`` as there)."""
-    return replay_ops(cfg, ops_stream(cfg), **outputs)
 
 
 def _run_meta(cfg: HarnessConfig, meta: Optional[Dict] = None, **extra) -> Dict:
@@ -363,11 +339,9 @@ def _run_meta(cfg: HarnessConfig, meta: Optional[Dict] = None, **extra) -> Dict:
 
 def _result_from_service(
     label: str,
-    cfg: HarnessConfig,
     service: Service,
     puts: int,
     deletes: int,
-    elapsed: float,
 ) -> HarnessResult:
     counters = service.metrics.snapshot().counters
     wamps = service.pool.wamp_per_shard()
@@ -375,15 +349,12 @@ def _result_from_service(
     ops_per_shard = [
         counters.get("shard%d_ops" % i, 0) for i in range(service.pool.n_shards)
     ]
-    total = puts + deletes
     return HarnessResult(
         label=label,
         shards=service.pool.n_shards,
-        ops=total,
+        ops=puts + deletes,
         puts=puts,
         deletes=deletes,
-        elapsed_s=elapsed,
-        writes_per_sec=total / elapsed if elapsed > 0 else float("inf"),
         wamp_per_shard=wamps,
         wamp_aggregate=summary["wamp_aggregate"],
         wamp_spread=summary["wamp_spread"],
@@ -393,57 +364,3 @@ def _result_from_service(
         backpressure_flushes=counters.get("backpressure_flushes", 0),
         keys_live=int(summary["keys"]),
     )
-
-
-# ----------------------------------------------------------------------
-# Op-trace files (`repro loadgen` <-> `repro serve --from`)
-# ----------------------------------------------------------------------
-
-
-def write_ops_jsonl(cfg: HarnessConfig, path: str) -> int:
-    """Record the harness op stream as JSONL (one header row with the
-    generating config, then one row per op); returns the op count."""
-    import os
-
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"type": "loadgen_meta", "config": dataclasses.asdict(cfg)},
-                sort_keys=True,
-            )
-        )
-        fh.write("\n")
-        for op, tenant, key, size in ops_stream(cfg):
-            fh.write(
-                json.dumps(
-                    {"op": op, "tenant": tenant, "key": key, "size": size},
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
-            n += 1
-    return n
-
-
-def read_ops_jsonl(path: str) -> Tuple[Optional[HarnessConfig], List[HarnessOp]]:
-    """Parse a loadgen file back into (config, ops).  The config is
-    None when the header is missing (hand-written op files)."""
-    cfg: Optional[HarnessConfig] = None
-    ops: List[HarnessOp] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("type") == "loadgen_meta":
-                cfg = HarnessConfig(**row["config"])
-                continue
-            ops.append(
-                (row["op"], row["tenant"], row["key"], int(row.get("size", 0)))
-            )
-    return cfg, ops

@@ -61,8 +61,8 @@ def latency_config(quick: bool = False, seed: int = 0) -> HarnessConfig:
         batch_size=64,
         flush_interval=2,
         tick_every=128,
-        # No free_target: the floor rule of repro.store.cleaner (default
-        # headroom plus one drain of the shard's buffer) is what lets
+        # The floor rule of repro.store.cleaner (one segment above the
+        # trigger plus one drain of the shard's buffer) is what lets
         # idle rounds absorb a whole drain's segment consumption, so
         # loaded rounds have nothing urgent to do inside the flush path.
         gc_budget=128,
@@ -78,7 +78,7 @@ def run(ops: Optional[int], quick: bool, seed: int = 0) -> Dict:
     if ops is not None:
         cfg = cfg.scaled(ops=ops)
     service = build_service(cfg)
-    puts, deletes, _ = drive(service, ops_stream(cfg), cfg.tick_every)
+    puts, deletes = drive(service, ops_stream(cfg), cfg.tick_every)
 
     metrics = service.metrics
     stall_hist = metrics.histogram("flush_stall_pages", PAGES_EDGES)

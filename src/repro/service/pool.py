@@ -27,18 +27,18 @@ Left alone, every shard cleans reactively: the store runs cleaning
 cycles inline the moment its free pool dips below ``clean_trigger``,
 stalling whatever write triggered it.  The pool adds a *proactive*
 layer: :meth:`StorePool.maintain` runs between ingest batches, tops up
-any shard whose free pool fell below its floor — ``free_target`` of
-headroom plus the segments one drain of the shard's buffer allocates,
-the one rule of :mod:`repro.store.cleaner` — and meters the
+any shard whose free pool fell below its floor — one segment above the
+reactive trigger plus the segments one drain of the shard's buffer
+allocates, the one rule of :mod:`repro.store.cleaner` — and meters the
 work with a **global slack budget**: at most ``gc_budget`` page
-relocations per maintenance round across the whole pool, of which one
-shard may consume at most ``gc_max_share``.  A hot shard (skewed
-tenant, unlucky routing) therefore cannot monopolize maintenance
-bandwidth and starve the other shards into reactive-cleaning stalls —
-it spends its share, yields, and the remaining budget goes to the next
-neediest shard.  Shards are visited most-starved-first (largest free
-deficit, ties toward the lower shard id) so the ordering is
-deterministic and need-driven.
+relocations per maintenance round across the whole pool.
+
+Fairness is most-starved-first, re-sorted on every pass: each pass
+ranks the needy shards by free deficit (largest first, ties toward the
+lower shard id) and gives each at most one step, so the ordering is
+deterministic and need-driven.  A shard that stays the most starved
+after its step leads the next pass too; a lone needy shard may
+therefore take a whole idle round's budget, which is what it needs.
 
 Reactive cleaning stays enabled underneath as the correctness
 backstop: the budget shapes *when* cleaning happens, never whether a
@@ -50,9 +50,9 @@ Step granularity
 Every shard is driven by an :class:`~repro.store.IncrementalCleaner`,
 so the governor dispatches bounded *steps*, never whole cycles: a needy
 shard gets at most ``pages_per_step`` relocations per visit (still
-under the global budget and per-shard share cap), so the stall any
-single maintenance round injects into the ingest path is bounded by
-pages, not by victim liveness.  Rounds run in two modes:
+under the global budget), so the stall any single maintenance round
+injects into the ingest path is bounded by pages, not by victim
+liveness.  Rounds run in two modes:
 
 * **loaded** (``maintain()``, fired after every flush): only shards
   *behind* — free pool below the reactive trigger, meaning the very
@@ -100,12 +100,6 @@ class StorePool:
         unit_bytes: KV record granularity, passed to every shard.
         gc_budget: Page relocations allowed per maintenance round,
             pool-wide (default: two segments' worth).
-        gc_max_share: Largest fraction of a round's budget one shard
-            may consume.
-        free_target: Headroom of each shard's proactive free-segment
-            floor, handed to its :class:`~repro.store.IncrementalCleaner`
-            (default there: one segment above the reactive trigger);
-            the floor adds the shard's buffer segments.
         metrics: Service metrics registry for governor counters.
         pages_per_step: Relocation budget per cleaner step.
     """
@@ -117,8 +111,6 @@ class StorePool:
         policy: Union[str, CleaningPolicy] = "mdc",
         unit_bytes: int = 64,
         gc_budget: Optional[int] = None,
-        gc_max_share: float = 0.5,
-        free_target: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         pages_per_step: int = 32,
     ) -> None:
@@ -129,8 +121,6 @@ class StorePool:
                 "StorePool needs a policy name; policy instances bind to "
                 "exactly one store and cannot be shared across shards"
             )
-        if not 0.0 < gc_max_share <= 1.0:
-            raise ValueError("gc_max_share must be in (0, 1]")
         self.config = config = with_sort_buffer(config)
         self.policy_name = policy
         self.unit_bytes = unit_bytes
@@ -143,26 +133,18 @@ class StorePool:
         )
         if self.gc_budget < 1:
             raise ValueError("gc_budget must be >= 1")
-        self.gc_max_share = gc_max_share
-        self.free_target = free_target
         self.metrics = metrics
         self.pages_per_step = int(pages_per_step)
         #: One step driver per shard, index-aligned with ``shards``.
         self.cleaners: List[IncrementalCleaner] = [
-            self._make_cleaner(kv) for kv in self.shards
+            IncrementalCleaner(kv.store, self.pages_per_step)
+            for kv in self.shards
         ]
         #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
         #: maintenance round opens a ``pool.maintain`` span (shard-level
         #: clean_begin/clean_step spans nest under it via the store
         #: observers' tracer).
         self.tracer = None
-
-    def _make_cleaner(self, kv: LogStructuredKVStore) -> IncrementalCleaner:
-        return IncrementalCleaner(
-            kv.store,
-            pages_per_step=self.pages_per_step,
-            free_target=self.free_target,
-        )
 
     # -- shape -----------------------------------------------------------
 
@@ -183,7 +165,9 @@ class StorePool:
             self.config, policy=self.policy_name, unit_bytes=self.unit_bytes
         )
         self.shards.append(shard)
-        self.cleaners.append(self._make_cleaner(shard))
+        self.cleaners.append(
+            IncrementalCleaner(shard.store, self.pages_per_step)
+        )
         return shard
 
     # -- cleaning governance --------------------------------------------
@@ -192,8 +176,8 @@ class StorePool:
         """One budgeted maintenance round; returns pages relocated.
 
         Dispatches bounded cleaner steps most-starved-first until the
-        round budget (or every shard's per-round share) is spent — see
-        the module docstring for the loaded/idle split.
+        round budget is spent — see the module docstring for the
+        loaded/idle split.
         """
         tracer = self.tracer
         span = (
@@ -203,7 +187,6 @@ class StorePool:
         )
         cleaners = self.cleaners
         budget = self.gc_budget
-        share_cap = max(1, int(self.gc_max_share * budget))
         spent_total = 0
         deferred = 0
         capped = False
@@ -212,7 +195,7 @@ class StorePool:
             # most one step per urgent shard into the foreground path.
             while spent_total < budget:
                 needy = [
-                    (cleaner.free_target - cleaner.store.free_segment_count, i)
+                    (cleaner.floor - cleaner.store.free_segment_count, i)
                     for i, cleaner in enumerate(cleaners)
                     if cleaner.needs_cleaning()
                 ]
@@ -231,10 +214,9 @@ class StorePool:
                         # proactive work to the next idle round.
                         deferred += 1
                         continue
-                    step_budget = min(
-                        self.pages_per_step, share_cap, budget - spent_total
+                    moved = cleaner.step(
+                        min(self.pages_per_step, budget - spent_total)
                     )
-                    moved = cleaner.step(step_budget)
                     if moved:
                         spent_total += moved
                         progressed = True

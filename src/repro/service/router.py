@@ -1,4 +1,4 @@
-"""Consistent-hash key routing with per-tenant keyspace affinity.
+"""Consistent-hash key routing.
 
 The router maps service keys to shard indices on a classic
 virtual-node hash ring: every shard contributes ``replicas`` points
@@ -17,19 +17,11 @@ on:
   makes :meth:`repro.service.Service.scale_to` rebalancing cheap and
   testable.
 
-Per-tenant keyspace affinity narrows where a tenant's keys may land:
-with ``tenant_spread = w < 1``, tenant ``t``'s keys hash into a window
-covering fraction ``w`` of a *coarse* ring (one point per shard),
-anchored at a point derived from ``t`` alone.  The coarse ring matters:
-on the virtual-node ring a ``w``-wide arc still contains vnodes of
-nearly every shard, so a window there would not concentrate anything.
-With one point per shard the window reaches about ``max(1, w * n)``
-shards, so a tenant's working set concentrates on a few shards (cache
-locality, per-tenant isolation) while distinct tenants anchor all over
-the ring.  The trade-off is balance *within* a tenant — single-point
-gaps are uneven — which is why affinity is opt-in and the harness
-sizes shards from the actually-routed population.  ``w = 1`` recovers
-uniform consistent hashing on the full virtual-node ring.
+The tenant is not part of the ring coordinate: a key's point is a hash
+of the key alone, so one key routes to the same shard under every
+tenant (``shard_for`` takes ``tenant=`` for the callers that route a
+namespaced ``(tenant, key)`` pair, and ignores it).  Distinct tenants'
+keyspaces spread over the whole ring like any other keys.
 """
 
 from __future__ import annotations
@@ -39,10 +31,6 @@ import hashlib
 from typing import List, Optional, Tuple, Union
 
 Key = Union[str, bytes, int, Tuple]
-
-#: The ring is the space of 64-bit hash values.
-RING_BITS = 64
-RING_SIZE = 1 << RING_BITS
 
 
 class RouterError(Exception):
@@ -94,9 +82,7 @@ class ConsistentHashRouter:
         replicas: Virtual nodes per shard; more replicas means a more
             even key split at the cost of a larger ring.
         seed: Ring seed; routers built with equal ``(n_shards,
-            replicas, seed, tenant_spread)`` produce identical mappings.
-        tenant_spread: Fraction of the ring a single tenant's keyspace
-            covers (``(0, 1]``); 1.0 disables affinity.
+            replicas, seed)`` produce identical mappings.
     """
 
     def __init__(
@@ -104,20 +90,14 @@ class ConsistentHashRouter:
         n_shards: int,
         replicas: int = 64,
         seed: int = 0,
-        tenant_spread: float = 1.0,
     ) -> None:
         if n_shards < 1:
             raise RouterError("n_shards must be >= 1, got %d" % n_shards)
         if replicas < 1:
             raise RouterError("replicas must be >= 1, got %d" % replicas)
-        if not 0.0 < tenant_spread <= 1.0:
-            raise RouterError(
-                "tenant_spread must be in (0, 1], got %r" % (tenant_spread,)
-            )
         self.n_shards = n_shards
         self.replicas = replicas
         self.seed = seed
-        self.tenant_spread = tenant_spread
         self._salt = b"repro.service.router:%d" % seed
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
@@ -129,42 +109,17 @@ class ConsistentHashRouter:
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
-        # The coarse ring tenant-scoped lookups use: one point per
-        # shard, so a spread-w window actually narrows the shard set.
-        tpoints = sorted(
-            (_hash64(self._salt, b"tnode:%d" % shard), shard)
-            for shard in range(n_shards)
-        )
-        self._tpoints = [p for p, _ in tpoints]
-        self._towners = [s for _, s in tpoints]
 
     # -- lookup ----------------------------------------------------------
 
     def shard_for(self, key: Key, tenant: Optional[Key] = None) -> int:
-        """The shard owning ``key`` (within ``tenant``'s window when
-        affinity is enabled)."""
+        """The shard owning ``key``; ``tenant`` does not move it
+        (module docstring)."""
         raw = _hash64(self._salt, b"key:" + encode_key(key))
-        if tenant is None or self.tenant_spread >= 1.0:
-            idx = bisect.bisect_left(self._points, raw)
-            if idx == len(self._points):
-                idx = 0  # wrap to the ring's first point
-            return self._owners[idx]
-        anchor = _hash64(self._salt, b"tenant:" + encode_key(tenant))
-        width = int(self.tenant_spread * RING_SIZE)
-        # The key's position inside the tenant's window, wrapping.
-        point = (anchor + int(raw / RING_SIZE * width)) % RING_SIZE
-        idx = bisect.bisect_left(self._tpoints, point)
-        if idx == len(self._tpoints):
-            idx = 0
-        return self._towners[idx]
-
-    def tenant_shards(self, tenant: Key, sample: int = 256) -> List[int]:
-        """The shards a tenant's keyspace can reach, estimated by
-        routing ``sample`` probe keys through the tenant window."""
-        seen = set()
-        for i in range(sample):
-            seen.add(self.shard_for(b"probe:%d" % i, tenant=tenant))
-        return sorted(seen)
+        idx = bisect.bisect_left(self._points, raw)
+        if idx == len(self._points):
+            idx = 0  # wrap to the ring's first point
+        return self._owners[idx]
 
     def grown(self, n_shards: int) -> "ConsistentHashRouter":
         """A router over more shards with the same ring parameters.
@@ -178,10 +133,7 @@ class ConsistentHashRouter:
                 % (self.n_shards, n_shards)
             )
         return ConsistentHashRouter(
-            n_shards,
-            replicas=self.replicas,
-            seed=self.seed,
-            tenant_spread=self.tenant_spread,
+            n_shards, replicas=self.replicas, seed=self.seed
         )
 
     def __len__(self) -> int:
@@ -189,6 +141,6 @@ class ConsistentHashRouter:
 
     def __repr__(self) -> str:
         return (
-            "<ConsistentHashRouter shards=%d replicas=%d seed=%d spread=%.2f>"
-            % (self.n_shards, self.replicas, self.seed, self.tenant_spread)
+            "<ConsistentHashRouter shards=%d replicas=%d seed=%d>"
+            % (self.n_shards, self.replicas, self.seed)
         )

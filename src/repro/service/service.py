@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.kvstore import check_value
 from repro.obs import (
     PAGES_EDGES,
     MetricsRegistry,
@@ -65,11 +66,9 @@ class Service:
         config: Per-shard store geometry.
         policy: Cleaning-policy name (per-shard instances).
         unit_bytes: KV record granularity.
-        replicas: Router virtual nodes per shard.
-        tenant_spread: Router per-tenant affinity window (1.0 = none).
         batch_size / flush_interval / max_depth: Ingest queue knobs.
-        gc_budget / gc_max_share / free_target / pages_per_step:
-            Cleaning governor knobs (see :class:`StorePool`).
+        gc_budget / pages_per_step: Cleaning governor knobs (see
+            :class:`StorePool`).
         seed: Ring seed (the service itself draws no randomness).
         sample_interval: Per-shard time-series spacing in update ticks.
     """
@@ -80,30 +79,22 @@ class Service:
         config: StoreConfig,
         policy: str = "mdc",
         unit_bytes: int = 64,
-        replicas: int = 64,
-        tenant_spread: float = 1.0,
         batch_size: int = 256,
         flush_interval: int = 4,
         max_depth: int = 4096,
         gc_budget: Optional[int] = None,
-        gc_max_share: float = 0.5,
-        free_target: Optional[int] = None,
         pages_per_step: int = 32,
         seed: int = 0,
         sample_interval: Optional[int] = None,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.router = ConsistentHashRouter(
-            n_shards, replicas=replicas, seed=seed, tenant_spread=tenant_spread
-        )
+        self.router = ConsistentHashRouter(n_shards, seed=seed)
         self.pool = StorePool(
             n_shards,
             config,
             policy=policy,
             unit_bytes=unit_bytes,
             gc_budget=gc_budget,
-            gc_max_share=gc_max_share,
-            free_target=free_target,
             metrics=self.metrics,
             pages_per_step=pages_per_step,
         )
@@ -115,6 +106,8 @@ class Service:
             metrics=self.metrics,
         )
         self.queue.after_flush = self._after_flush
+        #: Every shard has the same geometry, so one record limit.
+        self._max_value_bytes = self.pool.shards[0].max_value_bytes
         #: Flush-stall SLO: a flush stalling behind more than one
         #: cleaner step's worth of GC pages is a bad event.
         self.slo = SLOTracker(threshold=float(pages_per_step))
@@ -167,9 +160,17 @@ class Service:
 
     def put(self, key: Key, value: bytes, tenant: Optional[Key] = None) -> int:
         """Acknowledge an upsert into the ingest queue; returns the
-        owning shard index."""
+        owning shard index.
+
+        A value the shard would refuse raises :class:`~repro.kvstore.
+        KVError` here, before anything is queued: an acknowledged put is
+        one its flush can apply (a flush that raised would lose the run
+        queued behind it)."""
+        if type(value) is not bytes or len(value) > self._max_value_bytes:
+            value = check_value(value, self._max_value_bytes)
         tracer = self.tracer
-        span = tracer.start("service.put") if tracer is not None else None
+        if tracer is not None:
+            span = tracer.start("service.put")
         skey = (tenant, key)  # the stored (namespaced) form of the key
         shard = self._routes.get(skey)
         try:
@@ -180,14 +181,15 @@ class Service:
         finally:
             # Also when the op's own flush is refused: an open span
             # would adopt every later one.
-            if span is not None:
+            if tracer is not None:
                 tracer.finish(span, shard=shard)
         return shard
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
         """Acknowledge a delete; returns the owning shard index."""
         tracer = self.tracer
-        span = tracer.start("service.delete") if tracer is not None else None
+        if tracer is not None:
+            span = tracer.start("service.delete")
         skey = (tenant, key)
         shard = self._routes.get(skey)
         try:
@@ -196,7 +198,7 @@ class Service:
             self._c_deletes.value += 1
             self.queue.enqueue(shard, (OP_DELETE, skey, None))
         finally:
-            if span is not None:
+            if tracer is not None:
                 tracer.finish(span, shard=shard)
         return shard
 

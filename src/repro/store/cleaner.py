@@ -17,28 +17,24 @@ cleaning as a correctness backstop: if steps don't keep up and a write
 exhausts the free pool, the write cleans inline exactly as before (and
 the stall shows up in the ``write_stall_pages`` histogram).
 
-Two knobs shape the SLO:
+One knob shapes the SLO: ``pages_per_step``, the per-step relocation
+budget, the bound on how long any single step (and thus any foreground
+interleave gap) runs.  Cleaning is *needed* whenever the free pool is
+below the **floor**, which is derived, not set — *enough free segments
+that the next thing a write allocates finds them already free*::
 
-* ``pages_per_step`` — the per-step relocation budget, the bound on how
-  long any single step (and thus any foreground interleave gap) runs;
-* ``free_target`` — the proactive headroom.  Cleaning is *needed*
-  whenever the free pool is below the **floor** derived from it.
+    floor = reactive trigger + 1 + segments one drain of the sorting buffer allocates
 
-The floor rule (the only one: :class:`~repro.service.pool.StorePool` and
-the latency shape pass headroom or nothing, and hold no default of their
-own) is *enough free segments that the next thing a write allocates
-finds them already free*::
-
-    floor = headroom + segments one drain of the sorting buffer allocates
-
-``headroom`` is ``free_target`` when given, else one segment above the
-store's reactive trigger; the second term is the capacity of the buffer
-the store actually built (0 without one: a direct write allocates one
-segment at a time, which the headroom covers).  A Section 5.3 buffer
-reaches the device as one drain of ``sort_buffer_segments`` segments
-under a single user write, so a floor that leaves the drain out lets
-that write run the free pool through the reactive trigger and clean
-inline — several cycle set-ups behind one put.
+The reactive trigger is the store's own
+(:meth:`~repro.store.LogStructuredStore.reactive_trigger`, the one
+definition, which :meth:`IncrementalCleaner.behind` reads too); the
+last term is the capacity of the buffer the store actually built (0
+without one: a direct write allocates one segment at a time, which the
+``+ 1`` covers).  A Section 5.3 buffer reaches the device as one drain
+of ``sort_buffer_segments`` segments under a single user write, so a
+floor that leaves the drain out lets that write run the free pool
+through the reactive trigger and clean inline — several cycle set-ups
+behind one put.  This class is the only place a floor is computed.
 
 Step budgets are the only input: replaying a recorded budget sequence
 reproduces the store exactly.
@@ -46,7 +42,7 @@ reproduces the store exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.store.errors import OutOfSpaceError
 
@@ -57,47 +53,25 @@ class IncrementalCleaner:
     Args:
         store: The :class:`~repro.store.LogStructuredStore` to clean.
         pages_per_step: Default relocation budget per :meth:`step` call.
-        free_target: Headroom of the floor rule (module docstring), in
-            free segments; default is one above the store's reactive
-            trigger.  The depth the engine maintains,
-            ``self.free_target``, is this plus the segments one drain of
-            the store's sorting buffer allocates.
-        clean_batch: Victims per cycle, passed to ``clean_begin``
-            (None = the policy's own batch size).
     """
 
-    def __init__(
-        self,
-        store,
-        pages_per_step: int = 32,
-        free_target: Optional[int] = None,
-        clean_batch: Optional[int] = None,
-    ) -> None:
+    def __init__(self, store, pages_per_step: int = 32) -> None:
         if pages_per_step < 1:
             raise ValueError(
                 "pages_per_step must be positive; got %d" % pages_per_step
             )
         self.store = store
         self.pages_per_step = int(pages_per_step)
-        if free_target is None:
-            trigger = max(
-                store.config.clean_trigger, store.policy.min_free_target()
-            )
-            free_target = trigger + 1
         buffer = store.buffer
         drain = (
             0
             if buffer is None
             else buffer.capacity_units // store.config.segment_units
         )
-        self.free_target = int(free_target) + drain
-        self.clean_batch = clean_batch
+        #: The free-segment depth the engine maintains (module docstring).
+        self.floor = store.reactive_trigger() + 1 + drain
         #: Cumulative pages relocated through this engine.
         self.pages_relocated = 0
-        #: Cumulative step() calls that did any work.
-        self.steps_run = 0
-        #: Cycles this engine began.
-        self.cycles_started = 0
 
     # -- state ---------------------------------------------------------
 
@@ -108,12 +82,12 @@ class IncrementalCleaner:
 
     def needs_cleaning(self) -> bool:
         """True when a step would do useful work: a cycle is mid-flight,
-        or the free pool is below ``free_target`` with something sealed
-        to clean."""
+        or the free pool is below the floor with something sealed to
+        clean."""
         store = self.store
         if store.clean_cursor is not None:
             return True
-        if store.free_segment_count >= self.free_target:
+        if store.free_segment_count >= self.floor:
             return False
         return store.sealed_segments().size > 0
 
@@ -123,10 +97,7 @@ class IncrementalCleaner:
         layer treats this as urgent: such a shard gets a step even when
         deferral-under-load would otherwise skip it."""
         store = self.store
-        trigger = max(
-            store.config.clean_trigger, store.policy.min_free_target()
-        )
-        return store.free_segment_count < trigger
+        return store.free_segment_count < store.reactive_trigger()
 
     # -- driving -------------------------------------------------------
 
@@ -135,8 +106,8 @@ class IncrementalCleaner:
 
         Relocates at most ``max_pages`` (default ``pages_per_step``),
         beginning a new cycle when none is active and the pool is below
-        ``free_target``, and stopping early once the target is reached
-        with no cycle mid-flight.  A no-op returning 0 when no cleaning
+        the floor, and stopping early once the floor is reached with no
+        cycle mid-flight.  A no-op returning 0 when no cleaning
         is needed.
         """
         budget = self.pages_per_step if max_pages is None else int(max_pages)
@@ -150,10 +121,9 @@ class IncrementalCleaner:
                     break
                 free_before = store.free_segment_count
                 try:
-                    store.clean_begin(self.clean_batch)
+                    store.clean_begin()
                 except OutOfSpaceError:
                     break  # nothing cleanable right now
-                self.cycles_started += 1
                 if (
                     store.clean_pending == 0
                     and store.free_segment_count <= free_before
@@ -167,35 +137,16 @@ class IncrementalCleaner:
             moved = store.clean_step(budget)
             done += moved
             budget -= moved
-        if done:
-            self.pages_relocated += done
-            self.steps_run += 1
+        self.pages_relocated += done
         return done
-
-    def drain(self) -> int:
-        """Finish the active cycle unconditionally (no new cycle is
-        begun); returns pages relocated."""
-        moved = self.store.clean_step(None)
-        if moved:
-            self.pages_relocated += moved
-        return moved
-
-    def stats(self) -> Dict[str, int]:
-        """Engine counters, JSON-ready."""
-        return {
-            "pages_relocated": self.pages_relocated,
-            "steps_run": self.steps_run,
-            "cycles_started": self.cycles_started,
-            "pending": self.pending,
-        }
 
     def __repr__(self) -> str:
         return (
-            "<IncrementalCleaner pages_per_step=%d free_target=%d "
+            "<IncrementalCleaner pages_per_step=%d floor=%d "
             "pending=%d relocated=%d>"
             % (
                 self.pages_per_step,
-                self.free_target,
+                self.floor,
                 self.pending,
                 self.pages_relocated,
             )

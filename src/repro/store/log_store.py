@@ -861,7 +861,7 @@ class LogStructuredStore:
 
         *The plan.*  With no cleaning cycle mid-flight, a user roll
         cleans nothing while the free pool is at or above
-        :meth:`_reactive_trigger`, so the run may roll ``len(free_list)
+        :meth:`reactive_trigger`, so the run may roll ``len(free_list)
         - trigger + 1`` times (never under an active cursor: its first
         roll must drain it).  Destinations are the open segment, then
         the head of the FIFO free list in pop order; their first-fit
@@ -888,7 +888,7 @@ class LogStructuredStore:
             return 0
         free = self.free_list
         rolls = (
-            len(free) - self._reactive_trigger() + 1
+            len(free) - self.reactive_trigger() + 1
             if self._clean_cursor is None
             else 0
         )
@@ -1170,9 +1170,9 @@ class LogStructuredStore:
         if obs is not None:
             obs.on_seal(seg)
 
-    def _reactive_trigger(self) -> int:
-        """Free-pool level below which a user roll cleans inline (what
-        a run's plan and the roll itself must agree on)."""
+    def reactive_trigger(self) -> int:
+        """Free-pool level below which a user roll cleans inline: the
+        one definition a run's plan, the roll and the cleaner read."""
         return max(self.config.clean_trigger, self.policy.min_free_target())
 
     def _clean_until_replenished(self) -> None:
@@ -1185,7 +1185,7 @@ class LogStructuredStore:
         reclaim no space at all are bounded so a degenerate policy fails
         fast instead of looping forever.
         """
-        trigger = self._reactive_trigger()
+        trigger = self.reactive_trigger()
         obs = self.obs
         gc_before = self.stats.gc_writes if obs is not None else 0
         tracer = obs.tracer if obs is not None else None

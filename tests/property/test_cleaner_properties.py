@@ -191,8 +191,8 @@ def test_engine_driven_interleave_matches_model(writes, pages_per_step, period):
         model[pid] = True
         if i % period == 0:
             cleaner.step()
-    while store.clean_cursor is not None:
-        cleaner.drain()
+    store.clean_step(None)
+    assert store.clean_cursor is None
     store.check_invariants()
     pages = store.pages
     live = {pid for pid in range(len(pages.seg)) if pages.seg[pid] != -1}

@@ -62,23 +62,25 @@ class TestIncrementalGovernance:
         assert pool.cleaners[-1].store is shard.store
 
     def test_idle_round_restores_free_target(self):
+        """Each shard buffers 2 segments (``32 // 16``): floor 2 + 1 + 2."""
         metrics = MetricsRegistry()
         pool = StorePool(
-            2, CFG, policy="greedy",
-            pages_per_step=4, free_target=4, gc_budget=256,
-            metrics=metrics,
+            2, CFG, policy="mdc",
+            pages_per_step=4, gc_budget=256, metrics=metrics,
         )
+        floor = pool.cleaners[0].floor
+        assert floor == 5
         for kv in pool.shards:
             fill_shard(kv, 120)
         assert any(
-            kv.store.free_segment_count < 4 for kv in pool.shards
+            kv.store.free_segment_count < floor for kv in pool.shards
         )
         guard = 0
         while any(c.needs_cleaning() for c in pool.cleaners) and guard < 200:
             pool.maintain(idle=True)
             guard += 1
         assert all(
-            kv.store.free_segment_count >= 4 for kv in pool.shards
+            kv.store.free_segment_count >= floor for kv in pool.shards
         )
         counters = metrics.snapshot().counters
         assert counters.get("gc_governed_steps", 0) > 0
@@ -88,20 +90,19 @@ class TestIncrementalGovernance:
     def test_loaded_round_defers_non_urgent_shards(self):
         metrics = MetricsRegistry()
         pool = StorePool(
-            1, CFG, policy="greedy",
-            pages_per_step=4, free_target=8, gc_budget=256,
-            metrics=metrics,
+            1, CFG, policy="mdc",
+            pages_per_step=4, gc_budget=256, metrics=metrics,
         )
         kv = pool.shards[0]
         fill_shard(kv, 120)
-        # Put the shard between trigger and free_target: needy but not
-        # urgent.
+        # Put the buffered shard between its trigger and its floor
+        # (2 and 5): needy but not urgent.
         cleaner = pool.cleaners[0]
         guard = 0
         while cleaner.behind() and guard < 200:
             cleaner.step()
             guard += 1
-        assert cleaner.needs_cleaning()
+        assert cleaner.needs_cleaning() and not cleaner.behind()
         moved = pool.maintain()  # loaded round: must defer
         assert moved == 0
         counters = metrics.snapshot().counters
@@ -111,8 +112,7 @@ class TestIncrementalGovernance:
 
     def test_step_bounded_by_pages_per_step_when_loaded(self):
         pool = StorePool(
-            1, CFG, policy="greedy",
-            pages_per_step=2, free_target=6, gc_budget=256,
+            1, CFG, policy="greedy", pages_per_step=2, gc_budget=256,
         )
         fill_shard(pool.shards[0], 120)
         store = pool.shards[0].store
@@ -126,8 +126,7 @@ class TestIncrementalGovernance:
                 fill_shard(pool.shards[0], 40, rounds=1)
                 if pool.cleaners[0].behind():
                     break
-        if not pool.cleaners[0].behind():
-            pytest.skip("could not drive the shard below trigger")
+        assert pool.cleaners[0].behind()
         moved = pool.maintain()
         assert 0 < moved <= 2
 
@@ -185,11 +184,7 @@ def drive(cfg, rounds=None):
 
 
 def loaded_round_bound(pool):
-    share_cap = max(1, int(pool.gc_max_share * pool.gc_budget))
-    return min(
-        pool.gc_budget,
-        pool.n_shards * min(pool.pages_per_step, share_cap),
-    )
+    return min(pool.gc_budget, pool.n_shards * pool.pages_per_step)
 
 
 #: Small flushes and rare ticks: cleaning is driven by the loaded rounds
@@ -234,16 +229,15 @@ class TestStallBound:
 
 class TestFloorRule:
     """The governor's floor covers one drain (``repro.store.cleaner``):
-    on the latency shape, which passes no ``free_target`` of its own,
-    idle rounds keep every drain off the flush path."""
+    on the latency shape idle rounds keep every drain off the flush
+    path."""
 
     def test_latency_shape_holds_the_derived_floor(self):
         cfg = latency_config(quick=True)
-        assert cfg.free_target is None
         svc = build_service(cfg)
         buffer_segments = svc.pool.config.sort_buffer_segments
         assert buffer_segments > 1
-        assert [c.free_target for c in svc.pool.cleaners] == [
+        assert [c.floor for c in svc.pool.cleaners] == [
             cfg.clean_trigger + 1 + buffer_segments
         ] * cfg.n_shards
         svc.close()
@@ -266,7 +260,7 @@ class TestFloorRule:
         )
         hist, write_stalls, pool = drive(cfg)
         assert pool[0].store.buffer is None
-        assert pool.cleaners[0].free_target == cfg.clean_trigger + 1
+        assert pool.cleaners[0].floor == cfg.clean_trigger + 1
         assert write_stalls > 0
         assert hist.max_observed > cfg.pages_per_step
 

@@ -47,8 +47,6 @@ class TestShape:
         with pytest.raises(ValueError):
             StorePool(0, pool_config())
         with pytest.raises(ValueError):
-            StorePool(1, pool_config(), gc_max_share=0.0)
-        with pytest.raises(ValueError):
             StorePool(1, pool_config(), gc_budget=0)
 
 
@@ -97,23 +95,20 @@ class TestShardBufferAndFloor:
         config = pool_config(n_segments=160)
         trigger = config.clean_trigger
         default = StorePool(2, config, policy="mdc")
-        assert [c.free_target for c in default.cleaners] == [trigger + 1 + 10] * 2
-        passed = StorePool(1, config, policy="mdc", free_target=6)
-        assert passed.cleaners[0].free_target == 6 + 10
-        passed.add_shard()
-        assert passed.cleaners[1].free_target == 16
+        assert [c.floor for c in default.cleaners] == [trigger + 1 + 10] * 2
+        assert default[0].store.reactive_trigger() == trigger
+        default.add_shard()
+        assert default.cleaners[2].floor == trigger + 1 + 10
         named = StorePool(
             1, config.scaled(sort_buffer_segments=3), policy="mdc"
         )
-        assert named.cleaners[0].free_target == trigger + 1 + 3
+        assert named.cleaners[0].floor == trigger + 1 + 3
 
     @pytest.mark.parametrize("policy", ["greedy", "age", "mdc-no-sep-user"])
     def test_a_no_buffer_policy_holds_the_floor_it_held_before(self, policy):
         config = pool_config(n_segments=160)
         default = StorePool(1, config, policy=policy)
-        assert default.cleaners[0].free_target == config.clean_trigger + 1
-        passed = StorePool(1, config, policy=policy, free_target=6)
-        assert passed.cleaners[0].free_target == 6
+        assert default.cleaners[0].floor == config.clean_trigger + 1
 
     def test_idle_rounds_restore_the_floor_and_a_drain_lands_in_it(self):
         """What the floor is for: with it held, the put that drains the
@@ -126,7 +121,7 @@ class TestShardBufferAndFloor:
         kv, cleaner = pool[0], pool.cleaners[0]
         store = kv.store
         assert store.buffer.capacity_units == 4 * 16
-        assert cleaner.free_target == 2 + 1 + 4
+        assert cleaner.floor == 2 + 1 + 4
         keys = [("k", i) for i in range(440)]
         for r in range(6):
             kv.put_many((key, bytes([r]) * 8) for key in keys[r % 2 :: 2])
@@ -137,7 +132,7 @@ class TestShardBufferAndFloor:
             while cleaner.needs_cleaning() and guard < 100:
                 pool.maintain(idle=True)
                 guard += 1
-            assert store.free_segment_count >= cleaner.free_target
+            assert store.free_segment_count >= cleaner.floor
             assert store.clean_cursor is None
             before = store.stats.clean_cycles
             flushed = store.stats.user_device_writes
@@ -154,23 +149,29 @@ class TestShardBufferAndFloor:
 
 
 class TestGovernance:
+    """Governed rounds against the derived floor.  A buffered ``mdc``
+    shard (8 buffer segments: floor ``2 + 1 + 8`` = 11) leaves a wide
+    gap between the reactive trigger and its floor, the "needy but not
+    behind" state a loaded round defers."""
+
     def test_maintain_noop_when_all_shards_healthy(self):
         pool = StorePool(2, pool_config(), policy="greedy", unit_bytes=8)
         assert pool.maintain() == 0
 
     def test_maintain_tops_up_a_needy_shard(self):
         pool = StorePool(
-            2, pool_config(), policy="greedy", unit_bytes=8,
-            free_target=6, gc_budget=10_000,
+            2, pool_config(sort_buffer_segments=8), policy="mdc",
+            unit_bytes=8, gc_budget=10_000,
         )
-        fill_shard(pool, 0, keys=50, size=24, rounds=6)
+        fill_shard(pool, 0, keys=50, size=24, rounds=4)
+        cleaner = pool.cleaners[0]
         free_before = pool[0].store.free_segment_count
-        if free_before >= 6:
-            pytest.skip("churn did not push shard below free_target")
+        assert cleaner.needs_cleaning() and not cleaner.behind()
+        assert free_before < cleaner.floor == 11
         assert pool.maintain() == 0  # needy, not behind: loaded defers
         pool.maintain(idle=True)
         assert pool[0].store.free_segment_count >= min(
-            6, free_before + 1
+            cleaner.floor, free_before + 1
         )
         # The healthy shard was never touched.
         assert pool[1].store.stats.gc_writes == 0
@@ -178,46 +179,28 @@ class TestGovernance:
     def test_budget_caps_one_round(self):
         metrics = MetricsRegistry()
         pool = StorePool(
-            1, pool_config(), policy="greedy", unit_bytes=8,
-            free_target=12, gc_budget=4, metrics=metrics,
+            1, pool_config(sort_buffer_segments=8), policy="mdc",
+            unit_bytes=8, gc_budget=4, metrics=metrics,
         )
-        fill_shard(pool, 0, keys=50, size=24, rounds=6)
-        if pool[0].store.free_segment_count >= 12:
-            pytest.skip("churn did not push shard below free_target")
+        fill_shard(pool, 0, keys=50, size=24, rounds=4)
+        assert pool.cleaners[0].needs_cleaning()
         spent = pool.maintain(idle=True)
         assert spent <= 4
         counters = metrics.snapshot().counters
         assert counters.get("gc_governed_pages", 0) == spent
 
-    def test_share_cap_leaves_budget_for_other_shards(self):
-        metrics = MetricsRegistry()
-        pool = StorePool(
-            2, pool_config(), policy="greedy", unit_bytes=8,
-            free_target=8, gc_budget=10_000, gc_max_share=0.001,
-            metrics=metrics,
-        )
-        fill_shard(pool, 0, keys=50, size=24, rounds=6)
-        fill_shard(pool, 1, keys=50, size=24, rounds=6)
-        pool.maintain(idle=True)
-        counters = metrics.snapshot().counters
-        # share cap of max(1, ...) = 1 page: each step moves one page,
-        # so both shards got a turn and the round reports capped.
-        if counters.get("gc_governed_pages", 0):
-            assert counters.get("gc_budget_capped_rounds", 0) >= 0
-            gc = [kv.store.stats.gc_writes for kv in pool.shards]
-            assert all(g >= 0 for g in gc)
-
     def test_repeated_maintain_reaches_target(self):
         pool = StorePool(
-            1, pool_config(), policy="greedy", unit_bytes=8,
-            free_target=5, gc_budget=8,
+            1, pool_config(sort_buffer_segments=8), policy="mdc",
+            unit_bytes=8, gc_budget=8,
         )
-        fill_shard(pool, 0, keys=50, size=24, rounds=6)
+        fill_shard(pool, 0, keys=50, size=24, rounds=4)
+        floor = pool.cleaners[0].floor
         for _ in range(200):
-            if pool[0].store.free_segment_count >= 5:
+            if pool[0].store.free_segment_count >= floor:
                 break
             assert pool.maintain(idle=True) <= 8
-        assert pool[0].store.free_segment_count >= 5
+        assert pool[0].store.free_segment_count >= floor
         pool.check_consistency()
 
 

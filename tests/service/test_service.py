@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kvstore import KVError
 from repro.obs import Tracer
 from repro.obs.export import validate_rows
 from repro.service import Service
@@ -271,6 +272,54 @@ class TestRefusedFlush:
         assert (put.name, put.parent_id) == ("service.put", None)
         assert (flush.name, flush.parent_id) == ("queue.flush", put.span_id)
         assert flush.attrs["refused"] is True
+
+
+class TestRefusedValue:
+    """A value no shard would store is refused at ``put``, before it is
+    queued, so the ops acknowledged around it are all applied."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["text", None, 7, memoryview(b"x"), "oversized"],
+        ids=["str", "none", "int", "memoryview", "oversized"],
+    )
+    def test_invalid_value_raises_at_put_and_loses_nothing(self, bad):
+        svc = make_service(1, batch_size=1000, flush_interval=1000)
+        tracer = svc.attach_tracer(Tracer())
+        if bad == "oversized":
+            bad = bytes(svc.pool[0].max_value_bytes + 1)
+        svc.put("a", b"1", tenant="t")
+        with pytest.raises(KVError):
+            svc.put("bad", bad, tenant="t")
+        assert svc.queue.depth == 1
+        assert svc.get("bad", tenant="t") is None
+        svc.put("c", b"3", tenant="t")
+        svc.delete("z", tenant="t")
+        svc.put("d", b"4", tenant="t")
+        assert svc.flush() == 4
+        assert svc.queue.depth == 0
+        assert [svc.get(k, tenant="t") for k in "acd"] == [b"1", b"3", b"4"]
+        assert svc.get("bad", tenant="t") is None
+        assert svc.metrics.counter("puts").value == 3
+        assert tracer._stack == []
+        svc.pool.check_consistency()
+
+    def test_a_value_at_the_limit_is_stored(self):
+        svc = make_service(1)
+        value = b"v" * svc.pool[0].max_value_bytes
+        svc.put("k", value)
+        svc.flush()
+        assert svc.get("k") == value
+
+    def test_a_bytearray_is_copied_at_put(self):
+        svc = make_service(1, batch_size=1000, flush_interval=1000)
+        value = bytearray(b"abc")
+        svc.put("k", value)
+        value[0] = ord("z")  # after the ack: reaches neither copy
+        assert svc.get("k") == b"abc"
+        svc.flush()
+        assert svc.get("k") == b"abc"
+        assert type(svc.get("k")) is bytes
 
 
 class TestObservability:

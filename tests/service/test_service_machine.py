@@ -4,8 +4,13 @@ over :class:`~repro.service.Service` against a per-tenant dict.
 The first slice of ROADMAP item 4: client ops, the service clock,
 explicit flushes and growth, on a geometry where every shard has a
 sorting buffer (32 segments: ``n // 16`` = 2) and is small enough that
-a few hundred record writes run it through cleaning.  No failpoints
-yet.  After every step:
+a few hundred record writes run it through cleaning.  Client values
+include ones no shard would store (not bytes, or over
+``max_value_bytes``): ``put`` must raise ``KVError`` at the call and
+queue nothing, so the model is unchanged and every op acknowledged
+before it is still applied at the next flush; and a ``bytearray`` a
+client mutates after its ``put`` was acknowledged.  No failpoints yet.
+After every step:
 
 * read-your-writes — every key reads as the model says, whether its
   last op is queued, buffered in the shard, staged by a cleaning cycle
@@ -22,6 +27,7 @@ tier-1, 1,500 under ``--hypothesis-profile nightly``.
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -30,6 +36,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.kvstore import KVError
 from repro.service import Service
 from repro.store import StoreConfig
 
@@ -50,6 +57,14 @@ keys = st.integers(0, N_KEYS - 1)
 #: 1-2 units: a rewrite of a buffered record changes its size.
 sizes = st.integers(1, 2 * UNIT_BYTES)
 fills = st.integers(0, 255)
+#: Values every shard refuses: oversized (the limit is one segment,
+#: 64 bytes) or not bytes at all.
+invalid_values = st.one_of(
+    st.binary(min_size=8 * UNIT_BYTES + 1, max_size=8 * UNIT_BYTES + 16),
+    st.text(max_size=4),
+    st.none(),
+    st.integers(),
+)
 
 
 class ServiceMachine(RuleBasedStateMachine):
@@ -70,6 +85,23 @@ class ServiceMachine(RuleBasedStateMachine):
         value = bytes([fill]) * size
         self.service.put(key, value, tenant=tenant)
         self.model[tenant][key] = value
+
+    @rule(tenant=tenants, key=keys, size=sizes, fill=fills)
+    def put_bytearray(self, tenant, key, size, fill):
+        """Stored as the bytes it held at the call."""
+        value = bytearray([fill]) * size
+        self.service.put(key, value, tenant=tenant)
+        self.model[tenant][key] = bytes(value)
+        value[0] ^= 0xFF
+
+    @rule(tenant=tenants, key=keys, value=invalid_values)
+    def put_invalid(self, tenant, key, value):
+        """Refused at the call: nothing queued, the model unchanged (the
+        invariants and the teardown's flush check the rest)."""
+        depth = self.service.queue.depth
+        with pytest.raises(KVError):
+            self.service.put(key, value, tenant=tenant)
+        assert self.service.queue.depth == depth
 
     @rule(
         tenant=tenants, first=keys, count=st.integers(4, 20), size=sizes,

@@ -361,7 +361,7 @@ def _roomy_pair(policy_name="greedy"):
             )
         store.load_sequential(cfg.user_pages // 2)
         store.write_batch(warm)
-        while store.free_segment_count < store._reactive_trigger() + 8:
+        while store.free_segment_count < store.reactive_trigger() + 8:
             store.clean()
     assert state_digest(scalar_store) == state_digest(batch_store)
     assert scalar_store.stats.clean_cycles > 8
@@ -416,7 +416,7 @@ def test_scalar_step_only_at_rolls_that_clean():
     clean, and only those go through scalar ``write``."""
     cfg, scalar_store, batch_store = _roomy_pair()
     seg0, _ = _open_segment(batch_store)
-    allowance = batch_store.free_segment_count - batch_store._reactive_trigger() + 1
+    allowance = batch_store.free_segment_count - batch_store.reactive_trigger() + 1
     pids = _outside(batch_store, seg0, (allowance + 6) * cfg.segment_units)
     runs, steps, seals, cleaned = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
