@@ -38,8 +38,10 @@ Their difference at flush time is the ``ops_coalesced`` counter: how
 many queued ops the map absorbed — on skewed tenant keyspaces this is
 the service's second amplification lever, upstream of the cleaner.
 
-A flush the store refuses (out of space) puts the run back: every op
-the queue acknowledged is either applied or still pending and readable.
+A flush the store refuses (out of space) still applies the run's
+deletes, which are what can make room on a full shard, and puts the
+puts back: every op the queue acknowledged is either applied or still
+pending and readable.
 
 Everything is synchronous and deterministic: "async" is a property of
 the *ordering contract* (acknowledge now, apply on flush), not of
@@ -226,12 +228,21 @@ class IngestQueue:
             except StoreError:
                 # Out of space is the refusal a later flush can get
                 # past (after deletes or cleaning), and put_many
-                # recorded none of the batch: the acknowledged run goes
-                # back whole.
-                self._pending[shard] = final
-                self._queued[shard] = n
+                # recorded none of the batch.  The deletes (keys
+                # disjoint from the puts') go down, so a full shard can
+                # be relieved; the acknowledged puts go back.
+                deletes = [key for key, op in final.items() if op[0] == OP_DELETE]
+                for key in deletes:
+                    kv.delete(key)
+                left = n - len(deletes)
+                self._pending[shard] = {
+                    key: op for key, op in final.items() if op[0] == OP_PUT
+                }
+                self._queued[shard] = left
                 self._oldest_tick[shard] = oldest
-                self.depth += n
+                self.depth += left
+                if self.metrics is not None:
+                    self.metrics.counter("ops_flushed").inc(len(deletes))
                 if span is not None:
                     tracer.finish(span, refused=True)
                 raise

@@ -5,26 +5,39 @@ places: *run folding* (``prev_occurrence`` — mapping each write in a
 batch to the previous write of the same page) and *victim scoring*
 (``ascending_prefix`` — the partial stable argsort behind
 ``select_victims``), plus the strict left-to-right float folds
-(``fold_add``) that keep batch execution bit-identical to the scalar
-path.
+(``fold_add``, and ``fold_midpoints`` for the buffered midpoint rule)
+that keep batch execution bit-identical to the scalar path.
 
 The contract is **bit-identity** with the scalar write loop: each kernel
 performs the same IEEE-754 operations in the same order the scalar path
 would, so the differential oracle and the trace state digests cannot
 tell batch from scalar execution.  ``tests/store/test_kernels.py``
-fuzzes all three against brute-force oracles.
+fuzzes each against a brute-force oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ascending_prefix", "fold_add", "kernel_info", "prev_occurrence"]
+__all__ = [
+    "ascending_prefix",
+    "fold_add",
+    "fold_midpoints",
+    "kernel_info",
+    "prev_occurrence",
+]
 
 #: Below this many values the float fold runs as a plain Python loop —
 #: identical adds, no temporary array, faster for the short runs the
 #: write engine mostly sees.
 _FOLD_LOOP_MAX = 32
+
+#: Below this many rewrites the midpoint fold runs as one Python loop
+#: (a service flush carries about ten); at or above it, occurrence
+#: ranks are folded as arrays while at least ``_MIDPOINT_RANK_MIN``
+#: pages take part, and the loop takes only the hot pages' tail.
+_MIDPOINT_LOOP_MAX = 64
+_MIDPOINT_RANK_MIN = 16
 
 
 def kernel_info() -> dict:
@@ -62,6 +75,65 @@ def fold_add(current: float, values: np.ndarray) -> float:
     tmp[0] = current
     tmp[1:] = values
     return float(np.cumsum(tmp)[-1])
+
+
+def fold_midpoints(
+    carried: np.ndarray, pids: np.ndarray, clocks: np.ndarray
+) -> None:
+    """Apply the buffered midpoint rule ``c <- c + 0.5 * (clock - c)`` to
+    ``carried[pid]`` once per ``(pid, clock)`` pair, per page in position
+    order (a repeat compounds on its previous occurrence's result), in
+    place.  NaN estimates (first writes not yet placed) stay NaN.
+
+    A page's ``r``-th occurrence depends only on its ``r-1``-th, so the
+    ``r``-th occurrences of all pages are one array step, taken while
+    at least ``_MIDPOINT_RANK_MIN`` pages have one; each page's
+    remaining occurrences are one tight loop.  Every page sees the same
+    IEEE operations in the same order as the scalar loop.
+    """
+    n = pids.size
+    if n < _MIDPOINT_LOOP_MAX:
+        pid_list = pids.tolist()
+        vals = dict(zip(pid_list, carried[pids].tolist()))
+        for pid, clk in zip(pid_list, clocks.tolist()):
+            c = vals[pid]
+            if c == c:  # not NaN
+                vals[pid] = c + 0.5 * (clk - c)
+        carried[list(vals)] = list(vals.values())
+        return
+    order = np.argsort(pids, kind="stable")
+    sp = pids[order]
+    ends = np.append(np.flatnonzero(sp[1:] != sp[:-1]) + 1, n)
+    starts = np.append(0, ends[:-1])
+    sizes = ends - starts
+    # Most occurrences first, so the pages with an r-th one are a prefix.
+    most = np.argsort(-sizes, kind="stable")
+    starts = starts[most]
+    sizes = sizes[most]
+    upids = sp[starts]
+    vals = carried[upids]
+    known = vals == vals
+    sclk = clocks[order].astype(np.float64)
+    ranks = 0
+    if sizes.size >= _MIDPOINT_RANK_MIN:
+        ranks = int(sizes[_MIDPOINT_RANK_MIN - 1])
+        taking = np.searchsorted(-sizes, -np.arange(ranks), side="left")
+        for r, m in enumerate(taking.tolist()):
+            v = vals[:m]
+            v += 0.5 * (sclk[starts[:m] + r] - v)
+    hot = int(np.count_nonzero(sizes > ranks))
+    if hot:
+        cl = sclk.tolist()
+        out = vals[:hot].tolist()
+        lows = (starts[:hot] + ranks).tolist()
+        highs = (starts[:hot] + sizes[:hot]).tolist()
+        for i, (lo, hi) in enumerate(zip(lows, highs)):
+            c = out[i]
+            for clk in cl[lo:hi]:
+                c = c + 0.5 * (clk - c)
+            out[i] = c
+        vals[:hot] = out
+    carried[upids[known]] = vals[known]
 
 
 def ascending_prefix(

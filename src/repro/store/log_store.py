@@ -105,6 +105,7 @@ from repro.store.errors import (
     StoreError,
 )
 from repro.store.kernels import fold_add as _fold_add
+from repro.store.kernels import fold_midpoints as _fold_midpoints
 from repro.store.kernels import prev_occurrence as _prev_occurrence
 from repro.store.pagetable import (
     IN_BUFFER,
@@ -128,6 +129,9 @@ _LOAD_CHUNK = 1 << 14
 #: table state for its whole window, a direct one for everything it
 #: planned, however few writes either ends up taking).
 _RUN_WINDOW = 1 << 12
+
+#: First occurrences a buffered attempt reads past the buffer's free units.
+_RUN_SLACK = 64
 
 
 def _stream_runs(streams: np.ndarray):
@@ -249,7 +253,7 @@ class LogStructuredStore:
         self._sealed_dirty = True
         if config.sort_buffer_segments > 0 and policy.uses_sort_buffer:
             self.buffer: Optional[SortBuffer] = SortBuffer(
-                config.sort_buffer_segments * config.segment_units
+                config.sort_buffer_segments * config.segment_units, self.pages
             )
         else:
             self.buffer = None
@@ -401,11 +405,7 @@ class LogStructuredStore:
                         pids, size_arr, cum, prev, start, limit, int(routes[start])
                     )
                 else:
-                    took = self._write_run_buffered(
-                        pids[start:limit],
-                        None if size_arr is None else size_arr[start:limit],
-                        prev[start:limit] - start,
-                    )
+                    took = self._write_run_buffered(pids, size_arr, prev, start, limit)
                 if took == 0:
                     # Boundary write: the next write flushes, or rolls
                     # into a cleaning cycle; the scalar path handles
@@ -476,7 +476,7 @@ class LogStructuredStore:
         if buffer is None or len(buffer) == 0:
             return
         failpoint("store.flush.pre_drain", buffered=len(buffer))
-        arr = np.asarray(buffer.drain(), dtype=np.int64)
+        arr = buffer.drain()
         obs = self.obs
         if obs is not None:
             obs.on_flush(arr.size)
@@ -512,10 +512,8 @@ class LogStructuredStore:
             # (still IN_BUFFER in the page table) goes back, in emission
             # order, so the pages stay trimmable and rewritable and the
             # next flush retries them.
-            pages = self.pages
-            left = arr[pages.seg[arr] == IN_BUFFER]
-            for pid, size in zip(left.tolist(), pages.size[left].tolist()):
-                buffer.add(pid, size)
+            left = arr[self.pages.seg[arr] == IN_BUFFER]
+            buffer.add_run(left, int(self.pages.size[left].sum()))
             raise
         finally:
             if span is not None:
@@ -974,27 +972,33 @@ class LogStructuredStore:
 
     def _write_run_buffered(
         self,
-        run: np.ndarray,
-        run_sizes: Optional[np.ndarray],
-        prev_rel: np.ndarray,
+        pids: np.ndarray,
+        sizes: Optional[np.ndarray],
+        prev: np.ndarray,
+        start: int,
+        limit: int,
     ) -> int:
-        """Absorb as many of ``run`` as the sorting buffer takes without
-        flushing; returns the number of writes consumed (0 when the next
-        write must flush first).
+        """Absorb as many of ``pids[start:limit]`` as the sorting buffer
+        takes without flushing; returns the number of writes consumed (0
+        when the next write must flush first).
 
-        ``prev_rel`` maps each position to the previous occurrence of
-        its page id, relative to the run start (negative: none inside
-        the run).  A repeated id rewrites the still-buffered version its
-        previous occurrence added, so a run ends only where the buffer
-        must flush."""
+        ``prev`` maps each position to the previous occurrence of its
+        page id (negative: none).  A repeat inside the run rewrites the
+        still-buffered version its previous occurrence added, so a run
+        ends only where the buffer must flush.  Each new page (a first
+        occurrence) takes a free unit, so the attempt reads no further
+        than ``_RUN_SLACK`` first occurrences past the free units."""
         buffer = self.buffer
         pages = self.pages
+        room = max(0, buffer.capacity_units - buffer.used_units) + _RUN_SLACK
+        if limit - start > room:
+            first = np.flatnonzero(prev[start:limit] < start)
+            if first.size > room:
+                limit = start + int(first[room])
+        run = pids[start:limit]
         k0 = run.size
-        sz = (
-            np.ones(k0, dtype=np.int64)
-            if run_sizes is None
-            else run_sizes
-        )
+        sz = np.ones(k0, dtype=np.int64) if sizes is None else sizes[start:limit]
+        prev_rel = prev[start:limit] - start
         old_seg = pages.seg[run]
         old_size = pages.size[run]
         dup = prev_rel >= 0
@@ -1003,25 +1007,18 @@ class LogStructuredStore:
             old_size[dup] = sz[prev_rel[dup]]
         in_buf = old_seg == IN_BUFFER
         # A rewrite of a buffered page replaces in place (net size delta,
-        # no capacity check — mirroring SortBuffer.replace); a new page
+        # no capacity check, as in the scalar write); a new page
         # must fit or the run ends at it (the scalar path flushes there).
         delta = np.where(in_buf, sz - old_size, sz)
-        used_before = buffer.used_units + np.concatenate(
-            ([0], np.cumsum(delta)[:-1])
-        )
-        viol = np.flatnonzero(
-            (~in_buf) & (used_before + sz > buffer.capacity_units)
-        )
+        over = buffer.used_units + np.cumsum(delta) > buffer.capacity_units
+        viol = np.flatnonzero(over & ~in_buf)
         k = int(viol[0]) if viol.size else k0
         if k == 0:
             return 0
         if k < k0:
-            run = run[:k]
-            old_seg = old_seg[:k]
-            old_size = old_size[:k]
-            in_buf = in_buf[:k]
-            sz = sz[:k]
-            delta = delta[:k]
+            run, old_seg, old_size, in_buf, sz, delta = (
+                a[:k] for a in (run, old_seg, old_size, in_buf, sz, delta)
+            )
 
         clock0 = self.clock
         clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
@@ -1032,25 +1029,12 @@ class LogStructuredStore:
             run, old_seg, old_size, clocks,
             subtract_freq=pages.oracle_active,
         )
-        bp = np.flatnonzero(in_buf)
-        if bp.size:
-            # Midpoint rule for rewrites of still-buffered pages, folded
-            # per page in position order (a repeat compounds on its
-            # previous occurrence's result); NaN first-write estimates
-            # stay untouched.
-            bpids = run[bp]
-            pid_list = bpids.tolist()
-            vals = dict(zip(pid_list, pages.carried_up2[bpids].tolist()))
-            for pid, clk in zip(pid_list, clocks[bp].tolist()):
-                carried = vals[pid]
-                if carried == carried:  # not NaN
-                    vals[pid] = carried + 0.5 * (clk - carried)
-            pages.carried_up2[list(vals)] = list(vals.values())
-
-        # dict.update keeps existing keys in place and appends new ones
-        # in order — exactly SortBuffer.replace / SortBuffer.add.
-        buffer._sizes.update(zip(run.tolist(), sz.tolist()))
-        buffer.used_units += int(delta.sum())
+        if in_buf.any():
+            # Midpoint rule for rewrites of still-buffered pages.
+            _fold_midpoints(pages.carried_up2, run[in_buf], clocks[in_buf])
+        # A rewrite keeps its place; the new pages (first occurrences,
+        # so distinct) join the buffer in arrival order.
+        buffer.add_run(run[~in_buf], int(delta.sum()))
         pages.seg[run] = IN_BUFFER
         pages.size[run] = sz
         pages.last_write[run] = clocks
@@ -1181,9 +1165,12 @@ class LogStructuredStore:
 
         A single cycle nets only the victims' empty fraction, which for
         small batches (multi-log cleans one segment at a time) can be
-        less than one segment, so the loop is required.  Cycles that
-        reclaim no space at all are bounded so a degenerate policy fails
-        fast instead of looping forever.
+        less than one segment, so the loop is required.  It fails fast
+        instead of looping forever after three cycles in a row that
+        reclaim nothing (a degenerate policy), or a device's worth of
+        cycles that never raise the free room (free segments plus what
+        the open ones still take) past its best: pages too large to
+        pack, whose relocation wastes what the victims had free.
         """
         trigger = self.reactive_trigger()
         obs = self.obs
@@ -1201,18 +1188,19 @@ class LogStructuredStore:
                 # cycle freed at clean_begin are the headroom its own GC
                 # emission relies on.  Drain it fully before cleaning more.
                 self.clean_step(None)
-            stalled = 0
+            stalled, futile, best = 0, 0, -1
+            cap, used = self.segments.capacity, self.segments.used_units
             while len(self.free_list) < trigger:
-                reclaimed_units = self.clean()
-                if reclaimed_units == 0:
-                    stalled += 1
-                    if stalled > 2:
-                        raise OutOfSpaceError(
-                            "cleaning is not reclaiming space (policy=%s, free=%d)"
-                            % (getattr(self.policy, "name", "?"), len(self.free_list))
-                        )
-                else:
-                    stalled = 0
+                room = len(self.free_list) * cap + sum(
+                    cap - int(used[seg]) for seg in self.open_segments.values()
+                )
+                best, futile = (room, 0) if room > best else (best, futile + 1)
+                stalled = stalled + 1 if self.clean() == 0 else 0
+                if stalled > 2 or futile > len(used):
+                    raise OutOfSpaceError(
+                        "cleaning is not reclaiming space (policy=%s, free=%d)"
+                        % (getattr(self.policy, "name", "?"), len(self.free_list))
+                    )
         finally:
             if span is not None:
                 tracer.finish(span, pages=int(self.stats.gc_writes - gc_before))
@@ -1470,7 +1458,10 @@ class LogStructuredStore:
         * every segment is in exactly one of free list / open map / sealed;
         * per-segment live counts and unit accounting match slot liveness;
         * every live page-table entry points at a matching slot;
-        * total live units never exceed device capacity.
+        * total live units never exceed device capacity;
+        * the buffer's order lists each ``IN_BUFFER`` page once, and its
+          occupancy is their units (it may exceed its capacity: a rewrite
+          that grows a buffered page is not capacity-checked).
         """
         segs = self.segments
         pages = self.pages
@@ -1515,13 +1506,21 @@ class LogStructuredStore:
                     slot < segs.slot_count[seg]
                     and segs.slot_page[seg, slot] == pid
                 ), "page %d points at slot that holds another page" % pid
-            elif seg == IN_BUFFER:
-                assert self.buffer is not None and pid in self.buffer
             elif seg == IN_RELOCATION:
                 assert pid in staged, (
                     "page %d staged IN_RELOCATION but not pending in the "
                     "active cycle" % pid
                 )
+        buffered = np.flatnonzero(pages.seg == IN_BUFFER)
+        buf = self.buffer
+        order = np.empty(0, dtype=np.int64) if buf is None else buf.order()
+        assert np.array_equal(np.sort(order), buffered), (
+            "buffer order %r is not the IN_BUFFER pages %r" % (order, buffered)
+        )
+        if buf is not None:
+            assert len(buf) == order.size, "buffer count %d" % len(buf)
+            units = int(pages.size[buffered].sum())
+            assert buf.used_units == units, "buffer units %d" % buf.used_units
 
     def __repr__(self) -> str:
         return (

@@ -108,7 +108,9 @@ def state_digest(store: LogStructuredStore) -> str:
     feed("free_list", list(store.free_list))
     feed("open_segments", sorted(store.open_segments.items()))
     if store.buffer is not None:
-        feed("buffer", list(store.buffer._sizes.items()))
+        order = store.buffer.order()
+        sizes = store.pages.size[order]
+        feed("buffer", list(zip(order.tolist(), sizes.tolist())))
     return h.hexdigest()
 
 

@@ -244,6 +244,44 @@ class TestRefusedFlush:
         assert len(svc) == n - 32
         svc.pool.check_consistency()
 
+    def test_refused_flush_still_applies_its_deletes(self):
+        """Deleting keys is how a client relieves a full shard: a flush
+        whose puts are refused applies the run's deletes all the same
+        and keeps only the puts queued."""
+        svc = Service(
+            1,
+            StoreConfig(
+                n_segments=16, segment_units=8, fill_factor=0.5,
+                clean_trigger=2, clean_batch=2,
+            ),
+            policy="greedy",
+            unit_bytes=8,
+            batch_size=4096,
+            flush_interval=10**6,
+            max_depth=4096,
+        )
+        n = 0
+        with pytest.raises(OutOfSpaceError):
+            while n < 1000:
+                n += 1
+                svc.put(n - 1, (n - 1).to_bytes(8, "little"))
+                svc.flush()
+        flushed = svc.metrics.counter("ops_flushed").value
+        for key in range(60):
+            svc.delete(key)
+        with pytest.raises(OutOfSpaceError):
+            svc.flush()
+        assert not any((None, key) in svc.pool[0] for key in range(60))
+        assert all(svc.get(key) is None for key in range(60))
+        assert svc.queue.depth == svc.queue.shard_depth(0) == 1
+        assert svc.metrics.counter("ops_flushed").value == flushed + 60
+        svc.pool.check_consistency()
+        # The room the deletes made takes the refused put.
+        assert svc.flush() == 1
+        assert svc.get(n - 1) == (n - 1).to_bytes(8, "little")
+        assert len(svc) == n - 60
+        svc.pool.check_consistency()
+
     def test_refused_ops_close_their_spans(self):
         svc = Service(
             1,

@@ -1,65 +1,103 @@
-"""SortBuffer semantics: occupancy, dedup-by-replace, drain order — and
-what the store owes the buffer when a flush is refused."""
+"""The store's sorting buffer: occupancy, dedup-by-replace, drain order
+— and what the store owes the buffer when a flush is refused."""
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.policies import make_policy
 from repro.store import LogStructuredStore, OutOfSpaceError, SortBuffer, StoreConfig
-from repro.store.pagetable import IN_BUFFER
+from repro.store.pagetable import IN_BUFFER, PageTable
+
+
+def buffered_store(segment_units=8):
+    """A store whose sorting buffer is one segment of ``segment_units``."""
+    config = StoreConfig(
+        n_segments=16, segment_units=segment_units, fill_factor=0.5,
+        sort_buffer_segments=1,
+    )
+    return LogStructuredStore(config, make_policy("mdc"))
 
 
 class TestBasics:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            SortBuffer(0)
+            SortBuffer(0, PageTable())
 
     def test_add_and_contains(self):
-        buf = SortBuffer(4)
-        buf.add(10, 1)
+        store = buffered_store()
+        store.write(10)
+        buf = store.buffer
         assert 10 in buf
         assert 11 not in buf
         assert len(buf) == 1
         assert buf.used_units == 1
+        store.check_invariants()
 
     def test_fits_respects_capacity(self):
-        buf = SortBuffer(3)
-        buf.add(1, 2)
-        assert buf.fits(1)
-        assert not buf.fits(2)
+        store = buffered_store(segment_units=3)
+        store.write(1, 2)
+        assert store.buffer.fits(1)
+        assert not store.buffer.fits(2)
 
     def test_drain_returns_insertion_order_and_empties(self):
-        buf = SortBuffer(8)
-        for pid in (5, 3, 9):
-            buf.add(pid, 1)
-        assert buf.drain() == [5, 3, 9]
+        store = buffered_store()
+        store.write_batch([5, 3, 9])
+        buf = store.buffer
+        assert buf.order().tolist() == [5, 3, 9]
+        store.flush()
         assert len(buf) == 0
         assert buf.used_units == 0
         assert 5 not in buf
+        store.check_invariants()
+
+
+    def test_trim_and_rewrite_moves_a_page_to_the_end(self):
+        # Six ids on an eight-unit buffer, each trimmed if buffered and
+        # written otherwise: no flush ever empties the arrival log, and
+        # every write after a trim logs its page again.
+        store = buffered_store()
+        rng = random.Random(7)
+        order = []
+        for _ in range(40 * store.buffer.capacity_units):
+            pid = rng.randrange(6)
+            if pid in order:
+                store.trim(pid)
+                order.remove(pid)
+            else:
+                store.write(pid)
+                order.append(pid)
+            assert store.buffer.order().tolist() == order
+            assert len(store.buffer) == len(order)
+        store.check_invariants()
 
 
 class TestReplace:
     def test_replace_keeps_single_copy(self):
-        buf = SortBuffer(8)
-        buf.add(1, 1)
-        buf.replace(1, 1)
-        assert len(buf) == 1
-        assert buf.used_units == 1
+        store = buffered_store()
+        store.write(1)
+        store.write(1)
+        assert len(store.buffer) == 1
+        assert store.buffer.used_units == 1
+        store.check_invariants()
 
     def test_replace_adjusts_occupancy_for_new_size(self):
-        buf = SortBuffer(8)
-        buf.add(1, 2)
-        buf.replace(1, 5)
-        assert buf.used_units == 5
-        buf.replace(1, 1)
-        assert buf.used_units == 1
+        store = buffered_store()
+        store.write(1, 2)
+        store.write(1, 5)
+        assert store.buffer.used_units == 5
+        store.write(1, 1)
+        assert store.buffer.used_units == 1
+        store.check_invariants()
 
     def test_drain_after_replace_has_one_entry(self):
-        buf = SortBuffer(8)
-        buf.add(1, 1)
-        buf.add(2, 1)
-        buf.replace(1, 2)
-        assert buf.drain() == [1, 2]
+        store = buffered_store()
+        store.write_batch([1, 2, 1], [1, 1, 2])
+        assert store.buffer.order().tolist() == [1, 2]
+        store.flush()
+        assert store.stats.user_device_writes == 2
+        store.check_invariants()
 
 
 class TestRefusedFlush:
@@ -101,7 +139,7 @@ class TestRefusedFlush:
         assert store.buffer.used_units == int(store.pages.size[left].sum())
         # Emission order: ascending key (all first writes: equal), ties
         # by page id — not the descending arrival order.
-        assert store.buffer.drain() == sorted(left)
+        assert store.buffer.drain().tolist() == sorted(left)
 
     def test_stranded_page_can_be_trimmed_and_rewritten(self):
         store = self.fill_until_refused()

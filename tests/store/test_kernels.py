@@ -5,9 +5,11 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.store import kernels
 from repro.store.kernels import (
     ascending_prefix,
     fold_add,
+    fold_midpoints,
     kernel_info,
     prev_occurrence,
 )
@@ -82,6 +84,80 @@ class TestFallbacksAgainstOracles:
         got = ascending_prefix(priorities, 2)
         full = np.argsort(priorities, kind="stable")
         np.testing.assert_array_equal(got, full[: got.size])
+
+
+def midpoints_by_loop(carried, pids, clocks):
+    """The scalar write's midpoint rule, one rewrite at a time."""
+    out = carried.copy()
+    for pid, clk in zip(pids.tolist(), clocks.tolist()):
+        c = float(out[pid])
+        if c == c:  # not NaN
+            out[pid] = c + 0.5 * (clk - c)
+    return out
+
+
+N_CARRIED = 64
+carried_arrays = st.lists(
+    st.one_of(st.floats(0.0, 1e9), st.just(float("nan"))),
+    min_size=N_CARRIED,
+    max_size=N_CARRIED,
+).map(lambda xs: np.asarray(xs, dtype=np.float64))
+
+#: Runs on both sides of the loop fallback: a mix of cold ids, a few
+#: warm ones, and one hot id repeated far past the rank cut-off.
+rewrite_runs = st.tuples(
+    st.lists(st.integers(0, N_CARRIED - 1), min_size=0, max_size=300),
+    st.integers(0, N_CARRIED - 1),
+    st.integers(0, 120),
+    st.randoms(use_true_random=False),
+).map(
+    lambda t: np.asarray(
+        t[3].sample(t[0] + [t[1]] * t[2], len(t[0]) + t[2]), dtype=np.int64
+    )
+)
+
+
+class TestFoldMidpoints:
+    """``fold_midpoints`` against the scalar loop, bit for bit."""
+
+    def check(self, carried, pids, clock0=1000):
+        clocks = clock0 + 1 + np.arange(pids.size, dtype=np.int64)
+        want = midpoints_by_loop(carried, pids, clocks)
+        got = carried.copy()
+        fold_midpoints(got, pids, clocks)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(carried=carried_arrays, pids=rewrite_runs, clock0=st.integers(0, 2**40))
+    @settings(deadline=None)
+    def test_matches_scalar_loop(self, carried, pids, clock0):
+        self.check(carried, pids, clock0)
+
+    def test_run_sizes_on_both_sides_of_the_fallback(self):
+        rng = np.random.default_rng(0)
+        carried = rng.random(N_CARRIED) * 1e6
+        carried[::7] = np.nan
+        cut = kernels._MIDPOINT_LOOP_MAX
+        for n in (0, 1, cut - 1, cut, cut + 1, 4 * cut):
+            for _ in range(20):
+                self.check(carried, rng.integers(0, N_CARRIED, n))
+
+    def test_hot_page_past_the_rank_cut(self):
+        # Every page takes part in the first ranks; page 3 alone goes on
+        # for 200 more occurrences, through the per-page tail.
+        rng = np.random.default_rng(1)
+        carried = rng.random(N_CARRIED) * 1e6
+        pids = np.concatenate([np.arange(N_CARRIED)] * 2 + [np.full(200, 3)])
+        self.check(carried, rng.permutation(pids))
+        self.check(carried, pids)
+
+    def test_nan_estimates_stay_nan(self):
+        carried = np.full(N_CARRIED, np.nan)
+        carried[5] = 10.0
+        pids = np.tile(np.arange(N_CARRIED), 3)
+        self.check(carried, pids)
+        got = carried.copy()
+        fold_midpoints(got, pids, 100 + np.arange(pids.size))
+        assert np.isnan(np.delete(got, 5)).all()
 
 
 class TestModeSwitch:

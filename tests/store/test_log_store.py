@@ -201,6 +201,33 @@ class TestCleaning:
                 store.write(pid)
 
 
+    def test_out_of_space_when_pages_do_not_pack(self):
+        """Each cycle reclaims a few units, but pages of 4-8 units leave
+        as much unusable at the end of the segments they relocate into:
+        the free room never grows, so the store must refuse instead of
+        cleaning forever."""
+        cfg = StoreConfig(
+            n_segments=12, segment_units=8, fill_factor=0.5,
+            clean_trigger=2, clean_batch=2, sort_buffer_segments=2,
+        )
+        store = LogStructuredStore(cfg, make_policy("mdc"))
+        cycles = []
+        clean = store.clean
+
+        def counted(*args):
+            cycles.append(1)
+            assert len(cycles) < 100, "cleaning loops without progress"
+            return clean(*args)
+
+        store.clean = counted
+        sizes = [(19, 8), (6, 5), (36, 4), (9, 8), (20, 8), (35, 5),
+                 (38, 7), (15, 5), (41, 6), (40, 6), (46, 5), (14, 6)]
+        with pytest.raises(OutOfSpaceError, match="not reclaiming"):
+            for pid, size in sizes:
+                store.write(pid, size)
+            store.flush()
+        store.check_invariants()
+
 class TestSortBuffer:
     def test_buffered_pages_marked_in_buffer(self, buffered_config):
         store = LogStructuredStore(buffered_config, make_policy("mdc"))
