@@ -40,14 +40,8 @@ def main() -> None:
         print(report.output.rendered)
         print()
         print(
-            "first run:  %d executed, %d resumed  (%.2fs wall, "
-            "%.2fs serial estimate)"
-            % (
-                report.stats.executed,
-                report.stats.skipped,
-                report.stats.wall_seconds,
-                report.stats.job_seconds,
-            )
+            "first run:  %d executed, %d resumed"
+            % (report.stats.executed, report.stats.skipped)
         )
 
         # Same grid, same directory: every job is already journaled.

@@ -13,9 +13,8 @@ The package implements, from scratch:
 * the experiment harness that regenerates every table and figure of the
   paper's evaluation (:mod:`repro.bench`, plus the ``benchmarks/``
   directory of the repository);
-* two applications of the cleaned log — a value-log key-value store
-  (:mod:`repro.kvstore`) and a log-structured file system
-  (:mod:`repro.lfs`).
+* an application of the cleaned log — a value-log key-value store
+  (:mod:`repro.kvstore`).
 
 Quickstart::
 
@@ -30,7 +29,7 @@ Quickstart::
 """
 
 from repro.analysis import emptiness_fixpoint, table1, table2
-from repro.bench import run_simulation, run_until_converged
+from repro.bench import run_simulation
 from repro.core import MdcPolicy
 from repro.policies import available_policies, make_policy
 from repro.store import LogStructuredStore, StoreConfig
@@ -45,7 +44,6 @@ __all__ = [
     "emptiness_fixpoint",
     "make_policy",
     "run_simulation",
-    "run_until_converged",
     "table1",
     "table2",
     "__version__",

@@ -35,13 +35,6 @@ from repro.analysis.hotcold import (
     total_cost,
     total_wamp,
 )
-from repro.analysis.planner import (
-    SeparationSavings,
-    fill_for_wamp,
-    overprovisioning_for_wamp,
-    separation_savings,
-    wamp_at_fill,
-)
 from repro.analysis.multiclass import (
     bucketize_frequencies,
     distribution_opt_wamp,
@@ -57,13 +50,8 @@ from repro.analysis.lemma import (
 )
 
 __all__ = [
-    "SeparationSavings",
     "TABLE1_FILL_FACTORS",
     "TABLE2_SKEWS",
-    "fill_for_wamp",
-    "overprovisioning_for_wamp",
-    "separation_savings",
-    "wamp_at_fill",
     "Table1Row",
     "Table2Row",
     "analytic_split_ratio",

@@ -19,7 +19,6 @@ from repro.bench.runner import (
     observed_runner,
     prepare_store,
     run_simulation,
-    run_until_converged,
 )
 from repro.bench.tables import banner, format_series, format_table
 
@@ -43,5 +42,4 @@ __all__ = [
     "observed_runner",
     "prepare_store",
     "run_simulation",
-    "run_until_converged",
 ]

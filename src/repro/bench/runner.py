@@ -3,10 +3,7 @@
 Mirrors the paper's measurement procedure (Section 6.2): load the store
 to its fill factor, stream many multiples of the device size worth of
 updates so write amplification stabilizes, and report Wamp over the tail
-window.  :func:`run_until_converged` adds an adaptive variant that keeps
-adding rounds until consecutive windows agree, which matters for the
-slow-converging policies (the paper calls out multi-log for needing
-"many writes before converging").
+window.
 """
 
 from __future__ import annotations
@@ -206,43 +203,6 @@ def observed_runner(
 
     run.writer = writer
     return run
-
-
-def run_until_converged(
-    config: StoreConfig,
-    policy: Union[str, CleaningPolicy],
-    workload: Workload,
-    round_multiplier: float = 10.0,
-    rel_tol: float = 0.02,
-    max_rounds: int = 12,
-    min_rounds: int = 3,
-) -> SimulationResult:
-    """Adaptive run: rounds of ``round_multiplier * pages`` writes until
-    two consecutive rounds' Wamp agree within ``rel_tol``."""
-    if isinstance(policy, str):
-        policy = make_policy(policy)
-    store = prepare_store(config, policy, workload)
-    round_writes = max(1, int(round_multiplier * workload.n_pages))
-    previous: Optional[WindowStats] = None
-    window: Optional[WindowStats] = None
-    for round_no in range(max_rounds):
-        mark = store.stats.snapshot()
-        drive(store, workload, round_writes)
-        window = store.stats.window_since(mark)
-        if previous is not None and round_no + 1 >= min_rounds:
-            prev_w, cur_w = previous.write_amplification, window.write_amplification
-            scale = max(cur_w, 1e-9)
-            if abs(cur_w - prev_w) / scale <= rel_tol:
-                break
-        previous = window
-    return SimulationResult(
-        policy=policy.name,
-        workload=workload.name,
-        config=config,
-        total_user_writes=store.stats.user_writes,
-        window=window,
-        extras=_policy_extras(policy),
-    )
 
 
 def _policy_extras(policy: CleaningPolicy) -> Dict[str, float]:

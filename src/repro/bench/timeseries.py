@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Sequence, Union
 
-from repro.bench.runner import prepare_store
+from repro.bench.runner import drive, prepare_store
 from repro.bench.tables import format_series
 from repro.policies.base import CleaningPolicy
 from repro.store import StoreConfig
@@ -76,12 +76,7 @@ def wamp_timeseries(
         curve = []
         for _ in range(n_windows):
             mark = store.stats.snapshot()
-            remaining = window_writes
-            write = store.write
-            for batch in workload.batches(window_writes):
-                for pid in batch:
-                    write(pid)
-                remaining -= len(batch)
+            drive(store, workload, window_writes)
             curve.append(store.stats.window_since(mark).write_amplification)
         series[store.policy.name] = curve
     return TimeSeries(window_writes=window_writes, series=series)

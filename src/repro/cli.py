@@ -271,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted sweep, skipping journaled jobs",
     )
     p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job wall-clock limit in seconds",
-    )
-    p.add_argument(
         "--retries", type=int, default=1,
         help="extra attempts for a crashed or failed job (default 1)",
     )
@@ -833,20 +829,21 @@ def _run_obs_command(args: argparse.Namespace) -> int:
 
 def _run_serve_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro serve``: generate load, report."""
-    from repro.service import run_harness
+    from repro.service import RouterError, run_harness
 
+    # The harness builds its service before it drives the first op, so
+    # a shape the config or a constructor refuses ends here, op-free.
     try:
-        cfg = _harness_config(args)
-    except ValueError as exc:
+        result = run_harness(
+            _harness_config(args),
+            metrics_out=args.metrics_out,
+            trace_out=args.trace_out,
+            trace_sample=args.trace_sample,
+            telemetry_out=args.telemetry_out,
+        )
+    except (ValueError, RouterError) as exc:
         print("serve error: %s" % exc, file=sys.stderr)
         return 1
-    result = run_harness(
-        cfg,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        trace_sample=args.trace_sample,
-        telemetry_out=args.telemetry_out,
-    )
     print(result.report())
     if args.metrics_out:
         print("observability rows written to %s" % args.metrics_out)
@@ -999,7 +996,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             quick=args.quick,
             seed=args.seed,
             dist=args.dist,
-            timeout=args.timeout,
             retries=args.retries,
             progress=progress,
             obs=args.obs,
@@ -1011,17 +1007,13 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     print(report.output.rendered)
     s = report.summary
     print(
-        "\nsweep %s: %d jobs (%d run, %d resumed) in %.1fs with %d workers "
-        "(serial estimate %.1fs, speedup %.2fx) -> %s"
+        "\nsweep %s: %d jobs (%d run, %d resumed) with %d workers -> %s"
         % (
             s["experiment"],
             s["jobs"],
             s["executed"],
             s["skipped"],
-            s["wall_clock_s"],
             s["workers"],
-            s["serial_estimate_s"],
-            s["speedup_vs_serial_estimate"],
             report.out_dir,
         )
     )

@@ -82,6 +82,14 @@ class HarnessConfig:
             raise ValueError("every tenant needs at least one client")
         if self.ops < 1:
             raise ValueError("ops must be >= 1")
+        if self.keys_per_tenant < 1:
+            raise ValueError("keys_per_tenant must be >= 1")
+        # A value has to fit one record, and a record one segment.
+        limit = self.segment_units * self.unit_bytes
+        if not 1 <= self.value_bytes <= limit:
+            raise ValueError(
+                "value_bytes must be in [1, %d], got %d" % (limit, self.value_bytes)
+            )
         if not 0.0 <= self.delete_frac < 1.0:
             raise ValueError("delete_frac must be in [0, 1)")
         if self.tick_every < 1:

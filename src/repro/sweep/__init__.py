@@ -10,7 +10,7 @@ Layers (see DESIGN.md):
 * :mod:`repro.sweep.spec` — serializable :class:`JobSpec`, grid
   expansion from the existing experiment functions, named CLI grids;
 * :mod:`repro.sweep.executor` — process-per-job worker pool with
-  deterministic per-job seeding, timeout, and crash retry;
+  deterministic per-job seeding and crash retry;
 * :mod:`repro.sweep.manifest` — JSONL journal keyed by spec digest;
 * :mod:`repro.sweep.report` — replay-based aggregation (byte-identical
   to serial output), live progress, JSON summaries.

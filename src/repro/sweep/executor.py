@@ -18,10 +18,7 @@ Supervision lives entirely in the parent (pool level):
 * a worker that dies mid-job (segfault, OOM-kill, ``os._exit``) is
   detected through its process sentinel; the job is retried and the
   worker is **recycled** — a fresh replacement is started, so one crash
-  never poisons the pool;
-* a job that exceeds its wall-clock ``timeout`` gets its worker killed
-  (the only way to preempt a stuck simulation) and recycled the same
-  way.
+  never poisons the pool.
 
 Results travel back as plain dicts (see
 :func:`repro.sweep.spec.result_to_dict`), so the parent never unpickles
@@ -30,9 +27,8 @@ arbitrary objects from a half-dead child.
 Determinism: a job's behavior is fully determined by its
 :class:`~repro.sweep.spec.JobSpec` (the workload seed is part of the
 spec), so scheduling order, worker count, pool start method, and
-retries cannot change any result — only wall-clock time.  The
-determinism suite asserts sweeps are byte-identical across ``workers=1``,
-a fork pool, and a spawn pool.
+retries cannot change any result.  The determinism suite asserts sweeps
+are byte-identical across ``workers=1``, a fork pool, and a spawn pool.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.sweep.manifest import Manifest
 from repro.sweep.spec import JobSpec, result_to_dict, run_job
 from repro.testkit.failpoints import failpoint
-
-#: How long the parent sleeps waiting for worker messages, seconds.
-_POLL_INTERVAL = 0.05
 
 #: Worker-bound message telling the worker to exit its job loop.
 _SHUTDOWN = None
@@ -175,9 +168,6 @@ class SweepStats:
     executed: int = 0
     skipped: int = 0
     failed: List[FailedJob] = dataclasses.field(default_factory=list)
-    wall_seconds: float = 0.0
-    job_seconds: float = 0.0
-    skipped_job_seconds: float = 0.0
     #: Effective concurrency the sweep ran with, after the executor
     #: clamp (never more workers than runnable jobs or CPUs).
     workers: int = 1
@@ -187,33 +177,14 @@ class SweepStats:
     #: start method of the pool (``"fork"`` / ``"spawn"`` /
     #: ``"forkserver"``).
     pool_mode: str = "inline"
-    #: Wall time spent starting (and recycling) worker processes.
-    spawn_seconds: float = 0.0
-    #: Wall time the parent spent shipping specs to workers.
-    dispatch_seconds: float = 0.0
-    #: Wall time the parent spent receiving result messages.
-    drain_seconds: float = 0.0
-    #: Workers replaced after a crash or a timeout kill.
+    #: Workers replaced after a crash.
     worker_recycles: int = 0
-
-    @property
-    def workers_effective(self) -> int:
-        """Alias for :attr:`workers` (the post-clamp pool size)."""
-        return self.workers
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Sum of per-job wall time over sweep wall time — what a
-        one-at-a-time run of the executed jobs would have cost."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.job_seconds / self.wall_seconds
 
 
 class _PoolWorker:
     """Parent-side handle of one pool worker."""
 
-    __slots__ = ("proc", "conn", "spec", "attempt", "started")
+    __slots__ = ("proc", "conn", "spec", "attempt")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
@@ -221,7 +192,6 @@ class _PoolWorker:
         #: The job currently on this worker (None = idle).
         self.spec: Optional[JobSpec] = None
         self.attempt = 0
-        self.started = 0.0
 
     @property
     def busy(self) -> bool:
@@ -232,7 +202,6 @@ def run_sweep(
     specs: Sequence[JobSpec],
     workers: int = 1,
     manifest: Optional[Manifest] = None,
-    timeout: Optional[float] = None,
     retries: int = 1,
     job_runner: Callable[[Dict], Dict] = execute_job,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
@@ -245,21 +214,14 @@ def run_sweep(
         workers: Requested concurrency.  The executor clamps the pool to
             ``min(workers, runnable jobs, cpu_count)`` — extra workers
             past either bound only add scheduling overhead — and records
-            both the request and the effective size in the stats (and
-            the manifest's run record).  Any request ``> 1`` still buys
-            per-process isolation: even when the clamp shrinks the pool
-            to one, jobs run in a worker process with crash containment
-            and timeouts.  ``<= 1`` runs jobs inline in this process (no
-            process overhead; ``timeout`` is then not enforced, since
-            there is no process to kill).
+            both the request and the effective size in the stats.  Any
+            request ``> 1`` still buys per-process isolation: even when
+            the clamp shrinks the pool to one, jobs run in a worker
+            process with crash containment.  ``<= 1`` runs jobs inline
+            in this process (no process overhead, no isolation).
         manifest: Optional journal.  Jobs already recorded in it are
             skipped and their stored results returned; newly finished
             jobs are appended, so a killed sweep resumes where it died.
-            A ``run`` record with the pool configuration and phase
-            overheads is appended when the sweep completes.
-        timeout: Per-job wall-clock limit in seconds; an overrunning
-            worker is killed (and recycled) and the attempt counts as a
-            failure.
         retries: Additional attempts after a failed first one.  A job
             still failing after ``1 + retries`` attempts lands in
             ``stats.failed`` (the sweep itself keeps going).
@@ -314,24 +276,18 @@ def run_sweep(
         if record is not None:
             results[digest] = record["result"]
             stats.skipped += 1
-            stats.skipped_job_seconds += record.get("elapsed", 0.0)
             emit(spec.label, "skipped")
         else:
             pending.append((spec, 1))
 
-    def finish_ok(spec: JobSpec, attempt: int, payload: Dict, took: float) -> None:
+    def finish_ok(spec: JobSpec, attempt: int, payload: Dict) -> None:
         digest = spec.digest()
         failpoint("sweep.executor.pre_record", spec=spec, digest=digest)
         results[digest] = payload
         stats.executed += 1
-        stats.job_seconds += took
         if manifest is not None:
             manifest.record(
-                digest=digest,
-                label=spec.label,
-                result=payload,
-                elapsed=took,
-                attempts=attempt,
+                digest=digest, label=spec.label, result=payload, attempts=attempt
             )
         emit(spec.label, "done")
 
@@ -353,19 +309,16 @@ def run_sweep(
         return False
 
     if requested <= 1 or not pending:
-        # Inline execution: no pool, no isolation, no timeout.
+        # Inline execution: no pool, no isolation.
         stats.workers = 1 if requested <= 1 else 0
         while pending:
             spec, attempt = pending.popleft()
-            t0 = time.perf_counter()
             try:
                 payload = job_runner(spec.to_dict())
             except Exception as exc:
                 finish_failure(spec, attempt, "%s: %s" % (type(exc).__name__, exc))
             else:
-                finish_ok(spec, attempt, payload, time.perf_counter() - t0)
-        stats.wall_seconds = time.perf_counter() - start
-        _record_run(manifest, stats)
+                finish_ok(spec, attempt, payload)
         return results, stats
 
     # ------------------------------------------------------------------
@@ -380,7 +333,6 @@ def run_sweep(
     stats.workers = pool_size
 
     def spawn_worker() -> _PoolWorker:
-        t0 = time.perf_counter()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         # Not daemonic, and it need not be: an orphaned worker exits on
         # its own, because losing the parent closes the pipe and the
@@ -391,20 +343,16 @@ def run_sweep(
         )
         proc.start()
         child_conn.close()
-        stats.spawn_seconds += time.perf_counter() - t0
         return _PoolWorker(proc, parent_conn)
 
     def dispatch(worker: _PoolWorker) -> None:
         spec, attempt = pending.popleft()
-        t0 = time.perf_counter()
         worker.conn.send((spec.digest(), spec.to_dict()))
-        stats.dispatch_seconds += time.perf_counter() - t0
         worker.spec = spec
         worker.attempt = attempt
-        worker.started = t0
 
     def recycle(worker: _PoolWorker, pool: List[_PoolWorker]) -> None:
-        """Replace a dead/killed worker if there is still work for it."""
+        """Replace a dead worker if there is still work for it."""
         _terminate(worker.proc)
         try:
             worker.conn.close()
@@ -428,21 +376,9 @@ def run_sweep(
                 continue
             # Block until a result or a worker death wakes us — polling
             # would steal CPU from the workers (measurable on a one-core
-            # box).  Only an armed per-job timeout needs a deadline, and
-            # then exactly the earliest one.
-            if timeout is None:
-                wait_timeout = None
-            else:
-                started = [w.started for w in pool if w.busy]
-                wait_timeout = (
-                    max(0.0, min(started) + timeout - time.perf_counter())
-                    + 0.01
-                    if started
-                    else _POLL_INTERVAL
-                )
-            multiprocessing.connection.wait(waitables, timeout=wait_timeout)
+            # box).
+            multiprocessing.connection.wait(waitables)
 
-            now = time.perf_counter()
             for worker in list(pool):
                 if not worker.busy:
                     if not worker.proc.is_alive():
@@ -453,34 +389,21 @@ def run_sweep(
                 outcome = None
                 crashed = False
                 if worker.conn.poll():
-                    t0 = time.perf_counter()
                     try:
                         outcome = worker.conn.recv()
                     except EOFError:
                         crashed = True
-                    stats.drain_seconds += time.perf_counter() - t0
                 elif not worker.proc.is_alive():
                     crashed = True
-                elif timeout is not None and now - worker.started > timeout:
-                    spec, attempt = worker.spec, worker.attempt
-                    worker.spec = None
-                    # Requeue (finish_failure) BEFORE the recycle
-                    # decision, so the replacement worker is spawned
-                    # when the retry is the only work left.
-                    finish_failure(
-                        spec,
-                        attempt,
-                        "timeout: exceeded %.1fs wall clock" % timeout,
-                    )
-                    recycle(worker, pool)
-                    continue
                 else:
                     continue
 
                 spec, attempt = worker.spec, worker.attempt
-                took = now - worker.started
                 if crashed:
                     worker.spec = None
+                    # Requeue (finish_failure) BEFORE the recycle
+                    # decision, so the replacement worker is spawned
+                    # when the retry is the only work left.
                     finish_failure(
                         spec,
                         attempt,
@@ -492,7 +415,7 @@ def run_sweep(
                 worker.spec = None
                 _, status, payload = outcome
                 if status == "ok":
-                    finish_ok(spec, attempt, payload, took)
+                    finish_ok(spec, attempt, payload)
                 else:
                     finish_failure(spec, attempt, payload)
     finally:
@@ -510,32 +433,7 @@ def run_sweep(
             except Exception:
                 pass
 
-    stats.wall_seconds = time.perf_counter() - start
-    _record_run(manifest, stats)
     return results, stats
-
-
-def _record_run(manifest: Optional[Manifest], stats: SweepStats) -> None:
-    """Append the sweep's pool configuration to the manifest."""
-    if manifest is None:
-        return
-    manifest.record_run(
-        {
-            "workers_requested": stats.workers_requested,
-            "workers_effective": stats.workers,
-            "pool_mode": stats.pool_mode,
-            "cpu_count": os.cpu_count(),
-            "executed": stats.executed,
-            "skipped": stats.skipped,
-            "failed": len(stats.failed),
-            "wall_s": round(stats.wall_seconds, 6),
-            "job_wall_s": round(stats.job_seconds, 6),
-            "spawn_s": round(stats.spawn_seconds, 6),
-            "dispatch_s": round(stats.dispatch_seconds, 6),
-            "drain_s": round(stats.drain_seconds, 6),
-            "worker_recycles": stats.worker_recycles,
-        }
-    )
 
 
 def _terminate(proc: multiprocessing.process.BaseProcess) -> None:

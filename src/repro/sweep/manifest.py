@@ -6,13 +6,11 @@ records one finished job::
     {"kind": "sweep", "version": 1, "experiment": "fig5-zipf-80-20",
      "grid_digest": "ab12..."}
     {"kind": "job", "digest": "9f3c...", "label": "mdc/zipfian-0.99/...",
-     "elapsed": 0.81, "attempts": 1, "result": {...}}
+     "attempts": 1, "result": {...}}
 
-Each executor invocation additionally appends one ``run`` record when it
-finishes — the pool configuration (requested and effective workers, pool
-mode) and the phase overheads (spawn/dispatch/drain), so a manifest
-tells the full story of how its results were produced, including every
-resume.
+A record holds no clock reading, so two runs of one grid journal the
+same lines.  Older manifests also carry a per-job ``elapsed`` and one
+``run`` record per executor invocation; loading ignores both.
 
 Appends are flushed and fsynced, so after a crash or kill at most the
 line being written is lost.  :meth:`Manifest.load` therefore tolerates a
@@ -51,7 +49,6 @@ class Manifest:
         self._fh = None
         self._completed: Optional[Dict[str, Dict[str, Any]]] = None
         self._header: Optional[Dict[str, Any]] = None
-        self._runs: Optional[list] = None
         #: Byte offset to truncate to before the first append, set when
         #: :meth:`load` found a torn final line.  Appending after a torn
         #: tail without truncating would glue the new record onto the
@@ -76,11 +73,9 @@ class Manifest:
         """
         completed: Dict[str, Dict[str, Any]] = {}
         header: Optional[Dict[str, Any]] = None
-        runs: list = []
         self._truncate_to = None
         if not self.path.exists():
             self._completed, self._header = completed, header
-            self._runs = runs
             return completed
         raw = self.path.read_text()
         lines = raw.splitlines()
@@ -107,14 +102,11 @@ class Manifest:
                 header = record
             elif kind == "job":
                 completed[record["digest"]] = record
-            elif kind == "run":
-                runs.append(record)
-            else:
+            elif kind != "run":  # an older executor's record; ignored
                 raise SweepError(
                     "unknown record kind %r in %s" % (kind, self.path)
                 )
         self._completed, self._header = completed, header
-        self._runs = runs
         return completed
 
     def completed(self) -> Dict[str, Dict[str, Any]]:
@@ -122,13 +114,6 @@ class Manifest:
         if self._completed is None:
             self.load()
         return self._completed
-
-    def runs(self) -> list:
-        """Executor run records, in append order (one per invocation
-        that touched this manifest, so resumes are visible)."""
-        if self._runs is None:
-            self.load()
-        return list(self._runs)
 
     # -- writing -------------------------------------------------------
 
@@ -175,7 +160,6 @@ class Manifest:
         digest: str,
         label: str,
         result: Dict[str, Any],
-        elapsed: float,
         attempts: int,
     ) -> None:
         """Journal one finished job (durable before returning)."""
@@ -183,21 +167,12 @@ class Manifest:
             "kind": "job",
             "digest": digest,
             "label": label,
-            "elapsed": round(elapsed, 6),
             "attempts": attempts,
             "result": result,
         }
         self._append(record)
         if self._completed is not None:
             self._completed[digest] = record
-
-    def record_run(self, info: Dict[str, Any]) -> None:
-        """Journal one executor invocation's pool configuration."""
-        record = dict(info)
-        record["kind"] = "run"
-        self._append(record)
-        if self._runs is not None:
-            self._runs.append(record)
 
     def _append(self, record: Dict[str, Any]) -> None:
         failpoint("sweep.manifest.pre_append", record=record, path=self.path)

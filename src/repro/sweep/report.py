@@ -137,19 +137,8 @@ def build_summary(
         "failed": len(stats.failed),
         "workers": stats.workers,
         "workers_requested": stats.workers_requested,
-        "workers_effective": stats.workers_effective,
         "pool_mode": stats.pool_mode,
         "cpu_count": os.cpu_count(),
-        "wall_clock_s": round(stats.wall_seconds, 3),
-        "job_wall_s": round(stats.job_seconds, 3),
-        "skipped_job_wall_s": round(stats.skipped_job_seconds, 3),
-        "serial_estimate_s": round(stats.job_seconds, 3),
-        "speedup_vs_serial_estimate": round(stats.speedup_vs_serial, 3),
-        "pool_overhead_s": {
-            "spawn": round(stats.spawn_seconds, 3),
-            "dispatch": round(stats.dispatch_seconds, 3),
-            "drain": round(stats.drain_seconds, 3),
-        },
         "worker_recycles": stats.worker_recycles,
     }
 
@@ -194,7 +183,6 @@ def parallel_experiment(
     workers: Optional[int] = None,
     out_dir: Optional[Union[str, pathlib.Path]] = None,
     resume: bool = False,
-    timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     name: Optional[str] = None,
@@ -212,13 +200,13 @@ def parallel_experiment(
             executor clamps the pool to ``min(workers, jobs, cpus)`` —
             oversubscribing a CPU-bound sweep only adds scheduling
             overhead.  Both the requested and effective counts land in
-            the summary and the manifest's run record.
+            the summary.
         out_dir: Where the manifest, rendered output, and summary.json
             land.  ``None`` keeps everything in memory (no resume).
         resume: Allow continuing from an existing manifest.  Without it
             an existing manifest is an error, so two sweeps cannot
             silently interleave in one directory.
-        timeout / retries / progress: Passed to
+        retries / progress: Passed to
             :func:`repro.sweep.executor.run_sweep`.
         obs: Record each job's observability rows (time series, cleaning
             decisions, events).  Requires ``out_dir``; the per-job files
@@ -275,7 +263,6 @@ def parallel_experiment(
             specs,
             workers=workers,
             manifest=manifest,
-            timeout=timeout,
             retries=retries,
             job_runner=job_runner,
             progress=progress,
@@ -329,7 +316,6 @@ def run_named_sweep(
     quick: bool = False,
     seed: int = 0,
     dist: Optional[str] = None,
-    timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     obs: bool = False,
@@ -351,7 +337,6 @@ def run_named_sweep(
         workers=workers,
         out_dir=out_dir,
         resume=resume,
-        timeout=timeout,
         retries=retries,
         progress=progress,
         name=run_name,

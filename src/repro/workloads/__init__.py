@@ -1,7 +1,6 @@
 """Workload generators for the cleaning experiments."""
 
 from repro.workloads.base import DEFAULT_BATCH, Workload
-from repro.workloads.combinators import MixedWorkload, PhasedWorkload
 from repro.workloads.hotcold import HotColdWorkload
 from repro.workloads.shifting import ShiftingHotSetWorkload
 from repro.workloads.trace import TraceRecorder, TraceWorkload
@@ -11,8 +10,6 @@ from repro.workloads.zipfian import ZIPF_80_20, ZIPF_90_10, ZipfianWorkload
 __all__ = [
     "DEFAULT_BATCH",
     "HotColdWorkload",
-    "MixedWorkload",
-    "PhasedWorkload",
     "ShiftingHotSetWorkload",
     "TraceRecorder",
     "TraceWorkload",

@@ -1,9 +1,8 @@
-"""The simulation driver: oracle wiring, measurement windows,
-convergence loop."""
+"""The simulation driver: oracle wiring and measurement windows."""
 
 import pytest
 
-from repro.bench import prepare_store, run_simulation, run_until_converged
+from repro.bench import prepare_store, run_simulation
 from repro.store import StoreConfig
 from repro.workloads import UniformWorkload
 
@@ -61,13 +60,3 @@ class TestRunSimulation:
         result = run_simulation(cfg, "multi-log", wl, total_writes=5000)
         assert result.extras["n_logs"] >= 1
 
-
-class TestConvergence:
-    def test_stops_when_stable(self, cfg):
-        wl = UniformWorkload(cfg.user_pages, seed=2)
-        result = run_until_converged(
-            cfg, "greedy", wl, round_multiplier=5.0, rel_tol=0.1, max_rounds=8
-        )
-        assert result.wamp > 0.0
-        # Convergence means it did not need all rounds' worth of writes.
-        assert result.total_user_writes < cfg.user_pages * (1 + 5 * 8)

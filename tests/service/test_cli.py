@@ -1,7 +1,10 @@
 """The service CLI surface: serve (``bench latency`` is driven by
 ``TestCommand`` in ``tests/service/test_latency.py``)."""
 
+import pytest
+
 from repro.cli import main
+from repro.service import harness
 
 QUICK = [
     "--quick", "--ops", "2500", "--keys-per-tenant", "192",
@@ -39,3 +42,27 @@ class TestServe:
     def test_serve_bad_config_is_an_error_not_a_traceback(self, capsys):
         assert main(["serve", "--quick", "--tick-every", "0"]) == 1
         assert "serve error: tick_every must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--shards", "0"),
+            ("--keys-per-tenant", "0"),
+            ("--value-bytes", "0"),
+            ("--batch-size", "0"),
+            ("--pages-per-step", "0"),
+            ("--gc-budget", "0"),
+            ("--value-bytes", "100000"),
+        ],
+    )
+    def test_out_of_range_flag_is_refused_before_any_op(
+        self, flag, value, capsys, monkeypatch
+    ):
+        def no_drive(*args, **kwargs):
+            raise AssertionError("an op was driven")
+
+        monkeypatch.setattr(harness, "drive", no_drive)
+        assert main(["serve", "--quick", "--ops", "2000", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("serve error: ")
+        assert captured.out == ""

@@ -7,7 +7,6 @@ disk) so they survive the trip into worker processes.
 import functools
 import os
 import pathlib
-import time
 
 import pytest
 
@@ -62,15 +61,6 @@ def _crash_once_runner(marker_dir, spec_dict):
     if not marker.exists():
         marker.write_text("attempted")
         os._exit(3)
-    return execute_job(spec_dict)
-
-
-def _hang_once_runner(marker_dir, spec_dict):
-    """Outlives any sane per-job timeout on the first attempt."""
-    marker = _marker(marker_dir, spec_dict)
-    if not marker.exists():
-        marker.write_text("attempted")
-        time.sleep(60)
     return execute_job(spec_dict)
 
 
@@ -162,27 +152,12 @@ class TestRetry:
         assert len(stats.failed) == 1
         assert "worker died" in stats.failed[0].error
 
-    def test_timed_out_job_is_killed_and_retried(self, tmp_path):
-        specs = tiny_specs(policies=("greedy",))
-        start = time.perf_counter()
-        results, stats = run_sweep(
-            specs,
-            workers=2,
-            retries=1,
-            timeout=1.0,
-            job_runner=functools.partial(_hang_once_runner, str(tmp_path)),
-        )
-        assert not stats.failed
-        assert time.perf_counter() - start < 30  # nowhere near the 60s sleep
-        clean, _ = run_sweep(specs, workers=1)
-        assert results == clean
-
 
 class TestWorkerClamp:
     """The executor clamps the pool to ``min(request, jobs, cpus)`` —
     oversubscribing a CPU-bound sweep only adds scheduling overhead —
     but any request > 1 still gets worker *processes* (possibly a pool
-    of one): the crash/timeout tests above depend on per-process
+    of one): the crash tests above depend on per-process
     isolation even on a single-CPU box."""
 
     def test_pool_clamps_to_jobs_and_cpus(self):
@@ -192,7 +167,6 @@ class TestWorkerClamp:
         _, stats = run_sweep(specs, workers=64)
         assert stats.workers_requested == 64
         assert stats.workers == min(64, len(specs), default_workers())
-        assert stats.workers_effective == stats.workers
         assert stats.pool_mode != "inline"  # clamped, but still a pool
         assert stats.executed == 1
 
@@ -216,12 +190,8 @@ class TestWorkerClamp:
         assert stats.workers <= (os.cpu_count() or 1)
         assert report.summary["workers"] == stats.workers
         assert report.summary["workers_requested"] == 64
-        assert report.summary["workers_effective"] == stats.workers
         assert report.summary["pool_mode"] == stats.pool_mode
         assert report.summary["cpu_count"] == os.cpu_count()
-        assert set(report.summary["pool_overhead_s"]) == {
-            "spawn", "dispatch", "drain",
-        }
 
 
 class TestPoolDeterminism:
@@ -242,12 +212,9 @@ class TestPoolDeterminism:
         assert fork_stats.pool_mode == "fork"
         assert spawn_stats.pool_mode == "spawn"
 
-    def test_pool_phase_overheads_are_recorded(self):
+    def test_clean_pool_recycles_no_worker(self):
         specs = tiny_specs()
         _, stats = run_sweep(specs, workers=2)
-        assert stats.spawn_seconds > 0.0
-        assert stats.dispatch_seconds > 0.0
-        assert stats.drain_seconds > 0.0
         assert stats.worker_recycles == 0
 
 
@@ -271,29 +238,12 @@ class TestWorkerRecycle:
         clean, _ = run_sweep(specs, workers=1)
         assert results == clean
 
-        # The manifest journaled every job plus the run record; a
-        # fresh sweep over it resumes instead of re-running.
+        # The manifest journaled every job; a fresh sweep over it
+        # resumes instead of re-running.
         resumed = Manifest(tmp_path / "manifest.jsonl")
         assert len(resumed.completed()) == len(specs)
-        runs = resumed.runs()
-        assert len(runs) == 1
-        assert runs[0]["worker_recycles"] == stats.worker_recycles
-        assert runs[0]["workers_requested"] == 2
-        assert runs[0]["workers_effective"] == stats.workers
         again, again_stats = run_sweep(specs, workers=2, manifest=resumed)
         resumed.close()
         assert again == results
         assert again_stats.skipped == len(specs)
         assert again_stats.executed == 0
-
-    def test_timeout_kill_counts_as_recycle(self, tmp_path):
-        specs = tiny_specs(policies=("greedy",))
-        _, stats = run_sweep(
-            specs,
-            workers=2,
-            retries=1,
-            timeout=1.0,
-            job_runner=functools.partial(_hang_once_runner, str(tmp_path)),
-        )
-        assert not stats.failed
-        assert stats.worker_recycles >= 1

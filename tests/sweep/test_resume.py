@@ -105,6 +105,29 @@ class TestResume:
         assert resumed.stats.executed == 1  # the no-longer-covered job reran
         assert resumed.output.rendered == report.output.rendered
 
+    def test_manifest_with_clock_records_still_resumes(
+        self, full_run, tmp_path
+    ):
+        """Older manifests carry a per-job ``elapsed`` and a ``run``
+        record per invocation; loading ignores both."""
+        report, full_dir = full_run
+        target = tmp_path / "older"
+        target.mkdir()
+        lines = (full_dir / MANIFEST_NAME).read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records[1:]:
+            record["elapsed"] = 0.5
+        records.append({"kind": "run", "workers_requested": 2, "wall_s": 1.0})
+        (target / MANIFEST_NAME).write_text(
+            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        )
+        resumed = parallel_experiment(
+            demo_experiment, workers=1, out_dir=target, resume=True
+        )
+        assert resumed.stats.executed == 0
+        assert resumed.stats.skipped == report.stats.total
+        assert resumed.output.rendered == report.output.rendered
+
 
 class TestManifestFile:
     def test_mid_file_corruption_raises(self, tmp_path):
@@ -139,8 +162,7 @@ class TestManifestFile:
         manifest = Manifest(tmp_path / MANIFEST_NAME)
         manifest.ensure_header("exp", "digest123")
         manifest.record(
-            digest="j1", label="greedy", result={"wamp": 1.0},
-            elapsed=0.5, attempts=2,
+            digest="j1", label="greedy", result={"wamp": 1.0}, attempts=2
         )
         manifest.close()
         reloaded = Manifest(tmp_path / MANIFEST_NAME)

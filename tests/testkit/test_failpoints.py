@@ -107,7 +107,7 @@ class TestManifestFailpoints:
 
     def _record(self, manifest, digest="d1"):
         manifest.record(
-            digest=digest, label="job", result={"x": 1}, elapsed=0.5, attempts=1
+            digest=digest, label="job", result={"x": 1}, attempts=1
         )
 
     def test_crash_before_append_loses_the_record_only(self, tmp_path):
