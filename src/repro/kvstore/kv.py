@@ -96,9 +96,9 @@ class LogStructuredKVStore:
         self.unit_bytes = unit_bytes
         self.store = LogStructuredStore(config, policy)
         self._slot_of: Dict[Key, int] = {}
-        self._values: Dict[Key, bytes] = {}
+        #: Slot -> the value stored there; None at a free slot.
+        self._values: List[Optional[bytes]] = []
         self._free_slots: List[int] = []
-        self._next_slot = 0
 
     # -- sizing ----------------------------------------------------------
 
@@ -114,96 +114,99 @@ class LogStructuredKVStore:
 
     # -- CRUD -------------------------------------------------------------
 
-    def _stage(
-        self,
-        items: Iterable[Tuple[Key, bytes]],
-        staged: List[Tuple[Key, bytes]],
-        slots: List[int],
-        lengths: List[int],
-    ) -> None:
-        """Validate each pair and reserve its record slot, in order,
-        appending the ``(key, value)`` pair, its slot and its value
-        length to the caller's lists.  Raises :class:`KVError` at the
-        first invalid pair; the valid prefix stays staged."""
-        limit = self.max_value_bytes
-        slot_of, free = self._slot_of, self._free_slots
-        for key, value in items:
-            if type(value) is not bytes or len(value) > limit:
-                value = check_value(value, limit)
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = free.pop() if free else self._next_slot
-                if slot == self._next_slot:
-                    self._next_slot += 1
-                slot_of[key] = slot
-            staged.append((key, value))
-            slots.append(slot)
-            lengths.append(len(value))
+    def register(self, key: Key) -> int:
+        """The record slot of ``key``, reserving one (the slot freed
+        last, else a new one) if the key has none yet."""
+        slot = self._slot_of.get(key)
+        if slot is None:
+            if self._free_slots:
+                slot = self._free_slots.pop()
+            else:
+                slot = len(self._values)
+                self._values.append(None)
+            self._slot_of[key] = slot
+        return slot
 
     def _unstage(self, keys: Iterable[Key]) -> None:
-        """The store refused a write: unregister the staged keys whose
-        value was never stored.  Their slots are trimmed (the store may
-        have taken a prefix of the batch) and returned; a key that
-        already held a value keeps it."""
+        """The store refused a write: unregister the keys whose value was
+        never stored, trimming their slots (the store may have taken a
+        prefix of the batch); a key that already held a value keeps it."""
         for key in keys:
-            if key not in self._values:
-                slot = self._slot_of.pop(key, None)
-                if slot is not None:
-                    self.store.trim(slot)
-                    self._free_slots.append(slot)
+            slot = self._slot_of.get(key)
+            if slot is not None and self._values[slot] is None:
+                del self._slot_of[key]
+                self.store.trim(slot)
+                self._free_slots.append(slot)
+
+    def write_slots(
+        self, slots: List[int], values: List[bytes], keys: Iterable[Key] = ()
+    ) -> None:
+        """Store valid ``values`` at registered ``slots``, in order,
+        through one ``write_batch`` (a repeated slot keeps its last
+        value).  A store error stores none of them and unregisters those
+        of ``keys`` that held no value."""
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        try:
+            self.store.write_batch(
+                np.asarray(slots, dtype=np.int64), self._units(lengths)
+            )
+        except StoreError:
+            self._unstage(keys)
+            raise
+        stored = self._values
+        for slot, value in zip(slots, values):
+            stored[slot] = value
 
     def put(self, key: Key, value: bytes) -> None:
         """Insert or overwrite; the old record's space is reclaimable
         from this moment.  Takes the store's scalar ``write`` — the
         per-pair reference :meth:`put_many` is state-identical to."""
-        staged, slots, lengths = [], [], []
-        self._stage(((key, value),), staged, slots, lengths)
+        value = check_value(value, self.max_value_bytes)
+        slot = self.register(key)
         try:
-            self.store.write(slots[0], size=int(self._units(lengths[0])))
+            self.store.write(slot, size=int(self._units(len(value))))
         except StoreError:
             self._unstage((key,))
             raise
-        self._values.update(staged)
+        self._values[slot] = value
 
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
         """Insert or overwrite a batch of ``(key, value)`` pairs through
-        the store's vectorized :meth:`~repro.store.LogStructuredStore.
-        write_batch` engine; returns the number of pairs applied.
+        :meth:`write_slots`; returns the number of pairs applied.
 
         State-identical to calling :meth:`put` once per pair, in order —
         including duplicate keys inside the batch (the last value wins,
         and every occurrence counts as a user write) and the error
         position (an invalid pair raises :class:`KVError` *after* the
         valid prefix was applied, exactly as a ``put`` loop would).
-        This is the service ingest fast path: one coalesced multi-key
-        batch costs one ``write_batch`` call instead of a per-key loop.
         A store error (out of space) fails the whole call: no value of
         the batch is recorded and the keys it introduced are
         unregistered.
         """
-        staged: List[Tuple[Key, bytes]] = []
-        slots: List[int] = []
-        lengths: List[int] = []
+        keys, slots, values = [], [], []
+        limit = self.max_value_bytes
         try:
-            self._stage(items, staged, slots, lengths)
+            for key, value in items:
+                if type(value) is not bytes or len(value) > limit:
+                    value = check_value(value, limit)
+                keys.append(key)
+                slots.append(self.register(key))
+                values.append(value)
         finally:
             # Also on the way out of an invalid pair: the valid prefix
             # is applied before the error surfaces.
-            if staged:
-                try:
-                    self.store.write_batch(
-                        np.asarray(slots, dtype=np.int64),
-                        self._units(np.asarray(lengths, dtype=np.int64)),
-                    )
-                except StoreError:
-                    self._unstage(key for key, _ in staged)
-                    raise
-                self._values.update(staged)
-        return len(staged)
+            if slots:
+                self.write_slots(slots, values, keys)
+        return len(slots)
 
     def get(self, key: Key, default: Optional[bytes] = None) -> Optional[bytes]:
         """Fetch a value; ``default`` when the key is absent."""
-        return self._values.get(key, default)
+        slot = self._slot_of.get(key)
+        return default if slot is None else self._values[slot]
+
+    def value_at(self, slot: int) -> Optional[bytes]:
+        """The value stored at record ``slot`` (None at a free slot)."""
+        return self._values[slot]
 
     def delete(self, key: Key) -> bool:
         """Remove a key; returns False if absent.  The record is TRIMmed
@@ -213,7 +216,7 @@ class LogStructuredKVStore:
             return False
         self.store.trim(slot)
         self._free_slots.append(slot)
-        del self._values[key]
+        self._values[slot] = None
         return True
 
     def __contains__(self, key: Key) -> bool:
@@ -227,8 +230,9 @@ class LogStructuredKVStore:
         return iter(self._slot_of)
 
     def items(self) -> Iterator[Tuple[Key, bytes]]:
-        """Iterate over live ``(key, value)`` pairs."""
-        return iter(self._values.items())
+        """Iterate over live ``(key, value)`` pairs (insertion order)."""
+        values = self._values
+        return ((key, values[slot]) for key, slot in self._slot_of.items())
 
     # -- introspection ------------------------------------------------------
 
@@ -252,20 +256,25 @@ class LogStructuredKVStore:
         }
 
     def check_consistency(self) -> None:
-        """Index, value map, and store must agree (test/debug aid).
+        """Index, value list, and store must agree (test/debug aid).
 
-        A live key's record is in exactly one of three places: a
-        segment, the sorting buffer (written, not yet drained — its
-        value is served from the value map like any other), or the
+        Every slot is either a live key's, holding its value, or free,
+        holding None.  A live key's record is in exactly one of three
+        places: a segment, the sorting buffer (written, not yet drained
+        — its value is served from the value list like any other), or the
         pages the *active* cleaning cycle has staged; the store's
         ``check_invariants`` holds each of the two sentinels to its
         backing (buffer membership, the active cursor's pending list).
         Any other page-table state — never written, in flight — is a
         key with no stored record.  And the records are all the store
         holds: their units add up to its live units."""
-        assert set(self._slot_of) == set(self._values)
+        values = self._values
         slots = list(self._slot_of.values())
-        assert len(slots) == len(set(slots)), "slot double-booked"
+        assert sorted(slots + self._free_slots) == list(range(len(values))), (
+            "a slot is double-booked or lost"
+        )
+        free = set(self._free_slots)
+        assert [v is None for v in values] == [s in free for s in range(len(values))]
         store = self.store
         pages = store.pages
         units = 0
@@ -275,7 +284,7 @@ class LogStructuredKVStore:
                 "live key %r has no stored record (page-table state %d)"
                 % (key, seg)
             )
-            expected = self._units(len(self._values[key]))
+            expected = self._units(len(values[slot]))
             assert pages.size[slot] == expected
             units += expected
         store.check_invariants()

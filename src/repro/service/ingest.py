@@ -15,18 +15,22 @@ multi-key batch.  Three mechanisms bound the staleness and the memory:
   enqueue completes (counted, so saturated runs are visible in the
   metrics rather than silently slow).
 
-A batch is **coalesced** as it is queued: each shard's pending run is
-one ``key -> last op`` map, so within one batch the last op per key
-wins and ten queued updates of a hot key cost the store one user
-write, not ten.  The same map answers read-your-writes
-(:meth:`IngestQueue.pending_value` is one probe of it), so coalescing
-and the read path share one structure and neither walks the run.
-Reassigning a key keeps its first-arrival position, which makes the
-replay order deterministic: the surviving puts go down in a single
-vectorized :meth:`~repro.kvstore.LogStructuredKVStore.put_many` call,
-the surviving deletes as TRIMs; the two groups touch disjoint keys, so
+A batch is **coalesced** as it is queued.  A kvstore key keeps one
+record slot for life, so each shard's pending run is one ``slot -> last
+op`` map (a key with no slot yet is keyed by its stored key); an op is
+a put's value, or for a delete the stored key it removes.  Within one
+batch the last op per key wins, so ten queued updates of a hot key cost
+the store one user write, not ten, and the same map answers
+read-your-writes (:meth:`IngestQueue.pending_value`).  Reassigning a
+key keeps its first-arrival position, so a flush replays the run in a
+deterministic order: it gives the keys with no slot theirs, hands the
+surviving puts' slots and values to one :meth:`~repro.kvstore.
+LogStructuredKVStore.write_slots` (one ``write_batch``), then applies
+the surviving deletes as TRIMs.  The two groups touch disjoint keys, so
 the final shard state is exactly what applying the client ops one by
-one would leave.
+one would leave.  The flush also keeps the service's route memo
+(:attr:`IngestQueue.routes`) true: a key that got its slot is memoized
+with it, and a deleted key's entry loses its slot.
 
 Beside each map the queue keeps the shard's **raw op count**
 (:meth:`IngestQueue.shard_depth`): every trigger and every figure that
@@ -39,9 +43,9 @@ many queued ops the map absorbed — on skewed tenant keyspaces this is
 the service's second amplification lever, upstream of the cleaner.
 
 A flush the store refuses (out of space) still applies the run's
-deletes, which are what can make room on a full shard, and puts the
-puts back: every op the queue acknowledged is either applied or still
-pending and readable.
+deletes, which are what can make room on a full shard, unregisters the
+keys it had just given slots, and puts the puts back: every op the
+queue acknowledged is either applied or still pending and readable.
 
 Everything is synchronous and deterministic: "async" is a property of
 the *ordering contract* (acknowledge now, apply on flush), not of
@@ -51,7 +55,7 @@ seed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
 from repro.store import StoreError
@@ -59,35 +63,28 @@ from repro.store import StoreError
 #: Batch-size histogram buckets (ops per flushed batch).
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-#: Op tags used in pending runs.
-OP_PUT = 0
-OP_DELETE = 1
-
-#: A pending op: (OP_PUT, key, value) or (OP_DELETE, key, None).
-Op = Tuple[int, object, Optional[bytes]]
-
 
 class IngestQueue:
     """Bounded, coalescing write queue over a pool of KV shards.
 
     Args:
         shards: The pool's shard list (``LogStructuredKVStore``-shaped:
-            ``put_many``, ``delete``).
+            ``register``, ``write_slots``, ``delete``).
+        metrics: Service :class:`~repro.obs.MetricsRegistry` for queue
+            instrumentation.
         batch_size: Per-shard flush-on-size threshold, in ops.
         flush_interval: Ticks a pending op may wait before flush-on-tick.
         max_depth: Total queued ops across all shards before
             backpressure flushes the deepest shard.
-        metrics: Service :class:`~repro.obs.MetricsRegistry` for queue
-            instrumentation (optional).
     """
 
     def __init__(
         self,
         shards: List,
+        metrics: MetricsRegistry,
         batch_size: int = 256,
         flush_interval: int = 4,
         max_depth: int = 4096,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -105,13 +102,15 @@ class IngestQueue:
         self.depth = 0
         #: Queue depth observed at every tick (p95 source for benches).
         self.depth_samples: List[int] = []
-        #: Per shard: key -> its last queued op, in first-arrival order.
-        self._pending: List[Dict[object, Op]] = [{} for _ in shards]
+        #: Per shard: run key -> its last queued op, in first-arrival order.
+        self._pending: List[Dict] = [{} for _ in shards]
         #: Per shard: client ops queued (coalesced ones included).
         self._queued: List[int] = [0 for _ in shards]
         #: Tick at which each shard's oldest pending op was enqueued.
         self._oldest_tick: List[Optional[int]] = [None for _ in shards]
         self._tick = 0
+        #: The service's route memo: stored key -> (shard, run key).
+        self.routes: Dict[object, tuple] = {}
         #: Optional callback fired after any shard flush (the service
         #: uses it to run cleaning governance between batches).
         self.after_flush: Optional[Callable[[int], None]] = None
@@ -132,29 +131,21 @@ class IngestQueue:
 
     # -- enqueue ---------------------------------------------------------
 
-    def put(self, shard: int, key, value: bytes) -> None:
-        """Queue an upsert for ``shard``."""
-        self.enqueue(shard, (OP_PUT, key, value))
-
-    def delete(self, shard: int, key) -> None:
-        """Queue a delete for ``shard``."""
-        self.enqueue(shard, (OP_DELETE, key, None))
-
-    def enqueue(self, shard: int, op: Op) -> None:
-        """Queue one op for ``shard``, superseding any queued op on the
-        same key, then flush if a size or depth bound was reached."""
+    def enqueue(self, shard: int, slot, op) -> None:
+        """Queue ``op`` (a put's value, or a delete's stored key) for
+        ``shard`` under run key ``slot``, superseding any queued op on
+        the same key, then flush if a size or depth bound was reached."""
         pending = self._pending[shard]
         if not pending:
             self._oldest_tick[shard] = self._tick
-        pending[op[1]] = op
+        pending[slot] = op
         queued = self._queued[shard] = self._queued[shard] + 1
         self.depth += 1
         if queued >= self.batch_size:
             self.flush_shard(shard)
         elif self.depth >= self.max_depth:
             deepest = max(range(len(self._queued)), key=self.shard_depth)
-            if self.metrics is not None:
-                self.metrics.counter("backpressure_flushes").inc()
+            self.metrics.counter("backpressure_flushes").inc()
             self.flush_shard(deepest)
 
     # -- flushing --------------------------------------------------------
@@ -173,8 +164,7 @@ class IngestQueue:
                 self.flush_shard(shard)
                 flushed += 1
         self.depth_samples.append(self.depth)
-        if self.metrics is not None:
-            self.metrics.gauge("queue_depth").set(self.depth)
+        self.metrics.gauge("queue_depth").set(self.depth)
         return flushed
 
     def flush_shard(self, shard: int) -> int:
@@ -205,68 +195,62 @@ class IngestQueue:
         # is work the client-facing flush waited behind.  Stall-free
         # flushes observe 0 so the histogram's percentiles read over
         # the full flush population.
-        gc_before = (
-            sum(s.store.stats.gc_writes for s in self.shards)
-            if self.metrics is not None
-            else 0
-        )
-        puts = [
-            (key, op[2]) for key, op in final.items() if op[0] == OP_PUT
-        ]
-        if puts:
-            pspan = (
-                tracer.start("shard.put_many", shard=shard, puts=len(puts))
-                if tracer is not None
-                else None
-            )
+        gc_before = sum(s.store.stats.gc_writes for s in self.shards)
+        slots: List[int] = []
+        values: List[bytes] = []
+        registered: List = []  # the keys that came with no slot
+        deletes: List = []
+        for slot, op in final.items():
+            if type(op) is not bytes:
+                deletes.append(op)
+                continue
+            if type(slot) is not int:
+                registered.append(slot)
+                slot = kv.register(slot)
+            slots.append(slot)
+            values.append(op)
+        if slots:
+            if tracer is not None:
+                pspan = tracer.start("shard.put_many", shard=shard, puts=len(slots))
             try:
                 try:
-                    kv.put_many(puts)
+                    kv.write_slots(slots, values, registered)
                 finally:
-                    if pspan is not None:
+                    if tracer is not None:
                         tracer.finish(pspan)
             except StoreError:
                 # Out of space is the refusal a later flush can get
-                # past (after deletes or cleaning), and put_many
-                # recorded none of the batch.  The deletes (keys
-                # disjoint from the puts') go down, so a full shard can
-                # be relieved; the acknowledged puts go back.
-                deletes = [key for key, op in final.items() if op[0] == OP_DELETE]
-                for key in deletes:
-                    kv.delete(key)
+                # past (after deletes or cleaning), and write_slots
+                # stored none of the batch.  The deletes (keys disjoint
+                # from the puts') go down, so a full shard can be
+                # relieved; the puts go back under their run keys.
+                self._delete(shard, deletes)
                 left = n - len(deletes)
                 self._pending[shard] = {
-                    key: op for key, op in final.items() if op[0] == OP_PUT
+                    slot: op for slot, op in final.items() if type(op) is bytes
                 }
                 self._queued[shard] = left
                 self._oldest_tick[shard] = oldest
                 self.depth += left
-                if self.metrics is not None:
-                    self.metrics.counter("ops_flushed").inc(len(deletes))
+                self.metrics.counter("ops_flushed").inc(len(deletes))
                 if span is not None:
                     tracer.finish(span, refused=True)
                 raise
-        for key, op in final.items():
-            if op[0] == OP_DELETE:
-                kv.delete(key)
-        if self.metrics is not None:
-            self.metrics.counter("batches_flushed").inc()
-            self.metrics.counter("ops_flushed").inc(n)
-            self.metrics.counter("ops_coalesced").inc(n - len(final))
-            self.metrics.counter("shard%d_ops" % shard).inc(n)
-            self.metrics.histogram("batch_size", BATCH_SIZE_EDGES).observe(n)
+            for key in registered:
+                self.routes[key] = (shard, kv.register(key))
+        self._delete(shard, deletes)
+        metrics = self.metrics
+        metrics.counter("batches_flushed").inc()
+        metrics.counter("ops_flushed").inc(n)
+        metrics.counter("ops_coalesced").inc(n - len(final))
+        metrics.counter("shard%d_ops" % shard).inc(n)
+        metrics.histogram("batch_size", BATCH_SIZE_EDGES).observe(n)
         if self.after_flush is not None:
             self.after_flush(shard)
-        stall = 0
-        if self.metrics is not None:
-            stall = (
-                sum(s.store.stats.gc_writes for s in self.shards) - gc_before
-            )
-            self.metrics.histogram(
-                "flush_stall_pages", PAGES_EDGES
-            ).observe(stall)
-            if self.on_stall is not None:
-                self.on_stall(float(stall))
+        stall = sum(s.store.stats.gc_writes for s in self.shards) - gc_before
+        metrics.histogram("flush_stall_pages", PAGES_EDGES).observe(stall)
+        if self.on_stall is not None:
+            self.on_stall(float(stall))
         if span is not None:
             tracer.finish(
                 span, stall_pages=float(stall), coalesced=n - len(final)
@@ -275,19 +259,20 @@ class IngestQueue:
 
     def flush_all(self) -> int:
         """Drain every shard; returns the total ops applied."""
-        total = 0
-        for shard in range(len(self._pending)):
-            total += self.flush_shard(shard)
-        return total
+        return sum(self.flush_shard(s) for s in range(len(self._pending)))
 
-    def pending_value(self, shard: int, key) -> Optional[Op]:
-        """The most recent queued op for ``key`` on ``shard`` (read-
-        your-writes support), or None."""
-        return self._pending[shard].get(key)
+    def _delete(self, shard: int, keys: List) -> None:
+        """Apply a run's deletes; each key's route loses its slot."""
+        kv, routes = self.shards[shard], self.routes
+        for key in keys:
+            kv.delete(key)
+            routes[key] = (shard, key)
+
+    def pending_value(self, shard: int, slot):
+        """The last op queued under run key ``slot`` on ``shard`` (a
+        put's value or a delete's stored key), or None."""
+        return self._pending[shard].get(slot)
 
     def shard_depth(self, shard: int) -> int:
         """Client ops queued on ``shard``, coalesced ones included."""
         return self._queued[shard]
-
-    def __len__(self) -> int:
-        return self.depth

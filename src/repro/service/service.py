@@ -9,9 +9,12 @@ pool's global slack budget.
 
 Keys are namespaced per tenant — the stored key is the ``(tenant,
 key)`` pair — so tenants never collide and rebalancing can re-route
-every record from its stored form alone.  Reads are read-your-writes:
-a ``get`` consults the owning shard's pending queue before the shard
-itself, so an acknowledged-but-unflushed ``put`` is already visible.
+every record from its stored form alone.  A key is resolved once: the
+route memo maps it to ``(shard, slot)``, its shard and the record slot
+it keeps there for life, which keys its op in the shard's pending run
+(until a flush gives a new key its slot, the slot is the stored key).
+Reads are read-your-writes: a ``get`` consults the pending run before
+the shard, so an acknowledged-but-unflushed ``put`` is already visible.
 
 Observability rides the existing ``repro.obs`` machinery: every shard
 carries a :class:`~repro.obs.StoreObserver` (per-shard Wamp/fill time
@@ -50,7 +53,7 @@ from repro.obs import (
 )
 from repro.obs.clock import now_s
 from repro.obs.export import SCHEMA_VERSION
-from repro.service.ingest import OP_DELETE, OP_PUT, IngestQueue
+from repro.service.ingest import IngestQueue
 from repro.service.pool import StorePool
 from repro.service.router import ConsistentHashRouter
 from repro.store import StoreConfig
@@ -100,12 +103,13 @@ class Service:
         )
         self.queue = IngestQueue(
             self.pool.shards,
+            self.metrics,
             batch_size=batch_size,
             flush_interval=flush_interval,
             max_depth=max_depth,
-            metrics=self.metrics,
         )
-        self.queue.after_flush = self._after_flush
+        # Post-batch governance: one budgeted maintenance round.
+        self.queue.after_flush = lambda shard: self.pool.maintain()
         #: Every shard has the same geometry, so one record limit.
         self._max_value_bytes = self.pool.shards[0].max_value_bytes
         #: Flush-stall SLO: a flush stalling behind more than one
@@ -120,11 +124,11 @@ class Service:
         self._sample_interval = sample_interval
         # The keyspace a service sees is bounded (tenants x keys), so
         # memoizing ring lookups turns the per-op blake2b hash into a
-        # dict hit; scale_to() invalidates it when the ring changes.
-        self._routes: Dict[tuple, int] = {}
-        self._c_puts = self.metrics.counter("puts")
+        # dict hit; flushes keep the slots current, scale_to() clears it.
+        self._routes = self.queue.routes
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
+        self._c_flushed = self.metrics.counter("ops_flushed")
         self.observers: List[StoreObserver] = [
             StoreObserver(
                 kv.store,
@@ -137,24 +141,24 @@ class Service:
     # -- internals -------------------------------------------------------
 
     def shard_of(self, key: Key, tenant: Optional[Key] = None) -> int:
-        """The shard index owning ``key`` under ``tenant``.  The client
-        ops probe the route memo inline and come here on a miss."""
-        skey = (tenant, key)
-        shard = self._routes.get(skey)
-        if shard is None:
+        """The shard index owning ``key`` under ``tenant``."""
+        return self._route((tenant, key))[0]
+
+    def _route(self, skey: tuple) -> tuple:
+        """``(shard, slot)`` for the stored key ``skey``; a memo miss
+        asks the ring and memoizes ``skey`` as the slot."""
+        route = self._routes.get(skey)
+        if route is None:
             # Only a memo miss does real ring work, so only a miss
             # opens a router span.
             tracer = self.tracer
             span = tracer.start("router.route") if tracer is not None else None
+            tenant, key = skey
             shard = self.router.shard_for(key, tenant=tenant)
-            self._routes[skey] = shard
+            route = self._routes[skey] = (shard, skey)
             if span is not None:
                 tracer.finish(span, shard=shard)
-        return shard
-
-    def _after_flush(self, shard: int) -> None:
-        """Post-batch governance: one budgeted maintenance round."""
-        self.pool.maintain()
+        return route
 
     # -- client API ------------------------------------------------------
 
@@ -172,17 +176,17 @@ class Service:
         if tracer is not None:
             span = tracer.start("service.put")
         skey = (tenant, key)  # the stored (namespaced) form of the key
-        shard = self._routes.get(skey)
+        route = self._routes.get(skey)
         try:
-            if shard is None:
-                shard = self.shard_of(key, tenant)
-            self._c_puts.value += 1
-            self.queue.enqueue(shard, (OP_PUT, skey, value))
+            if route is None:
+                route = self._route(skey)
+            shard, slot = route
+            self.queue.enqueue(shard, slot, value)
         finally:
             # Also when the op's own flush is refused: an open span
             # would adopt every later one.
             if tracer is not None:
-                tracer.finish(span, shard=shard)
+                tracer.finish(span, shard=route and route[0])
         return shard
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
@@ -191,16 +195,16 @@ class Service:
         if tracer is not None:
             span = tracer.start("service.delete")
         skey = (tenant, key)
-        shard = self._routes.get(skey)
+        route = self._routes.get(skey)
         try:
-            if shard is None:
-                shard = self.shard_of(key, tenant)
+            if route is None:
+                route = self._route(skey)
             self._c_deletes.value += 1
-            self.queue.enqueue(shard, (OP_DELETE, skey, None))
+            self.queue.enqueue(route[0], route[1], skey)
         finally:
             if tracer is not None:
-                tracer.finish(span, shard=shard)
-        return shard
+                tracer.finish(span, shard=route and route[0])
+        return route[0]
 
     def get(
         self,
@@ -208,25 +212,23 @@ class Service:
         tenant: Optional[Key] = None,
         default: Optional[bytes] = None,
     ) -> Optional[bytes]:
-        """Read-your-writes fetch: pending queue first, then the shard."""
+        """Read-your-writes fetch: pending run first, then the shard."""
         skey = (tenant, key)
-        shard = self._routes.get(skey)
-        if shard is None:
-            shard = self.shard_of(key, tenant)
+        shard, slot = self._routes.get(skey) or self._route(skey)
         self._c_gets.value += 1
-        pending = self.queue.pending_value(shard, skey)
+        pending = self.queue.pending_value(shard, slot)
         if pending is not None:
-            return pending[2] if pending[0] == OP_PUT else default
-        return self.pool.shards[shard].get(skey, default)
+            return pending if type(pending) is bytes else default
+        kv = self.pool.shards[shard]
+        return kv.value_at(slot) if type(slot) is int else kv.get(skey, default)
 
-    def __contains__(self, key: Key) -> bool:
-        return self.get(key) is not None
+    def _puts(self) -> int:
+        """Client puts acknowledged: the acknowledged ops less deletes."""
+        return self._c_flushed.value + self.queue.depth - self._c_deletes.value
 
     def __len__(self) -> int:
-        live = sum(len(kv) for kv in self.pool.shards)
-        # Pending ops shift the count only once applied; flush for an
-        # exact figure.
-        return live
+        # Queued ops count once applied; flush for an exact figure.
+        return sum(len(kv) for kv in self.pool.shards)
 
     # -- service clock ---------------------------------------------------
 
@@ -375,6 +377,7 @@ class Service:
             "clock": sum(kv.store.clock for kv in self.pool.shards),
             "tick": self.queue._tick,
             "queue_depth": self.queue.depth,
+            "puts": self._puts(),
             "flush_stall_p99_pages": round(flush_hist.percentile(0.99), 2),
             "slo": self.slo.report(),
             "shards": shards,
@@ -398,6 +401,7 @@ class Service:
         header["run"].setdefault("seed", self.seed)
         yield header
         row = self.metrics.snapshot().to_dict()
+        row["counters"]["puts"] = self._puts()
         row["type"] = "metrics"
         row["clock"] = sum(kv.store.clock for kv in self.pool.shards)
         row["queue_depth_p95"] = self.queue_depth_p95()

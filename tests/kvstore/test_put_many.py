@@ -124,7 +124,7 @@ def assert_same_state(kv, ref):
     assert kv._slot_of == ref._slot_of
     assert list(kv._slot_of) == list(ref._slot_of)
     assert kv._values == ref._values
-    assert (kv._free_slots, kv._next_slot) == (ref._free_slots, ref._next_slot)
+    assert kv._free_slots == ref._free_slots
     assert kv.store.stats.snapshot() == ref.store.stats.snapshot()
     kv.check_consistency()
 

@@ -8,6 +8,17 @@ from repro.service import IngestQueue
 from repro.store import StoreConfig
 
 
+def put(q, shard, key, value):
+    """Queue a put the way the service does: under the key's memoized
+    slot, or under the key while it has none."""
+    q.enqueue(shard, q.routes.get(key, (shard, key))[1], value)
+
+
+def delete(q, shard, key):
+    """Queue a delete: the op is the key it removes."""
+    q.enqueue(shard, q.routes.get(key, (shard, key))[1], key)
+
+
 def make_shards(n=2):
     cfg = StoreConfig(
         n_segments=32, segment_units=16, fill_factor=0.5,
@@ -19,17 +30,17 @@ def make_shards(n=2):
 class TestFlushTriggers:
     def test_flush_on_size(self):
         shards = make_shards()
-        q = IngestQueue(shards, batch_size=4, flush_interval=100)
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=4, flush_interval=100)
         for i in range(3):
-            q.put(0, "k%d" % i, b"v")
+            put(q, 0, "k%d" % i, b"v")
         assert len(shards[0]) == 0 and q.depth == 3
-        q.put(0, "k3", b"v")  # hits batch_size
+        put(q, 0, "k3", b"v")  # hits batch_size
         assert len(shards[0]) == 4 and q.depth == 0
 
     def test_flush_on_tick_ages_oldest_op(self):
         shards = make_shards()
-        q = IngestQueue(shards, batch_size=100, flush_interval=2)
-        q.put(0, "a", b"v")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=2)
+        put(q, 0, "a", b"v")
         assert q.tick() == 0  # age 1: still young
         assert len(shards[0]) == 0
         assert q.tick() == 1  # age 2: flushed
@@ -37,10 +48,10 @@ class TestFlushTriggers:
 
     def test_tick_only_flushes_aged_shards(self):
         shards = make_shards()
-        q = IngestQueue(shards, batch_size=100, flush_interval=2)
-        q.put(0, "old", b"v")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=2)
+        put(q, 0, "old", b"v")
         q.tick()
-        q.put(1, "young", b"v")
+        put(q, 1, "young", b"v")
         q.tick()
         assert len(shards[0]) == 1  # aged out
         assert len(shards[1]) == 0  # still pending
@@ -48,9 +59,9 @@ class TestFlushTriggers:
 
     def test_flush_all_drains_everything(self):
         shards = make_shards()
-        q = IngestQueue(shards, batch_size=100, flush_interval=100)
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=100)
         for i in range(5):
-            q.put(i % 2, "k%d" % i, b"v")
+            put(q, i % 2, "k%d" % i, b"v")
         assert q.flush_all() == 5
         assert q.depth == 0
         assert len(shards[0]) + len(shards[1]) == 5
@@ -59,10 +70,10 @@ class TestFlushTriggers:
 class TestCoalescing:
     def test_last_write_wins_within_batch(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, batch_size=100)
-        q.put(0, "k", b"one")
-        q.put(0, "k", b"two")
-        q.put(0, "k", b"three")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
+        put(q, 0, "k", b"one")
+        put(q, 0, "k", b"two")
+        put(q, 0, "k", b"three")
         q.flush_all()
         assert shards[0].get("k") == b"three"
         # Coalescing means the store saw ONE user write for the key.
@@ -70,9 +81,9 @@ class TestCoalescing:
 
     def test_put_then_delete_coalesces_to_nothing(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, batch_size=100)
-        q.put(0, "k", b"v")
-        q.delete(0, "k")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
+        put(q, 0, "k", b"v")
+        delete(q, 0, "k")
         q.flush_all()
         assert "k" not in shards[0]
         assert shards[0].store.stats.user_writes == 0
@@ -80,19 +91,19 @@ class TestCoalescing:
     def test_delete_then_put_survives(self):
         shards = make_shards(1)
         shards[0].put("k", b"old")
-        q = IngestQueue(shards, batch_size=100)
-        q.delete(0, "k")
-        q.put(0, "k", b"new")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
+        delete(q, 0, "k")
+        put(q, 0, "k", b"new")
         q.flush_all()
         assert shards[0].get("k") == b"new"
 
     def test_coalesced_counter(self):
         shards = make_shards(1)
         metrics = MetricsRegistry()
-        q = IngestQueue(shards, batch_size=100, metrics=metrics)
+        q = IngestQueue(shards, metrics, batch_size=100)
         for _ in range(5):
-            q.put(0, "hot", b"v")
-        q.put(0, "cold", b"v")
+            put(q, 0, "hot", b"v")
+        put(q, 0, "cold", b"v")
         q.flush_all()
         snap = metrics.snapshot()
         assert snap.counters["ops_flushed"] == 6
@@ -105,12 +116,11 @@ class TestBackpressure:
         shards = make_shards(2)
         metrics = MetricsRegistry()
         q = IngestQueue(
-            shards, batch_size=6, flush_interval=100, max_depth=6,
-            metrics=metrics,
+            shards, metrics, batch_size=6, flush_interval=100, max_depth=6
         )
-        q.put(1, "other", b"v")
+        put(q, 1, "other", b"v")
         for i in range(5):
-            q.put(0, "k%d" % i, b"v")
+            put(q, 0, "k%d" % i, b"v")
         # Depth hit 6: shard 0 (deepest) was flushed synchronously.
         assert len(shards[0]) == 5
         assert q.depth == 1  # shard 1's op still queued
@@ -118,39 +128,46 @@ class TestBackpressure:
 
     def test_read_your_writes_pending_value(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, batch_size=100)
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
         assert q.pending_value(0, "k") is None
-        q.put(0, "k", b"v1")
-        q.put(0, "k", b"v2")
-        tag, _key, value = q.pending_value(0, "k")
-        assert value == b"v2"
-        q.delete(0, "k")
-        tag, _key, value = q.pending_value(0, "k")
-        assert value is None  # latest op is the delete
+        put(q, 0, "k", b"v1")
+        put(q, 0, "k", b"v2")
+        assert q.pending_value(0, "k") == b"v2"  # queued under the key
+        delete(q, 0, "k")
+        assert q.pending_value(0, "k") == "k"  # latest op is the delete
+        put(q, 0, "k", b"v3")
+        q.flush_all()
+        # The flush gave the key its slot and memoized it: the next op
+        # is queued, and read, under the slot.
+        slot = shards[0]._slot_of["k"]
+        assert q.routes["k"] == (0, slot)
+        put(q, 0, "k", b"v4")
+        assert q.pending_value(0, slot) == b"v4"
+        assert q.pending_value(0, "k") is None
 
 
 class TestShapeAndValidation:
     def test_add_shard_tracks_new_pending_list(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, batch_size=100)
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
         q.add_shard(make_shards(1)[0])
-        q.put(1, "k", b"v")
+        put(q, 1, "k", b"v")
         assert q.flush_all() == 1
 
     def test_bad_params_raise(self):
         shards = make_shards(1)
         with pytest.raises(ValueError):
-            IngestQueue(shards, batch_size=0)
+            IngestQueue(shards, MetricsRegistry(), batch_size=0)
         with pytest.raises(ValueError):
-            IngestQueue(shards, flush_interval=0)
+            IngestQueue(shards, MetricsRegistry(), flush_interval=0)
         with pytest.raises(ValueError):
-            IngestQueue(shards, batch_size=8, max_depth=4)
+            IngestQueue(shards, MetricsRegistry(), batch_size=8, max_depth=4)
 
     def test_depth_samples_record_tick_depths(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, batch_size=100, flush_interval=100)
-        q.put(0, "a", b"v")
+        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=100)
+        put(q, 0, "a", b"v")
         q.tick()
-        q.put(0, "b", b"v")
+        put(q, 0, "b", b"v")
         q.tick()
         assert q.depth_samples == [1, 2]

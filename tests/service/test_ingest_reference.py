@@ -1,41 +1,39 @@
-"""The map-based IngestQueue against the list-based queue it replaced.
+"""The slot-keyed write path against the list-based queue it replaced.
 
-``ListQueue`` is the queue as it stood before the pending run became a
-``key -> last op`` map: per-shard op lists, folded last-write-wins at
-flush, scanned backwards for read-your-writes.  Both queues are driven
-with the same seeded op streams over recording fake shards; everything
-observable must match after every op.
+``RefService`` is the service as it stood before the route memo carried
+record slots: per-shard op lists (``ListQueue``), folded last-write-wins
+at flush and handed to ``kv.put_many`` / ``kv.delete``, scanned
+backwards for read-your-writes, every key resolved through the ring.
+Both services are driven with the same op streams over stores of the
+same geometry, and after every op what reached each store must match:
+the ``write_batch`` slots and sizes in order, then the trims.  So must
+every read, the queue depths, the metrics registry (with ``puts`` the
+reference counts per put and the service derives), and, on the new
+service, the memo rule: no entry points at a slot its key no longer
+owns.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
-from repro.service import IngestQueue
-from repro.service.ingest import BATCH_SIZE_EDGES, OP_DELETE, OP_PUT
+from repro.service import ConsistentHashRouter, Service, StorePool
+from repro.service.ingest import BATCH_SIZE_EDGES
+from repro.store import OutOfSpaceError, StoreConfig, StoreError
 
-
-class RecordingShard:
-    """Logs the calls a flush makes; no store behind it."""
-
-    def __init__(self):
-        self.calls = []
-        self.store = SimpleNamespace(stats=SimpleNamespace(gc_writes=0))
-
-    def put_many(self, items):
-        self.calls.append(("put_many", list(items)))
-
-    def delete(self, key):
-        self.calls.append(("delete", key))
+OP_PUT, OP_DELETE = 0, 1
+UNIT_BYTES = 8
+ROOMY = StoreConfig(
+    n_segments=16, segment_units=8, fill_factor=0.5,
+    clean_trigger=2, clean_batch=2,
+)
 
 
 class ListQueue:
-    """Reference: the list-based queue of the parent commit."""
+    """Reference: the list-based ingest queue."""
 
     def __init__(self, shards, batch_size, flush_interval, max_depth, metrics):
-        self.shards = shards
+        self.shards = list(shards)
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self.max_depth = max_depth
@@ -43,27 +41,30 @@ class ListQueue:
         self.depth = 0
         self.depth_samples = []
         self._pending = [[] for _ in shards]
+        # Client ops queued: the list's length, but after a refused
+        # flush also the coalesced ops of the keys put back.
+        self._queued = [0 for _ in shards]
         self._oldest_tick = [None for _ in shards]
         self._tick = 0
+        self.after_flush = None
 
-    def put(self, shard, key, value):
-        self._push(shard, (OP_PUT, key, value))
+    def add_shard(self, shard):
+        self.shards.append(shard)
+        self._pending.append([])
+        self._queued.append(0)
+        self._oldest_tick.append(None)
 
-    def delete(self, shard, key):
-        self._push(shard, (OP_DELETE, key, None))
-
-    def _push(self, shard, op):
+    def push(self, shard, op):
         pending = self._pending[shard]
         if not pending:
             self._oldest_tick[shard] = self._tick
         pending.append(op)
+        self._queued[shard] += 1
         self.depth += 1
-        if len(pending) >= self.batch_size:
+        if self._queued[shard] >= self.batch_size:
             self.flush_shard(shard)
         elif self.depth >= self.max_depth:
-            deepest = max(
-                range(len(self._pending)), key=lambda s: len(self._pending[s])
-            )
+            deepest = max(range(len(self._queued)), key=self.shard_depth)
             self.metrics.counter("backpressure_flushes").inc()
             self.flush_shard(deepest)
 
@@ -83,54 +84,237 @@ class ListQueue:
         ops = self._pending[shard]
         if not ops:
             return 0
+        n = self._queued[shard]
+        oldest = self._oldest_tick[shard]
         self._pending[shard] = []
+        self._queued[shard] = 0
         self._oldest_tick[shard] = None
-        n = len(ops)
         self.depth -= n
         kv = self.shards[shard]
+        gc_before = sum(s.store.stats.gc_writes for s in self.shards)
         final = {}
         for op in ops:
             final[op[1]] = op
         puts = [(key, op[2]) for key, op in final.items() if op[0] == OP_PUT]
-        if puts:
-            kv.put_many(puts)
-        for key, op in final.items():
-            if op[0] == OP_DELETE:
+        deletes = [key for key, op in final.items() if op[0] == OP_DELETE]
+        try:
+            if puts:
+                kv.put_many(puts)
+        except StoreError:
+            for key in deletes:
                 kv.delete(key)
+            self._pending[shard] = [op for op in ops if final[op[1]][0] == OP_PUT]
+            self._queued[shard] = left = n - len(deletes)
+            self._oldest_tick[shard] = oldest
+            self.depth += left
+            self.metrics.counter("ops_flushed").inc(len(deletes))
+            raise
+        for key in deletes:
+            kv.delete(key)
         self.metrics.counter("batches_flushed").inc()
         self.metrics.counter("ops_flushed").inc(n)
         self.metrics.counter("ops_coalesced").inc(n - len(final))
         self.metrics.counter("shard%d_ops" % shard).inc(n)
         self.metrics.histogram("batch_size", BATCH_SIZE_EDGES).observe(n)
-        self.metrics.histogram("flush_stall_pages", PAGES_EDGES).observe(0)
+        self.after_flush(shard)
+        stall = sum(s.store.stats.gc_writes for s in self.shards) - gc_before
+        self.metrics.histogram("flush_stall_pages", PAGES_EDGES).observe(stall)
         return n
 
     def flush_all(self):
         return sum(self.flush_shard(s) for s in range(len(self._pending)))
 
-    def pending_value(self, shard, key):
+    def pending_op(self, shard, key):
         for op in reversed(self._pending[shard]):
             if op[1] == key:
                 return op
         return None
 
+    def shard_depth(self, shard):
+        return self._queued[shard]
 
-def op_stream(seed, n_ops, n_shards, keyspace):
-    """Puts, deletes, ticks and the odd full drain; few keys, so runs
-    repeat keys and hold put-then-delete and delete-then-put pairs."""
+
+class RefService:
+    """Reference: the service over a :class:`ListQueue`, no route memo."""
+
+    def __init__(self, n_shards, config, batch_size, flush_interval, max_depth):
+        self.metrics = MetricsRegistry()
+        # The instruments the service creates before its first flush
+        # (telemetry_row reads the stall histogram).
+        for name in ("deletes", "gets", "ops_flushed"):
+            self.metrics.counter(name)
+        self.metrics.histogram("flush_stall_pages", PAGES_EDGES)
+        self.router = ConsistentHashRouter(n_shards, seed=0)
+        self.pool = StorePool(
+            n_shards, config, policy="mdc", unit_bytes=UNIT_BYTES,
+            metrics=self.metrics, pages_per_step=4,
+        )
+        self.queue = ListQueue(
+            self.pool.shards, batch_size, flush_interval, max_depth, self.metrics
+        )
+        self.queue.after_flush = lambda shard: self.pool.maintain()
+        self.puts = 0
+
+    def put(self, key, value, tenant=None):
+        shard = self.router.shard_for(key, tenant=tenant)
+        self.puts += 1
+        self.queue.push(shard, (OP_PUT, (tenant, key), value))
+        return shard
+
+    def delete(self, key, tenant=None):
+        shard = self.router.shard_for(key, tenant=tenant)
+        self.metrics.counter("deletes").inc()
+        self.queue.push(shard, (OP_DELETE, (tenant, key), None))
+        return shard
+
+    def get(self, key, tenant=None, default=None):
+        shard = self.router.shard_for(key, tenant=tenant)
+        self.metrics.counter("gets").inc()
+        op = self.queue.pending_op(shard, (tenant, key))
+        if op is not None:
+            return op[2] if op[0] == OP_PUT else default
+        return self.pool.shards[shard].get((tenant, key), default)
+
+    def tick(self):
+        self.queue.tick()
+        self.pool.maintain(idle=True)
+
+    def flush(self):
+        return self.queue.flush_all()
+
+    def scale_to(self, n_shards):
+        self.flush()
+        old_n = self.pool.n_shards
+        for _ in range(old_n, n_shards):
+            self.queue.add_shard(self.pool.add_shard())
+        self.router = self.router.grown(n_shards)
+        moved = 0
+        for src in range(old_n):
+            kv = self.pool[src]
+            moves = {}
+            for skey in list(kv.keys()):
+                dst = self.router.shard_for(skey[1], tenant=skey[0])
+                if dst != src:
+                    moves.setdefault(dst, []).append(skey)
+            for dst in sorted(moves):
+                self.pool[dst].put_many([(skey, kv.get(skey)) for skey in moves[dst]])
+                for skey in moves[dst]:
+                    kv.delete(skey)
+                moved += len(moves[dst])
+        self.metrics.counter("rebalances").inc()
+        self.metrics.counter("keys_migrated").inc(moved)
+        self.pool.maintain()
+        return moved
+
+
+def record_store_calls(svc, log):
+    """Log every ``write_batch`` (slots, sizes) and ``trim`` (slot) that
+    reaches a shard's store, per shard; idempotent per store."""
+    while len(log) < svc.pool.n_shards:
+        store = svc.pool.shards[len(log)].store
+        calls = []
+        log.append(calls)
+        write_batch, trim = store.write_batch, store.trim
+
+        def logged_write(slots, sizes=None, _w=write_batch, _c=calls):
+            _c.append(("write_batch", np.asarray(slots).tolist(), np.asarray(sizes).tolist()))
+            return _w(slots, sizes)
+
+        def logged_trim(slot, _t=trim, _c=calls):
+            _c.append(("trim", int(slot)))
+            return _t(slot)
+
+        store.write_batch = logged_write
+        store.trim = logged_trim
+
+
+def apply(svc, op):
+    """One op; a refused flush is an outcome, not an error."""
+    kind, args = op[0], op[1:]
+    try:
+        return getattr(svc, kind)(*args)
+    except OutOfSpaceError:
+        return "refused"
+
+
+class Pair:
+    """The service and its reference, driven in lockstep."""
+
+    def __init__(self, n_shards=3, config=ROOMY, batch_size=8,
+                 flush_interval=3, max_depth=64):
+        self.new = Service(
+            n_shards, config, policy="mdc", unit_bytes=UNIT_BYTES,
+            batch_size=batch_size, flush_interval=flush_interval,
+            max_depth=max_depth, pages_per_step=4, seed=0,
+        )
+        self.ref = RefService(
+            n_shards, config, batch_size, flush_interval, max_depth
+        )
+        self.new_log, self.ref_log = [], []
+        self.seen = set()
+
+    def step(self, *op):
+        if op[0] in ("put", "delete", "get"):
+            self.seen.add((op[-1] if op[0] == "put" else op[2], op[1]))
+        got, want = apply(self.new, op), apply(self.ref, op)
+        if op[0] == "scale_to":
+            record_store_calls(self.new, self.new_log)
+            record_store_calls(self.ref, self.ref_log)
+        assert got == want, op
+        self.check()
+        return got
+
+    def check(self):
+        new, ref = self.new, self.ref
+        record_store_calls(new, self.new_log)
+        record_store_calls(ref, self.ref_log)
+        assert self.new_log == self.ref_log
+        assert new.queue.depth == ref.queue.depth
+        assert new.queue.depth_samples == ref.queue.depth_samples
+        assert [
+            new.queue.shard_depth(s) for s in range(new.pool.n_shards)
+        ] == ref.queue._queued
+        assert new.telemetry_row()["puts"] == ref.puts
+        # Reads are compared on both, so their counters stay equal.
+        for tenant, key in sorted(self.seen, key=repr):
+            assert new.get(key, tenant) == ref.get(key, tenant)
+        assert new.metrics.snapshot() == ref.metrics.snapshot()
+        # The memo rule: a memoized slot is one its key owns.
+        for skey, (shard, slot) in new._routes.items():
+            if type(slot) is int:
+                assert new.pool[shard]._slot_of.get(skey) == slot, skey
+            else:
+                assert slot == skey
+
+    def held(self, tenant, key):
+        """The slot the key holds on its shard, or None."""
+        shard = self.new.shard_of(key, tenant)
+        return self.new.pool[shard]._slot_of.get((tenant, key))
+
+
+def op_stream(seed, n_ops, keyspace):
+    """Puts, deletes, gets, ticks, the odd full drain and growth; few
+    keys, so runs repeat keys and hold put-then-delete and
+    delete-then-put pairs, and deleted keys come back on other slots."""
     rng = np.random.default_rng(seed)
+    shards = 3
     for i in range(n_ops):
         roll = rng.random()
-        shard = int(rng.integers(0, n_shards))
-        key = "k%d" % rng.integers(0, keyspace)
+        tenant = "t%d" % rng.integers(0, 3)
+        key = int(rng.integers(0, keyspace))
         if roll < 0.08:
             yield ("tick",)
         elif roll < 0.09:
-            yield ("flush_all",)
+            yield ("flush",)
+        elif roll < 0.092 and shards < 5:
+            shards += 1
+            yield ("scale_to", shards)
+        elif roll < 0.25:
+            yield ("delete", key, tenant)
         elif roll < 0.30:
-            yield ("delete", shard, key)
+            yield ("get", key, tenant)
         else:
-            yield ("put", shard, key, b"v%d" % i)
+            yield ("put", key, bytes([i % 256]) * (1 + i % 20), tenant)
 
 
 # batch_size, flush_interval, max_depth, and the flush trigger the shape
@@ -148,45 +332,136 @@ SHAPES = [
 def test_map_queue_matches_list_queue(
     seed, batch_size, flush_interval, max_depth, fires
 ):
-    n_shards = 3
-    queues = []
-    for cls in (IngestQueue, ListQueue):
-        shards = [RecordingShard() for _ in range(n_shards)]
-        metrics = MetricsRegistry()
-        queues.append(
-            (cls(shards, batch_size, flush_interval, max_depth, metrics), shards, metrics)
-        )
-    (new, new_shards, new_metrics), (ref, ref_shards, ref_metrics) = queues
-    seen = set()
-    aged = on_enqueue = 0
-    for op in op_stream(seed, 1500, n_shards, keyspace=7):
-        kind = op[0]
-        if kind in ("put", "delete"):
-            seen.add((op[1], op[2]))
-        flushed = new_metrics.snapshot().counters.get("batches_flushed", 0)
-        got = getattr(new, kind)(*op[1:])
-        want = getattr(ref, kind)(*op[1:])
-        assert got == want
-        if kind == "tick":
-            aged += got
-        elif kind != "flush_all":
-            on_enqueue += (
-                new_metrics.snapshot().counters.get("batches_flushed", 0) - flushed
-            )
-        assert [s.calls for s in new_shards] == [s.calls for s in ref_shards]
-        assert new.depth == ref.depth
-        assert new.depth_samples == ref.depth_samples
-        assert [new.shard_depth(s) for s in range(n_shards)] == [
-            len(run) for run in ref._pending
-        ]
-        assert new_metrics.snapshot() == ref_metrics.snapshot()
-        for shard, key in seen:
-            assert new.pending_value(shard, key) == ref.pending_value(shard, key)
-    snap = new_metrics.snapshot()
-    assert snap.counters["ops_coalesced"] > 0
-    if fires in ("size", "all"):
-        assert on_enqueue > snap.counters.get("backpressure_flushes", 0)
+    pair = Pair(
+        batch_size=batch_size, flush_interval=flush_interval,
+        max_depth=max_depth,
+    )
+    def flushes():
+        return pair.new.metrics.snapshot().counters.get("batches_flushed", 0)
+
+    aged = 0
+    for op in op_stream(seed, 600, keyspace=7):
+        before = flushes()
+        pair.step(*op)
+        if op[0] == "tick":
+            aged += flushes() - before
+    pair.step("flush")
+    counters = pair.new.metrics.snapshot().counters
+    assert counters["ops_coalesced"] > 0
+    assert counters["rebalances"] > 0
+    assert sum(kv.store.stats.trims for kv in pair.new.pool.shards) > 0
+    if fires in ("backpressure", "all"):
+        assert counters["backpressure_flushes"] > 0
+    if fires == "size":
+        assert counters["batches_flushed"] > counters.get("backpressure_flushes", 0)
     if fires in ("age", "all"):
         assert aged > 0
-    if fires in ("backpressure", "all"):
-        assert snap.counters["backpressure_flushes"] > 0
+
+
+class TestWindowCases:
+    """One flush window at a time, on a service with no size trigger in
+    reach (``flush`` is the only drain)."""
+
+    def pair(self, **overrides):
+        kwargs = dict(batch_size=64, flush_interval=1000, max_depth=64)
+        kwargs.update(overrides)
+        return Pair(**kwargs)
+
+    def test_delete_then_put_in_one_window_keeps_the_slot(self):
+        pair = self.pair()
+        pair.step("put", 1, b"old", "t")
+        pair.step("flush")
+        slot = pair.held("t", 1)
+        pair.step("delete", 1, "t")
+        pair.step("put", 1, b"new!", "t")
+        assert pair.step("get", 1, "t") == b"new!"
+        pair.step("flush")
+        assert pair.held("t", 1) == slot
+        assert pair.new_log[pair.new.shard_of(1, "t")][-1] == (
+            "write_batch", [slot], [1]
+        )
+
+    def test_put_then_delete_of_a_new_key_allocates_no_slot(self):
+        pair = self.pair()
+        pair.step("put", 1, b"a", "t")
+        pair.step("put", 2, b"b", "t")
+        pair.step("delete", 1, "t")
+        pair.step("flush")
+        assert pair.held("t", 1) is None
+        assert pair.held("t", 2) == 0 or pair.new.shard_of(1, "t") != (
+            pair.new.shard_of(2, "t")
+        )
+        assert pair.new._routes[("t", 1)][1] == ("t", 1)
+
+    def test_delete_of_an_absent_key(self):
+        pair = self.pair()
+        pair.step("delete", 5, "t")
+        assert pair.step("get", 5, "t") is None
+        pair.step("flush")
+        assert pair.held("t", 5) is None
+        assert all(calls == [] for calls in pair.new_log)
+
+    def test_reput_after_its_slot_went_to_another_key(self):
+        pair = self.pair(n_shards=1)
+        pair.step("put", "old", b"1", "t")
+        pair.step("flush")
+        slot = pair.held("t", "old")
+        pair.step("delete", "old", "t")
+        pair.step("flush")
+        pair.step("put", "taker", b"22", "t")
+        pair.step("flush")
+        assert pair.held("t", "taker") == slot
+        assert pair.step("get", "old", "t") is None
+        assert pair.step("get", "old", "t", b"d") == b"d"
+        pair.step("put", "old", b"333", "t")
+        pair.step("flush")
+        assert pair.held("t", "old") not in (None, slot)
+        assert pair.step("get", "old", "t") == b"333"
+        assert pair.step("get", "taker", "t") == b"22"
+
+    def test_refused_flush(self):
+        pair = self.pair(
+            n_shards=1,
+            config=StoreConfig(n_segments=16, segment_units=8, fill_factor=0.5),
+            batch_size=16,
+            max_depth=64,
+        )
+        refused = 0
+        for key in range(200):
+            if pair.step("put", key, bytes(8), None) == "refused":
+                refused += 1
+                if refused == 3:
+                    break
+            if key % 7 == 6:
+                pair.step("delete", key - 3, None)
+        assert refused == 3
+        # The refused run keeps the keys it could not place unslotted.
+        assert pair.new.queue.depth > 0
+        for key in range(0, 40, 3):
+            pair.step("delete", key, None)
+        pair.step("tick")
+        pair.step("flush")
+
+    def test_ops_on_keys_moved_by_scale_to(self):
+        pair = self.pair(n_shards=2)
+        for key in range(40):
+            pair.step("put", key, bytes([key]) * (1 + key % 9), "t")
+        pair.step("flush")
+        assert pair.step("scale_to", 3) > 0
+        moved = [
+            key for key in range(40) if pair.new.shard_of(key, "t") == 2
+        ]
+        assert moved
+        # The memo was dropped: moved keys queue unslotted until their
+        # next flush gives them the slot they hold on the new shard.
+        for key in moved[:4]:
+            pair.step("put", key, b"again", "t")
+        for key in moved[4:8]:
+            pair.step("delete", key, "t")
+        for key in moved:
+            pair.step("get", key, "t")
+        pair.step("flush")
+        for key in moved[:4]:
+            assert pair.new._routes[("t", key)] == (2, pair.held("t", key))
+        pair.step("put", moved[4], b"back", "t")
+        pair.step("flush")

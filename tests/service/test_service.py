@@ -27,6 +27,19 @@ def make_service(n_shards=2, **overrides):
     )
 
 
+def metrics_row(svc):
+    """The service block's metrics row (the shard blocks follow it)."""
+    return next(r for r in svc.rows() if r["type"] == "metrics")
+
+
+def exported_puts(svc):
+    """The ``puts`` count where the service exports it; the telemetry
+    row and the metrics row must agree."""
+    puts = metrics_row(svc)["counters"]["puts"]
+    assert svc.telemetry_row()["puts"] == puts
+    return puts
+
+
 class TestClientSemantics:
     def test_read_your_writes_before_flush(self):
         svc = make_service(batch_size=1000, flush_interval=1000)
@@ -312,6 +325,52 @@ class TestRefusedFlush:
         assert flush.attrs["refused"] is True
 
 
+class TestDerivedPuts:
+    def test_puts_equal_the_clients_count_across_refusals(self):
+        """``puts`` is derived at export (flushed + queued - deletes),
+        not counted per put: it must equal what the client was
+        acknowledged, with a refused flush still queued and a refused
+        value never counted."""
+        svc = Service(
+            1,
+            StoreConfig(n_segments=16, segment_units=8, fill_factor=0.5),
+            unit_bytes=8,
+            batch_size=16,
+            flush_interval=1,
+            max_depth=64,
+        )
+        puts = deletes = 0
+        with pytest.raises(OutOfSpaceError):
+            while puts < 1000:
+                if puts % 10 == 9:
+                    svc.delete(puts - 5)
+                    deletes += 1
+                puts += 1  # acknowledged even when its own flush is refused
+                svc.put(puts - 1, b"x" * 8)
+        assert svc.queue.depth > 0
+        assert exported_puts(svc) == puts
+        with pytest.raises(KVError):
+            svc.put("bad", "not bytes")
+        assert exported_puts(svc) == puts
+        assert svc.metrics.counter("deletes").value == deletes
+        refused = 0
+        for key in range(16):
+            # The run is over batch_size, so each delete flushes it:
+            # refused (its deletes applied) until they made room.
+            deletes += 1
+            try:
+                svc.delete(key)
+            except OutOfSpaceError:
+                refused += 1
+            assert exported_puts(svc) == puts
+        assert refused > 0
+        svc.flush()
+        assert svc.queue.depth == 0
+        assert exported_puts(svc) == puts
+        assert svc.metrics.counter("deletes").value == deletes
+        svc.pool.check_consistency()
+
+
 class TestRefusedValue:
     """A value no shard would store is refused at ``put``, before it is
     queued, so the ops acknowledged around it are all applied."""
@@ -338,7 +397,7 @@ class TestRefusedValue:
         assert svc.queue.depth == 0
         assert [svc.get(k, tenant="t") for k in "acd"] == [b"1", b"3", b"4"]
         assert svc.get("bad", tenant="t") is None
-        assert svc.metrics.counter("puts").value == 3
+        assert exported_puts(svc) == 3
         assert tracer._stack == []
         svc.pool.check_consistency()
 
@@ -409,7 +468,7 @@ class TestObservability:
         svc.delete("a")
         svc.get("b")
         svc.flush()
-        counters = svc.metrics.snapshot().counters
+        counters = metrics_row(svc)["counters"]
         assert counters["puts"] == 2
         assert counters["deletes"] == 1
         assert counters["gets"] == 1
