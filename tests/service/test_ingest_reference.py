@@ -6,11 +6,12 @@ at flush and handed to ``kv.put_many`` / ``kv.delete``, scanned
 backwards for read-your-writes, every key resolved through the ring.
 Both services are driven with the same op streams over stores of the
 same geometry, and after every op what reached each store must match:
-the ``write_batch`` slots and sizes in order, then the trims.  So must
-every read, the queue depths, the metrics registry (with ``puts`` the
-reference counts per put and the service derives), and, on the new
-service, the memo rule: no entry points at a slot its key no longer
-owns.
+the ``write_batch`` slots and sizes in order, then the trims (and,
+after a tick, flush or growth, each store's ``state_digest``).  So must
+every read, the queue depths and the metrics registry (with ``puts``
+the reference counts per put and the service derives); and on the new
+service the memo rule holds: no entry points at a slot its key no
+longer owns.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.obs import PAGES_EDGES, MetricsRegistry
 from repro.service import ConsistentHashRouter, Service, StorePool
 from repro.service.ingest import BATCH_SIZE_EDGES
 from repro.store import OutOfSpaceError, StoreConfig, StoreError
+from repro.testkit.trace import state_digest
 
 OP_PUT, OP_DELETE = 0, 1
 UNIT_BYTES = 8
@@ -257,15 +259,18 @@ class Pair:
         if op[0] in ("put", "delete", "get"):
             self.seen.add((op[-1] if op[0] == "put" else op[2], op[1]))
         got, want = apply(self.new, op), apply(self.ref, op)
-        if op[0] == "scale_to":
-            record_store_calls(self.new, self.new_log)
-            record_store_calls(self.ref, self.ref_log)
         assert got == want, op
-        self.check()
+        self.check(digests=op[0] in ("tick", "flush", "scale_to"))
         return got
 
-    def check(self):
+    def check(self, digests):
         new, ref = self.new, self.ref
+        if digests:
+            # Whole store states, cleaning included; and a shard
+            # scale_to added was filled before its calls could be logged.
+            assert [state_digest(kv.store) for kv in new.pool.shards] == [
+                state_digest(kv.store) for kv in ref.pool.shards
+            ]
         record_store_calls(new, self.new_log)
         record_store_calls(ref, self.ref_log)
         assert self.new_log == self.ref_log
