@@ -12,7 +12,8 @@ key)`` pair — so tenants never collide and rebalancing can re-route
 every record from its stored form alone.  A key is resolved once: the
 route memo maps it to ``(shard, slot)``, its shard and the record slot
 it keeps there for life, which keys its op in the shard's pending run
-(until a flush gives a new key its slot, the slot is the stored key).
+(until a flush gives a new key its slot, the slot is the stored key);
+the memo holds as long as shards change only through the service.
 Reads are read-your-writes: a ``get`` consults the pending run before
 the shard, so an acknowledged-but-unflushed ``put`` is already visible.
 
