@@ -139,7 +139,7 @@ class LogStructuredKVStore:
                 self._free_slots.append(slot)
 
     def write_slots(
-        self, slots: List[int], values: List[bytes], keys: Iterable[Key] = ()
+        self, slots: List[int], values: List[bytes], keys: Iterable[Key]
     ) -> None:
         """Store valid ``values`` at registered ``slots``, in order,
         through one ``write_batch`` (a repeated slot keeps its last

@@ -28,9 +28,11 @@ surviving puts' slots and values to one :meth:`~repro.kvstore.
 LogStructuredKVStore.write_slots` (one ``write_batch``), then applies
 the surviving deletes as TRIMs.  The two groups touch disjoint keys, so
 the final shard state is exactly what applying the client ops one by
-one would leave.  The flush also keeps the service's route memo
-(:attr:`IngestQueue.routes`) true: a key that got its slot is memoized
-with it, and a deleted key's entry loses its slot.
+one would leave.  The queue owns the service's route memo
+(:attr:`IngestQueue.routes`) and its encoding: :meth:`IngestQueue.route`
+memoizes a new key under itself, a flush memoizes a key that got its
+slot with it and takes a deleted key's slot back, and
+:meth:`IngestQueue.read` answers a read for either form.
 
 Beside each map the queue keeps the shard's **raw op count**
 (:meth:`IngestQueue.shard_depth`): every trigger and every figure that
@@ -198,15 +200,15 @@ class IngestQueue:
         gc_before = sum(s.store.stats.gc_writes for s in self.shards)
         slots: List[int] = []
         values: List[bytes] = []
-        registered: List = []  # the keys that came with no slot
+        new: List[tuple] = []  # (key, slot) for the keys that had none
         deletes: List = []
         for slot, op in final.items():
             if type(op) is not bytes:
                 deletes.append(op)
                 continue
             if type(slot) is not int:
-                registered.append(slot)
-                slot = kv.register(slot)
+                key, slot = slot, kv.register(slot)
+                new.append((key, slot))
             slots.append(slot)
             values.append(op)
         if slots:
@@ -214,7 +216,7 @@ class IngestQueue:
                 pspan = tracer.start("shard.put_many", shard=shard, puts=len(slots))
             try:
                 try:
-                    kv.write_slots(slots, values, registered)
+                    kv.write_slots(slots, values, [key for key, _ in new])
                 finally:
                     if tracer is not None:
                         tracer.finish(pspan)
@@ -236,8 +238,9 @@ class IngestQueue:
                 if span is not None:
                     tracer.finish(span, refused=True)
                 raise
-            for key in registered:
-                self.routes[key] = (shard, kv.register(key))
+            routes = self.routes
+            for key, slot in new:
+                routes[key] = (shard, slot)
         self._delete(shard, deletes)
         metrics = self.metrics
         metrics.counter("batches_flushed").inc()
@@ -268,10 +271,28 @@ class IngestQueue:
             kv.delete(key)
             routes[key] = (shard, key)
 
+    # -- the route memo --------------------------------------------------
+
+    def route(self, key, shard: int) -> tuple:
+        """Memoize a key the memo missed: ``(shard, run key)``, where
+        the run key is the stored key itself until a flush gives the
+        key its slot on ``shard``."""
+        route = self.routes[key] = (shard, key)
+        return route
+
     def pending_value(self, shard: int, slot):
         """The last op queued under run key ``slot`` on ``shard`` (a
         put's value or a delete's stored key), or None."""
         return self._pending[shard].get(slot)
+
+    def read(self, shard: int, slot, key, default=None):
+        """Read-your-writes fetch of ``key`` under its route ``(shard,
+        slot)``: the pending run first, then the shard."""
+        pending = self.pending_value(shard, slot)
+        if pending is not None:
+            return pending if type(pending) is bytes else default
+        kv = self.shards[shard]
+        return kv.value_at(slot) if type(slot) is int else kv.get(key, default)
 
     def shard_depth(self, shard: int) -> int:
         """Client ops queued on ``shard``, coalesced ones included."""

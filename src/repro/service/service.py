@@ -125,7 +125,8 @@ class Service:
         self._sample_interval = sample_interval
         # The keyspace a service sees is bounded (tenants x keys), so
         # memoizing ring lookups turns the per-op blake2b hash into a
-        # dict hit; flushes keep the slots current, scale_to() clears it.
+        # dict hit.  The queue owns the memo: it fills it, flushes keep
+        # the slots current, scale_to() clears it.
         self._routes = self.queue.routes
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
@@ -147,7 +148,7 @@ class Service:
 
     def _route(self, skey: tuple) -> tuple:
         """``(shard, slot)`` for the stored key ``skey``; a memo miss
-        asks the ring and memoizes ``skey`` as the slot."""
+        asks the ring and has the queue memoize the route."""
         route = self._routes.get(skey)
         if route is None:
             # Only a memo miss does real ring work, so only a miss
@@ -156,7 +157,7 @@ class Service:
             span = tracer.start("router.route") if tracer is not None else None
             tenant, key = skey
             shard = self.router.shard_for(key, tenant=tenant)
-            route = self._routes[skey] = (shard, skey)
+            route = self.queue.route(skey, shard)
             if span is not None:
                 tracer.finish(span, shard=shard)
         return route
@@ -217,11 +218,7 @@ class Service:
         skey = (tenant, key)
         shard, slot = self._routes.get(skey) or self._route(skey)
         self._c_gets.value += 1
-        pending = self.queue.pending_value(shard, slot)
-        if pending is not None:
-            return pending if type(pending) is bytes else default
-        kv = self.pool.shards[shard]
-        return kv.value_at(slot) if type(slot) is int else kv.get(skey, default)
+        return self.queue.read(shard, slot, skey, default)
 
     def _puts(self) -> int:
         """Client puts acknowledged: the acknowledged ops less deletes."""
@@ -285,7 +282,7 @@ class Service:
             observer.tracer = self.tracer
             self.observers.append(observer)
         self.router = self.router.grown(n_shards)
-        self._routes.clear()
+        self.queue.routes.clear()
         moved = 0
         for src in range(old_n):
             kv = self.pool[src]

@@ -9,14 +9,13 @@ from repro.store import StoreConfig
 
 
 def put(q, shard, key, value):
-    """Queue a put the way the service does: under the key's memoized
-    slot, or under the key while it has none."""
-    q.enqueue(shard, q.routes.get(key, (shard, key))[1], value)
+    """Queue a put the way the service does: under the key's route."""
+    q.enqueue(shard, (q.routes.get(key) or q.route(key, shard))[1], value)
 
 
 def delete(q, shard, key):
     """Queue a delete: the op is the key it removes."""
-    q.enqueue(shard, q.routes.get(key, (shard, key))[1], key)
+    q.enqueue(shard, (q.routes.get(key) or q.route(key, shard))[1], key)
 
 
 def make_shards(n=2):
@@ -135,15 +134,20 @@ class TestBackpressure:
         assert q.pending_value(0, "k") == b"v2"  # queued under the key
         delete(q, 0, "k")
         assert q.pending_value(0, "k") == "k"  # latest op is the delete
+        assert q.read(0, "k", "k", b"d") == b"d"
+        assert q.read(0, "x", "x", b"d") == b"d"  # never queued or stored
         put(q, 0, "k", b"v3")
+        assert q.read(0, "k", "k") == b"v3"
         q.flush_all()
         # The flush gave the key its slot and memoized it: the next op
         # is queued, and read, under the slot.
         slot = shards[0]._slot_of["k"]
         assert q.routes["k"] == (0, slot)
+        assert q.read(0, slot, "k") == b"v3"  # from the shard
         put(q, 0, "k", b"v4")
         assert q.pending_value(0, slot) == b"v4"
         assert q.pending_value(0, "k") is None
+        assert q.read(0, slot, "k") == b"v4"
 
 
 class TestShapeAndValidation:
