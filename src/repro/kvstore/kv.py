@@ -258,10 +258,9 @@ class LogStructuredKVStore:
     def check_consistency(self) -> None:
         """Index, value list, and store must agree (test/debug aid).
 
-        Every slot is either a live key's, holding its value, or free,
-        holding None.  A live key's record is in exactly one of three
-        places: a segment, the sorting buffer (written, not yet drained
-        — its value is served from the value list like any other), or the
+        A live key's record is in exactly one of three places: a
+        segment, the sorting buffer (written, not yet drained — its
+        value is served from the value list like any other), or the
         pages the *active* cleaning cycle has staged; the store's
         ``check_invariants`` holds each of the two sentinels to its
         backing (buffer membership, the active cursor's pending list).
@@ -270,9 +269,8 @@ class LogStructuredKVStore:
         holds: their units add up to its live units."""
         values = self._values
         slots = list(self._slot_of.values())
-        assert sorted(slots + self._free_slots) == list(range(len(values))), (
-            "a slot is double-booked or lost"
-        )
+        # Every slot is a live key's or free, and holds None iff free.
+        assert sorted(slots + self._free_slots) == list(range(len(values)))
         free = set(self._free_slots)
         assert [v is None for v in values] == [s in free for s in range(len(values))]
         store = self.store

@@ -17,21 +17,17 @@ multi-key batch.  Three mechanisms bound the staleness and the memory:
 
 A batch is **coalesced** as it is queued.  A kvstore key keeps one
 record slot for life, so each shard's pending run is one ``slot -> last
-op`` map (a key with no slot yet is keyed by its stored key); an op is
-a put's value, or for a delete the stored key it removes.  Within one
-batch the last op per key wins, so ten queued updates of a hot key cost
-the store one user write, not ten, and the same map answers
-read-your-writes (:meth:`IngestQueue.pending_value`).  Reassigning a
-key keeps its first-arrival position, so a flush replays the run in a
-deterministic order: it gives the keys with no slot theirs, hands the
-surviving puts' slots and values to one :meth:`~repro.kvstore.
-LogStructuredKVStore.write_slots` (one ``write_batch``), then applies
-the surviving deletes as TRIMs.  The two groups touch disjoint keys, so
-the final shard state is exactly what applying the client ops one by
-one would leave.  The queue owns the service's route memo
-(:attr:`IngestQueue.routes`) and its encoding: :meth:`IngestQueue.route`
-memoizes a new key under itself, a flush memoizes a key that got its
-slot with it and takes a deleted key's slot back, and
+op`` map, an op being a put's value or a delete's stored key: the last
+op per key wins, so ten queued updates of a hot key cost the store one
+user write, and the same map answers read-your-writes.  A key keeps its
+first-arrival position, so a flush replays the run deterministically:
+the puts' slots go down in one ``write_batch`` (keys with no slot yet,
+queued under their stored key, get theirs first), then the deletes as
+TRIMs; the two groups touch disjoint keys, so the final shard state is
+what applying the client ops one by one would leave.  The queue owns
+the service's route memo (:attr:`IngestQueue.routes`) and its encoding:
+:meth:`IngestQueue.route` memoizes a new key under itself, a flush
+swaps in the slot it gets or takes a deleted key's slot back, and
 :meth:`IngestQueue.read` answers a read for either form.
 
 Beside each map the queue keeps the shard's **raw op count**
@@ -238,9 +234,7 @@ class IngestQueue:
                 if span is not None:
                     tracer.finish(span, refused=True)
                 raise
-            routes = self.routes
-            for key, slot in new:
-                routes[key] = (shard, slot)
+            self.routes.update((key, (shard, slot)) for key, slot in new)
         self._delete(shard, deletes)
         metrics = self.metrics
         metrics.counter("batches_flushed").inc()
@@ -271,12 +265,9 @@ class IngestQueue:
             kv.delete(key)
             routes[key] = (shard, key)
 
-    # -- the route memo --------------------------------------------------
-
     def route(self, key, shard: int) -> tuple:
-        """Memoize a key the memo missed: ``(shard, run key)``, where
-        the run key is the stored key itself until a flush gives the
-        key its slot on ``shard``."""
+        """Memoize a key the memo missed: on ``shard``, under itself
+        until a flush gives it its slot there."""
         route = self.routes[key] = (shard, key)
         return route
 

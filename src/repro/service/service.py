@@ -10,12 +10,10 @@ pool's global slack budget.
 Keys are namespaced per tenant — the stored key is the ``(tenant,
 key)`` pair — so tenants never collide and rebalancing can re-route
 every record from its stored form alone.  A key is resolved once: the
-route memo maps it to ``(shard, slot)``, its shard and the record slot
-it keeps there for life, which keys its op in the shard's pending run
-(until a flush gives a new key its slot, the slot is the stored key);
-the memo holds as long as shards change only through the service.
-Reads are read-your-writes: a ``get`` consults the pending run before
-the shard, so an acknowledged-but-unflushed ``put`` is already visible.
+queue's route memo maps it to its shard and the record slot it keeps
+there for life (while shards change only through the service).  Reads
+are read-your-writes: a ``get`` consults the pending run before the
+shard, so an acknowledged-but-unflushed ``put`` is already visible.
 
 Observability rides the existing ``repro.obs`` machinery: every shard
 carries a :class:`~repro.obs.StoreObserver` (per-shard Wamp/fill time
@@ -123,10 +121,8 @@ class Service:
         self.telemetry: Optional[MetricsWriter] = None
         self.seed = seed
         self._sample_interval = sample_interval
-        # The keyspace a service sees is bounded (tenants x keys), so
-        # memoizing ring lookups turns the per-op blake2b hash into a
-        # dict hit.  The queue owns the memo: it fills it, flushes keep
-        # the slots current, scale_to() clears it.
+        # The queue's route memo (the keyspace is bounded: tenants x
+        # keys), probed inline by the client ops.
         self._routes = self.queue.routes
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
@@ -180,16 +176,14 @@ class Service:
         skey = (tenant, key)  # the stored (namespaced) form of the key
         route = self._routes.get(skey)
         try:
-            if route is None:
-                route = self._route(skey)
-            shard, slot = route
-            self.queue.enqueue(shard, slot, value)
+            route = route or self._route(skey)
+            self.queue.enqueue(route[0], route[1], value)
         finally:
             # Also when the op's own flush is refused: an open span
             # would adopt every later one.
             if tracer is not None:
                 tracer.finish(span, shard=route and route[0])
-        return shard
+        return route[0]
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
         """Acknowledge a delete; returns the owning shard index."""
@@ -199,8 +193,7 @@ class Service:
         skey = (tenant, key)
         route = self._routes.get(skey)
         try:
-            if route is None:
-                route = self._route(skey)
+            route = route or self._route(skey)
             self._c_deletes.value += 1
             self.queue.enqueue(route[0], route[1], skey)
         finally:
