@@ -12,8 +12,18 @@ multi-key batch.  Three mechanisms bound the staleness and the memory:
   ``flush_interval`` ticks;
 * **backpressure** — when the queue's *total* depth reaches
   ``max_depth``, the deepest shard is flushed synchronously before the
-  enqueue completes (counted, so saturated runs are visible in the
+  op's call returns (counted, so saturated runs are visible in the
   metrics rather than silently slow).
+
+A client op is one call: ``put``, ``delete`` and ``get`` take
+``(tenant, key)``, probe the route memo (:attr:`IngestQueue.routes`,
+``{tenant: {key: code}}``) and queue or read in place.  A code is one
+int: ``slot << bits | shard`` once the key holds a record slot on its
+shard, ``~shard`` while it waits for its first flush, ``bits`` being
+what the shard count needs.  So the probe for a slotted key builds no
+tuple and reaches no object besides the two dicts; a miss asks the
+:attr:`~IngestQueue.locate` hook (the service's ring), once per key
+until growth empties the memo.
 
 A batch is **coalesced** as it is queued.  A kvstore key keeps one
 record slot for life, so each shard's pending run is one ``slot -> last
@@ -22,13 +32,14 @@ op per key wins, so ten queued updates of a hot key cost the store one
 user write, and the same map answers read-your-writes.  A key keeps its
 first-arrival position, so a flush replays the run deterministically:
 the puts' slots go down in one ``write_batch`` (keys with no slot yet,
-queued under their stored key, get theirs first), then the deletes as
-TRIMs; the two groups touch disjoint keys, so the final shard state is
-what applying the client ops one by one would leave.  The queue owns
-the service's route memo (:attr:`IngestQueue.routes`) and its encoding:
-:meth:`IngestQueue.route` memoizes a new key under itself, a flush
-swaps in the slot it gets or takes a deleted key's slot back, and
-:meth:`IngestQueue.read` answers a read for either form.
+queued under their stored key ``(tenant, key)``, get theirs first, and
+the memo learns it), then the deletes as TRIMs, each taking its key's
+slot out of the memo; the two groups touch disjoint keys, so the final
+shard state is what applying the client ops one by one would leave.
+Equal keys are one key (``1``, ``1.0`` and ``True`` under a tenant),
+but a key is only queued under its stored form if the ring can route
+that form again at growth, so an alias the ring cannot encode updates,
+deletes or reads a record with a slot and creates none.
 
 Beside each map the queue keeps the shard's **raw op count**
 (:meth:`IngestQueue.shard_depth`): every trigger and every figure that
@@ -56,10 +67,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
+from repro.service.router import encode_key
 from repro.store import StoreError
 
 #: Batch-size histogram buckets (ops per flushed batch).
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+#: Key types the ring encodes as themselves: no check before storing.
+_PLAIN = frozenset((int, str, bytes))
 
 
 class IngestQueue:
@@ -107,8 +122,15 @@ class IngestQueue:
         #: Tick at which each shard's oldest pending op was enqueued.
         self._oldest_tick: List[Optional[int]] = [None for _ in shards]
         self._tick = 0
-        #: The service's route memo: stored key -> (shard, run key).
-        self.routes: Dict[object, tuple] = {}
+        #: The route memo, tenant -> {key -> code}: ``slot << bits |
+        #: shard`` once the key holds a record slot on its shard,
+        #: ``~shard`` while it waits for its first flush.
+        self.routes: Dict[object, Dict[object, int]] = {}
+        self._bits = (len(shards) - 1).bit_length()
+        self._mask = (1 << self._bits) - 1
+        #: ``locate(tenant, key)``: the shard of a key the memo missed
+        #: (the service asks its ring).
+        self.locate: Optional[Callable[[object, object], int]] = None
         #: Optional callback fired after any shard flush (the service
         #: uses it to run cleaning governance between batches).
         self.after_flush: Optional[Callable[[int], None]] = None
@@ -121,22 +143,40 @@ class IngestQueue:
         self.tracer = None
 
     def add_shard(self, shard) -> None:
-        """Track one more shard (pool growth)."""
+        """Track one more shard (pool growth).  Growth re-routes keys
+        and may widen the memo's shard field, so the memo starts over."""
         self.shards.append(shard)
         self._pending.append({})
         self._queued.append(0)
         self._oldest_tick.append(None)
+        self.routes.clear()
+        self._bits = (len(self.shards) - 1).bit_length()
+        self._mask = (1 << self._bits) - 1
 
-    # -- enqueue ---------------------------------------------------------
+    # -- client ops ------------------------------------------------------
 
-    def enqueue(self, shard: int, slot, op) -> None:
-        """Queue ``op`` (a put's value, or a delete's stored key) for
-        ``shard`` under run key ``slot``, superseding any queued op on
-        the same key, then flush if a size or depth bound was reached."""
+    def put(self, tenant, key, value) -> int:
+        """Queue ``value`` under ``(tenant, key)``, superseding any
+        queued op on the key, then flush if a size or depth bound was
+        reached; returns the key's shard.  ``value`` is a put's bytes,
+        or the stored key :meth:`delete` queues."""
+        try:
+            code = self.routes[tenant][key]
+        except KeyError:
+            code = self._miss(tenant, key)
+        if code < 0:
+            # Queued under its stored form, which a flush stores and
+            # growth re-routes: it must be one the ring encodes (1.0 or
+            # True may update the record 1 holds, not create it).
+            if type(key) not in _PLAIN:
+                encode_key(key)
+            shard, run_key = ~code, (tenant, key)
+        else:
+            shard, run_key = code & self._mask, code >> self._bits
         pending = self._pending[shard]
         if not pending:
             self._oldest_tick[shard] = self._tick
-        pending[slot] = op
+        pending[run_key] = value
         queued = self._queued[shard] = self._queued[shard] + 1
         self.depth += 1
         if queued >= self.batch_size:
@@ -145,6 +185,52 @@ class IngestQueue:
             deepest = max(range(len(self._queued)), key=self.shard_depth)
             self.metrics.counter("backpressure_flushes").inc()
             self.flush_shard(deepest)
+        return shard
+
+    def delete(self, tenant, key) -> int:
+        """Queue a delete of ``(tenant, key)``, counted in ``deletes``
+        once it is known to queue; returns the key's shard."""
+        if self.route_of(tenant, key)[1] is None and type(key) not in _PLAIN:
+            encode_key(key)  # put's check, made before the count
+        self.metrics.counter("deletes").inc()
+        return self.put(tenant, key, (tenant, key))
+
+    def get(self, tenant, key, default=None):
+        """Read-your-writes fetch of ``(tenant, key)``: the pending run
+        first, then the shard."""
+        try:
+            code = self.routes[tenant][key]
+        except KeyError:
+            code = self._miss(tenant, key)
+        if code < 0:
+            shard, skey = ~code, (tenant, key)
+            pending = self.pending_value(shard, skey)
+            if pending is None:
+                return self.shards[shard].get(skey, default)
+        else:
+            shard, slot = code & self._mask, code >> self._bits
+            pending = self.pending_value(shard, slot)
+            if pending is None:
+                return self.shards[shard].value_at(slot)
+        return pending if type(pending) is bytes else default
+
+    def route_of(self, tenant, key) -> tuple:
+        """``(shard, slot)`` of ``(tenant, key)``, memoizing it on a
+        miss; the slot is None while the key waits for its first flush."""
+        try:
+            code = self.routes[tenant][key]
+        except KeyError:
+            code = self._miss(tenant, key)
+        if code < 0:
+            return ~code, None
+        return code & self._mask, code >> self._bits
+
+    def _miss(self, tenant, key) -> int:
+        """Memoize a key the memo missed: on the shard :attr:`locate`
+        names, with no slot until a flush gives it one there."""
+        code = ~self.locate(tenant, key)
+        self.routes.setdefault(tenant, {})[key] = code
+        return code
 
     # -- flushing --------------------------------------------------------
 
@@ -234,7 +320,9 @@ class IngestQueue:
                 if span is not None:
                     tracer.finish(span, refused=True)
                 raise
-            self.routes.update((key, (shard, slot)) for key, slot in new)
+            routes, bits = self.routes, self._bits
+            for (tenant, key), slot in new:
+                routes.setdefault(tenant, {})[key] = slot << bits | shard
         self._delete(shard, deletes)
         metrics = self.metrics
         metrics.counter("batches_flushed").inc()
@@ -261,29 +349,14 @@ class IngestQueue:
     def _delete(self, shard: int, keys: List) -> None:
         """Apply a run's deletes; each key's route loses its slot."""
         kv, routes = self.shards[shard], self.routes
-        for key in keys:
-            kv.delete(key)
-            routes[key] = (shard, key)
-
-    def route(self, key, shard: int) -> tuple:
-        """Memoize a key the memo missed: on ``shard``, under itself
-        until a flush gives it its slot there."""
-        route = self.routes[key] = (shard, key)
-        return route
+        for skey in keys:
+            kv.delete(skey)
+            routes.setdefault(skey[0], {})[skey[1]] = ~shard
 
     def pending_value(self, shard: int, slot):
         """The last op queued under run key ``slot`` on ``shard`` (a
         put's value or a delete's stored key), or None."""
         return self._pending[shard].get(slot)
-
-    def read(self, shard: int, slot, key, default=None):
-        """Read-your-writes fetch of ``key`` under its route ``(shard,
-        slot)``: the pending run first, then the shard."""
-        pending = self.pending_value(shard, slot)
-        if pending is not None:
-            return pending if type(pending) is bytes else default
-        kv = self.shards[shard]
-        return kv.value_at(slot) if type(slot) is int else kv.get(key, default)
 
     def shard_depth(self, shard: int) -> int:
         """Client ops queued on ``shard``, coalesced ones included."""

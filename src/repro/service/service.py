@@ -9,11 +9,14 @@ pool's global slack budget.
 
 Keys are namespaced per tenant — the stored key is the ``(tenant,
 key)`` pair — so tenants never collide and rebalancing can re-route
-every record from its stored form alone.  A key is resolved once: the
-queue's route memo maps it to its shard and the record slot it keeps
-there for life (while shards change only through the service).  Reads
-are read-your-writes: a ``get`` consults the pending run before the
-shard, so an acknowledged-but-unflushed ``put`` is already visible.
+every record from its stored form alone.  A client op is its span
+here (and a put's value check, a get's counter), then one call into
+the queue, which resolves the key through its route memo to its shard and the
+record slot it keeps there for life (while shards change only through
+the service) and queues or reads it; a memo miss asks this service's
+ring.  Reads are read-your-writes: a ``get`` consults the pending run
+before the shard, so an acknowledged-but-unflushed ``put`` is already
+visible.
 
 Observability rides the existing ``repro.obs`` machinery: every shard
 carries a :class:`~repro.obs.StoreObserver` (per-shard Wamp/fill time
@@ -121,9 +124,8 @@ class Service:
         self.telemetry: Optional[MetricsWriter] = None
         self.seed = seed
         self._sample_interval = sample_interval
-        # The queue's route memo (the keyspace is bounded: tenants x
-        # keys), probed inline by the client ops.
-        self._routes = self.queue.routes
+        # A miss in the queue's route memo asks this service's ring.
+        self.queue.locate = self._locate
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
         self._c_flushed = self.metrics.counter("ops_flushed")
@@ -140,23 +142,18 @@ class Service:
 
     def shard_of(self, key: Key, tenant: Optional[Key] = None) -> int:
         """The shard index owning ``key`` under ``tenant``."""
-        return self._route((tenant, key))[0]
+        return self.queue.route_of(tenant, key)[0]
 
-    def _route(self, skey: tuple) -> tuple:
-        """``(shard, slot)`` for the stored key ``skey``; a memo miss
-        asks the ring and has the queue memoize the route."""
-        route = self._routes.get(skey)
-        if route is None:
-            # Only a memo miss does real ring work, so only a miss
-            # opens a router span.
-            tracer = self.tracer
-            span = tracer.start("router.route") if tracer is not None else None
-            tenant, key = skey
-            shard = self.router.shard_for(key, tenant=tenant)
-            route = self.queue.route(skey, shard)
-            if span is not None:
-                tracer.finish(span, shard=shard)
-        return route
+    def _locate(self, tenant: Optional[Key], key: Key) -> int:
+        """The ring's shard for a key the route memo missed."""
+        # Only a memo miss does real ring work, so only a miss opens a
+        # router span.
+        tracer = self.tracer
+        span = tracer.start("router.route") if tracer is not None else None
+        shard = self.router.shard_for(key, tenant=tenant)
+        if span is not None:
+            tracer.finish(span, shard=shard)
+        return shard
 
     # -- client API ------------------------------------------------------
 
@@ -171,35 +168,30 @@ class Service:
         if type(value) is not bytes or len(value) > self._max_value_bytes:
             value = check_value(value, self._max_value_bytes)
         tracer = self.tracer
-        if tracer is not None:
-            span = tracer.start("service.put")
-        skey = (tenant, key)  # the stored (namespaced) form of the key
-        route = self._routes.get(skey)
+        if tracer is None:
+            return self.queue.put(tenant, key, value)
+        span = tracer.start("service.put")
+        shard = None
         try:
-            route = route or self._route(skey)
-            self.queue.enqueue(route[0], route[1], value)
+            shard = self.queue.put(tenant, key, value)
         finally:
             # Also when the op's own flush is refused: an open span
             # would adopt every later one.
-            if tracer is not None:
-                tracer.finish(span, shard=route and route[0])
-        return route[0]
+            tracer.finish(span, shard=shard)
+        return shard
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
         """Acknowledge a delete; returns the owning shard index."""
         tracer = self.tracer
-        if tracer is not None:
-            span = tracer.start("service.delete")
-        skey = (tenant, key)
-        route = self._routes.get(skey)
+        if tracer is None:
+            return self.queue.delete(tenant, key)
+        span = tracer.start("service.delete")
+        shard = None
         try:
-            route = route or self._route(skey)
-            self._c_deletes.value += 1
-            self.queue.enqueue(route[0], route[1], skey)
+            shard = self.queue.delete(tenant, key)
         finally:
-            if tracer is not None:
-                tracer.finish(span, shard=route and route[0])
-        return route[0]
+            tracer.finish(span, shard=shard)
+        return shard
 
     def get(
         self,
@@ -208,10 +200,9 @@ class Service:
         default: Optional[bytes] = None,
     ) -> Optional[bytes]:
         """Read-your-writes fetch: pending run first, then the shard."""
-        skey = (tenant, key)
-        shard, slot = self._routes.get(skey) or self._route(skey)
+        value = self.queue.get(tenant, key, default)
         self._c_gets.value += 1
-        return self.queue.read(shard, slot, skey, default)
+        return value
 
     def _puts(self) -> int:
         """Client puts acknowledged: the acknowledged ops less deletes."""
@@ -266,7 +257,7 @@ class Service:
         old_n = self.pool.n_shards
         for _ in range(old_n, n_shards):
             shard = self.pool.add_shard()
-            self.queue.add_shard(shard)
+            self.queue.add_shard(shard)  # which empties the route memo
             observer = StoreObserver(
                 shard.store,
                 sample_interval=self._sample_interval,
@@ -275,7 +266,6 @@ class Service:
             observer.tracer = self.tracer
             self.observers.append(observer)
         self.router = self.router.grown(n_shards)
-        self.queue.routes.clear()
         moved = 0
         for src in range(old_n):
             kv = self.pool[src]

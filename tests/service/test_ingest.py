@@ -8,14 +8,13 @@ from repro.service import IngestQueue
 from repro.store import StoreConfig
 
 
-def put(q, shard, key, value):
-    """Queue a put the way the service does: under the key's route."""
-    q.enqueue(shard, (q.routes.get(key) or q.route(key, shard))[1], value)
-
-
-def delete(q, shard, key):
-    """Queue a delete: the op is the key it removes."""
-    q.enqueue(shard, (q.routes.get(key) or q.route(key, shard))[1], key)
+def make_queue(shards, metrics=None, **kwargs):
+    """A queue whose memo misses route a key to the shard its tenant
+    names: ``q.put(1, "k", v)`` queues ``k`` on shard 1, stored as
+    ``(1, "k")``."""
+    q = IngestQueue(shards, metrics or MetricsRegistry(), **kwargs)
+    q.locate = lambda tenant, key: tenant
+    return q
 
 
 def make_shards(n=2):
@@ -29,17 +28,17 @@ def make_shards(n=2):
 class TestFlushTriggers:
     def test_flush_on_size(self):
         shards = make_shards()
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=4, flush_interval=100)
+        q = make_queue(shards, batch_size=4, flush_interval=100)
         for i in range(3):
-            put(q, 0, "k%d" % i, b"v")
+            q.put(0, "k%d" % i, b"v")
         assert len(shards[0]) == 0 and q.depth == 3
-        put(q, 0, "k3", b"v")  # hits batch_size
+        q.put(0, "k3", b"v")  # hits batch_size
         assert len(shards[0]) == 4 and q.depth == 0
 
     def test_flush_on_tick_ages_oldest_op(self):
         shards = make_shards()
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=2)
-        put(q, 0, "a", b"v")
+        q = make_queue(shards, batch_size=100, flush_interval=2)
+        q.put(0, "a", b"v")
         assert q.tick() == 0  # age 1: still young
         assert len(shards[0]) == 0
         assert q.tick() == 1  # age 2: flushed
@@ -47,10 +46,10 @@ class TestFlushTriggers:
 
     def test_tick_only_flushes_aged_shards(self):
         shards = make_shards()
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=2)
-        put(q, 0, "old", b"v")
+        q = make_queue(shards, batch_size=100, flush_interval=2)
+        q.put(0, "old", b"v")
         q.tick()
-        put(q, 1, "young", b"v")
+        q.put(1, "young", b"v")
         q.tick()
         assert len(shards[0]) == 1  # aged out
         assert len(shards[1]) == 0  # still pending
@@ -58,9 +57,9 @@ class TestFlushTriggers:
 
     def test_flush_all_drains_everything(self):
         shards = make_shards()
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=100)
+        q = make_queue(shards, batch_size=100, flush_interval=100)
         for i in range(5):
-            put(q, i % 2, "k%d" % i, b"v")
+            q.put(i % 2, "k%d" % i, b"v")
         assert q.flush_all() == 5
         assert q.depth == 0
         assert len(shards[0]) + len(shards[1]) == 5
@@ -69,40 +68,40 @@ class TestFlushTriggers:
 class TestCoalescing:
     def test_last_write_wins_within_batch(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
-        put(q, 0, "k", b"one")
-        put(q, 0, "k", b"two")
-        put(q, 0, "k", b"three")
+        q = make_queue(shards, batch_size=100)
+        q.put(0, "k", b"one")
+        q.put(0, "k", b"two")
+        q.put(0, "k", b"three")
         q.flush_all()
-        assert shards[0].get("k") == b"three"
+        assert shards[0].get((0, "k")) == b"three"
         # Coalescing means the store saw ONE user write for the key.
         assert shards[0].store.stats.user_writes == 1
 
     def test_put_then_delete_coalesces_to_nothing(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
-        put(q, 0, "k", b"v")
-        delete(q, 0, "k")
+        q = make_queue(shards, batch_size=100)
+        q.put(0, "k", b"v")
+        q.delete(0, "k")
         q.flush_all()
-        assert "k" not in shards[0]
+        assert (0, "k") not in shards[0]
         assert shards[0].store.stats.user_writes == 0
 
     def test_delete_then_put_survives(self):
         shards = make_shards(1)
-        shards[0].put("k", b"old")
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
-        delete(q, 0, "k")
-        put(q, 0, "k", b"new")
+        shards[0].put((0, "k"), b"old")
+        q = make_queue(shards, batch_size=100)
+        q.delete(0, "k")
+        q.put(0, "k", b"new")
         q.flush_all()
-        assert shards[0].get("k") == b"new"
+        assert shards[0].get((0, "k")) == b"new"
 
     def test_coalesced_counter(self):
         shards = make_shards(1)
         metrics = MetricsRegistry()
-        q = IngestQueue(shards, metrics, batch_size=100)
+        q = make_queue(shards, metrics, batch_size=100)
         for _ in range(5):
-            put(q, 0, "hot", b"v")
-        put(q, 0, "cold", b"v")
+            q.put(0, "hot", b"v")
+        q.put(0, "cold", b"v")
         q.flush_all()
         snap = metrics.snapshot()
         assert snap.counters["ops_flushed"] == 6
@@ -114,12 +113,12 @@ class TestBackpressure:
     def test_max_depth_flushes_deepest_shard(self):
         shards = make_shards(2)
         metrics = MetricsRegistry()
-        q = IngestQueue(
+        q = make_queue(
             shards, metrics, batch_size=6, flush_interval=100, max_depth=6
         )
-        put(q, 1, "other", b"v")
+        q.put(1, "other", b"v")
         for i in range(5):
-            put(q, 0, "k%d" % i, b"v")
+            q.put(0, "k%d" % i, b"v")
         # Depth hit 6: shard 0 (deepest) was flushed synchronously.
         assert len(shards[0]) == 5
         assert q.depth == 1  # shard 1's op still queued
@@ -127,35 +126,77 @@ class TestBackpressure:
 
     def test_read_your_writes_pending_value(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
-        assert q.pending_value(0, "k") is None
-        put(q, 0, "k", b"v1")
-        put(q, 0, "k", b"v2")
-        assert q.pending_value(0, "k") == b"v2"  # queued under the key
-        delete(q, 0, "k")
-        assert q.pending_value(0, "k") == "k"  # latest op is the delete
-        assert q.read(0, "k", "k", b"d") == b"d"
-        assert q.read(0, "x", "x", b"d") == b"d"  # never queued or stored
-        put(q, 0, "k", b"v3")
-        assert q.read(0, "k", "k") == b"v3"
+        q = make_queue(shards, batch_size=100)
+        skey = (0, "k")
+        assert q.pending_value(0, skey) is None
+        q.put(0, "k", b"v1")
+        q.put(0, "k", b"v2")
+        # No slot yet: queued under the stored key.
+        assert q.route_of(0, "k") == (0, None)
+        assert q.pending_value(0, skey) == b"v2"
+        q.delete(0, "k")
+        assert q.pending_value(0, skey) == skey  # latest op is the delete
+        assert q.get(0, "k", b"d") == b"d"
+        assert q.get(0, "x", b"d") == b"d"  # never queued or stored
+        q.put(0, "k", b"v3")
+        assert q.get(0, "k") == b"v3"
         q.flush_all()
         # The flush gave the key its slot and memoized it: the next op
         # is queued, and read, under the slot.
-        slot = shards[0]._slot_of["k"]
-        assert q.routes["k"] == (0, slot)
-        assert q.read(0, slot, "k") == b"v3"  # from the shard
-        put(q, 0, "k", b"v4")
+        slot = shards[0]._slot_of[skey]
+        assert q.route_of(0, "k") == (0, slot)
+        assert q.get(0, "k") == b"v3"  # from the shard
+        q.put(0, "k", b"v4")
         assert q.pending_value(0, slot) == b"v4"
-        assert q.pending_value(0, "k") is None
-        assert q.read(0, slot, "k") == b"v4"
+        assert q.pending_value(0, skey) is None
+        assert q.get(0, "k") == b"v4"
+        # A delete's flush takes the slot back: the key waits unslotted.
+        q.delete(0, "k")
+        q.flush_all()
+        assert q.route_of(0, "k") == (0, None)
+        assert q.get(0, "k") is None
+
+
+class TestRouteMemo:
+    def test_a_key_is_located_once_until_growth(self):
+        shards = make_shards(2)
+        q = make_queue(shards, batch_size=100)
+        located = []
+        q.locate = lambda tenant, key: located.append((tenant, key)) or tenant
+        # 1, 1.0 and True are one key, as they are one (tenant, key).
+        q.put(1, 1, b"a")
+        assert q.get(1, True) == b"a"
+        q.flush_all()
+        q.put(1, 1.0, b"b")
+        assert q.get(1, True) == b"b"
+        q.delete(1, True)
+        q.put(1, 1, b"c")
+        q.flush_all()
+        assert located == [(1, 1)]
+        slot = shards[1]._slot_of[(1, 1)]
+        assert q.route_of(1, True) == (1, slot)
+        # Growth widens the shard field (2 -> 3 shards) and drops the
+        # memo: the key is located again and decodes under the new width.
+        q.add_shard(make_shards(1)[0])
+        assert q.routes == {}
+        assert q.get(1, 1) == b"c"
+        assert located == [(1, 1), (1, 1)]
+        q.put(1, 1, b"d")
+        q.flush_all()
+        assert q.route_of(1, 1) == (1, slot)
+        assert q.get(1, 1) == b"d"
+        q.put(2, "new", b"e")
+        q.flush_all()
+        assert q.route_of(2, "new") == (2, q.shards[2]._slot_of[(2, "new")])
+        assert q.get(2, "new") == b"e"
 
 
 class TestShapeAndValidation:
     def test_add_shard_tracks_new_pending_list(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100)
+        q = make_queue(shards, batch_size=100)
         q.add_shard(make_shards(1)[0])
-        put(q, 1, "k", b"v")
+        q.put(1, "k", b"v")
         assert q.flush_all() == 1
 
     def test_bad_params_raise(self):
@@ -169,9 +210,9 @@ class TestShapeAndValidation:
 
     def test_depth_samples_record_tick_depths(self):
         shards = make_shards(1)
-        q = IngestQueue(shards, MetricsRegistry(), batch_size=100, flush_interval=100)
-        put(q, 0, "a", b"v")
+        q = make_queue(shards, batch_size=100, flush_interval=100)
+        q.put(0, "a", b"v")
         q.tick()
-        put(q, 0, "b", b"v")
+        q.put(0, "b", b"v")
         q.tick()
         assert q.depth_samples == [1, 2]

@@ -10,8 +10,8 @@ the ``write_batch`` slots and sizes in order, then the trims (and,
 after a tick, flush or growth, each store's ``state_digest``).  So must
 every read, the queue depths and the metrics registry (with ``puts``
 the reference counts per put and the service derives); and on the new
-service the memo rule holds: no entry points at a slot its key no
-longer owns.
+service the memo rule holds: an entry names the key's shard and a slot
+the key owns there, or no slot while it waits for its first flush.
 """
 
 import numpy as np
@@ -284,12 +284,16 @@ class Pair:
         for tenant, key in sorted(self.seen, key=repr):
             assert new.get(key, tenant) == ref.get(key, tenant)
         assert new.metrics.snapshot() == ref.metrics.snapshot()
-        # The memo rule: a memoized slot is one its key owns.
-        for skey, (shard, slot) in new._routes.items():
-            if type(slot) is int:
-                assert new.pool[shard]._slot_of.get(skey) == slot, skey
-            else:
-                assert slot == skey
+        # The memo rule: an entry names the key's shard and a slot the
+        # key owns there, or no slot while it waits for its first flush.
+        queue = new.queue
+        for tenant, memo in queue.routes.items():
+            for key in memo:
+                shard, slot = queue.route_of(tenant, key)
+                assert shard == new.router.shard_for(key, tenant=tenant)
+                if slot is not None:
+                    skey = (tenant, key)
+                    assert new.pool[shard]._slot_of.get(skey) == slot, skey
 
     def held(self, tenant, key):
         """The slot the key holds on its shard, or None."""
@@ -400,7 +404,7 @@ class TestWindowCases:
         assert pair.held("t", 2) == 0 or pair.new.shard_of(1, "t") != (
             pair.new.shard_of(2, "t")
         )
-        assert pair.new._routes[("t", 1)][1] == ("t", 1)
+        assert pair.new.queue.route_of("t", 1)[1] is None
 
     def test_delete_of_an_absent_key(self):
         pair = self.pair()
@@ -471,6 +475,6 @@ class TestWindowCases:
             pair.step("get", key, "t")
         pair.step("flush")
         for key in moved[:4]:
-            assert pair.new._routes[("t", key)] == (2, pair.held("t", key))
+            assert pair.new.queue.route_of("t", key) == (2, pair.held("t", key))
         pair.step("put", moved[4], b"back", "t")
         pair.step("flush")

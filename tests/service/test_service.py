@@ -6,7 +6,7 @@ import pytest
 from repro.kvstore import KVError
 from repro.obs import Tracer
 from repro.obs.export import validate_rows
-from repro.service import Service
+from repro.service import RouterError, Service
 from repro.store import OutOfSpaceError, StoreConfig
 
 
@@ -212,6 +212,51 @@ class TestElasticity:
         svc.flush()
         assert svc.get("a", tenant="t") == b"1"
         assert svc.get("b", tenant="t") == b"2"
+
+
+class TestKeyAliases:
+    """``1``, ``1.0`` and ``True`` under one tenant are one record, and
+    its stored key is always the form the ring routes."""
+
+    def test_an_alias_updates_reads_and_deletes_the_record(self):
+        svc = make_service(2)
+        svc.put(1, b"a", tenant="t")
+        assert svc.get(True, tenant="t") == b"a"
+        svc.flush()
+        svc.put(1.0, b"b", tenant="t")
+        assert svc.get(True, tenant="t") == b"b"
+        svc.put(True, b"c", tenant="t")
+        svc.flush()
+        assert svc.get(1, tenant="t") == b"c"
+        svc.delete(1.0, tenant="t")
+        svc.flush()
+        assert svc.get(1, tenant="t") is None
+        assert len(svc) == 0
+
+    def test_an_alias_never_becomes_the_stored_key(self):
+        svc = make_service(2)
+        svc.put(1, b"a", tenant="t")
+        svc.flush()
+        svc.delete(True, tenant="t")  # the record's slot: queued by slot
+        svc.flush()
+        # No slot now: a put or delete would be queued, and stored,
+        # under its own form, which growth could not re-route.
+        with pytest.raises(RouterError):
+            svc.put(True, b"b", tenant="t")
+        with pytest.raises(RouterError):
+            svc.delete(1.0, tenant="t")
+        assert svc.queue.depth == 0
+        assert svc.metrics.counter("deletes").value == 1
+        svc.put(1, b"c", tenant="t")
+        svc.flush()
+        assert [key for kv in svc.pool.shards for key in kv.keys()] == [("t", 1)]
+        assert type(next(iter(svc.pool[svc.shard_of(1, "t")].keys()))[1]) is int
+        svc.scale_to(3)
+        # The memo starts over: the alias reads once 1 routed again.
+        with pytest.raises(RouterError):
+            svc.get(True, tenant="t")
+        assert svc.get(1, tenant="t") == b"c"
+        assert svc.get(True, tenant="t") == b"c"
 
 
 class TestRefusedFlush:
