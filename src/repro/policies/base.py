@@ -42,9 +42,9 @@ from repro.store.segments import SegmentTable
 #: Candidate-count multiple above which ``select_victims`` switches from
 #: a full sort to an ``np.partition`` cut of the needed prefix.
 _PARTITION_FACTOR = 4
-#: Extra order entries taken beyond the requested batch, covering the
-#: net-gain extension and skipped zero-avail segments before the full
-#: sort fallback kicks in.
+#: Extra order entries taken beyond the requested batch, per segment of
+#: reclaim target, covering the extension to that target and skipped
+#: zero-avail segments before the full sort fallback kicks in.
 _ORDER_SLACK = 16
 
 
@@ -203,17 +203,23 @@ class CleaningPolicy(abc.ABC):
         return cache[ids]
 
     def select_victims(
-        self, candidates: Sequence[int], n: Optional[int] = None
+        self,
+        candidates: Sequence[int],
+        n: Optional[int] = None,
+        deficit: int = 0,
     ) -> List[int]:
         """Pick a victim batch by ascending :meth:`rank_columns`.
 
         Takes the configured batch size, then keeps extending the batch
-        until the reclaimable space in it is at least one whole segment,
-        so a cleaning cycle always makes net forward progress.  Segments
-        with no reclaimable space (``A == 0``, priority ``+inf``) are
-        never selected — cleaning one burns an erase and relocates a
-        full segment of live pages for zero gain.  Returns an empty list
-        when nothing at all is reclaimable.
+        until the reclaimable space in it is at least ``max(1,
+        deficit)`` whole segments: one, so a cleaning cycle always makes
+        net forward progress, or the free segments a buffer drain still
+        lacks (the store's :meth:`_clean_until_replenished`), so one
+        ranking covers the whole drain.  Segments with no reclaimable
+        space (``A == 0``, priority ``+inf``) are never selected —
+        cleaning one burns an erase and relocates a full segment of live
+        pages for zero gain.  Returns an empty list when nothing at all
+        is reclaimable.
         """
         store = self.store
         if n is None:
@@ -221,17 +227,15 @@ class CleaningPolicy(abc.ABC):
         ids = np.asarray(candidates, dtype=np.int64)
         if ids.size == 0:
             return []
+        need = max(1, deficit) * store.segments.capacity
         priorities = self._ranked_priorities(ids)
-        order = _ascending_prefix(priorities, n + _ORDER_SLACK)
-        victims, reclaim = self._take_victims(ids, order, priorities, n)
-        if (
-            order.size < ids.size
-            and not (len(victims) >= n and reclaim >= store.segments.capacity)
-        ):
+        order = _ascending_prefix(priorities, n + _ORDER_SLACK * max(1, deficit))
+        victims, reclaim = self._take_victims(ids, order, priorities, n, need)
+        if order.size < ids.size and not (len(victims) >= n and reclaim >= need):
             # The partial order ran out before the batch was satisfied;
             # only the full sort can tell whether more is reclaimable.
             order = np.argsort(priorities, kind="stable")
-            victims, reclaim = self._take_victims(ids, order, priorities, n)
+            victims, reclaim = self._take_victims(ids, order, priorities, n, need)
         return victims
 
     def _take_victims(
@@ -240,23 +244,23 @@ class CleaningPolicy(abc.ABC):
         order: np.ndarray,
         priorities: np.ndarray,
         n: int,
+        need: int,
     ) -> Tuple[List[int], int]:
         """The victims ``order`` yields and the units they reclaim; the
         chosen ids leave with the priorities they were ranked by (see
         :meth:`decision_columns`)."""
         segs = self.store.segments
-        capacity = segs.capacity
         ranked = ids[order]
         keep: List[int] = []
         reclaim = 0
-        for i, avail in enumerate((capacity - segs.live_units[ranked]).tolist()):
+        for i, avail in enumerate((segs.capacity - segs.live_units[ranked]).tolist()):
             if avail > 0:
                 keep.append(i)
                 reclaim += avail
                 # Stop after the earliest prefix that satisfies both the
-                # batch size and the whole-segment net gain; take
-                # everything when the order runs out first.
-                if len(keep) >= n and reclaim >= capacity:
+                # batch size and the reclaim target; take everything
+                # when the order runs out first.
+                if len(keep) >= n and reclaim >= need:
                     break
         chosen = ranked[keep]
         self._chosen = (

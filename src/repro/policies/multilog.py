@@ -205,10 +205,14 @@ class MultiLogPolicy(CleaningPolicy):
         return columns
 
     def select_victims(
-        self, candidates: Sequence[int], n: Optional[int] = None
+        self,
+        candidates: Sequence[int],
+        n: Optional[int] = None,
+        deficit: int = 0,
     ) -> List[int]:
         """Local-optimal choice among the last-written log and its two
-        neighbours; one segment per cycle."""
+        neighbours; one segment per cycle, whatever the ``deficit`` (the
+        store's replenish loop runs as many cycles as it takes)."""
         segs = self.store.segments
         classes = self._classes
         ids = np.asarray(candidates, dtype=np.int64)

@@ -5,7 +5,8 @@ places: *run folding* (``prev_occurrence`` — mapping each write in a
 batch to the previous write of the same page) and *victim scoring*
 (``ascending_prefix`` — the partial stable argsort behind
 ``select_victims``), plus the strict left-to-right float folds
-(``fold_add``, and ``fold_midpoints`` for the buffered midpoint rule)
+(``fold_add`` and its per-segment form ``fold_rows``, and
+``fold_midpoints`` for the buffered midpoint rule)
 that keep batch execution bit-identical to the scalar path.
 
 The contract is **bit-identity** with the scalar write loop: each kernel
@@ -23,6 +24,7 @@ __all__ = [
     "ascending_prefix",
     "fold_add",
     "fold_midpoints",
+    "fold_rows",
     "kernel_info",
     "prev_occurrence",
 ]
@@ -75,6 +77,39 @@ def fold_add(current: float, values: np.ndarray) -> float:
     tmp[0] = current
     tmp[1:] = values
     return float(np.cumsum(tmp)[-1])
+
+
+def fold_rows(
+    current: np.ndarray, values: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """:func:`fold_add` per row: row ``r`` folds the next ``counts[r]``
+    entries of ``values`` (rows back to back) onto ``current[r]``.
+
+    A short fold (the common small clean step crossing one segment
+    end) is one Python loop.  Otherwise the rows sit left-aligned in one
+    zero-padded grid behind their start values, and one ``cumsum`` along
+    the rows accumulates each strictly left to right; a row's result is
+    read at its own length, so the padding never takes part."""
+    if values.size <= 2 * _FOLD_LOOP_MAX:
+        out = current.tolist()
+        vals = values.tolist()
+        pos = 0
+        for r, count in enumerate(counts.tolist()):
+            acc = out[r]
+            for v in vals[pos : pos + count]:
+                acc += v
+            out[r] = acc
+            pos += count
+        return np.asarray(out, dtype=np.float64)
+    rows = counts.size
+    grid = np.zeros((rows, int(counts.max()) + 1), dtype=np.float64)
+    grid[:, 0] = current
+    starts = np.cumsum(counts) - counts
+    row = np.repeat(np.arange(rows), counts)
+    col = np.arange(1, values.size + 1) - np.repeat(starts, counts)
+    grid[row, col] = values
+    np.cumsum(grid, axis=1, out=grid)
+    return grid[np.arange(rows), counts]
 
 
 def fold_midpoints(

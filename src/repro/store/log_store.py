@@ -35,21 +35,25 @@ the run just placed) and ends only where the engine must stop:
 * without one, a run *rolls*: it fills the open segment and then as many
   fresh segments as the free pool allows before the next cleaning
   opportunity that would actually clean — ``len(free_list) - trigger +
-  1`` rolls, none while a :class:`CleanCursor` is active — going through
-  the ordinary roll (:meth:`_open_segment_for`) and append
-  (:meth:`_append_run`) once per segment, with the clock set to the
-  rolling write's own tick.  Because a run's invalidations are applied
-  before its rolls, it is cut before the first position whose old
-  version lies in a segment the run has sealed by then (the *cut rule*,
-  :meth:`_write_run_direct`); that position starts the next run.
+  1`` rolls, none while a :class:`CleanCursor` is active — with each
+  seal at the rolling write's own tick.  Because a run's invalidations
+  are applied before its rolls, it is cut before the first position
+  whose old version lies in a segment the run has sealed by then (the
+  *cut rule*, :meth:`_write_run_direct`); that position starts the next
+  run.
 
-Every emission, user or GC, lands through :meth:`_append_run`, and every
-change of segment through the one roll in :meth:`_open_segment_for`
-(seal-if-full, a user write's cleaning opportunity, allocate), both
-driven by the one roll/append loop in :meth:`_emit_run`.  The policy is
-asked for arrays only: ``route_user_batch`` / ``user_sort_key`` for
-placement, ``place_gc_batch`` for relocation, ``rank_columns`` for
-victims.
+Every emission, user or GC, goes through :meth:`_emit_run`, which plans
+it in *stretches*: a roll that may clean goes through the scalar roll
+in :meth:`_open_segment_for` (seal-if-full, a user write's cleaning
+opportunity, allocate), and every roll after it that cleans nothing —
+each GC roll, each user roll the free pool covers — is planned with
+first-fit bounds (:func:`_first_fit`) over the open segment and the
+head of the FIFO free list, then applied as one array step
+(:meth:`_append_stretch`): slot logs, page table and counters in one
+scatter each, ``up2_sum`` in one row-wise fold, and the seals at their
+roll clocks.  The policy is asked for arrays only:
+``route_user_batch`` / ``user_sort_key`` for placement,
+``place_gc_batch`` for relocation, ``rank_columns`` for victims.
 
 The scalar :meth:`write` remains as exactly two things.  It is the step
 the run engine takes for the one write whose roll cleans (or drains an
@@ -65,13 +69,22 @@ by comparing full state digests.
 Cleaning cycle
 --------------
 
-When the number of free segments falls below ``config.clean_trigger`` the
+When a user roll finds the free pool below :meth:`reactive_trigger` the
 store cleans a batch of victims chosen by the policy: their live pages are
 staged in memory, the source segments are freed, and the pages are
 re-written through the policy's GC placement hook.  Staging in memory
 means relocation never deadlocks on free space — a batch with any empty
 space makes net progress.  Each relocated page counts toward
 ``gc_writes`` (the numerator of write amplification).
+
+A direct write's roll runs cycles of ``clean_batch`` victims that each
+net at least one segment.  A Section 5.3 buffer drain cleans once: the
+roll that stalls runs one cycle sized to the rest of the drain, whose
+victims reclaim ``trigger + (rolls still needed - 1)`` free segments'
+worth, so the drain's later rolls clean nothing.  The drain does not
+move the clock, so the one ranking reads the priorities per-roll cycles
+would each have read (only the segments sealed between them could
+differ), and its victims are relocated under one GC sort.
 
 The cycle is also exposed *incrementally*: :meth:`clean_begin` pins the
 victim decision, stages the live pages, and frees the victims, and
@@ -106,6 +119,7 @@ from repro.store.errors import (
 )
 from repro.store.kernels import fold_add as _fold_add
 from repro.store.kernels import fold_midpoints as _fold_midpoints
+from repro.store.kernels import fold_rows as _fold_rows
 from repro.store.kernels import prev_occurrence as _prev_occurrence
 from repro.store.pagetable import (
     IN_BUFFER,
@@ -139,6 +153,24 @@ def _stream_runs(streams: np.ndarray):
     changes = np.flatnonzero(streams[1:] != streams[:-1]) + 1
     edges = [0, *changes.tolist(), streams.size]
     return zip(edges, edges[1:])
+
+
+def _first_fit(
+    cum: np.ndarray, start: int, stop: int, room: int, capacity: int, rolls: int
+) -> List[int]:
+    """First-fit bounds of positions ``start .. stop``: the first
+    destination has ``room`` units left, each of at most ``rolls``
+    fresh ones after it ``capacity``; ``cum`` is the sizes' prefix sum.
+    Destination ``j`` takes ``[bounds[j], bounds[j + 1])``; the last
+    bound falls short of ``stop`` when the rolls run out first."""
+    bounds = [start]
+    pos = start
+    while True:
+        pos = min(stop, int(cum.searchsorted(cum[pos] + room, "right")) - 1)
+        bounds.append(pos)
+        if pos == stop or len(bounds) > rolls + 1:
+            return bounds
+        room = capacity
 
 
 class CleanCursor:
@@ -682,11 +714,14 @@ class LogStructuredStore:
         if nan.any():
             carried[arr[nan]] = cold
 
-    def _open_segment_for(self, stream: int, size: int, is_gc: bool) -> int:
+    def _open_segment_for(
+        self, stream: int, size: int, is_gc: bool, extra: Optional[int] = None
+    ) -> int:
         """The open segment of ``stream`` with room for ``size`` more
-        units — the one segment roll every emission goes through: seal
-        the stream's segment if it is full, give a user write its
-        cleaning opportunity, then open a fresh segment.
+        units — the scalar segment roll: seal the stream's segment if it
+        is full, give a user write its cleaning opportunity, then open a
+        fresh segment.  ``extra`` is a buffer drain's count of rolls
+        still to come (see :meth:`_clean_until_replenished`).
 
         Sealing removes the stream's map entry *before* any cleaning can
         run: cleaning relocates pages through this same method and (for
@@ -708,7 +743,7 @@ class LogStructuredStore:
                 del self.open_segments[stream]
             if not may_clean:
                 break
-            self._clean_until_replenished()
+            self._clean_until_replenished(extra)
             may_clean = False
         seg = self._allocate()
         self.open_segments[stream] = seg
@@ -890,27 +925,21 @@ class LogStructuredStore:
             if self._clean_cursor is None
             else 0
         )
-        room = int(segs.capacity - segs.used_units[seg0])
-        dests = [seg0]
-        bounds = [start]
-        stop = start
-        while True:
-            stop = min(limit, int(cum.searchsorted(cum[stop] + room, "right")) - 1)
-            bounds.append(stop)
-            if stop == limit or len(dests) > rolls:
-                break
-            dests.append(free[len(dests) - 1])
-            room = segs.capacity
-        k = stop - start
+        bounds = _first_fit(
+            cum, start, limit, int(segs.capacity - segs.used_units[seg0]),
+            segs.capacity, rolls,
+        )
+        dests = [seg0] + [free[j] for j in range(len(bounds) - 2)]
+        k = bounds[-1] - start
         if k == 0:
             return 0
-        run = pids[start:stop]
-        sz = sizes[start:stop]
+        run = pids[start : start + k]
+        sz = sizes[start : start + k]
         counts = [b - a for a, b in zip(bounds, bounds[1:])]
         dst = np.repeat(dests, counts)
         old_seg = pages.seg[run]
         old_size = pages.size[run]
-        prev_rel = prev[start:stop] - start
+        prev_rel = prev[start : start + k] - start
         dup = prev_rel >= 0
         back = prev_rel[dup]
         if back.size:
@@ -1049,14 +1078,18 @@ class LogStructuredStore:
         carried: Optional[np.ndarray] = None,
         tick: int = 0,
     ) -> None:
-        """Emit pages to ``stream`` — the one roll/append loop: one
-        array append per fitting prefix, one :meth:`_open_segment_for`
-        roll between prefixes.
+        """Emit pages to ``stream`` in *stretches*: one roll through
+        :meth:`_open_segment_for` (the only roll that may clean), then
+        every roll after it that cleans nothing, planned and applied as
+        one array step (:meth:`_append_stretch`).  A GC roll never
+        cleans, so GC emission is one stretch unless the free pool runs
+        dry; a user stretch takes the rolls the pool covers,
+        ``len(free_list) - trigger + 1`` (none under an active cursor).
 
         GC and buffer-flush emission pass the pages alone: their sizes
         and carried estimates are final in the page table, and the pages
         are not touched by the rolls in between, so one up-front gather
-        of the sizes stays valid for the whole run.  A user run
+        stays valid for the whole run.  A user run
         (:meth:`_write_run_direct`) passes its own ``sizes`` and
         per-position ``carried`` (a page id may repeat, each occurrence
         with its own estimate) and ``tick=1``: the clock reads the
@@ -1064,6 +1097,12 @@ class LogStructuredStore:
         stall span's clock are the scalar ones, and ``freq_sum`` stays
         with the caller, which interleaves its additions with the
         invalidation's subtractions.
+
+        A buffer drain (user pages, ``tick=0``) cleans once per stall:
+        the roll that finds the pool below the trigger passes
+        :meth:`_clean_until_replenished` the rolls the rest of the drain
+        still needs after it (its first-fit plan over fresh segments),
+        so one cycle covers them all.
         """
         n = pids.size
         if n == 0:
@@ -1072,61 +1111,122 @@ class LogStructuredStore:
         pages = self.pages
         if sizes is None:
             sizes = pages.size[pids]
+        if carried is None:
+            carried = pages.carried_up2[pids]
+        freqs = pages.oracle_freq[pids] if pages.oracle_active and not tick else None
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(sizes, out=cum[1:])
+        cap = segs.capacity
+        may_clean = not is_gc and not self._cleaning
         clock0 = self.clock
         i = 0
         while i < n:
             self.clock = clock0 + tick * (i + 1)
-            seg = self._open_segment_for(stream, int(sizes[i]), is_gc)
-            fit = segs.capacity - segs.used_units[seg]
-            k = int(cum.searchsorted(cum[i] + fit, "right")) - 1 - i
-            run = pids[i : i + k]
-            self._append_run(
-                seg,
-                run,
-                sizes[i : i + k],
-                pages.carried_up2[run] if carried is None else carried[i : i + k],
-                is_gc,
-            )
-            if pages.oracle_active and not tick:
-                segs.freq_sum[seg] = _fold_add(
-                    segs.freq_sum[seg], pages.oracle_freq[run]
+            seg = self.open_segments.get(stream)
+            if seg is None or segs.used_units[seg] + sizes[i] > cap:
+                extra = None
+                if (
+                    may_clean
+                    and not tick
+                    and len(self.free_list) < self.reactive_trigger()
+                ):
+                    # Rolls the rest needs over fresh segments, less this one.
+                    extra = len(_first_fit(cum, i, n, cap, cap, n)) - 2
+                seg = self._open_segment_for(stream, int(sizes[i]), is_gc, extra)
+            rolls = len(self.free_list)
+            if may_clean:
+                rolls = (
+                    rolls - self.reactive_trigger() + 1
+                    if self._clean_cursor is None
+                    else 0
                 )
-            i += k
+            bounds = _first_fit(cum, i, n, cap - int(segs.used_units[seg]), cap, rolls)
+            self._append_stretch(
+                seg, stream, bounds, cum, pids, sizes, carried, freqs, is_gc,
+                clock0, tick,
+            )
+            i = bounds[-1]
         self.clock = clock0 + tick * n
 
-    def _append_run(
+    def _append_stretch(
         self,
         seg: int,
+        stream: int,
+        bounds: List[int],
+        cum: np.ndarray,
         pids: np.ndarray,
         sizes: np.ndarray,
         carried: np.ndarray,
+        freqs: Optional[np.ndarray],
         is_gc: bool,
+        clock0: int,
+        tick: int,
     ) -> None:
-        """Pure-append emission of a fitting run into an open segment —
-        where every batched page, user or GC, lands.
+        """Apply one planned stretch of :meth:`_emit_run` — where every
+        batched page, user or GC, lands.
 
-        ``carried`` holds the per-position ``up2`` estimates (a page id
-        may repeat in a user run, each occurrence with its own).  The
-        segment's ``freq_sum`` is the caller's: the user engine
-        interleaves its additions with the invalidation's subtractions.
+        ``bounds`` splits the stretch's positions by destination: the
+        open segment ``seg``, then one fresh segment per roll, taken from
+        the head of the FIFO free list in pop order.  Slot logs, page
+        table and counters are one scatter each, ``up2_sum`` (and, when
+        ``freqs`` is given, ``freq_sum``) one row-wise left-to-right fold
+        per destination, and each roll then seals its predecessor at the
+        roll's clock and opens its segment, as the one-segment-at-a-time
+        roll would.  ``carried`` holds the per-position ``up2`` estimates
+        (a page id may repeat in a user run, each occurrence with its
+        own).
         """
         segs = self.segments
         pages = self.pages
-        k = pids.size
-        slot0 = int(segs.slot_count[seg])
-        segs.slot_page[seg, slot0 : slot0 + k] = pids
-        segs.slot_size[seg, slot0 : slot0 + k] = sizes
-        segs.slot_count[seg] = slot0 + k
-        pages.seg[pids] = seg
-        pages.slot[pids] = slot0 + np.arange(k)
-        total = int(sizes.sum())
-        segs.live_count[seg] += k
-        segs.live_units[seg] += total
-        segs.used_units[seg] += total
-        segs.up2_sum[seg] = _fold_add(segs.up2_sum[seg], carried)
+        lo, hi = bounds[0], bounds[-1]
+        run = pids[lo:hi]
+        k = hi - lo
+        if len(bounds) == 2:
+            # One destination: the common case of a small clean_step.
+            slot0 = int(segs.slot_count[seg])
+            segs.slot_page[seg, slot0 : slot0 + k] = run
+            segs.slot_size[seg, slot0 : slot0 + k] = sizes[lo:hi]
+            segs.slot_count[seg] = slot0 + k
+            pages.seg[run] = seg
+            pages.slot[run] = slot0 + np.arange(k)
+            total = int(cum[hi] - cum[lo])
+            segs.live_count[seg] += k
+            segs.live_units[seg] += total
+            segs.used_units[seg] += total
+            segs.up2_sum[seg] = _fold_add(segs.up2_sum[seg], carried[lo:hi])
+            if freqs is not None:
+                segs.freq_sum[seg] = _fold_add(segs.freq_sum[seg], freqs[lo:hi])
+        else:
+            free = self.free_list
+            dests = [seg] + [free.popleft() for _ in range(len(bounds) - 2)]
+            d = np.asarray(dests, dtype=np.int64)
+            b = np.asarray(bounds, dtype=np.int64)
+            counts = b[1:] - b[:-1]
+            slot0 = segs.slot_count[d]
+            dst = np.repeat(d, counts)
+            slots = np.arange(lo, hi) - np.repeat(b[:-1] - slot0, counts)
+            segs.slot_page[dst, slots] = run
+            segs.slot_size[dst, slots] = sizes[lo:hi]
+            segs.slot_count[d] = slot0 + counts
+            pages.seg[run] = dst
+            pages.slot[run] = slots
+            units = cum[b[1:]] - cum[b[:-1]]
+            segs.live_count[d] += counts
+            segs.live_units[d] += units
+            segs.used_units[d] += units
+            segs.up2_sum[d] = _fold_rows(segs.up2_sum[d], carried[lo:hi], counts)
+            if freqs is not None:
+                segs.freq_sum[d] = _fold_rows(segs.freq_sum[d], freqs[lo:hi], counts)
+            on_open = self.policy.on_segment_open
+            for j in range(1, len(dests)):
+                self.clock = clock0 + tick * (bounds[j] + 1)
+                self._seal(dests[j - 1])
+                new = dests[j]
+                segs.state[new] = OPEN
+                segs.stream[new] = stream
+                on_open(new, stream)
+            self.open_segments[stream] = dests[-1]
         if is_gc:
             self.stats.gc_writes += k
         else:
@@ -1159,9 +1259,19 @@ class LogStructuredStore:
         one definition a run's plan, the roll and the cleaner read."""
         return max(self.config.clean_trigger, self.policy.min_free_target())
 
-    def _clean_until_replenished(self) -> None:
-        """Run cleaning cycles until the free pool recovers to the
-        trigger.
+    def _clean_until_replenished(self, extra: Optional[int] = None) -> None:
+        """A user roll's cleaning opportunity: drain an active cursor,
+        then run cleaning cycles until the free pool recovers to the
+        trigger.  A roll that finds neither returns at once and opens
+        no ``store.write_stall`` span.
+
+        ``extra`` comes from a buffer drain: the rolls it still needs
+        after this one.  Each cycle then asks the policy for enough
+        victims to restore ``trigger + extra`` free segments, so the
+        rest of the drain rolls without cleaning — one ranking and one
+        GC sort where per-roll cycles would take several at the same
+        clock.  Without it (direct writes, the scalar path) a cycle
+        nets one segment, as it always has.
 
         A single cycle nets only the victims' empty fraction, which for
         small batches (multi-log cleans one segment at a time) can be
@@ -1173,6 +1283,8 @@ class LogStructuredStore:
         pack, whose relocation wastes what the victims had free.
         """
         trigger = self.reactive_trigger()
+        if self._clean_cursor is None and len(self.free_list) >= trigger:
+            return
         obs = self.obs
         gc_before = self.stats.gc_writes if obs is not None else 0
         tracer = obs.tracer if obs is not None else None
@@ -1195,7 +1307,8 @@ class LogStructuredStore:
                     cap - int(used[seg]) for seg in self.open_segments.values()
                 )
                 best, futile = (room, 0) if room > best else (best, futile + 1)
-                stalled = stalled + 1 if self.clean() == 0 else 0
+                deficit = 0 if extra is None else trigger + extra - len(self.free_list)
+                stalled = stalled + 1 if self.clean(deficit=deficit) == 0 else 0
                 if stalled > 2 or futile > len(used):
                     raise OutOfSpaceError(
                         "cleaning is not reclaiming space (policy=%s, free=%d)"
@@ -1226,11 +1339,14 @@ class LogStructuredStore:
     # Cleaning
     # ------------------------------------------------------------------
 
-    def clean(self, n_victims: Optional[int] = None) -> int:
+    def clean(self, n_victims: Optional[int] = None, deficit: int = 0) -> int:
         """Run one full cleaning cycle; returns the units of space
         reclaimed (the victims' total available space).
 
-        Victims are chosen by the policy; their live pages are staged,
+        Victims are chosen by the policy (``n_victims`` and ``deficit``
+        go to :meth:`~repro.policies.base.CleaningPolicy.select_victims`:
+        the batch reclaims at least ``max(1, deficit)`` segments' worth
+        of units); their live pages are staged,
         the victims freed, and the pages relocated through the policy's
         GC placement (which sorts / routes them by update frequency for
         the separating policies).  Implemented as :meth:`clean_begin`
@@ -1241,11 +1357,13 @@ class LogStructuredStore:
         """
         if self._clean_cursor is not None:
             self.clean_step(None)
-        cursor = self.clean_begin(n_victims)
+        cursor = self.clean_begin(n_victims, deficit)
         self.clean_step(None)
         return cursor.reclaimed_units
 
-    def clean_begin(self, n_victims: Optional[int] = None) -> CleanCursor:
+    def clean_begin(
+        self, n_victims: Optional[int] = None, deficit: int = 0
+    ) -> CleanCursor:
         """Start a cleaning cycle and pin every decision it will make.
 
         Selects and validates the victims, records the cycle's
@@ -1279,7 +1397,7 @@ class LogStructuredStore:
             candidates = self.sealed_segments()
             if candidates.size == 0:
                 raise OutOfSpaceError("nothing to clean: no sealed segments")
-            victims = self.policy.select_victims(candidates, n_victims)
+            victims = self.policy.select_victims(candidates, n_victims, deficit)
             if not victims:
                 raise OutOfSpaceError("policy selected no victims")
             stats = self.stats

@@ -163,7 +163,10 @@ class TestGovernance:
             2, pool_config(sort_buffer_segments=8), policy="mdc",
             unit_bytes=8, gc_budget=10_000,
         )
-        fill_shard(pool, 0, keys=50, size=24, rounds=4)
+        # Two rounds leave 7 free segments: under the floor, above the
+        # trigger.  A third round's drain cleans once, sized so that its
+        # last roll leaves the pool one under the trigger (behind).
+        fill_shard(pool, 0, keys=50, size=24, rounds=2)
         cleaner = pool.cleaners[0]
         free_before = pool[0].store.free_segment_count
         assert cleaner.needs_cleaning() and not cleaner.behind()

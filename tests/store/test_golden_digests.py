@@ -130,9 +130,9 @@ GOLDEN = {
         1536,
     ),
     "mdc/buffered": (
-        "2c00d38e6050fe448c9f1177ebb68f29dbfaacae444a1d03faefa5b4915043e2",
+        "9c8037b31a27306c6cc11c10718bc536e7ffd8a7b4ac348be58499c7f768f2c9",
         "44136fa355b3678a",
-        919,
+        978,
     ),
     "mdc/direct": (
         "81bed49825f2bd85dc9da35f15cb0a7a3d269c1b79a9cce678d433dc75c9dbf6",
@@ -160,9 +160,9 @@ GOLDEN = {
         1285,
     ),
     "mdc-opt/buffered": (
-        "821a2d9988de2b8d925601bd8ab920512411dff7bcc4d39028c602c1a493267c",
+        "f84fc6a5a68e759bf740a2092b1c5f7b311ab20801e484e13966ef33a615da4b",
         "44136fa355b3678a",
-        720,
+        735,
     ),
     "mdc-opt/direct": (
         "756909c782441dd677b8a296c6357ec19fe132c9c20ecaf1ebe38f7dd94e3ef8",
@@ -170,9 +170,9 @@ GOLDEN = {
         1062,
     ),
     "mdc-up1/buffered": (
-        "d71db410eac630ae62f33d6ab323779e3400b2ccc5d65238239f5ebca72cb0f6",
+        "415656abfb65efffc1fcd98fba235104beeea07eba8360d320bdeb4ed7bdd7cb",
         "44136fa355b3678a",
-        913,
+        893,
     ),
     "mdc-up1/direct": (
         "ab9b0ee85f69271e360fe82cfd4223c5960ceb64edba03dc91d126c02159da00",

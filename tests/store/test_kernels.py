@@ -10,6 +10,7 @@ from repro.store.kernels import (
     ascending_prefix,
     fold_add,
     fold_midpoints,
+    fold_rows,
     kernel_info,
     prev_occurrence,
 )
@@ -56,6 +57,26 @@ class TestFallbacksAgainstOracles:
         # Bit-identity, not approx: the fold feeds accounting that the
         # differential oracle compares with ==.
         assert fold_add(current, values) == acc
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), float_arrays.filter(len)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fold_rows_is_bit_identical_to_a_loop_per_row(self, rows):
+        current = np.asarray([c for c, _ in rows])
+        values = np.concatenate([v for _, v in rows])
+        counts = np.asarray([v.size for _, v in rows])
+        expected = []
+        for c, v in rows:
+            acc = float(c)
+            for x in v.tolist():
+                acc += x
+            expected.append(acc)
+        assert fold_rows(current, values, counts).tolist() == expected
 
     @given(priorities=priority_arrays, data=st.data())
     @settings(max_examples=100, deadline=None)

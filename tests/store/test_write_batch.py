@@ -16,6 +16,7 @@ only at a roll that cleans.
 import numpy as np
 import pytest
 
+from repro.obs import StoreObserver
 from repro.policies import GreedyPolicy, available_policies, make_policy
 from repro.store import (
     LogStructuredStore,
@@ -369,23 +370,41 @@ def _roomy_pair(policy_name="greedy"):
 
 
 def _watch(store):
-    """Count the batch store's run calls, scalar steps, seals, and per
-    user roll whether its cleaning opportunity cleaned anything."""
-    cleaned = []
-    inner = store._clean_until_replenished
+    """Count the batch store's run calls and scalar steps, and record,
+    through an attached observer's seal hook, every seal's stream and
+    the store's ``(clean_cycles, clean_pending)`` at that moment (see
+    :func:`_rolls_cleaned`)."""
+    seals = []
+    obs = StoreObserver(store, capture_failpoints=False).attach()
+    on_seal = obs.on_seal
 
-    def roll():
-        before = (store.stats.clean_cycles, store.clean_pending)
-        inner()
-        cleaned.append((store.stats.clean_cycles, store.clean_pending) != before)
+    def seal(seg):
+        seals.append(
+            (
+                int(store.segments.stream[seg]),
+                store.stats.clean_cycles,
+                store.clean_pending,
+            )
+        )
+        on_seal(seg)
 
-    store._clean_until_replenished = roll
+    obs.on_seal = seal
     return (
         _count_calls(store, "_write_run_direct"),
         _count_calls(store, "write"),
-        _count_calls(store, "_seal"),
-        cleaned,
+        seals,
     )
+
+
+def _rolls_cleaned(store, seals):
+    """Per user roll (a seal of the user stream 0), whether its
+    cleaning opportunity cleaned anything: a roll seals first and
+    cleans after, so its cleaning shows as a change of ``(clean_cycles,
+    clean_pending)`` between its seal and the next user seal (or the
+    store as it is now, for the last roll)."""
+    marks = [(cycles, pending) for stream, cycles, pending in seals if stream == 0]
+    marks.append((store.stats.clean_cycles, store.clean_pending))
+    return [a != b for a, b in zip(marks, marks[1:])]
 
 
 def _open_segment(store):
@@ -404,10 +423,11 @@ def test_run_rolls_while_the_pool_allows():
     cfg, scalar_store, batch_store = _roomy_pair()
     seg0, room = _open_segment(batch_store)
     pids = _outside(batch_store, seg0, 5 * cfg.segment_units)
-    runs, steps, seals, cleaned = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
     assert runs == [len(pids)] and steps == []
-    assert len(seals) == 5 and cleaned == [False] * 5
+    assert len(seals) == 5
+    assert _rolls_cleaned(batch_store, seals) == [False] * 5
     _assert_identical(scalar_store, batch_store)
 
 
@@ -418,8 +438,9 @@ def test_scalar_step_only_at_rolls_that_clean():
     seg0, _ = _open_segment(batch_store)
     allowance = batch_store.free_segment_count - batch_store.reactive_trigger() + 1
     pids = _outside(batch_store, seg0, (allowance + 6) * cfg.segment_units)
-    runs, steps, seals, cleaned = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    cleaned = _rolls_cleaned(batch_store, seals)
     assert len(seals) == len(cleaned) >= allowance + 6
     assert cleaned[:allowance] == [False] * allowance
     assert 0 < sum(cleaned) == len(steps)
@@ -440,7 +461,7 @@ def test_cut_where_the_old_version_lies_in_a_segment_the_run_sealed():
         assert batch_store.pages.seg[resident] == seg0
         pids = _outside(batch_store, seg0, 3 * cfg.segment_units)
         pids[room + offset] = resident
-        runs, steps, _, _ = _watch(batch_store)
+        runs, steps, _ = _watch(batch_store)
         _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
         assert steps == []
         if expected_runs == 1:
@@ -462,7 +483,7 @@ def test_repeats_across_a_roll_and_inside_a_new_segment():
     pids[room + 2] = pids[room + 4] = pids[room + 5] = pids[room + 1]
     # ...and one id on either side of the third roll.
     pids[room + 2 * u + 3] = pids[room + u + 7]
-    runs, steps, seals, _ = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
     assert steps == []
     assert runs == [room + 2 * u + 3, len(pids) - (room + 2 * u + 3)]
@@ -482,10 +503,11 @@ def test_roll_at_position_zero_and_gaps_at_every_segment_end():
     assert room == 3
     pids = _outside(batch_store, seg0, 12, skip=2)
     sizes = np.full(12, 5, dtype=np.int64)
-    runs, steps, seals, cleaned = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, sizes=sizes, chunk=12)
     assert runs == [12] and steps == []
-    assert cleaned == [False] * 4  # rolls at positions 0, 3, 6 and 9
+    # Rolls at positions 0, 3, 6 and 9.
+    assert _rolls_cleaned(batch_store, seals) == [False] * 4
     landed = np.unique(batch_store.pages.seg[pids])
     assert landed.size == 4 and seg0 not in landed
     assert (batch_store.segments.used_units[landed] == 15).all()
@@ -499,8 +521,9 @@ def test_active_cursor_keeps_the_run_inside_the_open_segment():
         assert store.clean_pending > 0
     seg0, room = _open_segment(batch_store)
     pids = _outside(batch_store, seg0, 3 * cfg.segment_units)
-    runs, steps, _, cleaned = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
+    cleaned = _rolls_cleaned(batch_store, seals)
     # The first roll drains the cursor through the scalar step; with the
     # cycle closed the rest of the batch is one run again.
     assert runs == [room, 0, len(pids) - room - 1]
@@ -516,7 +539,7 @@ def test_oracle_frequencies_follow_per_position_destinations():
     pids = _outside(batch_store, seg0, room + 2 * u + 5)
     pids[room + 3] = pids[room + 1]  # subtract and add on one new segment
     pids[1] = int(batch_store.segments.slot_page[seg0, 0])
-    runs, steps, seals, _ = _watch(batch_store)
+    runs, steps, seals = _watch(batch_store)
     _drive_both(scalar_store, batch_store, pids, chunk=len(pids))
     assert runs == [len(pids)] and steps == [] and len(seals) == 3
     assert np.array_equal(

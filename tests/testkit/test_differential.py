@@ -63,8 +63,8 @@ class _GcDoubleCountStore(LogStructuredStore):
     counts one extra gc write (the classic off-by-one an incremental
     counter refactor can introduce)."""
 
-    def clean(self, n_victims=None):
-        reclaimed = super().clean(n_victims)
+    def clean(self, n_victims=None, deficit=0):
+        reclaimed = super().clean(n_victims, deficit)
         self.stats.gc_writes += 1
         return reclaimed
 
