@@ -63,8 +63,6 @@ class StoreConfig:
             override it to compensate for the standing free-segment
             reserve (negligible at the paper's 51,200-segment scale but a
             visible bite out of the slack on small simulated devices).
-        seed: Seed for any internal randomization (currently none, kept
-            for forward compatibility of recorded experiment configs).
     """
 
     n_segments: int = 512
@@ -74,7 +72,6 @@ class StoreConfig:
     clean_batch: int = 8
     sort_buffer_segments: int = 0
     user_pages_override: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_segments < 4:

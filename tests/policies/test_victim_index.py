@@ -25,7 +25,6 @@ def _driven_store(policy_name, seed=9):
         fill_factor=0.7,
         clean_trigger=3,
         clean_batch=3,
-        seed=seed,
     )
     store = LogStructuredStore(cfg, make_policy(policy_name))
     if policy_name.endswith("-opt"):
@@ -85,7 +84,6 @@ def test_nothing_reclaimable_returns_empty():
         fill_factor=0.6,
         clean_trigger=2,
         clean_batch=2,
-        seed=1,
     )
     store = LogStructuredStore(cfg, make_policy("greedy"))
     store.load_sequential(cfg.user_pages)

@@ -87,115 +87,116 @@ def drive(policy_name, sort_buffer_segments):
 
 
 #: ``policy/path`` -> (state digest, policy ``state_dict()`` hash,
-#: gc_writes), recorded at the commit before the write-path refactor.
+#: gc_writes).  Last re-recorded when ``StoreConfig`` lost its unused
+#: ``seed`` field (the digest hashes the config; no table moved).
 GOLDEN = {
     "age/buffered": (
-        "80d303decec653b7b7ddaf6fb07bc3d5a4c0b9876a4a9eeddf0d76896e40468f",
+        "02dc606c4479a6a0f52672db0eee96c3420acc5280eb940de896ee7cf272a1ce",
         "44136fa355b3678a",
         3237,
     ),
     "age/direct": (
-        "aaaea6c8580c4fd7b1de03f3d75e27b27557da8830a454433c3c0bf860e85241",
+        "692639d82ef9acad6701befbd1d5a2ea8a2a07425466aff91ebd80cfb9ee075a",
         "44136fa355b3678a",
         3237,
     ),
     "cost-benefit/buffered": (
-        "4b210fba86a7296b12c66cc662014dd1e2aec7fe8a269ce86042f63f8a0336bd",
+        "c18c8e85861b563a6d408d3ce5a5bcd676ebe547f2dec3a16b283c24c08a6b84",
         "44136fa355b3678a",
         1430,
     ),
     "cost-benefit/direct": (
-        "44deefa9e52f1c0503b44e391946fceffb3e6b2ba5aa278edfbd48258ea98f09",
+        "6ed0a7aa1a89adc0add68ea01d1438841cd3e77ec922b8bd26f24d1acb19ebc0",
         "44136fa355b3678a",
         1430,
     ),
     "cost-benefit-paper/buffered": (
-        "d1670310cdf57a5f768042aec58286fd2dd1f02ffca05b4dac4a630426a127f9",
+        "bccb09089f103c7a3c3fc612a35161ae1719e391754fb4ad277f08e5e1c5d2d9",
         "44136fa355b3678a",
         25731,
     ),
     "cost-benefit-paper/direct": (
-        "33c5c7bffabe02391e275f09007164b7c4b2a09932c2906aedd4b25925e2da12",
+        "9b7dd1a40fc41aab873cb38b2c0c7841fb989835c1011eb82778bb3f56890368",
         "44136fa355b3678a",
         25731,
     ),
     "greedy/buffered": (
-        "7532ec37abaf50267d05937090b17b2d0d845f8d81a811c02f553eef41089003",
+        "95a3f69a20634885fc298e4d9ac3fa7f198d38cfce1bac7a21cd4d9b9590cb2c",
         "44136fa355b3678a",
         1536,
     ),
     "greedy/direct": (
-        "acdb69d7272a54f98fd78b0c82f0c79fb9dad341dfbf1cf01dbda4bceceef2d3",
+        "c6e43a4e78e335741389d2bfa0b8dea214cab9a97e6821895a81bc20cc721f55",
         "44136fa355b3678a",
         1536,
     ),
     "mdc/buffered": (
-        "9c8037b31a27306c6cc11c10718bc536e7ffd8a7b4ac348be58499c7f768f2c9",
+        "663f9d1cda336c7e02affea326547fe31d0a9eb904dc52522b4e54922db1811c",
         "44136fa355b3678a",
         978,
     ),
     "mdc/direct": (
-        "81bed49825f2bd85dc9da35f15cb0a7a3d269c1b79a9cce678d433dc75c9dbf6",
+        "62defe82eb700a671957196b93a5ba5e06b47569c189dfbe180a7f0fe1dbf7d5",
         "44136fa355b3678a",
         1241,
     ),
     "mdc-no-sep-user/buffered": (
-        "8d5f442c422e96b6cbdce0af38e2ef2b4bf5df996f5340ded9b38d51f846a748",
+        "0f539e2e32f7675465f64469fad18d7d12ad89c969dbe09cbddd13fdb9255f55",
         "44136fa355b3678a",
         1241,
     ),
     "mdc-no-sep-user/direct": (
-        "333ffe268ca5432f675851c94cee482aef3f81a4a52e76cbe1e4a9c6bcbd0751",
+        "40294a803190245c0793340b58e219876789f1ccfa7c85725c805a3d611993cf",
         "44136fa355b3678a",
         1241,
     ),
     "mdc-no-sep-user-gc/buffered": (
-        "d13e9eab8854226c67d59936c89ff79477cb338180869462a6d287b2c8e6d76a",
+        "b10c2a4259a00acf7e5717b03b13d2356f58e9083495ee446862e8799aa03973",
         "44136fa355b3678a",
         1285,
     ),
     "mdc-no-sep-user-gc/direct": (
-        "59b12e6dd20b434ed689b6438fe083ff77e1cd4e11a993e92e673260d2c34d04",
+        "8ef63c9ca884201819bd192cfc2c0469638f6b8f269217ebcf76661ed9e6d68a",
         "44136fa355b3678a",
         1285,
     ),
     "mdc-opt/buffered": (
-        "f84fc6a5a68e759bf740a2092b1c5f7b311ab20801e484e13966ef33a615da4b",
+        "1fee191159ea8136fa3ee7dfe590712a665f47e0e1d021262b0dad37a4478ed0",
         "44136fa355b3678a",
         735,
     ),
     "mdc-opt/direct": (
-        "756909c782441dd677b8a296c6357ec19fe132c9c20ecaf1ebe38f7dd94e3ef8",
+        "477e07771083a2bef8b78455dca4243f064c5de40009bafeecd03b05398944c0",
         "44136fa355b3678a",
         1062,
     ),
     "mdc-up1/buffered": (
-        "415656abfb65efffc1fcd98fba235104beeea07eba8360d320bdeb4ed7bdd7cb",
+        "b189443ae0e895f3001da7169cc6b3702c57389d4d88761a7bade73f4bff39c6",
         "44136fa355b3678a",
         893,
     ),
     "mdc-up1/direct": (
-        "ab9b0ee85f69271e360fe82cfd4223c5960ceb64edba03dc91d126c02159da00",
+        "d57a6389670a72379dbce400d0e25f4b6cea8d7ab1c9363497caa8a7886906e4",
         "44136fa355b3678a",
         1213,
     ),
     "multi-log/buffered": (
-        "947626538d2cfb1f4caac686cbad4eb63a0fb26d87e6c2a6e35b8c1fd72d8b50",
+        "67588679186ea4a8407ae4f54b8c2d8dfc71f4ccf7ecde1c3ef186a782236cca",
         "59d425848a0fcc27",
         4935,
     ),
     "multi-log/direct": (
-        "4fb4a1e9f30a7053878f83246c33b3bf5229ad9db0559c26178fc1f32e427045",
+        "645745c78d4033cabe50e5fe4ac48497289556cb42a115b4072395e1112f6e79",
         "59d425848a0fcc27",
         4935,
     ),
     "multi-log-opt/buffered": (
-        "696a05e7b4e3fad6ebc8796f216126ed6bdd09dc7f488d389b907e97b29d59cb",
+        "71b201751e19fcc9f9a8e8f4b665c7099ef553a8abae4aea5970882b1efab54a",
         "1efec4a3385a6999",
         1491,
     ),
     "multi-log-opt/direct": (
-        "8df34fb7122e9e41d24a63513c86d4ee71893324eaa7af0973c90f50684b73e8",
+        "607cbaa58fe96684ada204f7db6541866b46578a78e26e25286229ab20336ab3",
         "1efec4a3385a6999",
         1491,
     ),

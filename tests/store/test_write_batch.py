@@ -37,7 +37,6 @@ def _config(sort_buffer=0):
         clean_trigger=3,
         clean_batch=3,
         sort_buffer_segments=sort_buffer,
-        seed=5,
     )
 
 
