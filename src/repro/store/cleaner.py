@@ -33,8 +33,9 @@ without one: a direct write allocates one segment at a time, which the
 ``+ 1`` covers).  A Section 5.3 buffer reaches the device as one drain
 of ``sort_buffer_segments`` segments under a single user write, so a
 floor that leaves the drain out lets that write run the free pool
-through the reactive trigger and clean inline — several cycle set-ups
-behind one put.  This class is the only place a floor is computed.
+through the reactive trigger and clean inline — one cycle sized to the
+rest of the drain, behind one put.  This class is the only place a
+floor is computed.
 
 Step budgets are the only input: replaying a recorded budget sequence
 reproduces the store exactly.

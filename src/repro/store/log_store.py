@@ -147,6 +147,10 @@ _RUN_WINDOW = 1 << 12
 #: First occurrences a buffered attempt reads past the buffer's free units.
 _RUN_SLACK = 64
 
+#: Most destinations a planned stretch fills one slice at a time; past
+#: it, one scatter per column for the whole stretch is cheaper.
+_STRETCH_LOOP_MAX = 4
+
 
 def _stream_runs(streams: np.ndarray):
     """Yield ``(start, stop)`` bounds of maximal constant-stream runs."""
@@ -163,6 +167,8 @@ def _first_fit(
     fresh ones after it ``capacity``; ``cum`` is the sizes' prefix sum.
     Destination ``j`` takes ``[bounds[j], bounds[j + 1])``; the last
     bound falls short of ``stop`` when the rolls run out first."""
+    if cum[stop] - cum[start] <= room:
+        return [start, stop]
     bounds = [start]
     pos = start
     while True:
@@ -1096,13 +1102,9 @@ class LogStructuredStore:
         rolling write's own tick at every roll, so seal times and the
         stall span's clock are the scalar ones, and ``freq_sum`` stays
         with the caller, which interleaves its additions with the
-        invalidation's subtractions.
-
-        A buffer drain (user pages, ``tick=0``) cleans once per stall:
-        the roll that finds the pool below the trigger passes
-        :meth:`_clean_until_replenished` the rolls the rest of the drain
-        still needs after it (its first-fit plan over fresh segments),
-        so one cycle covers them all.
+        invalidation's subtractions.  A buffer drain (user pages,
+        ``tick=0``) tells a stalling roll how many rolls it still needs
+        (see :meth:`_clean_until_replenished`).
         """
         n = pids.size
         if n == 0:
@@ -1179,27 +1181,28 @@ class LogStructuredStore:
         """
         segs = self.segments
         pages = self.pages
+        free = self.free_list
+        dests = [seg] + [free.popleft() for _ in range(len(bounds) - 2)]
         lo, hi = bounds[0], bounds[-1]
-        run = pids[lo:hi]
-        k = hi - lo
-        if len(bounds) == 2:
-            # One destination: the common case of a small clean_step.
-            slot0 = int(segs.slot_count[seg])
-            segs.slot_page[seg, slot0 : slot0 + k] = run
-            segs.slot_size[seg, slot0 : slot0 + k] = sizes[lo:hi]
-            segs.slot_count[seg] = slot0 + k
-            pages.seg[run] = seg
-            pages.slot[run] = slot0 + np.arange(k)
-            total = int(cum[hi] - cum[lo])
-            segs.live_count[seg] += k
-            segs.live_units[seg] += total
-            segs.used_units[seg] += total
-            segs.up2_sum[seg] = _fold_add(segs.up2_sum[seg], carried[lo:hi])
-            if freqs is not None:
-                segs.freq_sum[seg] = _fold_add(segs.freq_sum[seg], freqs[lo:hi])
+        if len(dests) <= _STRETCH_LOOP_MAX:
+            # A few destinations (a small clean_step): one slice each.
+            for dest, a, b in zip(dests, bounds, bounds[1:]):
+                run = pids[a:b]
+                slot0 = int(segs.slot_count[dest])
+                segs.slot_page[dest, slot0 : slot0 + b - a] = run
+                segs.slot_size[dest, slot0 : slot0 + b - a] = sizes[a:b]
+                segs.slot_count[dest] = slot0 + b - a
+                pages.seg[run] = dest
+                pages.slot[run] = np.arange(slot0, slot0 + b - a)
+                units = int(cum[b] - cum[a])
+                segs.live_count[dest] += b - a
+                segs.live_units[dest] += units
+                segs.used_units[dest] += units
+                segs.up2_sum[dest] = _fold_add(segs.up2_sum[dest], carried[a:b])
+                if freqs is not None:
+                    segs.freq_sum[dest] = _fold_add(segs.freq_sum[dest], freqs[a:b])
         else:
-            free = self.free_list
-            dests = [seg] + [free.popleft() for _ in range(len(bounds) - 2)]
+            run = pids[lo:hi]
             d = np.asarray(dests, dtype=np.int64)
             b = np.asarray(bounds, dtype=np.int64)
             counts = b[1:] - b[:-1]
@@ -1218,6 +1221,7 @@ class LogStructuredStore:
             segs.up2_sum[d] = _fold_rows(segs.up2_sum[d], carried[lo:hi], counts)
             if freqs is not None:
                 segs.freq_sum[d] = _fold_rows(segs.freq_sum[d], freqs[lo:hi], counts)
+        if len(dests) > 1:
             on_open = self.policy.on_segment_open
             for j in range(1, len(dests)):
                 self.clock = clock0 + tick * (bounds[j] + 1)
@@ -1227,6 +1231,7 @@ class LogStructuredStore:
                 segs.stream[new] = stream
                 on_open(new, stream)
             self.open_segments[stream] = dests[-1]
+        k = hi - lo
         if is_gc:
             self.stats.gc_writes += k
         else:
@@ -1268,10 +1273,8 @@ class LogStructuredStore:
         ``extra`` comes from a buffer drain: the rolls it still needs
         after this one.  Each cycle then asks the policy for enough
         victims to restore ``trigger + extra`` free segments, so the
-        rest of the drain rolls without cleaning — one ranking and one
-        GC sort where per-roll cycles would take several at the same
-        clock.  Without it (direct writes, the scalar path) a cycle
-        nets one segment, as it always has.
+        rest of the drain rolls without cleaning.  Without it (direct
+        writes, the scalar path) a cycle nets one segment.
 
         A single cycle nets only the victims' empty fraction, which for
         small batches (multi-log cleans one segment at a time) can be
