@@ -85,11 +85,11 @@ def fold_rows(
     """:func:`fold_add` per row: row ``r`` folds the next ``counts[r]``
     entries of ``values`` (rows back to back) onto ``current[r]``.
 
-    A short fold (the common small clean step crossing one segment
-    end) is one Python loop.  Otherwise the rows sit left-aligned in one
-    zero-padded grid behind their start values, and one ``cumsum`` along
-    the rows accumulates each strictly left to right; a row's result is
-    read at its own length, so the padding never takes part."""
+    A short fold is one Python loop.  Otherwise the rows sit
+    left-aligned in one zero-padded grid behind their start values, and
+    one ``cumsum`` along the rows accumulates each strictly left to
+    right; a row's result is read at its own length, so the padding
+    never takes part."""
     if values.size <= 2 * _FOLD_LOOP_MAX:
         out = current.tolist()
         vals = values.tolist()

@@ -48,11 +48,11 @@ in :meth:`_open_segment_for` (seal-if-full, a user write's cleaning
 opportunity, allocate), and every roll after it that cleans nothing —
 each GC roll, each user roll the free pool covers — is planned with
 first-fit bounds (:func:`_first_fit`) over the open segment and the
-head of the FIFO free list, then applied as one array step
-(:meth:`_append_stretch`): slot logs, page table and counters in one
-scatter each, ``up2_sum`` in one row-wise fold, and the seals at their
-roll clocks.  The policy is asked for arrays only:
-``route_user_batch`` / ``user_sort_key`` for placement,
+head of the FIFO free list, then applied in one step
+(:meth:`_append_stretch`: a slice per segment for a short stretch, one
+scatter per column and a row-wise ``up2_sum`` fold for a long one),
+with the seals at their roll clocks.  The policy is asked for arrays
+only: ``route_user_batch`` / ``user_sort_key`` for placement,
 ``place_gc_batch`` for relocation, ``rank_columns`` for victims.
 
 The scalar :meth:`write` remains as exactly two things.  It is the step
@@ -1170,14 +1170,15 @@ class LogStructuredStore:
 
         ``bounds`` splits the stretch's positions by destination: the
         open segment ``seg``, then one fresh segment per roll, taken from
-        the head of the FIFO free list in pop order.  Slot logs, page
-        table and counters are one scatter each, ``up2_sum`` (and, when
-        ``freqs`` is given, ``freq_sum``) one row-wise left-to-right fold
-        per destination, and each roll then seals its predecessor at the
-        roll's clock and opens its segment, as the one-segment-at-a-time
-        roll would.  ``carried`` holds the per-position ``up2`` estimates
-        (a page id may repeat in a user run, each occurrence with its
-        own).
+        the head of the FIFO free list in pop order.  Up to
+        ``_STRETCH_LOOP_MAX`` destinations fill one slice each; a longer
+        stretch fills slot logs, page table and counters in one scatter
+        each and ``up2_sum`` (and, when ``freqs`` is given,
+        ``freq_sum``) in one row-wise left-to-right fold.  Each roll
+        then seals its predecessor at the roll's clock and opens its
+        segment, as the one-segment-at-a-time roll would.  ``carried``
+        holds the per-position ``up2`` estimates (a page id may repeat
+        in a user run, each occurrence with its own).
         """
         segs = self.segments
         pages = self.pages
