@@ -103,6 +103,7 @@ Equation 2 identity keeps holding under arbitrary preemption schedules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
@@ -148,7 +149,11 @@ _RUN_WINDOW = 1 << 12
 _RUN_SLACK = 64
 
 #: Most destinations a planned stretch fills one slice at a time; past
-#: it, one scatter per column for the whole stretch is cheaper.
+#: it, one scatter per column for the whole stretch is cheaper.  Timed
+#: per stretch, one destination costs ~18 us as a slice and ~50 us as
+#: scatters, each further one ~18 us and ~10 us (seal and open
+#: included), so the two meet at about four; a small ``clean_step``
+#: has one or two destinations, a drain's GC relocation ten or more.
 _STRETCH_LOOP_MAX = 4
 
 
@@ -751,9 +756,20 @@ class LogStructuredStore:
                 break
             self._clean_until_replenished(extra)
             may_clean = False
-        seg = self._allocate()
+        return self._open_fresh(stream)
+
+    def _open_fresh(self, stream: int) -> int:
+        """Pop the free list's head and open it as ``stream``'s segment:
+        the one place a segment opens, for the scalar roll and a
+        planned stretch alike."""
+        if not self.free_list:
+            raise OutOfSpaceError(
+                "no free segments (fill factor too high or policy reclaimed nothing)"
+            )
+        seg = self.free_list.popleft()
+        self.segments.state[seg] = OPEN
+        self.segments.stream[seg] = stream
         self.open_segments[stream] = seg
-        segs.stream[seg] = stream
         self.policy.on_segment_open(seg, stream)
         return seg
 
@@ -1169,21 +1185,22 @@ class LogStructuredStore:
         batched page, user or GC, lands.
 
         ``bounds`` splits the stretch's positions by destination: the
-        open segment ``seg``, then one fresh segment per roll, taken from
-        the head of the FIFO free list in pop order.  Up to
+        open segment ``seg``, then one fresh segment per roll, the head
+        of the FIFO free list in the order the rolls pop it.  Up to
         ``_STRETCH_LOOP_MAX`` destinations fill one slice each; a longer
         stretch fills slot logs, page table and counters in one scatter
         each and ``up2_sum`` (and, when ``freqs`` is given,
         ``freq_sum``) in one row-wise left-to-right fold.  Each roll
         then seals its predecessor at the roll's clock and opens its
-        segment, as the one-segment-at-a-time roll would.  ``carried``
+        segment (:meth:`_open_fresh`), as the one-segment-at-a-time
+        roll would.  ``carried``
         holds the per-position ``up2`` estimates (a page id may repeat
         in a user run, each occurrence with its own).
         """
         segs = self.segments
         pages = self.pages
-        free = self.free_list
-        dests = [seg] + [free.popleft() for _ in range(len(bounds) - 2)]
+        # The rolls' segments, in the order _open_fresh will pop them.
+        dests = [seg, *itertools.islice(self.free_list, len(bounds) - 2)]
         lo, hi = bounds[0], bounds[-1]
         if len(dests) <= _STRETCH_LOOP_MAX:
             # A few destinations (a small clean_step): one slice each.
@@ -1222,16 +1239,10 @@ class LogStructuredStore:
             segs.up2_sum[d] = _fold_rows(segs.up2_sum[d], carried[lo:hi], counts)
             if freqs is not None:
                 segs.freq_sum[d] = _fold_rows(segs.freq_sum[d], freqs[lo:hi], counts)
-        if len(dests) > 1:
-            on_open = self.policy.on_segment_open
-            for j in range(1, len(dests)):
-                self.clock = clock0 + tick * (bounds[j] + 1)
-                self._seal(dests[j - 1])
-                new = dests[j]
-                segs.state[new] = OPEN
-                segs.stream[new] = stream
-                on_open(new, stream)
-            self.open_segments[stream] = dests[-1]
+        for j in range(1, len(dests)):
+            self.clock = clock0 + tick * (bounds[j] + 1)
+            self._seal(dests[j - 1])
+            self._open_fresh(stream)
         k = hi - lo
         if is_gc:
             self.stats.gc_writes += k
@@ -1328,16 +1339,6 @@ class LogStructuredStore:
                 # in a foreground write — the stall the incremental
                 # cleaner exists to bound.
                 obs.on_write_stall(stall)
-
-    def _allocate(self) -> int:
-        """Pop a free segment and mark it open."""
-        if not self.free_list:
-            raise OutOfSpaceError(
-                "no free segments (fill factor too high or policy reclaimed nothing)"
-            )
-        seg = self.free_list.popleft()
-        self.segments.state[seg] = OPEN
-        return seg
 
     # ------------------------------------------------------------------
     # Cleaning
