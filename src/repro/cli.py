@@ -150,7 +150,8 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--pages-per-step", type=int, default=None,
-        help="relocations per cleaner step (default 32)",
+        help="relocations per cleaner step in a round a flush waits on "
+        "(default 32); an idle round's step takes the budget left",
     )
     _add_quick(parser)
     _add_seed(parser)

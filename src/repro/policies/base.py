@@ -207,6 +207,7 @@ class CleaningPolicy(abc.ABC):
         candidates: Sequence[int],
         n: Optional[int] = None,
         deficit: int = 0,
+        page_cap: Optional[int] = None,
     ) -> List[int]:
         """Pick a victim batch by ascending :meth:`rank_columns`.
 
@@ -215,11 +216,16 @@ class CleaningPolicy(abc.ABC):
         deficit)`` whole segments: one, so a cleaning cycle always makes
         net forward progress, or the free segments a buffer drain still
         lacks (the store's :meth:`_clean_until_replenished`), so one
-        ranking covers the whole drain.  Segments with no reclaimable
-        space (``A == 0``, priority ``+inf``) are never selected —
-        cleaning one burns an erase and relocates a full segment of live
-        pages for zero gain.  Returns an empty list when nothing at all
-        is reclaimable.
+        ranking covers the whole drain.  ``page_cap`` bounds that
+        extension by the batch's live pages: past the first ``n``
+        victims the walk stops before a victim that would lift them over
+        the cap.  A governed cleaner step passes its remaining page
+        budget, so the cycle it begins is one it can relocate; drains,
+        direct writes and the scalar path pass none.  Segments with no
+        reclaimable space (``A == 0``, priority ``+inf``) are never
+        selected — cleaning one burns an erase and relocates a full
+        segment of live pages for zero gain.  Returns an empty list when
+        nothing at all is reclaimable.
         """
         store = self.store
         if n is None:
@@ -230,12 +236,16 @@ class CleaningPolicy(abc.ABC):
         need = max(1, deficit) * store.segments.capacity
         priorities = self._ranked_priorities(ids)
         order = _ascending_prefix(priorities, n + _ORDER_SLACK * max(1, deficit))
-        victims, reclaim = self._take_victims(ids, order, priorities, n, need)
-        if order.size < ids.size and not (len(victims) >= n and reclaim >= need):
+        victims, done = self._take_victims(
+            ids, order, priorities, n, need, page_cap
+        )
+        if order.size < ids.size and not done:
             # The partial order ran out before the batch was satisfied;
             # only the full sort can tell whether more is reclaimable.
             order = np.argsort(priorities, kind="stable")
-            victims, reclaim = self._take_victims(ids, order, priorities, n, need)
+            victims, done = self._take_victims(
+                ids, order, priorities, n, need, page_cap
+            )
         return victims
 
     def _take_victims(
@@ -245,22 +255,33 @@ class CleaningPolicy(abc.ABC):
         priorities: np.ndarray,
         n: int,
         need: int,
-    ) -> Tuple[List[int], int]:
-        """The victims ``order`` yields and the units they reclaim; the
-        chosen ids leave with the priorities they were ranked by (see
-        :meth:`decision_columns`)."""
+        page_cap: Optional[int],
+    ) -> Tuple[List[int], bool]:
+        """The victims ``order`` yields, and whether the batch was
+        complete before the order ran out; the chosen ids leave with the
+        priorities they were ranked by (see :meth:`decision_columns`)."""
         segs = self.store.segments
         ranked = ids[order]
+        avails = (segs.capacity - segs.live_units[ranked]).tolist()
+        lives = segs.live_count[ranked].tolist()
         keep: List[int] = []
-        reclaim = 0
-        for i, avail in enumerate((segs.capacity - segs.live_units[ranked]).tolist()):
+        reclaim = live = 0
+        done = False
+        for i, avail in enumerate(avails):
             if avail > 0:
+                live += lives[i]
+                # Past the batch size, stop before a victim whose live
+                # pages would lift the batch over the cap.
+                if page_cap is not None and len(keep) >= n and live > page_cap:
+                    done = True
+                    break
                 keep.append(i)
                 reclaim += avail
                 # Stop after the earliest prefix that satisfies both the
                 # batch size and the reclaim target; take everything
                 # when the order runs out first.
                 if len(keep) >= n and reclaim >= need:
+                    done = True
                     break
         chosen = ranked[keep]
         self._chosen = (
@@ -269,7 +290,7 @@ class CleaningPolicy(abc.ABC):
             self.store.clock,
             segs.epoch[chosen].tolist(),
         )
-        return chosen.tolist(), reclaim
+        return chosen.tolist(), done
 
     # -- persistence ------------------------------------------------------
 

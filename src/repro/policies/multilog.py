@@ -209,10 +209,12 @@ class MultiLogPolicy(CleaningPolicy):
         candidates: Sequence[int],
         n: Optional[int] = None,
         deficit: int = 0,
+        page_cap: Optional[int] = None,
     ) -> List[int]:
         """Local-optimal choice among the last-written log and its two
-        neighbours; one segment per cycle, whatever the ``deficit`` (the
-        store's replenish loop runs as many cycles as it takes)."""
+        neighbours; one segment per cycle, whatever the ``deficit`` or
+        ``page_cap`` (the store's replenish loop and the incremental
+        cleaner run as many cycles as it takes)."""
         segs = self.store.segments
         classes = self._classes
         ids = np.asarray(candidates, dtype=np.int64)

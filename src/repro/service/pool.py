@@ -33,12 +33,14 @@ allocates, the one rule of :mod:`repro.store.cleaner` — and meters the
 work with a **global slack budget**: at most ``gc_budget`` page
 relocations per maintenance round across the whole pool.
 
-Fairness is most-starved-first, re-sorted on every pass: each pass
-ranks the needy shards by free deficit (largest first, ties toward the
-lower shard id) and gives each at most one step, so the ordering is
-deterministic and need-driven.  A shard that stays the most starved
-after its step leads the next pass too; a lone needy shard may
-therefore take a whole idle round's budget, which is what it needs.
+Fairness is most-starved-first: a round ranks the needy shards once,
+by free deficit (largest first, ties toward the lower shard id), and
+gives each at most one step, so the ordering is deterministic and
+need-driven.  An idle step is given the whole budget left, so the most
+starved shard may take a whole idle round, which is what it needs; a
+step ends early only when its shard reaches the floor with no cycle in
+flight or has nothing cleanable, so a second pass over the same shards
+would find nothing to do.
 
 Reactive cleaning stays enabled underneath as the correctness
 backstop: the budget shapes *when* cleaning happens, never whether a
@@ -48,21 +50,23 @@ Step granularity
 ----------------
 
 Every shard is driven by an :class:`~repro.store.IncrementalCleaner`,
-so the governor dispatches bounded *steps*, never whole cycles: a needy
-shard gets at most ``pages_per_step`` relocations per visit (still
-under the global budget), so the stall any single maintenance round
-injects into the ingest path is bounded by pages, not by victim
-liveness.  Rounds run in two modes:
+so the governor dispatches bounded *steps*, never whole cycles, and a
+cycle a step begins is sized to that step's budget.  Rounds run in two
+modes:
 
 * **loaded** (``maintain()``, fired after every flush): only shards
   *behind* — free pool below the reactive trigger, meaning the very
-  next allocating write would clean inline — get a step; merely-needy
-  shards are deferred, and counted in ``gc_deferred_shards``.
+  next allocating write would clean inline — get a step, of at most
+  ``pages_per_step`` relocations, so the stall a flush's round injects
+  into the ingest path is bounded by pages, not by victim liveness;
+  merely-needy shards are deferred, and counted in
+  ``gc_deferred_shards``.
 * **idle** (``maintain(idle=True)``, fired from the service tick):
-  every needy shard gets steps, repeatedly, until the round budget is
-  spent or nobody is below its floor — the idle-triggered cleaning that
-  keeps the proactive headroom topped up between bursts, so that a
-  drain lands in segments these rounds already freed.
+  every needy shard, most starved first, gets one step of the budget
+  left — the idle-triggered cleaning that keeps the proactive headroom
+  topped up between bursts, so that a drain lands in segments these
+  rounds already freed.  Nothing waits on an idle round, so
+  ``pages_per_step`` does not bound it.
 """
 
 from __future__ import annotations
@@ -101,7 +105,9 @@ class StorePool:
         gc_budget: Page relocations allowed per maintenance round,
             pool-wide (default: two segments' worth).
         metrics: Service metrics registry for governor counters.
-        pages_per_step: Relocation budget per cleaner step.
+        pages_per_step: Relocation budget of the cleaner step a loaded
+            round (the one a flush waits on) gives a shard that is
+            behind; idle steps take the round's budget left.
     """
 
     def __init__(
@@ -175,9 +181,9 @@ class StorePool:
     def maintain(self, idle: bool = False) -> int:
         """One budgeted maintenance round; returns pages relocated.
 
-        Dispatches bounded cleaner steps most-starved-first until the
-        round budget is spent — see the module docstring for the
-        loaded/idle split.
+        Ranks the needy shards once and gives each, most starved first,
+        one cleaner step until the round budget is spent — see the
+        module docstring for the loaded/idle split.
         """
         tracer = self.tracer
         span = (
@@ -191,39 +197,31 @@ class StorePool:
         deferred = 0
         capped = False
         try:
-            # Repeated passes only when idle; a loaded round injects at
-            # most one step per urgent shard into the foreground path.
-            while spent_total < budget:
-                needy = [
-                    (cleaner.floor - cleaner.store.free_segment_count, i)
-                    for i, cleaner in enumerate(cleaners)
-                    if cleaner.needs_cleaning()
-                ]
-                if not needy:
+            needy = [
+                (cleaner.floor - cleaner.store.free_segment_count, i)
+                for i, cleaner in enumerate(cleaners)
+                if cleaner.needs_cleaning()
+            ]
+            needy.sort(key=lambda pair: (-pair[0], pair[1]))
+            for _deficit, i in needy:
+                if spent_total >= budget:
+                    capped = True
                     break
-                needy.sort(key=lambda pair: (-pair[0], pair[1]))
-                progressed = False
-                for _deficit, i in needy:
-                    if spent_total >= budget:
-                        capped = True
-                        break
-                    cleaner = cleaners[i]
-                    if not idle and not cleaner.behind():
-                        # Loaded round: this shard still has headroom
-                        # above the reactive trigger — defer its
-                        # proactive work to the next idle round.
-                        deferred += 1
-                        continue
-                    moved = cleaner.step(
-                        min(self.pages_per_step, budget - spent_total)
-                    )
-                    if moved:
-                        spent_total += moved
-                        progressed = True
-                        if self.metrics is not None:
-                            self.metrics.counter("gc_governed_steps").inc()
-                if not idle or not progressed:
-                    break
+                cleaner = cleaners[i]
+                if not idle and not cleaner.behind():
+                    # Loaded round: this shard still has headroom
+                    # above the reactive trigger — defer its
+                    # proactive work to the next idle round.
+                    deferred += 1
+                    continue
+                left = budget - spent_total
+                moved = cleaner.step(
+                    left if idle else min(self.pages_per_step, left)
+                )
+                if moved:
+                    spent_total += moved
+                    if self.metrics is not None:
+                        self.metrics.counter("gc_governed_steps").inc()
         finally:
             if span is not None:
                 tracer.finish(span, pages=spent_total)

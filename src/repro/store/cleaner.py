@@ -17,11 +17,14 @@ cleaning as a correctness backstop: if steps don't keep up and a write
 exhausts the free pool, the write cleans inline exactly as before (and
 the stall shows up in the ``write_stall_pages`` histogram).
 
-One knob shapes the SLO: ``pages_per_step``, the per-step relocation
-budget, the bound on how long any single step (and thus any foreground
-interleave gap) runs.  Cleaning is *needed* whenever the free pool is
-below the **floor**, which is derived, not set — *enough free segments
-that the next thing a write allocates finds them already free*::
+One knob shapes the SLO: ``pages_per_step``, the default per-step
+relocation budget.  The governor passes it to the steps a flush waits
+on (a loaded round's), so it bounds how long a foreground interleave
+gap runs; an idle round's step takes the round's whole remaining budget
+instead, since nothing waits on it.  Cleaning is *needed* whenever the
+free pool is below the **floor**, which is derived, not set — *enough
+free segments that the next thing a write allocates finds them already
+free*::
 
     floor = reactive trigger + 1 + segments one drain of the sorting buffer allocates
 
@@ -37,8 +40,20 @@ through the reactive trigger and clean inline — one cycle sized to the
 rest of the drain, behind one put.  This class is the only place a
 floor is computed.
 
+A cycle is sized to the step that begins it: the victims are the
+policy's ranking prefix of at least ``clean_batch`` segments that
+extends toward the floor's deficit (``floor − free``) and stops before
+a victim whose live pages would lift the batch past the step's
+remaining budget (``select_victims``'s ``page_cap``).  A step of ``B``
+pages therefore mostly begins a cycle it can finish, and one ranking
+serves as many pages as the step may move.
+
 Step budgets are the only input: replaying a recorded budget sequence
-reproduces the store exactly.
+reproduces the store exactly.  Within a cycle the split does not
+matter — ``clean_step(a); clean_step(b)`` relocates what
+``clean_step(a + b)`` does — but where a step begins a cycle its
+budget is the cap, so ``step(a); step(b)`` and ``step(a + b)`` may
+pick different victims.
 """
 
 from __future__ import annotations
@@ -107,9 +122,11 @@ class IncrementalCleaner:
 
         Relocates at most ``max_pages`` (default ``pages_per_step``),
         beginning a new cycle when none is active and the pool is below
-        the floor, and stopping early once the floor is reached with no
-        cycle mid-flight.  A no-op returning 0 when no cleaning
-        is needed.
+        the floor — sized to the floor's deficit and capped by the
+        budget still left (module docstring) — and stopping early only
+        once the floor is reached with no cycle mid-flight, or when
+        nothing is cleanable.  A no-op returning 0 when no cleaning is
+        needed.
         """
         budget = self.pages_per_step if max_pages is None else int(max_pages)
         if budget <= 0:
@@ -122,7 +139,9 @@ class IncrementalCleaner:
                     break
                 free_before = store.free_segment_count
                 try:
-                    store.clean_begin()
+                    store.clean_begin(
+                        deficit=self.floor - free_before, page_cap=budget
+                    )
                 except OutOfSpaceError:
                     break  # nothing cleanable right now
                 if (

@@ -1367,11 +1367,17 @@ class LogStructuredStore:
         return cursor.reclaimed_units
 
     def clean_begin(
-        self, n_victims: Optional[int] = None, deficit: int = 0
+        self,
+        n_victims: Optional[int] = None,
+        deficit: int = 0,
+        page_cap: Optional[int] = None,
     ) -> CleanCursor:
         """Start a cleaning cycle and pin every decision it will make.
 
-        Selects and validates the victims, records the cycle's
+        Selects the victims (``n_victims``, ``deficit`` and ``page_cap``
+        go to :meth:`~repro.policies.base.CleaningPolicy.select_victims`;
+        the incremental cleaner passes its step's remaining budget as
+        ``page_cap``) and validates them, records the cycle's
         statistics, stages the victims' live pages (marking them
         ``IN_RELOCATION``), computes the policy's GC placement order,
         and frees the victims — but relocates nothing.  The returned
@@ -1402,7 +1408,9 @@ class LogStructuredStore:
             candidates = self.sealed_segments()
             if candidates.size == 0:
                 raise OutOfSpaceError("nothing to clean: no sealed segments")
-            victims = self.policy.select_victims(candidates, n_victims, deficit)
+            victims = self.policy.select_victims(
+                candidates, n_victims, deficit, page_cap=page_cap
+            )
             if not victims:
                 raise OutOfSpaceError("policy selected no victims")
             stats = self.stats

@@ -6,6 +6,7 @@ from repro.obs import MetricsRegistry
 from repro.policies import make_policy
 from repro.service import StorePool
 from repro.store import StoreConfig
+from repro.testkit.trace import state_digest
 
 
 def pool_config(**overrides):
@@ -204,6 +205,61 @@ class TestGovernance:
                 break
             assert pool.maintain(idle=True) <= 8
         assert pool[0].store.free_segment_count >= floor
+        pool.check_consistency()
+
+
+def second_pass(pool, spent):
+    """The pass ``maintain`` used to repeat after an idle round: rank
+    the still-needy shards and give each a step of the budget left.
+    Returns the pages it moved and whether every shard's state stayed
+    as it was."""
+    before = [state_digest(kv.store) for kv in pool.shards]
+    needy = sorted(
+        (
+            (cleaner.floor - cleaner.store.free_segment_count, i)
+            for i, cleaner in enumerate(pool.cleaners)
+            if cleaner.needs_cleaning()
+        ),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    moved = 0
+    for _deficit, i in needy:
+        if spent + moved >= pool.gc_budget:
+            break
+        moved += pool.cleaners[i].step(pool.gc_budget - spent - moved)
+    return moved, before == [state_digest(kv.store) for kv in pool.shards]
+
+
+class TestOnePass:
+    """An idle round ranks the needy shards once and gives each one
+    step of the budget left.  A step ends early only at the floor with
+    no cycle in flight or with nothing cleanable, so the repeated
+    passes the round used to run have nothing left to do."""
+
+    @pytest.mark.parametrize("policy", ["mdc", "greedy"])
+    @pytest.mark.parametrize("gc_budget", [6, 16, 10_000])
+    def test_a_second_pass_moves_nothing(self, policy, gc_budget):
+        pool = StorePool(
+            3, pool_config(n_segments=48, sort_buffer_segments=4),
+            policy=policy, unit_bytes=8, gc_budget=gc_budget,
+            pages_per_step=4,
+        )
+        x = 12345
+        under_budget = 0
+        for _round in range(60):
+            for shard in range(3):
+                puts = []
+                for _ in range(20):
+                    x = (1103515245 * x + 12345) % (1 << 31)
+                    puts.append(
+                        ("s%d-k%d" % (shard, (x >> 8) % 150),
+                         bytes(1 + (x >> 4) % 24))
+                    )
+                pool[shard].put_many(puts)
+            spent = pool.maintain(idle=True)
+            under_budget += 0 < spent < gc_budget
+            assert second_pass(pool, spent) == (0, True)
+        assert under_budget >= 10
         pool.check_consistency()
 
 

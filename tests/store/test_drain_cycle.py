@@ -37,7 +37,7 @@ def _record_selections(store):
     select = policy.select_victims
     calls = []
 
-    def recording(candidates, n=None, deficit=0):
+    def recording(candidates, n=None, deficit=0, page_cap=None):
         segs = store.segments
         ids = np.asarray(candidates, dtype=np.int64)
         prio = np.asarray(policy.rank_columns(segs, ids), dtype=float)
@@ -46,7 +46,7 @@ def _record_selections(store):
         ranked = ranked[avail[ranked] > 0]
         free = store.free_segment_count
         rest = int(np.count_nonzero(store.pages.seg == IN_BUFFER))
-        victims = select(candidates, n, deficit)
+        victims = select(candidates, n, deficit, page_cap=page_cap)
         calls.append(
             {
                 "victims": victims,

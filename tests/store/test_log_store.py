@@ -129,7 +129,7 @@ class TestUp2Rules:
             store.write(pid)
         src_up2 = store.segments.up2[victim]
         survivors = store.pages.live_pages_of(store.segments, victim)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         store.clean()
         for pid in survivors:
             assert store.pages.carried_up2[pid] == pytest.approx(src_up2)
@@ -151,7 +151,7 @@ class TestCleaning:
         store.load_sequential(small_config.user_pages)
         victim = store.sealed_segments()[0]
         live_before = store.pages.live_pages_of(store.segments, victim)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         gc_before = store.stats.gc_writes
         store.clean()
         assert store.segments.state[victim] != SEALED
@@ -168,7 +168,7 @@ class TestCleaning:
         for pid in store.pages.live_pages_of(store.segments, victim)[:4]:
             store.write(pid)
         avail = store.segments.available_units(victim)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         assert store.clean() == avail
 
     def test_clean_records_emptiness_statistics(self, small_config):
@@ -178,7 +178,7 @@ class TestCleaning:
         for pid in store.pages.live_pages_of(store.segments, victim)[:8]:
             store.write(pid)
         expected_e = store.segments.emptiness(victim)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         cleaned_before = store.stats.segments_cleaned
         e_before = store.stats.cleaned_emptiness_sum
         store.clean()

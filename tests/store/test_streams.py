@@ -15,7 +15,7 @@ class TestGcStream:
         for pid in store.pages.live_pages_of(store.segments, victim)[:4]:
             store.write(pid)
         user_seg = store.open_segments.get(0)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         store.clean()
         gc_seg = store.open_segments.get(GC_STREAM)
         assert gc_seg is not None
@@ -26,7 +26,7 @@ class TestGcStream:
         store.load_sequential(small_config.user_pages)
         victim = store.sealed_segments()[0]
         survivors = set(store.pages.live_pages_of(store.segments, victim))
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         store.clean()
         gc_seg = store.open_segments[GC_STREAM]
         assert set(store.segments.slot_list(gc_seg)) <= survivors

@@ -19,7 +19,7 @@ class TestWear:
         victim = store.sealed_segments()[0]
         for pid in store.pages.live_pages_of(store.segments, victim)[:4]:
             store.write(pid)
-        store.policy.select_victims = lambda c, n=None, deficit=0: [victim]
+        store.policy.select_victims = lambda c, n=None, deficit=0, page_cap=None: [victim]
         store.clean()
         assert store.segments.erase_count[victim] == 1
         assert store.wear_summary()["total_erases"] == 1
