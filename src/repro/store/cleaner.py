@@ -79,15 +79,20 @@ class IncrementalCleaner:
         self.store = store
         self.pages_per_step = int(pages_per_step)
         buffer = store.buffer
-        drain = (
+        self._drain = (
             0
             if buffer is None
             else buffer.capacity_units // store.config.segment_units
         )
-        #: The free-segment depth the engine maintains (module docstring).
-        self.floor = store.reactive_trigger() + 1 + drain
         #: Cumulative pages relocated through this engine.
         self.pages_relocated = 0
+
+    @property
+    def floor(self) -> int:
+        """The free-segment depth the engine maintains (module
+        docstring), read afresh each time: a policy's trigger may grow
+        as it runs (multi-log's with its classes)."""
+        return self.store.reactive_trigger() + 1 + self._drain
 
     # -- state ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ and the paper's counter identities (Equation 2 in completed form, plus
 append-flow conservation) hold at every preemption point.
 """
 
+import numpy as np
 import pytest
 
 from repro.policies import make_policy
@@ -303,6 +304,39 @@ class TestIncrementalCleanerEngine:
         store = make_store("greedy")
         cleaner = IncrementalCleaner(store)
         assert not cleaner.behind()  # fresh store: whole pool free
+
+    def test_floor_follows_a_growing_trigger(self):
+        """Multi-log's trigger grows with its classes (``min_free_target``
+        = classes + 2); a floor read once at construction would fall
+        below it, and a cleaner that never sees a deficit never cleans."""
+        cfg = StoreConfig(
+            n_segments=48,
+            segment_units=16,
+            fill_factor=0.6,
+            clean_trigger=2,
+            clean_batch=1,
+        )
+        store = LogStructuredStore(cfg, make_policy("multi-log"))
+        cleaner = IncrementalCleaner(store)
+        trigger0 = store.reactive_trigger()
+        store.load_sequential(cfg.user_pages)
+        rng = np.random.default_rng(1)
+        hot = cfg.user_pages // 5
+        moved = 0
+        for _ in range(200):
+            pids = np.where(
+                rng.random(20) < 0.8,
+                rng.integers(0, hot, 20),
+                rng.integers(0, cfg.user_pages, 20),
+            )
+            store.write_batch(pids)
+            assert cleaner.floor == store.reactive_trigger() + 1
+            moved += cleaner.step()
+        assert store.reactive_trigger() > trigger0 + 1
+        assert cleaner.floor > store.reactive_trigger()
+        assert moved > 0
+        assert cleaner.pages_relocated == moved
+        store.check_invariants()
 
     def test_legacy_clean_still_whole_cycle(self):
         """``clean()`` remains the one-shot API: no cursor survives it."""
