@@ -914,14 +914,12 @@ class LogStructuredStore:
         writes consumed (0 when the next write must open the stream or
         roll into a cleaning cycle first — the scalar step's job).
 
-        *The plan.*  With no cleaning cycle mid-flight, a user roll
-        cleans nothing while the free pool is at or above
-        :meth:`reactive_trigger`, so the run may roll ``len(free_list)
-        - trigger + 1`` times (never under an active cursor: its first
-        roll must drain it).  Destinations are the open segment, then
+        *The plan.*  The run may take the rolls the free pool covers
+        (:meth:`_free_rolls`).  Destinations are the open segment, then
         the head of the FIFO free list in pop order; their first-fit
         bounds are one ``searchsorted`` each against ``cum``, the
-        batch's size prefix sum.
+        batch's size prefix sum.  The plan, cut at the rule below, is
+        what :meth:`_append_stretch` applies: it is made once.
 
         *The cut rule.*  The run's invalidations are applied up front,
         its rolls after, so the run ends before the first position whose
@@ -942,14 +940,9 @@ class LogStructuredStore:
         if seg0 is None:
             return 0
         free = self.free_list
-        rolls = (
-            len(free) - self.reactive_trigger() + 1
-            if self._clean_cursor is None
-            else 0
-        )
         bounds = _first_fit(
             cum, start, limit, int(segs.capacity - segs.used_units[seg0]),
-            segs.capacity, rolls,
+            segs.capacity, self._free_rolls(),
         )
         dests = [seg0] + [free[j] for j in range(len(bounds) - 2)]
         k = bounds[-1] - start
@@ -982,7 +975,8 @@ class LogStructuredStore:
                 run, sz, dst = run[:k], sz[:k], dst[:k]
                 old_seg, old_size = old_seg[:k], old_size[:k]
 
-        clocks = self.clock + 1 + np.arange(k, dtype=np.int64)
+        clock0 = self.clock
+        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
         self.stats.user_writes += k
         # Per-position carried values must be gathered before the
         # invalidation scatters new ones (a later rewrite of the same
@@ -1004,7 +998,13 @@ class LogStructuredStore:
         pages.carried_up2[run] = carried
 
         pages.size[run] = sz
-        self._emit_run(run, stream, False, sz, carried, tick=1)
+        # The plan, cut at k, relative to the run: the open segment and
+        # the rolls that fill before position k.
+        bounds = [b - start for b in bounds if b - start < k] + [k]
+        self._append_stretch(
+            seg0, stream, bounds, cum[start:], run, sz, carried, None, False, 1
+        )
+        self.clock = clock0 + k
         if pages.oracle_active:
             # Scalar order per page: subtract from the old segment, add
             # to the new one.  Replayed as one in-order scatter stream.
@@ -1091,81 +1091,56 @@ class LogStructuredStore:
         pages.last_write[run] = clocks
         return k
 
-    def _emit_run(
-        self,
-        pids: np.ndarray,
-        stream: int,
-        is_gc: bool,
-        sizes: Optional[np.ndarray] = None,
-        carried: Optional[np.ndarray] = None,
-        tick: int = 0,
-    ) -> None:
-        """Emit pages to ``stream`` in *stretches*: one roll through
-        :meth:`_open_segment_for` (the only roll that may clean), then
-        every roll after it that cleans nothing, planned and applied as
-        one array step (:meth:`_append_stretch`).  A GC roll never
-        cleans, so GC emission is one stretch unless the free pool runs
-        dry; a user stretch takes the rolls the pool covers,
-        ``len(free_list) - trigger + 1`` (none under an active cursor).
-
-        GC and buffer-flush emission pass the pages alone: their sizes
-        and carried estimates are final in the page table, and the pages
-        are not touched by the rolls in between, so one up-front gather
-        stays valid for the whole run.  A user run
-        (:meth:`_write_run_direct`) passes its own ``sizes`` and
-        per-position ``carried`` (a page id may repeat, each occurrence
-        with its own estimate) and ``tick=1``: the clock reads the
-        rolling write's own tick at every roll, so seal times and the
-        stall span's clock are the scalar ones, and ``freq_sum`` stays
-        with the caller, which interleaves its additions with the
-        invalidation's subtractions.  A buffer drain (user pages,
-        ``tick=0``) tells a stalling roll how many rolls it still needs
-        (see :meth:`_clean_until_replenished`).
+    def _emit_run(self, pids: np.ndarray, stream: int, is_gc: bool) -> None:
+        """Emit a buffer drain's or a GC relocation's pages to ``stream``
+        in *stretches*: one roll through :meth:`_open_segment_for` (the
+        only roll that may clean), then every roll after it that cleans
+        nothing, planned and applied as one array step
+        (:meth:`_append_stretch`).  A GC roll never cleans, so GC
+        emission is one stretch unless the free pool runs dry; a drain's
+        stretch takes the rolls the pool covers (:meth:`_free_rolls`).
+        The pages' sizes and carried estimates are final in the page
+        table and the clock does not move, so one up-front gather stays
+        valid for the whole run.  A drain tells a stalling roll how many
+        rolls it still needs (see :meth:`_clean_until_replenished`).
         """
         n = pids.size
         if n == 0:
             return
         segs = self.segments
         pages = self.pages
-        if sizes is None:
-            sizes = pages.size[pids]
-        if carried is None:
-            carried = pages.carried_up2[pids]
-        freqs = pages.oracle_freq[pids] if pages.oracle_active and not tick else None
+        sizes = pages.size[pids]
+        carried = pages.carried_up2[pids]
+        freqs = pages.oracle_freq[pids] if pages.oracle_active else None
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(sizes, out=cum[1:])
         cap = segs.capacity
         may_clean = not is_gc and not self._cleaning
-        clock0 = self.clock
         i = 0
         while i < n:
-            self.clock = clock0 + tick * (i + 1)
             seg = self.open_segments.get(stream)
             if seg is None or segs.used_units[seg] + sizes[i] > cap:
                 extra = None
-                if (
-                    may_clean
-                    and not tick
-                    and len(self.free_list) < self.reactive_trigger()
-                ):
+                if may_clean and len(self.free_list) < self.reactive_trigger():
                     # Rolls the rest needs over fresh segments, less this one.
                     extra = len(_first_fit(cum, i, n, cap, cap, n)) - 2
                 seg = self._open_segment_for(stream, int(sizes[i]), is_gc, extra)
-            rolls = len(self.free_list)
-            if may_clean:
-                rolls = (
-                    rolls - self.reactive_trigger() + 1
-                    if self._clean_cursor is None
-                    else 0
-                )
+            rolls = self._free_rolls() if may_clean else len(self.free_list)
             bounds = _first_fit(cum, i, n, cap - int(segs.used_units[seg]), cap, rolls)
             self._append_stretch(
-                seg, stream, bounds, cum, pids, sizes, carried, freqs, is_gc,
-                clock0, tick,
+                seg, stream, bounds, cum, pids, sizes, carried, freqs, is_gc
             )
             i = bounds[-1]
-        self.clock = clock0 + tick * n
+
+    def _free_rolls(self) -> int:
+        """Rolls a user write makes before one that may clean: while the
+        free pool is at or above :meth:`reactive_trigger` a roll cleans
+        nothing, so ``len(free_list) - trigger + 1`` of them; none while
+        a cleaning cycle is mid-flight (the first roll must drain it)."""
+        if self._clean_cursor is not None:
+            return 0
+        return len(self.free_list) - self.reactive_trigger() + 1
 
     def _append_stretch(
         self,
@@ -1178,24 +1153,26 @@ class LogStructuredStore:
         carried: np.ndarray,
         freqs: Optional[np.ndarray],
         is_gc: bool,
-        clock0: int,
-        tick: int,
+        tick: int = 0,
     ) -> None:
-        """Apply one planned stretch of :meth:`_emit_run` — where every
-        batched page, user or GC, lands.
+        """Apply one planned stretch — where every batched page, user or
+        GC, lands: a direct run's whole plan, or one stretch of
+        :meth:`_emit_run`.
 
         ``bounds`` splits the stretch's positions by destination: the
-        open segment ``seg``, then one fresh segment per roll, the head
-        of the FIFO free list in the order the rolls pop it.  Up to
-        ``_STRETCH_LOOP_MAX`` destinations fill one slice each; a longer
-        stretch fills slot logs, page table and counters in one scatter
-        each and ``up2_sum`` (and, when ``freqs`` is given,
-        ``freq_sum``) in one row-wise left-to-right fold.  Each roll
-        then seals its predecessor at the roll's clock and opens its
-        segment (:meth:`_open_fresh`), as the one-segment-at-a-time
-        roll would.  ``carried``
-        holds the per-position ``up2`` estimates (a page id may repeat
-        in a user run, each occurrence with its own).
+        open segment ``seg`` (which may take none), then one fresh
+        segment per roll, the head of the FIFO free list in the order
+        the rolls pop it.  Up to ``_STRETCH_LOOP_MAX`` destinations fill
+        one slice each; a longer stretch fills slot logs, page table and
+        counters in one scatter each and ``up2_sum`` (and, when
+        ``freqs`` is given, ``freq_sum``) in one row-wise left-to-right
+        fold.  Each roll then seals its predecessor and opens its
+        segment (:meth:`_open_fresh`), as the one-segment-at-a-time roll
+        would.  A direct run passes ``tick=1``: a roll seals at the
+        rolling write's own tick, counted from the clock at the call (a
+        drain or a relocation moves no clock).  ``carried`` holds the
+        per-position ``up2`` estimates (a page id may repeat in a user
+        run, each occurrence with its own).
         """
         segs = self.segments
         pages = self.pages
@@ -1239,6 +1216,7 @@ class LogStructuredStore:
             segs.up2_sum[d] = _fold_rows(segs.up2_sum[d], carried[lo:hi], counts)
             if freqs is not None:
                 segs.freq_sum[d] = _fold_rows(segs.freq_sum[d], freqs[lo:hi], counts)
+        clock0 = self.clock
         for j in range(1, len(dests)):
             self.clock = clock0 + tick * (bounds[j] + 1)
             self._seal(dests[j - 1])

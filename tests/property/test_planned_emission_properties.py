@@ -1,7 +1,8 @@
 """Property-based differential of planned emission.
 
-``_emit_run`` applies every stretch of rolls that clean nothing — each
-GC roll, and each user roll the free pool covers — as one array step.
+``_emit_run(pids, stream, is_gc)`` emits a buffer drain or a GC
+relocation, applying every stretch of rolls that clean nothing — each
+GC roll, and each drain roll the free pool covers — as one array step.
 The reference here is the emission it replaces, written out page by
 page: roll through ``_open_segment_for`` whenever the page does not fit
 (a buffer drain's stalling roll passing the rolls its first-fit rest
@@ -14,6 +15,15 @@ device out of space mid-plan — they must end every op in the same
 state digest, raise the same error at the same point, and have shown an
 attached observer and tracer the same events (seal clocks, live
 counts, stalls) and ``store.*`` spans.
+
+A direct run does not pass through ``_emit_run``: it hands its own cut
+plan to ``_append_stretch``.  What holds its emission to page-at-a-time
+is the scalar ``write`` those runs are compared against:
+``test_batch_matches_scalar`` in ``test_write_batch_properties.py``
+(greedy, no buffer, among its draws), and
+``test_roll_at_position_zero_and_gaps_at_every_segment_end`` and
+``test_cut_where_the_old_version_lies_in_a_segment_the_run_sealed`` in
+``tests/store/test_write_batch.py``.
 """
 
 import hypothesis.strategies as st
@@ -44,22 +54,17 @@ def _first_fit_segments(sizes, capacity):
 class LoopStore(LogStructuredStore):
     """The store with the page-at-a-time emission loop."""
 
-    def _emit_run(self, pids, stream, is_gc, sizes=None, carried=None, tick=0):
+    def _emit_run(self, pids, stream, is_gc):
         segs = self.segments
         pages = self.pages
-        if sizes is None:
-            sizes = pages.size[pids]
-        sizes = [int(s) for s in sizes]
-        clock0 = self.clock
+        sizes = [int(s) for s in pages.size[pids]]
         for i, pid in enumerate(pids.tolist()):
-            self.clock = clock0 + tick * (i + 1)
             size = sizes[i]
             seg = self.open_segments.get(stream)
             if seg is None or segs.used_units[seg] + size > segs.capacity:
                 extra = None
                 if (
                     not is_gc
-                    and not tick
                     and not self._cleaning
                     and len(self.free_list) < self.reactive_trigger()
                 ):
@@ -71,16 +76,13 @@ class LoopStore(LogStructuredStore):
             segs.live_count[seg] += 1
             segs.live_units[seg] += size
             segs.used_units[seg] += size
-            segs.up2_sum[seg] += (
-                pages.carried_up2[pid] if carried is None else carried[i]
-            )
-            if pages.oracle_active and not tick:
+            segs.up2_sum[seg] += pages.carried_up2[pid]
+            if pages.oracle_active:
                 segs.freq_sum[seg] += pages.oracle_freq[pid]
             if is_gc:
                 self.stats.gc_writes += 1
             else:
                 self.stats.user_device_writes += 1
-        self.clock = clock0 + tick * len(pids)
 
 
 def build_store(cls, policy_name, sort_buffer_segments):
