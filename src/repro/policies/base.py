@@ -116,7 +116,7 @@ class CleaningPolicy(abc.ABC):
         their source's properties.  Returns ``(page_ids, streams)`` in
         emission order: a permutation of the input and a parallel int64
         stream array, where ``None`` sends everything to
-        :data:`~repro.store.log_store.GC_STREAM`.  Default: keep
+        :data:`~repro.store.cycle.GC_STREAM`.  Default: keep
         collection order on the dedicated GC stream (standard LFS
         practice — survivors do not mix with fresh user writes in the
         same segment).
@@ -215,8 +215,9 @@ class CleaningPolicy(abc.ABC):
         until the reclaimable space in it is at least ``max(1,
         deficit)`` whole segments: one, so a cleaning cycle always makes
         net forward progress, or the free segments a buffer drain still
-        lacks (the store's :meth:`_clean_until_replenished`), so one
-        ranking covers the whole drain.  ``page_cap`` bounds that
+        lacks (the store's
+        :meth:`~repro.store.cycle.CleaningCycle._clean_until_replenished`),
+        so one ranking covers the whole drain.  ``page_cap`` bounds that
         extension by the batch's live pages: past the first ``n``
         victims the walk stops before a victim that would lift them over
         the cap.  A governed cleaner step passes its remaining page

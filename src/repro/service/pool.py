@@ -261,7 +261,9 @@ class StorePool:
             "gc_writes": float(gc),
             "wamp_aggregate": gc / user if user else 0.0,
             "wamp_spread": (max(wamps) - min(wamps)) if wamps else 0.0,
-            "cleaner_pending": float(sum(c.pending for c in self.cleaners)),
+            "cleaner_pending": float(
+                sum(c.store.clean_pending for c in self.cleaners)
+            ),
         }
 
     def check_consistency(self) -> None:

@@ -9,7 +9,7 @@ a scheduler: cleaning advances in *steps* that relocate at most
 reclamation at page granularity instead of cycle granularity.
 
 The engine is a thin scheduling layer: all cycle state lives in the
-store's :class:`~repro.store.log_store.CleanCursor` (victims, staged
+store's :class:`~repro.store.cycle.CleanCursor` (victims, staged
 pages, and placement order pinned at ``clean_begin``), which is what
 makes preemption safe — a step can never change *what* a cycle does,
 only *when* its pages move.  The store keeps its own reactive inline
@@ -96,11 +96,6 @@ class IncrementalCleaner:
 
     # -- state ---------------------------------------------------------
 
-    @property
-    def pending(self) -> int:
-        """Staged pages of the active cycle not yet relocated."""
-        return self.store.clean_pending
-
     def needs_cleaning(self) -> bool:
         """True when a step would do useful work: a cycle is mid-flight,
         or the free pool is below the floor with something sealed to
@@ -172,7 +167,7 @@ class IncrementalCleaner:
             % (
                 self.pages_per_step,
                 self.floor,
-                self.pending,
+                self.store.clean_pending,
                 self.pages_relocated,
             )
         )

@@ -20,107 +20,39 @@ The "clock" is the user-update counter (paper Section 4.2): one tick per
 user write, so update-frequency estimates are immune to wall-clock
 artifacts such as load variation.
 
-Write path
-----------
+The scalar :meth:`LogStructuredStore.write` remains as exactly two
+things.  It is the step the run engine (:mod:`repro.store.write_path`)
+takes for the one write whose roll cleans (or drains an active cursor),
+that flushes the buffer, or that opens a stream's first segment (and
+for every write of a policy whose routing is per write — multi-log's
+``route_user``); and it is the reference the differential suites
+compare the engine against, one branch per bookkeeping rule.
 
-There is one write path.  :meth:`LogStructuredStore.write_batch` is the
-engine every caller drives (the simulator, ``kv.put_many``, the service's
-ingest queue): it splits a batch into *runs* and applies each run's
-bookkeeping with numpy fancy indexing — one gather, one invalidation,
-one carried-``up2`` resolution per run.  A run takes repeated page ids
-in its stride (a repeat rewrites the version its previous occurrence in
-the run just placed) and ends only where the engine must stop:
-
-* with a sorting buffer, where the buffer must flush;
-* without one, a run *rolls*: it fills the open segment and then as many
-  fresh segments as the free pool allows before the next cleaning
-  opportunity that would actually clean — ``len(free_list) - trigger +
-  1`` rolls, none while a :class:`CleanCursor` is active — with each
-  seal at the rolling write's own tick.  Because a run's invalidations
-  are applied before its rolls, it is cut before the first position
-  whose old version lies in a segment the run has sealed by then (the
-  *cut rule*, :meth:`_write_run_direct`); that position starts the next
-  run.
-
-Every emission, user or GC, goes through :meth:`_emit_run`, which plans
-it in *stretches*: a roll that may clean goes through the scalar roll
-in :meth:`_open_segment_for` (seal-if-full, a user write's cleaning
-opportunity, allocate), and every roll after it that cleans nothing —
-each GC roll, each user roll the free pool covers — is planned with
-first-fit bounds (:func:`_first_fit`) over the open segment and the
-head of the FIFO free list, then applied in one step
-(:meth:`_append_stretch`: a slice per segment for a short stretch, one
-scatter per column and a row-wise ``up2_sum`` fold for a long one),
-with the seals at their roll clocks.  The policy is asked for arrays
-only: ``route_user_batch`` / ``user_sort_key`` for placement,
-``place_gc_batch`` for relocation, ``rank_columns`` for victims.
-
-The scalar :meth:`write` remains as exactly two things.  It is the step
-the run engine takes for the one write whose roll cleans (or drains an
-active cursor), that flushes the buffer, or that opens a stream's first
-segment (and for every write of a policy whose routing is per write —
-multi-log's ``route_user``); and it is the reference the differential
-suites compare the engine against, one branch per bookkeeping rule.
-The two are bit-identical: every float accumulation in the run engine
-replays the scalar update order (``np.add.at`` and ``np.cumsum`` are
-sequential left-to-right folds), which the differential suites lock down
-by comparing full state digests.
-
-Cleaning cycle
---------------
-
-When a user roll finds the free pool below :meth:`reactive_trigger` the
-store cleans a batch of victims chosen by the policy: their live pages are
-staged in memory, the source segments are freed, and the pages are
-re-written through the policy's GC placement hook.  Staging in memory
-means relocation never deadlocks on free space — a batch with any empty
-space makes net progress.  Each relocated page counts toward
-``gc_writes`` (the numerator of write amplification).
-
-A direct write's roll runs cycles of ``clean_batch`` victims that each
-net at least one segment.  A Section 5.3 buffer drain cleans once: the
-roll that stalls runs one cycle sized to the rest of the drain, whose
-victims reclaim ``trigger + (rolls still needed - 1)`` free segments'
-worth, so the drain's later rolls clean nothing.  The drain does not
-move the clock, so the one ranking reads the priorities per-roll cycles
-would each have read (only the segments sealed between them could
-differ), and its victims are relocated under one GC sort.
-
-The cycle is also exposed *incrementally*: :meth:`clean_begin` pins the
-victim decision, stages the live pages, and frees the victims, and
-:meth:`clean_step` relocates a bounded number of pages at a time through
-an explicit resume cursor (:class:`CleanCursor`), so foreground writes
-can interleave between steps.  ``clean()`` is now ``clean_begin`` plus a
-single unbounded ``clean_step`` — the two paths share every line of the
-cycle, and a full drain is byte-identical to the historical batch cycle
-(the differential suite locks this down with state digests).  Staged
-pages carry the ``IN_RELOCATION`` page-table sentinel; a foreground
-write or trim landing on one clears the sentinel, and the cleaner skips
-the now-obsolete staged copy when its step resumes, crediting the
-skipped space to ``cleaned_emptiness_sum`` so the paper's exact
-Equation 2 identity keeps holding under arbitrary preemption schedules.
+:class:`LogStructuredStore` is assembled from three modules: this one
+holds its state, its public write API, its accessors and
+:meth:`~LogStructuredStore.check_invariants`;
+:mod:`repro.store.write_path` the run engine; :mod:`repro.store.cycle`
+the cleaning cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.store.buffer import SortBuffer
 from repro.store.config import StoreConfig
+# Re-exported: callers import GC_STREAM and CleanCursor from here too.
+from repro.store.cycle import GC_STREAM, CleanCursor, CleaningCycle  # noqa: F401
 from repro.store.errors import (
     OutOfSpaceError,
     PageIdError,
     PageSizeError,
     StoreError,
 )
-from repro.store.kernels import fold_add as _fold_add
-from repro.store.kernels import fold_midpoints as _fold_midpoints
-from repro.store.kernels import fold_rows as _fold_rows
 from repro.store.kernels import prev_occurrence as _prev_occurrence
 from repro.store.pagetable import (
     IN_BUFFER,
@@ -131,11 +63,8 @@ from repro.store.pagetable import (
 )
 from repro.store.segments import FREE, OPEN, SEALED, SegmentTable
 from repro.store.stats import StoreStats
-from repro.testkit.failpoints import FAILPOINTS, failpoint
-
-#: Stream id used by policies that send relocated (GC) pages to their own
-#: open segment, separate from user writes.
-GC_STREAM = -1
+from repro.store.write_path import WritePath, _stream_runs
+from repro.testkit.failpoints import failpoint
 
 #: Batch chunk for the sequential load (one workload batch's worth).
 _LOAD_CHUNK = 1 << 14
@@ -145,107 +74,7 @@ _LOAD_CHUNK = 1 << 14
 #: planned, however few writes either ends up taking).
 _RUN_WINDOW = 1 << 12
 
-#: First occurrences a buffered attempt reads past the buffer's free units.
-_RUN_SLACK = 64
-
-#: Most destinations a planned stretch fills one slice at a time; past
-#: it, one scatter per column for the whole stretch is cheaper.  Timed
-#: per stretch, one destination costs ~18 us as a slice and ~50 us as
-#: scatters, each further one ~18 us and ~10 us (seal and open
-#: included), so the two meet at about four; a small ``clean_step``
-#: has one or two destinations, a drain's GC relocation ten or more.
-_STRETCH_LOOP_MAX = 4
-
-
-def _stream_runs(streams: np.ndarray):
-    """Yield ``(start, stop)`` bounds of maximal constant-stream runs."""
-    changes = np.flatnonzero(streams[1:] != streams[:-1]) + 1
-    edges = [0, *changes.tolist(), streams.size]
-    return zip(edges, edges[1:])
-
-
-def _first_fit(
-    cum: np.ndarray, start: int, stop: int, room: int, capacity: int, rolls: int
-) -> List[int]:
-    """First-fit bounds of positions ``start .. stop``: the first
-    destination has ``room`` units left, each of at most ``rolls``
-    fresh ones after it ``capacity``; ``cum`` is the sizes' prefix sum.
-    Destination ``j`` takes ``[bounds[j], bounds[j + 1])``; the last
-    bound falls short of ``stop`` when the rolls run out first."""
-    if cum[stop] - cum[start] <= room:
-        return [start, stop]
-    bounds = [start]
-    pos = start
-    while True:
-        pos = min(stop, int(cum.searchsorted(cum[pos] + room, "right")) - 1)
-        bounds.append(pos)
-        if pos == stop or len(bounds) > rolls + 1:
-            return bounds
-        room = capacity
-
-
-class CleanCursor:
-    """Resumable state of one (possibly incremental) cleaning cycle.
-
-    Everything decision-shaped is pinned at
-    :meth:`LogStructuredStore.clean_begin` — the victim set, the staged
-    page list, and the policy's GC placement order — so a preemption
-    point can never change *what* the cycle does, only *when*.  ``pos``
-    is the explicit resume cursor into the staged placement order: a
-    cycle interrupted mid-victim resumes at the exact page where it
-    stopped, and resuming is idempotent (already-processed positions are
-    never revisited).
-    """
-
-    __slots__ = (
-        "victims",
-        "pending",
-        "streams",
-        "sizes",
-        "pos",
-        "reclaimed_units",
-        "emptiness",
-        "relocated",
-        "skipped",
-    )
-
-    def __init__(
-        self,
-        victims: List[int],
-        pending: np.ndarray,
-        streams: Optional[np.ndarray],
-        sizes: np.ndarray,
-        reclaimed_units: int,
-        emptiness: np.ndarray,
-    ) -> None:
-        #: Victim segment ids in selection order (already freed).
-        self.victims = victims
-        #: Staged page ids in the policy's placement order.
-        self.pending = pending
-        #: Per-position GC stream ids (None = everything to GC_STREAM).
-        self.streams = streams
-        #: Staged sizes, captured at begin (a staged page's table size
-        #: may be overwritten by a foreground write before its turn).
-        self.sizes = sizes
-        #: Next placement position to process.
-        self.pos = 0
-        #: Victims' empty units, the cycle's net space gain.
-        self.reclaimed_units = reclaimed_units
-        #: Per-victim emptiness fractions (for the on_clean hook).
-        self.emptiness = emptiness
-        #: Pages actually re-emitted so far (== gc_writes contributed).
-        self.relocated = 0
-        #: Staged copies dropped because a foreground write or trim
-        #: obsoleted them between steps.
-        self.skipped = 0
-
-    @property
-    def remaining(self) -> int:
-        """Staged positions not yet processed."""
-        return int(self.pending.size - self.pos)
-
-
-class LogStructuredStore:
+class LogStructuredStore(WritePath, CleaningCycle):
     """A simulated log-structured store with a pluggable cleaning policy.
 
     Args:
@@ -691,8 +520,13 @@ class LogStructuredStore:
             "cv": cv,
         }
 
+    def reactive_trigger(self) -> int:
+        """Free-pool level below which a user roll cleans inline: the
+        one definition a run's plan, the roll and the cleaner read."""
+        return max(self.config.clean_trigger, self.policy.min_free_target())
+
     # ------------------------------------------------------------------
-    # Internals: invalidation, placement, sealing, allocation
+    # Internals: scalar bookkeeping
     # ------------------------------------------------------------------
 
     def _invalidate(self, page_id: int, seg: int) -> None:
@@ -724,837 +558,6 @@ class LogStructuredStore:
         self._cold_up2 = cold
         if nan.any():
             carried[arr[nan]] = cold
-
-    def _open_segment_for(
-        self, stream: int, size: int, is_gc: bool, extra: Optional[int] = None
-    ) -> int:
-        """The open segment of ``stream`` with room for ``size`` more
-        units — the scalar segment roll: seal the stream's segment if it
-        is full, give a user write its cleaning opportunity, then open a
-        fresh segment.  ``extra`` is a buffer drain's count of rolls
-        still to come (see :meth:`_clean_until_replenished`).
-
-        Sealing removes the stream's map entry *before* any cleaning can
-        run: cleaning relocates pages through this same method and (for
-        policies whose GC shares streams with user writes) may re-open
-        the very stream being emitted to, so the open segment is
-        re-fetched after the cleaning opportunity instead of being
-        allocated eagerly — otherwise the recursion's segment would be
-        orphaned in the OPEN state.  GC emission never cleans
-        recursively, so its roll is a plain seal + allocate.
-        """
-        segs = self.segments
-        may_clean = not is_gc and not self._cleaning
-        while True:
-            seg = self.open_segments.get(stream)
-            if seg is not None:
-                if segs.used_units[seg] + size <= segs.capacity:
-                    return seg
-                self._seal(seg)
-                del self.open_segments[stream]
-            if not may_clean:
-                break
-            self._clean_until_replenished(extra)
-            may_clean = False
-        return self._open_fresh(stream)
-
-    def _open_fresh(self, stream: int) -> int:
-        """Pop the free list's head and open it as ``stream``'s segment:
-        the one place a segment opens, for the scalar roll and a
-        planned stretch alike."""
-        if not self.free_list:
-            raise OutOfSpaceError(
-                "no free segments (fill factor too high or policy reclaimed nothing)"
-            )
-        seg = self.free_list.popleft()
-        self.segments.state[seg] = OPEN
-        self.segments.stream[seg] = stream
-        self.open_segments[stream] = seg
-        self.policy.on_segment_open(seg, stream)
-        return seg
-
-    def _emit(self, page_id: int, stream: int, is_gc: bool) -> None:
-        """Append ``page_id`` to the open segment of ``stream``, rolling
-        the segment first when the page does not fit."""
-        segs = self.segments
-        pages = self.pages
-        size = int(pages.size[page_id])
-        seg = self._open_segment_for(stream, size, is_gc)
-        slot = segs.append_slot(seg, page_id, size)
-        pages.seg[page_id] = seg
-        pages.slot[page_id] = slot
-        segs.live_count[seg] += 1
-        segs.live_units[seg] += size
-        segs.used_units[seg] += size
-        segs.up2_sum[seg] += pages.carried_up2[page_id]
-        segs.freq_sum[seg] += pages.oracle_freq[page_id]
-        if is_gc:
-            self.stats.gc_writes += 1
-        else:
-            self.stats.user_device_writes += 1
-
-    # ------------------------------------------------------------------
-    # Internals: the vectorized run engine
-    # ------------------------------------------------------------------
-
-    def _invalidate_run(
-        self,
-        run: np.ndarray,
-        old_seg: np.ndarray,
-        old_size: np.ndarray,
-        clocks: np.ndarray,
-        subtract_freq: bool,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Vectorized :meth:`_invalidate` for a run of writes.
-
-        Writes of the run that hit the same segment are grouped; within
-        a group the scalar path's rolling ``(up1, up2)`` advance means
-        write ``k`` (0-based) carries the midpoint against the segment's
-        original ``up2`` (k=0), original ``up1`` (k=1), or the clock of
-        the write two places earlier (k>=2) — computed here with a
-        shift-by-two inside each group.  A page id may occur more than
-        once (the direct path's in-run rewrites) — the per-page table
-        scatter happens in run position order so the last occurrence
-        wins, exactly as the scalar sequence would leave it.
-
-        Returns ``(on_dev, carried)``: the on-device mask and the
-        per-position carried values of the on-device subset (``None``
-        when nothing was on the device).
-
-        ``subtract_freq`` skips the ``freq_sum`` subtraction so the
-        direct path can interleave it with the emission's addition (the
-        scalar order alternates subtract/add per page on possibly the
-        same segment, and float addition does not commute).
-        """
-        segs = self.segments
-        pages = self.pages
-        on_dev = old_seg >= 0
-        if on_dev.all():
-            # Steady state: every page already lives on the device.
-            iseg = old_seg
-            iclk = clocks
-            inv_pids = run
-            inv_sizes = old_size
-        elif not on_dev.any():
-            return on_dev, None
-        else:
-            ip = np.flatnonzero(on_dev)
-            iseg = old_seg[ip]
-            iclk = clocks[ip]
-            inv_pids = run[ip]
-            inv_sizes = old_size[ip]
-        if iseg.size == 1 or np.bincount(iseg).max() == 1:
-            # Every write hits a different segment (the common case when
-            # runs are short relative to the device): every group is a
-            # singleton, so the rolling (up1, up2) advance is one
-            # elementwise step and the scatters need no conflict
-            # resolution.
-            sclk = iclk.astype(np.float64)
-            base = segs.up2[iseg]
-            carried = base + 0.5 * (sclk - base)
-            pages.carried_up2[inv_pids] = carried
-            segs.up2[iseg] = segs.up1[iseg]
-            segs.up1[iseg] = sclk
-            segs.live_count[iseg] -= 1
-            segs.live_units[iseg] -= inv_sizes
-            if subtract_freq:
-                segs.freq_sum[iseg] = segs.freq_sum[iseg] + (
-                    -pages.oracle_freq[inv_pids]
-                )
-            segs.epoch[iseg] += 1
-            return on_dev, carried
-        order = np.argsort(iseg, kind="stable")
-        sseg = iseg[order]
-        sclk = iclk[order].astype(np.float64)
-        m = sseg.size
-        newgrp = np.empty(m, dtype=bool)
-        newgrp[0] = True
-        newgrp[1:] = sseg[1:] != sseg[:-1]
-        gidx = np.arange(m)
-        gstart = np.maximum.accumulate(np.where(newgrp, gidx, 0))
-        rank = gidx - gstart
-        base = np.empty(m, dtype=np.float64)
-        first = rank == 0
-        base[first] = segs.up2[sseg[first]]
-        second = rank == 1
-        if second.any():
-            base[second] = segs.up1[sseg[second]]
-        later = rank >= 2
-        if later.any():
-            base[later] = sclk[gidx[later] - 2]
-        carried = np.empty(m, dtype=np.float64)
-        carried[order] = base + 0.5 * (sclk - base)
-        pages.carried_up2[inv_pids] = carried
-        ends = np.flatnonzero(np.append(newgrp[1:], True))
-        group_segs = sseg[ends]
-        orig_up1 = segs.up1[group_segs]
-        segs.up1[group_segs] = sclk[ends]
-        single = rank[ends] == 0
-        prev_clk = sclk[np.maximum(ends - 1, 0)]
-        segs.up2[group_segs] = np.where(single, orig_up1, prev_clk)
-        np.subtract.at(segs.live_count, iseg, 1)
-        np.subtract.at(segs.live_units, iseg, inv_sizes)
-        if subtract_freq:
-            np.add.at(segs.freq_sum, iseg, -pages.oracle_freq[inv_pids])
-        np.add.at(segs.epoch, iseg, 1)
-        return on_dev, carried
-
-    def _write_run_direct(
-        self,
-        pids: np.ndarray,
-        sizes: np.ndarray,
-        cum: np.ndarray,
-        prev: np.ndarray,
-        start: int,
-        limit: int,
-        stream: int,
-    ) -> int:
-        """Place a run of ``pids[start:limit]`` in the open segment of
-        ``stream`` and the segments it rolls into; returns the number of
-        writes consumed (0 when the next write must open the stream or
-        roll into a cleaning cycle first — the scalar step's job).
-
-        *The plan.*  The run may take the rolls the free pool covers
-        (:meth:`_free_rolls`).  Destinations are the open segment, then
-        the head of the FIFO free list in pop order; their first-fit
-        bounds are one ``searchsorted`` each against ``cum``, the
-        batch's size prefix sum.  The plan, cut at the rule below, is
-        what :meth:`_append_stretch` applies: it is made once.
-
-        *The cut rule.*  The run's invalidations are applied up front,
-        its rolls after, so the run ends before the first position whose
-        old version lies in a destination the run has sealed by then: a
-        page of the first open segment, or a repeat (``prev`` maps each
-        position to the previous occurrence of its page id in the batch,
-        negative for none) whose previous occurrence landed in an
-        earlier destination, at any position after the one whose write
-        seals that destination.  That position starts the next run,
-        where its old segment is an ordinary sealed one.  Everything
-        else commutes with the rolls: a seal reads only the sealed
-        segment's own columns, which no later position writes, and a
-        repeat inside a not-yet-allocated destination reads the zeros
-        its reset left, as the scalar order would."""
-        segs = self.segments
-        pages = self.pages
-        seg0 = self.open_segments.get(stream)
-        if seg0 is None:
-            return 0
-        free = self.free_list
-        bounds = _first_fit(
-            cum, start, limit, int(segs.capacity - segs.used_units[seg0]),
-            segs.capacity, self._free_rolls(),
-        )
-        dests = [seg0] + [free[j] for j in range(len(bounds) - 2)]
-        k = bounds[-1] - start
-        if k == 0:
-            return 0
-        run = pids[start : start + k]
-        sz = sizes[start : start + k]
-        counts = [b - a for a, b in zip(bounds, bounds[1:])]
-        dst = np.repeat(dests, counts)
-        old_seg = pages.seg[run]
-        old_size = pages.size[run]
-        prev_rel = prev[start : start + k] - start
-        dup = prev_rel >= 0
-        back = prev_rel[dup]
-        if back.size:
-            # In-run rewrite: the page's current version is the one this
-            # very run emits at its previous occurrence.
-            old_seg[dup] = dst[back]
-            old_size[dup] = sz[back]
-        if len(dests) > 1:
-            # sealed_at[i]: the position whose write seals the
-            # destination holding position i's old version (k: none).
-            first = np.asarray(bounds[1:]) - start
-            sealed_at = np.where(old_seg == seg0, first[0], k)
-            if back.size:
-                sealed_at[dup] = np.repeat(first, counts)[back]
-            cut = np.flatnonzero(np.arange(k) > sealed_at)
-            if cut.size:
-                k = int(cut[0])
-                run, sz, dst = run[:k], sz[:k], dst[:k]
-                old_seg, old_size = old_seg[:k], old_size[:k]
-
-        clock0 = self.clock
-        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
-        self.stats.user_writes += k
-        # Per-position carried values must be gathered before the
-        # invalidation scatters new ones (a later rewrite of the same
-        # page must not leak its value into an earlier emission).
-        carried = pages.carried_up2[run]
-        # freq_sum subtraction deferred: it interleaves with the
-        # emission's addition below to match the scalar order.
-        on_dev, inv_carried = self._invalidate_run(
-            run, old_seg, old_size, clocks, subtract_freq=False
-        )
-        if inv_carried is not None:
-            if inv_carried.size == k:
-                carried = inv_carried
-            else:
-                carried[on_dev] = inv_carried
-        nan = np.isnan(carried)
-        if nan.any():
-            carried[nan] = self._cold_up2
-        pages.carried_up2[run] = carried
-
-        pages.size[run] = sz
-        # The plan, cut at k, relative to the run: the open segment and
-        # the rolls that fill before position k.
-        bounds = [b - start for b in bounds if b - start < k] + [k]
-        self._append_stretch(
-            seg0, stream, bounds, cum[start:], run, sz, carried, None, False, 1
-        )
-        self.clock = clock0 + k
-        if pages.oracle_active:
-            # Scalar order per page: subtract from the old segment, add
-            # to the new one.  Replayed as one in-order scatter stream.
-            freqs = pages.oracle_freq[run]
-            idx = np.empty(2 * k, dtype=np.int64)
-            val = np.empty(2 * k, dtype=np.float64)
-            idx[0::2] = np.where(on_dev, old_seg, 0)
-            idx[1::2] = dst
-            val[0::2] = -freqs
-            val[1::2] = freqs
-            keep = np.ones(2 * k, dtype=bool)
-            keep[0::2] = on_dev
-            np.add.at(segs.freq_sum, idx[keep], val[keep])
-        pages.last_write[run] = clocks
-        return k
-
-    def _write_run_buffered(
-        self,
-        pids: np.ndarray,
-        sizes: Optional[np.ndarray],
-        prev: np.ndarray,
-        start: int,
-        limit: int,
-    ) -> int:
-        """Absorb as many of ``pids[start:limit]`` as the sorting buffer
-        takes without flushing; returns the number of writes consumed (0
-        when the next write must flush first).
-
-        ``prev`` maps each position to the previous occurrence of its
-        page id (negative: none).  A repeat inside the run rewrites the
-        still-buffered version its previous occurrence added, so a run
-        ends only where the buffer must flush.  Each new page (a first
-        occurrence) takes a free unit, so the attempt reads no further
-        than ``_RUN_SLACK`` first occurrences past the free units."""
-        buffer = self.buffer
-        pages = self.pages
-        room = max(0, buffer.capacity_units - buffer.used_units) + _RUN_SLACK
-        if limit - start > room:
-            first = np.flatnonzero(prev[start:limit] < start)
-            if first.size > room:
-                limit = start + int(first[room])
-        run = pids[start:limit]
-        k0 = run.size
-        sz = np.ones(k0, dtype=np.int64) if sizes is None else sizes[start:limit]
-        prev_rel = prev[start:limit] - start
-        old_seg = pages.seg[run]
-        old_size = pages.size[run]
-        dup = prev_rel >= 0
-        if dup.any():
-            old_seg[dup] = IN_BUFFER
-            old_size[dup] = sz[prev_rel[dup]]
-        in_buf = old_seg == IN_BUFFER
-        # A rewrite of a buffered page replaces in place (net size delta,
-        # no capacity check, as in the scalar write); a new page
-        # must fit or the run ends at it (the scalar path flushes there).
-        delta = np.where(in_buf, sz - old_size, sz)
-        over = buffer.used_units + np.cumsum(delta) > buffer.capacity_units
-        viol = np.flatnonzero(over & ~in_buf)
-        k = int(viol[0]) if viol.size else k0
-        if k == 0:
-            return 0
-        if k < k0:
-            run, old_seg, old_size, in_buf, sz, delta = (
-                a[:k] for a in (run, old_seg, old_size, in_buf, sz, delta)
-            )
-
-        clock0 = self.clock
-        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
-        self.clock = clock0 + k
-        self.stats.user_writes += k
-
-        self._invalidate_run(
-            run, old_seg, old_size, clocks,
-            subtract_freq=pages.oracle_active,
-        )
-        if in_buf.any():
-            # Midpoint rule for rewrites of still-buffered pages.
-            _fold_midpoints(pages.carried_up2, run[in_buf], clocks[in_buf])
-        # A rewrite keeps its place; the new pages (first occurrences,
-        # so distinct) join the buffer in arrival order.
-        buffer.add_run(run[~in_buf], int(delta.sum()))
-        pages.seg[run] = IN_BUFFER
-        pages.size[run] = sz
-        pages.last_write[run] = clocks
-        return k
-
-    def _emit_run(self, pids: np.ndarray, stream: int, is_gc: bool) -> None:
-        """Emit a buffer drain's or a GC relocation's pages to ``stream``
-        in *stretches*: one roll through :meth:`_open_segment_for` (the
-        only roll that may clean), then every roll after it that cleans
-        nothing, planned and applied as one array step
-        (:meth:`_append_stretch`).  A GC roll never cleans, so GC
-        emission is one stretch unless the free pool runs dry; a drain's
-        stretch takes the rolls the pool covers (:meth:`_free_rolls`).
-        The pages' sizes and carried estimates are final in the page
-        table and the clock does not move, so one up-front gather stays
-        valid for the whole run.  A drain tells a stalling roll how many
-        rolls it still needs (see :meth:`_clean_until_replenished`).
-        """
-        n = pids.size
-        if n == 0:
-            return
-        segs = self.segments
-        pages = self.pages
-        sizes = pages.size[pids]
-        carried = pages.carried_up2[pids]
-        freqs = pages.oracle_freq[pids] if pages.oracle_active else None
-        cum = np.empty(n + 1, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(sizes, out=cum[1:])
-        cap = segs.capacity
-        may_clean = not is_gc and not self._cleaning
-        i = 0
-        while i < n:
-            seg = self.open_segments.get(stream)
-            if seg is None or segs.used_units[seg] + sizes[i] > cap:
-                extra = None
-                if may_clean and len(self.free_list) < self.reactive_trigger():
-                    # Rolls the rest needs over fresh segments, less this one.
-                    extra = len(_first_fit(cum, i, n, cap, cap, n)) - 2
-                seg = self._open_segment_for(stream, int(sizes[i]), is_gc, extra)
-            rolls = self._free_rolls() if may_clean else len(self.free_list)
-            bounds = _first_fit(cum, i, n, cap - int(segs.used_units[seg]), cap, rolls)
-            self._append_stretch(
-                seg, stream, bounds, cum, pids, sizes, carried, freqs, is_gc
-            )
-            i = bounds[-1]
-
-    def _free_rolls(self) -> int:
-        """Rolls a user write makes before one that may clean: while the
-        free pool is at or above :meth:`reactive_trigger` a roll cleans
-        nothing, so ``len(free_list) - trigger + 1`` of them; none while
-        a cleaning cycle is mid-flight (the first roll must drain it)."""
-        if self._clean_cursor is not None:
-            return 0
-        return len(self.free_list) - self.reactive_trigger() + 1
-
-    def _append_stretch(
-        self,
-        seg: int,
-        stream: int,
-        bounds: List[int],
-        cum: np.ndarray,
-        pids: np.ndarray,
-        sizes: np.ndarray,
-        carried: np.ndarray,
-        freqs: Optional[np.ndarray],
-        is_gc: bool,
-        tick: int = 0,
-    ) -> None:
-        """Apply one planned stretch — where every batched page, user or
-        GC, lands: a direct run's whole plan, or one stretch of
-        :meth:`_emit_run`.
-
-        ``bounds`` splits the stretch's positions by destination: the
-        open segment ``seg`` (which may take none), then one fresh
-        segment per roll, the head of the FIFO free list in the order
-        the rolls pop it.  Up to ``_STRETCH_LOOP_MAX`` destinations fill
-        one slice each; a longer stretch fills slot logs, page table and
-        counters in one scatter each and ``up2_sum`` (and, when
-        ``freqs`` is given, ``freq_sum``) in one row-wise left-to-right
-        fold.  Each roll then seals its predecessor and opens its
-        segment (:meth:`_open_fresh`), as the one-segment-at-a-time roll
-        would.  A direct run passes ``tick=1``: a roll seals at the
-        rolling write's own tick, counted from the clock at the call (a
-        drain or a relocation moves no clock).  ``carried`` holds the
-        per-position ``up2`` estimates (a page id may repeat in a user
-        run, each occurrence with its own).
-        """
-        segs = self.segments
-        pages = self.pages
-        # The rolls' segments, in the order _open_fresh will pop them.
-        dests = [seg, *itertools.islice(self.free_list, len(bounds) - 2)]
-        lo, hi = bounds[0], bounds[-1]
-        if len(dests) <= _STRETCH_LOOP_MAX:
-            # A few destinations (a small clean_step): one slice each.
-            for dest, a, b in zip(dests, bounds, bounds[1:]):
-                run = pids[a:b]
-                slot0 = int(segs.slot_count[dest])
-                segs.slot_page[dest, slot0 : slot0 + b - a] = run
-                segs.slot_size[dest, slot0 : slot0 + b - a] = sizes[a:b]
-                segs.slot_count[dest] = slot0 + b - a
-                pages.seg[run] = dest
-                pages.slot[run] = np.arange(slot0, slot0 + b - a)
-                units = int(cum[b] - cum[a])
-                segs.live_count[dest] += b - a
-                segs.live_units[dest] += units
-                segs.used_units[dest] += units
-                segs.up2_sum[dest] = _fold_add(segs.up2_sum[dest], carried[a:b])
-                if freqs is not None:
-                    segs.freq_sum[dest] = _fold_add(segs.freq_sum[dest], freqs[a:b])
-        else:
-            run = pids[lo:hi]
-            d = np.asarray(dests, dtype=np.int64)
-            b = np.asarray(bounds, dtype=np.int64)
-            counts = b[1:] - b[:-1]
-            slot0 = segs.slot_count[d]
-            dst = np.repeat(d, counts)
-            slots = np.arange(lo, hi) - np.repeat(b[:-1] - slot0, counts)
-            segs.slot_page[dst, slots] = run
-            segs.slot_size[dst, slots] = sizes[lo:hi]
-            segs.slot_count[d] = slot0 + counts
-            pages.seg[run] = dst
-            pages.slot[run] = slots
-            units = cum[b[1:]] - cum[b[:-1]]
-            segs.live_count[d] += counts
-            segs.live_units[d] += units
-            segs.used_units[d] += units
-            segs.up2_sum[d] = _fold_rows(segs.up2_sum[d], carried[lo:hi], counts)
-            if freqs is not None:
-                segs.freq_sum[d] = _fold_rows(segs.freq_sum[d], freqs[lo:hi], counts)
-        clock0 = self.clock
-        for j in range(1, len(dests)):
-            self.clock = clock0 + tick * (bounds[j] + 1)
-            self._seal(dests[j - 1])
-            self._open_fresh(stream)
-        k = hi - lo
-        if is_gc:
-            self.stats.gc_writes += k
-        else:
-            self.stats.user_device_writes += k
-
-    def _seal(self, seg: int) -> None:
-        """Close a full segment: fix its seal time and initialize its
-        update-history pair from the pages it received (Section 5.2.2,
-        "Garbage Collection Writes")."""
-        segs = self.segments
-        segs.state[seg] = SEALED
-        segs.seal_time[seg] = self.clock
-        n_written = int(segs.slot_count[seg])
-        up2 = segs.up2_sum[seg] / n_written
-        # The clock only moves forward; an averaged estimate can still
-        # exceed "now" only through float noise — clamp defensively.
-        up2 = min(up2, float(self.clock))
-        segs.up2[seg] = up2
-        # up1 assumed midway between up2 and now, matching the paper's
-        # midpoint assumption for unobserved last-update times.
-        segs.up1[seg] = up2 + 0.5 * (self.clock - up2)
-        segs.epoch[seg] += 1
-        self._sealed_dirty = True
-        obs = self.obs
-        if obs is not None:
-            obs.on_seal(seg)
-
-    def reactive_trigger(self) -> int:
-        """Free-pool level below which a user roll cleans inline: the
-        one definition a run's plan, the roll and the cleaner read."""
-        return max(self.config.clean_trigger, self.policy.min_free_target())
-
-    def _clean_until_replenished(self, extra: Optional[int] = None) -> None:
-        """A user roll's cleaning opportunity: drain an active cursor,
-        then run cleaning cycles until the free pool recovers to the
-        trigger.  A roll that finds neither returns at once and opens
-        no ``store.write_stall`` span.
-
-        ``extra`` comes from a buffer drain: the rolls it still needs
-        after this one.  Each cycle then asks the policy for enough
-        victims to restore ``trigger + extra`` free segments, so the
-        rest of the drain rolls without cleaning.  Without it (direct
-        writes, the scalar path) a cycle nets one segment.
-
-        A single cycle nets only the victims' empty fraction, which for
-        small batches (multi-log cleans one segment at a time) can be
-        less than one segment, so the loop is required.  It fails fast
-        instead of looping forever after three cycles in a row that
-        reclaim nothing (a degenerate policy), or a device's worth of
-        cycles that never raise the free room (free segments plus what
-        the open ones still take) past its best: pages too large to
-        pack, whose relocation wastes what the victims had free.
-        """
-        trigger = self.reactive_trigger()
-        if self._clean_cursor is None and len(self.free_list) >= trigger:
-            return
-        obs = self.obs
-        gc_before = self.stats.gc_writes if obs is not None else 0
-        tracer = obs.tracer if obs is not None else None
-        span = (
-            tracer.start("store.write_stall", clock=self.clock)
-            if tracer is not None
-            else None
-        )
-        try:
-            if self._clean_cursor is not None:
-                # Correctness backstop: a foreground allocation must never
-                # overtake a mid-flight incremental cycle — the segments the
-                # cycle freed at clean_begin are the headroom its own GC
-                # emission relies on.  Drain it fully before cleaning more.
-                self.clean_step(None)
-            stalled, futile, best = 0, 0, -1
-            cap, used = self.segments.capacity, self.segments.used_units
-            while len(self.free_list) < trigger:
-                room = len(self.free_list) * cap + sum(
-                    cap - int(used[seg]) for seg in self.open_segments.values()
-                )
-                best, futile = (room, 0) if room > best else (best, futile + 1)
-                deficit = 0 if extra is None else trigger + extra - len(self.free_list)
-                stalled = stalled + 1 if self.clean(deficit=deficit) == 0 else 0
-                if stalled > 2 or futile > len(used):
-                    raise OutOfSpaceError(
-                        "cleaning is not reclaiming space (policy=%s, free=%d)"
-                        % (getattr(self.policy, "name", "?"), len(self.free_list))
-                    )
-        finally:
-            if span is not None:
-                tracer.finish(span, pages=int(self.stats.gc_writes - gc_before))
-        if obs is not None:
-            stall = self.stats.gc_writes - gc_before
-            if stall:
-                # Everything relocated inside this call happened inline
-                # in a foreground write — the stall the incremental
-                # cleaner exists to bound.
-                obs.on_write_stall(stall)
-
-    # ------------------------------------------------------------------
-    # Cleaning
-    # ------------------------------------------------------------------
-
-    def clean(self, n_victims: Optional[int] = None, deficit: int = 0) -> int:
-        """Run one full cleaning cycle; returns the units of space
-        reclaimed (the victims' total available space).
-
-        Victims are chosen by the policy (``n_victims`` and ``deficit``
-        go to :meth:`~repro.policies.base.CleaningPolicy.select_victims`:
-        the batch reclaims at least ``max(1, deficit)`` segments' worth
-        of units); their live pages are staged,
-        the victims freed, and the pages relocated through the policy's
-        GC placement (which sorts / routes them by update frequency for
-        the separating policies).  Implemented as :meth:`clean_begin`
-        plus one unbounded :meth:`clean_step`, so the batch and
-        incremental paths share every line of the cycle.  A leftover
-        incremental cycle is drained first — the batch entry point
-        never overlaps two cycles.
-        """
-        if self._clean_cursor is not None:
-            self.clean_step(None)
-        cursor = self.clean_begin(n_victims, deficit)
-        self.clean_step(None)
-        return cursor.reclaimed_units
-
-    def clean_begin(
-        self,
-        n_victims: Optional[int] = None,
-        deficit: int = 0,
-        page_cap: Optional[int] = None,
-    ) -> CleanCursor:
-        """Start a cleaning cycle and pin every decision it will make.
-
-        Selects the victims (``n_victims``, ``deficit`` and ``page_cap``
-        go to :meth:`~repro.policies.base.CleaningPolicy.select_victims`;
-        the incremental cleaner passes its step's remaining budget as
-        ``page_cap``) and validates them, records the cycle's
-        statistics, stages the victims' live pages (marking them
-        ``IN_RELOCATION``), computes the policy's GC placement order,
-        and frees the victims — but relocates nothing.  The returned
-        :class:`CleanCursor` (also held by the store) is driven by
-        :meth:`clean_step`; ``clean_begin`` followed by one unbounded
-        step is byte-identical to the historical batch ``clean()``.
-
-        Raises :class:`StoreError` if a cycle is already mid-flight
-        (drain it with ``clean_step(None)`` first) and
-        :class:`OutOfSpaceError` if there is nothing to clean.
-        """
-        if self._clean_cursor is not None:
-            raise StoreError(
-                "an incremental cleaning cycle is already active "
-                "(%d pages pending)" % self._clean_cursor.remaining
-            )
-        segs = self.segments
-        pages = self.pages
-        obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        span = (
-            tracer.start("store.clean_begin", clock=self.clock)
-            if tracer is not None
-            else None
-        )
-        self._cleaning = True
-        try:
-            candidates = self.sealed_segments()
-            if candidates.size == 0:
-                raise OutOfSpaceError("nothing to clean: no sealed segments")
-            victims = self.policy.select_victims(
-                candidates, n_victims, deficit, page_cap=page_cap
-            )
-            if not victims:
-                raise OutOfSpaceError("policy selected no victims")
-            stats = self.stats
-            v_arr = np.asarray(victims, dtype=np.int64)
-            not_sealed = segs.state[v_arr] != SEALED
-            if not_sealed.any():
-                victim = int(v_arr[np.argmax(not_sealed)])
-                raise OutOfSpaceError(
-                    "policy selected non-sealed victim %d (%s)"
-                    % (victim, segs.state_name(victim))
-                )
-            # Plain ints from here on, whatever the policy's list held.
-            victims = v_arr.tolist()
-            if obs is not None:
-                # The decision record needs the victims' ranking columns,
-                # which segs.reset() below wipes — capture them now.
-                obs.on_victims(candidates, v_arr)
-            stats.segments_cleaned += len(victims)
-            avail = segs.capacity - segs.live_units[v_arr]
-            emptiness = avail / float(segs.capacity)
-            stats.cleaned_emptiness_sum = _fold_add(
-                stats.cleaned_emptiness_sum, emptiness
-            )
-            # Victims in selection order, slots in slot order — the
-            # relocation order the scalar path produces.
-            moved_arr, src_arr = segs.live_slots(v_arr, pages)
-            # GC'd pages carry their source segment's up2
-            # (Section 5.2.2, "Garbage Collection Writes").
-            if moved_arr.size:
-                pages.carried_up2[moved_arr] = segs.up2[src_arr]
-            if FAILPOINTS.active:
-                failpoint(
-                    "store.clean.pre_relocate",
-                    victims=victims,
-                    moved=moved_arr.tolist(),
-                )
-            # The placement order is pinned here, against the policy
-            # state of this instant — preemption points between the
-            # coming steps cannot change it.
-            p_arr, s_arr = self.policy.place_gc_batch(moved_arr, src_arr)
-            segs.reset(v_arr)
-            self.free_list.extend(victims)
-            self._sealed_dirty = True
-            sizes = pages.size[p_arr]
-            if p_arr.size:
-                pages.seg[p_arr] = IN_RELOCATION
-            cursor = CleanCursor(
-                victims=victims,
-                pending=p_arr,
-                streams=s_arr,
-                sizes=sizes,
-                reclaimed_units=int(avail.sum()),
-                emptiness=emptiness,
-            )
-            self._clean_cursor = cursor
-            if span is not None:
-                span.attrs["victims"] = len(victims)
-                span.attrs["staged_pages"] = int(p_arr.size)
-            return cursor
-        finally:
-            self._cleaning = False
-            if span is not None:
-                tracer.finish(span)
-
-    def clean_step(self, max_pages: Optional[int] = None) -> int:
-        """Relocate up to ``max_pages`` staged pages of the active cycle
-        (all of them when None); returns the pages actually re-emitted.
-
-        Completing the last position closes the cycle — ``clean_cycles``
-        and the ``on_clean`` hook fire exactly as the batch path's would.
-        Staged pages whose current version moved on (a foreground write
-        or trim between steps) are skipped, and their space is credited
-        to ``cleaned_emptiness_sum``: the copy became garbage before its
-        move, so counting it as reclaimed-empty keeps the exact
-        Equation 2 identity ``gc_writes == B * (segments_cleaned -
-        cleaned_emptiness_sum)`` intact.  Returns 0 when no cycle is
-        active.
-        """
-        cur = self._clean_cursor
-        if cur is None:
-            return 0
-        if cur.pos >= cur.pending.size:
-            # Nothing was staged (all-empty victims): close immediately.
-            self._finish_clean(cur)
-            return 0
-        budget = cur.remaining if max_pages is None else int(max_pages)
-        if budget <= 0:
-            return 0
-        pages = self.pages
-        segs = self.segments
-        n = cur.pending.size
-        relocated = 0
-        skipped_before = cur.skipped
-        obs_t = self.obs
-        tracer = obs_t.tracer if obs_t is not None else None
-        span = (
-            tracer.start("store.clean_step", clock=self.clock, budget=int(budget))
-            if tracer is not None
-            else None
-        )
-        self._cleaning = True
-        try:
-            if FAILPOINTS.active:
-                failpoint(
-                    "store.clean.step",
-                    pos=cur.pos,
-                    remaining=cur.remaining,
-                    budget=budget,
-                )
-            while cur.pos < n and relocated < budget:
-                start = cur.pos
-                if cur.streams is None:
-                    stream = GC_STREAM
-                    stop = n
-                else:
-                    stream = int(cur.streams[start])
-                    later = np.flatnonzero(cur.streams[start:] != stream)
-                    stop = start + int(later[0]) if later.size else n
-                stop = min(stop, start + (budget - relocated))
-                chunk = cur.pending[start:stop]
-                still = pages.seg[chunk] == IN_RELOCATION
-                if still.all():
-                    live_chunk = chunk
-                else:
-                    live_chunk = chunk[still]
-                    dead_sizes = cur.sizes[start:stop][~still]
-                    self.stats.cleaned_emptiness_sum = _fold_add(
-                        self.stats.cleaned_emptiness_sum,
-                        dead_sizes / float(segs.capacity),
-                    )
-                    cur.skipped += int(dead_sizes.size)
-                if live_chunk.size:
-                    self._emit_run(live_chunk, stream, is_gc=True)
-                    relocated += int(live_chunk.size)
-                cur.pos = stop
-            cur.relocated += relocated
-        finally:
-            self._cleaning = False
-            if span is not None:
-                tracer.finish(
-                    span,
-                    relocated=int(relocated),
-                    skipped=int(cur.skipped - skipped_before),
-                    remaining=int(cur.remaining),
-                )
-        obs = self.obs
-        if obs is not None:
-            obs.on_clean_step(
-                relocated, cur.skipped - skipped_before, cur.remaining
-            )
-        if cur.pos >= n:
-            self._finish_clean(cur)
-        return relocated
-
-    def _finish_clean(self, cur: CleanCursor) -> None:
-        """Close a drained cycle: counters, hook, cursor teardown."""
-        self.stats.clean_cycles += 1
-        self._clean_cursor = None
-        obs = self.obs
-        if obs is not None:
-            obs.on_clean(
-                cur.victims,
-                cur.relocated,
-                cur.reclaimed_units,
-                cur.emptiness,
-            )
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests; cheap enough for debugging runs)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.obs import StoreObserver
 from repro.policies import make_policy
-from repro.store import LogStructuredStore, StoreConfig, log_store
+from repro.store import LogStructuredStore, StoreConfig, cycle
 from repro.testkit.failpoints import FAILPOINTS
 
 CONFIG = dict(
@@ -119,15 +119,16 @@ class TestRankOnce:
 class TestFailpointContext:
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Calls reaching the ``failpoint`` name ``log_store`` imported."""
+        """Calls reaching the ``failpoint`` name the cleaning cycle's
+        module imported."""
         calls = []
-        real = log_store.failpoint
+        real = cycle.failpoint
 
         def failpoint(name, **ctx):
             calls.append((name, ctx))
             real(name, **ctx)
 
-        monkeypatch.setattr(log_store, "failpoint", failpoint)
+        monkeypatch.setattr(cycle, "failpoint", failpoint)
         return calls
 
     def test_a_quiet_registry_is_never_reached(self, spy):
