@@ -74,6 +74,7 @@ _LOAD_CHUNK = 1 << 14
 #: planned, however few writes either ends up taking).
 _RUN_WINDOW = 1 << 12
 
+
 class LogStructuredStore(WritePath, CleaningCycle):
     """A simulated log-structured store with a pluggable cleaning policy.
 

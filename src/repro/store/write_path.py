@@ -306,7 +306,7 @@ class WritePath:
         # The plan cut at k: the destinations that fill before position k.
         bounds = [b for b in bounds if b < k] + [k]
         self._append_stretch(
-            seg0, stream, bounds, cum, run, sz, carried, None, False, 1
+            seg0, stream, bounds, cum, run, sz, carried, None, is_gc=False, tick=1
         )
         self.clock = clock0 + k
         if pages.oracle_active:
