@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import sorter
-from repro.core.priority import mdc_decline, mdc_decline_exact
+from repro.core.priority import mdc_decline_exact
 from repro.policies.base import CleaningPolicy
 
 #: Accepted values for the ``estimator`` argument.
@@ -76,6 +76,7 @@ class MdcPolicy(CleaningPolicy):
         # (freq_sum replaces the clock-anchored estimator), so its
         # priorities are cacheable per segment epoch.
         self.clock_dependent_rank = estimator != ESTIMATOR_EXACT
+        self._factors: Optional[np.ndarray] = None
         self.name = self._derive_name()
 
     def _derive_name(self) -> str:
@@ -111,21 +112,57 @@ class MdcPolicy(CleaningPolicy):
     ) -> Tuple[np.ndarray, None]:
         if self.separate_gc and len(page_ids) > 1:
             # Coldest first, ties in collection order.
-            order = np.argsort(self._keys(page_ids), kind="stable")
+            order = self._keys(page_ids).argsort(kind="stable")
             page_ids = page_ids[order]
         return page_ids, None
 
     # -- victim selection ------------------------------------------------
 
     def rank_columns(self, segs, ids: np.ndarray) -> np.ndarray:
-        capacity = segs.capacity
-        avail = capacity - segs.live_units[ids]
-        count = segs.live_count[ids]
+        """:func:`~repro.core.priority.mdc_decline` (``-opt``:
+        :func:`~repro.core.priority.mdc_decline_exact`), bit for bit.
+
+        The clock-anchored form runs once per cleaning cycle over every
+        sealed segment, so its clock-free factor is cached:
+        ``((B - A) / A)**2`` depends only on the live units ``B - A``, an
+        integer in ``[0, B]``, so :meth:`_decline_factors` holds it for
+        every value, with both edges folded in.  A ranking is then one
+        gather of that factor, ``max(u_now - up2, 1)`` and one
+        multiply-divide, in the order ``mdc_decline`` takes them.
+        """
         if self.estimator == ESTIMATOR_EXACT:
+            capacity = segs.capacity
+            avail = capacity - segs.live_units[ids]
+            count = segs.live_count[ids]
             return mdc_decline_exact(avail, count, capacity, segs.freq_sum[ids])
         anchor = segs.up1 if self.estimator == ESTIMATOR_UP1 else segs.up2
-        age_since_update = self.store.clock - anchor[ids]
-        return mdc_decline(avail, count, capacity, age_since_update)
+        factors = self._decline_factors(segs.capacity)
+        age = self.store.clock - anchor[ids]
+        np.maximum(age, 1.0, out=age)
+        age *= segs.live_count[ids]
+        return np.divide(factors[segs.live_units[ids]], age, out=age)
+
+    def _decline_factors(self, capacity: int) -> np.ndarray:
+        """``((B - A) / A)**2`` per live-unit count ``B - A`` in
+        ``[0, B]``: ``mdc_decline``'s ratio, squared by the same IEEE
+        operations (``B - A`` in floats is the live units exactly).
+
+        The edges are the factor's own.  At ``B - A == B`` (``A == 0``)
+        it is ``+inf``, and ``+inf / (C * age)`` is ``+inf`` for the
+        ``C >= 1`` live pages such a segment holds.  At ``B - A == 0``
+        it is ``-inf``: a page takes at least one unit, so no live units
+        means ``C == 0``, and ``-inf / (0 * age)`` is ``-inf`` without a
+        floating-point flag (``age`` is finite: ``up1`` / ``up2`` are
+        clock values and their averages)."""
+        factors = self._factors
+        if factors is None or factors.size != capacity + 1:
+            live = np.arange(capacity + 1)
+            with np.errstate(divide="ignore"):
+                ratio = live / (capacity - live)
+            factors = ratio * ratio
+            factors[0] = -np.inf
+            self._factors = factors
+        return factors
 
     def decision_columns(self, segs, ids: np.ndarray) -> dict:
         columns = super().decision_columns(segs, ids)
@@ -134,9 +171,10 @@ class MdcPolicy(CleaningPolicy):
         columns["decline"] = columns["score"]
         if self.estimator == ESTIMATOR_EXACT:
             columns["freq_sum"] = segs.freq_sum[ids].copy()
+        elif self.estimator == ESTIMATOR_UP1:
+            columns["age_since_update"] = self.store.clock - segs.up1[ids]
         else:
-            anchor = segs.up1 if self.estimator == ESTIMATOR_UP1 else segs.up2
-            columns["age_since_update"] = self.store.clock - anchor[ids]
+            columns["age_since_update"] = self.store.clock - columns["up2"]
         return columns
 
     def describe(self) -> str:

@@ -31,7 +31,7 @@ re-scored.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,35 @@ from repro.store.segments import SegmentTable
 #: Candidate-count multiple above which ``select_victims`` switches from
 #: a full sort to an ``np.partition`` cut of the needed prefix.
 _PARTITION_FACTOR = 4
-#: Extra order entries taken beyond the requested batch, per segment of
-#: reclaim target, covering the extension to that target and skipped
-#: zero-avail segments before the full sort fallback kicks in.
-_ORDER_SLACK = 16
+#: Fewest candidates at which the partition cut beats the full stable
+#: sort: its five numpy calls against one ``argsort``.  Measured on a
+#: 2-CPU x86 box, best of 5 x 200 warm calls with a prefix of 24-72:
+#: the sort wins up to 384 candidates (9.3 against 11.1 us), they meet
+#: at 448-512 (11-13 us), and the cut wins from 640 (12.0 against 14.2
+#: us at 640, 12.7 against 17.6 at 768).  Timed inside the drive of
+#: ``benchmarks/micro_clean_cycle.py`` the two read the same at ~514
+#: candidates (median 36.8 against 35.6 us), and on a shard of twice the
+#: segments the cut wins 2x (43 against 86 us).
+_PARTITION_MIN = 512
+#: Order entries a selection asks for, per batch slot plus segment of
+#: reclaim target: a batch that reclaims a quarter segment per victim
+#: fits before the full sort fallback.  Stack-benchmark runs at seed 0,
+#: ``--seconds 4``, took at most 0.9x that sum on ``svc-ingest-zipf``,
+#: 2.0x on ``sim-mdc-zipf`` and 3.6x on ``svc-clean-uniform`` (a drain
+#: at fill 0.9, no page cap).
+_ORDER_SLACK = 4
+
+
+class _Selection(NamedTuple):
+    """What :meth:`CleaningPolicy.select_victims` last took: the victims,
+    the clock and their epochs when it took them, and the priorities it
+    ranked by with each victim's index into them."""
+
+    victims: List[int]
+    clock: int
+    epochs: List[int]
+    priorities: np.ndarray
+    positions: List[int]
 
 
 class CleaningPolicy(abc.ABC):
@@ -73,9 +98,8 @@ class CleaningPolicy(abc.ABC):
         self.store: Optional[LogStructuredStore] = None
         self._prio_cache: Optional[np.ndarray] = None
         self._prio_epoch: Optional[np.ndarray] = None
-        #: What the last selection took and the priorities it took them
-        #: by: ``(victim ids, scores, store clock, victim epochs)``.
-        self._chosen: tuple = (None, None, None, None)
+        #: What the last selection took, and what it read of it.
+        self._chosen: Optional[_Selection] = None
 
     def bind(self, store: LogStructuredStore) -> None:
         """Called once by the store's constructor."""
@@ -161,17 +185,21 @@ class CleaningPolicy(abc.ABC):
         specific to their formula (MDC's decline estimate, cost-benefit's
         age, multi-log's class, ...).
 
-        The score of a batch :meth:`select_victims` just took is the one
-        it was ranked by (elementwise float ops are position-independent,
-        so it equals a re-evaluation bit for bit); any other ``ids``, a
-        moved clock or a changed segment is ranked afresh.
+        The score of the batch :meth:`select_victims` just took is the
+        one it was ranked by, taken from the priorities the selection
+        kept (elementwise float ops are position-independent, so it
+        equals a re-evaluation bit for bit); any other ``ids``, a moved
+        clock or a changed segment is ranked afresh.
         """
-        victims, score, clock, epochs = self._chosen
-        if not (
-            clock == self.store.clock
-            and victims == ids.tolist()
-            and epochs == segs.epoch[ids].tolist()
+        chosen = self._chosen
+        if (
+            chosen is not None
+            and chosen.clock == self.store.clock
+            and chosen.victims == ids.tolist()
+            and chosen.epochs == segs.epoch[ids].tolist()
         ):
+            score = chosen.priorities.take(chosen.positions)
+        else:
             score = np.asarray(self.rank_columns(segs, ids), dtype=float)
         return {
             "A": (segs.capacity - segs.live_units[ids]).astype(np.float64),
@@ -236,14 +264,14 @@ class CleaningPolicy(abc.ABC):
             return []
         need = max(1, deficit) * store.segments.capacity
         priorities = self._ranked_priorities(ids)
-        order = _ascending_prefix(priorities, n + _ORDER_SLACK * max(1, deficit))
+        order = _ascending_prefix(priorities, _ORDER_SLACK * (n + max(1, deficit)))
         victims, done = self._take_victims(
             ids, order, priorities, n, need, page_cap
         )
         if order.size < ids.size and not done:
             # The partial order ran out before the batch was satisfied;
             # only the full sort can tell whether more is reclaimable.
-            order = np.argsort(priorities, kind="stable")
+            order = priorities.argsort(kind="stable")
             victims, done = self._take_victims(
                 ids, order, priorities, n, need, page_cap
             )
@@ -259,39 +287,55 @@ class CleaningPolicy(abc.ABC):
         page_cap: Optional[int],
     ) -> Tuple[List[int], bool]:
         """The victims ``order`` yields, and whether the batch was
-        complete before the order ran out; the chosen ids leave with the
-        priorities they were ranked by (see :meth:`decision_columns`)."""
-        segs = self.store.segments
-        ranked = ids[order]
-        avails = (segs.capacity - segs.live_units[ranked]).tolist()
-        lives = segs.live_count[ranked].tolist()
-        keep: List[int] = []
+        complete before the order ran out.
+
+        The walk reads ``order`` in stretches that double, the first
+        as long as the batch size plus the reclaim target in segments (a
+        batch that reclaims a whole segment per victim ends inside it);
+        each stretch's columns are gathered once and walked as lists.
+        The victims' epochs, and where their priorities sit, are kept
+        for :meth:`decision_columns`."""
+        store = self.store
+        segs = store.segments
+        capacity = segs.capacity
+        victims: List[int] = []
+        epochs: List[int] = []
+        positions: List[int] = []
         reclaim = live = 0
         done = False
-        for i, avail in enumerate(avails):
-            if avail > 0:
-                live += lives[i]
+        start, stop = 0, n + need // capacity
+        while start < order.size and not done:
+            stretch = order[start:stop]
+            ranked = ids[stretch]
+            for pos, seg, used, count, epoch in zip(
+                stretch.tolist(),
+                ranked.tolist(),
+                segs.live_units[ranked].tolist(),
+                segs.live_count[ranked].tolist(),
+                segs.epoch[ranked].tolist(),
+            ):
+                avail = capacity - used
+                if avail <= 0:
+                    continue
+                live += count
                 # Past the batch size, stop before a victim whose live
                 # pages would lift the batch over the cap.
-                if page_cap is not None and len(keep) >= n and live > page_cap:
+                if page_cap is not None and len(victims) >= n and live > page_cap:
                     done = True
                     break
-                keep.append(i)
+                victims.append(seg)
+                epochs.append(epoch)
+                positions.append(pos)
                 reclaim += avail
                 # Stop after the earliest prefix that satisfies both the
                 # batch size and the reclaim target; take everything
                 # when the order runs out first.
-                if len(keep) >= n and reclaim >= need:
+                if len(victims) >= n and reclaim >= need:
                     done = True
                     break
-        chosen = ranked[keep]
-        self._chosen = (
-            chosen.tolist(),
-            priorities[order[keep]],
-            self.store.clock,
-            segs.epoch[chosen].tolist(),
-        )
-        return chosen.tolist(), done
+            start, stop = stop, 3 * stop - start
+        self._chosen = _Selection(victims, store.clock, epochs, priorities, positions)
+        return victims, done
 
     # -- persistence ------------------------------------------------------
 
@@ -325,5 +369,8 @@ class CleaningPolicy(abc.ABC):
 def _ascending_prefix(priorities: np.ndarray, need: int) -> np.ndarray:
     """The first ``>= need`` entries of ``argsort(priorities, stable)``
     without sorting everything — the victim-scoring selection, from
-    :mod:`repro.store.kernels`."""
+    :mod:`repro.store.kernels` — or all of it, below ``_PARTITION_MIN``
+    candidates."""
+    if priorities.size < _PARTITION_MIN:
+        return priorities.argsort(kind="stable")
     return ascending_prefix(priorities, need, _PARTITION_FACTOR)

@@ -189,7 +189,7 @@ class CleaningCycle:
             stats = self.stats
             v_arr = np.asarray(victims, dtype=np.int64)
             not_sealed = segs.state[v_arr] != SEALED
-            if not_sealed.any():
+            if np.count_nonzero(not_sealed):
                 victim = int(v_arr[np.argmax(not_sealed)])
                 raise OutOfSpaceError(
                     "policy selected non-sealed victim %d (%s)"
@@ -305,7 +305,7 @@ class CleaningCycle:
                 stop = min(stop, start + (budget - relocated))
                 chunk = cur.pending[start:stop]
                 still = pages.seg[chunk] == IN_RELOCATION
-                if still.all():
+                if np.count_nonzero(still) == still.size:
                     live_chunk = chunk
                 else:
                     live_chunk = chunk[still]

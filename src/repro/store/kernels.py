@@ -186,11 +186,13 @@ def ascending_prefix(
     the full stable sort.
     """
     if need * partition_factor >= priorities.size:
-        return np.argsort(priorities, kind="stable")
+        return priorities.argsort(kind="stable")
     cut = np.partition(priorities, need - 1)[need - 1]
     if cut != cut:
         # A NaN (they partition last) landed in the selected prefix, so
         # the cut is undefined.
-        return np.argsort(priorities, kind="stable")
-    eligible = np.flatnonzero(priorities <= cut)
-    return eligible[np.argsort(priorities[eligible], kind="stable")]
+        return priorities.argsort(kind="stable")
+    # Method calls, not the np.* wrappers: this runs once per cleaning
+    # cycle, where each wrapper's dispatch costs more than the work.
+    eligible = (priorities <= cut).nonzero()[0]
+    return eligible[priorities[eligible].argsort(kind="stable")]

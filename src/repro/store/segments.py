@@ -199,21 +199,22 @@ class SegmentTable:
         ``(pids, owners)`` in (given segment order, slot order) — what a
         cleaning cycle stages, in its relocation order.
 
-        One pass over the segments' 2-D slot block: a slot is live iff
-        ``pages`` (the :class:`~repro.store.pagetable.PageTable`) still
-        maps its page id to that very ``(segment, slot)``; slots past a
-        segment's ``slot_count`` hold ids from an earlier life and never
-        count.  No Python loop over segments or slots.
+        One pass over the segments' rows of the slot block: a slot is
+        live iff ``pages`` (the
+        :class:`~repro.store.pagetable.PageTable`) still maps its page id
+        to that very ``(segment, slot)``; slots past a segment's
+        ``slot_count`` hold ids from an earlier life and never count.
+        The rows are read whole: cutting them to the longest slot log
+        first costs two numpy calls more than the few slots it saves.
+        No Python loop over segments or slots.
         """
-        counts = self.slot_count[segs]
-        width = int(counts.max()) if counts.size else 0
-        cols = np.arange(width)
-        rows = self.slot_page.take(segs, axis=0)[:, :width]
+        cols = np.arange(self.capacity)
+        rows = self.slot_page.take(segs, axis=0)
         owner = pages.seg[rows]
         live = (
             (owner == segs[:, None])
             & (pages.slot[rows] == cols)
-            & (cols < counts[:, None])
+            & (cols < self.slot_count[segs][:, None])
         )
         return rows[live], owner[live]
 
