@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -132,21 +132,6 @@ class Histogram:
         self.count += 1
         if value > self.max_observed:
             self.max_observed = value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        """:meth:`observe` each value in turn, in one call: ``total``
-        folds them in the same order."""
-        edges, counts = self.edges, self.bucket_counts
-        total, top, seen = self.total, self.max_observed, 0
-        for value in values:
-            value = float(value)
-            counts[bisect_left(edges, value)] += 1
-            total += value
-            seen += 1
-            if value > top:
-                top = value
-        self.total, self.max_observed = total, top
-        self.count += seen
 
     @property
     def mean(self) -> float:

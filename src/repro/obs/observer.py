@@ -231,7 +231,9 @@ class StoreObserver:
         self._cycles.value += 1
         self._relocated.inc(int(moved))
         self._reclaimed.inc(int(reclaimed_units))
-        self._emptiness.observe_many(np.asarray(emptiness).tolist())
+        observe = self._emptiness.observe
+        for e in np.asarray(emptiness).tolist():
+            observe(e)
         self._free.value = float(self.store.free_segment_count)
         self.bus.emit(
             ev.CLEAN_CYCLE,

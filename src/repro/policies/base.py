@@ -40,18 +40,14 @@ from repro.store.log_store import LogStructuredStore
 from repro.store.segments import SegmentTable
 
 #: Candidate-count multiple above which ``select_victims`` switches from
-#: a full sort to an ``np.partition`` cut of the needed prefix.
+#: a full sort to an ``np.partition`` cut of the needed prefix.  The cut
+#: (five numpy calls) beats one stable ``argsort`` from about 512
+#: candidates: on a 2-CPU x86 box, best of 5 x 200 warm calls with a
+#: prefix of 24-72, the sort wins up to 384 (9.3 against 11.1 us), the
+#: two meet at 448-512 (11-13 us) and the cut wins from 640 (12.0
+#: against 14.2 us; 12.7 against 17.6 at 768).  Below that size the cut
+#: loses at most ~2 us a cycle, so no second threshold is kept.
 _PARTITION_FACTOR = 4
-#: Fewest candidates at which the partition cut beats the full stable
-#: sort: its five numpy calls against one ``argsort``.  Measured on a
-#: 2-CPU x86 box, best of 5 x 200 warm calls with a prefix of 24-72:
-#: the sort wins up to 384 candidates (9.3 against 11.1 us), they meet
-#: at 448-512 (11-13 us), and the cut wins from 640 (12.0 against 14.2
-#: us at 640, 12.7 against 17.6 at 768).  Timed inside the drive of
-#: ``benchmarks/micro_clean_cycle.py`` the two read the same at ~514
-#: candidates (median 36.8 against 35.6 us), and on a shard of twice the
-#: segments the cut wins 2x (43 against 86 us).
-_PARTITION_MIN = 512
 #: Order entries a selection asks for, per batch slot plus segment of
 #: reclaim target: a batch that reclaims a quarter segment per victim
 #: fits before the full sort fallback.  Stack-benchmark runs at seed 0,
@@ -333,7 +329,7 @@ class CleaningPolicy(abc.ABC):
                 if len(victims) >= n and reclaim >= need:
                     done = True
                     break
-            start, stop = stop, 3 * stop - start
+            start, stop = stop, 3 * stop - 2 * start
         self._chosen = _Selection(victims, store.clock, epochs, priorities, positions)
         return victims, done
 
@@ -369,8 +365,5 @@ class CleaningPolicy(abc.ABC):
 def _ascending_prefix(priorities: np.ndarray, need: int) -> np.ndarray:
     """The first ``>= need`` entries of ``argsort(priorities, stable)``
     without sorting everything — the victim-scoring selection, from
-    :mod:`repro.store.kernels` — or all of it, below ``_PARTITION_MIN``
-    candidates."""
-    if priorities.size < _PARTITION_MIN:
-        return priorities.argsort(kind="stable")
+    :mod:`repro.store.kernels`."""
     return ascending_prefix(priorities, need, _PARTITION_FACTOR)
