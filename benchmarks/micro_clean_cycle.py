@@ -1,23 +1,34 @@
-"""A cleaning cycle's fixed cost, timed as a run makes it.
+"""A cleaning cycle's and a buffered run's fixed cost, timed as a run
+makes them.
 
 Builds one shard at ``svc-ingest-zipf``'s geometry (the stack
 benchmark's most-loaded shard: 525 segments of 32 units, fill 0.55,
 4,620 keys of 1-96 byte values at 32 bytes a unit, MDC, the sorting
 buffer :func:`repro.service.pool.with_sort_buffer` gives it) behind the
 service's cleaning governor and observer, drives Zipf(0.99) puts
-through it in flush-sized batches, and times every ``select_victims``,
-``clean_begin`` and ``clean_step`` call the run makes.  It prints
-q1 / median / q3 per call, in microseconds of this machine.
+through it in flush-sized batches, and times every ``write_batch``,
+``_invalidate_run`` (the run engine's invalidation, inside
+``write_batch``), ``select_victims``, ``clean_begin`` and
+``clean_step`` call the run makes.  It prints q1 / median / q3 per
+call, in microseconds of this machine.
 
-The run is then made again from the same seed with every selection
-checked against a reference built from a full stable ``argsort`` of
-:meth:`~repro.policies.base.CleaningPolicy.rank_columns` and the batch
-rule of ``select_victims`` written out per segment, so the timed run
-carries no check.  The script exits 1 if any selection differs from its
-reference, or from the timed run's; it gates no time and writes no
-file.
+The run is then made twice more from the same seed, so the timed run
+carries no check:
 
-    python3 benchmarks/micro_clean_cycle.py                 # 300,000 puts, ~5 s
+* with every selection checked against a reference built from a full
+  stable ``argsort`` of
+  :meth:`~repro.policies.base.CleaningPolicy.rank_columns` and the batch
+  rule of ``select_victims`` written out per segment;
+* with every ``write_batch`` of the drive replayed through the scalar
+  :meth:`~repro.store.LogStructuredStore.write`, one page at a time,
+  whose final :func:`~repro.testkit.trace.state_digest` must equal the
+  timed run's.
+
+The script exits 1 if any selection differs from its reference or from
+the timed run's, or if the scalar replay ends in another state; it
+gates no time and writes no file.
+
+    python3 benchmarks/micro_clean_cycle.py                 # 300,000 puts, ~9 s
     python3 benchmarks/micro_clean_cycle.py --ops 20000 --seed 3
 
 The program measured is ``src/repro`` of the same checkout.
@@ -38,6 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.obs import StoreObserver  # noqa: E402
 from repro.service.pool import StorePool  # noqa: E402
 from repro.store import StoreConfig  # noqa: E402
+from repro.testkit.trace import state_digest  # noqa: E402
 
 CONFIG = StoreConfig(n_segments=525, segment_units=32, fill_factor=0.55)
 KEYS = 4620
@@ -81,6 +93,8 @@ class Timers:
 
     def __init__(self) -> None:
         self.us: Dict[str, List[float]] = {
+            "write_batch": [],
+            "_invalidate_run": [],
             "select_victims": [],
             "clean_begin": [],
             "clean_step": [],
@@ -88,6 +102,8 @@ class Timers:
         self.selections: List[List[int]] = []
 
     def install(self, store) -> None:
+        self.time(store, "write_batch")
+        self.time(store, "_invalidate_run")
         self.time(store.policy, "select_victims")
         self.time(store, "clean_begin")
         self.time(store, "clean_step")
@@ -130,6 +146,20 @@ class Checks:
         policy.select_victims = checked
 
 
+class ScalarWrites:
+    """A ``write_batch`` replacement that feeds each page through the
+    scalar ``write``, the write engine's reference."""
+
+    def install(self, store) -> None:
+        write = store.write
+
+        def scalar(page_ids, sizes=None):
+            for i, pid in enumerate(page_ids.tolist()):
+                write(pid, 1 if sizes is None else int(sizes[i]))
+
+        store.write_batch = scalar
+
+
 def zipf_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` keys, P(rank r) ~ 1/(r+1)**THETA, ranks scattered over
     the key space by a permutation."""
@@ -139,9 +169,9 @@ def zipf_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.permutation(KEYS)[ranks]
 
 
-def run(ops: int, seed: int, probe) -> None:
+def run(ops: int, seed: int, probe):
     """Drive one shard with ``ops`` puts from ``seed``, ``probe``
-    installed on its store."""
+    installed on its store; returns the store."""
     rng = np.random.default_rng(seed)
     pool = StorePool(1, CONFIG, policy="mdc", unit_bytes=UNIT_BYTES)
     kv = pool[0]
@@ -164,6 +194,7 @@ def run(ops: int, seed: int, probe) -> None:
     finally:
         gc.enable()
     kv.store.check_invariants()
+    return kv.store
 
 
 def quartiles(values: List[float]) -> str:
@@ -179,8 +210,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     timers, checks = Timers(), Checks()
-    run(args.ops, args.seed, timers)
+    timed = state_digest(run(args.ops, args.seed, timers))
     run(args.ops, args.seed, checks)
+    scalar = state_digest(run(args.ops, args.seed, ScalarWrites()))
     print(
         "one svc-ingest-zipf shard (%d segments x %d units, fill %.2f, mdc), "
         "seed %d, %d puts" % (
@@ -201,7 +233,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "are the same" if same else "DIFFER",
         )
     )
-    return 1 if checks.mismatches or not same else 0
+    print(
+        "scalar write reference: final state %s"
+        % ("the same" if scalar == timed else "DIFFERS")
+    )
+    return 1 if checks.mismatches or not same or scalar != timed else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""The store's three serial kernels, in plain numpy/python.
+"""The store's five serial kernels, in plain numpy/python.
 
 The vectorized write engine spends most of its non-numpy time in two
 places: *run folding* (``prev_occurrence`` — mapping each write in a
@@ -52,13 +52,14 @@ def kernel_info() -> dict:
 def prev_occurrence(pids: np.ndarray) -> np.ndarray:
     """For each batch position, the previous position holding the same
     page id (-1 if none).  One stable argsort for the whole batch."""
-    n = pids.size
-    prev = np.full(n, -1, dtype=np.int64)
-    if n > 1:
-        order = np.argsort(pids, kind="stable")
-        sorted_pids = pids[order]
-        idx = np.flatnonzero(sorted_pids[1:] == sorted_pids[:-1]) + 1
-        prev[order[idx]] = order[idx - 1]
+    prev = np.empty(pids.size, dtype=np.int64)
+    prev.fill(-1)
+    # Method calls, not the np.* wrappers: this runs once per batch,
+    # where each wrapper's dispatch costs more than the work.
+    order = pids.argsort(kind="stable")
+    sorted_pids = pids[order]
+    rep = (sorted_pids[1:] == sorted_pids[:-1]).nonzero()[0]
+    prev[order[rep + 1]] = order[rep]
     return prev
 
 
@@ -76,7 +77,7 @@ def fold_add(current: float, values: np.ndarray) -> float:
     tmp = np.empty(n + 1, dtype=np.float64)
     tmp[0] = current
     tmp[1:] = values
-    return float(np.cumsum(tmp)[-1])
+    return float(tmp.cumsum()[-1])
 
 
 def fold_rows(
@@ -104,11 +105,11 @@ def fold_rows(
     rows = counts.size
     grid = np.zeros((rows, int(counts.max()) + 1), dtype=np.float64)
     grid[:, 0] = current
-    starts = np.cumsum(counts) - counts
-    row = np.repeat(np.arange(rows), counts)
-    col = np.arange(1, values.size + 1) - np.repeat(starts, counts)
+    starts = counts.cumsum() - counts
+    row = np.arange(rows).repeat(counts)
+    col = np.arange(1, values.size + 1) - starts.repeat(counts)
     grid[row, col] = values
-    np.cumsum(grid, axis=1, out=grid)
+    grid.cumsum(axis=1, out=grid)
     return grid[np.arange(rows), counts]
 
 
@@ -136,13 +137,13 @@ def fold_midpoints(
                 vals[pid] = c + 0.5 * (clk - c)
         carried[list(vals)] = list(vals.values())
         return
-    order = np.argsort(pids, kind="stable")
+    order = pids.argsort(kind="stable")
     sp = pids[order]
-    ends = np.append(np.flatnonzero(sp[1:] != sp[:-1]) + 1, n)
-    starts = np.append(0, ends[:-1])
-    sizes = ends - starts
+    edges = np.concatenate(([0], (sp[1:] != sp[:-1]).nonzero()[0] + 1, [n]))
+    starts = edges[:-1]
+    sizes = edges[1:] - starts
     # Most occurrences first, so the pages with an r-th one are a prefix.
-    most = np.argsort(-sizes, kind="stable")
+    most = (-sizes).argsort(kind="stable")
     starts = starts[most]
     sizes = sizes[most]
     upids = sp[starts]
@@ -152,7 +153,7 @@ def fold_midpoints(
     ranks = 0
     if sizes.size >= _MIDPOINT_RANK_MIN:
         ranks = int(sizes[_MIDPOINT_RANK_MIN - 1])
-        taking = np.searchsorted(-sizes, -np.arange(ranks), side="left")
+        taking = (-sizes).searchsorted(-np.arange(ranks), side="left")
         for r, m in enumerate(taking.tolist()):
             v = vals[:m]
             v += 0.5 * (sclk[starts[:m] + r] - v)

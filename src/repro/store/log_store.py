@@ -69,6 +69,9 @@ from repro.testkit.failpoints import failpoint
 #: Batch chunk for the sequential load (one workload batch's worth).
 _LOAD_CHUNK = 1 << 14
 
+#: The least unsigned value of a negative int64 (two's complement).
+_NEGATIVE = 1 << 63
+
 #: Most writes one run attempt looks at (a buffered attempt gathers
 #: table state for its whole window, a direct one for everything it
 #: planned, however few writes either ends up taking).
@@ -232,7 +235,11 @@ class LogStructuredStore(WritePath, CleaningCycle):
         n = pids.size
         if n == 0:
             return
-        if pids.min() < 0 or (
+        # A negative id reads at least 2**63 as an unsigned value, so the
+        # ids' one unsigned maximum is both their range check and the
+        # page table's new high-water mark.
+        top = int(pids.view(np.uint64).max())
+        if top >= _NEGATIVE or (
             size_arr is not None
             and (
                 size_arr.min() < 1
@@ -243,7 +250,7 @@ class LogStructuredStore(WritePath, CleaningCycle):
             # loop would: after the preceding valid writes were applied.
             self._write_scalar_span(pids, size_arr, 0, n)
             return
-        self.pages.ensure(int(pids.max()))
+        self.pages.ensure(top)
 
         direct = self.buffer is None
         spans = [(0, n)]
@@ -263,7 +270,7 @@ class LogStructuredStore(WritePath, CleaningCycle):
             if size_arr is None:
                 size_arr = np.ones(n, dtype=np.int64)
             cum = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(size_arr, out=cum[1:])
+            size_arr.cumsum(out=cum[1:])
 
         # Both run engines take repeated page ids in their stride (the
         # repeat's old version is the one its previous occurrence in the

@@ -72,7 +72,7 @@ _STRETCH_LOOP_MAX = 4
 
 def _stream_runs(streams: np.ndarray):
     """Yield ``(start, stop)`` bounds of maximal constant-stream runs."""
-    changes = np.flatnonzero(streams[1:] != streams[:-1]) + 1
+    changes = (streams[1:] != streams[:-1]).nonzero()[0] + 1
     edges = [0, *changes.tolist(), streams.size]
     return zip(edges, edges[1:])
 
@@ -111,12 +111,21 @@ class WritePath:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Vectorized :meth:`_invalidate` for a run of writes.
 
-        Writes of the run that hit the same segment are grouped; within
-        a group the scalar path's rolling ``(up1, up2)`` advance means
-        write ``k`` (0-based) carries the midpoint against the segment's
-        original ``up2`` (k=0), original ``up1`` (k=1), or the clock of
-        the write two places earlier (k>=2) — computed here with a
-        shift-by-two inside each group.  A page id may occur more than
+        One path for every run.  The on-device writes are stably sorted
+        by segment, so each segment's writes form one group, in run
+        order.  The scalar path's rolling ``(up1, up2)`` advance gives a
+        group's first write the midpoint against the segment's ``up2``,
+        its second against the segment's ``up1``, and each later one
+        against the clock of the write two places before it.  One
+        compare of neighbouring sorted segments drives two shifted
+        copies: ``after[j]``, the segment's ``up2`` once sorted write
+        ``j`` is applied, is the clock before it in its group (the old
+        ``up1`` for a group's first write), and a write's base is the
+        ``after`` of the write before it in its group (the old ``up2``
+        for a group's first write).  After its group a segment's ``up1``
+        is the group's last clock and its ``up2`` that write's
+        ``after``; both are stored at group ends only (numpy orders no
+        stores through repeated indices).  A page id may occur more than
         once (the direct path's in-run rewrites) — the per-page table
         scatter happens in run position order so the last occurrence
         wins, exactly as the scalar sequence would leave it.
@@ -133,69 +142,38 @@ class WritePath:
         segs = self.segments
         pages = self.pages
         on_dev = old_seg >= 0
-        if on_dev.all():
-            # Steady state: every page already lives on the device.
-            iseg = old_seg
-            iclk = clocks
-            inv_pids = run
-            inv_sizes = old_size
-        elif not on_dev.any():
+        m = np.count_nonzero(on_dev)
+        if m == 0:
             return on_dev, None
+        if m == on_dev.size:
+            # Steady state: every page already lives on the device.
+            iseg, iclk, inv_pids, inv_sizes = old_seg, clocks, run, old_size
         else:
-            ip = np.flatnonzero(on_dev)
+            ip = on_dev.nonzero()[0]
             iseg = old_seg[ip]
             iclk = clocks[ip]
             inv_pids = run[ip]
             inv_sizes = old_size[ip]
-        if iseg.size == 1 or np.bincount(iseg).max() == 1:
-            # Every write hits a different segment (the common case when
-            # runs are short relative to the device): every group is a
-            # singleton, so the rolling (up1, up2) advance is one
-            # elementwise step and the scatters need no conflict
-            # resolution.
-            sclk = iclk.astype(np.float64)
-            base = segs.up2[iseg]
-            carried = base + 0.5 * (sclk - base)
-            pages.carried_up2[inv_pids] = carried
-            segs.up2[iseg] = segs.up1[iseg]
-            segs.up1[iseg] = sclk
-            segs.live_count[iseg] -= 1
-            segs.live_units[iseg] -= inv_sizes
-            if subtract_freq:
-                segs.freq_sum[iseg] = segs.freq_sum[iseg] + (
-                    -pages.oracle_freq[inv_pids]
-                )
-            segs.epoch[iseg] += 1
-            return on_dev, carried
-        order = np.argsort(iseg, kind="stable")
+        order = iseg.argsort(kind="stable")
         sseg = iseg[order]
         sclk = iclk[order].astype(np.float64)
-        m = sseg.size
-        newgrp = np.empty(m, dtype=bool)
-        newgrp[0] = True
-        newgrp[1:] = sseg[1:] != sseg[:-1]
-        gidx = np.arange(m)
-        gstart = np.maximum.accumulate(np.where(newgrp, gidx, 0))
-        rank = gidx - gstart
-        base = np.empty(m, dtype=np.float64)
-        first = rank == 0
-        base[first] = segs.up2[sseg[first]]
-        second = rank == 1
-        if second.any():
-            base[second] = segs.up1[sseg[second]]
-        later = rank >= 2
-        if later.any():
-            base[later] = sclk[gidx[later] - 2]
+        # last[j]: sorted write j is its group's last; same[j]: write
+        # j + 1 follows write j in its group.
+        last = np.ones(m, dtype=bool)
+        np.not_equal(sseg[1:], sseg[:-1], out=last[:-1])
+        same = ~last[:-1]
+        # after[j]: the segment's up2 once sorted write j is applied.
+        after = segs.up1[sseg]
+        np.copyto(after[1:], sclk[:-1], where=same)
+        base = segs.up2[sseg]
+        np.copyto(base[1:], after[:-1], where=same)
         carried = np.empty(m, dtype=np.float64)
         carried[order] = base + 0.5 * (sclk - base)
         pages.carried_up2[inv_pids] = carried
-        ends = np.flatnonzero(np.append(newgrp[1:], True))
+        ends = last.nonzero()[0]
         group_segs = sseg[ends]
-        orig_up1 = segs.up1[group_segs]
         segs.up1[group_segs] = sclk[ends]
-        single = rank[ends] == 0
-        prev_clk = sclk[np.maximum(ends - 1, 0)]
-        segs.up2[group_segs] = np.where(single, orig_up1, prev_clk)
+        segs.up2[group_segs] = after[ends]
         np.subtract.at(segs.live_count, iseg, 1)
         np.subtract.at(segs.live_units, iseg, inv_sizes)
         if subtract_freq:
@@ -256,7 +234,7 @@ class WritePath:
         run = pids[start : start + k]
         sz = sizes[start : start + k]
         counts = [b - a for a, b in zip(bounds, bounds[1:])]
-        dst = np.repeat(dests, counts)
+        dst = np.asarray(dests, dtype=np.int64).repeat(counts)
         old_seg = pages.seg[run]
         old_size = pages.size[run]
         prev_rel = prev[start : start + k] - start
@@ -273,15 +251,15 @@ class WritePath:
             first = np.asarray(bounds[1:])
             sealed_at = np.where(old_seg == seg0, first[0], k)
             if back.size:
-                sealed_at[dup] = np.repeat(first, counts)[back]
-            cut = np.flatnonzero(np.arange(k) > sealed_at)
+                sealed_at[dup] = first.repeat(counts)[back]
+            cut = (np.arange(k) > sealed_at).nonzero()[0]
             if cut.size:
                 k = int(cut[0])
                 run, sz, dst = run[:k], sz[:k], dst[:k]
                 old_seg, old_size = old_seg[:k], old_size[:k]
 
         clock0 = self.clock
-        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
+        clocks = np.arange(clock0 + 1, clock0 + 1 + k, dtype=np.int64)
         self.stats.user_writes += k
         # Per-position carried values must be gathered before the
         # invalidation scatters new ones (a later rewrite of the same
@@ -345,38 +323,42 @@ class WritePath:
         than ``_RUN_SLACK`` first occurrences past the free units."""
         buffer = self.buffer
         pages = self.pages
-        room = max(0, buffer.capacity_units - buffer.used_units) + _RUN_SLACK
+        free = buffer.capacity_units - buffer.used_units
+        if (1 if sizes is None else sizes[start]) > free and (
+            pages.seg[pids[start]] != IN_BUFFER
+        ):
+            # The first write is a new page the buffer cannot take.
+            return 0
+        room = max(0, free) + _RUN_SLACK
         if limit - start > room:
-            first = np.flatnonzero(prev[start:limit] < start)
+            first = (prev[start:limit] < start).nonzero()[0]
             if first.size > room:
                 limit = start + int(first[room])
         run = pids[start:limit]
         k0 = run.size
         sz = np.ones(k0, dtype=np.int64) if sizes is None else sizes[start:limit]
-        prev_rel = prev[start:limit] - start
         old_seg = pages.seg[run]
         old_size = pages.size[run]
-        dup = prev_rel >= 0
-        if dup.any():
+        prev_rel = prev[start:limit] - start
+        dup = (prev_rel >= 0).nonzero()[0]
+        if dup.size:
             old_seg[dup] = IN_BUFFER
             old_size[dup] = sz[prev_rel[dup]]
         in_buf = old_seg == IN_BUFFER
+        new = ~in_buf
         # A rewrite of a buffered page replaces in place (net size delta,
         # no capacity check, as in the scalar write); a new page
         # must fit or the run ends at it (the scalar path flushes there).
         delta = np.where(in_buf, sz - old_size, sz)
-        over = buffer.used_units + np.cumsum(delta) > buffer.capacity_units
-        viol = np.flatnonzero(over & ~in_buf)
+        viol = ((delta.cumsum() > free) & new).nonzero()[0]
         k = int(viol[0]) if viol.size else k0
-        if k == 0:
-            return 0
         if k < k0:
-            run, old_seg, old_size, in_buf, sz, delta = (
-                a[:k] for a in (run, old_seg, old_size, in_buf, sz, delta)
+            run, old_seg, old_size, in_buf, new, sz, delta = (
+                a[:k] for a in (run, old_seg, old_size, in_buf, new, sz, delta)
             )
 
         clock0 = self.clock
-        clocks = clock0 + 1 + np.arange(k, dtype=np.int64)
+        clocks = np.arange(clock0 + 1, clock0 + 1 + k, dtype=np.int64)
         self.clock = clock0 + k
         self.stats.user_writes += k
 
@@ -384,12 +366,13 @@ class WritePath:
             run, old_seg, old_size, clocks,
             subtract_freq=pages.oracle_active,
         )
-        if in_buf.any():
+        rewrites = in_buf.nonzero()[0]
+        if rewrites.size:
             # Midpoint rule for rewrites of still-buffered pages.
-            _fold_midpoints(pages.carried_up2, run[in_buf], clocks[in_buf])
+            _fold_midpoints(pages.carried_up2, run[rewrites], clocks[rewrites])
         # A rewrite keeps its place; the new pages (first occurrences,
         # so distinct) join the buffer in arrival order.
-        buffer.add_run(run[~in_buf], int(delta.sum()))
+        buffer.add_run(run[new], int(delta.sum()))
         pages.seg[run] = IN_BUFFER
         pages.size[run] = sz
         pages.last_write[run] = clocks
@@ -418,7 +401,7 @@ class WritePath:
         freqs = pages.oracle_freq[pids] if pages.oracle_active else None
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
-        np.cumsum(sizes, out=cum[1:])
+        sizes.cumsum(out=cum[1:])
         cap = segs.capacity
         may_clean = not is_gc and not self._cleaning
         i = 0
@@ -506,8 +489,8 @@ class WritePath:
             b = np.asarray(bounds, dtype=np.int64)
             counts = b[1:] - b[:-1]
             slot0 = segs.slot_count[d]
-            dst = np.repeat(d, counts)
-            slots = np.arange(lo, hi) - np.repeat(b[:-1] - slot0, counts)
+            dst = d.repeat(counts)
+            slots = np.arange(lo, hi) - (b[:-1] - slot0).repeat(counts)
             segs.slot_page[dst, slots] = run
             segs.slot_size[dst, slots] = sizes[lo:hi]
             segs.slot_count[d] = slot0 + counts

@@ -7,10 +7,11 @@ The grids below cross every registered policy family with the three
 synthetic distributions, plus the edge cases where the batch engine
 falls back to (or splits around) the scalar path: segment boundaries,
 sizes that stop fitting, rewrites inside a single batch, interleaved
-trims, and errors thrown mid-batch.  The last section pins the direct
+trims, and errors thrown mid-batch.  A later section pins the direct
 engine's mechanism: one run rolls through as many segments as the free
 pool allows, ends early only by the cut rule, and takes the scalar step
-only at a roll that cleans.
+only at a roll that cleans.  The last replays one run's invalidation
+against the scalar one and compares the columns bit for bit.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ import pytest
 from repro.obs import StoreObserver
 from repro.policies import GreedyPolicy, available_policies, make_policy
 from repro.store import (
+    IN_BUFFER,
+    NEVER_WRITTEN,
     LogStructuredStore,
     OutOfSpaceError,
     PageIdError,
@@ -591,3 +594,74 @@ def test_out_of_space_fails_after_identical_prefix():
     assert str(scalar_error.value) == str(batch_error.value)
     assert scalar_store.clock == batch_store.clock > cfg.user_pages
     assert state_digest(scalar_store) == state_digest(batch_store)
+
+
+# ----------------------------------------------------------------------
+# The run invalidation against the scalar one, column for column
+# ----------------------------------------------------------------------
+
+
+def _invalidation_run(store, case):
+    """A run's page ids and old segments for ``case``, over the store's
+    sealed segments ``a`` .. ``f`` (six with four or more live pages)."""
+    seg_of = store.pages.seg
+    sealed = [
+        int(seg)
+        for seg in store.sealed_segments()
+        if np.count_nonzero(seg_of == seg) >= 4
+    ]
+    a, b, c, d, e, f = (np.flatnonzero(seg_of == seg) for seg in sealed[:6])
+    if case == "groups":
+        # c hit four times, d three, b twice, a once; interleaved.
+        run = [c[0], a[0], b[0], c[1], d[0], c[2], b[1], d[1], c[3], d[2]]
+    elif case == "off-device":
+        run = [b[0], e[0], c[0], f[0], b[1], c[1], c[2], e[1]]
+    elif case == "repeat":
+        run = [b[0], c[0], b[0], c[1], c[2], b[1]]
+    else:  # "distinct": every position hits a different segment
+        run = [x[0] for x in (f, a, e, b, d, c)]
+    run = np.array(run, dtype=np.int64)
+    old_seg = seg_of[run].copy()
+    if case == "off-device":
+        old_seg[[1, 7]] = IN_BUFFER  # e's pages: rewrites of buffered ones
+        old_seg[3] = NEVER_WRITTEN
+    elif case == "repeat":
+        # The repeat's old version is where its previous occurrence
+        # landed: the open segment, in a direct run.
+        old_seg[2] = store.open_segments[0]
+    return run, old_seg
+
+
+@pytest.mark.parametrize("case", ["groups", "off-device", "repeat", "distinct"])
+def test_run_invalidation_matches_scalar_bit_for_bit(case):
+    """``_invalidate_run`` leaves every column it writes bit-identical to
+    the scalar ``_invalidate`` sequence: a segment hit once, twice and
+    three or more times (the ``up2`` / ``up1`` / two-back bases, and
+    the pair stored at the group's end), positions off the device,
+    a repeated page id, and a run of all-distinct segments."""
+    _, scalar_store, batch_store = _roomy_pair("mdc-opt")
+    run, old_seg = _invalidation_run(batch_store, case)
+    old_size = batch_store.pages.size[run]
+    clocks = batch_store.clock + 1 + np.arange(run.size, dtype=np.int64)
+    on_dev, carried = batch_store._invalidate_run(
+        run, old_seg.copy(), old_size.copy(), clocks, subtract_freq=True
+    )
+    expected = []
+    for pid, seg, clock in zip(run.tolist(), old_seg.tolist(), clocks.tolist()):
+        if seg >= 0:
+            scalar_store.clock = clock
+            scalar_store._invalidate(pid, seg)
+            expected.append(scalar_store.pages.carried_up2[pid])
+    assert np.array_equal(on_dev, old_seg >= 0)
+    assert np.array_equal(
+        carried.view(np.int64), np.array(expected, dtype=np.float64).view(np.int64)
+    )
+    for name in ("up1", "up2", "live_count", "live_units", "epoch", "freq_sum"):
+        assert np.array_equal(
+            getattr(scalar_store.segments, name).view(np.int64),
+            getattr(batch_store.segments, name).view(np.int64),
+        ), name
+    assert np.array_equal(
+        scalar_store.pages.carried_up2.view(np.int64),
+        batch_store.pages.carried_up2.view(np.int64),
+    )
