@@ -26,8 +26,8 @@ keyspaces spread over the whole ring like any other keys.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
+from bisect import bisect_left
 from typing import List, Optional, Tuple, Union
 
 Key = Union[str, bytes, int, Tuple]
@@ -44,13 +44,18 @@ def encode_key(key: Key) -> bytes:
     after encoding (``"1"`` vs ``1`` vs ``b"1"``, nested tuples), and
     stable across processes and platforms.
     """
+    # A plain int by its exact type first: an int subclass (an
+    # ``IntEnum`` member, ``bool``) encodes through ``str`` below.
+    if type(key) is int:
+        raw = b"%d" % key
+        return b"i%d:" % len(raw) + raw
+    if isinstance(key, str):
+        raw = key.encode("utf-8")
+        return b"s%d:" % len(raw) + raw
     if isinstance(key, bytes):
         return b"b%d:" % len(key) + key
     if isinstance(key, bytearray):
         return b"b%d:" % len(key) + bytes(key)
-    if isinstance(key, str):
-        raw = key.encode("utf-8")
-        return b"s%d:" % len(raw) + raw
     if isinstance(key, bool):
         # bool is an int subclass; reject it to keep encodings unambiguous.
         raise RouterError("bool is not a routable key type")
@@ -67,11 +72,12 @@ def encode_key(key: Key) -> bytes:
     )
 
 
-def _hash64(salt: bytes, data: bytes) -> int:
-    """64-bit keyed hash — the ring coordinate of ``data``."""
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8, key=salt).digest(), "big"
-    )
+def _ring_hash(state: "hashlib.blake2b", data: bytes) -> int:
+    """64-bit ring coordinate of ``data`` fed after what ``state``
+    already holds (``state`` is left as it was)."""
+    h = state.copy()
+    h.update(data)
+    return int.from_bytes(h.digest(), "big")
 
 
 class ConsistentHashRouter:
@@ -83,6 +89,10 @@ class ConsistentHashRouter:
             even key split at the cost of a larger ring.
         seed: Ring seed; routers built with equal ``(n_shards,
             replicas, seed)`` produce identical mappings.
+
+    The ring holds a ``hashlib`` state, which cannot be pickled, so a
+    router pickles (and deep-copies) as those three values and is
+    rebuilt from them.
     """
 
     def __init__(
@@ -98,28 +108,34 @@ class ConsistentHashRouter:
         self.n_shards = n_shards
         self.replicas = replicas
         self.seed = seed
-        self._salt = b"repro.service.router:%d" % seed
+        # One keyed state per ring: the salt's key block is hashed once,
+        # and every coordinate is a copy of it fed the point's bytes.
+        ring = hashlib.blake2b(
+            digest_size=8, key=b"repro.service.router:%d" % seed
+        )
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
             for replica in range(replicas):
-                point = _hash64(self._salt, b"vnode:%d:%d" % (shard, replica))
+                point = _ring_hash(ring, b"vnode:%d:%d" % (shard, replica))
                 points.append((point, shard))
+        # Keys hash under a copy with their ``key:`` prefix already fed.
+        self._key_state = ring.copy()
+        self._key_state.update(b"key:")
         # Ties (astronomically unlikely at 64 bits) break toward the
         # lower shard id, deterministically, via the tuple sort.
         points.sort()
         self._points = [p for p, _ in points]
-        self._owners = [s for _, s in points]
+        # One more owner than points: bisect past the last point wraps
+        # to the first point's owner.
+        self._owners = [s for _, s in points] + [points[0][1]]
 
     # -- lookup ----------------------------------------------------------
 
     def shard_for(self, key: Key, tenant: Optional[Key] = None) -> int:
         """The shard owning ``key``; ``tenant`` does not move it
         (module docstring)."""
-        raw = _hash64(self._salt, b"key:" + encode_key(key))
-        idx = bisect.bisect_left(self._points, raw)
-        if idx == len(self._points):
-            idx = 0  # wrap to the ring's first point
-        return self._owners[idx]
+        raw = _ring_hash(self._key_state, encode_key(key))
+        return self._owners[bisect_left(self._points, raw)]
 
     def grown(self, n_shards: int) -> "ConsistentHashRouter":
         """A router over more shards with the same ring parameters.
@@ -135,6 +151,9 @@ class ConsistentHashRouter:
         return ConsistentHashRouter(
             n_shards, replicas=self.replicas, seed=self.seed
         )
+
+    def __reduce__(self):
+        return (ConsistentHashRouter, (self.n_shards, self.replicas, self.seed))
 
     def __len__(self) -> int:
         return self.n_shards

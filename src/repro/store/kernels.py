@@ -114,12 +114,18 @@ def fold_rows(
 
 
 def fold_midpoints(
-    carried: np.ndarray, pids: np.ndarray, clocks: np.ndarray
+    carried: np.ndarray,
+    pids: np.ndarray,
+    clocks: np.ndarray,
+    distinct: bool = False,
 ) -> None:
     """Apply the buffered midpoint rule ``c <- c + 0.5 * (clock - c)`` to
     ``carried[pid]`` once per ``(pid, clock)`` pair, per page in position
     order (a repeat compounds on its previous occurrence's result), in
     place.  NaN estimates (first writes not yet placed) stay NaN.
+
+    ``distinct`` says no page id repeats: the rule is then one array
+    expression (the same IEEE operations; a NaN propagates bit for bit).
 
     A page's ``r``-th occurrence depends only on its ``r-1``-th, so the
     ``r``-th occurrences of all pages are one array step, taken while
@@ -127,6 +133,10 @@ def fold_midpoints(
     remaining occurrences are one tight loop.  Every page sees the same
     IEEE operations in the same order as the scalar loop.
     """
+    if distinct:
+        c = carried[pids]
+        carried[pids] = c + 0.5 * (clocks - c)
+        return
     n = pids.size
     if n < _MIDPOINT_LOOP_MAX:
         pid_list = pids.tolist()

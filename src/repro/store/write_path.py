@@ -369,7 +369,10 @@ class WritePath:
         rewrites = in_buf.nonzero()[0]
         if rewrites.size:
             # Midpoint rule for rewrites of still-buffered pages.
-            _fold_midpoints(pages.carried_up2, run[rewrites], clocks[rewrites])
+            _fold_midpoints(
+                pages.carried_up2, run[rewrites], clocks[rewrites],
+                distinct=not dup.size,
+            )
         # A rewrite keeps its place; the new pages (first occurrences,
         # so distinct) join the buffer in arrival order.
         buffer.add_run(run[new], int(delta.sum()))

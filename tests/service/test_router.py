@@ -1,6 +1,15 @@
-"""Consistent-hash router: determinism, growth, edge cases."""
+"""Consistent-hash router: determinism, growth, edge cases, and the
+ring pinned against a golden table and a reference kept here."""
 
+import copy
+import enum
+import hashlib
+import pickle
+from bisect import bisect_left
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.service import ConsistentHashRouter, RouterError, encode_key
 
@@ -32,7 +41,7 @@ class TestEncoding:
 
     def test_unroutable_types_raise(self):
         router = ConsistentHashRouter(2)
-        for bad in (True, False, None, 1.5, ["a"], {"k": 1}):
+        for bad in (True, False, None, 1.5, ["a"], {"k": 1}, ("a", False)):
             with pytest.raises(RouterError):
                 router.shard_for(bad)
 
@@ -108,3 +117,129 @@ class TestValidation:
             ConsistentHashRouter(0)
         with pytest.raises(RouterError):
             ConsistentHashRouter(2, replicas=0)
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+    HIGH = 70000
+
+
+class _Shown(int):
+    """An int subclass whose ``str`` is not its digits: an int
+    subclass is encoded by its ``str``, not by the plain-int path."""
+
+    def __str__(self):
+        return "shown-%d" % int(self)
+
+
+#: Every routable type: ints (negative, 0, past 64 bits), str (empty,
+#: non-ASCII), bytes, bytearray, nested tuples, int subclasses.
+GOLDEN_KEYS = [
+    0, 1, -1, -7, 42, 2**63 - 1, 2**64, -(2**64) - 5, 10**30,
+    "", "k0", "key-12345", "caf\u00e9", "\u65e5\u672c\u8a9e", "\U0001f600",
+    b"", b"raw0", b"\x00\xff", bytearray(b""), bytearray(b"raw0"),
+    (), ("t", 3), ("a", ("b", 1)), (("x",), b"y", -2, ""), ("", ()),
+    _Level.LOW, _Level.HIGH, _Shown(7), _Shown(-12), ("t", _Shown(7)),
+]
+
+#: ``shard_for`` on an 8-shard, 64-replica ring, recorded before plain
+#: keys had a fast path and before the ring kept one keyed hash state.
+GOLDEN_SHARDS = {
+    0: [7, 6, 0, 6, 5, 2, 1, 2, 3, 7, 7, 4, 6, 7, 1, 2, 1, 7, 2, 1,
+        3, 0, 4, 6, 3, 6, 7, 0, 4, 7],
+    3: [6, 1, 1, 4, 7, 0, 3, 3, 3, 2, 0, 5, 4, 5, 4, 0, 7, 4, 0, 7,
+        6, 6, 3, 0, 5, 7, 3, 0, 0, 2],
+}
+
+
+def reference_encode(key):
+    """The isinstance-chain encoding, as ``encode_key`` was written
+    before plain keys were dispatched on their exact type."""
+    if isinstance(key, bytes):
+        return b"b%d:" % len(key) + key
+    if isinstance(key, bytearray):
+        return b"b%d:" % len(key) + bytes(key)
+    if isinstance(key, str):
+        raw = key.encode("utf-8")
+        return b"s%d:" % len(raw) + raw
+    if isinstance(key, bool):
+        raise RouterError("bool")
+    if isinstance(key, int):
+        raw = str(key).encode("ascii")
+        return b"i%d:" % len(raw) + raw
+    if isinstance(key, tuple):
+        body = b"".join(reference_encode(part) for part in key)
+        return b"t%d:" % len(body) + body
+    raise RouterError(type(key).__name__)
+
+
+def reference_shard(n_shards, replicas, seed, key):
+    """A fresh keyed blake2b per coordinate under the ring's salt, the
+    key's coordinate over ``b"key:" + encoding``, then the first ring
+    point at or after it (wrapping)."""
+    salt = b"repro.service.router:%d" % seed
+
+    def coord(data):
+        digest = hashlib.blake2b(data, digest_size=8, key=salt).digest()
+        return int.from_bytes(digest, "big")
+
+    ring = sorted(
+        (coord(b"vnode:%d:%d" % (shard, replica)), shard)
+        for shard in range(n_shards)
+        for replica in range(replicas)
+    )
+    points = [p for p, _ in ring]
+    idx = bisect_left(points, coord(b"key:" + reference_encode(key)))
+    return ring[idx % len(ring)][1]
+
+
+plain_keys = st.one_of(
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.text(),
+    st.binary(),
+    st.binary().map(bytearray),
+    st.sampled_from(list(_Level)),
+    st.integers().map(_Shown),
+)
+routable_keys = st.recursive(
+    plain_keys, lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+class TestRingPinned:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SHARDS))
+    def test_golden_table(self, seed):
+        router = ConsistentHashRouter(8, seed=seed)
+        got = [router.shard_for(key) for key in GOLDEN_KEYS]
+        assert got == GOLDEN_SHARDS[seed]
+
+    @given(
+        key=routable_keys,
+        n_shards=st.integers(1, 9),
+        replicas=st.integers(1, 16),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(deadline=None)
+    def test_shard_matches_reference(self, key, n_shards, replicas, seed):
+        router = ConsistentHashRouter(n_shards, replicas=replicas, seed=seed)
+        want = reference_shard(n_shards, replicas, seed, key)
+        assert router.shard_for(key) == want
+
+    @given(key=routable_keys)
+    def test_encoding_matches_isinstance_chain(self, key):
+        assert encode_key(key) == reference_encode(key)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_route_alike(self, clone):
+        router = ConsistentHashRouter(8, replicas=32, seed=3)
+        twin = clone(router)
+        assert repr(twin) == repr(router)
+        assert [twin.shard_for(k) for k in GOLDEN_KEYS] == [
+            router.shard_for(k) for k in GOLDEN_KEYS
+        ]

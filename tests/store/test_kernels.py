@@ -141,17 +141,40 @@ rewrite_runs = st.tuples(
 class TestFoldMidpoints:
     """``fold_midpoints`` against the scalar loop, bit for bit."""
 
-    def check(self, carried, pids, clock0=1000):
+    def check(self, carried, pids, clock0=1000, distinct=False):
         clocks = clock0 + 1 + np.arange(pids.size, dtype=np.int64)
         want = midpoints_by_loop(carried, pids, clocks)
         got = carried.copy()
-        fold_midpoints(got, pids, clocks)
+        fold_midpoints(got, pids, clocks, distinct=distinct)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(carried=carried_arrays, pids=rewrite_runs, clock0=st.integers(0, 2**40))
     @settings(deadline=None)
     def test_matches_scalar_loop(self, carried, pids, clock0):
         self.check(carried, pids, clock0)
+
+    @given(
+        carried=carried_arrays,
+        pids=st.lists(
+            st.integers(0, N_CARRIED - 1), max_size=N_CARRIED, unique=True
+        ).map(lambda xs: np.asarray(xs, dtype=np.int64)),
+        clock0=st.integers(0, 2**40),
+    )
+    @settings(deadline=None)
+    def test_distinct_ids_as_one_array_step(self, carried, pids, clock0):
+        self.check(carried, pids, clock0, distinct=True)
+
+    def test_distinct_ids_on_both_sides_of_the_fallback(self):
+        rng = np.random.default_rng(2)
+        carried = rng.random(4 * N_CARRIED) * 1e6
+        carried[::5] = np.nan
+        carried[1::11] = -np.nan
+        cut = kernels._MIDPOINT_LOOP_MAX
+        for n in (0, 1, cut - 1, cut, cut + 1, 4 * N_CARRIED):
+            for _ in range(20):
+                pids = rng.permutation(carried.size)[:n]
+                self.check(carried, pids, distinct=True)
+                self.check(carried, pids, distinct=False)
 
     def test_run_sizes_on_both_sides_of_the_fallback(self):
         rng = np.random.default_rng(0)
