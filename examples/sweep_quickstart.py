@@ -3,8 +3,8 @@
 
 The paper's tables and figures are grids of independent simulations
 (policy x distribution x fill factor), which makes them embarrassingly
-parallel.  ``repro.sweep`` expands an experiment function into a job
-list, fans the jobs out over worker processes, and journals every
+parallel.  ``repro.bench.sweep`` expands an experiment function into a
+job list, maps the jobs over a process pool, and journals every
 finished job to ``manifest.jsonl`` — so a sweep killed halfway resumes
 where it stopped and still produces byte-identical aggregated output.
 
@@ -23,7 +23,7 @@ The CLI equivalent of everything below:
 import tempfile
 
 from repro.bench import demo_experiment
-from repro.sweep import expand_grid, parallel_experiment
+from repro.bench.sweep import expand_grid, parallel_experiment
 
 
 def main() -> None:

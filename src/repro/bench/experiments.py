@@ -12,10 +12,10 @@ that *do* appear at small scale are recorded in EXPERIMENTS.md.
 
 Every experiment function accepts an optional ``runner`` argument with
 the signature of :func:`repro.bench.runner.run_simulation`.  The default
-runs each simulation inline; ``repro.sweep`` injects recording/replaying
-runners to expand the same loops into a parallel job grid and then
-aggregate the results through this exact code path, which is what makes
-serial and swept outputs byte-identical.
+runs each simulation inline; :mod:`repro.bench.sweep` injects recording
+and replaying runners to expand the same loops into a job grid for a
+process pool and then aggregate the results through this exact code
+path, which is what makes serial and swept outputs byte-identical.
 """
 
 from __future__ import annotations
@@ -84,11 +84,8 @@ def make_workload(dist: str, n_pages: int, seed: int):
     raise ValueError("unknown distribution %r" % (dist,))
 
 
-#: Backwards-compatible alias (the CLI used the private name pre-sweep).
-_make_workload = make_workload
-
 #: Signature shared by :func:`repro.bench.runner.run_simulation` and the
-#: recording/replaying runners that ``repro.sweep`` injects.
+#: recording/replaying runners that :mod:`repro.bench.sweep` injects.
 Runner = Callable[..., "SimulationResult"]
 
 

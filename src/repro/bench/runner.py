@@ -118,9 +118,10 @@ def run_simulation(
         measure_fraction: Fraction of the run, at the tail, over which
             write amplification is measured.
         observe: Attach a :class:`~repro.obs.StoreObserver` for the
-            measured run and export its rows — a JSONL path, or a shared
-            :class:`~repro.obs.MetricsWriter` (so an experiment's runs
-            concatenate into one ``metrics.jsonl``).
+            measured run and export its rows — a JSONL path, or anything
+            with ``write_rows``: a shared :class:`~repro.obs.MetricsWriter`
+            (so an experiment's runs concatenate into one
+            ``metrics.jsonl``) or a sweep job's in-memory row list.
         sample_interval: Time-series sample spacing in update ticks
             (default: a quarter of the page population).
         meta: Extra key/values merged into the exported ``meta`` row.
@@ -137,7 +138,7 @@ def run_simulation(
 
         writer = (
             observe
-            if isinstance(observe, MetricsWriter)
+            if hasattr(observe, "write_rows")
             else MetricsWriter(str(observe))
         )
         observer = StoreObserver(store, sample_interval=sample_interval)

@@ -40,11 +40,11 @@ where ``--out`` says and gated against a committed report with
 ``--check`` (``BENCH_latency.json`` is that report at the default
 shape).
 
-``repro sweep`` runs a whole experiment grid through the parallel
-orchestrator (``repro.sweep``): jobs fan out over worker processes, each
-finished job is journaled to ``<out>/manifest.jsonl``, and a killed
-sweep re-invoked with ``--resume`` skips completed jobs and still
-produces byte-identical aggregated output.
+``repro sweep`` runs a whole experiment grid over a process pool
+(``repro.bench.sweep``): each finished job is journaled to
+``<out>/manifest.jsonl``, and a killed sweep re-invoked with
+``--resume`` skips completed jobs and still produces byte-identical
+aggregated output.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from repro.sweep import SWEEP_DISTS, sweep_grid_names
+    from repro.bench.sweep import SWEEP_DISTS, sweep_grid_names
 
     for name, (help_text, _) in _SERIAL_GRIDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -271,25 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="continue an interrupted sweep, skipping journaled jobs",
     )
-    p.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts for a crashed or failed job (default 1)",
-    )
-    p.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the live progress line on stderr",
-    )
-    p.add_argument(
-        "--obs", action="store_true",
-        help="record each job's observability rows; merged into "
-        "<out>/metrics.jsonl (with <out>/convergence.json) after the sweep",
-    )
-    p.add_argument(
-        "--sample-interval", type=int, default=None, metavar="TICKS",
-        help="clock ticks between time-series samples (only with --obs)",
-    )
     _add_quick(p)
     _add_seed(p)
+    _add_metrics_out(p)
 
     p = sub.add_parser(
         "bench", help="the service's seeded, clock-free benchmark report"
@@ -572,7 +556,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run_experiment_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro table1|table2|fig3|fig4|fig5|ablation``: run
     the command's grids serially and print their tables."""
-    from repro.sweep import SWEEP_GRIDS
+    from repro.bench.sweep import SWEEP_GRIDS
 
     runner = _experiment_runner(args)  # shared: one merged metrics file
     tables = []
@@ -597,12 +581,8 @@ def _note_metrics(args: argparse.Namespace) -> None:
 
 
 def _obs_label(meta: dict) -> str:
-    """Display label of a run block: the sweep job id when present,
-    the service/shard identity for service exports, else
-    policy/workload."""
-    label = meta.get("job")
-    if label:
-        return label
+    """Display label of a run block: the service/shard identity for
+    service exports, else policy/workload."""
     component = meta.get("component")
     if component == "service":
         return "service (%s shards, %s)" % (meta.get("shards"), meta.get("policy"))
@@ -983,11 +963,10 @@ def _run_difftest_command(args: argparse.Namespace) -> int:
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro sweep``: orchestrate, print the table, report."""
-    from repro.sweep import ProgressPrinter, SweepError, run_named_sweep
+    """Dispatch ``repro sweep``: run the grid, print the table, report."""
+    from repro.bench.sweep import SweepError, run_named_sweep
 
     out_dir = args.out if args.out is not None else "sweep_runs/%s" % args.grid
-    progress = None if args.no_progress else ProgressPrinter()
     try:
         report = run_named_sweep(
             args.grid,
@@ -997,9 +976,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             quick=args.quick,
             seed=args.seed,
             dist=args.dist,
-            retries=args.retries,
-            progress=progress,
-            obs=args.obs,
+            metrics_out=args.metrics_out,
             sample_interval=args.sample_interval,
         )
     except SweepError as exc:
@@ -1018,15 +995,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             report.out_dir,
         )
     )
-    if "obs" in s:
-        print(
-            "observability: %s/%s (%d jobs with rows)"
-            % (
-                report.out_dir,
-                s["obs"]["metrics_file"],
-                s["obs"]["jobs_with_metrics"],
-            )
-        )
+    _note_metrics(args)
     return 0
 
 

@@ -11,10 +11,13 @@ Four pieces, each usable on its own:
 * :mod:`repro.testkit.trace` — JSONL record/replay of op streams with a
   self-verifying state digest (``repro replay <trace>``).
 
-This module is imported by production code (the failpoint call sites in
-:mod:`repro.store.persistence` and :mod:`repro.sweep`), so it must stay
-import-light: only the dependency-free failpoints module loads eagerly;
-everything else resolves lazily on first attribute access.
+This module is imported by production code, whose failpoint call sites
+are ``persistence.save.{pre_write,pre_rename,post_rename}`` in
+:mod:`repro.store.persistence`, ``store.flush.pre_drain`` in
+:mod:`repro.store.log_store` and ``store.clean.{pre_relocate,step}`` in
+:mod:`repro.store.cycle`.  So it must stay import-light: only the
+dependency-free failpoints module loads eagerly; everything else
+resolves lazily on first attribute access.
 """
 
 from repro.testkit.failpoints import FAILPOINTS, FailpointRegistry, InjectedFault, failpoint

@@ -8,7 +8,7 @@ Production code marks crash-relevant spots with a named call::
 
 When nothing is armed the call is a single attribute check — cheap
 enough to leave in non-hot paths permanently (the instrumented sites are
-checkpoint saves, manifest appends, and cleaning cycles, never the
+checkpoint saves, buffer drains, and cleaning cycles, never the
 per-write fast path).  Tests arm a failpoint to turn the marked moment
 into an injected crash, making crash-at-any-point coverage a one-liner::
 

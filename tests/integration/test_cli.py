@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.bench.sweep import SWEEP_GRIDS
 from repro.cli import main
 from repro.policies import available_policies
-from repro.sweep import SWEEP_GRIDS
 
 
 def patch_backend(monkeypatch, func, fake):
@@ -124,7 +124,7 @@ class TestSweepCli:
     def test_sweep_demo_end_to_end(self, capsys, tmp_path):
         out = str(tmp_path / "run")
         code = main(
-            ["sweep", "demo", "--workers", "2", "--out", out, "--no-progress"]
+            ["sweep", "demo", "--workers", "2", "--out", out]
         )
         assert code == 0
         printed = capsys.readouterr().out
@@ -138,7 +138,7 @@ class TestSweepCli:
         code = main(
             [
                 "sweep", "demo", "--workers", "2", "--out", out,
-                "--resume", "--no-progress",
+                "--resume",
             ]
         )
         assert code == 0
@@ -150,10 +150,25 @@ class TestSweepCli:
 
     def test_sweep_refuses_existing_dir_without_resume(self, capsys, tmp_path):
         out = str(tmp_path / "run")
-        assert main(["sweep", "demo", "--out", out, "--no-progress"]) == 0
+        assert main(["sweep", "demo", "--out", out]) == 0
         capsys.readouterr()
-        assert main(["sweep", "demo", "--out", out, "--no-progress"]) == 1
+        assert main(["sweep", "demo", "--out", out]) == 1
         assert "resume" in capsys.readouterr().err
+
+    def test_sweep_metrics_out_writes_the_serial_rows(self, capsys, tmp_path):
+        from repro.bench.experiments import demo_experiment
+        from repro.bench.runner import observed_runner
+
+        metrics = tmp_path / "swept.jsonl"
+        argv = ["sweep", "demo", "--quick", "--workers", "2",
+                "--out", str(tmp_path / "run"), "--metrics-out", str(metrics)]
+        assert main(argv) == 0
+        assert "observability rows written to" in capsys.readouterr().out
+        serial = tmp_path / "serial.jsonl"
+        demo_experiment(
+            write_multiplier=1.0, runner=observed_runner(str(serial))
+        )
+        assert metrics.read_bytes() == serial.read_bytes()
 
     def test_sweep_rejects_unknown_grid(self):
         with pytest.raises(SystemExit):
@@ -161,7 +176,7 @@ class TestSweepCli:
 
     def test_sweep_seed_changes_the_grid(self, capsys, tmp_path):
         out = str(tmp_path / "run")
-        args = ["sweep", "demo", "--out", out, "--no-progress"]
+        args = ["sweep", "demo", "--out", out]
         assert main(args) == 0
         capsys.readouterr()
         # Same directory, different seed: a different grid, refused.

@@ -1,78 +1,73 @@
-"""Observability through the sweep engine (``repro sweep --obs``)."""
+"""Observability through the sweep (``repro sweep --metrics-out``).
 
-import json
-
-import pytest
+A job observed in a worker returns its rows with its result; the parent
+writes them where and in the order the serial run writes them.
+"""
 
 from repro.bench.experiments import demo_experiment
-from repro.obs import validate_file
-from repro.sweep.executor import ObsJobRunner
-from repro.sweep.report import (
-    CONVERGENCE_NAME,
-    METRICS_NAME,
-    parallel_experiment,
-)
-from repro.sweep.spec import SweepError, expand_grid
+from repro.bench.runner import observed_runner
+from repro.bench.sweep import execute_job, expand_grid, parallel_experiment
+from repro.obs import load_rows, validate_file, write_jsonl
 
 
 class TestObsJobRunner:
     def test_runs_job_and_writes_metrics(self, tmp_path):
         spec = expand_grid(demo_experiment)[0]
-        runner = ObsJobRunner(str(tmp_path), sample_interval=50)
-        payload = runner(spec.to_dict())
+        payload, rows = execute_job(
+            spec.to_dict(), observe=True, sample_interval=50
+        )
         assert payload["policy"] == spec.policy
-        path = runner.job_metrics_path(spec.digest())
+        path = str(tmp_path / "job.jsonl")
+        write_jsonl(path, rows)
         assert validate_file(path, require_decisions=True) == []
 
-    def test_is_picklable(self, tmp_path):
+    def test_is_picklable(self):
+        """Rows cross the pool's process boundary with the result."""
         import pickle
 
-        runner = ObsJobRunner(str(tmp_path), sample_interval=7)
-        clone = pickle.loads(pickle.dumps(runner))
-        assert clone.metrics_dir == runner.metrics_dir
-        assert clone.sample_interval == 7
-
-    def test_observability_does_not_change_results(self, tmp_path):
-        from repro.sweep.executor import execute_job
-
         spec = expand_grid(demo_experiment)[0]
-        plain = execute_job(spec.to_dict())
-        observed = ObsJobRunner(str(tmp_path))(spec.to_dict())
+        outcome = execute_job(spec.to_dict(), observe=True)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    def test_observability_does_not_change_results(self):
+        spec = expand_grid(demo_experiment)[0]
+        plain, no_rows = execute_job(spec.to_dict())
+        observed, rows = execute_job(spec.to_dict(), observe=True)
         assert plain == observed
+        assert no_rows is None and rows
 
 
 class TestParallelExperimentObs:
-    def test_obs_requires_out_dir(self):
-        with pytest.raises(SweepError):
-            parallel_experiment(demo_experiment, workers=1, obs=True)
-
     def test_sweep_merges_metrics_in_spec_order(self, tmp_path):
-        report = parallel_experiment(
-            demo_experiment,
-            workers=2,
-            out_dir=tmp_path,
-            obs=True,
+        """The pooled sweep writes the serial run's rows, byte for byte."""
+        serial = tmp_path / "serial.jsonl"
+        demo_experiment(runner=observed_runner(str(serial), sample_interval=50))
+        swept = tmp_path / "swept.jsonl"
+        parallel_experiment(
+            demo_experiment, workers=2, metrics_out=str(swept),
             sample_interval=50,
         )
-        specs = expand_grid(demo_experiment)
-        merged = tmp_path / METRICS_NAME
-        assert validate_file(str(merged), require_decisions=True) == []
-        from repro.obs import load_rows
+        assert validate_file(str(swept), require_decisions=True) == []
+        assert swept.read_bytes() == serial.read_bytes()
+        metas = [r for r in load_rows(str(swept)) if r["type"] == "meta"]
+        assert [m["run"]["policy"] for m in metas] == [
+            s.policy for s in expand_grid(demo_experiment)
+        ]
 
-        metas = [
-            r for r in load_rows(str(merged)) if r["type"] == "meta"
-        ]
-        assert [m["run"]["digest"] for m in metas] == [
-            s.digest() for s in specs
-        ]
-        assert report.summary["obs"]["jobs_with_metrics"] == len(specs)
-        convergence = json.loads((tmp_path / CONVERGENCE_NAME).read_text())
-        assert len(convergence) == len(specs)
-        assert all(block["clock"] for block in convergence)
+    def test_resumed_jobs_write_no_rows(self, tmp_path):
+        parallel_experiment(demo_experiment, workers=1, out_dir=tmp_path)
+        metrics = tmp_path / "metrics.jsonl"
+        report = parallel_experiment(
+            demo_experiment, workers=1, out_dir=tmp_path, resume=True,
+            metrics_out=str(metrics),
+        )
+        assert report.stats.executed == 0
+        assert not metrics.exists()
 
     def test_obs_output_identical_to_serial(self, tmp_path):
         serial = demo_experiment()
         swept = parallel_experiment(
-            demo_experiment, workers=2, out_dir=tmp_path, obs=True
+            demo_experiment, workers=2, out_dir=tmp_path,
+            metrics_out=str(tmp_path / "metrics.jsonl"),
         )
         assert swept.output.rendered == serial.rendered

@@ -1,15 +1,13 @@
 """Sweep aggregation equals the serial path; summaries are written."""
 
-import io
 import json
 import os
 
 import pytest
 
 from repro.bench.experiments import demo_experiment, fig4_experiment
-from repro.sweep import (
+from repro.bench.sweep import (
     SUMMARY_NAME,
-    ProgressPrinter,
     SweepError,
     parallel_experiment,
     run_named_sweep,
@@ -49,7 +47,6 @@ class TestArtifacts:
         assert summary["jobs"] == 4
         assert summary["executed"] == 4
         assert summary["workers"] == min(2, os.cpu_count() or 1)
-        assert summary["workers_requested"] == 2
         assert set(summary) == SUMMARY_KEYS
         assert (tmp_path / "demo.txt").read_text().rstrip("\n") == (
             report.output.rendered
@@ -73,13 +70,3 @@ class TestNamedSweeps:
         with pytest.raises(SweepError, match="unknown grid"):
             run_named_sweep("fig6")
 
-
-class TestProgressPrinter:
-    def test_prints_one_line_per_event_and_closes(self):
-        stream = io.StringIO()
-        printer = ProgressPrinter(stream=stream)
-        parallel_experiment(demo_experiment, workers=2, progress=printer)
-        text = stream.getvalue()
-        assert text.count("\r") == 4
-        assert "[4/4]" in text
-        assert text.endswith("\n")  # closed by parallel_experiment

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.bench.experiments import demo_experiment
-from repro.sweep import (
+from repro.bench.sweep import (
     MANIFEST_NAME,
     Manifest,
     SweepError,

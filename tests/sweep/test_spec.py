@@ -10,7 +10,7 @@ from repro.bench.experiments import (
     table1_experiment,
 )
 from repro.store import StoreConfig
-from repro.sweep import (
+from repro.bench.sweep import (
     SWEEP_GRIDS,
     JobSpec,
     SweepError,
@@ -22,7 +22,7 @@ from repro.sweep import (
     workload_from_spec,
     workload_to_spec,
 )
-from repro.sweep.spec import result_from_dict, result_to_dict
+from repro.bench.sweep import result_from_dict, result_to_dict
 from repro.workloads import (
     HotColdWorkload,
     TraceWorkload,

@@ -11,7 +11,7 @@ import json
 
 from repro.bench.experiments import demo_experiment
 from repro.cli import build_parser
-from repro.sweep import (
+from repro.bench.sweep import (
     MANIFEST_NAME,
     SUMMARY_NAME,
     parallel_experiment,
@@ -19,7 +19,7 @@ from repro.sweep import (
     run_sweep,
 )
 
-#: Every key of ``summary.json`` for a sweep run without ``obs``.
+#: Every key of ``summary.json``.
 SUMMARY_KEYS = {
     "experiment",
     "args",
@@ -27,12 +27,8 @@ SUMMARY_KEYS = {
     "jobs",
     "executed",
     "skipped",
-    "failed",
     "workers",
-    "workers_requested",
-    "pool_mode",
     "cpu_count",
-    "worker_recycles",
 }
 
 
@@ -45,10 +41,8 @@ def test_run_sweep_parameters():
         "specs",
         "workers",
         "manifest",
-        "retries",
-        "job_runner",
-        "progress",
-        "start_method",
+        "observe",
+        "sample_interval",
     ]
 
 
@@ -58,12 +52,9 @@ def test_parallel_experiment_parameters():
         "workers",
         "out_dir",
         "resume",
-        "retries",
-        "progress",
         "name",
-        "obs",
+        "metrics_out",
         "sample_interval",
-        "start_method",
         "kwargs",
     ]
 
@@ -77,11 +68,8 @@ def test_run_named_sweep_parameters():
         "quick",
         "seed",
         "dist",
-        "retries",
-        "progress",
-        "obs",
+        "metrics_out",
         "sample_interval",
-        "start_method",
     ]
 
 
@@ -97,12 +85,10 @@ def test_sweep_flags():
         "--workers",
         "--out",
         "--resume",
-        "--retries",
-        "--no-progress",
-        "--obs",
-        "--sample-interval",
         "--quick",
         "--seed",
+        "--metrics-out",
+        "--sample-interval",
     ]
 
 

@@ -1,11 +1,12 @@
 """Deterministic fault injection: the failpoint registry itself, plus
-its wiring into persistence and the sweep manifest."""
+crash coverage of the sweep manifest by faults in its own I/O."""
 
 import json
 
 import pytest
 
-from repro.sweep.manifest import Manifest
+from repro.bench import sweep
+from repro.bench.sweep import Manifest
 from repro.testkit.failpoints import FAILPOINTS, InjectedFault, failpoint
 
 
@@ -103,47 +104,56 @@ class TestRegistry:
 
 
 class TestManifestFailpoints:
-    """Crash-at-any-point coverage of the sweep journal."""
+    """Crash-at-any-point coverage of the sweep journal: a fault raised
+    from the journal's own I/O stands in for a kill at that instant."""
 
     def _record(self, manifest, digest="d1"):
         manifest.record(
             digest=digest, label="job", result={"x": 1}, attempts=1
         )
 
-    def test_crash_before_append_loses_the_record_only(self, tmp_path):
+    def test_crash_before_append_loses_the_record_only(
+        self, tmp_path, monkeypatch
+    ):
+        def crash(*args, **kwargs):
+            raise InjectedFault("manifest.pre_append")
+
         with Manifest(tmp_path / "m.jsonl") as m:
             self._record(m, "d1")
-            with FAILPOINTS.armed("sweep.manifest.pre_append"):
-                with pytest.raises(InjectedFault):
-                    self._record(m, "d2")
+            monkeypatch.setattr(sweep.json, "dumps", crash)
+            with pytest.raises(InjectedFault):
+                self._record(m, "d2")
+            monkeypatch.undo()
         reread = Manifest(tmp_path / "m.jsonl")
         assert set(reread.load()) == {"d1"}
 
-    def test_crash_between_write_and_fsync_still_parses(self, tmp_path):
+    def test_crash_between_write_and_fsync_still_parses(
+        self, tmp_path, monkeypatch
+    ):
         """The line is in the OS buffer; a parse after the crash sees a
         complete record (fsync affects durability, not file content)."""
+
+        def crash(fd):
+            raise InjectedFault("manifest.pre_fsync")
+
         with Manifest(tmp_path / "m.jsonl") as m:
-            with FAILPOINTS.armed("sweep.manifest.pre_fsync"):
-                with pytest.raises(InjectedFault):
-                    self._record(m, "d1")
+            monkeypatch.setattr(sweep.os, "fsync", crash)
+            with pytest.raises(InjectedFault):
+                self._record(m, "d1")
+            monkeypatch.undo()
         reread = Manifest(tmp_path / "m.jsonl")
         assert set(reread.load()) == {"d1"}
 
     def test_torn_final_line_is_dropped_on_load(self, tmp_path):
-        """Simulate a kill mid-write: the torn_write hook emits a prefix
-        of the record and then injects the crash."""
-
-        def tear(ctx):
-            ctx["fh"].write(ctx["line"][: len(ctx["line"]) // 2])
-            ctx["fh"].flush()
-            raise InjectedFault("sweep.manifest.torn_write")
-
-        with Manifest(tmp_path / "m.jsonl") as m:
+        """Simulate a kill mid-write: a prefix of the next record is all
+        that reached the file."""
+        path = tmp_path / "m.jsonl"
+        with Manifest(path) as m:
             self._record(m, "d1")
-            with FAILPOINTS.armed("sweep.manifest.torn_write", hook=tear):
-                with pytest.raises(InjectedFault):
-                    self._record(m, "d2")
-        reread = Manifest(tmp_path / "m.jsonl")
+        line = '{"attempts": 1, "digest": "d2", "kind": "job", "result": {}}'
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])
+        reread = Manifest(path)
         assert set(reread.load()) == {"d1"}
 
     def test_resumed_manifest_can_append_after_torn_tail(self, tmp_path):
