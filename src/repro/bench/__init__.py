@@ -20,7 +20,7 @@ from repro.bench.runner import (
     prepare_store,
     run_simulation,
 )
-from repro.bench.tables import banner, format_series, format_table
+from repro.bench.tables import format_series, format_table
 
 __all__ = [
     "ExperimentOutput",
@@ -35,7 +35,6 @@ __all__ = [
     "fig6_experiment",
     "table1_experiment",
     "table2_experiment",
-    "banner",
     "drive",
     "format_series",
     "format_table",

@@ -671,10 +671,12 @@ def parallel_experiment(
         name: The run's name in the manifest and summary (default: the
             function's name).
         metrics_out / sample_interval: As the serial commands'
-            ``--metrics-out`` / ``--sample-interval``: every executed
-            job's observability rows, written in the order the serial
-            run writes them.  Jobs resumed from a manifest did not run
-            and write none.
+            ``--metrics-out`` / ``--sample-interval``: every job's
+            observability rows, written in the order the serial run
+            writes them.  The journal keeps no rows, so a resume whose
+            manifest already holds finished jobs of the grid cannot
+            write a whole file: it raises :class:`SweepError` before
+            running any job, and ``metrics_out`` is left untouched.
         kwargs: Forwarded to the experiment function (grid parameters).
 
     Returns:
@@ -699,6 +701,14 @@ def parallel_experiment(
             )
         manifest.ensure_header(run_name, digest)
     try:
+        if metrics_out is not None and manifest is not None:
+            done = manifest.completed()
+            if any(spec.digest() in done for spec in specs):
+                raise SweepError(
+                    "%s already holds finished jobs, whose observability "
+                    "rows were not kept: --metrics-out needs a fresh --out "
+                    "directory" % (manifest.path,)
+                )
         results, rows, stats = run_sweep(
             specs,
             workers=workers,

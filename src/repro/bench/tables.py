@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment tables and figure series.
 
 The benchmarks print the same rows/series the paper reports; these
-helpers keep the formatting uniform (fixed-width columns, one experiment
-banner per table) so EXPERIMENTS.md can quote the output verbatim.
+helpers keep the formatting uniform (fixed-width columns, one title
+line per table) so EXPERIMENTS.md can quote the output verbatim.
 """
 
 from __future__ import annotations
@@ -63,8 +63,3 @@ def format_series(
         rows.append([name] + list(values))
     return format_table(headers, rows, title=title, precision=precision)
 
-
-def banner(text: str) -> str:
-    """A boxed section header for experiment logs."""
-    bar = "=" * max(60, len(text) + 4)
-    return "%s\n  %s\n%s" % (bar, text, bar)

@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics-out", default=None, metavar="JSONL",
         help="export the service + per-shard observability rows "
-        "(schema v1; byte-identical across same-seed runs)",
+        "(schema v2; byte-identical across same-seed runs)",
     )
     p.add_argument(
         "--sample-interval", type=int, default=None, metavar="TICKS",
@@ -319,14 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace-out", default=None, metavar="JSONL",
-        help="record causal spans (service.put -> flush -> shard put "
-        "-> write-stall/clean) to this span file; inspect with 'repro "
-        "obs critical' or export with 'repro obs chrome'",
+        help="record causal spans (Service.put -> IngestQueue.flush_shard "
+        "-> LogStructuredKVStore.write_slots -> LogStructuredStore.flush "
+        "-> clean) to this span file; inspect with 'repro obs critical' "
+        "or export with 'repro obs chrome'",
     )
     p.add_argument(
         "--trace-sample", type=float, default=1.0, metavar="FRAC",
-        help="head-based trace sampling fraction, decided at each trace "
-        "root and inherited by all its spans (default 1.0 = keep all)",
+        help="head-based trace sampling fraction, decided at each root "
+        "span and inherited by all its spans (default 1.0 = keep all)",
     )
     p.add_argument(
         "--telemetry-out", default=None, metavar="JSONL",
@@ -352,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="inspect a metrics.jsonl produced by --metrics-out / --obs",
+        help="inspect a metrics.jsonl produced by --metrics-out, or a "
+        "span file produced by 'repro serve --trace-out'",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(
@@ -740,12 +742,7 @@ def _run_obs_command(args: argparse.Namespace) -> int:
     elif args.obs_command == "chrome":
         from repro.obs import write_chrome_trace
 
-        out = args.out
-        if out is None:
-            base = args.file
-            if base.endswith(".jsonl"):
-                base = base[: -len(".jsonl")]
-            out = base + ".trace.json"
+        out = args.out or args.file.removesuffix(".jsonl") + ".trace.json"
         span_rows = [r for r in rows if r.get("type") == "span"]
         if not span_rows:
             print("obs error: %s has no span rows" % args.file, file=sys.stderr)
@@ -785,7 +782,7 @@ def _run_obs_command(args: argparse.Namespace) -> int:
                 )
             )
             for cause, count in report["by_cause"].items():
-                print("  %-28s %4d sample(s)" % (cause, count))
+                print("  %-44s %4d sample(s)" % (cause, count))
         if args.min_attribution is not None:
             if report["tail_samples"] == 0:
                 # 0 of 0 is not "all of them": a gate that examined no

@@ -8,9 +8,10 @@ surface:
 * :class:`MetricsRegistry` — counters / gauges / histograms with
   snapshot-delta windowing.
 * :class:`TimeSeriesSampler` — clock-keyed convergence sampling.
-* :class:`Tracer` / :class:`Span` / :class:`SpanCollector` — causal
-  spans with deterministic IDs and head sampling; Chrome trace export
-  and the flush-stall critical-path analyzer live alongside them in
+* :class:`SpanRecorder` — causal spans recorded from outside the code:
+  timing wrappers installed on a built service's boundary methods,
+  head-sampled per root and bounded; Chrome trace export and the
+  flush-stall critical-path analyzer live alongside it in
   :mod:`repro.obs.trace`.
 * :class:`SLOTracker` — multi-window burn-rate evaluation of the
   service's flush-stall stream.
@@ -21,7 +22,7 @@ surface:
   and the poll/backoff file follower shared with ``obs tail --follow``.
 """
 
-from repro.obs.clock import now_s, now_us
+from repro.obs.clock import now_s
 from repro.obs.events import (
     BUFFER_FLUSH,
     CLEAN_CYCLE,
@@ -58,9 +59,7 @@ from repro.obs.samplers import TimeSeriesSampler, default_interval
 from repro.obs.slo import SLOTracker
 from repro.obs.top import follow_lines, render_top, run_top
 from repro.obs.trace import (
-    Span,
-    SpanCollector,
-    Tracer,
+    SpanRecorder,
     chrome_trace,
     critical_path_report,
     load_spans,
@@ -88,11 +87,9 @@ __all__ = [
     "MetricsSnapshot",
     "MetricsWriter",
     "SLOTracker",
-    "Span",
-    "SpanCollector",
+    "SpanRecorder",
     "StoreObserver",
     "TimeSeriesSampler",
-    "Tracer",
     "aggregate_convergence",
     "chrome_trace",
     "critical_path_report",
@@ -101,7 +98,6 @@ __all__ = [
     "load_rows",
     "load_spans",
     "now_s",
-    "now_us",
     "render_top",
     "run_top",
     "samples_to_csv",

@@ -12,10 +12,10 @@ import, and :func:`now_s` returns seconds elapsed since then.  Every
 timing field in the repo that is meant to be cross-referenced goes
 through here.
 
-The clock is wall time, not the store's logical update clock — spans and
-telemetry carry *both* (wall for humans and Perfetto, logical ``clock``
-for joining against metrics rows, which stay byte-deterministic by
-never including wall time).
+The clock is wall time, not the store's logical update clock — telemetry
+rows carry *both* (wall for humans, logical ``clock`` for joining
+against metrics rows, which stay byte-deterministic by never including
+wall time); span rows carry wall time only.
 """
 
 from __future__ import annotations
@@ -29,8 +29,3 @@ _EPOCH = time.perf_counter()
 def now_s() -> float:
     """Monotonic seconds since the process epoch (first import)."""
     return time.perf_counter() - _EPOCH
-
-
-def now_us() -> int:
-    """Monotonic integer microseconds since the process epoch."""
-    return int((time.perf_counter() - _EPOCH) * 1_000_000)

@@ -113,9 +113,5 @@ class EventBus:
             return []
         return [Event(*record) for record in list(self._ring)[-n:]]
 
-    def total_emitted(self) -> int:
-        """Events ever emitted (retained + dropped)."""
-        return self._seq
-
     def __len__(self) -> int:
         return len(self._ring)

@@ -60,7 +60,7 @@ _DECISION_KEYS = ("clock", "policy", "candidates", "victims")
 _VICTIM_KEYS = ("seg", "A", "C", "up2", "score")
 _EVENT_KEYS = ("seq", "clock", "kind")
 _METRICS_KEYS = ("counters", "gauges", "histograms")
-_SPAN_KEYS = ("trace", "span", "name", "start_us", "dur_us")
+_SPAN_KEYS = ("name", "start", "end", "parent", "size")
 _TELEMETRY_KEYS = ("t_s", "clock", "shards", "slo")
 _TELEMETRY_SHARD_KEYS = (
     "shard",
@@ -225,14 +225,14 @@ def validate_rows(
             _check_keys(row, _METRICS_KEYS, where, errors)
         elif rtype == "span":
             if _check_keys(row, _SPAN_KEYS, where, errors):
-                if not isinstance(row["start_us"], int) or not isinstance(
-                    row["dur_us"], int
+                if not all(
+                    isinstance(row[k], (int, float)) for k in ("start", "end")
                 ):
-                    errors.append(
-                        "%s: start_us/dur_us must be integer microseconds" % where
-                    )
-                elif row["dur_us"] < 0:
-                    errors.append("%s: dur_us must be non-negative" % where)
+                    errors.append("%s: start/end must be seconds" % where)
+                elif row["end"] < row["start"]:
+                    errors.append("%s: duration must be non-negative" % where)
+                if not isinstance(row["parent"], int):
+                    errors.append("%s: parent must be a span row index" % where)
         elif rtype == "telemetry":
             if _check_keys(row, _TELEMETRY_KEYS, where, errors):
                 if not isinstance(row["shards"], list):

@@ -98,11 +98,6 @@ class StoreObserver:
         #: decision columns)``; :attr:`decisions` formats them.
         self._decisions: "deque[tuple]" = deque(maxlen=max_decisions)
         self.decisions_dropped = 0
-        #: Optional :class:`~repro.obs.trace.Tracer` the store hooks use
-        #: to open spans around stalls and clean begin/step work.  Left
-        #: ``None`` unless a trace consumer attaches one — the hook
-        #: sites pay one attribute test, same budget as ``store.obs``.
-        self.tracer = None
         self._capture_failpoints = capture_failpoints
         self._start = store.stats.snapshot()
         self._attached = False

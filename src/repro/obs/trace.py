@@ -1,46 +1,49 @@
-"""Hierarchical causal spans for the sharded service.
+"""Causal spans for the sharded service, recorded from outside the code.
 
-A *span* is one timed region of work — a ``Service.put``, an ingest
-flush, an inline clean — with a parent link, so a stalled flush can be
-decomposed into the child that caused the stall instead of vanishing
-into a histogram bucket.  The machinery follows the same discipline as
-the rest of ``repro.obs``:
+:class:`SpanRecorder` installs timing wrappers as *instance attributes*
+over the boundary methods of the objects a run built (a ``Service``,
+its router, queue, pool, shards and stores) — the same design as the
+stack benchmark's recorder in ``benchmarks/stack/trace.py``, and the
+same ``Class.method`` names.  Nothing in ``store/``, ``service/`` or
+``kvstore/`` knows it exists: a run without it pays nothing, and
+:meth:`SpanRecorder.remove` leaves every object as built.  An instance
+attribute shadows its method for ``self.`` calls too, so a private
+boundary such as ``LogStructuredStore._clean_until_replenished`` (the
+inline cleaning a write stalls behind) is wrapped the same way.
 
-* **Deterministic IDs.**  Span and trace IDs are blake2b digests of
-  ``(seed, kind, counter)`` — two identical seeded runs produce the
-  same ID sequence, so span files diff cleanly and tests can assert on
-  IDs.  Wall times come from :mod:`repro.obs.clock` and are *not* part
-  of the identity.
-* **Head-based sampling.**  The keep/drop decision is made once, at the
-  root of each trace, and inherited by every descendant — a sampled-out
-  trace drops atomically, so a retained child can never be orphaned.
-* **Detached cost.**  Every hook site guards with
-  ``tracer is not None`` (one attribute test), matching the observer
-  budget: no allocation, no call, when tracing is off.
+A span is one wrapped call: its name, start and end on the shared
+process clock (:func:`repro.obs.clock.now_s`), its parent (the wrapped
+call it ran inside) and its size (what the call returned or was handed:
+ops flushed, pages relocated, slots written).  A call that raised is
+marked with the exception's class name.
 
-Finished spans land in a ring-buffered :class:`SpanCollector` (oldest
-dropped and counted, like :class:`~repro.obs.events.EventBus`) and
-export as schema-v2 JSONL rows (``type: "span"``) with their own meta
+* **Head sampling.**  The keep/drop decision is made once per root
+  span, from a :class:`random.Random` seeded with the run's seed, so
+  two identical runs keep the same roots.  A dropped root records
+  nothing below it: a kept child always has its parent.
+* **A bound.**  At most :data:`CAPACITY` spans are held.  A span past it
+  evicts the oldest whole root trees, counted in the file's header.
+
+Spans export as schema-v2 JSONL rows (``type: "span"``) under a meta
 header, so ``repro obs validate`` works on span files unchanged.  A
-Chrome trace-event exporter makes the same spans loadable in Perfetto,
-and :func:`critical_path_report` attributes flush-stall tail samples to
-their dominant child span.
+row's ``parent`` is the index of its parent among the file's span rows
+(-1 for a root).  A Chrome trace-event exporter makes the same spans
+loadable in Perfetto, and :func:`critical_path_report` attributes
+flush-stall tail samples to their dominant child span.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import random
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .clock import now_s
 
 __all__ = [
-    "Span",
-    "SpanCollector",
-    "Tracer",
+    "CAPACITY",
+    "SpanRecorder",
     "write_spans",
     "load_spans",
     "chrome_trace",
@@ -48,239 +51,156 @@ __all__ = [
     "critical_path_report",
 ]
 
-#: Sentinel: ``start(parent=_STACK)`` means "parent is the current top
-#: of the span stack" (the common, nested case).  Passing an explicit
-#: span (or ``None`` for a detached root) bypasses the stack — for
-#: work that overlaps, where stack discipline would lie.
-_STACK = object()
+#: Spans a recorder holds at most; past it, the oldest root trees go.
+CAPACITY = 65_536
+
+#: What a row's ``size`` records besides the times.
+_RET = "ret"  # the return value (ops flushed, pages relocated)
+_LEN = "len"  # len() of the first argument (slots written)
+
+#: A stack entry below every recorded span's: the call runs inside a
+#: root that was sampled out (or evicted), so nothing is recorded.
+_SKIP = -2
 
 
-def _det_id(seed: int, kind: str, counter: int) -> str:
-    """A 16-hex-char deterministic ID from (seed, kind, counter)."""
-    raw = ("%d:%s:%d" % (seed, kind, counter)).encode("ascii")
-    return hashlib.blake2b(raw, digest_size=8).hexdigest()
-
-
-class Span:
-    """One timed region: identity, causal links, wall interval, attrs.
-
-    ``start_s``/``end_s`` are seconds on the shared process clock
-    (:func:`repro.obs.clock.now_s`); ``clock`` optionally records the
-    store's logical update clock for joining against metrics rows.
-    """
-
-    __slots__ = (
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "name",
-        "start_s",
-        "end_s",
-        "clock",
-        "attrs",
-        "sampled",
-    )
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        start_s: float,
-        sampled: bool = True,
-        clock: Optional[int] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.end_s: Optional[float] = None
-        self.clock = clock
-        self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
-        self.sampled = sampled
-
-    @property
-    def duration_s(self) -> float:
-        """Wall duration; 0.0 while the span is still open."""
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
-
-    def to_row(self) -> Dict[str, Any]:
-        """The schema-v2 JSONL row form (``type: "span"``)."""
-        row: Dict[str, Any] = {
-            "type": "span",
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start_us": int(round(self.start_s * 1_000_000)),
-            "dur_us": int(round(self.duration_s * 1_000_000)),
-        }
-        if self.clock is not None:
-            row["clock"] = self.clock
-        if self.attrs:
-            row["attrs"] = dict(self.attrs)
-        return row
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Span(%s %s parent=%s dur=%.6fs)" % (
-            self.name,
-            self.span_id,
-            self.parent_id,
-            self.duration_s,
-        )
-
-
-class SpanCollector:
-    """Ring buffer of finished spans, oldest dropped and counted."""
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._ring: "deque[Span]" = deque(maxlen=capacity)
-        #: Finished, sampled spans pushed out of the ring by newer ones.
-        self.dropped = 0
-
-    def add(self, span: Span) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(span)
-
-    def spans(self) -> List[Span]:
-        """Retained spans, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-
-class Tracer:
-    """Causal span factory: deterministic IDs, a span stack, head sampling.
+class SpanRecorder:
+    """Bounded in-memory span log plus the wrappers that feed it.
 
     Args:
-        seed: Folded into every ID so identical seeded runs produce
-            identical ID sequences.
-        capacity: Ring size of the backing :class:`SpanCollector`.
-        sample: Head-sampling probability in ``[0, 1]``.  Decided once
-            per trace (at the root), deterministically from the trace
-            counter, and inherited by all descendants.
+        sample: Head-sampling probability in ``[0, 1]``.
+        seed: Seeds the per-root keep/drop draws.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        capacity: int = 65536,
-        sample: float = 1.0,
-        collector: Optional[SpanCollector] = None,
-    ) -> None:
+    def __init__(self, sample: float = 1.0, seed: int = 0) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ValueError("sample must be within [0, 1]")
-        self.seed = seed
         self.sample = sample
-        self.collector = collector if collector is not None else SpanCollector(capacity)
-        self._stack: List[Span] = []
-        self._span_counter = 0
-        self._trace_counter = 0
+        self._draw = random.Random(seed).random
+        #: ``[name, parent, start, end, size, shard, error]`` per span,
+        #: in start order; ``parent`` is the parent's sequence number
+        #: (-1 for a root), and ``spans[0]`` has sequence number
+        #: :attr:`base`.
+        self.spans: "deque[list]" = deque()
+        self.base = 0
+        #: Root trees evicted by the bound.
+        self.trees_dropped = 0
+        self._stack = [-1]
+        self.installed: List[tuple] = []
 
-    # -- sampling ---------------------------------------------------
+    # -- wrappers ------------------------------------------------------
 
-    def _head_sample(self, trace_counter: int) -> bool:
-        if self.sample >= 1.0:
-            return True
-        if self.sample <= 0.0:
-            return False
-        digest = hashlib.blake2b(
-            ("%d:sample:%d" % (self.seed, trace_counter)).encode("ascii"),
-            digest_size=8,
-        ).digest()
-        fraction = int.from_bytes(digest, "big") / float(1 << 64)
-        return fraction < self.sample
-
-    # -- span lifecycle ---------------------------------------------
-
-    def start(
+    def wrap(
         self,
+        obj: object,
         name: str,
-        clock: Optional[int] = None,
-        parent: Any = _STACK,
-        **attrs: Any,
-    ) -> Span:
-        """Open a span.
+        size: Optional[str] = None,
+        shard: Union[int, str, None] = None,
+    ) -> None:
+        """Time every call of ``obj``'s method named after ``name``'s
+        last part, as span ``name``.  ``size`` is ``"ret"`` (the row's
+        size is the return value), ``"len"`` (the first argument's
+        length) or None (0).  ``shard`` is the lane the span shows in;
+        ``"arg"`` takes it from the call's first argument."""
+        method = name.rsplit(".", 1)[1]
+        inner = getattr(obj, method)
+        spans, stack, sample, draw = self.spans, self._stack, self.sample, self._draw
 
-        With the default ``parent`` the span nests under the current
-        top of the stack (and is pushed, so later ``start`` calls nest
-        under it).  An explicit ``parent`` span — or ``None`` for a
-        detached root — bypasses the stack entirely; that is the form
-        for overlapping work.
-        """
-        on_stack = parent is _STACK
-        parent_span: Optional[Span]
-        if on_stack:
-            parent_span = self._stack[-1] if self._stack else None
-        else:
-            parent_span = parent
-        if parent_span is None:
-            self._trace_counter += 1
-            trace_id = _det_id(self.seed, "t", self._trace_counter)
-            parent_id = None
-            sampled = self._head_sample(self._trace_counter)
-        else:
-            trace_id = parent_span.trace_id
-            parent_id = parent_span.span_id
-            sampled = parent_span.sampled
-        self._span_counter += 1
-        span = Span(
-            trace_id=trace_id,
-            span_id=_det_id(self.seed, "s", self._span_counter),
-            parent_id=parent_id,
-            name=name,
-            start_s=now_s(),
-            sampled=sampled,
-            clock=clock,
-            attrs=dict(attrs) if attrs else None,
-        )
-        if on_stack:
-            self._stack.append(span)
-        return span
+        def wrapper(*args, **kwargs):
+            parent = stack[-1]
+            if parent == -1:
+                keep = sample >= 1.0 or draw() < sample
+            else:
+                keep = parent >= self.base
+            if not keep:
+                stack.append(_SKIP)
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    stack.pop()
+            lane = args[0] if shard == "arg" else shard
+            row = [name, parent, now_s(), None, 0, lane, None]
+            stack.append(self.base + len(spans))
+            spans.append(row)
+            if len(spans) > CAPACITY:
+                self._evict()
+            try:
+                ret = inner(*args, **kwargs)
+            except BaseException as exc:
+                row[6] = type(exc).__name__
+                raise
+            finally:
+                row[3] = now_s()
+                stack.pop()
+            if size is not None:
+                row[4] = ret if size == _RET else len(args[0])
+            return ret
 
-    def finish(self, span: Span, **attrs: Any) -> Span:
-        """Close a span; sampled spans enter the collector ring."""
-        span.end_s = now_s()
-        if attrs:
-            span.attrs.update(attrs)
-        try:
-            self._stack.remove(span)
-        except ValueError:
-            pass  # detached span, or already popped
-        if span.sampled:
-            self.collector.add(span)
-        return span
+        self.installed.append((obj, method, obj.__dict__.get(method)))
+        setattr(obj, method, wrapper)
 
-    @contextmanager
-    def span(
-        self, name: str, clock: Optional[int] = None, **attrs: Any
-    ) -> Iterator[Span]:
-        """Context-manager form for non-hot-path call sites."""
-        opened = self.start(name, clock=clock, **attrs)
-        try:
-            yield opened
-        finally:
-            self.finish(opened)
+    def install_service(self, svc) -> "SpanRecorder":
+        """Wrap the boundaries of a built ``Service``: its client ops and
+        tick, the ring's lookup (memo misses only), the queue's flush,
+        the pool's maintenance round, each shard's batch write and its
+        store's drain, write stall and cleaning.  Returns ``self``."""
+        for method in ("put", "delete", "tick"):
+            self.wrap(svc, "Service." + method)
+        self.wrap(svc.router, "ConsistentHashRouter.shard_for")
+        self.wrap(svc.queue, "IngestQueue.flush_shard", _RET, shard="arg")
+        self.wrap(svc.pool, "StorePool.maintain", _RET)
+        for i, kv in enumerate(svc.pool.shards):
+            self.wrap(kv, "LogStructuredKVStore.write_slots", _LEN, shard=i)
+            for method in ("flush", "_clean_until_replenished", "clean_begin"):
+                self.wrap(kv.store, "LogStructuredStore." + method, shard=i)
+            self.wrap(kv.store, "LogStructuredStore.clean_step", _RET, shard=i)
+        return self
 
-    # -- export ------------------------------------------------------
+    def remove(self) -> None:
+        """Undo every wrapper, newest first; the objects are as built."""
+        for obj, method, before in reversed(self.installed):
+            if before is None:
+                delattr(obj, method)
+            else:
+                setattr(obj, method, before)
+        self.installed.clear()
 
-    @property
-    def dropped(self) -> int:
-        return self.collector.dropped
+    def _evict(self) -> None:
+        """Drop the oldest root trees until the bound holds.  A tree is
+        a root and the spans after it up to the next root; a call still
+        running inside an evicted tree records nothing more."""
+        spans = self.spans
+        while len(spans) > CAPACITY:
+            spans.popleft()
+            self.base += 1
+            while spans and spans[0][1] != -1:
+                spans.popleft()
+                self.base += 1
+            self.trees_dropped += 1
+
+    # -- export --------------------------------------------------------
 
     def rows(self) -> List[Dict[str, Any]]:
-        """Finished sampled spans as schema-v2 rows, oldest first."""
-        return [span.to_row() for span in self.collector.spans()]
+        """The held spans as schema-v2 rows, in start order.  A span
+        still running ends the list: every span after it runs inside it."""
+        out: List[Dict[str, Any]] = []
+        base = self.base
+        for name, parent, start, end, size, shard, error in self.spans:
+            if end is None:
+                break
+            row: Dict[str, Any] = {
+                "type": "span",
+                "name": name,
+                "start": round(start, 7),
+                "end": round(end, 7),
+                "parent": parent - base if parent >= 0 else -1,
+                "size": size,
+            }
+            if shard is not None:
+                row["shard"] = shard
+            if error is not None:
+                row["error"] = error
+            out.append(row)
+        return out
 
 
 # -- span file I/O ---------------------------------------------------
@@ -293,31 +213,21 @@ def write_spans(
 ) -> int:
     """Write a span JSONL file: one schema meta header, then span rows.
 
-    ``source`` is a :class:`Tracer`, a :class:`SpanCollector`, or an
-    iterable of already-built span rows (dicts).  The header makes the
-    file self-describing, so ``repro obs validate`` accepts it.
-    Returns the number of span rows written.
+    ``source`` is a :class:`SpanRecorder` (its drops and bound go in the
+    header) or an iterable of already-built span rows.  Returns the
+    number of span rows written.
     """
     from .export import SCHEMA_VERSION  # local import: export imports nothing from here
 
-    if isinstance(source, Tracer):
-        rows: Iterable[Dict[str, Any]] = source.rows()
-        dropped = source.collector.dropped
-        capacity = source.collector.capacity
-    elif isinstance(source, SpanCollector):
-        rows = [span.to_row() for span in source.spans()]
-        dropped = source.dropped
-        capacity = source.capacity
-    else:
-        rows = [dict(row) for row in source]
-        dropped = None
-        capacity = None
     run: Dict[str, Any] = dict(meta) if meta else {}
     run.setdefault("component", "trace")
-    if dropped is not None:
-        run.setdefault("spans_dropped", dropped)
-    if capacity is not None:
-        run.setdefault("ring_capacity", capacity)
+    if isinstance(source, SpanRecorder):
+        rows: Iterable[Mapping[str, Any]] = source.rows()
+        run.setdefault("trace_sample", source.sample)
+        run.setdefault("ring_capacity", CAPACITY)
+        run.setdefault("trees_dropped", source.trees_dropped)
+    else:
+        rows = source
     header = {"type": "meta", "schema": SCHEMA_VERSION, "run": run}
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
@@ -328,11 +238,17 @@ def write_spans(
     return count
 
 
+def _spans(rows: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """The span rows of a file's rows, in file order (``parent`` indexes
+    this list)."""
+    return [dict(row) for row in rows if row.get("type") == "span"]
+
+
 def load_spans(path: str) -> List[Dict[str, Any]]:
     """Load the span rows (``type: "span"``) from a span JSONL file."""
     from .export import load_rows
 
-    return [row for row in load_rows(path) if row.get("type") == "span"]
+    return _spans(load_rows(path))
 
 
 # -- Chrome trace-event export ---------------------------------------
@@ -342,37 +258,26 @@ def chrome_trace(rows: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """Span rows as a Chrome trace-event JSON object (Perfetto-loadable).
 
     Complete (``ph: "X"``) events; ``ts``/``dur`` are microseconds on
-    the shared process clock.  The ``tid`` lane is the span's ``shard``
-    attribute when present, so per-shard work separates visually.
+    the shared process clock.  One lane (``tid``) per shard: a span on a
+    shard's object is in lane ``shard + 1``, the service's own spans
+    (client ops, ticks, ring lookups, maintenance rounds) in lane 0.
     """
     events: List[Dict[str, Any]] = []
-    for row in rows:
-        if row.get("type") not in (None, "span"):
-            continue
-        if "span" not in row or "start_us" not in row:
-            continue
-        attrs = dict(row.get("attrs") or {})
-        args: Dict[str, Any] = {
-            "trace": row.get("trace"),
-            "span": row.get("span"),
-            "parent": row.get("parent"),
-        }
-        if "clock" in row:
-            args["clock"] = row["clock"]
-        args.update(attrs)
-        name = str(row.get("name", "span"))
-        tid = attrs.get("shard", 0)
-        if not isinstance(tid, int):
-            tid = 0
+    for i, row in enumerate(_spans(rows)):
+        name = str(row["name"])
+        args: Dict[str, Any] = {"span": i, "parent": row["parent"], "size": row["size"]}
+        if "error" in row:
+            args["error"] = row["error"]
+        shard = row.get("shard")
         events.append(
             {
                 "ph": "X",
                 "name": name,
                 "cat": name.split(".", 1)[0],
-                "ts": int(row["start_us"]),
-                "dur": max(int(row.get("dur_us", 0)), 1),
+                "ts": int(round(row["start"] * 1_000_000)),
+                "dur": max(int(round((row["end"] - row["start"]) * 1_000_000)), 1),
                 "pid": 0,
-                "tid": tid,
+                "tid": shard + 1 if isinstance(shard, int) else 0,
                 "args": args,
             }
         )
@@ -401,81 +306,85 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[rank]
 
 
+def _dur(span: Mapping[str, Any]) -> float:
+    return span["end"] - span["start"]
+
+
 def _dominant_path(
-    row: Mapping[str, Any],
-    children: Mapping[Optional[str], List[Dict[str, Any]]],
-) -> List[Dict[str, Any]]:
-    """Follow the longest-duration child repeatedly; the drilled chain."""
-    path: List[Dict[str, Any]] = []
-    current = row
-    seen = set()
-    while True:
-        span_id = current.get("span")
-        if span_id in seen:  # defensive: malformed cyclic input
-            break
-        seen.add(span_id)
-        kids = children.get(span_id)
-        if not kids:
-            break
-        dominant = max(kids, key=lambda kid: (kid.get("dur_us", 0), kid.get("span", "")))
-        path.append(dominant)
-        current = dominant
+    index: int,
+    spans: Sequence[Mapping[str, Any]],
+    children: Mapping[int, List[int]],
+) -> List[int]:
+    """Follow the longest-running child repeatedly; the drilled chain."""
+    path: List[int] = []
+    while children.get(index):
+        index = max(children[index], key=lambda kid: (_dur(spans[kid]), -kid))
+        path.append(index)
     return path
 
 
 def critical_path_report(
     rows: Iterable[Mapping[str, Any]],
-    flush_name: str = "queue.flush",
-    stall_key: str = "stall_pages",
     tail_quantile: float = 0.99,
 ) -> Dict[str, Any]:
     """Attribute flush-stall tail samples to their dominant child span.
 
-    Selects the flush spans whose ``stall_pages`` attribute sits at or
-    above the ``tail_quantile`` of the (nonzero-stall) flush
-    distribution, then walks each one's dominant-child chain — the
-    deepest span on that chain is the *cause* (e.g. ``store.clean_step``
-    for an inline clean, ``pool.maintain`` for governance work).
+    A flush's (``IngestQueue.flush_shard``) stall pages are the summed
+    ``size`` (pages relocated) of the ``LogStructuredStore.clean_step``
+    spans under it — every GC page is written inside one, so this is
+    the pool's GC writes while the flush ran.  The flushes at or above
+    the ``tail_quantile`` of the nonzero stalls are the tail; each one's
+    dominant-child chain is walked, and the deepest span on it is the
+    *cause* (e.g. ``LogStructuredStore.clean_begin`` for an inline
+    clean).  A sample is *attributed* when the flush's longest child
+    ran at least as long as the flush's own code (its duration less its
+    children's); otherwise its cause is ``(self)``.
     """
-    spans = [dict(row) for row in rows if row.get("type") in (None, "span")]
-    children: Dict[Optional[str], List[Dict[str, Any]]] = {}
-    for span in spans:
-        children.setdefault(span.get("parent"), []).append(span)
-    flushes = [span for span in spans if span.get("name") == flush_name]
-    stalls = sorted(
-        float((span.get("attrs") or {}).get(stall_key, 0.0)) for span in flushes
-    )
-    nonzero = [value for value in stalls if value > 0]
-    threshold = _quantile(nonzero, tail_quantile) if nonzero else 0.0
-    tail = [
-        span
-        for span in flushes
-        if float((span.get("attrs") or {}).get(stall_key, 0.0)) >= threshold
-        and float((span.get("attrs") or {}).get(stall_key, 0.0)) > 0
-    ]
+    spans = _spans(rows)
+    children: Dict[int, List[int]] = {}
+    for i, span in enumerate(spans):
+        if 0 <= span["parent"] < i:  # a parent starts first
+            children.setdefault(span["parent"], []).append(i)
+    stall: Dict[int, float] = {
+        i: 0.0
+        for i, span in enumerate(spans)
+        if span["name"] == "IngestQueue.flush_shard"
+    }
+    for i, span in enumerate(spans):
+        if span["name"] != "LogStructuredStore.clean_step":
+            continue
+        owner, below = span["parent"], i
+        while 0 <= owner < below and owner not in stall:
+            owner, below = spans[owner]["parent"], owner
+        if 0 <= owner < below:
+            stall[owner] += float(span["size"])
+    nonzero = sorted(value for value in stall.values() if value > 0)
+    threshold = _quantile(nonzero, tail_quantile)
+    tail = [i for i, value in stall.items() if value > 0 and value >= threshold]
     by_cause: Dict[str, int] = {}
     attributed = 0
     samples: List[Dict[str, Any]] = []
-    for span in tail:
-        path = _dominant_path(span, children)
-        if path:
-            cause = str(path[-1].get("name"))
+    for i in tail:
+        path = _dominant_path(i, spans, children)
+        own = _dur(spans[i]) - sum(_dur(spans[kid]) for kid in children.get(i, ()))
+        if path and _dur(spans[path[0]]) >= own:
+            cause = str(spans[path[-1]]["name"])
             attributed += 1
         else:
             cause = "(self)"
         by_cause[cause] = by_cause.get(cause, 0) + 1
         samples.append(
             {
-                "span": span.get("span"),
-                "stall_pages": float((span.get("attrs") or {}).get(stall_key, 0.0)),
+                "span": i,
+                "stall_pages": stall[i],
                 "cause": cause,
-                "chain": [str(step.get("name")) for step in path],
+                "chain": [str(spans[step]["name"]) for step in path],
             }
         )
     fraction = (attributed / len(tail)) if tail else 1.0
     return {
         "spans": len(spans),
-        "flushes": len(flushes),
+        "flushes": len(stall),
         "stalled_flushes": len(nonzero),
         "tail_quantile": tail_quantile,
         "tail_threshold_pages": threshold,

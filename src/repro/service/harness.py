@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.obs import MetricsWriter, Tracer, write_spans
+from repro.obs import MetricsWriter, SpanRecorder, write_spans
 from repro.service.router import ConsistentHashRouter
 from repro.service.service import Service
 from repro.store import StoreConfig
@@ -305,14 +305,15 @@ def run_harness(
     The result and the metrics export contain no wall-clock data, so
     both are identical across runs with the same config.
     ``trace_out``/``telemetry_out`` add the wall-clocked trace plane in
-    *separate* files: a causal span file (head-sampled at
-    ``trace_sample``) and a per-tick telemetry feed for ``repro top``.
+    *separate* files: a causal span file (a :class:`SpanRecorder`
+    installed on the built service, head-sampled at ``trace_sample``)
+    and a per-tick telemetry feed for ``repro top``.
     """
     service = build_service(cfg)
-    tracer = None
+    recorder = None
     if trace_out is not None:
-        tracer = Tracer(seed=cfg.seed, sample=trace_sample)
-        service.attach_tracer(tracer)
+        recorder = SpanRecorder(sample=trace_sample, seed=cfg.seed)
+        recorder.install_service(service)
     if telemetry_out is not None:
         service.telemetry_to(
             telemetry_out, _run_meta(cfg, meta, component="telemetry")
@@ -323,12 +324,9 @@ def run_harness(
     )
     if metrics_out is not None:
         service.export_rows(metrics_out, _run_meta(cfg, meta))
-    if tracer is not None:
-        write_spans(
-            trace_out,
-            tracer,
-            _run_meta(cfg, meta, component="trace", trace_sample=tracer.sample),
-        )
+    if recorder is not None:
+        recorder.remove()
+        write_spans(trace_out, recorder, _run_meta(cfg, meta, component="trace"))
     service.close()
     return result
 

@@ -137,10 +137,6 @@ class IngestQueue:
         #: Optional callback fed each flush's stall pages (the service
         #: routes it into its :class:`~repro.obs.slo.SLOTracker`).
         self.on_stall: Optional[Callable[[float], None]] = None
-        #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
-        #: flush opens a ``queue.flush`` span with ``shard.put_many``
-        #: and downstream clean/maintain work as children.
-        self.tracer = None
 
     def add_shard(self, shard) -> None:
         """Track one more shard (pool growth).  Growth re-routes keys
@@ -259,15 +255,6 @@ class IngestQueue:
             return 0
         n = self._queued[shard]
         oldest = self._oldest_tick[shard]
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.start(
-                "queue.flush",
-                shard=shard,
-                ops=n,
-                queue_wait_ticks=0 if oldest is None else self._tick - oldest,
-            )
         self._pending[shard] = {}
         self._queued[shard] = 0
         self._oldest_tick[shard] = None
@@ -294,14 +281,8 @@ class IngestQueue:
             slots.append(slot)
             values.append(op)
         if slots:
-            if tracer is not None:
-                pspan = tracer.start("shard.put_many", shard=shard, puts=len(slots))
             try:
-                try:
-                    kv.write_slots(slots, values, [key for key, _ in new])
-                finally:
-                    if tracer is not None:
-                        tracer.finish(pspan)
+                kv.write_slots(slots, values, [key for key, _ in new])
             except StoreError:
                 # Out of space is the refusal a later flush can get
                 # past (after deletes or cleaning), and write_slots
@@ -317,8 +298,6 @@ class IngestQueue:
                 self._oldest_tick[shard] = oldest
                 self.depth += left
                 self.metrics.counter("ops_flushed").inc(len(deletes))
-                if span is not None:
-                    tracer.finish(span, refused=True)
                 raise
             routes, bits = self.routes, self._bits
             for (tenant, key), slot in new:
@@ -336,10 +315,6 @@ class IngestQueue:
         metrics.histogram("flush_stall_pages", PAGES_EDGES).observe(stall)
         if self.on_stall is not None:
             self.on_stall(float(stall))
-        if span is not None:
-            tracer.finish(
-                span, stall_pages=float(stall), coalesced=n - len(final)
-            )
         return n
 
     def flush_all(self) -> int:

@@ -146,11 +146,6 @@ class StorePool:
             IncrementalCleaner(kv.store, self.pages_per_step)
             for kv in self.shards
         ]
-        #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
-        #: maintenance round opens a ``pool.maintain`` span (shard-level
-        #: clean_begin/clean_step spans nest under it via the store
-        #: observers' tracer).
-        self.tracer = None
 
     # -- shape -----------------------------------------------------------
 
@@ -185,46 +180,34 @@ class StorePool:
         one cleaner step until the round budget is spent — see the
         module docstring for the loaded/idle split.
         """
-        tracer = self.tracer
-        span = (
-            tracer.start("pool.maintain", idle=idle)
-            if tracer is not None
-            else None
-        )
         cleaners = self.cleaners
         budget = self.gc_budget
         spent_total = 0
         deferred = 0
         capped = False
-        try:
-            needy = [
-                (cleaner.floor - cleaner.store.free_segment_count, i)
-                for i, cleaner in enumerate(cleaners)
-                if cleaner.needs_cleaning()
-            ]
-            needy.sort(key=lambda pair: (-pair[0], pair[1]))
-            for _deficit, i in needy:
-                if spent_total >= budget:
-                    capped = True
-                    break
-                cleaner = cleaners[i]
-                if not idle and not cleaner.behind():
-                    # Loaded round: this shard still has headroom
-                    # above the reactive trigger — defer its
-                    # proactive work to the next idle round.
-                    deferred += 1
-                    continue
-                left = budget - spent_total
-                moved = cleaner.step(
-                    left if idle else min(self.pages_per_step, left)
-                )
-                if moved:
-                    spent_total += moved
-                    if self.metrics is not None:
-                        self.metrics.counter("gc_governed_steps").inc()
-        finally:
-            if span is not None:
-                tracer.finish(span, pages=spent_total)
+        needy = [
+            (cleaner.floor - cleaner.store.free_segment_count, i)
+            for i, cleaner in enumerate(cleaners)
+            if cleaner.needs_cleaning()
+        ]
+        needy.sort(key=lambda pair: (-pair[0], pair[1]))
+        for _deficit, i in needy:
+            if spent_total >= budget:
+                capped = True
+                break
+            cleaner = cleaners[i]
+            if not idle and not cleaner.behind():
+                # Loaded round: this shard still has headroom above the
+                # reactive trigger — defer its proactive work to the
+                # next idle round.
+                deferred += 1
+                continue
+            left = budget - spent_total
+            moved = cleaner.step(left if idle else min(self.pages_per_step, left))
+            if moved:
+                spent_total += moved
+                if self.metrics is not None:
+                    self.metrics.counter("gc_governed_steps").inc()
         if self.metrics is not None:
             if spent_total:
                 self.metrics.counter("gc_governed_pages").inc(spent_total)

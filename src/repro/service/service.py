@@ -9,9 +9,9 @@ pool's global slack budget.
 
 Keys are namespaced per tenant — the stored key is the ``(tenant,
 key)`` pair — so tenants never collide and rebalancing can re-route
-every record from its stored form alone.  A client op is its span
-here (and a put's value check, a get's counter), then one call into
-the queue, which resolves the key through its route memo to its shard and the
+every record from its stored form alone.  A client op is a put's
+value check or a get's counter here, then one call into the queue,
+which resolves the key through its route memo to its shard and the
 record slot it keeps there for life (while shards change only through
 the service) and queues or reads it; a memo miss asks this service's
 ring.  Reads are read-your-writes: a ``get`` consults the pending run
@@ -27,12 +27,10 @@ histogram, per-shard op counters, rebalance counts), and
 plus one per shard — a file ``repro obs report`` and ``repro obs
 validate`` consume unchanged.
 
-Three trace-plane extensions sit on top (all optional, all off by
-default so the metrics export stays byte-deterministic):
+Two extensions sit on top; the one that writes wall time is off by
+default, so the metrics export stays byte-deterministic.  (Causal spans
+are recorded from outside, by :class:`~repro.obs.trace.SpanRecorder`.)
 
-* :meth:`attach_tracer` wires one :class:`~repro.obs.Tracer` through
-  the queue, pool, and every shard observer, so a ``service.put`` and
-  the flush/maintain/clean work it triggers form one causal span tree.
 * Every flush's stall pages feed an :class:`~repro.obs.SLOTracker`
   (``service.slo``) — multi-window burn rates over the flush-stall
   stream, embedded in the ``repro bench latency`` report.
@@ -118,14 +116,14 @@ class Service:
         #: cleaner step's worth of GC pages is a bad event.
         self.slo = SLOTracker(threshold=float(pages_per_step))
         self.queue.on_stall = self.slo.record
-        #: Trace plane — ``None`` until :meth:`attach_tracer`.
-        self.tracer = None
         #: Telemetry sink — ``None`` until :meth:`telemetry_to`.
         self.telemetry: Optional[MetricsWriter] = None
         self.seed = seed
         self._sample_interval = sample_interval
         # A miss in the queue's route memo asks this service's ring.
-        self.queue.locate = self._locate
+        self.queue.locate = lambda tenant, key: self.router.shard_for(
+            key, tenant=tenant
+        )
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
         self._c_flushed = self.metrics.counter("ops_flushed")
@@ -144,17 +142,6 @@ class Service:
         """The shard index owning ``key`` under ``tenant``."""
         return self.queue.route_of(tenant, key)[0]
 
-    def _locate(self, tenant: Optional[Key], key: Key) -> int:
-        """The ring's shard for a key the route memo missed."""
-        # Only a memo miss does real ring work, so only a miss opens a
-        # router span.
-        tracer = self.tracer
-        span = tracer.start("router.route") if tracer is not None else None
-        shard = self.router.shard_for(key, tenant=tenant)
-        if span is not None:
-            tracer.finish(span, shard=shard)
-        return shard
-
     # -- client API ------------------------------------------------------
 
     def put(self, key: Key, value: bytes, tenant: Optional[Key] = None) -> int:
@@ -167,31 +154,11 @@ class Service:
         queued behind it)."""
         if type(value) is not bytes or len(value) > self._max_value_bytes:
             value = check_value(value, self._max_value_bytes)
-        tracer = self.tracer
-        if tracer is None:
-            return self.queue.put(tenant, key, value)
-        span = tracer.start("service.put")
-        shard = None
-        try:
-            shard = self.queue.put(tenant, key, value)
-        finally:
-            # Also when the op's own flush is refused: an open span
-            # would adopt every later one.
-            tracer.finish(span, shard=shard)
-        return shard
+        return self.queue.put(tenant, key, value)
 
     def delete(self, key: Key, tenant: Optional[Key] = None) -> int:
         """Acknowledge a delete; returns the owning shard index."""
-        tracer = self.tracer
-        if tracer is None:
-            return self.queue.delete(tenant, key)
-        span = tracer.start("service.delete")
-        shard = None
-        try:
-            shard = self.queue.delete(tenant, key)
-        finally:
-            tracer.finish(span, shard=shard)
-        return shard
+        return self.queue.delete(tenant, key)
 
     def get(
         self,
@@ -222,14 +189,10 @@ class Service:
         runs in *idle* mode (every needy shard gets proactive steps up
         to the budget), whereas the rounds fired from inside a flush
         are loaded and defer all non-urgent work to this one."""
-        tracer = self.tracer
-        span = tracer.start("service.tick") if tracer is not None else None
         self.queue.tick()
         self.pool.maintain(idle=True)
         for observer in self.observers:
             observer.maybe_sample()
-        if span is not None:
-            tracer.finish(span)
         if self.telemetry is not None:
             self.telemetry.write_row(self.telemetry_row())
 
@@ -263,7 +226,6 @@ class Service:
                 sample_interval=self._sample_interval,
                 capture_failpoints=False,
             ).attach()
-            observer.tracer = self.tracer
             self.observers.append(observer)
         self.router = self.router.grown(n_shards)
         moved = 0
@@ -287,18 +249,6 @@ class Service:
         return moved
 
     # -- observability ---------------------------------------------------
-
-    def attach_tracer(self, tracer):
-        """Wire one :class:`~repro.obs.Tracer` through the whole stack:
-        service ops, queue flushes, pool maintenance, and the per-shard
-        store hooks (via each observer's ``tracer`` slot).  Returns the
-        tracer for chaining; pass ``None`` to detach."""
-        self.tracer = tracer
-        self.queue.tracer = tracer
-        self.pool.tracer = tracer
-        for observer in self.observers:
-            observer.tracer = tracer
-        return tracer
 
     def telemetry_to(
         self,
@@ -372,7 +322,7 @@ class Service:
         return samples[min(len(samples) - 1, int(0.95 * len(samples)))]
 
     def rows(self, meta: Optional[Dict] = None) -> Iterator[Dict]:
-        """Schema-v1 rows: one service-level block (meta + metrics),
+        """Schema-v2 rows: one service-level block (meta + metrics),
         then one block per shard from its :class:`StoreObserver`."""
         header = {"type": "meta", "schema": SCHEMA_VERSION}
         header["run"] = dict(meta) if meta else {}

@@ -170,12 +170,6 @@ class CleaningCycle:
         segs = self.segments
         pages = self.pages
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        span = (
-            tracer.start("store.clean_begin", clock=self.clock)
-            if tracer is not None
-            else None
-        )
         self._cleaning = True
         try:
             candidates = self.sealed_segments()
@@ -239,14 +233,9 @@ class CleaningCycle:
                 emptiness=emptiness,
             )
             self._clean_cursor = cursor
-            if span is not None:
-                span.attrs["victims"] = len(victims)
-                span.attrs["staged_pages"] = int(p_arr.size)
             return cursor
         finally:
             self._cleaning = False
-            if span is not None:
-                tracer.finish(span)
 
     def clean_step(self, max_pages: Optional[int] = None) -> int:
         """Relocate up to ``max_pages`` staged pages of the active cycle
@@ -277,13 +266,6 @@ class CleaningCycle:
         n = cur.pending.size
         relocated = 0
         skipped_before = cur.skipped
-        obs_t = self.obs
-        tracer = obs_t.tracer if obs_t is not None else None
-        span = (
-            tracer.start("store.clean_step", clock=self.clock, budget=int(budget))
-            if tracer is not None
-            else None
-        )
         self._cleaning = True
         try:
             if FAILPOINTS.active:
@@ -322,13 +304,6 @@ class CleaningCycle:
             cur.relocated += relocated
         finally:
             self._cleaning = False
-            if span is not None:
-                tracer.finish(
-                    span,
-                    relocated=int(relocated),
-                    skipped=int(cur.skipped - skipped_before),
-                    remaining=int(cur.remaining),
-                )
         obs = self.obs
         if obs is not None:
             obs.on_clean_step(
@@ -354,8 +329,7 @@ class CleaningCycle:
     def _clean_until_replenished(self, extra: Optional[int] = None) -> None:
         """A user roll's cleaning opportunity: drain an active cursor,
         then run cleaning cycles until the free pool recovers to the
-        trigger.  A roll that finds neither returns at once and opens
-        no ``store.write_stall`` span.
+        trigger.  A roll that finds neither returns at once.
 
         ``extra`` comes from a buffer drain: the rolls it still needs
         after this one.  Each cycle then asks the policy for enough
@@ -377,36 +351,26 @@ class CleaningCycle:
             return
         obs = self.obs
         gc_before = self.stats.gc_writes if obs is not None else 0
-        tracer = obs.tracer if obs is not None else None
-        span = (
-            tracer.start("store.write_stall", clock=self.clock)
-            if tracer is not None
-            else None
-        )
-        try:
-            if self._clean_cursor is not None:
-                # Correctness backstop: a foreground allocation must never
-                # overtake a mid-flight incremental cycle — the segments the
-                # cycle freed at clean_begin are the headroom its own GC
-                # emission relies on.  Drain it fully before cleaning more.
-                self.clean_step(None)
-            stalled, futile, best = 0, 0, -1
-            cap, used = self.segments.capacity, self.segments.used_units
-            while len(self.free_list) < trigger:
-                room = len(self.free_list) * cap + sum(
-                    cap - int(used[seg]) for seg in self.open_segments.values()
+        if self._clean_cursor is not None:
+            # Correctness backstop: a foreground allocation must never
+            # overtake a mid-flight incremental cycle — the segments the
+            # cycle freed at clean_begin are the headroom its own GC
+            # emission relies on.  Drain it fully before cleaning more.
+            self.clean_step(None)
+        stalled, futile, best = 0, 0, -1
+        cap, used = self.segments.capacity, self.segments.used_units
+        while len(self.free_list) < trigger:
+            room = len(self.free_list) * cap + sum(
+                cap - int(used[seg]) for seg in self.open_segments.values()
+            )
+            best, futile = (room, 0) if room > best else (best, futile + 1)
+            deficit = 0 if extra is None else trigger + extra - len(self.free_list)
+            stalled = stalled + 1 if self.clean(deficit=deficit) == 0 else 0
+            if stalled > 2 or futile > len(used):
+                raise OutOfSpaceError(
+                    "cleaning is not reclaiming space (policy=%s, free=%d)"
+                    % (getattr(self.policy, "name", "?"), len(self.free_list))
                 )
-                best, futile = (room, 0) if room > best else (best, futile + 1)
-                deficit = 0 if extra is None else trigger + extra - len(self.free_list)
-                stalled = stalled + 1 if self.clean(deficit=deficit) == 0 else 0
-                if stalled > 2 or futile > len(used):
-                    raise OutOfSpaceError(
-                        "cleaning is not reclaiming space (policy=%s, free=%d)"
-                        % (getattr(self.policy, "name", "?"), len(self.free_list))
-                    )
-        finally:
-            if span is not None:
-                tracer.finish(span, pages=int(self.stats.gc_writes - gc_before))
         if obs is not None:
             stall = self.stats.gc_writes - gc_before
             if stall:

@@ -360,15 +360,6 @@ class LogStructuredStore(WritePath, CleaningCycle):
         obs = self.obs
         if obs is not None:
             obs.on_flush(arr.size)
-        tracer = obs.tracer if obs is not None else None
-        # The drain is the one user write that allocates several
-        # segments: inline cleaning under it hangs off this span, so
-        # "why did the flush stall" reads "it drained".
-        span = (
-            tracer.start("store.flush", clock=self.clock, pages=int(arr.size))
-            if tracer is not None
-            else None
-        )
         try:
             self._resolve_first_writes(arr)
             policy = self.policy
@@ -395,9 +386,6 @@ class LogStructuredStore(WritePath, CleaningCycle):
             left = arr[self.pages.seg[arr] == IN_BUFFER]
             buffer.add_run(left, int(self.pages.size[left].sum()))
             raise
-        finally:
-            if span is not None:
-                tracer.finish(span)
 
     def set_oracle_frequencies(self, freqs: Sequence[float]) -> None:
         """Install exact per-page update frequencies for the ``-opt``

@@ -1,6 +1,6 @@
 """Plain-text table/series rendering."""
 
-from repro.bench import banner, format_series, format_table
+from repro.bench import format_series, format_table
 from repro.bench.tables import format_cell
 
 
@@ -47,10 +47,3 @@ class TestSeries:
         lines = out.splitlines()
         assert len(lines) == 4
         assert lines[2].lstrip().startswith("mdc")
-
-
-class TestBanner:
-    def test_contains_text(self):
-        out = banner("Figure 5a")
-        assert "Figure 5a" in out
-        assert out.splitlines()[0].startswith("=")

@@ -15,12 +15,11 @@ def _meta(schema=SCHEMA_VERSION, **run):
 def _span(**over):
     row = {
         "type": "span",
-        "trace": "aaaa",
-        "span": "bbbb",
-        "parent": None,
-        "name": "queue.flush",
-        "start_us": 100,
-        "dur_us": 50,
+        "name": "IngestQueue.flush_shard",
+        "start": 0.0001,
+        "end": 0.00015,
+        "parent": -1,
+        "size": 12,
     }
     row.update(over)
     return row
@@ -61,17 +60,21 @@ class TestSpanRows:
 
     def test_span_missing_keys(self):
         row = _span()
-        del row["dur_us"]
+        del row["end"]
         (problem,) = validate_rows([_meta(), row])
-        assert "missing keys dur_us" in problem
+        assert "missing keys end" in problem
 
-    def test_span_timestamps_must_be_integers(self):
-        (problem,) = validate_rows([_meta(), _span(start_us=1.5)])
-        assert "integer microseconds" in problem
+    def test_span_timestamps_must_be_seconds(self):
+        (problem,) = validate_rows([_meta(), _span(start="1.5")])
+        assert "must be seconds" in problem
 
     def test_span_duration_must_be_nonnegative(self):
-        (problem,) = validate_rows([_meta(), _span(dur_us=-1)])
+        (problem,) = validate_rows([_meta(), _span(end=0.00005)])
         assert "non-negative" in problem
+
+    def test_span_parent_must_be_an_index(self):
+        (problem,) = validate_rows([_meta(), _span(parent=None)])
+        assert "span row index" in problem
 
     def test_span_before_meta_rejected(self):
         (problem,) = validate_rows([_span(), _meta()])
@@ -106,7 +109,7 @@ class TestTelemetryRows:
 
 class TestSummarizeV2:
     def test_span_counts_surface(self):
-        rows = [_meta(), _span(), _span(span="cccc")]
+        rows = [_meta(), _span(), _span(parent=0)]
         summary = summarize_rows(rows)
         assert summary["spans"] == 2
         assert summary["per_run"][0]["spans"] == 2

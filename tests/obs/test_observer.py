@@ -248,7 +248,6 @@ class EagerObserver:
         self.sampler = TimeSeriesSampler(store, interval=sample_interval)
         self.decisions = deque(maxlen=max_decisions)
         self.decisions_dropped = 0
-        self.tracer = None
 
     def on_seal(self, seg):
         segs = self.store.segments
@@ -348,8 +347,6 @@ class FanOut:
     under test and to the reference, then holds their instruments to
     each other — so a lazily bound instrument has to appear in the very
     hook call the eager lookup creates it in."""
-
-    tracer = None
 
     def __init__(self, observer, reference):
         self.pair = (observer, reference)

@@ -1,16 +1,16 @@
-"""Causal spans: deterministic IDs, nesting, sampling, exporters, and
-the critical-path analyzer — all without running a service."""
+"""Causal spans recorded from outside: nesting, sampling, the bound,
+removal, exporters, and the critical-path analyzer — all without
+running a service."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.obs import trace
 from repro.obs.export import load_rows, validate_rows
 from repro.obs.trace import (
-    Span,
-    SpanCollector,
-    Tracer,
+    SpanRecorder,
     chrome_trace,
     critical_path_report,
     load_spans,
@@ -19,310 +19,328 @@ from repro.obs.trace import (
 )
 
 
-class TestIds:
-    def test_ids_deterministic_for_same_seed(self):
-        ids = []
-        for _ in range(2):
-            tracer = Tracer(seed=7)
-            with tracer.span("a"):
-                with tracer.span("b"):
-                    pass
-            ids.append([(r["trace"], r["span"]) for r in tracer.rows()])
-        assert ids[0] == ids[1]
+class Work:
+    """Two boundaries to wrap: ``outer`` runs the calls it is handed
+    and returns how many, ``leaf`` returns its argument."""
 
-    def test_ids_differ_across_seeds(self):
-        def one(seed):
-            tracer = Tracer(seed=seed)
-            tracer.finish(tracer.start("a"))
-            return tracer.rows()[0]["span"]
+    def outer(self, *calls):
+        for call in calls:
+            call()
+        return len(calls)
 
-        assert one(1) != one(2)
+    def leaf(self, n=0):
+        return n
 
-    def test_id_shape(self):
-        tracer = Tracer(seed=0)
-        tracer.finish(tracer.start("a"))
-        row = tracer.rows()[0]
-        assert len(row["span"]) == 16
-        int(row["span"], 16)  # valid hex
+
+def recorded(sample=1.0, seed=0):
+    """A recorder wrapped around a fresh :class:`Work`."""
+    rec, work = SpanRecorder(sample=sample, seed=seed), Work()
+    rec.wrap(work, "Work.outer", "ret")
+    rec.wrap(work, "Work.leaf", "ret", shard=2)
+    return rec, work
 
 
 class TestNesting:
     def test_stack_nesting_links_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert inner.parent_id == outer.span_id
-                assert inner.trace_id == outer.trace_id
-        assert outer.parent_id is None
+        rec, work = recorded()
+        work.outer(lambda: work.outer(work.leaf))
+        rows = rec.rows()
+        assert [(r["name"], r["parent"]) for r in rows] == [
+            ("Work.outer", -1),
+            ("Work.outer", 0),
+            ("Work.leaf", 1),
+        ]
 
     def test_sibling_spans_share_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("a") as a:
-                pass
-            with tracer.span("b") as b:
-                pass
-        assert a.parent_id == outer.span_id
-        assert b.parent_id == outer.span_id
-
-    def test_detached_parent_bypasses_stack(self):
-        tracer = Tracer()
-        root = tracer.start("root", parent=None)
-        with tracer.span("stacked"):
-            # Explicit parent: the stacked span is NOT the parent.
-            job = tracer.start("job", parent=root)
-            assert job.parent_id == root.span_id
-            tracer.finish(job)
-        tracer.finish(root)
-        # Stack is clean afterwards.
-        assert tracer._stack == []
+        rec, work = recorded()
+        work.outer(work.leaf, work.leaf)
+        assert [r["parent"] for r in rec.rows()] == [-1, 0, 0]
 
     def test_parent_interval_contains_child(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                pass
-        assert outer.start_s <= inner.start_s
-        assert inner.end_s <= outer.end_s
+        rec, work = recorded()
+        work.outer(lambda: work.outer(work.leaf))
+        rows = rec.rows()
+        for row in rows[1:]:
+            parent = rows[row["parent"]]
+            assert parent["start"] <= row["start"] <= row["end"] <= parent["end"]
 
-    def test_clock_and_attrs_exported(self):
-        tracer = Tracer()
-        span = tracer.start("flush", clock=42, shard=3)
-        tracer.finish(span, stall_pages=8.0)
-        row = tracer.rows()[0]
-        assert row["clock"] == 42
-        assert row["attrs"] == {"shard": 3, "stall_pages": 8.0}
-        assert row["dur_us"] >= 0
+    def test_size_shard_and_error_exported(self):
+        rec, work = recorded()
+        work.outer(lambda: work.leaf(8))
+        with pytest.raises(TypeError):
+            work.leaf(1, 2)
+        outer, leaf, bad = rec.rows()
+        assert (outer["size"], leaf["size"]) == (1, 8)
+        assert (leaf["shard"], "shard" in outer) == (2, False)
+        assert bad["error"] == "TypeError" and bad["end"] >= bad["start"]
+        assert "error" not in leaf
 
 
 class TestSampling:
     def test_sample_zero_keeps_nothing(self):
-        tracer = Tracer(sample=0.0)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert tracer.rows() == []
+        rec, work = recorded(sample=0.0)
+        work.outer(work.leaf)
+        assert rec.rows() == []
 
     def test_sample_one_keeps_everything(self):
-        tracer = Tracer(sample=1.0)
+        rec, work = recorded(sample=1.0)
         for _ in range(5):
-            with tracer.span("a"):
-                pass
-        assert len(tracer.rows()) == 5
+            work.leaf()
+        assert len(rec.rows()) == 5
 
     def test_children_inherit_root_decision(self):
-        tracer = Tracer(seed=3, sample=0.5)
+        """A sampled-out root leaves no row below it: every kept row's
+        parent is kept, and the roots kept carry all their children."""
+        rec, work = recorded(seed=3, sample=0.5)
         for _ in range(40):
-            with tracer.span("root"):
-                with tracer.span("child"):
-                    pass
-        rows = tracer.rows()
-        kept = {r["span"] for r in rows}
-        # Every kept child has its parent kept too — no orphans.
-        for row in rows:
-            if row["parent"] is not None:
-                assert row["parent"] in kept
-        # Partial sampling actually dropped and kept some traces.
-        roots = [r for r in rows if r["parent"] is None]
+            work.outer(work.leaf, lambda: work.outer(work.leaf))
+        rows = rec.rows()
+        roots = [i for i, r in enumerate(rows) if r["parent"] == -1]
         assert 0 < len(roots) < 40
+        assert len(rows) == 4 * len(roots)
+        for i, row in enumerate(rows):
+            assert row["parent"] < i
 
     def test_sampling_deterministic(self):
         def kept(seed):
-            tracer = Tracer(seed=seed, sample=0.5)
+            rec, work = recorded(seed=seed, sample=0.5)
             out = []
-            for i in range(20):
-                with tracer.span("r"):
-                    pass
-                out.append(len(tracer.rows()))
+            for _ in range(20):
+                work.leaf()
+                out.append(len(rec.rows()))
             return out
 
         assert kept(9) == kept(9)
+        assert kept(9) != kept(10)
 
     def test_bad_sample_rejected(self):
         with pytest.raises(ValueError):
-            Tracer(sample=1.5)
+            SpanRecorder(sample=1.5)
 
 
 class TestCollector:
-    def test_ring_drops_oldest_and_counts(self):
-        tracer = Tracer(capacity=4)
-        for i in range(10):
-            tracer.finish(tracer.start("s%d" % i))
-        assert len(tracer.rows()) == 4
-        assert tracer.dropped == 6
-        assert tracer.rows()[0]["name"] == "s6"
+    def test_ring_drops_oldest_and_counts(self, monkeypatch):
+        """The bound evicts the oldest whole root trees and counts them:
+        no child is kept without its parent."""
+        monkeypatch.setattr(trace, "CAPACITY", 5)
+        rec, work = recorded()
+        for n in range(4):
+            work.outer(*[work.leaf] * n)  # a tree of n + 1 spans
+        # 1 + 2 + 3 + 4 spans: the trees of 1, 2 and 3 spans went.
+        rows = rec.rows()
+        assert [r["parent"] for r in rows] == [-1, 0, 0, 0]
+        assert rows[0]["size"] == 3
+        assert rec.trees_dropped == 3 and rec.base == 6
 
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            SpanCollector(capacity=0)
+    def test_a_tree_past_the_bound_is_dropped_whole(self, monkeypatch):
+        monkeypatch.setattr(trace, "CAPACITY", 3)
+        rec, work = recorded()
+        work.outer(*[work.leaf] * 5)
+        work.leaf()
+        assert [(r["name"], r["parent"]) for r in rec.rows()] == [("Work.leaf", -1)]
+        assert rec.trees_dropped == 1 and rec.base == 4
 
     def test_unfinished_span_not_collected(self):
-        tracer = Tracer()
-        tracer.start("open")
-        assert tracer.rows() == []
+        rec, work = recorded()
+        seen = []
+        work.leaf()
+        work.outer(lambda: seen.append(rec.rows()))
+        assert [r["name"] for r in seen[0]] == ["Work.leaf"]
+        assert len(rec.rows()) == 2
+
+
+class TestRemove:
+    def test_remove_restores_every_object_as_built(self):
+        rec, work = recorded()
+        assert set(vars(work)) == {"outer", "leaf"}
+        rec.remove()
+        assert vars(work) == {} and rec.installed == []
+        work.outer(work.leaf)
+        assert rec.rows() == []
+
+    def test_remove_keeps_a_wrapper_installed_before(self):
+        work = Work()
+        outside = lambda *calls: "outside"  # noqa: E731
+        work.outer = outside
+        rec = SpanRecorder()
+        rec.wrap(work, "Work.outer")
+        assert work.outer() == "outside" and len(rec.rows()) == 1
+        rec.remove()
+        assert work.outer is outside
 
 
 class TestSpanFile:
-    def _tracer(self):
-        tracer = Tracer(seed=1)
-        with tracer.span("queue.flush", clock=10, shard=0):
-            with tracer.span("shard.put_many", shard=0):
-                pass
-        return tracer
+    def _recorder(self):
+        rec, work = recorded()
+        work.outer(work.leaf)
+        return rec
 
     def test_write_then_load_roundtrip(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        n = write_spans(str(path), self._tracer())
+        n = write_spans(str(path), self._recorder())
         assert n == 2
         rows = load_spans(str(path))
-        assert [r["name"] for r in rows] == ["shard.put_many", "queue.flush"]
+        assert [r["name"] for r in rows] == ["Work.outer", "Work.leaf"]
 
     def test_span_file_schema_validates(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        write_spans(str(path), self._tracer(), {"policy": "mdc"})
+        write_spans(str(path), self._recorder(), {"policy": "mdc"})
         rows = load_rows(str(path))
         assert validate_rows(rows) == []
         meta = rows[0]
         assert meta["schema"] == 2
         assert meta["run"]["component"] == "trace"
-        assert meta["run"]["spans_dropped"] == 0
+        assert meta["run"]["trees_dropped"] == 0
         assert meta["run"]["ring_capacity"] == 65536
 
     def test_write_from_plain_rows(self, tmp_path):
-        rows = self._tracer().rows()
+        rows = self._recorder().rows()
         path = tmp_path / "spans.jsonl"
         write_spans(str(path), rows)
         assert load_spans(str(path)) == rows
 
     def test_roundtrip_byte_identical(self, tmp_path):
-        rows = self._tracer().rows()
+        rows = self._recorder().rows()
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_spans(str(a), rows, {"x": 1})
         write_spans(str(b), load_spans(str(a)), {"x": 1})
         assert a.read_bytes() == b.read_bytes()
 
 
+def _span_row(parent, name, start, dur, size=0, **extra):
+    """A span row with times in microseconds."""
+    row = {
+        "type": "span",
+        "name": name,
+        "start": start / 1e6,
+        "end": (start + dur) / 1e6,
+        "parent": parent,
+        "size": size,
+    }
+    row.update(extra)
+    return row
+
+
 class TestChromeExport:
-    def test_structure_and_lanes(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("queue.flush", shard=2):
-            with tracer.span("store.clean_step", shard=2):
-                pass
-        trace = chrome_trace(tracer.rows())
-        assert set(trace) == {"traceEvents", "displayTimeUnit"}
-        events = trace["traceEvents"]
-        assert len(events) == 2
+    def test_structure_and_lanes(self):
+        rows = [
+            _span_row(-1, "Service.put", 0, 100),
+            _span_row(0, "IngestQueue.flush_shard", 10, 80, shard=2),
+            _span_row(1, "LogStructuredStore.clean_step", 20, 5, shard=2),
+        ]
+        trace_obj = chrome_trace(rows)
+        assert set(trace_obj) == {"traceEvents", "displayTimeUnit"}
+        events = trace_obj["traceEvents"]
+        assert len(events) == 3
         for event in events:
             assert event["ph"] == "X"
-            assert event["tid"] == 2
             assert event["dur"] >= 1
             assert isinstance(event["ts"], int)
-        cats = {e["cat"] for e in events}
-        assert cats == {"queue", "store"}
+        assert [e["tid"] for e in events] == [0, 3, 3]
+        assert [e["args"]["parent"] for e in events] == [-1, 0, 1]
+        assert {e["cat"] for e in events} == {
+            "Service", "IngestQueue", "LogStructuredStore"
+        }
 
     def test_events_sorted_by_start(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        events = chrome_trace(tracer.rows())["traceEvents"]
-        assert events[0]["name"] == "a"
+        rec, work = recorded()
+        work.outer()
+        work.leaf()
+        events = chrome_trace(rec.rows())["traceEvents"]
+        assert events[0]["name"] == "Work.outer"
         assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
 
     def test_write_chrome_trace_is_loadable_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
+        rec, work = recorded()
+        work.outer()
         out = tmp_path / "trace.json"
-        n = write_chrome_trace(str(out), tracer.rows())
+        n = write_chrome_trace(str(out), rec.rows())
         assert n == 1
         loaded = json.loads(out.read_text())
-        assert loaded["traceEvents"][0]["name"] == "a"
+        assert loaded["traceEvents"][0]["name"] == "Work.outer"
 
     def test_non_span_rows_skipped(self):
         rows = [{"type": "meta", "schema": 2, "run": {}}]
         assert chrome_trace(rows)["traceEvents"] == []
 
 
-def _span_row(span_id, parent, name, start, dur, **attrs):
-    row = {
-        "type": "span",
-        "trace": "t0",
-        "span": span_id,
-        "parent": parent,
-        "name": name,
-        "start_us": start,
-        "dur_us": dur,
-    }
-    if attrs:
-        row["attrs"] = attrs
-    return row
+FLUSH = "IngestQueue.flush_shard"
+STEP = "LogStructuredStore.clean_step"
 
 
 class TestCriticalPath:
-    def _flush(self, i, stall, child_name="store.clean_step", child_dur=900):
+    def _flush(self, base, i, stall, child_name=STEP, child_dur=900):
         """One flush span with a maintain child and (optionally) a
-        deeper dominant chain under it."""
-        fid = "f%d" % i
+        deeper dominant chain under it relocating ``stall`` pages;
+        ``base`` is the flush's row index."""
         rows = [
-            _span_row(fid, None, "queue.flush", i * 10_000, 1_000,
-                      shard=0, stall_pages=stall),
-            _span_row(fid + "m", fid, "pool.maintain", i * 10_000, 950),
+            _span_row(-1, FLUSH, i * 10_000, 1_000, size=4, shard=0),
+            _span_row(base, "StorePool.maintain", i * 10_000, 950),
         ]
         if child_name:
             rows.append(
-                _span_row(fid + "c", fid + "m", child_name,
-                          i * 10_000, child_dur)
+                _span_row(base + 1, child_name, i * 10_000, child_dur,
+                          size=int(stall))
             )
         return rows
 
-    def test_attributes_tail_to_dominant_chain(self):
+    def _flushes(self, stalls):
         rows = []
-        for i in range(99):
-            rows.extend(self._flush(i, stall=0.0))
-        rows.extend(self._flush(99, stall=64.0))
+        for i, stall in enumerate(stalls):
+            rows.extend(self._flush(len(rows), i, stall))
+        return rows
+
+    def test_attributes_tail_to_dominant_chain(self):
+        rows = self._flushes([0.0] * 99 + [64.0])
         report = critical_path_report(rows)
         assert report["flushes"] == 100
         assert report["stalled_flushes"] == 1
         assert report["tail_samples"] == 1
         assert report["attributed"] == 1
         assert report["attribution_fraction"] == 1.0
-        assert report["by_cause"] == {"store.clean_step": 1}
+        assert report["by_cause"] == {STEP: 1}
         (sample,) = report["samples"]
-        assert sample["chain"] == ["pool.maintain", "store.clean_step"]
+        assert sample["stall_pages"] == 64.0
+        assert sample["chain"] == ["StorePool.maintain", STEP]
 
     def test_dominant_child_wins_over_shorter(self):
-        rows = self._flush(0, stall=32.0, child_name=None)
+        rows = self._flush(0, 0, stall=0.0, child_name=None)
         # Two children under maintain: the longer one is the cause.
-        rows.append(_span_row("f0a", "f0m", "store.clean_begin", 0, 100))
-        rows.append(_span_row("f0b", "f0m", "store.clean_step", 0, 800))
+        rows.append(_span_row(1, "LogStructuredStore.clean_begin", 0, 100))
+        rows.append(_span_row(1, STEP, 0, 800, size=32))
         report = critical_path_report(rows)
-        assert report["by_cause"] == {"store.clean_step": 1}
+        assert report["by_cause"] == {STEP: 1}
+
+    def test_stall_sums_every_step_under_the_flush(self):
+        rows = self._flush(0, 0, stall=5.0)
+        rows.append(_span_row(1, STEP, 0, 10, size=7))
+        rows.append(_span_row(-1, STEP, 20_000, 10, size=100))  # no flush
+        (sample,) = critical_path_report(rows)["samples"]
+        assert sample["stall_pages"] == 12.0
 
     def test_childless_tail_flush_counts_as_self(self):
+        """A stalled flush whose own code outlasts its longest child is
+        not attributed to a child span."""
         rows = [
-            _span_row("f0", None, "queue.flush", 0, 500,
-                      stall_pages=16.0),
+            _span_row(-1, FLUSH, 0, 1_000),
+            _span_row(0, STEP, 100, 300, size=16),
         ]
         report = critical_path_report(rows)
         assert report["tail_samples"] == 1
         assert report["attributed"] == 0
         assert report["attribution_fraction"] == 0.0
         assert report["by_cause"] == {"(self)": 1}
+        assert report["samples"][0]["chain"] == [STEP]
+        rows[1]["end"] = rows[1]["start"] + 500e-6  # now the child's 500 >= 500
+        assert critical_path_report(rows)["by_cause"] == {STEP: 1}
 
     def test_no_stalls_reports_full_attribution(self):
-        rows = []
-        for i in range(5):
-            rows.extend(self._flush(i, stall=0.0))
-        report = critical_path_report(rows)
+        report = critical_path_report(self._flushes([0.0] * 5))
         assert report["tail_samples"] == 0
         assert report["attribution_fraction"] == 1.0
 
     def test_threshold_is_tail_quantile_of_nonzero(self):
-        rows = []
-        for i in range(10):
-            rows.extend(self._flush(i, stall=float(i)))
+        rows = self._flushes([float(i) for i in range(10)])
         report = critical_path_report(rows, tail_quantile=0.5)
         # Nonzero stalls are 1..9; nearest-rank p50 is 4 -> stalls >= 4.
         assert report["tail_threshold_pages"] == 4.0
@@ -335,8 +353,7 @@ class TestCriticalPath:
         passed on a run where no flush stalled — having examined
         nothing.  Without the gate the report is just a report."""
         rows = [{"type": "meta", "schema": 2, "run": {"component": "trace"}}]
-        for i in range(5):
-            rows.extend(self._flush(i, stall=0.0))
+        rows.extend(self._flushes([0.0] * 5))
         spans = tmp_path / "spans.jsonl"
         spans.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert main(["obs", "critical", str(spans)]) == 0

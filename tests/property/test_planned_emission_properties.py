@@ -13,8 +13,9 @@ that leave first-fit gaps, drains that stall mid-stretch, the
 incremental cycles stepped between batches, and new pages that run the
 device out of space mid-plan — they must end every op in the same
 state digest, raise the same error at the same point, and have shown an
-attached observer and tracer the same events (seal clocks, live
-counts, stalls) and ``store.*`` spans.
+attached observer the same events (seal clocks, live counts, stalls)
+and called the drain, write-stall and cleaning boundaries at the same
+clocks.
 
 A direct run does not pass through ``_emit_run``: it hands its own cut
 plan to ``_append_stretch``.  What holds its emission to page-at-a-time
@@ -30,11 +31,12 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
-from repro.obs import StoreObserver, Tracer
+from repro.obs import StoreObserver
 from repro.policies import make_policy
 from repro.store import LogStructuredStore, StoreConfig
 from repro.store.errors import OutOfSpaceError
 from repro.testkit.trace import state_digest
+from tests.property.test_write_batch_properties import record_spans
 
 N_PAGES = 48
 N_LOADED = 40
@@ -97,17 +99,15 @@ def build_store(cls, policy_name, sort_buffer_segments):
     store = cls(cfg, make_policy(policy_name))
     if policy_name.endswith("-opt"):
         store.set_oracle_frequencies(np.linspace(0.001, 0.2, 4 * N_PAGES).tolist())
-    StoreObserver(store, capture_failpoints=False).attach().tracer = Tracer()
+    StoreObserver(store, capture_failpoints=False).attach()
+    record_spans(store)
     store.load_sequential(N_LOADED, [1 + p % MAX_SIZE for p in range(N_LOADED)])
     return store
 
 
 def _observed(store):
     events = [event.to_dict() for event in store.obs.bus.events()]
-    spans = [
-        (span.name, span.clock) for span in store.obs.tracer.collector.spans()
-    ]
-    return events, spans
+    return events, store.span_log
 
 
 def _apply(store, kind, arg):

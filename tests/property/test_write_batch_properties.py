@@ -13,16 +13,17 @@ leave a gap at a segment's end, new pages that do not fit,
 first-writes (NaN carried estimates), trims between batches, pages
 staged by a mid-flight cleaning cycle and rewritten twice in one batch
 — the batch execution must leave the store byte-identical to the
-scalar ``write`` loop, and an attached observer and tracer must have
-seen the same events (seal clocks, live counts, stalls) and the same
-``store.*`` spans at the same clocks.
+scalar ``write`` loop, and an attached observer must have seen the
+same events (seal clocks, live counts, stalls), and the store's drain,
+write-stall and cleaning boundaries must have been called at the same
+clocks.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
-from repro.obs import StoreObserver, Tracer
+from repro.obs import StoreObserver
 from repro.policies import make_policy
 from repro.store import IN_RELOCATION, LogStructuredStore, StoreConfig
 from repro.store.errors import OutOfSpaceError
@@ -33,8 +34,43 @@ N_LOADED = N_PAGES // 2  # the rest are first-writes when they appear
 MAX_SIZE = 4
 
 
+def _stalls(store):
+    """A roll's cleaning opportunity that cleans: the batch path rolls
+    through the free pool it planned for without asking."""
+    return (
+        store.clean_cursor is not None
+        or store.free_segment_count < store.reactive_trigger()
+    )
+
+
+#: The store boundaries whose calls the differentials compare — the
+#: drain, the write stall and the cleaning cycle — each with when a
+#: call counts.
+SPANNED = (
+    ("flush", None),
+    ("_clean_until_replenished", _stalls),
+    ("clean_begin", None),
+    ("clean_step", None),
+)
+
+
+def record_spans(store):
+    """Wrap :data:`SPANNED` as instance attributes of ``store``, each
+    counted call logging ``(name, store.clock)`` at entry to
+    ``store.span_log``."""
+    store.span_log = []
+    for name, counts in SPANNED:
+        def wrapper(*args, _inner=getattr(store, name), _name=name, _counts=counts,
+                    **kwargs):
+            if _counts is None or _counts(store):
+                store.span_log.append((_name, store.clock))
+            return _inner(*args, **kwargs)
+
+        setattr(store, name, wrapper)
+
+
 def build_store(policy_name, sort_buffer_segments):
-    """An observed, traced store: the buffered engine when the policy
+    """An observed, span-logged store: the buffered engine when the policy
     takes a sort buffer (``greedy`` never does), the direct one
     otherwise."""
     cfg = StoreConfig(
@@ -51,21 +87,18 @@ def build_store(policy_name, sort_buffer_segments):
     )
     if policy_name.endswith("-opt"):
         store.set_oracle_frequencies(np.linspace(0.001, 0.2, N_PAGES).tolist())
-    StoreObserver(store, capture_failpoints=False).attach().tracer = Tracer()
+    StoreObserver(store, capture_failpoints=False).attach()
+    record_spans(store)
     store.load_sequential(N_LOADED)
     return store
 
 
 def _observed(store):
-    """Everything the observer and its tracer saw: the event stream
-    (``SEGMENT_SEALED`` clock / live_count / used_units, ``WRITE_STALL``
-    pages, ...) and the ``store.*`` spans as ``(name, clock)``."""
+    """Everything the observer saw — the event stream (``SEGMENT_SEALED``
+    clock / live_count / used_units, ``WRITE_STALL`` pages, ...) — and
+    the boundary calls as ``(name, clock)``."""
     events = [event.to_dict() for event in store.obs.bus.events()]
-    spans = [
-        (span.name, span.clock) for span in store.obs.tracer.collector.spans()
-    ]
-    assert all(name.startswith("store.") for name, _ in spans)
-    return events, spans
+    return events, store.span_log
 
 
 def _writes(max_page):

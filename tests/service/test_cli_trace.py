@@ -93,13 +93,16 @@ class TestObsCritical:
         assert 0.0 <= report["attribution_fraction"] <= 1.0
 
     def test_min_attribution_gate_can_fail(self, tmp_path, capsys):
-        # A fabricated childless stalled flush: attribution 0.0.
+        # A fabricated stalled flush whose own code outlasts its one
+        # child: attribution 0.0.
         spans = tmp_path / "spans.jsonl"
         rows = [
             {"type": "meta", "schema": 2, "run": {"component": "trace"}},
-            {"type": "span", "trace": "t", "span": "f0", "parent": None,
-             "name": "queue.flush", "start_us": 0, "dur_us": 10,
-             "attrs": {"stall_pages": 9.0}},
+            {"type": "span", "parent": -1, "name": "IngestQueue.flush_shard",
+             "start": 0.0, "end": 1e-5, "size": 4},
+            {"type": "span", "parent": 0,
+             "name": "LogStructuredStore.clean_step",
+             "start": 1e-6, "end": 2e-6, "size": 9},
         ]
         spans.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert main(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kvstore import KVError
-from repro.obs import Tracer
+from repro.obs import SpanRecorder
 from repro.obs.export import validate_rows
 from repro.service import RouterError, Service
 from repro.store import OutOfSpaceError, StoreConfig
@@ -348,26 +348,40 @@ class TestRefusedFlush:
             batch_size=16,
             max_depth=64,
         )
-        tracer = svc.attach_tracer(Tracer())
+        rec = SpanRecorder().install_service(svc)
         n = 0
         with pytest.raises(OutOfSpaceError):
             while n < 1000:
                 n += 1
                 svc.put(n - 1, b"x" * 8)
-        assert tracer._stack == []
-        refused = [
-            s for s in tracer.collector.spans() if s.attrs.get("refused")
+        assert rec._stack == [-1]
+        rows = rec.rows()
+        # The error is marked on every row it passed through, and the
+        # refused flush's Service.put row closes too.
+        (put_i,) = [
+            i for i, r in enumerate(rows) if r["name"] == "Service.put" and "error" in r
         ]
-        assert [s.name for s in refused] == ["queue.flush"]
+        put = rows[put_i]
+        (flush,) = [
+            r for r in rows
+            if r["parent"] == put_i and r["name"] == "IngestQueue.flush_shard"
+        ]
+        assert (put["parent"], put["error"]) == (-1, "OutOfSpaceError")
+        assert flush["error"] == "OutOfSpaceError"
+        assert flush["end"] <= put["end"]
         # The next op is refused too, and starts a trace of its own
         # instead of hanging under a dead flush.
         with pytest.raises(OutOfSpaceError):
             svc.put(n, b"y" * 8)
-        assert tracer._stack == []
-        flush, put = tracer.collector.spans()[-2:]
-        assert (put.name, put.parent_id) == ("service.put", None)
-        assert (flush.name, flush.parent_id) == ("queue.flush", put.span_id)
-        assert flush.attrs["refused"] is True
+        assert rec._stack == [-1]
+        rows = rec.rows()
+        put_i = max(i for i, r in enumerate(rows) if r["name"] == "Service.put")
+        assert (rows[put_i]["parent"], rows[put_i]["error"]) == (-1, "OutOfSpaceError")
+        (flush,) = [
+            r for r in rows
+            if r["parent"] == put_i and r["name"] == "IngestQueue.flush_shard"
+        ]
+        assert flush["error"] == "OutOfSpaceError"
 
 
 class TestDerivedPuts:
@@ -427,7 +441,7 @@ class TestRefusedValue:
     )
     def test_invalid_value_raises_at_put_and_loses_nothing(self, bad):
         svc = make_service(1, batch_size=1000, flush_interval=1000)
-        tracer = svc.attach_tracer(Tracer())
+        rec = SpanRecorder().install_service(svc)
         if bad == "oversized":
             bad = bytes(svc.pool[0].max_value_bytes + 1)
         svc.put("a", b"1", tenant="t")
@@ -443,7 +457,7 @@ class TestRefusedValue:
         assert [svc.get(k, tenant="t") for k in "acd"] == [b"1", b"3", b"4"]
         assert svc.get("bad", tenant="t") is None
         assert exported_puts(svc) == 3
-        assert tracer._stack == []
+        assert rec._stack == [-1]
         svc.pool.check_consistency()
 
     def test_a_value_at_the_limit_is_stored(self):

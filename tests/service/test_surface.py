@@ -10,7 +10,10 @@ import dataclasses
 import inspect
 
 from repro.cli import build_parser
+from repro.obs import StoreObserver
 from repro.service import ConsistentHashRouter, HarnessConfig, Service, StorePool
+from repro.service.harness import build_service
+from repro.service.ingest import IngestQueue
 from repro.store import IncrementalCleaner
 
 
@@ -125,3 +128,17 @@ def test_serve_flags():
 
 def test_no_op_file_commands():
     assert subcommand("loadgen") is None
+
+
+def test_no_tracer_in_the_stack():
+    """Causal spans are recorded from outside (``repro.obs.trace``): no
+    layer of the service carries a tracer slot or a way to attach one."""
+    service = build_service(HarnessConfig.quick(ops=100))
+    objects = [service, service.queue, service.pool, *service.observers]
+    for cls in (Service, IngestQueue, StorePool, StoreObserver):
+        assert not hasattr(cls, "attach_tracer")
+        assert not hasattr(cls, "tracer")
+    for obj in objects:
+        assert not hasattr(obj, "tracer")
+        assert not hasattr(obj, "attach_tracer")
+    service.close()

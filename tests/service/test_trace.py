@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.obs import SLOTracker, Tracer, critical_path_report, load_rows, validate_rows
+from repro.obs import (
+    SLOTracker,
+    SpanRecorder,
+    critical_path_report,
+    load_rows,
+    validate_rows,
+)
 from repro.obs.trace import load_spans
 from repro.service.harness import HarnessConfig, build_service, run_harness
 
@@ -49,32 +55,39 @@ class TestServiceSpans:
     def test_expected_span_kinds_present(self, spans):
         rows, _ = spans
         names = {r["name"] for r in rows}
-        assert "service.put" in names
-        assert "router.route" in names
-        assert "queue.flush" in names
-        assert "shard.put_many" in names
-        assert "pool.maintain" in names
-        assert "service.tick" in names
+        assert {
+            "Service.put",
+            "Service.delete",
+            "Service.tick",
+            "ConsistentHashRouter.shard_for",
+            "IngestQueue.flush_shard",
+            "LogStructuredKVStore.write_slots",
+            "StorePool.maintain",
+        } <= names
 
     def test_flush_parents_put_many(self, spans):
         rows, _ = spans
-        by_id = {r["span"]: r for r in rows}
-        put_manys = [r for r in rows if r["name"] == "shard.put_many"]
-        assert put_manys
-        for row in put_manys:
-            assert by_id[row["parent"]]["name"] == "queue.flush"
+        writes = [r for r in rows if r["name"] == "LogStructuredKVStore.write_slots"]
+        assert writes
+        for row in writes:
+            flush = rows[row["parent"]]
+            assert flush["name"] == "IngestQueue.flush_shard"
+            assert 0 < row["size"] <= flush["size"]
+            assert row["shard"] == flush["shard"]
 
     def test_flush_spans_carry_queue_attrs(self, spans):
+        """A flush row carries its shard (the Chrome lane) and the ops
+        it consumed; the ops flushed add up to the ops the clients
+        issued."""
         rows, _ = spans
-        flush = next(r for r in rows if r["name"] == "queue.flush")
-        attrs = flush["attrs"]
-        assert {"shard", "ops", "queue_wait_ticks", "stall_pages",
-                "coalesced"} <= set(attrs)
+        flushes = [r for r in rows if r["name"] == "IngestQueue.flush_shard"]
+        assert {r["shard"] for r in flushes} == set(range(CFG.n_shards))
+        assert sum(r["size"] for r in flushes) == CFG.ops
 
     def test_route_spans_only_on_memo_misses(self, spans):
         rows, _ = spans
-        routes = [r for r in rows if r["name"] == "router.route"]
-        puts = [r for r in rows if r["name"] == "service.put"]
+        routes = [r for r in rows if r["name"] == "ConsistentHashRouter.shard_for"]
+        puts = [r for r in rows if r["name"] == "Service.put"]
         # Memoization: far fewer route lookups than puts.
         assert 0 < len(routes) < len(puts)
 
@@ -92,9 +105,9 @@ class TestDeterminismWithTracing:
 
     def test_span_identity_deterministic_across_runs(self, tmp_path):
         def identity(path):
-            run_harness(CFG, trace_out=str(path))
+            run_harness(CFG, trace_out=str(path), trace_sample=0.5)
             return [
-                (r["trace"], r["span"], r["parent"], r["name"], r.get("clock"))
+                (r["parent"], r["name"], r["size"], r.get("shard"))
                 for r in load_spans(str(path))
             ]
 
@@ -115,7 +128,7 @@ class TestStallAttribution:
         rows = load_spans(str(trace))
         names = {r["name"] for r in rows}
         # The shape must actually exercise cleaning under flushes.
-        assert "store.clean_begin" in names or "store.write_stall" in names
+        assert "LogStructuredStore.clean_begin" in names
         report = critical_path_report(rows)
         assert report["stalled_flushes"] > 0
         assert report["tail_samples"] > 0
@@ -124,26 +137,30 @@ class TestStallAttribution:
         assert report["by_cause"]
 
     def test_a_stalled_flush_reads_it_drained(self, tmp_path):
-        """The store's drain is a ``store.flush`` span under
-        ``shard.put_many`` carrying its page count, and the inline
-        cleaning a drain runs into hangs off it: the tail samples'
-        dominant chains pass through the drain."""
+        """The store's drain is a ``LogStructuredStore.flush`` span
+        under the shard's ``write_slots``, and the inline cleaning a
+        drain runs into hangs off it: the tail samples' dominant chains
+        pass through the drain."""
         trace = tmp_path / "spans.jsonl"
         run_harness(STALL_CFG, trace_out=str(trace))
         rows = load_spans(str(trace))
-        by_id = {r["span"]: r for r in rows}
-        drains = [r for r in rows if r["name"] == "store.flush"]
+        drains = [r for r in rows if r["name"] == "LogStructuredStore.flush"]
         assert drains
         for drain in drains:
-            assert drain["attrs"]["pages"] > 0
-            assert by_id[drain["parent"]]["name"] == "shard.put_many"
-        stalls = [r for r in rows if r["name"] == "store.write_stall"]
+            assert rows[drain["parent"]]["name"] == "LogStructuredKVStore.write_slots"
+        stalls = [
+            r for r in rows
+            if r["name"] == "LogStructuredStore._clean_until_replenished"
+        ]
         assert stalls
-        assert all(by_id[r["parent"]]["name"] == "store.flush" for r in stalls)
+        assert all(rows[r["parent"]]["name"] == "LogStructuredStore.flush" for r in stalls)
         samples = critical_path_report(rows)["samples"]
         assert samples
         for sample in samples:
-            assert sample["chain"][:2] == ["shard.put_many", "store.flush"]
+            assert sample["chain"][:2] == [
+                "LogStructuredKVStore.write_slots",
+                "LogStructuredStore.flush",
+            ]
 
 
 class TestTelemetry:
@@ -210,18 +227,33 @@ class TestTelemetry:
 
 class TestAttachDetach:
     def test_attach_wires_every_layer_and_detach_unwires(self):
+        """``install_service`` wraps each boundary as an instance
+        attribute of the object built; ``remove`` deletes every one."""
         service = build_service(CFG)
+        layers = [service, service.router, service.queue, service.pool]
+        for kv in service.pool.shards:
+            layers += [kv, kv.store]
+        built = [set(vars(obj)) for obj in layers]
         try:
-            tracer = Tracer(seed=1)
-            assert service.attach_tracer(tracer) is tracer
-            assert service.queue.tracer is tracer
-            assert service.pool.tracer is tracer
-            for observer in service.observers:
-                assert observer.tracer is tracer
-            service.attach_tracer(None)
-            assert service.queue.tracer is None
-            assert service.pool.tracer is None
-            for observer in service.observers:
-                assert observer.tracer is None
+            rec = SpanRecorder(seed=1).install_service(service)
+            wrapped = {
+                type(obj).__name__ + "." + name
+                for obj, before in zip(layers, built)
+                for name in set(vars(obj)) - before
+            }
+            assert wrapped == {
+                "Service.put", "Service.delete", "Service.tick",
+                "ConsistentHashRouter.shard_for", "IngestQueue.flush_shard",
+                "StorePool.maintain", "LogStructuredKVStore.write_slots",
+                "LogStructuredStore.flush",
+                "LogStructuredStore._clean_until_replenished",
+                "LogStructuredStore.clean_begin",
+                "LogStructuredStore.clean_step",
+            }
+            service.put(1, b"v", tenant="t0")
+            service.flush()
+            assert rec.rows()
+            rec.remove()
+            assert [set(vars(obj)) for obj in layers] == built
         finally:
             service.close()

@@ -4,9 +4,16 @@ A job observed in a worker returns its rows with its result; the parent
 writes them where and in the order the serial run writes them.
 """
 
+import pytest
+
 from repro.bench.experiments import demo_experiment
 from repro.bench.runner import observed_runner
-from repro.bench.sweep import execute_job, expand_grid, parallel_experiment
+from repro.bench.sweep import (
+    SweepError,
+    execute_job,
+    expand_grid,
+    parallel_experiment,
+)
 from repro.obs import load_rows, validate_file, write_jsonl
 
 
@@ -55,14 +62,20 @@ class TestParallelExperimentObs:
         ]
 
     def test_resumed_jobs_write_no_rows(self, tmp_path):
+        """The journal keeps no rows, so resuming finished jobs with
+        ``metrics_out`` is refused before any job runs: an earlier or
+        partial file must not read as the whole grid."""
         parallel_experiment(demo_experiment, workers=1, out_dir=tmp_path)
         metrics = tmp_path / "metrics.jsonl"
-        report = parallel_experiment(
-            demo_experiment, workers=1, out_dir=tmp_path, resume=True,
-            metrics_out=str(metrics),
-        )
-        assert report.stats.executed == 0
-        assert not metrics.exists()
+        metrics.write_text("earlier\n")
+        manifest = (tmp_path / "manifest.jsonl").read_bytes()
+        with pytest.raises(SweepError, match="fresh --out"):
+            parallel_experiment(
+                demo_experiment, workers=1, out_dir=tmp_path, resume=True,
+                metrics_out=str(metrics),
+            )
+        assert metrics.read_text() == "earlier\n"
+        assert (tmp_path / "manifest.jsonl").read_bytes() == manifest
 
     def test_obs_output_identical_to_serial(self, tmp_path):
         serial = demo_experiment()
