@@ -61,15 +61,6 @@ def emptiness_ratio(emptiness: float, fill_factor: float) -> float:
     return emptiness / (1.0 - fill_factor)
 
 
-def breakeven_segment_pages(fill_factor: float, emptiness: float) -> float:
-    """Segment size above which an LFS beats page-at-a-time writing.
-
-    Section 2.1's example: at ``F = .8``, ``E >= .2`` gives
-    ``IO/seg <= 10``, so segments beyond 10 pages win.
-    """
-    return cost_per_segment(emptiness)
-
-
 def _check_emptiness(emptiness: float) -> None:
     if not 0.0 < emptiness <= 1.0:
         raise ValueError("emptiness must be in (0, 1], got %r" % (emptiness,))

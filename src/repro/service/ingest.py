@@ -22,8 +22,10 @@ int: ``slot << bits | shard`` once the key holds a record slot on its
 shard, ``~shard`` while it waits for its first flush, ``bits`` being
 what the shard count needs.  So the probe for a slotted key builds no
 tuple and reaches no object besides the two dicts; a miss asks the
-:attr:`~IngestQueue.locate` hook (the service's ring), once per key
-until growth empties the memo.
+:attr:`~IngestQueue.locate` hook (the service's ring), once per
+``(tenant, key)`` until growth empties the memo.  The ring keeps its
+own memo by key alone, so tenants sharing a plain key name hash it
+once between them.
 
 A batch is **coalesced** as it is queued.  A kvstore key keeps one
 record slot for life, so each shard's pending run is one ``slot -> last
@@ -67,14 +69,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import PAGES_EDGES, MetricsRegistry
-from repro.service.router import encode_key
+from repro.service.router import _PLAIN, encode_key
 from repro.store import StoreError
 
 #: Batch-size histogram buckets (ops per flushed batch).
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-#: Key types the ring encodes as themselves: no check before storing.
-_PLAIN = frozenset((int, str, bytes))
 
 
 class IngestQueue:

@@ -22,15 +22,27 @@ of the key alone, so one key routes to the same shard under every
 tenant (``shard_for`` takes ``tenant=`` for the callers that route a
 namespaced ``(tenant, key)`` pair, and ignores it).  Distinct tenants'
 keyspaces spread over the whole ring like any other keys.
+
+So a ring hashes each distinct plain key (an exact ``int``, ``str`` or
+``bytes``, which encode as themselves) once: ``shard_for`` keeps a memo
+from such a key to its shard, and a key of any other type (``True``,
+``1.0``, an ``IntEnum`` member, ``bytearray``, a tuple) is encoded and
+hashed on every call, raising as it would.  The memo holds one entry
+per distinct plain key routed and belongs to one ring: a pickled,
+copied or ``grown()`` router starts with an empty one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 Key = Union[str, bytes, int, Tuple]
+
+#: Key types the ring encodes as themselves, by exact type: no two equal
+#: keys of them differ in type, so one may stand for another in a dict.
+_PLAIN = frozenset((int, str, bytes))
 
 
 class RouterError(Exception):
@@ -92,7 +104,7 @@ class ConsistentHashRouter:
 
     The ring holds a ``hashlib`` state, which cannot be pickled, so a
     router pickles (and deep-copies) as those three values and is
-    rebuilt from them.
+    rebuilt from them, with an empty key memo.
     """
 
     def __init__(
@@ -128,12 +140,24 @@ class ConsistentHashRouter:
         # One more owner than points: bisect past the last point wraps
         # to the first point's owner.
         self._owners = [s for _, s in points] + [points[0][1]]
+        #: Plain key -> its shard, filled by ``shard_for``; never pickled
+        #: or carried into ``grown()``, which rebuild the ring.
+        self._memo: Dict[Key, int] = {}
 
     # -- lookup ----------------------------------------------------------
 
     def shard_for(self, key: Key, tenant: Optional[Key] = None) -> int:
         """The shard owning ``key``; ``tenant`` does not move it
         (module docstring)."""
+        if type(key) in _PLAIN:
+            try:
+                return self._memo[key]
+            except KeyError:
+                raw = _ring_hash(self._key_state, encode_key(key))
+                shard = self._memo[key] = self._owners[
+                    bisect_left(self._points, raw)
+                ]
+                return shard
         raw = _ring_hash(self._key_state, encode_key(key))
         return self._owners[bisect_left(self._points, raw)]
 

@@ -33,10 +33,6 @@ class StatsSnapshot:
     cleaned_emptiness_sum: float
     clean_cycles: int
 
-    def as_dict(self) -> dict:
-        """JSON-ready counter dump (obs exporters embed this)."""
-        return dataclasses.asdict(self)
-
     def delta(self, earlier: "StatsSnapshot") -> "WindowStats":
         """Statistics over the interval from ``earlier`` to this snapshot."""
         return WindowStats(
@@ -65,15 +61,6 @@ class WindowStats:
     segments_cleaned: int
     cleaned_emptiness_sum: float
     clean_cycles: int
-
-    def as_dict(self) -> dict:
-        """The window's counters plus its derived metrics, JSON-ready
-        (obs exporters embed this)."""
-        out = dataclasses.asdict(self)
-        out["write_amplification"] = self.write_amplification
-        out["device_write_amplification"] = self.device_write_amplification
-        out["mean_cleaned_emptiness"] = self.mean_cleaned_emptiness
-        return out
 
     @property
     def write_amplification(self) -> float:

@@ -132,11 +132,6 @@ class FailpointRegistry:
         self.active = True
         return arm
 
-    def disarm(self, name: str) -> None:
-        """Remove every arm attached to ``name``."""
-        self._arms.pop(name, None)
-        self._refresh_active()
-
     def clear(self) -> None:
         """Remove all arms, listeners, and hit counters."""
         self._arms.clear()

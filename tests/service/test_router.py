@@ -11,7 +11,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.service import ConsistentHashRouter, RouterError, encode_key
+import repro.service.router as router_mod
+from repro.service import ConsistentHashRouter, RouterError, Service, encode_key
+from repro.store import StoreConfig
 
 
 def sample_keys():
@@ -243,3 +245,109 @@ class TestRingPinned:
         assert [twin.shard_for(k) for k in GOLDEN_KEYS] == [
             router.shard_for(k) for k in GOLDEN_KEYS
         ]
+
+
+class _Named(enum.IntEnum):
+    """An ``IntEnum`` member equal to 1 whose ``str`` is not ``"1"``."""
+
+    ONE = 1
+
+    def __str__(self):
+        return self.name.lower()
+
+
+#: Keys of exactly ``int``, ``str`` or ``bytes``: the ones the ring memoizes.
+exact_plain_keys = st.one_of(
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.text(),
+    st.binary(),
+)
+
+
+class TestKeyMemo:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SHARDS))
+    def test_memo_repeats_the_golden_table(self, seed):
+        router = ConsistentHashRouter(8, seed=seed)
+        for _ in range(2):
+            got = [router.shard_for(key) for key in GOLDEN_KEYS]
+            assert got == GOLDEN_SHARDS[seed]
+
+    @given(
+        keys=st.lists(exact_plain_keys, max_size=12),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(deadline=None)
+    def test_memoized_stream_matches_reference(self, keys, seed):
+        router = ConsistentHashRouter(5, replicas=8, seed=seed)
+        for key in keys + keys:
+            want = reference_shard(5, 8, seed, key)
+            for tenant in ("t0", "t1", None, ("acme", 2)):
+                assert router.shard_for(key, tenant=tenant) == want
+
+    def test_memo_keeps_unroutable_aliases_raising(self):
+        router = ConsistentHashRouter(8)
+        router.shard_for(1)
+        router.shard_for(0)
+        for alias in (True, False, 1.0, 0.0):
+            with pytest.raises(RouterError):
+                router.shard_for(alias)
+
+    def test_int_subclass_routes_by_its_own_encoding(self):
+        router = ConsistentHashRouter(8, seed=0)
+        one = router.shard_for(1)
+        for alias in (_Named.ONE, _Shown(1)):
+            assert alias == 1
+            want = reference_shard(8, 64, 0, alias)
+            assert want != one  # the seed keeps the two apart
+            assert router.shard_for(alias) == want
+            assert router.shard_for(alias) == want
+        assert router.shard_for(1) == one
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.deepcopy,
+            lambda r: pickle.loads(pickle.dumps(r)),
+            lambda r: r.grown(6),
+        ],
+        ids=["deepcopy", "pickle", "grown"],
+    )
+    def test_clones_of_a_warm_router_route_afresh(self, clone):
+        router = ConsistentHashRouter(2, replicas=16, seed=9)
+        keys = sample_keys() + GOLDEN_KEYS
+        for key in keys:
+            router.shard_for(key)
+        twin = clone(router)
+        fresh = ConsistentHashRouter(twin.n_shards, replicas=16, seed=9)
+        assert [twin.shard_for(k) for k in keys] == [
+            fresh.shard_for(k) for k in keys
+        ]
+
+    def test_preload_hashes_each_shared_key_once(self, monkeypatch):
+        svc = Service(
+            4,
+            StoreConfig(n_segments=64, segment_units=64, fill_factor=0.5),
+            unit_bytes=8,
+            batch_size=32,
+            max_depth=256,
+        )
+        hashed = []
+        ring_hash = router_mod._ring_hash
+
+        def counting(state, data):
+            hashed.append(data)
+            return ring_hash(state, data)
+
+        monkeypatch.setattr(router_mod, "_ring_hash", counting)
+        keys = list(range(150)) + ["k%d" % i for i in range(50)]
+        for tenant in ("t0", "t1", "t2", "t3"):
+            for key in keys:
+                svc.put(key, b"v", tenant)
+        svc.flush()
+        assert len(hashed) == len(keys)
+        assert sorted(hashed) == sorted(encode_key(k) for k in keys)
+        for tenant in ("t0", "t3"):
+            for key in keys:
+                assert svc.get(key, tenant=tenant) == b"v"
+        assert len(hashed) == len(keys)
