@@ -13,7 +13,7 @@ Usage (installed as ``repro``, or ``python -m repro``):
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
     repro bench latency          # the service's flush-stall report
     repro serve --shards 4       # drive the sharded service front-end
-    repro top telemetry.jsonl    # live per-shard dashboard + SLO burn
+    repro obs report D/*.jsonl   # one report over a run's files
     repro policies               # list registered cleaning policies
     repro replay trace.jsonl     # re-run a recorded op trace, verify digest
     repro difftest --ops 10000   # store-vs-oracle differential harness
@@ -32,7 +32,10 @@ takes ``--seed`` so single runs are reproducible from the command line.
 ``repro serve`` runs the sharded service front-end (``repro.service``)
 under its deterministic concurrent client harness and reports per-shard
 ops and Wamp and the queue depth.  The same seed and parameters
-reproduce the same load, report and metrics file byte for byte.
+reproduce the same load, report and metrics file byte for byte.  With
+``--out DIR`` a run writes ``DIR/metrics.jsonl`` and, when
+``--trace-sample`` asks for causal spans, ``DIR/spans.jsonl``; ``repro
+obs report`` reads both into one report.
 
 ``repro bench latency`` runs ``repro.service.latency``: a seeded,
 clock-free report of what foreground flushes waited behind, written only
@@ -309,31 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_harness_flags(p)
     p.add_argument(
-        "--metrics-out", default=None, metavar="JSONL",
-        help="export the service + per-shard observability rows "
-        "(schema v2; byte-identical across same-seed runs)",
+        "--out", default=None, metavar="DIR",
+        help="write the service + per-shard observability rows to "
+        "DIR/metrics.jsonl (schema v2; byte-identical across same-seed "
+        "runs) and, with --trace-sample, causal spans to DIR/spans.jsonl; "
+        "read both with 'repro obs report'",
     )
     p.add_argument(
         "--sample-interval", type=int, default=None, metavar="TICKS",
         help="store clock ticks between per-shard time-series samples",
     )
     p.add_argument(
-        "--trace-out", default=None, metavar="JSONL",
+        "--trace-sample", type=float, default=None, metavar="FRAC",
         help="record causal spans (Service.put -> IngestQueue.flush_shard "
         "-> LogStructuredKVStore.write_slots -> LogStructuredStore.flush "
-        "-> clean) to this span file; inspect with 'repro obs critical' "
-        "or export with 'repro obs chrome'",
-    )
-    p.add_argument(
-        "--trace-sample", type=float, default=1.0, metavar="FRAC",
-        help="head-based trace sampling fraction, decided at each root "
-        "span and inherited by all its spans (default 1.0 = keep all)",
-    )
-    p.add_argument(
-        "--telemetry-out", default=None, metavar="JSONL",
-        help="append one per-tick telemetry row (per-shard Wamp/fill/"
-        "queue/stall + SLO burn state) to this file; watch live with "
-        "'repro top'",
+        "-> clean), head-sampled at this fraction: decided at each root "
+        "span and inherited by all its spans (1 = keep all); needs --out",
     )
 
     p = sub.add_parser("simulate", help="one custom simulation")
@@ -353,43 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="inspect a metrics.jsonl produced by --metrics-out, or a "
-        "span file produced by 'repro serve --trace-out'",
+        help="inspect the files of a run: a metrics.jsonl (--metrics-out, "
+        "or 'repro serve --out DIR') and a span file",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(
-        "summarize", help="per-run sample/decision/event counts + final Wamp"
-    )
-    p.add_argument("file", help="path to a metrics.jsonl")
-    p.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
-    p = obs_sub.add_parser(
-        "report", help="per-run convergence table (clock vs windowed Wamp)"
-    )
-    p.add_argument("file", help="path to a metrics.jsonl")
-    p.add_argument(
-        "--csv", default=None, metavar="OUT",
-        help="also write the sample time-series as CSV",
-    )
-    p = obs_sub.add_parser("tail", help="print the last N event rows")
-    p.add_argument("file", help="path to a metrics.jsonl")
-    p.add_argument(
-        "-n", type=int, default=20, help="events to show (default 20)"
+        "report",
+        help="one report over a run's files: per-run lines, the "
+        "convergence table (clock vs windowed Wamp) and the flush-stall "
+        "attribution of the tail samples to their dominant child span",
     )
     p.add_argument(
-        "--kind", default=None,
-        help="only events of this kind (e.g. clean_cycle)",
+        "files", nargs="+", metavar="FILE",
+        help="metrics.jsonl and/or span .jsonl files",
     )
     p.add_argument(
-        "--follow", action="store_true",
-        help="after the initial tail, keep polling the file for new "
-        "rows (bounded-backoff polling; ctrl-c to stop)",
-    )
-    p.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
-        help="with --follow: stop after this many idle seconds "
-        "(default: follow forever)",
+        "--min-attribution", type=float, default=None, metavar="FRAC",
+        help="exit 1 unless at least this fraction of p99 flush-stall "
+        "tail samples is attributed to a concrete child span (input with "
+        "no tail sample fails: nothing was examined)",
     )
     p = obs_sub.add_parser(
         "validate", help="schema-check a metrics.jsonl; exit 1 on problems"
@@ -404,52 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a span file to Chrome trace-event JSON "
         "(open in Perfetto / chrome://tracing)",
     )
-    p.add_argument("file", help="path to a span .jsonl (--trace-out)")
+    p.add_argument("file", help="path to a span .jsonl")
     p.add_argument(
         "--out", default=None, metavar="JSON",
         help="output path (default: <file> with a .trace.json suffix)",
-    )
-    p = obs_sub.add_parser(
-        "critical",
-        help="critical-path report: attribute each tail flush-stall "
-        "sample to its dominant child span",
-    )
-    p.add_argument("file", help="path to a span .jsonl (--trace-out)")
-    p.add_argument(
-        "--quantile", type=float, default=0.99,
-        help="tail quantile over nonzero flush stalls (default 0.99)",
-    )
-    p.add_argument(
-        "--min-attribution", type=float, default=None, metavar="FRAC",
-        help="exit 1 unless at least this fraction of tail samples "
-        "is attributed to a concrete child span (a file with no tail "
-        "sample fails: nothing was examined)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-
-    p = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a --telemetry-out file: "
-        "per-shard Wamp/fill/queue/stall plus SLO burn state",
-    )
-    p.add_argument("file", help="path to a telemetry .jsonl")
-    p.add_argument(
-        "--refresh", type=float, default=1.0, metavar="S",
-        help="minimum seconds between frame redraws (default 1.0)",
-    )
-    p.add_argument(
-        "--frames", type=int, default=None,
-        help="stop after rendering N frames (default: run until ctrl-c)",
-    )
-    p.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
-        help="stop after this many seconds without new rows",
-    )
-    p.add_argument(
-        "--no-clear", action="store_true",
-        help="do not clear the screen between frames (scrolling output)",
     )
 
     p = sub.add_parser(
@@ -546,8 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
     elif args.command == "obs":
         return _run_obs_command(args)
-    elif args.command == "top":
-        return _run_top_command(args)
     elif args.command == "replay":
         return _run_replay_command(args)
     elif args.command == "difftest":
@@ -583,8 +515,8 @@ def _note_metrics(args: argparse.Namespace) -> None:
 
 
 def _obs_label(meta: dict) -> str:
-    """Display label of a run block: the service/shard identity for
-    service exports, else policy/workload."""
+    """Display label of a run block: the service/shard/span-file
+    identity for service exports, else policy/workload."""
     component = meta.get("component")
     if component == "service":
         return "service (%s shards, %s)" % (meta.get("shards"), meta.get("policy"))
@@ -592,21 +524,18 @@ def _obs_label(meta: dict) -> str:
         return "shard %s/%s (%s)" % (
             meta.get("shard"), meta.get("shards"), meta.get("policy"),
         )
+    if component == "trace":
+        return "spans (%s, %s)" % (meta.get("policy"), meta.get("workload"))
     return "%s/%s" % (meta.get("policy"), meta.get("workload"))
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro obs``: inspect/validate a metrics.jsonl."""
-    import json
+    """Dispatch ``repro obs``: report on, validate or export a run's
+    files."""
+    from repro.obs import load_rows, validate_rows, write_chrome_trace
 
-    from repro.obs import (
-        aggregate_convergence,
-        load_rows,
-        samples_to_csv,
-        summarize_rows,
-        validate_rows,
-    )
-
+    if args.obs_command == "report":
+        return _run_obs_report(args)
     try:
         rows = load_rows(args.file)
     except (OSError, ValueError) as exc:
@@ -626,122 +555,7 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             "%s: %d rows across %d runs, schema valid"
             % (args.file, len(rows), runs)
         )
-    elif args.obs_command == "summarize":
-        summary = summarize_rows(rows)
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
-        print(
-            "%s: schema %d, %d runs"
-            % (args.file, summary["schema"], summary["runs"])
-        )
-        for run in summary["per_run"]:
-            label = _obs_label(run["run"])
-            wamp = (
-                "%.4f" % run["final_wamp_win"]
-                if run["final_wamp_win"] is not None
-                else "n/a"
-            )
-            dropped = ""
-            if run.get("events_dropped") or run.get("decisions_dropped"):
-                dropped = " dropped=%d ev/%d dec (ring=%s)" % (
-                    run.get("events_dropped", 0),
-                    run.get("decisions_dropped", 0),
-                    run.get("ring_capacity", "?"),
-                )
-            elif run.get("ring_capacity") is not None:
-                dropped = " ring=%s" % run["ring_capacity"]
-            if run.get("spans"):
-                dropped += " spans=%d" % run["spans"]
-            print(
-                "  %-40s samples=%-4d decisions=%-5d clock=%-9s Wamp=%s%s"
-                % (
-                    label,
-                    run["samples"],
-                    run["decisions"],
-                    run["final_clock"],
-                    wamp,
-                    dropped,
-                )
-            )
-        if summary.get("events_dropped") or summary.get("decisions_dropped"):
-            print(
-                "  capture rings dropped %d event(s) and %d decision "
-                "record(s) across all runs; retained events under-count "
-                "the run (grow ring_capacity/max_decisions to keep more)"
-                % (
-                    summary.get("events_dropped", 0),
-                    summary.get("decisions_dropped", 0),
-                )
-            )
-    elif args.obs_command == "report":
-        series = aggregate_convergence(rows)
-        for block in series:
-            print("%s:" % _obs_label(block["run"]))
-            print(
-                "  %10s %10s %12s %8s %8s"
-                % ("clock", "wamp_win", "dev_wamp_win", "fill", "free")
-            )
-            for i in range(len(block["clock"])):
-                print(
-                    "  %10d %10.4f %12.4f %8.4f %8d"
-                    % (
-                        block["clock"][i],
-                        block["wamp_win"][i],
-                        block["device_wamp_win"][i],
-                        block["fill"][i],
-                        block["free_segments"][i],
-                    )
-                )
-        if args.csv:
-            n = samples_to_csv(args.csv, rows)
-            print("%d samples written to %s" % (n, args.csv))
-    elif args.obs_command == "tail":
-
-        def show(event: dict) -> None:
-            extras = {
-                k: v
-                for k, v in event.items()
-                if k not in ("type", "seq", "clock", "kind")
-            }
-            print(
-                "seq=%-6d clock=%-9d %-16s %s"
-                % (
-                    event["seq"],
-                    event["clock"],
-                    event["kind"],
-                    json.dumps(extras, sort_keys=True),
-                )
-            )
-
-        def wanted(row: dict) -> bool:
-            if row.get("type") != "event":
-                return False
-            return not args.kind or row.get("kind") == args.kind
-
-        events = [r for r in rows if wanted(r)]
-        for event in events[-args.n:]:
-            show(event)
-        if args.follow:
-            from repro.obs import follow_lines
-
-            try:
-                for line in follow_lines(
-                    args.file,
-                    from_start=False,
-                    idle_timeout_s=args.idle_timeout,
-                ):
-                    try:
-                        row = json.loads(line)
-                    except ValueError:
-                        continue
-                    if wanted(row):
-                        show(row)
-            except KeyboardInterrupt:
-                pass
     elif args.obs_command == "chrome":
-        from repro.obs import write_chrome_trace
-
         out = args.out or args.file.removesuffix(".jsonl") + ".trace.json"
         span_rows = [r for r in rows if r.get("type") == "span"]
         if not span_rows:
@@ -752,104 +566,194 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             "%d span(s) exported to %s (load in Perfetto via "
             "https://ui.perfetto.dev or chrome://tracing)" % (n, out)
         )
-    elif args.obs_command == "critical":
-        from repro.obs import critical_path_report
+    return 0
 
-        report = critical_path_report(rows, tail_quantile=args.quantile)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
+
+def _run_obs_report(args: argparse.Namespace) -> int:
+    """``repro obs report FILE...``: each row decides its section.
+    Meta and metrics rows give one line per run, sample rows the
+    convergence table, span rows the flush-stall attribution (the one
+    section ``--min-attribution`` gates)."""
+    from repro.obs import (
+        aggregate_convergence,
+        critical_path_report,
+        load_rows,
+        summarize_rows,
+    )
+
+    series = []
+    spans = []
+    dropped = [0, 0]
+    for path in args.files:
+        try:
+            rows = load_rows(path)
+        except (OSError, ValueError) as exc:
+            print("obs error: %s" % exc, file=sys.stderr)
+            return 1
+        summary = summarize_rows(rows)
+        print(
+            "%s: schema %s, %d runs"
+            % (
+                path,
+                ",".join(str(v) for v in summary["schemas"]) or "-",
+                summary["runs"],
+            )
+        )
+        for run in summary["per_run"]:
+            wamp = (
+                "%.4f" % run["final_wamp_win"]
+                if run["final_wamp_win"] is not None
+                else "n/a"
+            )
+            extra = ""
+            if run["events_dropped"] or run["decisions_dropped"]:
+                extra = " dropped=%d ev/%d dec (ring=%s)" % (
+                    run["events_dropped"],
+                    run["decisions_dropped"],
+                    run["ring_capacity"] or "?",
+                )
+            elif run["ring_capacity"] is not None:
+                extra = " ring=%s" % run["ring_capacity"]
+            if run["spans"]:
+                extra += " spans=%d" % run["spans"]
             print(
-                "%s: %d span(s), %d flush(es), %d stalled, tail p%g >= "
-                "%.1f pages -> %d tail sample(s)"
+                "  %-40s samples=%-4d decisions=%-5d clock=%-9s Wamp=%s%s"
                 % (
-                    args.file,
-                    report["spans"],
-                    report["flushes"],
-                    report["stalled_flushes"],
-                    100 * report["tail_quantile"],
-                    report["tail_threshold_pages"],
-                    report["tail_samples"],
+                    _obs_label(run["run"]),
+                    run["samples"],
+                    run["decisions"],
+                    run["final_clock"],
+                    wamp,
+                    extra,
                 )
             )
+        dropped[0] += summary["events_dropped"]
+        dropped[1] += summary["decisions_dropped"]
+        series += [block for block in aggregate_convergence(rows) if block["clock"]]
+        # A span row's parent indexes its own file's span rows.
+        base = len(spans)
+        for row in rows:
+            if row.get("type") == "span":
+                span = dict(row)
+                if span["parent"] >= 0:
+                    span["parent"] += base
+                spans.append(span)
+    if any(dropped):
+        print(
+            "  capture rings dropped %d event(s) and %d decision "
+            "record(s) across all runs; retained events under-count "
+            "the run (grow ring_capacity/max_decisions to keep more)"
+            % tuple(dropped)
+        )
+
+    for block in series:
+        print("\nconvergence of %s:" % _obs_label(block["run"]))
+        print(
+            "  %10s %10s %12s %8s %8s"
+            % ("clock", "wamp_win", "dev_wamp_win", "fill", "free")
+        )
+        for i in range(len(block["clock"])):
             print(
-                "attributed %d/%d tail sample(s) (%.1f%%) to a dominant "
-                "child span"
+                "  %10d %10.4f %12.4f %8.4f %8d"
                 % (
-                    report["attributed"],
-                    report["tail_samples"],
-                    100 * report["attribution_fraction"],
+                    block["clock"][i],
+                    block["wamp_win"][i],
+                    block["device_wamp_win"][i],
+                    block["fill"][i],
+                    block["free_segments"][i],
                 )
             )
-            for cause, count in report["by_cause"].items():
-                print("  %-44s %4d sample(s)" % (cause, count))
-        if args.min_attribution is not None:
-            if report["tail_samples"] == 0:
-                # 0 of 0 is not "all of them": a gate that examined no
-                # sample has checked nothing.
-                print(
-                    "critical-path gate examined nothing: %s has no "
-                    "stalled flush (0 tail samples), so --min-attribution "
-                    "%.3f is unmet; drive a run that stalls"
-                    % (args.file, args.min_attribution),
-                    file=sys.stderr,
-                )
-                return 1
-            if report["attribution_fraction"] < args.min_attribution:
-                print(
-                    "critical-path attribution %.3f below required %.3f"
-                    % (report["attribution_fraction"], args.min_attribution),
-                    file=sys.stderr,
-                )
-                return 1
+
+    if not spans and args.min_attribution is None:
+        return 0
+    report = critical_path_report(spans)
+    print(
+        "\nflush stalls: %d span(s), %d flush(es), %d stalled, tail p%g >= "
+        "%.1f pages -> %d tail sample(s)"
+        % (
+            report["spans"],
+            report["flushes"],
+            report["stalled_flushes"],
+            100 * report["tail_quantile"],
+            report["tail_threshold_pages"],
+            report["tail_samples"],
+        )
+    )
+    print(
+        "attributed %d/%d tail sample(s) (%.1f%%) to a dominant child span"
+        % (
+            report["attributed"],
+            report["tail_samples"],
+            100 * report["attribution_fraction"],
+        )
+    )
+    for cause, count in report["by_cause"].items():
+        print("  %-44s %4d sample(s)" % (cause, count))
+    for sample in report["samples"]:
+        print(
+            "  span %-8d stalled %6.1f pages %10.1f us -> %s"
+            % (
+                sample["span"],
+                sample["stall_pages"],
+                sample["stall_us"],
+                sample["cause"],
+            )
+        )
+    if args.min_attribution is not None:
+        if report["tail_samples"] == 0:
+            # 0 of 0 is not "all of them": a gate that examined no
+            # sample has checked nothing.
+            print(
+                "critical-path gate examined nothing: the input has no "
+                "stalled flush (0 tail samples), so --min-attribution "
+                "%.3f is unmet; drive a run that stalls"
+                % args.min_attribution,
+                file=sys.stderr,
+            )
+            return 1
+        if report["attribution_fraction"] < args.min_attribution:
+            print(
+                "critical-path attribution %.3f below required %.3f"
+                % (report["attribution_fraction"], args.min_attribution),
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro serve``: generate load, report."""
+    """Dispatch ``repro serve``: generate load, report, and with
+    ``--out`` write the run's files."""
+    import os
+
     from repro.service import RouterError, run_harness
 
+    if args.trace_sample is not None and args.out is None:
+        print("serve error: --trace-sample needs --out DIR", file=sys.stderr)
+        return 1
+    metrics_out = trace_out = None
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        metrics_out = os.path.join(args.out, "metrics.jsonl")
+        if args.trace_sample is not None:
+            trace_out = os.path.join(args.out, "spans.jsonl")
     # The harness builds its service before it drives the first op, so
     # a shape the config or a constructor refuses ends here, op-free.
     try:
         result = run_harness(
             _harness_config(args),
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            trace_sample=args.trace_sample,
-            telemetry_out=args.telemetry_out,
+            metrics_out=metrics_out,
+            trace_out=trace_out,
+            trace_sample=1.0 if args.trace_sample is None else args.trace_sample,
         )
     except (ValueError, RouterError) as exc:
         print("serve error: %s" % exc, file=sys.stderr)
         return 1
     print(result.report())
-    if args.metrics_out:
-        print("observability rows written to %s" % args.metrics_out)
-    if args.trace_out:
-        print("causal spans written to %s" % args.trace_out)
-    if args.telemetry_out:
-        print("telemetry rows written to %s" % args.telemetry_out)
-    return 0
-
-
-def _run_top_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro top``: live dashboard over a telemetry file."""
-    from repro.obs import run_top
-
-    frames = run_top(
-        args.file,
-        refresh_s=args.refresh,
-        iterations=args.frames,
-        clear=not args.no_clear,
-        idle_timeout_s=args.idle_timeout,
-    )
-    if frames == 0:
-        print(
-            "no telemetry rows in %s (produce one with "
-            "'repro serve --telemetry-out %s')" % (args.file, args.file),
-            file=sys.stderr,
-        )
-        return 1
+    if metrics_out:
+        print("observability rows written to %s" % metrics_out)
+    if trace_out:
+        print("causal spans written to %s" % trace_out)
     return 0
 
 

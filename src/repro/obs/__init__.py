@@ -15,14 +15,9 @@ surface:
   :mod:`repro.obs.trace`.
 * :class:`SLOTracker` — multi-window burn-rate evaluation of the
   service's flush-stall stream.
-* :mod:`repro.obs.clock` — the shared monotonic wall clock every
-  timing field (spans, benches, telemetry) is stamped against.
-* :mod:`repro.obs.export` — JSONL/CSV writers, validation, aggregation.
-* :mod:`repro.obs.top` — the ``repro top`` live telemetry dashboard
-  and the poll/backoff file follower shared with ``obs tail --follow``.
+* :mod:`repro.obs.export` — the JSONL writer, validation, aggregation.
 """
 
-from repro.obs.clock import now_s
 from repro.obs.events import (
     BUFFER_FLUSH,
     CLEAN_CYCLE,
@@ -40,7 +35,6 @@ from repro.obs.export import (
     MetricsWriter,
     aggregate_convergence,
     load_rows,
-    samples_to_csv,
     summarize_rows,
     validate_file,
     validate_rows,
@@ -57,7 +51,6 @@ from repro.obs.metrics import (
 from repro.obs.observer import PAGES_EDGES, StoreObserver
 from repro.obs.samplers import TimeSeriesSampler, default_interval
 from repro.obs.slo import SLOTracker
-from repro.obs.top import follow_lines, render_top, run_top
 from repro.obs.trace import (
     SpanRecorder,
     chrome_trace,
@@ -94,13 +87,8 @@ __all__ = [
     "chrome_trace",
     "critical_path_report",
     "default_interval",
-    "follow_lines",
     "load_rows",
     "load_spans",
-    "now_s",
-    "render_top",
-    "run_top",
-    "samples_to_csv",
     "summarize_rows",
     "percentile_from_buckets",
     "validate_file",

@@ -1,4 +1,4 @@
-"""JSONL/CSV export, schema validation, and aggregation for obs rows.
+"""JSONL export, schema validation, and aggregation for obs rows.
 
 The on-disk format is line-delimited JSON (``metrics.jsonl``).  Each run
 contributes a block of rows opened by a ``meta`` header::
@@ -9,22 +9,22 @@ contributes a block of rows opened by a ``meta`` header::
     {"type": "metrics", "counters": {...}, "gauges": {...}, ...}
     {"type": "event", "seq": ..., "kind": "clean_cycle", ...}
 
-Schema v2 adds two row types on top of v1 (which stays valid): ``span``
-rows (causal trace spans, usually in their own span file — see
-:mod:`repro.obs.trace`) and ``telemetry`` rows (per-tick service state
-for ``repro top``).  Metrics rows may carry ``ring_capacity`` so drop
-counts can be read against the ring size.  Wall-clock fields appear
-only in span/telemetry rows; the default metrics export stays
-byte-deterministic across same-seed runs.
+Schema v2 adds one row type on top of v1 (which stays valid): ``span``
+rows (causal trace spans, in their own span file — see
+:mod:`repro.obs.trace`).  Metrics rows may carry ``ring_capacity`` so
+drop counts can be read against the ring size.  Wall-clock fields
+appear only in span rows; the metrics export stays byte-deterministic
+across same-seed runs.
 
 Several runs (a fig5 policy grid, a sweep) concatenate blocks in one
 file; :func:`aggregate_convergence` splits them back apart on the meta
-headers.  :func:`validate_rows` is the schema contract CI enforces.
+headers, and :func:`summarize_rows` gives each run's one-line summary
+(``repro obs report``).  :func:`validate_rows` is the schema contract CI
+enforces.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from typing import Dict, Iterable, List, Optional
@@ -35,11 +35,11 @@ from repro.obs.events import EVENT_KINDS
 SCHEMA_VERSION = 2
 
 #: Versions :func:`validate_rows` accepts — v1 files stay valid; v2
-#: adds ``span``/``telemetry`` rows and the ``ring_capacity`` field.
+#: adds ``span`` rows and the ``ring_capacity`` field.
 SUPPORTED_SCHEMAS = (1, 2)
 
 #: Every row type a metrics.jsonl may contain.
-ROW_TYPES = ("meta", "sample", "decision", "event", "metrics", "span", "telemetry")
+ROW_TYPES = ("meta", "sample", "decision", "event", "metrics", "span")
 
 _SAMPLE_KEYS = (
     "clock",
@@ -61,17 +61,6 @@ _VICTIM_KEYS = ("seg", "A", "C", "up2", "score")
 _EVENT_KEYS = ("seq", "clock", "kind")
 _METRICS_KEYS = ("counters", "gauges", "histograms")
 _SPAN_KEYS = ("name", "start", "end", "parent", "size")
-_TELEMETRY_KEYS = ("t_s", "clock", "shards", "slo")
-_TELEMETRY_SHARD_KEYS = (
-    "shard",
-    "wamp",
-    "fill",
-    "free_segments",
-    "buffered_units",
-    "queue_depth",
-    "write_stalls",
-    "stall_p99_pages",
-)
 
 
 class MetricsWriter:
@@ -115,28 +104,6 @@ def load_rows(path: str) -> List[Dict]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def samples_to_csv(path: str, rows: Iterable[Dict]) -> int:
-    """Write the ``sample`` rows among ``rows`` as a CSV time-series
-    (list-valued fields are ``|``-joined); returns the sample count."""
-    samples = [r for r in rows if r.get("type") == "sample"]
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SAMPLE_KEYS)
-        for row in samples:
-            writer.writerow(
-                [
-                    "|".join(str(v) for v in row[k])
-                    if isinstance(row.get(k), list)
-                    else row.get(k)
-                    for k in _SAMPLE_KEYS
-                ]
-            )
-    return len(samples)
 
 
 # ----------------------------------------------------------------------
@@ -233,18 +200,6 @@ def validate_rows(
                     errors.append("%s: duration must be non-negative" % where)
                 if not isinstance(row["parent"], int):
                     errors.append("%s: parent must be a span row index" % where)
-        elif rtype == "telemetry":
-            if _check_keys(row, _TELEMETRY_KEYS, where, errors):
-                if not isinstance(row["shards"], list):
-                    errors.append("%s: shards must be a list" % where)
-                else:
-                    for j, shard in enumerate(row["shards"]):
-                        _check_keys(
-                            shard,
-                            _TELEMETRY_SHARD_KEYS,
-                            "%s shard %d" % (where, j),
-                            errors,
-                        )
     if runs == 0:
         errors.append("no meta header found")
     elif require_decisions and saw_rows_in_run and decisions_in_run == 0:
@@ -268,7 +223,11 @@ def _split_runs(rows: Iterable[Dict]) -> List[Dict]:
     current: Optional[Dict] = None
     for row in rows:
         if row.get("type") == "meta":
-            current = {"run": row.get("run", {}), "rows": []}
+            current = {
+                "run": row.get("run", {}),
+                "schema": row.get("schema"),
+                "rows": [],
+            }
             runs.append(current)
         elif current is not None:
             current["rows"].append(row)
@@ -295,28 +254,25 @@ def aggregate_convergence(rows: Iterable[Dict]) -> List[Dict]:
 
 
 def summarize_rows(rows: Iterable[Dict]) -> Dict:
-    """Compact summary of a metrics file (the ``repro obs summarize``
-    payload): per run, the final windowed Wamp, sample/decision/event
-    counts, the policies that made decisions, and how much the capture
-    rings dropped (cumulative EventBus/decision-deque drops — nonzero
-    means the retained events under-count what actually happened)."""
+    """Compact summary of a metrics file (the run lines of ``repro obs
+    report``): the schema versions its meta headers declare and, per
+    run, the final clock and windowed Wamp, sample/decision/span counts,
+    and how much the capture rings dropped (cumulative EventBus/
+    decision-deque drops — nonzero means the retained events
+    under-count what actually happened)."""
     blocks = _split_runs(rows)
     runs = []
     total_events_dropped = 0
     total_decisions_dropped = 0
-    total_spans = 0
     for block in blocks:
         samples = [r for r in block["rows"] if r.get("type") == "sample"]
         decisions = [r for r in block["rows"] if r.get("type") == "decision"]
         spans = [r for r in block["rows"] if r.get("type") == "span"]
-        events: Dict[str, int] = {}
         events_dropped = 0
         decisions_dropped = 0
         ring_capacity: Optional[int] = None
         for row in block["rows"]:
             if row.get("type") == "metrics":
-                for kind, n in row.get("event_counts", {}).items():
-                    events[kind] = events.get(kind, 0) + n
                 events_dropped += int(row.get("events_dropped", 0) or 0)
                 decisions_dropped += int(row.get("decisions_dropped", 0) or 0)
                 if row.get("ring_capacity") is not None:
@@ -326,7 +282,6 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
             ring_capacity = int(block["run"]["ring_capacity"])
         total_events_dropped += events_dropped
         total_decisions_dropped += decisions_dropped
-        total_spans += len(spans)
         last = samples[-1] if samples else None
         runs.append(
             {
@@ -334,21 +289,17 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
                 "samples": len(samples),
                 "decisions": len(decisions),
                 "spans": len(spans),
-                "decision_policies": sorted({d["policy"] for d in decisions}),
                 "final_clock": last["clock"] if last else None,
                 "final_wamp_win": last["wamp_win"] if last else None,
-                "final_fill": last["fill"] if last else None,
-                "event_counts": events,
                 "events_dropped": events_dropped,
                 "decisions_dropped": decisions_dropped,
                 "ring_capacity": ring_capacity,
             }
         )
     return {
-        "schema": SCHEMA_VERSION,
+        "schemas": sorted({block["schema"] for block in blocks}, key=str),
         "runs": len(blocks),
         "per_run": runs,
-        "spans": total_spans,
         "events_dropped": total_events_dropped,
         "decisions_dropped": total_decisions_dropped,
     }

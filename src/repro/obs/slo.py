@@ -99,7 +99,7 @@ class SLOTracker:
         return min(stats["burn_rate"] for stats in self.burn_rates())
 
     def report(self) -> Dict[str, Any]:
-        """JSON-ready summary embedded in bench results/telemetry rows."""
+        """JSON-ready summary embedded in the latency bench report."""
         windows = self.burn_rates()
         worst = max(stats["burn_rate"] for stats in windows)
         sustained = min(stats["burn_rate"] for stats in windows)

@@ -12,7 +12,7 @@ boundary such as ``LogStructuredStore._clean_until_replenished`` (the
 inline cleaning a write stalls behind) is wrapped the same way.
 
 A span is one wrapped call: its name, start and end on the shared
-process clock (:func:`repro.obs.clock.now_s`), its parent (the wrapped
+process clock (:func:`now_s`), its parent (the wrapped
 call it ran inside) and its size (what the call returned or was handed:
 ops flushed, pages relocated, slots written).  A call that raised is
 marked with the exception's class name.
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from collections import deque
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
-
-from .clock import now_s
 
 __all__ = [
     "CAPACITY",
@@ -54,6 +53,10 @@ __all__ = [
 #: Spans a recorder holds at most; past it, the oldest root trees go.
 CAPACITY = 65_536
 
+#: The process clock's origin, captured once at first import: every
+#: span of a run is stamped against it, so spans line up across files.
+_EPOCH = time.perf_counter()
+
 #: What a row's ``size`` records besides the times.
 _RET = "ret"  # the return value (ops flushed, pages relocated)
 _LEN = "len"  # len() of the first argument (slots written)
@@ -61,6 +64,11 @@ _LEN = "len"  # len() of the first argument (slots written)
 #: A stack entry below every recorded span's: the call runs inside a
 #: root that was sampled out (or evicted), so nothing is recorded.
 _SKIP = -2
+
+
+def now_s() -> float:
+    """Monotonic seconds since the process epoch (first import)."""
+    return time.perf_counter() - _EPOCH
 
 
 class SpanRecorder:
@@ -338,7 +346,9 @@ def critical_path_report(
     *cause* (e.g. ``LogStructuredStore.clean_begin`` for an inline
     clean).  A sample is *attributed* when the flush's longest child
     ran at least as long as the flush's own code (its duration less its
-    children's); otherwise its cause is ``(self)``.
+    children's); otherwise its cause is ``(self)``.  Each sample carries
+    its stall in time as well as pages: ``stall_us`` is the flush span's
+    duration in microseconds.
     """
     spans = _spans(rows)
     children: Dict[int, List[int]] = {}
@@ -377,6 +387,7 @@ def critical_path_report(
             {
                 "span": i,
                 "stall_pages": stall[i],
+                "stall_us": _dur(spans[i]) * 1e6,
                 "cause": cause,
                 "chain": [str(spans[step]["name"]) for step in path],
             }

@@ -297,27 +297,21 @@ def run_harness(
     meta: Optional[Dict] = None,
     trace_out: Optional[str] = None,
     trace_sample: float = 1.0,
-    telemetry_out: Optional[str] = None,
 ) -> HarnessResult:
     """Drive the config's own deterministic :func:`ops_stream` through
     a fresh service built from it; optionally export obs rows.
 
     The result and the metrics export contain no wall-clock data, so
-    both are identical across runs with the same config.
-    ``trace_out``/``telemetry_out`` add the wall-clocked trace plane in
-    *separate* files: a causal span file (a :class:`SpanRecorder`
-    installed on the built service, head-sampled at ``trace_sample``)
-    and a per-tick telemetry feed for ``repro top``.
+    both are identical across runs with the same config.  ``trace_out``
+    adds the wall-clocked causal span file, in a *separate* file: a
+    :class:`SpanRecorder` installed on the built service, head-sampled
+    at ``trace_sample``.
     """
     service = build_service(cfg)
     recorder = None
     if trace_out is not None:
         recorder = SpanRecorder(sample=trace_sample, seed=cfg.seed)
         recorder.install_service(service)
-    if telemetry_out is not None:
-        service.telemetry_to(
-            telemetry_out, _run_meta(cfg, meta, component="telemetry")
-        )
     puts, deletes = drive(service, ops_stream(cfg), cfg.tick_every)
     result = _result_from_service(
         "service[%d shards]" % cfg.n_shards, service, puts, deletes

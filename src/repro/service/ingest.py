@@ -47,8 +47,8 @@ Beside each map the queue keeps the shard's **raw op count**
 (:meth:`IngestQueue.shard_depth`): every trigger and every figure that
 means "ops queued" reads it, not the map's size -- ``batch_size``,
 ``max_depth`` and the backpressure choice of the deepest shard fire on
-the op they would fire on if nothing coalesced, and ``ops_flushed``,
-the ``batch_size`` histogram and the telemetry depth count client ops.
+the op they would fire on if nothing coalesced, and ``ops_flushed`` and
+the ``batch_size`` histogram count client ops.
 Their difference at flush time is the ``ops_coalesced`` counter: how
 many queued ops the map absorbed — on skewed tenant keyspaces this is
 the service's second amplification lever, upstream of the cleaner.

@@ -27,16 +27,12 @@ histogram, per-shard op counters, rebalance counts), and
 plus one per shard — a file ``repro obs report`` and ``repro obs
 validate`` consume unchanged.
 
-Two extensions sit on top; the one that writes wall time is off by
-default, so the metrics export stays byte-deterministic.  (Causal spans
-are recorded from outside, by :class:`~repro.obs.trace.SpanRecorder`.)
-
-* Every flush's stall pages feed an :class:`~repro.obs.SLOTracker`
-  (``service.slo``) — multi-window burn rates over the flush-stall
-  stream, embedded in the ``repro bench latency`` report.
-* :meth:`telemetry_to` appends one ``telemetry`` row per tick (wall
-  time, per-shard Wamp/fill/queue/stall, SLO state) — the file
-  ``repro top`` tails.
+Every flush's stall pages also feed an :class:`~repro.obs.SLOTracker`
+(``service.slo``) — multi-window burn rates over the flush-stall
+stream, embedded in the ``repro bench latency`` report.  Nothing here
+reads a clock, so the metrics export is byte-deterministic; causal
+spans are recorded from outside, by
+:class:`~repro.obs.trace.SpanRecorder`.
 """
 
 from __future__ import annotations
@@ -44,14 +40,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.kvstore import check_value
-from repro.obs import (
-    PAGES_EDGES,
-    MetricsRegistry,
-    MetricsWriter,
-    SLOTracker,
-    StoreObserver,
-)
-from repro.obs.clock import now_s
+from repro.obs import MetricsRegistry, MetricsWriter, SLOTracker, StoreObserver
 from repro.obs.export import SCHEMA_VERSION
 from repro.service.ingest import IngestQueue
 from repro.service.pool import StorePool
@@ -116,8 +105,6 @@ class Service:
         #: cleaner step's worth of GC pages is a bad event.
         self.slo = SLOTracker(threshold=float(pages_per_step))
         self.queue.on_stall = self.slo.record
-        #: Telemetry sink — ``None`` until :meth:`telemetry_to`.
-        self.telemetry: Optional[MetricsWriter] = None
         self.seed = seed
         self._sample_interval = sample_interval
         # A miss in the queue's route memo asks this service's ring.
@@ -193,8 +180,6 @@ class Service:
         self.pool.maintain(idle=True)
         for observer in self.observers:
             observer.maybe_sample()
-        if self.telemetry is not None:
-            self.telemetry.write_row(self.telemetry_row())
 
     def flush(self) -> int:
         """Drain the ingest queue; returns ops applied."""
@@ -249,70 +234,6 @@ class Service:
         return moved
 
     # -- observability ---------------------------------------------------
-
-    def telemetry_to(
-        self,
-        sink: Union[str, MetricsWriter],
-        meta: Optional[Dict] = None,
-    ) -> MetricsWriter:
-        """Start appending one ``telemetry`` row per tick to ``sink``.
-
-        Writes the schema meta header immediately, so the file is valid
-        (and ``repro top``-tailable) from the first tick.
-        """
-        writer = sink if isinstance(sink, MetricsWriter) else MetricsWriter(str(sink))
-        run = dict(meta) if meta else {}
-        run.setdefault("component", "telemetry")
-        run.setdefault("policy", self.pool.policy_name)
-        run.setdefault("shards", self.pool.n_shards)
-        run.setdefault("seed", self.seed)
-        writer.write_row({"type": "meta", "schema": SCHEMA_VERSION, "run": run})
-        self.telemetry = writer
-        return writer
-
-    def telemetry_row(self) -> Dict:
-        """One live-state row: wall time on the shared clock, service
-        clock/queue/SLO state, and per-shard Wamp/fill/free pool/
-        buffered units/queue/stall."""
-        flush_hist = self.metrics.histogram("flush_stall_pages", PAGES_EDGES)
-        shards = []
-        for i, kv in enumerate(self.pool.shards):
-            store = kv.store
-            observer = self.observers[i] if i < len(self.observers) else None
-            stall_p99 = 0.0
-            stalls = 0
-            if observer is not None:
-                stall_p99 = observer.metrics.histogram(
-                    "write_stall_pages", PAGES_EDGES
-                ).percentile(0.99)
-                stalls = observer.metrics.counter("write_stalls").value
-            shards.append(
-                {
-                    "shard": i,
-                    "wamp": round(kv.write_amplification, 4),
-                    "fill": round(store.fill_factor_now(), 4),
-                    "free_segments": store.free_segment_count,
-                    # What the next drain will put on the device: a
-                    # flush that stalls is one that drained.
-                    "buffered_units": (
-                        0 if store.buffer is None else store.buffer.used_units
-                    ),
-                    "queue_depth": self.queue.shard_depth(i),
-                    "write_stalls": stalls,
-                    "stall_p99_pages": round(stall_p99, 2),
-                }
-            )
-        return {
-            "type": "telemetry",
-            "t_s": round(now_s(), 6),
-            "clock": sum(kv.store.clock for kv in self.pool.shards),
-            "tick": self.queue._tick,
-            "queue_depth": self.queue.depth,
-            "puts": self._puts(),
-            "flush_stall_p99_pages": round(flush_hist.percentile(0.99), 2),
-            "slo": self.slo.report(),
-            "shards": shards,
-        }
 
     def queue_depth_p95(self) -> int:
         """95th percentile of the queue depth across all ticks so far."""

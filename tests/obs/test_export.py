@@ -9,7 +9,6 @@ from repro.obs import (
     MetricsWriter,
     aggregate_convergence,
     load_rows,
-    samples_to_csv,
     summarize_rows,
     validate_file,
     validate_rows,
@@ -150,14 +149,22 @@ class TestAggregation:
 
     def test_summarize(self):
         summary = summarize_rows(_valid_rows())
-        assert summary["schema"] == SCHEMA_VERSION
+        assert summary["schemas"] == [SCHEMA_VERSION]
         assert summary["runs"] == 1
         run = summary["per_run"][0]
         assert run["samples"] == 2
         assert run["decisions"] == 1
-        assert run["decision_policies"] == ["greedy"]
         assert run["final_clock"] == 200
         assert run["final_wamp_win"] == 0.25
+
+    def test_summarize_reports_the_schema_the_file_declares(self):
+        """A valid v1 file is summarized as v1, not as the writer's
+        current version; a file mixing blocks names both."""
+        v1 = _valid_rows()
+        v1[0]["schema"] = 1
+        assert validate_rows(v1) == []
+        assert summarize_rows(v1)["schemas"] == [1]
+        assert summarize_rows(v1 + _valid_rows())["schemas"] == [1, SCHEMA_VERSION]
 
     def test_summarize_surfaces_ring_drops(self):
         dropped = _metrics()
@@ -179,14 +186,6 @@ class TestAggregation:
         summary = summarize_rows(_valid_rows())
         assert summary["events_dropped"] == 0
         assert summary["per_run"][0]["decisions_dropped"] == 0
-
-    def test_samples_to_csv(self, tmp_path):
-        path = tmp_path / "s.csv"
-        assert samples_to_csv(str(path), _valid_rows()) == 2
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3  # header + 2 samples
-        assert lines[0].startswith("clock,")
-        assert "1|2|3" in lines[1]
 
 
 class TestSimulationExport:

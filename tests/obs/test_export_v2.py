@@ -1,4 +1,4 @@
-"""Schema v2: span/telemetry rows, v1 back-compat, ring capacity."""
+"""Schema v2: span rows, v1 back-compat, ring capacity."""
 
 from repro.obs.export import (
     SCHEMA_VERSION,
@@ -20,18 +20,6 @@ def _span(**over):
         "end": 0.00015,
         "parent": -1,
         "size": 12,
-    }
-    row.update(over)
-    return row
-
-
-def _telemetry(**over):
-    row = {
-        "type": "telemetry",
-        "t_s": 1.5,
-        "clock": 100,
-        "shards": [],
-        "slo": {},
     }
     row.update(over)
     return row
@@ -82,37 +70,17 @@ class TestSpanRows:
 
 
 class TestTelemetryRows:
-    def test_valid_telemetry_row(self):
-        assert validate_rows([_meta(), _telemetry()]) == []
-
-    def test_telemetry_shards_must_be_list(self):
-        (problem,) = validate_rows([_meta(), _telemetry(shards={})])
-        assert "shards must be a list" in problem
-
-    def test_telemetry_shard_blocks_are_checked(self):
-        shard = {
-            "shard": 0, "wamp": 0.2, "fill": 0.5, "free_segments": 9,
-            "buffered_units": 120, "queue_depth": 3, "write_stalls": 0,
-            "stall_p99_pages": 0.0,
-        }
-        assert validate_rows([_meta(), _telemetry(shards=[shard])]) == []
-        del shard["buffered_units"]
-        (problem,) = validate_rows([_meta(), _telemetry(shards=[shard])])
-        assert "shard 0: missing keys buffered_units" in problem
-
-    def test_telemetry_missing_keys(self):
-        row = _telemetry()
-        del row["slo"]
-        (problem,) = validate_rows([_meta(), row])
-        assert "missing keys slo" in problem
+    def test_telemetry_rows_are_not_a_row_type(self):
+        """The per-tick telemetry stream is gone; its rows no longer
+        validate."""
+        (problem,) = validate_rows([_meta(), {"type": "telemetry"}])
+        assert "unknown type 'telemetry'" in problem
 
 
 class TestSummarizeV2:
     def test_span_counts_surface(self):
         rows = [_meta(), _span(), _span(parent=0)]
-        summary = summarize_rows(rows)
-        assert summary["spans"] == 2
-        assert summary["per_run"][0]["spans"] == 2
+        assert summarize_rows(rows)["per_run"][0]["spans"] == 2
 
     def test_ring_capacity_from_metrics_row(self):
         rows = [

@@ -356,10 +356,10 @@ class TestCriticalPath:
         rows.extend(self._flushes([0.0] * 5))
         spans = tmp_path / "spans.jsonl"
         spans.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        assert main(["obs", "critical", str(spans)]) == 0
+        assert main(["obs", "report", str(spans)]) == 0
         assert "attributed 0/0 tail sample(s)" in capsys.readouterr().out
         assert main(
-            ["obs", "critical", str(spans), "--min-attribution", "0.95"]
+            ["obs", "report", str(spans), "--min-attribution", "0.95"]
         ) == 1
         err = capsys.readouterr().err
         assert "examined nothing" in err and "0 tail samples" in err

@@ -14,30 +14,35 @@ QUICK = [
 
 class TestServe:
     def test_serve_reports_and_exports(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.jsonl"
-        code = main(["serve", *QUICK, "--metrics-out", str(metrics)])
+        code = main(["serve", *QUICK, "--out", str(tmp_path / "run")])
         assert code == 0
         out = capsys.readouterr().out
         assert "2500 ops" in out
         assert "Wamp" in out
-        assert metrics.exists()
+        # No --trace-sample: the run directory holds the metrics only.
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "metrics.jsonl"
+        ]
 
     def test_serve_metrics_validate(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.jsonl"
-        assert main(
-            ["serve", *QUICK, "--metrics-out", str(metrics)]
-        ) == 0
+        assert main(["serve", *QUICK, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert main(["obs", "validate", str(metrics)]) == 0
+        assert main(["obs", "validate", str(tmp_path / "metrics.jsonl")]) == 0
         assert "schema valid" in capsys.readouterr().out
 
     def test_serve_deterministic_across_processes(self, tmp_path, capsys):
-        m1, m2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        for path in (m1, m2):
+        d1, d2 = tmp_path / "d1", tmp_path / "d2"
+        for path in (d1, d2):
             assert main(
-                ["serve", *QUICK, "--seed", "5", "--metrics-out", str(path)]
+                ["serve", *QUICK, "--seed", "5", "--out", str(path)]
             ) == 0
-        assert m1.read_bytes() == m2.read_bytes()
+        assert (d1 / "metrics.jsonl").read_bytes() == (
+            d2 / "metrics.jsonl"
+        ).read_bytes()
+
+    def test_trace_sample_without_out_is_an_error(self, capsys):
+        assert main(["serve", *QUICK, "--trace-sample", "1"]) == 1
+        assert "--trace-sample needs --out" in capsys.readouterr().err
 
     def test_serve_bad_config_is_an_error_not_a_traceback(self, capsys):
         assert main(["serve", "--quick", "--tick-every", "0"]) == 1

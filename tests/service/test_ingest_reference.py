@@ -141,11 +141,9 @@ class RefService:
 
     def __init__(self, n_shards, config, batch_size, flush_interval, max_depth):
         self.metrics = MetricsRegistry()
-        # The instruments the service creates before its first flush
-        # (telemetry_row reads the stall histogram).
+        # The instruments the service creates before its first flush.
         for name in ("deletes", "gets", "ops_flushed"):
             self.metrics.counter(name)
-        self.metrics.histogram("flush_stall_pages", PAGES_EDGES)
         self.router = ConsistentHashRouter(n_shards, seed=0)
         self.pool = StorePool(
             n_shards, config, policy="mdc", unit_bytes=UNIT_BYTES,
@@ -279,7 +277,8 @@ class Pair:
         assert [
             new.queue.shard_depth(s) for s in range(new.pool.n_shards)
         ] == ref.queue._queued
-        assert new.telemetry_row()["puts"] == ref.puts
+        exported = next(r for r in new.rows() if r["type"] == "metrics")
+        assert exported["counters"]["puts"] == ref.puts
         # Reads are compared on both, so their counters stay equal.
         for tenant, key in sorted(self.seen, key=repr):
             assert new.get(key, tenant) == ref.get(key, tenant)

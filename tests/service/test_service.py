@@ -33,11 +33,9 @@ def metrics_row(svc):
 
 
 def exported_puts(svc):
-    """The ``puts`` count where the service exports it; the telemetry
-    row and the metrics row must agree."""
-    puts = metrics_row(svc)["counters"]["puts"]
-    assert svc.telemetry_row()["puts"] == puts
-    return puts
+    """The ``puts`` count where the service exports it: the service
+    block's metrics row."""
+    return metrics_row(svc)["counters"]["puts"]
 
 
 class TestClientSemantics:
@@ -488,13 +486,12 @@ class TestObservability:
         assert svc.queue.on_stall(17) is True
         assert svc.slo.report()["bad"] == 1
 
-    def test_telemetry_shard_depth_counts_client_ops(self):
+    def test_shard_depth_counts_client_ops(self):
         svc = make_service(1, batch_size=1000, flush_interval=1000)
         for value in (b"1", b"2", b"3"):
             svc.put("hot", value)
         svc.put("cold", b"4")
-        row = svc.telemetry_row()
-        assert row["queue_depth"] == row["shards"][0]["queue_depth"] == 4
+        assert svc.queue.depth == svc.queue.shard_depth(0) == 4
 
     def test_rows_pass_schema_validation(self):
         svc = make_service(2, sample_interval=64)

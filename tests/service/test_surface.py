@@ -118,11 +118,9 @@ def test_serve_flags():
         "--pages-per-step",
         "--quick",
         "--seed",
-        "--metrics-out",
+        "--out",
         "--sample-interval",
-        "--trace-out",
         "--trace-sample",
-        "--telemetry-out",
     ]
 
 

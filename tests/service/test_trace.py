@@ -1,5 +1,5 @@
 """The trace plane end to end: span chains through the real service,
-telemetry rows, SLO wiring, determinism with tracing attached."""
+SLO wiring, determinism with tracing attached."""
 
 import json
 
@@ -162,61 +162,22 @@ class TestStallAttribution:
                 "LogStructuredStore.flush",
             ]
 
+    def test_each_tail_sample_carries_its_stall_in_us(self, tmp_path):
+        """A tail sample's ``stall_us`` is its flush span's duration."""
+        trace = tmp_path / "spans.jsonl"
+        run_harness(STALL_CFG, trace_out=str(trace))
+        rows = load_spans(str(trace))
+        samples = critical_path_report(rows)["samples"]
+        assert samples
+        for sample in samples:
+            flush = rows[sample["span"]]
+            assert flush["name"] == "IngestQueue.flush_shard"
+            assert sample["stall_us"] == (flush["end"] - flush["start"]) * 1e6
+            assert sample["stall_us"] > 0
 
-class TestTelemetry:
-    def test_telemetry_rows_written_and_validate(self, tmp_path):
-        out = tmp_path / "telemetry.jsonl"
-        run_harness(CFG, telemetry_out=str(out))
-        rows = load_rows(str(out))
-        assert validate_rows(rows) == []
-        assert rows[0]["run"]["component"] == "telemetry"
-        telem = [r for r in rows if r["type"] == "telemetry"]
-        assert telem
-        last = telem[-1]
-        assert len(last["shards"]) == CFG.n_shards
-        shard = last["shards"][0]
-        assert {"shard", "wamp", "fill", "free_segments", "queue_depth",
-                "write_stalls", "stall_p99_pages"} <= set(shard)
-        assert last["slo"]["objective"] == 0.95
 
-    def test_telemetry_shows_what_the_next_drain_holds(self):
-        """``buffered_units`` is the shard buffer's occupancy: it grows
-        with flushes that do not drain, and a buffer-less policy reads 0."""
-        service = build_service(CFG)
-        try:
-            capacity = service.pool.shards[0].store.buffer.capacity_units
-            assert capacity > 0
-            seen = set()
-            for i in range(600):
-                service.put(i, b"v" * 40, tenant="t0")
-                if i % 64 == 63:
-                    service.tick()
-                    row = service.telemetry_row()
-                    for shard, kv in zip(row["shards"], service.pool.shards):
-                        assert (
-                            shard["buffered_units"]
-                            == kv.store.buffer.used_units
-                            <= capacity
-                        )
-                        seen.add(shard["buffered_units"])
-            assert max(seen) > 0
-            assert validate_rows(
-                [{"type": "meta", "schema": 2, "run": {}}, row]
-            ) == []
-        finally:
-            service.close()
-        direct = build_service(CFG.scaled(policy="greedy"))
-        try:
-            direct.put(1, b"v", tenant="t0")
-            direct.flush()
-            assert [
-                shard["buffered_units"]
-                for shard in direct.telemetry_row()["shards"]
-            ] == [0] * CFG.n_shards
-        finally:
-            direct.close()
-
-    def test_telemetry_slo_tracks_flush_stalls(self):
+class TestSLO:
+    def test_slo_tracks_flush_stalls(self):
         service = build_service(STALL_CFG)
         try:
             assert isinstance(service.slo, SLOTracker)
