@@ -583,7 +583,7 @@ def _run_obs_report(args: argparse.Namespace) -> int:
 
     series = []
     spans = []
-    dropped = [0, 0]
+    dropped = [0, 0, 0]
     for path in args.files:
         try:
             rows = load_rows(path)
@@ -606,10 +606,16 @@ def _run_obs_report(args: argparse.Namespace) -> int:
                 else "n/a"
             )
             extra = ""
+            drops = []
             if run["events_dropped"] or run["decisions_dropped"]:
-                extra = " dropped=%d ev/%d dec (ring=%s)" % (
-                    run["events_dropped"],
-                    run["decisions_dropped"],
+                drops.append(
+                    "%d ev/%d dec" % (run["events_dropped"], run["decisions_dropped"])
+                )
+            if run["trees_dropped"]:
+                drops.append("%d trees" % run["trees_dropped"])
+            if drops:
+                extra = " dropped=%s (ring=%s)" % (
+                    ", ".join(drops),
                     run["ring_capacity"] or "?",
                 )
             elif run["ring_capacity"] is not None:
@@ -629,6 +635,7 @@ def _run_obs_report(args: argparse.Namespace) -> int:
             )
         dropped[0] += summary["events_dropped"]
         dropped[1] += summary["decisions_dropped"]
+        dropped[2] += summary["trees_dropped"]
         series += [block for block in aggregate_convergence(rows) if block["clock"]]
         # A span row's parent indexes its own file's span rows.
         base = len(spans)
@@ -640,9 +647,10 @@ def _run_obs_report(args: argparse.Namespace) -> int:
                 spans.append(span)
     if any(dropped):
         print(
-            "  capture rings dropped %d event(s) and %d decision "
-            "record(s) across all runs; retained events under-count "
-            "the run (grow ring_capacity/max_decisions to keep more)"
+            "  capture rings dropped %d event(s), %d decision "
+            "record(s) and %d span tree(s) across all runs; retained "
+            "rows under-count the run (grow ring_capacity/max_decisions, "
+            "or lower --trace-sample, to keep more)"
             % tuple(dropped)
         )
 

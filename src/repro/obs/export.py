@@ -258,12 +258,14 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
     report``): the schema versions its meta headers declare and, per
     run, the final clock and windowed Wamp, sample/decision/span counts,
     and how much the capture rings dropped (cumulative EventBus/
-    decision-deque drops — nonzero means the retained events
-    under-count what actually happened)."""
+    decision-deque drops from the metrics rows, and the root span trees
+    a span recorder evicted, from a span file's meta header — nonzero
+    means the retained rows under-count what actually happened)."""
     blocks = _split_runs(rows)
     runs = []
     total_events_dropped = 0
     total_decisions_dropped = 0
+    total_trees_dropped = 0
     for block in blocks:
         samples = [r for r in block["rows"] if r.get("type") == "sample"]
         decisions = [r for r in block["rows"] if r.get("type") == "decision"]
@@ -280,8 +282,10 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
                     ring_capacity = cap if ring_capacity is None else max(ring_capacity, cap)
         if ring_capacity is None and block["run"].get("ring_capacity") is not None:
             ring_capacity = int(block["run"]["ring_capacity"])
+        trees_dropped = int(block["run"].get("trees_dropped", 0) or 0)
         total_events_dropped += events_dropped
         total_decisions_dropped += decisions_dropped
+        total_trees_dropped += trees_dropped
         last = samples[-1] if samples else None
         runs.append(
             {
@@ -293,6 +297,7 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
                 "final_wamp_win": last["wamp_win"] if last else None,
                 "events_dropped": events_dropped,
                 "decisions_dropped": decisions_dropped,
+                "trees_dropped": trees_dropped,
                 "ring_capacity": ring_capacity,
             }
         )
@@ -302,4 +307,5 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
         "per_run": runs,
         "events_dropped": total_events_dropped,
         "decisions_dropped": total_decisions_dropped,
+        "trees_dropped": total_trees_dropped,
     }

@@ -1,19 +1,26 @@
-"""The store's five serial kernels, in plain numpy/python.
+"""The store's serial kernels, in plain numpy/python.
 
-The vectorized write engine spends most of its non-numpy time in two
+The vectorized write engine spends most of its non-numpy time in three
 places: *run folding* (``prev_occurrence`` — mapping each write in a
-batch to the previous write of the same page) and *victim scoring*
+batch to the previous write of the same page), *victim scoring*
 (``ascending_prefix`` — the partial stable argsort behind
-``select_victims``), plus the strict left-to-right float folds
+``select_victims``), and the strict left-to-right float folds
 (``fold_add`` and its per-segment form ``fold_rows``, and
-``fold_midpoints`` for the buffered midpoint rule)
-that keep batch execution bit-identical to the scalar path.
+``fold_midpoints`` for the buffered midpoint rule) that keep batch
+execution bit-identical to the scalar path.  Two sorts stand in for
+numpy's stable ones on the write path: ``stable_order`` (grouping a
+batch by page or by segment) and ``order_by`` (the Section 5.3 drain
+sort).  From ``_SORT_GATE`` entries each sorts distinct int64 keys —
+a value with its position folded into the low bits — with numpy's
+default sort, which is SIMD and unstable but cannot reorder what never
+ties, so the permutation is the stable one.
 
 The contract is **bit-identity** with the scalar write loop: each kernel
 performs the same IEEE-754 operations in the same order the scalar path
-would, so the differential oracle and the trace state digests cannot
+would, and each sort returns the permutation its stable reference
+returns, so the differential oracle and the trace state digests cannot
 tell batch from scalar execution.  ``tests/store/test_kernels.py``
-fuzzes each against a brute-force oracle.
+fuzzes each against a brute-force oracle or its numpy reference.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ __all__ = [
     "fold_midpoints",
     "fold_rows",
     "kernel_info",
+    "order_by",
     "prev_occurrence",
+    "stable_order",
 ]
 
 #: Below this many values the float fold runs as a plain Python loop —
@@ -41,6 +50,13 @@ _FOLD_LOOP_MAX = 32
 _MIDPOINT_LOOP_MAX = 64
 _MIDPOINT_RANK_MIN = 16
 
+#: From this many entries ``stable_order`` and ``order_by`` sort
+#: distinct int64 keys with numpy's default (SIMD) sort; below it the
+#: stable sorts are as fast.  At 768 entries a stable int64 argsort
+#: still wins (10.8 against 13.9 us), at 1,024 the key sort does (15.7
+#: against 19.6 us); DESIGN.md, "Sorting a batch", has the rest.
+_SORT_GATE = 1024
+
 
 def kernel_info() -> dict:
     """Provenance block for benchmark artifacts.  The shape is fixed:
@@ -49,14 +65,78 @@ def kernel_info() -> dict:
     return {"mode": "auto", "active": "python", "have_numba": False}
 
 
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``values.argsort(kind="stable")`` for an integer array.
+
+    From ``_SORT_GATE`` entries, unless ``values`` is already in order
+    (then the identity is the answer), each value is shifted left past
+    its position's bits and its position is or-ed in: the keys are
+    distinct, so numpy's default sort orders them as a stable sort
+    orders ``(value, position)``, and the low bits of the sorted keys
+    are the permutation.  A negative value or one too large to shift
+    takes the stable sort."""
+    n = values.size
+    # Method calls, not the np.* wrappers: this runs several times per
+    # batch, where each wrapper's dispatch costs more than the work.
+    if n < _SORT_GATE:
+        return values.argsort(kind="stable")
+    if (values[1:] >= values[:-1]).all():
+        return np.arange(n)
+    shift = (n - 1).bit_length()
+    if values.min() < 0 or int(values.max()) >= 1 << (63 - shift):
+        return values.argsort(kind="stable")
+    keys = values.astype(np.int64)
+    keys <<= shift
+    keys |= np.arange(n)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys
+
+
+def order_by(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``np.lexsort((ids, keys))``: ascending ``keys``, ties by ``ids``,
+    then by position.
+
+    From ``_SORT_GATE`` entries the keys are replaced by their ranks
+    (equal keys, ``-0.0`` and ``0.0`` among them, share one), and
+    ``rank * span + id`` with the position in its low bits is sorted as
+    one distinct int64, as :func:`stable_order` does.  Keys that all tie
+    (a drain of first writes) need no float sort: the order is
+    ``stable_order(ids)``.  A NaN key, or ranks and ids too wide for
+    one int64, take ``lexsort``."""
+    n = keys.size
+    if n < _SORT_GATE:
+        return np.lexsort((ids, keys))
+    if (keys == keys[0]).all():
+        return stable_order(ids)
+    by_key = keys.argsort()
+    sorted_keys = keys[by_key]
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    shift = (n - 1).bit_length()
+    if sorted_keys[-1] != sorted_keys[-1] or n * span > 1 << (63 - shift):
+        return np.lexsort((ids, keys))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[0] = 0
+    (sorted_keys[1:] != sorted_keys[:-1]).cumsum(out=ranks[1:])
+    combined = np.empty(n, dtype=np.int64)
+    combined[by_key] = ranks
+    combined *= span
+    combined += ids
+    combined -= lo
+    combined <<= shift
+    combined |= np.arange(n)
+    combined.sort()
+    combined &= (1 << shift) - 1
+    return combined
+
+
 def prev_occurrence(pids: np.ndarray) -> np.ndarray:
     """For each batch position, the previous position holding the same
-    page id (-1 if none).  One stable argsort for the whole batch."""
+    page id (-1 if none).  One stable sort for the whole batch."""
     prev = np.empty(pids.size, dtype=np.int64)
     prev.fill(-1)
-    # Method calls, not the np.* wrappers: this runs once per batch,
-    # where each wrapper's dispatch costs more than the work.
-    order = pids.argsort(kind="stable")
+    order = stable_order(pids)
     sorted_pids = pids[order]
     rep = (sorted_pids[1:] == sorted_pids[:-1]).nonzero()[0]
     prev[order[rep + 1]] = order[rep]
@@ -147,7 +227,7 @@ def fold_midpoints(
                 vals[pid] = c + 0.5 * (clk - c)
         carried[list(vals)] = list(vals.values())
         return
-    order = pids.argsort(kind="stable")
+    order = stable_order(pids)
     sp = pids[order]
     edges = np.concatenate(([0], (sp[1:] != sp[:-1]).nonzero()[0] + 1, [n]))
     starts = edges[:-1]

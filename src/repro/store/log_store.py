@@ -53,6 +53,7 @@ from repro.store.errors import (
     PageSizeError,
     StoreError,
 )
+from repro.store.kernels import order_by as _order_by
 from repro.store.kernels import prev_occurrence as _prev_occurrence
 from repro.store.pagetable import (
     IN_BUFFER,
@@ -366,7 +367,7 @@ class LogStructuredStore(WritePath, CleaningCycle):
             keys = policy.user_sort_key(arr)
             if keys is not None:
                 # Ascending by key, ties broken by page id.
-                arr = arr[np.lexsort((arr, keys))]
+                arr = arr[_order_by(np.asarray(keys), arr)]
             routes = policy.route_user_batch(arr)
             if routes is None:
                 # Per-write routing reads the state each write leaves

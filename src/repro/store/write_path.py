@@ -55,6 +55,7 @@ from repro.store.errors import OutOfSpaceError
 from repro.store.kernels import fold_add as _fold_add
 from repro.store.kernels import fold_midpoints as _fold_midpoints
 from repro.store.kernels import fold_rows as _fold_rows
+from repro.store.kernels import stable_order as _stable_order
 from repro.store.pagetable import IN_BUFFER
 from repro.store.segments import OPEN, SEALED
 
@@ -84,9 +85,16 @@ def _first_fit(
     destination has ``room`` units left, each of at most ``rolls``
     fresh ones after it ``capacity``; ``cum`` is the sizes' prefix sum.
     Destination ``j`` takes ``[bounds[j], bounds[j + 1])``; the last
-    bound falls short of ``stop`` when the rolls run out first."""
-    if cum[stop] - cum[start] <= room:
+    bound falls short of ``stop`` when the rolls run out first.
+
+    Unit sizes (every page of a one-unit workload) need no search: the
+    bounds are ``start + room``, then one every ``capacity``."""
+    units = cum[stop] - cum[start]
+    if units <= room:
         return [start, stop]
+    if units == stop - start:
+        fills = range(start + room, stop, capacity)[: max(rolls, 0) + 1]
+        return [start, *fills] if len(fills) > rolls else [start, *fills, stop]
     bounds = [start]
     pos = start
     while True:
@@ -154,7 +162,7 @@ class WritePath:
             iclk = clocks[ip]
             inv_pids = run[ip]
             inv_sizes = old_size[ip]
-        order = iseg.argsort(kind="stable")
+        order = _stable_order(iseg)
         sseg = iseg[order]
         sclk = iclk[order].astype(np.float64)
         # last[j]: sorted write j is its group's last; same[j]: write
@@ -199,8 +207,9 @@ class WritePath:
         *The plan.*  The run may take the rolls the free pool covers
         (:meth:`_free_rolls`).  Destinations are the open segment, then
         the head of the FIFO free list in pop order; their first-fit
-        bounds are one ``searchsorted`` each against ``cum``, the
-        batch's size prefix sum.  The plan, cut at the rule below, is
+        bounds (:func:`_first_fit`) are one ``searchsorted`` each
+        against ``cum``, the batch's size prefix sum, or arithmetic
+        when every size is one unit.  The plan, cut at the rule below, is
         what :meth:`_append_stretch` applies: it is made once.
 
         *The cut rule.*  The run's invalidations are applied up front,

@@ -149,6 +149,43 @@ class TestCollector:
         assert len(rec.rows()) == 2
 
 
+class TestReportedDrops:
+    """``repro obs report`` reads a span file's evicted root trees from
+    its meta header: on the run line and in the drop footer."""
+
+    def _spans_file(self, tmp_path, monkeypatch, capacity):
+        monkeypatch.setattr(trace, "CAPACITY", capacity)
+        rec, work = recorded()
+        for n in range(4):
+            work.outer(*[work.leaf] * n)  # a tree of n + 1 spans
+        path = tmp_path / "spans.jsonl"
+        write_spans(str(path), rec)
+        return path
+
+    def test_evicted_trees_reach_the_run_line_and_footer(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self._spans_file(tmp_path, monkeypatch, 5)
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].endswith(" dropped=3 trees (ring=5) spans=4")
+        assert out[2] == (
+            "  capture rings dropped 0 event(s), 0 decision record(s) and "
+            "3 span tree(s) across all runs; retained rows under-count the "
+            "run (grow ring_capacity/max_decisions, or lower --trace-sample, "
+            "to keep more)"
+        )
+
+    def test_a_file_with_no_drops_reads_as_before(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self._spans_file(tmp_path, monkeypatch, 64)
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].endswith(" Wamp=n/a ring=64 spans=10")
+        assert "capture rings" not in "\n".join(out)
+
+
 class TestRemove:
     def test_remove_restores_every_object_as_built(self):
         rec, work = recorded()

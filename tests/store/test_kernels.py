@@ -12,8 +12,11 @@ from repro.store.kernels import (
     fold_midpoints,
     fold_rows,
     kernel_info,
+    order_by,
     prev_occurrence,
+    stable_order,
 )
+from repro.store.write_path import _first_fit
 
 page_id_arrays = st.lists(
     st.integers(min_value=0, max_value=40), min_size=0, max_size=200
@@ -42,6 +45,20 @@ class TestFallbacksAgainstOracles:
     @given(pids=page_id_arrays)
     @settings(max_examples=100, deadline=None)
     def test_prev_occurrence_matches_linear_scan(self, pids):
+        got = prev_occurrence(pids)
+        last = {}
+        for i, p in enumerate(pids.tolist()):
+            assert got[i] == last.get(p, -1)
+            last[p] = i
+
+    @given(
+        n=st.integers(0, 3 * kernels._SORT_GATE),
+        distinct=st.integers(1, 1 << 20),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prev_occurrence_across_the_sort_gate(self, n, distinct, seed):
+        pids = np.random.default_rng(seed).integers(0, distinct, n)
         got = prev_occurrence(pids)
         last = {}
         for i, p in enumerate(pids.tolist()):
@@ -202,6 +219,176 @@ class TestFoldMidpoints:
         got = carried.copy()
         fold_midpoints(got, pids, 100 + np.arange(pids.size))
         assert np.isnan(np.delete(got, 5)).all()
+
+
+GATE = kernels._SORT_GATE
+#: Sizes on both sides of the sort gate.
+SIZES = (0, 1, 2, GATE // 2, GATE - 1, GATE, GATE + 1, 4 * GATE)
+
+
+def assert_same_order(got, want):
+    assert got.dtype == np.int64 or got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
+class TestStableOrder:
+    """``stable_order`` is ``argsort(kind="stable")``, permutation for
+    permutation, on both sides of the gate."""
+
+    @given(
+        n=st.integers(0, 3 * GATE),
+        distinct=st.integers(1, 1 << 40),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_argsort(self, n, distinct, seed):
+        values = np.random.default_rng(seed).integers(0, distinct, n)
+        assert_same_order(stable_order(values), values.argsort(kind="stable"))
+
+    def test_shapes_of_input(self):
+        rng = np.random.default_rng(3)
+        for n in SIZES:
+            cases = [
+                rng.integers(0, 4, n),  # heavy ties
+                np.sort(rng.integers(0, 100, n)),  # presorted
+                np.sort(rng.integers(0, 100, n))[::-1].copy(),  # reversed
+                np.full(n, 7),  # all tied
+                np.arange(n)[::-1].copy(),
+            ]
+            for values in cases:
+                assert_same_order(
+                    stable_order(values), values.argsort(kind="stable")
+                )
+
+    def test_values_at_the_overflow_guard(self):
+        # 1,024 positions take 10 bits: values below 2**53 shift into
+        # one int64, larger ones (and negatives) take the stable sort.
+        rng = np.random.default_rng(4)
+        for n in (GATE, GATE + 1, 4 * GATE):
+            top = 1 << (63 - (n - 1).bit_length())
+            for high in (top - 1, top, top + 1, (1 << 63) - 1):
+                values = rng.integers(0, 3, n) + (high - 2)
+                values[::3] = rng.integers(0, 50, values[::3].size)
+                assert_same_order(
+                    stable_order(values), values.argsort(kind="stable")
+                )
+            values = rng.integers(-5, 5, n)
+            assert_same_order(stable_order(values), values.argsort(kind="stable"))
+
+
+#: Sort keys with heavy ties, both zeros and both infinities.
+KEY_POOL = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 3.0, 1e300, np.inf])
+
+
+class TestOrderBy:
+    """``order_by(keys, ids)`` is ``np.lexsort((ids, keys))``."""
+
+    def check(self, keys, ids):
+        assert_same_order(order_by(keys, ids), np.lexsort((ids, keys)))
+
+    @given(
+        n=st.integers(1, 3 * GATE),
+        pool=st.integers(1, KEY_POOL.size),
+        id_span=st.integers(1, 1 << 40),
+        nan=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort(self, n, pool, id_span, nan, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.choice(KEY_POOL[:pool], n)
+        if nan:
+            keys[rng.integers(0, n, 1 + n // 50)] = np.nan
+        self.check(keys, rng.integers(0, id_span, n))
+
+    def test_shapes_of_input(self):
+        rng = np.random.default_rng(5)
+        for n in SIZES[1:]:
+            distinct_ids = rng.permutation(10 * n)[:n]
+            cases = [
+                (rng.random(n), distinct_ids),
+                (np.round(rng.random(n) * 4), distinct_ids),  # heavy ties
+                (np.full(n, 2.5), distinct_ids),  # a drain of first writes
+                (np.full(n, 2.5), np.arange(n)),  # ... in arrival order
+                (np.full(n, 2.5), rng.integers(0, 3, n)),  # repeated ids
+                (np.sort(rng.random(n)), np.arange(n)),  # presorted
+                (np.sort(rng.random(n))[::-1].copy(), np.arange(n)[::-1].copy()),
+                (rng.choice([-0.0, 0.0], n), distinct_ids),
+                (rng.choice([-np.inf, 1.0, np.inf], n), rng.integers(-9, 9, n)),
+                (np.full(n, np.nan), distinct_ids),
+                (np.where(np.arange(n) == n // 2, np.nan, rng.random(n)), distinct_ids),
+                (rng.integers(0, 5, n), distinct_ids),  # integer keys
+            ]
+            for keys, ids in cases:
+                self.check(keys, ids)
+
+    def test_ids_at_the_overflow_guard(self):
+        # Ranks times the id span, shifted past the positions, must fit
+        # one int64; a span one wider takes lexsort.
+        rng = np.random.default_rng(6)
+        for n in (GATE, 4 * GATE):
+            limit = (1 << (63 - (n - 1).bit_length())) // n
+            for span in (limit - 1, limit, limit + 1, 1 << 62):
+                ids = rng.integers(0, 4, n)
+                ids[0], ids[1] = 0, span - 1
+                keys = rng.choice(KEY_POOL, n)
+                self.check(keys, ids)
+                self.check(keys, ids + (1 << 62))
+
+
+def first_fit_by_search(cum, start, stop, room, capacity, rolls):
+    """First-fit bounds with one ``searchsorted`` per destination."""
+    if cum[stop] - cum[start] <= room:
+        return [start, stop]
+    bounds = [start]
+    pos = start
+    while True:
+        pos = min(stop, int(cum.searchsorted(cum[pos] + room, "right")) - 1)
+        bounds.append(pos)
+        if pos == stop or len(bounds) > rolls + 1:
+            return bounds
+        room = capacity
+
+
+class TestFirstFit:
+    """``_first_fit`` against one search per destination, for unit
+    sizes (the arithmetic branch) and mixed ones."""
+
+    @given(
+        sizes=st.one_of(
+            st.lists(st.just(1), min_size=1, max_size=300),
+            st.lists(st.integers(1, 5), min_size=1, max_size=300),
+        ),
+        capacity=st.integers(5, 40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_search_per_destination(self, sizes, capacity, data):
+        cum = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=cum[1:])
+        start = data.draw(st.integers(0, len(sizes) - 1), label="start")
+        stop = data.draw(st.integers(start + 1, len(sizes)), label="stop")
+        room = data.draw(st.integers(0, capacity), label="room")
+        rolls = data.draw(st.integers(-1, 12), label="rolls")
+        assert _first_fit(cum, start, stop, room, capacity, rolls) == (
+            first_fit_by_search(cum, start, stop, room, capacity, rolls)
+        )
+
+    def test_no_room_and_no_rolls(self):
+        for sizes in ([1] * 50, [1, 2, 3] * 17):
+            cum = np.zeros(len(sizes) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=cum[1:])
+            for room in (0, 1, 8):
+                for rolls in (0, 1, 3, 100):
+                    got = _first_fit(cum, 2, len(sizes), room, 8, rolls)
+                    assert got == first_fit_by_search(
+                        cum, 2, len(sizes), room, 8, rolls
+                    )
+        # Unit sizes, no room, no rolls: an empty first destination.
+        cum = np.arange(11, dtype=np.int64)
+        assert _first_fit(cum, 0, 10, 0, 4, 0) == [0, 0]
+        assert _first_fit(cum, 0, 10, 3, 4, 1) == [0, 3, 7]
+        assert _first_fit(cum, 0, 10, 3, 4, 5) == [0, 3, 7, 10]
 
 
 class TestModeSwitch:
