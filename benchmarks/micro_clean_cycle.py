@@ -1,19 +1,24 @@
-"""A cleaning cycle's and a buffered run's fixed cost, timed as a run
+"""A cleaning cycle's and a write run's fixed cost, timed as a run
 makes them.
 
 Builds one shard at ``svc-ingest-zipf``'s geometry (the stack
 benchmark's most-loaded shard: 525 segments of 32 units, fill 0.55,
-4,620 keys of 1-96 byte values at 32 bytes a unit, MDC, the sorting
-buffer :func:`repro.service.pool.with_sort_buffer` gives it) behind the
-service's cleaning governor and observer, drives Zipf(0.99) puts
-through it in flush-sized batches, and times every ``write_batch``,
+4,620 keys of 1-96 byte values at 32 bytes a unit) behind the service's
+cleaning governor and observer, drives Zipf(0.99) puts through it in
+flush-sized batches, and times every ``write_batch``,
 ``_invalidate_run`` (the run engine's invalidation, inside
 ``write_batch``), ``select_victims``, ``clean_begin`` and
 ``clean_step`` call the run makes.  It prints q1 / median / q3 per
 call, in microseconds of this machine.
 
-The run is then made twice more from the same seed, so the timed run
-carries no check:
+The shard is driven twice, once per placement of the run engine: under
+MDC, with the sorting buffer :func:`repro.service.pool.with_sort_buffer`
+gives it (buffered runs and drains), and under greedy, which takes no
+buffer (direct runs that roll into fresh segments).  No stack benchmark
+workload drives the direct runs.
+
+Each drive is then made twice more from the same seed, so the timed
+run carries no check:
 
 * with every selection checked against a reference built from a full
   stable ``argsort`` of
@@ -24,11 +29,11 @@ carries no check:
   whose final :func:`~repro.testkit.trace.state_digest` must equal the
   timed run's.
 
-The script exits 1 if any selection differs from its reference or from
-the timed run's, or if the scalar replay ends in another state; it
-gates no time and writes no file.
+The script exits 1 if, in either drive, any selection differs from its
+reference or from the timed run's, or the scalar replay ends in another
+state; it gates no time and writes no file.
 
-    python3 benchmarks/micro_clean_cycle.py                 # 300,000 puts, ~9 s
+    python3 benchmarks/micro_clean_cycle.py                 # 300,000 puts a drive, ~20 s
     python3 benchmarks/micro_clean_cycle.py --ops 20000 --seed 3
 
 The program measured is ``src/repro`` of the same checkout.
@@ -169,11 +174,15 @@ def zipf_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.permutation(KEYS)[ranks]
 
 
-def run(ops: int, seed: int, probe):
-    """Drive one shard with ``ops`` puts from ``seed``, ``probe``
-    installed on its store; returns the store."""
+#: The two drives: the buffered run engine, then the direct one.
+POLICIES = ("mdc", "greedy")
+
+
+def run(ops: int, seed: int, policy: str, probe):
+    """Drive one ``policy`` shard with ``ops`` puts from ``seed``,
+    ``probe`` installed on its store; returns the store."""
     rng = np.random.default_rng(seed)
-    pool = StorePool(1, CONFIG, policy="mdc", unit_bytes=UNIT_BYTES)
+    pool = StorePool(1, CONFIG, policy=policy, unit_bytes=UNIT_BYTES)
     kv = pool[0]
     StoreObserver(kv.store, capture_failpoints=False).attach()
     lengths = rng.integers(1, MAX_VALUE_BYTES + 1, size=KEYS + ops).tolist()
@@ -204,20 +213,20 @@ def quartiles(values: List[float]) -> str:
     return "%8.1f %9.1f %8.1f" % (q1, q2, q3)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ops", type=int, default=300_000, help="puts to drive")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+def drive(ops: int, seed: int, policy: str) -> bool:
+    """Time one drive under ``policy`` and check it; prints its rows and
+    returns whether both checks passed."""
     timers, checks = Timers(), Checks()
-    timed = state_digest(run(args.ops, args.seed, timers))
-    run(args.ops, args.seed, checks)
-    scalar = state_digest(run(args.ops, args.seed, ScalarWrites()))
+    store = run(ops, seed, policy, timers)
+    timed = state_digest(store)
+    run(ops, seed, policy, checks)
+    scalar = state_digest(run(ops, seed, policy, ScalarWrites()))
     print(
-        "one svc-ingest-zipf shard (%d segments x %d units, fill %.2f, mdc), "
+        "one svc-ingest-zipf shard (%d segments x %d units, fill %.2f, %s, %s), "
         "seed %d, %d puts" % (
-            CONFIG.n_segments, CONFIG.segment_units, CONFIG.fill_factor,
-            args.seed, args.ops,
+            CONFIG.n_segments, CONFIG.segment_units, CONFIG.fill_factor, policy,
+            "buffered runs" if store.buffer is not None else "direct runs",
+            seed, ops,
         )
     )
     print("%-15s %6s %8s %9s %8s" % ("call", "calls", "q1_us", "median_us", "q3_us"))
@@ -237,7 +246,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scalar write reference: final state %s"
         % ("the same" if scalar == timed else "DIFFERS")
     )
-    return 1 if checks.mismatches or not same or scalar != timed else 0
+    return not checks.mismatches and same and scalar == timed
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ops", type=int, default=300_000, help="puts to drive")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    passed = [drive(args.ops, args.seed, policy) for policy in POLICIES]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="inspect the files of a run: a metrics.jsonl (--metrics-out, "
-        "or 'repro serve --out DIR') and a span file",
+        help="inspect the files of a run: a metrics.jsonl (--metrics-out "
+        "on the experiment commands and 'repro sweep', or 'repro serve "
+        "--out DIR') and a span file",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(

@@ -21,8 +21,8 @@ user write, so update-frequency estimates are immune to wall-clock
 artifacts such as load variation.
 
 The scalar :meth:`LogStructuredStore.write` remains as exactly two
-things.  It is the step the run engine (:mod:`repro.store.write_path`)
-takes for the one write whose roll cleans (or drains an active cursor),
+things.  It is the step the one run engine (:mod:`repro.store.write_path`)
+leaves for the one write whose roll cleans (or drains an active cursor),
 that flushes the buffer, or that opens a stream's first segment (and
 for every write of a policy whose routing is per write — multi-log's
 ``route_user``); and it is the reference the differential suites
@@ -31,8 +31,8 @@ compare the engine against, one branch per bookkeeping rule.
 :class:`LogStructuredStore` is assembled from three modules: this one
 holds its state, its public write API, its accessors and
 :meth:`~LogStructuredStore.check_invariants`;
-:mod:`repro.store.write_path` the run engine; :mod:`repro.store.cycle`
-the cleaning cycle.
+:mod:`repro.store.write_path` the run engine, its one planner and the
+emission; :mod:`repro.store.cycle` the cleaning cycle.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ _LOAD_CHUNK = 1 << 14
 #: The least unsigned value of a negative int64 (two's complement).
 _NEGATIVE = 1 << 63
 
-#: Most writes one run attempt looks at (a buffered attempt gathers
-#: table state for its whole window, a direct one for everything it
-#: planned, however few writes either ends up taking).
+#: Most writes one run attempt looks at (it gathers table state for
+#: everything it planned, however few writes it ends up taking).
 _RUN_WINDOW = 1 << 12
 
 
@@ -210,12 +209,13 @@ class LogStructuredStore(WritePath, CleaningCycle):
         """Apply a batch of user updates — equivalent to calling
         :meth:`write` once per element, but vectorized.
 
-        The batch is consumed as runs: what the sorting buffer takes
-        without flushing, or (direct placement) what fits the open
-        segment and the fresh segments the free pool lets the run roll
-        into without cleaning.  A page id may repeat inside a run: the
-        repeat rewrites the version its previous occurrence just placed
-        (a slot of a segment the run fills, or the still-buffered page).
+        The batch is consumed as runs (:meth:`_write_run`): what the
+        sorting buffer takes without flushing, or (direct placement)
+        what fits the open segment and the fresh segments the free pool
+        lets the run roll into without cleaning.  A page id may repeat
+        inside a run: the repeat rewrites the version its previous
+        occurrence just placed (a slot of a segment the run fills, or
+        the still-buffered page).
         Each run's invalidation, placement, and statistics bookkeeping
         is applied with array operations that replay the exact scalar
         update order, so batch and scalar execution produce
@@ -253,9 +253,11 @@ class LogStructuredStore(WritePath, CleaningCycle):
             return
         self.pages.ensure(top)
 
-        direct = self.buffer is None
-        spans = [(0, n)]
-        if direct:
+        if size_arr is None:
+            size_arr = np.ones(n, dtype=np.int64)
+        spans = [(0, n, None)]
+        cum = None
+        if self.buffer is None:
             routes = self.policy.route_user_batch(pids)
             if routes is None:
                 # Routing depends on per-write state; the scalar path is
@@ -266,27 +268,20 @@ class LogStructuredStore(WritePath, CleaningCycle):
             if routes.shape != pids.shape:
                 raise ValueError("route_user_batch returned a bad shape")
             spans = _stream_runs(routes)
-            # One size prefix sum for the batch: every run plans its
-            # first-fit segment bounds against it.
-            if size_arr is None:
-                size_arr = np.ones(n, dtype=np.int64)
+            # One size prefix sum for the batch: every direct run plans
+            # its first-fit segment bounds against it.
             cum = np.zeros(n + 1, dtype=np.int64)
             size_arr.cumsum(out=cum[1:])
 
-        # Both run engines take repeated page ids in their stride (the
+        # The run engine takes repeated page ids in its stride (the
         # repeat's old version is the one its previous occurrence in the
         # run placed), so runs break only at stream changes, where the
         # buffer must flush, and where a segment roll must clean.
         prev = _prev_occurrence(pids)
-        for start, stop in spans:
+        for start, stop, stream in spans:
             while start < stop:
                 limit = min(stop, start + _RUN_WINDOW)
-                if direct:
-                    took = self._write_run_direct(
-                        pids, size_arr, cum, prev, start, limit, int(routes[start])
-                    )
-                else:
-                    took = self._write_run_buffered(pids, size_arr, prev, start, limit)
+                took = self._write_run(pids, size_arr, cum, prev, start, limit, stream)
                 if took == 0:
                     # Boundary write: the next write flushes, or rolls
                     # into a cleaning cycle; the scalar path handles
@@ -377,8 +372,8 @@ class LogStructuredStore(WritePath, CleaningCycle):
                     % getattr(policy, "name", "?")
                 )
             routes = np.ascontiguousarray(routes, dtype=np.int64)
-            for start, stop in _stream_runs(routes):
-                self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
+            for start, stop, stream in _stream_runs(routes):
+                self._emit_run(arr[start:stop], stream, is_gc=False)
         except OutOfSpaceError:
             # The device refused part of the drain: what was not emitted
             # (still IN_BUFFER in the page table) goes back, in emission

@@ -1,39 +1,39 @@
 """The write path: the run engine every user and GC page goes through.
 
 :meth:`~repro.store.LogStructuredStore.write_batch` is the engine every
-caller drives (the simulator, ``kv.put_many``, the service's ingest
-queue): it splits a batch into *runs* and applies each run's
-bookkeeping with numpy fancy indexing — one gather, one invalidation,
-one carried-``up2`` resolution per run.  A run takes repeated page ids
-in its stride (a repeat rewrites the version its previous occurrence in
-the run just placed) and ends only where the engine must stop:
+caller drives (the simulator, and ``kv.write_slots``, which
+``kv.put_many`` and the service's ingest queue call): it splits a batch
+into *runs*, each applied by the one run engine,
+:meth:`WritePath._write_run`, with numpy fancy indexing — one gather,
+one invalidation, one carried-``up2`` resolution per run.  A run takes
+repeated page ids in its stride (a repeat rewrites the version its
+previous occurrence in the run just placed) and ends only where the
+engine must stop:
 
-* with a sorting buffer, where the buffer must flush
-  (:meth:`WritePath._write_run_buffered`);
-* without one, a run *rolls* (:meth:`WritePath._write_run_direct`): it
-  fills the open segment and then as many fresh segments as the free
-  pool allows before the next cleaning opportunity that would actually
-  clean — the rolls :meth:`WritePath._free_rolls` counts,
+* with a sorting buffer, where the buffer must flush;
+* without one (a *direct* run), where a roll would clean: the run
+  *rolls*, filling the open segment and then as many fresh segments as
+  the free pool allows before the next cleaning opportunity that would
+  actually clean — the rolls :meth:`WritePath._free_rolls` counts,
   ``len(free_list) - trigger + 1``, none while a cleaning cycle is
   mid-flight — with each seal at the rolling write's own tick.  Because
   a run's invalidations are applied before its rolls, it is cut before
   the first position whose old version lies in a segment the run has
   sealed by then (the *cut rule*); that position starts the next run.
-  The run plans once: its first-fit bounds (:func:`_first_fit`), cut at
-  that position, are the stretch :meth:`WritePath._append_stretch`
-  applies.
 
 A buffer drain and a GC relocation go through
-:meth:`WritePath._emit_run`, which plans in *stretches*: a roll that
-may clean goes through the scalar roll in
-:meth:`WritePath._open_segment_for` (seal-if-full, a user write's
-cleaning opportunity, allocate), and every roll after it that cleans
-nothing — each GC roll, each drain roll the free pool covers — is
-planned with first-fit bounds over the open segment and the head of the
-FIFO free list, then applied in one step (:meth:`WritePath._append_stretch`:
-a slice per segment for a short stretch, one scatter per column and a
-row-wise ``up2_sum`` fold for a long one), with the seals at their roll
-clocks.  The policy is asked for arrays only: ``route_user_batch`` /
+:meth:`WritePath._emit_run`, which emits in *stretches*: a roll that may
+clean goes through the scalar roll in :meth:`WritePath._open_segment_for`
+(seal-if-full, a user write's cleaning opportunity, allocate), and every
+roll after it that cleans nothing — each GC roll, each drain roll the
+free pool covers — is one stretch.  One planner,
+:meth:`WritePath._plan`, gives a direct run and every stretch its
+destinations (the open segment, then the head of the FIFO free list)
+and their first-fit bounds (:func:`_first_fit`), and
+:meth:`WritePath._append_stretch` applies that plan in one step (a slice
+per segment for a short stretch, one scatter per column and a row-wise
+``up2_sum`` fold for a long one), with the seals at their roll clocks.
+The policy is asked for arrays only: ``route_user_batch`` /
 ``user_sort_key`` for placement, ``place_gc_batch`` for relocation,
 ``rank_columns`` for victims.
 
@@ -72,10 +72,10 @@ _STRETCH_LOOP_MAX = 4
 
 
 def _stream_runs(streams: np.ndarray):
-    """Yield ``(start, stop)`` bounds of maximal constant-stream runs."""
+    """Yield ``(start, stop, stream)`` of maximal constant-stream runs."""
     changes = (streams[1:] != streams[:-1]).nonzero()[0] + 1
     edges = [0, *changes.tolist(), streams.size]
-    return zip(edges, edges[1:])
+    return zip(edges, edges[1:], streams[edges[:-1]].tolist())
 
 
 def _first_fit(
@@ -134,7 +134,7 @@ class WritePath:
         is the group's last clock and its ``up2`` that write's
         ``after``; both are stored at group ends only (numpy orders no
         stores through repeated indices).  A page id may occur more than
-        once (the direct path's in-run rewrites) — the per-page table
+        once (a direct run's in-run rewrites) — the per-page table
         scatter happens in run position order so the last occurrence
         wins, exactly as the scalar sequence would leave it.
 
@@ -143,7 +143,7 @@ class WritePath:
         when nothing was on the device).
 
         ``subtract_freq`` skips the ``freq_sum`` subtraction so the
-        direct path can interleave it with the emission's addition (the
+        direct run can interleave it with the emission's addition (the
         scalar order alternates subtract/add per page on possibly the
         same segment, and float addition does not commute).
         """
@@ -189,212 +189,189 @@ class WritePath:
         np.add.at(segs.epoch, iseg, 1)
         return on_dev, carried
 
-    def _write_run_direct(
+    def _write_run(
         self,
         pids: np.ndarray,
         sizes: np.ndarray,
-        cum: np.ndarray,
+        cum: Optional[np.ndarray],
         prev: np.ndarray,
         start: int,
         limit: int,
-        stream: int,
+        stream: Optional[int],
     ) -> int:
-        """Place a run of ``pids[start:limit]`` in the open segment of
-        ``stream`` and the segments it rolls into; returns the number of
-        writes consumed (0 when the next write must open the stream or
-        roll into a cleaning cycle first — the scalar step's job).
+        """Apply a run of ``pids[start:limit]``; returns the number of
+        writes consumed (0 when the next write must flush, open the
+        stream or roll into a cleaning cycle first — the scalar step's
+        job).  ``prev`` maps each position to the previous occurrence of
+        its page id in the batch (negative: none).
 
-        *The plan.*  The run may take the rolls the free pool covers
-        (:meth:`_free_rolls`).  Destinations are the open segment, then
-        the head of the FIFO free list in pop order; their first-fit
-        bounds (:func:`_first_fit`) are one ``searchsorted`` each
-        against ``cum``, the batch's size prefix sum, or arithmetic
-        when every size is one unit.  The plan, cut at the rule below, is
-        what :meth:`_append_stretch` applies: it is made once.
+        *Plan.*  With a sorting buffer, the run is what the buffer takes
+        without flushing: each new page (a first occurrence) takes a
+        free unit, so the attempt reads no further than ``_RUN_SLACK``
+        first occurrences past the free units.  Without one, the run
+        fills ``stream``'s open segment and the rolls the free pool
+        covers (:meth:`_free_rolls`), as :meth:`_plan` lays them out
+        against ``cum``, the batch's size prefix sum; that plan, cut at
+        the rule below, is what :meth:`_append_stretch` applies.
 
-        *The cut rule.*  The run's invalidations are applied up front,
-        its rolls after, so the run ends before the first position whose
-        old version lies in a destination the run has sealed by then: a
-        page of the first open segment, or a repeat (``prev`` maps each
-        position to the previous occurrence of its page id in the batch,
-        negative for none) whose previous occurrence landed in an
+        *Gather.*  One gather of the old versions.  A repeat rewrites
+        the version its previous occurrence in the run placed: still
+        buffered, or in that occurrence's planned destination.
+
+        *Cut.*  A buffered run ends at the first new page that does not
+        fit (a rewrite of a buffered page replaces in place: net size
+        delta, no capacity check, as in the scalar write).  A direct
+        run's invalidations are applied up front, its rolls after, so
+        the run ends before the first position whose old version lies in
+        a destination the run has sealed by then: a page of the first
+        open segment, or a repeat whose previous occurrence landed in an
         earlier destination, at any position after the one whose write
         seals that destination.  That position starts the next run,
         where its old segment is an ordinary sealed one.  Everything
         else commutes with the rolls: a seal reads only the sealed
         segment's own columns, which no later position writes, and a
         repeat inside a not-yet-allocated destination reads the zeros
-        its reset left, as the scalar order would."""
-        segs = self.segments
+        its reset left, as the scalar order would.
+
+        *Apply.*  Clock, statistics, invalidation, sizes and
+        ``last_write`` are shared; a buffered run folds the midpoint
+        rule into its rewrites and adds its new pages to the buffer, a
+        direct run resolves its carried estimates and appends its plan."""
         pages = self.pages
-        seg0 = self.open_segments.get(stream)
-        if seg0 is None:
-            return 0
-        # The plan, in positions relative to the run.
-        cum = cum[start:]
-        bounds = _first_fit(
-            cum, 0, limit - start, int(segs.capacity - segs.used_units[seg0]),
-            segs.capacity, self._free_rolls(),
-        )
-        dests = [seg0, *itertools.islice(self.free_list, len(bounds) - 2)]
-        k = bounds[-1]
-        if k == 0:
-            return 0
+        buffer = self.buffer
+        if buffer is not None:
+            free = buffer.capacity_units - buffer.used_units
+            if sizes[start] > free and pages.seg[pids[start]] != IN_BUFFER:
+                # The first write is a new page the buffer cannot take.
+                return 0
+            room = max(0, free) + _RUN_SLACK
+            if limit - start > room:
+                first = (prev[start:limit] < start).nonzero()[0]
+                if first.size > room:
+                    limit = start + int(first[room])
+            k = limit - start
+        else:
+            seg0 = self.open_segments.get(stream)
+            if seg0 is None:
+                return 0
+            # The plan, in positions relative to the run.
+            cum = cum[start:]
+            bounds, dests = self._plan(seg0, cum, 0, limit - start, self._free_rolls())
+            k = bounds[-1]
+            if k == 0:
+                return 0
+            counts = [b - a for a, b in zip(bounds, bounds[1:])]
+            dst = np.asarray(dests, dtype=np.int64).repeat(counts)
         run = pids[start : start + k]
         sz = sizes[start : start + k]
-        counts = [b - a for a, b in zip(bounds, bounds[1:])]
-        dst = np.asarray(dests, dtype=np.int64).repeat(counts)
         old_seg = pages.seg[run]
         old_size = pages.size[run]
         prev_rel = prev[start : start + k] - start
-        dup = prev_rel >= 0
-        back = prev_rel[dup]
-        if back.size:
+        dup = (prev_rel >= 0).nonzero()[0]
+        if dup.size:
             # In-run rewrite: the page's current version is the one this
-            # very run emits at its previous occurrence.
-            old_seg[dup] = dst[back]
+            # very run placed at its previous occurrence.
+            back = prev_rel[dup]
+            old_seg[dup] = IN_BUFFER if buffer is not None else dst[back]
             old_size[dup] = sz[back]
-        if len(dests) > 1:
+        cut = None
+        if buffer is not None:
+            in_buf = old_seg == IN_BUFFER
+            new = ~in_buf
+            # units[i]: the buffer's growth through position i.
+            units = np.where(in_buf, sz - old_size, sz).cumsum()
+            cut = ((units > free) & new).nonzero()[0]
+        elif len(dests) > 1:
             # sealed_at[i]: the position whose write seals the
             # destination holding position i's old version (k: none).
             first = np.asarray(bounds[1:])
             sealed_at = np.where(old_seg == seg0, first[0], k)
-            if back.size:
+            if dup.size:
                 sealed_at[dup] = first.repeat(counts)[back]
             cut = (np.arange(k) > sealed_at).nonzero()[0]
-            if cut.size:
-                k = int(cut[0])
-                run, sz, dst = run[:k], sz[:k], dst[:k]
-                old_seg, old_size = old_seg[:k], old_size[:k]
+        if cut is not None and cut.size:
+            k = int(cut[0])
+            run, sz, old_seg, old_size = run[:k], sz[:k], old_seg[:k], old_size[:k]
 
         clock0 = self.clock
         clocks = np.arange(clock0 + 1, clock0 + 1 + k, dtype=np.int64)
         self.stats.user_writes += k
-        # Per-position carried values must be gathered before the
-        # invalidation scatters new ones (a later rewrite of the same
-        # page must not leak its value into an earlier emission).
-        carried = pages.carried_up2[run]
-        # freq_sum subtraction deferred: it interleaves with the
-        # emission's addition below to match the scalar order.
+        if buffer is None:
+            # Per-position carried values must be gathered before the
+            # invalidation scatters new ones (a later rewrite of the
+            # same page must not leak its value into an earlier emission).
+            carried = pages.carried_up2[run]
+        # A direct run defers the freq_sum subtraction: it interleaves
+        # with the emission's addition below to match the scalar order.
         on_dev, inv_carried = self._invalidate_run(
-            run, old_seg, old_size, clocks, subtract_freq=False
-        )
-        if inv_carried is not None:
-            if inv_carried.size == k:
-                carried = inv_carried
-            else:
-                carried[on_dev] = inv_carried
-        nan = np.isnan(carried)
-        if nan.any():
-            carried[nan] = self._cold_up2
-        pages.carried_up2[run] = carried
-
-        pages.size[run] = sz
-        # The plan cut at k: the destinations that fill before position k.
-        bounds = [b for b in bounds if b < k] + [k]
-        self._append_stretch(
-            seg0, stream, bounds, cum, run, sz, carried, None, is_gc=False, tick=1
-        )
-        self.clock = clock0 + k
-        if pages.oracle_active:
-            # Scalar order per page: subtract from the old segment, add
-            # to the new one.  Replayed as one in-order scatter stream.
-            freqs = pages.oracle_freq[run]
-            idx = np.empty(2 * k, dtype=np.int64)
-            val = np.empty(2 * k, dtype=np.float64)
-            idx[0::2] = np.where(on_dev, old_seg, 0)
-            idx[1::2] = dst
-            val[0::2] = -freqs
-            val[1::2] = freqs
-            keep = np.ones(2 * k, dtype=bool)
-            keep[0::2] = on_dev
-            np.add.at(segs.freq_sum, idx[keep], val[keep])
-        pages.last_write[run] = clocks
-        return k
-
-    def _write_run_buffered(
-        self,
-        pids: np.ndarray,
-        sizes: Optional[np.ndarray],
-        prev: np.ndarray,
-        start: int,
-        limit: int,
-    ) -> int:
-        """Absorb as many of ``pids[start:limit]`` as the sorting buffer
-        takes without flushing; returns the number of writes consumed (0
-        when the next write must flush first).
-
-        ``prev`` maps each position to the previous occurrence of its
-        page id (negative: none).  A repeat inside the run rewrites the
-        still-buffered version its previous occurrence added, so a run
-        ends only where the buffer must flush.  Each new page (a first
-        occurrence) takes a free unit, so the attempt reads no further
-        than ``_RUN_SLACK`` first occurrences past the free units."""
-        buffer = self.buffer
-        pages = self.pages
-        free = buffer.capacity_units - buffer.used_units
-        if (1 if sizes is None else sizes[start]) > free and (
-            pages.seg[pids[start]] != IN_BUFFER
-        ):
-            # The first write is a new page the buffer cannot take.
-            return 0
-        room = max(0, free) + _RUN_SLACK
-        if limit - start > room:
-            first = (prev[start:limit] < start).nonzero()[0]
-            if first.size > room:
-                limit = start + int(first[room])
-        run = pids[start:limit]
-        k0 = run.size
-        sz = np.ones(k0, dtype=np.int64) if sizes is None else sizes[start:limit]
-        old_seg = pages.seg[run]
-        old_size = pages.size[run]
-        prev_rel = prev[start:limit] - start
-        dup = (prev_rel >= 0).nonzero()[0]
-        if dup.size:
-            old_seg[dup] = IN_BUFFER
-            old_size[dup] = sz[prev_rel[dup]]
-        in_buf = old_seg == IN_BUFFER
-        new = ~in_buf
-        # A rewrite of a buffered page replaces in place (net size delta,
-        # no capacity check, as in the scalar write); a new page
-        # must fit or the run ends at it (the scalar path flushes there).
-        delta = np.where(in_buf, sz - old_size, sz)
-        viol = ((delta.cumsum() > free) & new).nonzero()[0]
-        k = int(viol[0]) if viol.size else k0
-        if k < k0:
-            run, old_seg, old_size, in_buf, new, sz, delta = (
-                a[:k] for a in (run, old_seg, old_size, in_buf, new, sz, delta)
-            )
-
-        clock0 = self.clock
-        clocks = np.arange(clock0 + 1, clock0 + 1 + k, dtype=np.int64)
-        self.clock = clock0 + k
-        self.stats.user_writes += k
-
-        self._invalidate_run(
             run, old_seg, old_size, clocks,
-            subtract_freq=pages.oracle_active,
+            subtract_freq=buffer is not None and pages.oracle_active,
         )
-        rewrites = in_buf.nonzero()[0]
-        if rewrites.size:
-            # Midpoint rule for rewrites of still-buffered pages.
-            _fold_midpoints(
-                pages.carried_up2, run[rewrites], clocks[rewrites],
-                distinct=not dup.size,
-            )
-        # A rewrite keeps its place; the new pages (first occurrences,
-        # so distinct) join the buffer in arrival order.
-        buffer.add_run(run[new], int(delta.sum()))
-        pages.seg[run] = IN_BUFFER
         pages.size[run] = sz
+        if buffer is not None:
+            rewrites = in_buf[:k].nonzero()[0]
+            if rewrites.size:
+                # Midpoint rule for rewrites of still-buffered pages.
+                _fold_midpoints(
+                    pages.carried_up2, run[rewrites], clocks[rewrites],
+                    distinct=not dup.size,
+                )
+            # A rewrite keeps its place; the new pages (first occurrences,
+            # so distinct) join the buffer in arrival order.
+            buffer.add_run(run[new[:k]], int(units[k - 1]))
+            pages.seg[run] = IN_BUFFER
+        else:
+            if inv_carried is not None:
+                if inv_carried.size == k:
+                    carried = inv_carried
+                else:
+                    carried[on_dev] = inv_carried
+            nan = np.isnan(carried)
+            if nan.any():
+                carried[nan] = self._cold_up2
+            pages.carried_up2[run] = carried
+            # The plan cut at k: the destinations that fill before position k.
+            bounds = [b for b in bounds if b < k] + [k]
+            self._append_stretch(
+                stream, bounds, dests[: len(bounds) - 1], cum, run, sz, carried,
+                None, is_gc=False, tick=1,
+            )
+            if pages.oracle_active:
+                # Scalar order per page: subtract from the old segment, add
+                # to the new one.  Replayed as one in-order scatter stream.
+                freqs = pages.oracle_freq[run]
+                idx = np.empty(2 * k, dtype=np.int64)
+                val = np.empty(2 * k, dtype=np.float64)
+                idx[0::2] = np.where(on_dev, old_seg, 0)
+                idx[1::2] = dst[:k]
+                val[0::2] = -freqs
+                val[1::2] = freqs
+                keep = np.ones(2 * k, dtype=bool)
+                keep[0::2] = on_dev
+                np.add.at(self.segments.freq_sum, idx[keep], val[keep])
+        self.clock = clock0 + k
         pages.last_write[run] = clocks
         return k
+
+    def _plan(
+        self, seg: int, cum: np.ndarray, start: int, stop: int, rolls: int
+    ) -> Tuple[List[int], List[int]]:
+        """The one first-fit planner, for a direct run and every stretch
+        of :meth:`_emit_run`: positions ``start .. stop`` over the open
+        segment ``seg``, then at most ``rolls`` fresh segments, the head
+        of the FIFO free list in the order the rolls pop it.  Returns
+        ``(bounds, dests)``: ``dests[j]`` takes ``[bounds[j],
+        bounds[j + 1])`` (:func:`_first_fit`; ``seg`` may take none)."""
+        cap = self.segments.capacity
+        room = cap - int(self.segments.used_units[seg])
+        bounds = _first_fit(cum, start, stop, room, cap, rolls)
+        return bounds, [seg, *itertools.islice(self.free_list, len(bounds) - 2)]
 
     def _emit_run(self, pids: np.ndarray, stream: int, is_gc: bool) -> None:
         """Emit a buffer drain's or a GC relocation's pages to ``stream``
         in *stretches*: one roll through :meth:`_open_segment_for` (the
         only roll that may clean), then every roll after it that cleans
-        nothing, planned and applied as one array step
+        nothing, planned (:meth:`_plan`) and applied as one array step
         (:meth:`_append_stretch`).  A GC roll never cleans, so GC
         emission is one stretch unless the free pool runs dry; a drain's
         stretch takes the rolls the pool covers (:meth:`_free_rolls`).
@@ -426,9 +403,9 @@ class WritePath:
                     extra = len(_first_fit(cum, i, n, cap, cap, n)) - 2
                 seg = self._open_segment_for(stream, int(sizes[i]), is_gc, extra)
             rolls = self._free_rolls() if may_clean else len(self.free_list)
-            bounds = _first_fit(cum, i, n, cap - int(segs.used_units[seg]), cap, rolls)
+            bounds, dests = self._plan(seg, cum, i, n, rolls)
             self._append_stretch(
-                seg, stream, bounds, cum, pids, sizes, carried, freqs, is_gc
+                stream, bounds, dests, cum, pids, sizes, carried, freqs, is_gc
             )
             i = bounds[-1]
 
@@ -443,9 +420,9 @@ class WritePath:
 
     def _append_stretch(
         self,
-        seg: int,
         stream: int,
         bounds: List[int],
+        dests: List[int],
         cum: np.ndarray,
         pids: np.ndarray,
         sizes: np.ndarray,
@@ -458,25 +435,22 @@ class WritePath:
         GC, lands: a direct run's whole plan, or one stretch of
         :meth:`_emit_run`.
 
-        ``bounds`` splits the stretch's positions by destination: the
-        open segment ``seg`` (which may take none), then one fresh
-        segment per roll, the head of the FIFO free list in the order
-        the rolls pop it.  Up to ``_STRETCH_LOOP_MAX`` destinations fill
-        one slice each; a longer stretch fills slot logs, page table and
-        counters in one scatter each and ``up2_sum`` (and, when
-        ``freqs`` is given, ``freq_sum``) in one row-wise left-to-right
-        fold.  Each roll then seals its predecessor and opens its
-        segment (:meth:`_open_fresh`), as the one-segment-at-a-time roll
-        would.  A direct run passes ``tick=1``: a roll seals at the
-        rolling write's own tick, counted from the clock at the call (a
-        drain or a relocation moves no clock).  ``carried`` holds the
-        per-position ``up2`` estimates (a page id may repeat in a user
-        run, each occurrence with its own).
+        ``bounds`` and ``dests`` are a plan of :meth:`_plan`: the open
+        segment (which may take none), then one fresh segment per roll,
+        in the order :meth:`_open_fresh` pops them.  Up to
+        ``_STRETCH_LOOP_MAX`` destinations fill one slice each; a longer
+        stretch fills slot logs, page table and counters in one scatter
+        each and ``up2_sum`` (and, when ``freqs`` is given,
+        ``freq_sum``) in one row-wise left-to-right fold.  Each roll
+        then seals its predecessor and opens its segment, as the
+        one-segment-at-a-time roll would.  A direct run passes
+        ``tick=1``: a roll seals at the rolling write's own tick, counted
+        from the clock at the call (a drain or a relocation moves no
+        clock).  ``carried`` holds the per-position ``up2`` estimates (a
+        page id may repeat in a user run, each occurrence with its own).
         """
         segs = self.segments
         pages = self.pages
-        # The rolls' segments, in the order _open_fresh will pop them.
-        dests = [seg, *itertools.islice(self.free_list, len(bounds) - 2)]
         lo, hi = bounds[0], bounds[-1]
         if len(dests) <= _STRETCH_LOOP_MAX:
             # A few destinations (a small clean_step): one slice each.

@@ -17,9 +17,11 @@ attached observer the same events (seal clocks, live counts, stalls)
 and called the drain, write-stall and cleaning boundaries at the same
 clocks.
 
-A direct run does not pass through ``_emit_run``: it hands its own cut
-plan to ``_append_stretch``.  What holds its emission to page-at-a-time
-is the scalar ``write`` those runs are compared against:
+A direct run does not pass through ``_emit_run``, but it shares its
+planner: ``_plan`` lays out a direct run's destinations as it does every
+stretch here, and ``_append_stretch`` applies both.  What holds a direct
+run's emission to page-at-a-time is the scalar ``write`` the batch ≡
+scalar suites compare those runs against:
 ``test_batch_matches_scalar`` in ``test_write_batch_properties.py``
 (greedy, no buffer, among its draws), and
 ``test_roll_at_position_zero_and_gaps_at_every_segment_end`` and

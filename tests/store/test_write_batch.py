@@ -275,7 +275,7 @@ def test_buffered_runs_end_only_at_flushes():
     )
     store.write_batch(warm)
     assert np.unique(batch).size < batch.size - 1000  # heavy repeats
-    runs = _count_calls(store, "_write_run_buffered")
+    runs = _count_calls(store, "_write_run")
     flushes = _count_calls(store, "flush")
     boundary_writes = _count_calls(store, "write")
     store.write_batch(batch)
@@ -294,7 +294,7 @@ def test_buffered_run_capacity_rules():
     assert capacity == 2 * u
     pids = np.array([0, 1, 2, 2, 3, 3, 4], dtype=np.int64)
     sizes = np.array([u, u - 1, 1, u, 1, 1, 1], dtype=np.int64)
-    runs = _count_calls(batch_store, "_write_run_buffered")
+    runs = _count_calls(batch_store, "_write_run")
     _drive_both(scalar_store, batch_store, pids, sizes=sizes)
     # [0, 1, 2, 2-grown] | new page 3 must flush first | [3, 4].
     assert runs == [4, 0, 2]
@@ -392,7 +392,7 @@ def _watch(store):
 
     obs.on_seal = seal
     return (
-        _count_calls(store, "_write_run_direct"),
+        _count_calls(store, "_write_run"),
         _count_calls(store, "write"),
         seals,
     )
@@ -569,7 +569,7 @@ def test_runs_end_at_stream_changes():
     batch_store.load_sequential(cfg.user_pages)
     # Sorted rows: two stretches of ~25 writes each, longer than a segment.
     pids = np.sort(_stream("uniform", cfg.user_pages, 3000).reshape(-1, 50))
-    runs = _count_calls(batch_store, "_write_run_direct")
+    runs = _count_calls(batch_store, "_write_run")
     _drive_both(scalar_store, batch_store, pids.ravel(), chunk=50)
     assert len(batch_store.open_segments) == 3  # two user streams + GC
     assert max(runs) > cfg.segment_units
