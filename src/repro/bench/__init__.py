@@ -16,7 +16,6 @@ from repro.bench.experiments import (
 from repro.bench.runner import (
     SimulationResult,
     drive,
-    observed_runner,
     prepare_store,
     run_simulation,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "drive",
     "format_series",
     "format_table",
-    "observed_runner",
     "prepare_store",
     "run_simulation",
 ]

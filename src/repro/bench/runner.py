@@ -107,7 +107,6 @@ def run_simulation(
     measure_fraction: float = 0.5,
     observe: Union[None, str, "MetricsWriter"] = None,
     sample_interval: Optional[int] = None,
-    meta: Optional[Dict] = None,
 ) -> SimulationResult:
     """Fixed-length run: warm up, then measure Wamp over the tail.
 
@@ -124,7 +123,6 @@ def run_simulation(
             ``metrics.jsonl``) or a sweep job's in-memory row list.
         sample_interval: Time-series sample spacing in update ticks
             (default: a quarter of the page population).
-        meta: Extra key/values merged into the exported ``meta`` row.
     """
     if not 0.0 < measure_fraction <= 1.0:
         raise ValueError("measure_fraction must be in (0, 1]")
@@ -164,8 +162,6 @@ def run_simulation(
                 "total_writes": total,
                 "wamp": window.write_amplification,
             }
-            if meta:
-                run_meta.update(meta)
             writer.write_rows(observer.rows(run_meta))
     finally:
         if observer is not None:
@@ -178,32 +174,6 @@ def run_simulation(
         window=window,
         extras=_policy_extras(policy),
     )
-
-
-def observed_runner(
-    path: Union[str, "MetricsWriter"],
-    sample_interval: Optional[int] = None,
-    meta: Optional[Dict] = None,
-):
-    """A drop-in :func:`run_simulation` replacement that records every
-    run it executes into one shared ``metrics.jsonl``.
-
-    Experiment functions take a ``runner`` argument with
-    :func:`run_simulation`'s signature; injecting this gives the whole
-    experiment observability without touching its loop.
-    """
-    from repro.obs import MetricsWriter
-
-    writer = path if isinstance(path, MetricsWriter) else MetricsWriter(str(path))
-
-    def run(config, policy, workload, **kwargs):
-        kwargs.setdefault("observe", writer)
-        kwargs.setdefault("sample_interval", sample_interval)
-        kwargs.setdefault("meta", meta)
-        return run_simulation(config, policy, workload, **kwargs)
-
-    run.writer = writer
-    return run
 
 
 def _policy_extras(policy: CleaningPolicy) -> Dict[str, float]:

@@ -15,10 +15,11 @@ steps, each through the experiment function's own loops:
    to the serial run's, whether or not the sweep was killed and resumed
    on the way.
 
-Entry points: ``repro sweep <grid>``, :func:`run_named_sweep`, and
-:func:`parallel_experiment` for any function with the ``runner``
-contract.  :mod:`repro.bench` does not import this module, so only a
-sweep loads the pool's modules.
+Entry points: ``repro sweep <grid>`` for the named grids of
+:data:`SWEEP_GRIDS`, and :func:`parallel_experiment` for any function
+with the ``runner`` contract; the command resolves its grid and calls
+the function.  :mod:`repro.bench` does not import this module, so only
+a sweep loads the pool's modules.
 """
 
 from __future__ import annotations
@@ -275,11 +276,16 @@ class GridDef:
     takes_dist: bool = False
 
     def resolve(
-        self, quick: bool = False, seed: int = 0, dist: Optional[str] = None
+        self,
+        quick: bool = False,
+        seed: int = 0,
+        dist: Optional[str] = None,
+        fills: Optional[Sequence[float]] = None,
     ) -> Tuple[Callable, Dict[str, Any], str]:
         """Return ``(experiment_fn, kwargs, run_name)`` for one
-        invocation.  ``--quick`` quarters the write multiplier, for the
-        serial and the swept command alike."""
+        invocation.  ``--quick`` quarters the write multiplier;
+        ``dist`` and ``fills`` are for the grids that take a
+        distribution (fig5), and refused by the others."""
         multiplier = self.base_multiplier / 4.0 if quick else self.base_multiplier
         kwargs: Dict[str, Any] = {
             "write_multiplier": multiplier, "seed": seed,
@@ -291,13 +297,19 @@ class GridDef:
                 raise SweepError("unknown distribution %r" % (chosen,))
             kwargs["dist"] = chosen
             run_name = "%s-%s" % (self.name, chosen)
-        elif dist is not None:
-            raise SweepError("grid %r does not take --dist" % (self.name,))
+            if fills is not None:
+                kwargs["fills"] = tuple(fills)
+        elif dist is not None or fills is not None:
+            raise SweepError(
+                "grid %r does not take --%s"
+                % (self.name, "dist" if dist is not None else "fills")
+            )
         return self.experiment, kwargs, run_name
 
 
 #: Figure 6 is absent: TPC-C trace workloads are generated (expensively)
-#: in-process and are not spec-serializable; it stays on the serial path.
+#: in-process and are not spec-serializable, so it keeps its own serial
+#: command, ``repro fig6``.
 SWEEP_GRIDS: Dict[str, GridDef] = {
     g.name: g
     for g in (
@@ -670,10 +682,11 @@ def parallel_experiment(
             interleave in one directory.
         name: The run's name in the manifest and summary (default: the
             function's name).
-        metrics_out / sample_interval: As the serial commands'
+        metrics_out / sample_interval: ``repro sweep``'s
             ``--metrics-out`` / ``--sample-interval``: every job's
-            observability rows, written in the order the serial run
-            writes them.  The journal keeps no rows, so a resume whose
+            observability rows in one ``metrics.jsonl``, in the order
+            the experiment's own loop runs its jobs, whatever the pool
+            size.  The journal keeps no rows, so a resume whose
             manifest already holds finished jobs of the grid cannot
             write a whole file: it raises :class:`SweepError` before
             running any job, and ``metrics_out`` is left untouched.
@@ -745,33 +758,3 @@ def parallel_experiment(
         output=output, stats=stats, summary=summary, out_dir=out_path
     )
 
-
-def run_named_sweep(
-    grid: str,
-    workers: Optional[int] = None,
-    out_dir: Optional[Union[str, pathlib.Path]] = None,
-    resume: bool = False,
-    quick: bool = False,
-    seed: int = 0,
-    dist: Optional[str] = None,
-    metrics_out: Optional[str] = None,
-    sample_interval: Optional[int] = None,
-) -> SweepReport:
-    """Run one of the registered experiment grids (``repro sweep``)."""
-    if grid not in SWEEP_GRIDS:
-        raise SweepError(
-            "unknown grid %r (have: %s)" % (grid, ", ".join(sweep_grid_names()))
-        )
-    experiment, kwargs, run_name = SWEEP_GRIDS[grid].resolve(
-        quick=quick, seed=seed, dist=dist
-    )
-    return parallel_experiment(
-        experiment,
-        workers=workers,
-        out_dir=out_dir,
-        resume=resume,
-        name=run_name,
-        metrics_out=metrics_out,
-        sample_interval=sample_interval,
-        **kwargs,
-    )

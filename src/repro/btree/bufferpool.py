@@ -34,12 +34,6 @@ class PoolStats:
     evictions: int = 0
     page_writes: int = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of page fetches served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class BufferPool:
     """Fixed-capacity LRU cache of tree pages with write-back."""
@@ -178,10 +172,6 @@ class BufferPool:
     def allocated_pages(self) -> int:
         """Total pages ever allocated (the storage footprint)."""
         return self._next_page_id
-
-    def cached_count(self) -> int:
-        """Pages currently resident in the cache."""
-        return len(self._cached)
 
     def __repr__(self) -> str:
         return "<BufferPool %d/%d cached, %d allocated, %d writes>" % (

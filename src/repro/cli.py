@@ -2,15 +2,15 @@
 
 Usage (installed as ``repro``, or ``python -m repro``):
 
-    repro table1                 # Table 1: fixpoint analysis vs simulation
-    repro table2                 # Table 2: hot/cold minimum cost
-    repro fig3                   # Figure 3: MDC ablation breakdown
-    repro fig4                   # Figure 4: sort-buffer sweep
-    repro fig5 --dist zipf-80-20 # Figure 5: policy comparison
-    repro fig6                   # Figure 6: TPC-C traces
-    repro ablation               # estimator + batch-size ablations
-    repro simulate --policy mdc --dist zipf-80-20 --fill 0.8
+    repro sweep table1           # Table 1: fixpoint analysis vs simulation
+    repro sweep table2           # Table 2: hot/cold minimum cost
+    repro sweep fig3             # Figure 3: MDC ablation breakdown
+    repro sweep fig4             # Figure 4: sort-buffer sweep
+    repro sweep fig5 --dist uniform --fills 0.5,0.8  # Figure 5
+    repro sweep ablation-estimator  # also: ablation-batch
     repro sweep fig5 --workers 4 --out runs/fig5 --resume
+    repro fig6                   # Figure 6: TPC-C traces (serial)
+    repro simulate --policy mdc --dist zipf-80-20 --fill 0.8
     repro bench latency          # the service's flush-stall report
     repro serve --shards 4       # drive the sharded service front-end
     repro obs report D/*.jsonl   # one report over a run's files
@@ -25,9 +25,16 @@ so a repro case is self-verifying.  ``repro difftest`` cross-validates
 every registered cleaning policy against the dict-based oracle model on
 the synthetic workload families (see ``repro.testkit``).
 
-Quick variants of the heavy experiments accept ``--quick`` to shrink
-write counts by ~4x (coarser numbers, same shapes).  Every experiment
-takes ``--seed`` so single runs are reproducible from the command line.
+``repro sweep GRID`` runs one of the paper's grids (``repro.bench.sweep``)
+over a process pool of ``--workers`` processes, or inline at one, and
+prints the grid's table; ``--quick`` shrinks write counts by ~4x
+(coarser numbers, same shapes) and ``--seed`` makes a run reproducible.
+Without ``--out`` it writes no file.  With ``--out DIR`` each finished
+job is journaled to ``DIR/manifest.jsonl``, and a killed sweep
+re-invoked with ``--resume`` skips completed jobs and still prints
+byte-identical output.  ``--metrics-out`` writes every job's
+observability rows to one ``metrics.jsonl``, the same bytes at any
+``--workers``.
 
 ``repro serve`` runs the sharded service front-end (``repro.service``)
 under its deterministic concurrent client harness and reports per-shard
@@ -42,19 +49,13 @@ clock-free report of what foreground flushes waited behind, written only
 where ``--out`` says and gated against a committed report with
 ``--check`` (``BENCH_latency.json`` is that report at the default
 shape).
-
-``repro sweep`` runs a whole experiment grid over a process pool
-(``repro.bench.sweep``): each finished job is journaled to
-``<out>/manifest.jsonl``, and a killed sweep re-invoked with
-``--resume`` skips completed jobs and still produces byte-identical
-aggregated output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.bench import fig6_experiment, run_simulation
 from repro.bench.experiments import _standard_config, make_workload
@@ -76,18 +77,9 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="JSONL",
-        help="record observability rows (time series, cleaning decisions, "
-        "events) for every simulation of this experiment into one "
-        "metrics.jsonl file",
-    )
-    parser.add_argument(
-        "--sample-interval", type=int, default=None, metavar="TICKS",
-        help="clock ticks between time-series samples (default: a quarter "
-        "of the store's user pages); only with --metrics-out",
-    )
+def _fill_factors(text: str) -> Tuple[float, ...]:
+    """``--fills 0.5,0.8`` as a tuple of fill factors."""
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,35 +188,6 @@ def _harness_config(args: argparse.Namespace):
     return base.scaled(**overrides) if overrides else base
 
 
-def _experiment_runner(args: argparse.Namespace):
-    """The ``runner=`` for an experiment: an observing one when
-    ``--metrics-out`` was given, else None (the serial default)."""
-    if getattr(args, "metrics_out", None) is None:
-        return None
-    from repro.bench import observed_runner
-
-    return observed_runner(
-        args.metrics_out, sample_interval=args.sample_interval
-    )
-
-
-#: The serial experiment commands: help text and the ``SWEEP_GRIDS``
-#: entries each prints, in order.  The grid entry owns the experiment
-#: function and the base write multiplier, for the serial and the
-#: parallel run alike.
-_SERIAL_GRIDS = {
-    "table1": ("Table 1: analysis vs simulation", ("table1",)),
-    "table2": ("Table 2: hot/cold minimum cost", ("table2",)),
-    "fig3": ("Figure 3: MDC ablation breakdown", ("fig3",)),
-    "fig4": ("Figure 4: sort-buffer size sweep", ("fig4",)),
-    "fig5": ("Figure 5: policy comparison", ("fig5",)),
-    "ablation": (
-        "estimator and batch-size ablations",
-        ("ablation-estimator", "ablation-batch"),
-    ),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser, one subparser per subcommand."""
     parser = argparse.ArgumentParser(
@@ -236,47 +199,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.bench.sweep import SWEEP_DISTS, sweep_grid_names
 
-    for name, (help_text, _) in _SERIAL_GRIDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "fig5":
-            p.add_argument("--dist", default="zipf-80-20", choices=SWEEP_DISTS)
-            p.add_argument(
-                "--fills", default=None, metavar="F1,F2,...",
-                help="comma-separated fill factors (default: the paper's "
-                "grid); e.g. --fills 0.5 for a single-fill run",
-            )
-        _add_quick(p)
-        _add_seed(p)
-        _add_metrics_out(p)
-    p = sub.add_parser("fig6", help="Figure 6: TPC-C trace replay")
-    p.add_argument("--warehouses", type=int, default=1)
-    _add_seed(p)
-
     p = sub.add_parser(
         "sweep",
-        help="run an experiment grid in parallel with checkpointed resume",
+        help="run a paper grid (Tables 1-2, Figures 3-5, the ablations) "
+        "over a process pool, with checkpointed resume",
     )
     p.add_argument("grid", choices=sweep_grid_names())
     p.add_argument(
         "--dist", default=None, choices=list(SWEEP_DISTS),
-        help="distribution for grids that take one (fig5)",
+        help="distribution for grids that take one (fig5; default "
+        "zipf-80-20)",
+    )
+    p.add_argument(
+        "--fills", default=None, type=_fill_factors, metavar="F1,F2,...",
+        help="comma-separated fill factors for grids that take --dist "
+        "(default: the paper's grid); e.g. --fills 0.5 for one fill",
     )
     p.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: CPU count)",
+        help="worker processes (default: CPU count); 1 runs the jobs "
+        "inline",
     )
     p.add_argument(
         "--out", default=None,
         help="output directory for manifest.jsonl, summary.json, and the "
-        "rendered table (default: sweep_runs/<grid>)",
+        "rendered table (default: none; nothing is written)",
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="continue an interrupted sweep, skipping journaled jobs",
+        help="continue an interrupted sweep in --out, skipping journaled "
+        "jobs",
     )
     _add_quick(p)
     _add_seed(p)
-    _add_metrics_out(p)
+    p.add_argument(
+        "--metrics-out", default=None, metavar="JSONL",
+        help="record observability rows (time series, cleaning decisions, "
+        "events) for every simulation of the grid into one metrics.jsonl "
+        "file",
+    )
+    p.add_argument(
+        "--sample-interval", type=int, default=None, metavar="TICKS",
+        help="clock ticks between time-series samples (default: a quarter "
+        "of the store's user pages); only with --metrics-out",
+    )
+
+    p = sub.add_parser("fig6", help="Figure 6: TPC-C trace replay (serial)")
+    p.add_argument("--warehouses", type=int, default=1)
+    _add_seed(p)
 
     p = sub.add_parser(
         "bench", help="the service's seeded, clock-free benchmark report"
@@ -347,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="inspect the files of a run: a metrics.jsonl (--metrics-out "
-        "on the experiment commands and 'repro sweep', or 'repro serve "
-        "--out DIR') and a span file",
+        help="inspect the files of a run: a metrics.jsonl ('repro sweep "
+        "--metrics-out' or 'repro serve --out DIR') and a span file",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(
@@ -442,9 +411,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch one subcommand; returns exit code."""
     args = build_parser().parse_args(argv)
 
-    if args.command in _SERIAL_GRIDS:
-        return _run_experiment_command(args)
-    elif args.command == "fig6":
+    if args.command == "fig6":
         print(
             fig6_experiment(
                 scale=TpccScale(warehouses=args.warehouses), seed=args.seed
@@ -486,33 +453,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "difftest":
         return _run_difftest_command(args)
     return 0
-
-
-def _run_experiment_command(args: argparse.Namespace) -> int:
-    """Dispatch ``repro table1|table2|fig3|fig4|fig5|ablation``: run
-    the command's grids serially and print their tables."""
-    from repro.bench.sweep import SWEEP_GRIDS
-
-    runner = _experiment_runner(args)  # shared: one merged metrics file
-    tables = []
-    for name in _SERIAL_GRIDS[args.command][1]:
-        experiment, kwargs, _ = SWEEP_GRIDS[name].resolve(
-            quick=args.quick, seed=args.seed, dist=getattr(args, "dist", None)
-        )
-        if getattr(args, "fills", None):
-            kwargs["fills"] = tuple(
-                float(x) for x in args.fills.split(",") if x.strip()
-            )
-        tables.append(str(experiment(runner=runner, **kwargs)))
-    print("\n\n".join(tables))
-    _note_metrics(args)
-    return 0
-
-
-def _note_metrics(args: argparse.Namespace) -> None:
-    """Tell the user where --metrics-out landed (no-op without it)."""
-    if getattr(args, "metrics_out", None):
-        print("observability rows written to %s" % args.metrics_out)
 
 
 def _obs_label(meta: dict) -> str:
@@ -874,20 +814,25 @@ def _run_difftest_command(args: argparse.Namespace) -> int:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     """Dispatch ``repro sweep``: run the grid, print the table, report."""
-    from repro.bench.sweep import SweepError, run_named_sweep
+    from repro.bench.sweep import SWEEP_GRIDS, SweepError, parallel_experiment
 
-    out_dir = args.out if args.out is not None else "sweep_runs/%s" % args.grid
+    if args.resume and args.out is None:
+        print("sweep error: --resume needs --out DIR", file=sys.stderr)
+        return 1
     try:
-        report = run_named_sweep(
-            args.grid,
+        experiment, kwargs, run_name = SWEEP_GRIDS[args.grid].resolve(
+            quick=args.quick, seed=args.seed, dist=args.dist,
+            fills=args.fills or None,
+        )
+        report = parallel_experiment(
+            experiment,
             workers=args.workers,
-            out_dir=out_dir,
+            out_dir=args.out,
             resume=args.resume,
-            quick=args.quick,
-            seed=args.seed,
-            dist=args.dist,
+            name=run_name,
             metrics_out=args.metrics_out,
             sample_interval=args.sample_interval,
+            **kwargs,
         )
     except SweepError as exc:
         print("sweep error: %s" % exc, file=sys.stderr)
@@ -895,17 +840,18 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     print(report.output.rendered)
     s = report.summary
     print(
-        "\nsweep %s: %d jobs (%d run, %d resumed) with %d workers -> %s"
+        "\nsweep %s: %d jobs (%d run, %d resumed) with %d workers%s"
         % (
             s["experiment"],
             s["jobs"],
             s["executed"],
             s["skipped"],
             s["workers"],
-            report.out_dir,
+            "" if report.out_dir is None else " -> %s" % report.out_dir,
         )
     )
-    _note_metrics(args)
+    if args.metrics_out:
+        print("observability rows written to %s" % args.metrics_out)
     return 0
 
 

@@ -5,7 +5,7 @@ a victim being chosen, the sorting buffer draining, a failpoint firing —
 are *events*: discrete, timestamped on the update clock, and carrying a
 small structured payload.  The bus keeps the most recent ``capacity``
 events in a ring (old events are counted, then dropped), tallies every
-kind cumulatively, and fans events out to subscribers.
+kind cumulatively.
 
 The bus is only ever consulted through the store's ``obs`` slot, which
 is ``None`` unless an observer is attached — the disabled cost on the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 #: Event kinds emitted by the store hooks.
 SEGMENT_SEALED = "segment_sealed"
@@ -68,9 +68,8 @@ class EventBus:
     """Ring buffer of events plus cumulative per-kind counts.
 
     ``emit`` records — the ring holds plain ``(seq, clock, kind,
-    payload)`` tuples — and :meth:`events` / :meth:`tail` format them as
-    :class:`Event` on read; only a subscriber makes ``emit`` build the
-    :class:`Event` on the spot.
+    payload)`` tuples — and :meth:`events` formats them as
+    :class:`Event` on read.
 
     Args:
         capacity: Ring size; the oldest events are dropped (and counted
@@ -87,8 +86,6 @@ class EventBus:
         #: Events pushed out of the ring by newer ones.
         self.dropped = 0
         self._seq = 0
-        #: Callables invoked synchronously with each new event.
-        self.subscribers: List[Callable[[Event], None]] = []
 
     def emit(self, kind: str, clock: int, **payload: Any) -> None:
         """Record one event."""
@@ -98,20 +95,10 @@ class EventBus:
             self.dropped += 1
         self._ring.append(record)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self.subscribers:
-            event = Event(*record)
-            for subscriber in self.subscribers:
-                subscriber(event)
 
     def events(self) -> List[Event]:
         """The retained events, oldest first."""
-        return self.tail(len(self._ring))
-
-    def tail(self, n: int) -> List[Event]:
-        """The most recent ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        return [Event(*record) for record in list(self._ring)[-n:]]
+        return [Event(*record) for record in self._ring]
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -86,9 +86,6 @@ class MetricsWriter:
         self.rows_written += n
         return n
 
-    def write_row(self, row: Dict) -> None:
-        self.write_rows([row])
-
 
 def write_jsonl(path: str, rows: Iterable[Dict]) -> int:
     """Write ``rows`` to a fresh JSONL file; returns the row count."""

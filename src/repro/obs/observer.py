@@ -22,8 +22,7 @@ ints, the decision columns as the small array copies the policy hands
 over) and bumps instruments it holds; the row dicts, the ``Event``
 objects and the JSON-ready cells are built by :attr:`StoreObserver.
 decisions`, ``bus.events()`` and :meth:`StoreObserver.rows`, which run
-once, at export.  (With a bus subscriber attached the ``Event`` is
-built at emit — a subscriber is a reader.)
+once, at export.
 """
 
 from __future__ import annotations

@@ -208,10 +208,6 @@ class FailpointRegistry:
         """Hits recorded at ``name`` while the registry was active."""
         return self._hits.get(name, 0)
 
-    def names_hit(self) -> List[str]:
-        """All failpoint names hit so far, sorted."""
-        return sorted(self._hits)
-
 
 #: The process-wide registry every instrumented call site consults.
 FAILPOINTS = FailpointRegistry()

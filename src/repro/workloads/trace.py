@@ -13,7 +13,7 @@ trace — the paper's "pre-analyzing page update frequencies".
 from __future__ import annotations
 
 import pathlib
-from typing import Iterable, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -31,12 +31,6 @@ class TraceRecorder:
     def record(self, page_id: int) -> None:
         """Append one page write to the trace."""
         self._pending.append(page_id)
-        if len(self._pending) >= 1 << 16:
-            self._compact()
-
-    def record_many(self, page_ids: Iterable[int]) -> None:
-        """Append a batch of page writes."""
-        self._pending.extend(page_ids)
         if len(self._pending) >= 1 << 16:
             self._compact()
 

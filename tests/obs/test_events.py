@@ -49,22 +49,6 @@ class TestEventBus:
         # The ring keeps the most recent events.
         assert [e.payload["seg"] for e in bus.events()] == [3, 4]
 
-    def test_tail(self):
-        bus = EventBus()
-        for clock in range(4):
-            bus.emit(SEGMENT_SEALED, clock=clock, seg=clock)
-        assert [e.clock for e in bus.tail(2)] == [2, 3]
-        assert bus.tail(0) == []
-        assert len(bus.tail(100)) == 4
-
-    def test_subscribers_see_every_event(self):
-        bus = EventBus(capacity=1)
-        seen = []
-        bus.subscribers.append(seen.append)
-        bus.emit(SEGMENT_SEALED, clock=1, seg=0)
-        bus.emit(SEGMENT_SEALED, clock=2, seg=1)
-        assert [e.clock for e in seen] == [1, 2]
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventBus(capacity=0)
@@ -81,7 +65,6 @@ class EagerBus:
         self.counts = {}
         self.dropped = 0
         self._seq = 0
-        self.subscribers = []
 
     def emit(self, kind, clock, **payload):
         self._seq += 1
@@ -90,14 +73,9 @@ class EagerBus:
             self.dropped += 1
         self._ring.append(event)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        for subscriber in self.subscribers:
-            subscriber(event)
 
     def events(self):
         return list(self._ring)
-
-    def tail(self, n):
-        return list(self._ring)[-n:] if n > 0 else []
 
 
 class TestRecordingBusEqualsEager:
@@ -109,21 +87,7 @@ class TestRecordingBusEqualsEager:
             for b in (bus, ref):
                 b.emit(kind, clock, seg=clock, victims=[clock, clock + 1])
             assert bus.events() == ref.events()
-            assert bus.tail(3) == ref.tail(3)
             assert (bus.counts, bus.dropped, len(bus)) == (
                 ref.counts, ref.dropped, len(ref._ring)
             )
         assert all(type(e) is Event for e in bus.events())
-        assert bus.tail(0) == [] and bus.tail(-1) == []
-
-    def test_subscriber_gets_an_event_at_emit_time(self):
-        """With a subscriber the ``Event`` exists before ``emit``
-        returns, and what ``events()`` formats later equals it."""
-        bus = EventBus(capacity=2)
-        seen = []
-        bus.subscribers.append(seen.append)
-        for clock in range(5):
-            bus.emit(CLEAN_CYCLE, clock, moved=clock)
-            assert type(seen[-1]) is Event
-            assert seen[-1] == Event(clock + 1, clock, CLEAN_CYCLE, {"moved": clock})
-        assert bus.events() == seen[-2:]

@@ -211,8 +211,9 @@ class TestSimulationExport:
             result.window.write_amplification
         )
 
-    def test_observed_runner_merges_runs_into_one_file(self, tmp_path):
-        from repro.bench import make_workload, observed_runner
+    def test_shared_writer_merges_runs_into_one_file(self, tmp_path):
+        from repro.bench import make_workload, run_simulation
+        from repro.obs import MetricsWriter
         from repro.store import StoreConfig
 
         config = StoreConfig(
@@ -220,10 +221,13 @@ class TestSimulationExport:
             clean_trigger=2, clean_batch=2,
         )
         path = tmp_path / "merged.jsonl"
-        run = observed_runner(str(path))
+        writer = MetricsWriter(str(path))
         for policy in ("greedy", "mdc"):
             workload = make_workload("uniform", config.user_pages, seed=0)
-            run(config, policy, workload, write_multiplier=4.0)
+            run_simulation(
+                config, policy, workload, write_multiplier=4.0,
+                observe=writer,
+            )
         rows = load_rows(str(path))
         metas = [r for r in rows if r["type"] == "meta"]
         assert [m["run"]["policy"] for m in metas] == ["greedy", "mdc"]

@@ -1,13 +1,13 @@
 """Observability through the sweep (``repro sweep --metrics-out``).
 
 A job observed in a worker returns its rows with its result; the parent
-writes them where and in the order the serial run writes them.
+writes them in the order the experiment's loop runs its jobs, so a
+pooled sweep writes what an inline one (``workers=1``) writes.
 """
 
 import pytest
 
 from repro.bench.experiments import demo_experiment
-from repro.bench.runner import observed_runner
 from repro.bench.sweep import (
     SweepError,
     execute_job,
@@ -46,9 +46,13 @@ class TestObsJobRunner:
 
 class TestParallelExperimentObs:
     def test_sweep_merges_metrics_in_spec_order(self, tmp_path):
-        """The pooled sweep writes the serial run's rows, byte for byte."""
+        """The pooled sweep writes the inline run's rows, byte for
+        byte."""
         serial = tmp_path / "serial.jsonl"
-        demo_experiment(runner=observed_runner(str(serial), sample_interval=50))
+        parallel_experiment(
+            demo_experiment, workers=1, metrics_out=str(serial),
+            sample_interval=50,
+        )
         swept = tmp_path / "swept.jsonl"
         parallel_experiment(
             demo_experiment, workers=2, metrics_out=str(swept),

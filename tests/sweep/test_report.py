@@ -6,12 +6,8 @@ import os
 import pytest
 
 from repro.bench.experiments import demo_experiment, fig4_experiment
-from repro.bench.sweep import (
-    SUMMARY_NAME,
-    SweepError,
-    parallel_experiment,
-    run_named_sweep,
-)
+from repro.bench.sweep import SUMMARY_NAME, SWEEP_GRIDS, parallel_experiment
+from repro.cli import main
 from tests.sweep.test_surface import SUMMARY_KEYS
 
 
@@ -58,15 +54,22 @@ class TestArtifacts:
 
 
 class TestNamedSweeps:
-    def test_demo_grid_by_name(self, tmp_path):
-        report = run_named_sweep(
-            "demo", workers=2, out_dir=tmp_path, quick=True
-        )
-        assert report.summary["experiment"] == "demo"
+    def test_demo_grid_by_name(self, tmp_path, capsys):
+        argv = ["sweep", "demo", "--workers", "2", "--out", str(tmp_path),
+                "--quick"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / SUMMARY_NAME).read_text())
+        assert summary["experiment"] == "demo"
         serial = demo_experiment(write_multiplier=1.0)  # quick = 4.0 / 4
-        assert report.output.rendered == serial.rendered
+        assert (tmp_path / "demo.txt").read_text().rstrip("\n") == (
+            serial.rendered
+        )
 
     def test_unknown_grid_raises(self):
-        with pytest.raises(SweepError, match="unknown grid"):
-            run_named_sweep("fig6")
+        """Figure 6's TPC-C traces are not spec-serializable, so it is
+        no sweep grid."""
+        assert "fig6" not in SWEEP_GRIDS
+        with pytest.raises(SystemExit):
+            main(["sweep", "fig6"])
 

@@ -15,7 +15,6 @@ from repro.bench.sweep import (
     MANIFEST_NAME,
     SUMMARY_NAME,
     parallel_experiment,
-    run_named_sweep,
     run_sweep,
 )
 
@@ -59,20 +58,6 @@ def test_parallel_experiment_parameters():
     ]
 
 
-def test_run_named_sweep_parameters():
-    assert parameters(run_named_sweep) == [
-        "grid",
-        "workers",
-        "out_dir",
-        "resume",
-        "quick",
-        "seed",
-        "dist",
-        "metrics_out",
-        "sample_interval",
-    ]
-
-
 def test_sweep_flags():
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     flags = [
@@ -82,6 +67,7 @@ def test_sweep_flags():
     ]
     assert flags == [
         "--dist",
+        "--fills",
         "--workers",
         "--out",
         "--resume",

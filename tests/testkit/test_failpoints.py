@@ -82,7 +82,7 @@ class TestRegistry:
             failpoint("x.y")
             failpoint("x.z")
         assert FAILPOINTS.count("x.y") == 2
-        assert "x.z" in FAILPOINTS.names_hit()
+        assert FAILPOINTS.count("x.z") == 1
 
     def test_clear_resets_everything(self):
         FAILPOINTS.arm("a.b")

@@ -13,17 +13,12 @@ class TestRecorder:
             rec.record(pid)
         assert rec.to_array().tolist() == [3, 1, 4, 1, 5]
 
-    def test_record_many(self):
-        rec = TraceRecorder()
-        rec.record_many([1, 2])
-        rec.record_many([3])
-        assert rec.to_array().tolist() == [1, 2, 3]
-        assert len(rec) == 3
-
     def test_compaction_preserves_order(self):
         rec = TraceRecorder()
         expected = list(range(200_000))  # crosses the compaction chunk
-        rec.record_many(expected)
+        for pid in expected:
+            rec.record(pid)
+        assert len(rec) == len(expected)
         rec.record(999_999)
         assert rec.to_array().tolist() == expected + [999_999]
 
