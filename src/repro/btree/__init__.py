@@ -6,8 +6,7 @@ simulator replays.
 """
 
 from repro.btree.btree import BPlusTree
-from repro.btree.bufferpool import BufferPool, BufferPoolError, PoolStats
-from repro.btree.codec import CodecError, decode_node, encode_node, encoded_size
+from repro.btree.bufferpool import BufferPool, PoolStats
 from repro.btree.page import (
     INTERNAL,
     LEAF,
@@ -20,12 +19,7 @@ from repro.btree.page import (
 __all__ = [
     "BPlusTree",
     "BufferPool",
-    "BufferPoolError",
-    "CodecError",
     "INTERNAL",
-    "decode_node",
-    "encode_node",
-    "encoded_size",
     "LEAF",
     "Node",
     "PAGE_BYTES",

@@ -6,9 +6,10 @@ trace* through the cleaning simulator.  This pool is where that trace is
 born: every dirty-page write-back — LRU eviction or checkpoint — appends
 the page id to a :class:`~repro.workloads.TraceRecorder`.
 
-The pool holds live node objects; the "disk" is a dict of evicted nodes.
-Reads of uncached pages count as physical reads (reported in stats), and
-the replacement policy is plain LRU over unpinned pages.
+The pool holds live node objects; the "disk" is a dict of evicted nodes
+(page contents never reach the simulator: only the write *trace*
+matters).  Reads of uncached pages count as physical reads (reported in
+stats), and the replacement policy is plain LRU.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from repro.btree.page import Node
 from repro.workloads.trace import TraceRecorder
 
 
-class BufferPoolError(Exception):
-    """Raised when the pool cannot make room (everything pinned)."""
-
-
 @dataclasses.dataclass
 class PoolStats:
     """Physical I/O counters."""
 
-    hits: int = 0
     misses: int = 0
     evictions: int = 0
     page_writes: int = 0
@@ -42,22 +38,15 @@ class BufferPool:
         self,
         capacity_pages: int,
         recorder: Optional[TraceRecorder] = None,
-        serialize: bool = False,
     ):
         if capacity_pages < 4:
             raise ValueError("capacity_pages must be at least 4")
         self.capacity = capacity_pages
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.stats = PoolStats()
-        #: When True, evicted pages round-trip through the binary page
-        #: codec (real serialization); when False (default, faster) the
-        #: "disk" holds the node objects directly — only the write
-        #: *trace* matters to the cleaning experiments either way.
-        self.serialize = serialize
         self._cached: "OrderedDict[int, Node]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
-        self._pins: Dict[int, int] = {}
-        self._disk: Dict[int, object] = {}
+        self._disk: Dict[int, Node] = {}
         self._next_page_id = 0
 
     # -- page lifecycle --------------------------------------------------
@@ -74,19 +63,12 @@ class BufferPool:
         node = self._cached.get(page_id)
         if node is not None:
             self._cached.move_to_end(page_id)
-            self.stats.hits += 1
             return node
         self.stats.misses += 1
         try:
-            stored = self._disk.pop(page_id)
+            node = self._disk.pop(page_id)
         except KeyError:
             raise KeyError("page %d does not exist" % page_id) from None
-        if self.serialize:
-            from repro.btree.codec import decode_node
-
-            node = decode_node(page_id, stored)
-        else:
-            node = stored
         self._admit(node, dirty=False)
         return node
 
@@ -94,23 +76,10 @@ class BufferPool:
         """Record that a cached page was modified."""
         self._dirty[page_id] = True
 
-    def pin(self, page_id: int) -> None:
-        """Protect a page from eviction (nested pins stack)."""
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-
-    def unpin(self, page_id: int) -> None:
-        """Release one pin."""
-        count = self._pins.get(page_id, 0)
-        if count <= 1:
-            self._pins.pop(page_id, None)
-        else:
-            self._pins[page_id] = count - 1
-
     def free(self, page_id: int) -> None:
         """Drop a page entirely (B+-tree page deallocation)."""
         self._cached.pop(page_id, None)
         self._dirty.pop(page_id, None)
-        self._pins.pop(page_id, None)
         self._disk.pop(page_id, None)
 
     # -- write-back -------------------------------------------------------
@@ -127,17 +96,8 @@ class BufferPool:
     def flush_all(self) -> None:
         """Checkpoint and then drop the cache (engine shutdown)."""
         self.checkpoint()
-        for page_id, node in list(self._cached.items()):
-            self._disk[page_id] = self._to_disk(node)
+        self._disk.update(self._cached)
         self._cached.clear()
-        self._pins.clear()
-
-    def _to_disk(self, node: Node):
-        if self.serialize:
-            from repro.btree.codec import encode_node
-
-            return encode_node(node)
-        return node
 
     # -- internals ---------------------------------------------------------
 
@@ -149,16 +109,10 @@ class BufferPool:
             self._dirty[node.page_id] = True
 
     def _evict_one(self) -> None:
-        for page_id in self._cached:
-            if page_id not in self._pins:
-                victim = page_id
-                break
-        else:
-            raise BufferPoolError("all %d cached pages are pinned" % len(self._cached))
+        victim = next(iter(self._cached))
         if self._dirty.get(victim):
             self._write_back(victim)
-        node = self._cached.pop(victim)
-        self._disk[victim] = self._to_disk(node)
+        self._disk[victim] = self._cached.pop(victim)
         self.stats.evictions += 1
 
     def _write_back(self, page_id: int) -> None:

@@ -10,7 +10,7 @@ everything observable through the ``repro.obs`` JSONL schema.
 Entry points:
 
 * :class:`Service` — the in-process front-end (put/get/delete,
-  ``tick``, ``scale_to``, obs export).
+  ``tick``, obs export) over a fixed number of shards.
 * :mod:`repro.service.harness` — the deterministic concurrent client
   harness behind ``repro serve``.
 * :mod:`repro.service.latency` — the flush-stall benchmark behind

@@ -23,9 +23,8 @@ shard, ``~shard`` while it waits for its first flush, ``bits`` being
 what the shard count needs.  So the probe for a slotted key builds no
 tuple and reaches no object besides the two dicts; a miss asks the
 :attr:`~IngestQueue.locate` hook (the service's ring), once per
-``(tenant, key)`` until growth empties the memo.  The ring keeps its
-own memo by key alone, so tenants sharing a plain key name hash it
-once between them.
+``(tenant, key)``.  The ring keeps its own memo by key alone, so
+tenants sharing a plain key name hash it once between them.
 
 A batch is **coalesced** as it is queued.  A kvstore key keeps one
 record slot for life, so each shard's pending run is one ``slot -> last
@@ -39,9 +38,10 @@ the memo learns it), then the deletes as TRIMs, each taking its key's
 slot out of the memo; the two groups touch disjoint keys, so the final
 shard state is what applying the client ops one by one would leave.
 Equal keys are one key (``1``, ``1.0`` and ``True`` under a tenant),
-but a key is only queued under its stored form if the ring can route
-that form again at growth, so an alias the ring cannot encode updates,
-deletes or reads a record with a slot and creates none.
+but a key is only queued under its stored form if the ring can encode
+that form: the ring's key rule is the one input check on keys, so every
+stored key is one the ring accepts, and an alias the ring cannot encode
+updates, deletes or reads a record with a slot and creates none.
 
 Beside each map the queue keeps the shard's **raw op count**
 (:meth:`IngestQueue.shard_depth`): every trigger and every figure that
@@ -104,9 +104,7 @@ class IngestQueue:
             raise ValueError("flush_interval must be >= 1")
         if max_depth < batch_size:
             raise ValueError("max_depth must be >= batch_size")
-        # A private copy: the pool appends to its own list on growth,
-        # and add_shard() appends here.
-        self.shards = list(shards)
+        self.shards = shards
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self.max_depth = max_depth
@@ -137,17 +135,6 @@ class IngestQueue:
         #: routes it into its :class:`~repro.obs.slo.SLOTracker`).
         self.on_stall: Optional[Callable[[float], None]] = None
 
-    def add_shard(self, shard) -> None:
-        """Track one more shard (pool growth).  Growth re-routes keys
-        and may widen the memo's shard field, so the memo starts over."""
-        self.shards.append(shard)
-        self._pending.append({})
-        self._queued.append(0)
-        self._oldest_tick.append(None)
-        self.routes.clear()
-        self._bits = (len(self.shards) - 1).bit_length()
-        self._mask = (1 << self._bits) - 1
-
     # -- client ops ------------------------------------------------------
 
     def put(self, tenant, key, value) -> int:
@@ -160,9 +147,9 @@ class IngestQueue:
         except KeyError:
             code = self._miss(tenant, key)
         if code < 0:
-            # Queued under its stored form, which a flush stores and
-            # growth re-routes: it must be one the ring encodes (1.0 or
-            # True may update the record 1 holds, not create it).
+            # Queued under its stored form, which a flush stores: it
+            # must pass the ring's key rule, the one input check on keys
+            # (1.0 or True may update the record 1 holds, not create it).
             if type(key) not in _PLAIN:
                 encode_key(key)
             shard, run_key = ~code, (tenant, key)

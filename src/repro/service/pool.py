@@ -129,7 +129,6 @@ class StorePool:
             )
         self.config = config = with_sort_buffer(config)
         self.policy_name = policy
-        self.unit_bytes = unit_bytes
         self.shards: List[LogStructuredKVStore] = [
             LogStructuredKVStore(config, policy=policy, unit_bytes=unit_bytes)
             for _ in range(n_shards)
@@ -158,18 +157,6 @@ class StorePool:
 
     def __getitem__(self, shard: int) -> LogStructuredKVStore:
         return self.shards[shard]
-
-    def add_shard(self) -> LogStructuredKVStore:
-        """Append one fresh, empty shard (service-level rebalancing
-        moves the keys)."""
-        shard = LogStructuredKVStore(
-            self.config, policy=self.policy_name, unit_bytes=self.unit_bytes
-        )
-        self.shards.append(shard)
-        self.cleaners.append(
-            IncrementalCleaner(shard.store, self.pages_per_step)
-        )
-        return shard
 
     # -- cleaning governance --------------------------------------------
 

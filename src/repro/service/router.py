@@ -4,18 +4,10 @@ The router maps service keys to shard indices on a classic
 virtual-node hash ring: every shard contributes ``replicas`` points
 derived from a keyed blake2b hash, a key hashes to a point on the same
 ring, and the key's shard is the owner of the first ring point at or
-after the key's point (wrapping).  Two properties the service relies
-on:
-
-* **Determinism** — points depend only on ``(seed, shard, replica)``
-  and key bytes; the same router parameters reproduce the same mapping
-  in every process (``hashlib`` keyed hashing, never Python's
-  randomized ``hash()``).
-* **Monotone growth** — growing from ``n`` to ``n+1`` shards only adds
-  ring points, so a key either keeps its shard or moves to the *new*
-  shard; no key migrates between pre-existing shards.  This is what
-  makes :meth:`repro.service.Service.scale_to` rebalancing cheap and
-  testable.
+after the key's point (wrapping).  The ring is deterministic: points
+depend only on ``(seed, shard, replica)`` and key bytes, so the same
+router parameters reproduce the same mapping in every process
+(``hashlib`` keyed hashing, never Python's randomized ``hash()``).
 
 The tenant is not part of the ring coordinate: a key's point is a hash
 of the key alone, so one key routes to the same shard under every
@@ -28,8 +20,8 @@ So a ring hashes each distinct plain key (an exact ``int``, ``str`` or
 from such a key to its shard, and a key of any other type (``True``,
 ``1.0``, an ``IntEnum`` member, ``bytearray``, a tuple) is encoded and
 hashed on every call, raising as it would.  The memo holds one entry
-per distinct plain key routed and belongs to one ring: a pickled,
-copied or ``grown()`` router starts with an empty one.
+per distinct plain key routed and belongs to one ring: a pickled or
+copied router starts with an empty one.
 """
 
 from __future__ import annotations
@@ -141,7 +133,7 @@ class ConsistentHashRouter:
         # to the first point's owner.
         self._owners = [s for _, s in points] + [points[0][1]]
         #: Plain key -> its shard, filled by ``shard_for``; never pickled
-        #: or carried into ``grown()``, which rebuild the ring.
+        #: (a pickle rebuilds the ring).
         self._memo: Dict[Key, int] = {}
 
     # -- lookup ----------------------------------------------------------
@@ -160,21 +152,6 @@ class ConsistentHashRouter:
                 return shard
         raw = _ring_hash(self._key_state, encode_key(key))
         return self._owners[bisect_left(self._points, raw)]
-
-    def grown(self, n_shards: int) -> "ConsistentHashRouter":
-        """A router over more shards with the same ring parameters.
-
-        Because growth only adds virtual nodes, every key either keeps
-        its shard or moves to one of the new shards.
-        """
-        if n_shards < self.n_shards:
-            raise RouterError(
-                "cannot shrink a ring from %d to %d shards"
-                % (self.n_shards, n_shards)
-            )
-        return ConsistentHashRouter(
-            n_shards, replicas=self.replicas, seed=self.seed
-        )
 
     def __reduce__(self):
         return (ConsistentHashRouter, (self.n_shards, self.replicas, self.seed))

@@ -7,22 +7,21 @@ with client writes coalesced by an
 :class:`~repro.service.ingest.IngestQueue` and cleaning metered by the
 pool's global slack budget.
 
-Keys are namespaced per tenant — the stored key is the ``(tenant,
-key)`` pair — so tenants never collide and rebalancing can re-route
-every record from its stored form alone.  A client op is a put's
-value check or a get's counter here, then one call into the queue,
-which resolves the key through its route memo to its shard and the
-record slot it keeps there for life (while shards change only through
-the service) and queues or reads it; a memo miss asks this service's
-ring.  Reads are read-your-writes: a ``get`` consults the pending run
-before the shard, so an acknowledged-but-unflushed ``put`` is already
-visible.
+The shard count is fixed for the service's life.  Keys are namespaced
+per tenant — the stored key is the ``(tenant, key)`` pair — so tenants
+never collide on a shard.  A client op is a put's value check or a
+get's counter here, then one call into the queue, which resolves the
+key through its route memo to its shard and the record slot it keeps
+there for life, and queues or reads it; a memo miss asks this
+service's ring.  Reads are read-your-writes: a ``get`` consults the
+pending run before the shard, so an acknowledged-but-unflushed ``put``
+is already visible.
 
 Observability rides the existing ``repro.obs`` machinery: every shard
 carries a :class:`~repro.obs.StoreObserver` (per-shard Wamp/fill time
 series, cleaning decisions, seal/clean events), the service keeps its
 own :class:`~repro.obs.MetricsRegistry` (ingest queue depth, batch-size
-histogram, per-shard op counters, rebalance counts), and
+histogram, per-shard op counters), and
 :meth:`Service.export_rows` emits one schema block for the service
 plus one per shard — a file ``repro obs report`` and ``repro obs
 validate`` consume unchanged.
@@ -106,7 +105,6 @@ class Service:
         self.slo = SLOTracker(threshold=float(pages_per_step))
         self.queue.on_stall = self.slo.record
         self.seed = seed
-        self._sample_interval = sample_interval
         # A miss in the queue's route memo asks this service's ring.
         self.queue.locate = lambda tenant, key: self.router.shard_for(
             key, tenant=tenant
@@ -184,54 +182,6 @@ class Service:
     def flush(self) -> int:
         """Drain the ingest queue; returns ops applied."""
         return self.queue.flush_all()
-
-    # -- elasticity ------------------------------------------------------
-
-    def scale_to(self, n_shards: int) -> int:
-        """Grow the pool to ``n_shards``, migrating only the keys whose
-        route changed; returns the number of keys moved.
-
-        Consistent hashing guarantees moved keys always land on the
-        *new* shards, so pre-existing shards only lose records.
-        """
-        if n_shards < self.pool.n_shards:
-            raise ValueError(
-                "cannot shrink a pool from %d to %d shards"
-                % (self.pool.n_shards, n_shards)
-            )
-        if n_shards == self.pool.n_shards:
-            return 0
-        self.flush()
-        old_n = self.pool.n_shards
-        for _ in range(old_n, n_shards):
-            shard = self.pool.add_shard()
-            self.queue.add_shard(shard)  # which empties the route memo
-            observer = StoreObserver(
-                shard.store,
-                sample_interval=self._sample_interval,
-                capture_failpoints=False,
-            ).attach()
-            self.observers.append(observer)
-        self.router = self.router.grown(n_shards)
-        moved = 0
-        for src in range(old_n):
-            kv = self.pool[src]
-            moves: Dict[int, List[tuple]] = {}
-            for skey in list(kv.keys()):
-                tenant, key = skey
-                dst = self.router.shard_for(key, tenant=tenant)
-                if dst != src:
-                    moves.setdefault(dst, []).append(skey)
-            for dst in sorted(moves):
-                batch = [(skey, kv.get(skey)) for skey in moves[dst]]
-                self.pool[dst].put_many(batch)
-                for skey in moves[dst]:
-                    kv.delete(skey)
-                moved += len(batch)
-        self.metrics.counter("rebalances").inc()
-        self.metrics.counter("keys_migrated").inc(moved)
-        self.pool.maintain()
-        return moved
 
     # -- observability ---------------------------------------------------
 

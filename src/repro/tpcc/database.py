@@ -37,9 +37,8 @@ class TpccDatabase:
         self,
         pool_pages: int,
         recorder: Optional[TraceRecorder] = None,
-        serialize: bool = False,
     ) -> None:
-        self.pool = BufferPool(pool_pages, recorder=recorder, serialize=serialize)
+        self.pool = BufferPool(pool_pages, recorder=recorder)
         self.warehouse = self._table("warehouse")
         self.district = self._table("district")
         self.customer = self._table("customer")

@@ -3,9 +3,10 @@ service, pinned.
 
 One fixed client stream drives a two-shard ``mdc`` service — rewrites
 of hot keys inside a flush window, deletes, re-puts of deleted keys,
-ticks — then grows it to three shards with ``scale_to`` and drives it
-on.  After a final flush each shard's ``state_digest`` must equal the
-value recorded below, and every key must read as a dict model says.
+ticks.  After a final flush each shard's ``state_digest`` must equal
+the value recorded below, and every key must read as a dict model
+says.  A service keeps its shard count for life, so the run moves no
+key between shards and there is no migration count to check.
 The stream comes from an integer LCG, so the pins move only when what
 reaches a shard's store moves: which slots a flush writes, in what
 order and at what sizes, and which it trims.  A refactor of the
@@ -49,8 +50,6 @@ def drive():
     rng = lcg(20210419)
     model = {}
     for step in range(4000):
-        if step == 2000:
-            svc.scale_to(3)
         tenant = TENANTS[next(rng) % len(TENANTS)]
         # 70 % of the ops hit a tenth of the keys, so a window holds
         # rewrites, deletes of queued keys and re-puts of deleted ones.
@@ -70,15 +69,14 @@ def drive():
 
 
 #: Per shard, the ``state_digest`` after :func:`drive`.  Last
-#: re-recorded when a governed idle round began giving each needy shard
-#: one step of the budget left, and a cycle a step begins became sized
-#: to that step: the tick rounds pick different victims (per-shard Wamp
-#: 1.021 / 0.835 / 0.679 -> 0.957 / 0.809 / 0.627, governed steps
-#: 345 -> 145 for 1,697 -> 1,730 pages).
+#: re-recorded when the service lost its growth path: the run keeps its
+#: two shards throughout (it had grown to three at step 2,000), and the
+#: digests were recorded from the service that still had that path, so
+#: they pin every other part of it unchanged (per-shard Wamp 2.899 /
+#: 1.913, trims 117 / 195).
 GOLDEN = [
-    "530d8e31196b5513c16801ca13a6c6c5af932cbc8310cd235df6a49fea07dc8e",
-    "c9b5fd65f2ffeac17c361833033e1a9a145cdaf85cf076da992d3da03d1a59dd",
-    "cb1fb6596ecd106dac9f5919555dab90cdbafba3e8006ad6a1a53ed887198eae",
+    "3360b33558acc6d4a69023c40b457f59cb81fc99a819201c1adc7f07bc4bb5cf",
+    "aa073cc01f5d4136d525594e312cad98dfb4415e41f4c9230bed62a08424733e",
 ]
 
 
@@ -94,7 +92,6 @@ def test_the_run_holds_the_model():
     assert len(svc) == len(model)
     assert sum(kv.store.stats.trims for kv in svc.pool.shards) > 0
     assert sum(kv.store.stats.gc_writes for kv in svc.pool.shards) > 0
-    assert svc.metrics.counter("keys_migrated").value > 0
     svc.pool.check_consistency()
 
 

@@ -158,7 +158,7 @@ class TestBackpressure:
 
 
 class TestRouteMemo:
-    def test_a_key_is_located_once_until_growth(self):
+    def test_a_key_is_located_once(self):
         shards = make_shards(2)
         q = make_queue(shards, batch_size=100)
         located = []
@@ -175,30 +175,9 @@ class TestRouteMemo:
         assert located == [(1, 1)]
         slot = shards[1]._slot_of[(1, 1)]
         assert q.route_of(1, True) == (1, slot)
-        # Growth widens the shard field (2 -> 3 shards) and drops the
-        # memo: the key is located again and decodes under the new width.
-        q.add_shard(make_shards(1)[0])
-        assert q.routes == {}
-        assert q.get(1, 1) == b"c"
-        assert located == [(1, 1), (1, 1)]
-        q.put(1, 1, b"d")
-        q.flush_all()
-        assert q.route_of(1, 1) == (1, slot)
-        assert q.get(1, 1) == b"d"
-        q.put(2, "new", b"e")
-        q.flush_all()
-        assert q.route_of(2, "new") == (2, q.shards[2]._slot_of[(2, "new")])
-        assert q.get(2, "new") == b"e"
 
 
 class TestShapeAndValidation:
-    def test_add_shard_tracks_new_pending_list(self):
-        shards = make_shards(1)
-        q = make_queue(shards, batch_size=100)
-        q.add_shard(make_shards(1)[0])
-        q.put(1, "k", b"v")
-        assert q.flush_all() == 1
-
     def test_bad_params_raise(self):
         shards = make_shards(1)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ backwards for read-your-writes, every key resolved through the ring.
 Both services are driven with the same op streams over stores of the
 same geometry, and after every op what reached each store must match:
 the ``write_batch`` slots and sizes in order, then the trims (and,
-after a tick, flush or growth, each store's ``state_digest``).  So must
+after a tick or flush, each store's ``state_digest``).  So must
 every read, the queue depths and the metrics registry (with ``puts``
 the reference counts per put and the service derives); and on the new
 service the memo rule holds: an entry names the key's shard and a slot
@@ -49,12 +49,6 @@ class ListQueue:
         self._oldest_tick = [None for _ in shards]
         self._tick = 0
         self.after_flush = None
-
-    def add_shard(self, shard):
-        self.shards.append(shard)
-        self._pending.append([])
-        self._queued.append(0)
-        self._oldest_tick.append(None)
 
     def push(self, shard, op):
         pending = self._pending[shard]
@@ -182,30 +176,6 @@ class RefService:
     def flush(self):
         return self.queue.flush_all()
 
-    def scale_to(self, n_shards):
-        self.flush()
-        old_n = self.pool.n_shards
-        for _ in range(old_n, n_shards):
-            self.queue.add_shard(self.pool.add_shard())
-        self.router = self.router.grown(n_shards)
-        moved = 0
-        for src in range(old_n):
-            kv = self.pool[src]
-            moves = {}
-            for skey in list(kv.keys()):
-                dst = self.router.shard_for(skey[1], tenant=skey[0])
-                if dst != src:
-                    moves.setdefault(dst, []).append(skey)
-            for dst in sorted(moves):
-                self.pool[dst].put_many([(skey, kv.get(skey)) for skey in moves[dst]])
-                for skey in moves[dst]:
-                    kv.delete(skey)
-                moved += len(moves[dst])
-        self.metrics.counter("rebalances").inc()
-        self.metrics.counter("keys_migrated").inc(moved)
-        self.pool.maintain()
-        return moved
-
 
 def record_store_calls(svc, log):
     """Log every ``write_batch`` (slots, sizes) and ``trim`` (slot) that
@@ -258,14 +228,13 @@ class Pair:
             self.seen.add((op[-1] if op[0] == "put" else op[2], op[1]))
         got, want = apply(self.new, op), apply(self.ref, op)
         assert got == want, op
-        self.check(digests=op[0] in ("tick", "flush", "scale_to"))
+        self.check(digests=op[0] in ("tick", "flush"))
         return got
 
     def check(self, digests):
         new, ref = self.new, self.ref
         if digests:
-            # Whole store states, cleaning included; and a shard
-            # scale_to added was filled before its calls could be logged.
+            # Whole store states, cleaning included.
             assert [state_digest(kv.store) for kv in new.pool.shards] == [
                 state_digest(kv.store) for kv in ref.pool.shards
             ]
@@ -301,11 +270,10 @@ class Pair:
 
 
 def op_stream(seed, n_ops, keyspace):
-    """Puts, deletes, gets, ticks, the odd full drain and growth; few
-    keys, so runs repeat keys and hold put-then-delete and
-    delete-then-put pairs, and deleted keys come back on other slots."""
+    """Puts, deletes, gets, ticks and the odd full drain; few keys, so
+    runs repeat keys and hold put-then-delete and delete-then-put pairs,
+    and deleted keys come back on other slots."""
     rng = np.random.default_rng(seed)
-    shards = 3
     for i in range(n_ops):
         roll = rng.random()
         tenant = "t%d" % rng.integers(0, 3)
@@ -314,9 +282,6 @@ def op_stream(seed, n_ops, keyspace):
             yield ("tick",)
         elif roll < 0.09:
             yield ("flush",)
-        elif roll < 0.092 and shards < 5:
-            shards += 1
-            yield ("scale_to", shards)
         elif roll < 0.25:
             yield ("delete", key, tenant)
         elif roll < 0.30:
@@ -358,7 +323,6 @@ def test_map_queue_matches_list_queue(
     pair.step("flush")
     counters = pair.new.metrics.snapshot().counters
     assert counters["ops_coalesced"] > 0
-    assert counters["rebalances"] > 0
     assert sum(kv.store.stats.trims for kv in pair.new.pool.shards) > 0
     if fires in ("backpressure", "all"):
         assert counters["backpressure_flushes"] > 0
@@ -452,28 +416,4 @@ class TestWindowCases:
         for key in range(0, 40, 3):
             pair.step("delete", key, None)
         pair.step("tick")
-        pair.step("flush")
-
-    def test_ops_on_keys_moved_by_scale_to(self):
-        pair = self.pair(n_shards=2)
-        for key in range(40):
-            pair.step("put", key, bytes([key]) * (1 + key % 9), "t")
-        pair.step("flush")
-        assert pair.step("scale_to", 3) > 0
-        moved = [
-            key for key in range(40) if pair.new.shard_of(key, "t") == 2
-        ]
-        assert moved
-        # The memo was dropped: moved keys queue unslotted until their
-        # next flush gives them the slot they hold on the new shard.
-        for key in moved[:4]:
-            pair.step("put", key, b"again", "t")
-        for key in moved[4:8]:
-            pair.step("delete", key, "t")
-        for key in moved:
-            pair.step("get", key, "t")
-        pair.step("flush")
-        for key in moved[:4]:
-            assert pair.new.queue.route_of("t", key) == (2, pair.held("t", key))
-        pair.step("put", moved[4], b"back", "t")
         pair.step("flush")

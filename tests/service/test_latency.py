@@ -56,10 +56,9 @@ def fill_shard(kv, n_keys, rounds=3, seed=0):
 class TestIncrementalGovernance:
     def test_incremental_pool_builds_per_shard_cleaners(self):
         pool = StorePool(3, CFG, policy="greedy")
-        assert len(pool.cleaners) == 3
-        shard = pool.add_shard()
-        assert len(pool.cleaners) == 4
-        assert pool.cleaners[-1].store is shard.store
+        assert [c.store for c in pool.cleaners] == [
+            kv.store for kv in pool.shards
+        ]
 
     def test_idle_round_restores_free_target(self):
         """Each shard buffers 2 segments (``32 // 16``): floor 2 + 1 + 2."""

@@ -38,12 +38,6 @@ class TestShape:
         assert pool[0].store is not pool[1].store
         assert pool[0].store.policy is not pool[1].store.policy
 
-    def test_add_shard(self):
-        pool = StorePool(1, pool_config(), policy="greedy")
-        shard = pool.add_shard()
-        assert pool.n_shards == 2
-        assert pool[1] is shard and len(shard) == 0
-
     def test_bad_params_raise(self):
         with pytest.raises(ValueError):
             StorePool(0, pool_config())
@@ -76,13 +70,11 @@ class TestShardBufferAndFloor:
         )
         pool = StorePool(1, config, policy="mdc")
         assert pool.config.sort_buffer_segments == built
-        shard = pool.add_shard()  # growth builds the same shard
-        for kv in (pool[0], shard):
-            buffer = kv.store.buffer
-            if built == 0:
-                assert buffer is None
-            else:
-                assert buffer.capacity_units == built * config.segment_units
+        buffer = pool[0].store.buffer
+        if built == 0:
+            assert buffer is None
+        else:
+            assert buffer.capacity_units == built * config.segment_units
         assert pool.config == config.scaled(sort_buffer_segments=built)
 
     @pytest.mark.parametrize(
@@ -98,8 +90,6 @@ class TestShardBufferAndFloor:
         default = StorePool(2, config, policy="mdc")
         assert [c.floor for c in default.cleaners] == [trigger + 1 + 10] * 2
         assert default[0].store.reactive_trigger() == trigger
-        default.add_shard()
-        assert default.cleaners[2].floor == trigger + 1 + 10
         named = StorePool(
             1, config.scaled(sort_buffer_segments=3), policy="mdc"
         )

@@ -1,22 +1,22 @@
 """Property test of the service's route memo against a dict model.
 
 Hypothesis draws puts, deletes and gets over two tenants and ``None``,
-with the odd tick and flush, and one ``scale_to`` from two shards to
-three, which widens the shard field of the memo's codes.  The keys
-include ``1``, ``1.0`` and ``True``: one ``(tenant, key)`` and so one
-record.  Only ints route (``encode_key``), so ``1.0`` and ``True`` are
-served from the memo when ``1`` put them there.  They raise
+with the odd tick and flush, on a two-shard service.  The keys include
+``1``, ``1.0`` and ``True``: one ``(tenant, key)`` and so one record.
+Only ints route (``encode_key``), so ``1.0`` and ``True`` are served
+from the memo when ``1`` put them there.  They raise
 :class:`RouterError`, with nothing queued or counted, at a miss, and
 on a put or delete while the key has no slot: the op would be queued,
-and then stored, under their form, which growth could not re-route.
+and then stored, under their form, and the ring's key rule is the one
+input check on keys.
 
 After every op:
 
 * the memo rule -- an entry names the ring's shard for the key and a
   slot the key owns there, or no slot while it waits for its first
   flush;
-* ``router.shard_for`` ran once per ``(tenant, key)`` since the last
-  growth, for exactly the keys an op routed;
+* ``router.shard_for`` ran once per ``(tenant, key)``, for exactly the
+  keys an op routed;
 * the ``deletes`` counter is the deletes the service acknowledged.
 
 Every get reads what the model holds, and after a final flush the
@@ -74,25 +74,19 @@ def check_memo(svc):
 
 
 @settings(deadline=None)
-@given(st.lists(ops, max_size=120), st.integers(0, 120))
-def test_route_memo_matches_a_dict_model(stream, grow_at):
+@given(st.lists(ops, max_size=120))
+def test_route_memo_matches_a_dict_model(stream):
     svc = Service(
         2, CONFIG, policy="mdc", unit_bytes=UNIT_BYTES,
         batch_size=6, flush_interval=2, max_depth=16,
         pages_per_step=4, seed=0,
     )
     model = {}
-    routed = set()  # the (tenant, key) pairs memoized since the last growth
+    routed = set()  # the (tenant, key) pairs memoized
     calls = []
     deletes = 0
     count_ring_calls(svc, calls)
-    for i, op in enumerate(stream):
-        if i == grow_at:
-            svc.scale_to(3)
-            assert svc.queue.routes == {}
-            routed.clear()
-            calls.clear()
-            count_ring_calls(svc, calls)
+    for op in stream:
         kind = op[0]
         if kind in ("tick", "flush"):
             getattr(svc, kind)()
@@ -126,8 +120,8 @@ def test_route_memo_matches_a_dict_model(stream, grow_at):
     check_memo(svc)
     held = {skey: kv.get(skey) for kv in svc.pool.shards for skey in kv.keys()}
     assert held == model
-    # Read through the stored forms: the model may hold a key under an
-    # alias, which misses the memo after growth.
+    # Read through the stored forms: each is the int the ring routes,
+    # whichever alias the model holds the key under.
     for (tenant, key), value in held.items():
         assert type(key) is int
         assert svc.get(key, tenant) == value

@@ -1,5 +1,5 @@
-"""Consistent-hash router: determinism, growth, edge cases, and the
-ring pinned against a golden table and a reference kept here."""
+"""Consistent-hash router: determinism, edge cases, and the ring
+pinned against a golden table and a reference kept here."""
 
 import copy
 import enum
@@ -75,42 +75,11 @@ class TestDeterminism:
             for tenant in ("t0", "acme", None):
                 assert router.shard_for(key, tenant=tenant) == shard
 
-
-class TestGrowth:
     def test_single_shard_routes_everything_to_zero(self):
         router = ConsistentHashRouter(1)
         for key in sample_keys():
             assert router.shard_for(key) == 0
             assert router.shard_for(key, tenant="t0") == 0
-
-    def test_growth_moves_keys_only_to_new_shards(self):
-        keys = ["g%d" % i for i in range(3000)]
-        n = 1
-        router = ConsistentHashRouter(n)
-        before = {k: router.shard_for(k, tenant="t1") for k in keys}
-        for n_next in (2, 3, 5, 8):
-            grown = router.grown(n_next)
-            moved = 0
-            for k in keys:
-                after = grown.shard_for(k, tenant="t1")
-                if after != before[k]:
-                    assert after >= n, (
-                        "key moved between pre-existing shards on growth"
-                    )
-                    moved += 1
-                before[k] = after
-            assert moved > 0  # growth actually takes load
-            router, n = grown, n_next
-
-    def test_grown_equals_fresh_construction(self):
-        grown = ConsistentHashRouter(2, replicas=16, seed=9).grown(6)
-        fresh = ConsistentHashRouter(6, replicas=16, seed=9)
-        for key in sample_keys():
-            assert grown.shard_for(key) == fresh.shard_for(key)
-
-    def test_shrink_raises(self):
-        with pytest.raises(RouterError):
-            ConsistentHashRouter(4).grown(2)
 
 
 class TestValidation:
@@ -309,9 +278,8 @@ class TestKeyMemo:
         [
             copy.deepcopy,
             lambda r: pickle.loads(pickle.dumps(r)),
-            lambda r: r.grown(6),
         ],
-        ids=["deepcopy", "pickle", "grown"],
+        ids=["deepcopy", "pickle"],
     )
     def test_clones_of_a_warm_router_route_afresh(self, clone):
         router = ConsistentHashRouter(2, replicas=16, seed=9)

@@ -1,4 +1,4 @@
-"""Service front-end: client semantics, elasticity, observability."""
+"""Service front-end: client semantics, observability."""
 
 import numpy as np
 import pytest
@@ -107,111 +107,6 @@ class TestTickAndFlush:
         assert svc.queue_depth_p95() >= 1
 
 
-class TestElasticity:
-    def test_scale_to_migrates_only_to_new_shards(self):
-        svc = make_service(2, batch_size=64)
-        model = {}
-        for i in range(300):
-            tenant = "t%d" % (i % 3)
-            value = b"v%d" % i
-            svc.put("k%d" % i, value, tenant=tenant)
-            model[(tenant, "k%d" % i)] = value
-        svc.flush()
-        before = {
-            (tenant, key): svc.shard_of(key, tenant)
-            for (tenant, key) in model
-        }
-        moved = svc.scale_to(4)
-        changed = 0
-        for (tenant, key), value in model.items():
-            after = svc.shard_of(key, tenant)
-            if after != before[(tenant, key)]:
-                assert after >= 2  # only onto the new shards
-                changed += 1
-            assert svc.get(key, tenant=tenant) == value
-        assert moved == changed > 0
-        # Old shards hold nothing that routes elsewhere now.
-        for src in range(2):
-            for skey in svc.pool[src].keys():
-                tenant, key = skey
-                assert svc.shard_of(key, tenant) == src
-        svc.pool.check_consistency()
-        counters = svc.metrics.snapshot().counters
-        assert counters["rebalances"] == 1
-        assert counters["keys_migrated"] == moved
-
-    def test_growth_keeps_pool_queue_and_observers_aligned(self):
-        """The queue must not share the pool's shard list: when it did,
-        every grown shard was appended twice."""
-        svc = make_service(2, batch_size=64)
-        model = {}
-        for i in range(100):
-            svc.put("k%d" % i, b"v%d" % i, tenant="t")
-            model["k%d" % i] = b"v%d" % i
-        svc.scale_to(4)
-        svc.scale_to(5)
-        assert svc.pool.n_shards == 5
-        assert len(svc.queue.shards) == len(svc.queue._pending) == 5
-        assert len(svc.observers) == len(svc.pool.cleaners) == 5
-        assert len(svc) == len(model)
-        assert svc.pool.stats_summary()["keys"] == float(len(model))
-        for key, value in model.items():
-            assert svc.get(key, tenant="t") == value
-        svc.pool.maintain(idle=True)
-        svc.pool.check_consistency()
-
-    def test_scale_to_migrates_records_still_in_a_source_buffer(self):
-        """A record buffered on its source shard is a stored record:
-        migration reads it from the value map and deletes it with a
-        buffer TRIM.  None lost, none duplicated."""
-        svc = make_service(2, policy="mdc", batch_size=64)
-        assert all(kv.store.buffer is not None for kv in svc.pool.shards)
-        model = {}
-        for i in range(300):
-            tenant = "t%d" % (i % 3)
-            svc.put("k%d" % i, b"v%d" % i, tenant=tenant)
-            model[(tenant, "k%d" % i)] = b"v%d" % i
-        svc.flush()
-        buffered = {
-            skey
-            for kv in svc.pool.shards
-            for skey, slot in kv._slot_of.items()
-            if slot in kv.store.buffer
-        }
-        assert buffered
-        moved = svc.scale_to(4)
-        movers = {
-            skey for skey in model if svc.shard_of(skey[1], skey[0]) >= 2
-        }
-        assert moved == len(movers) and movers & buffered
-        held = [skey for kv in svc.pool.shards for skey in kv.keys()]
-        assert sorted(held) == sorted(model)  # each key on exactly one shard
-        for (tenant, key), value in model.items():
-            assert svc.get(key, tenant=tenant) == value
-            assert (tenant, key) in svc.pool[svc.shard_of(key, tenant)]
-        svc.pool.check_consistency()
-        assert len(svc) == len(model)
-
-    def test_scale_to_same_size_is_noop(self):
-        svc = make_service(2)
-        assert svc.scale_to(2) == 0
-
-    def test_shrink_raises(self):
-        svc = make_service(4)
-        with pytest.raises(ValueError):
-            svc.scale_to(2)
-
-    def test_writes_after_growth_route_with_new_ring(self):
-        svc = make_service(1)
-        svc.put("a", b"1", tenant="t")
-        svc.flush()
-        svc.scale_to(3)
-        svc.put("b", b"2", tenant="t")
-        svc.flush()
-        assert svc.get("a", tenant="t") == b"1"
-        assert svc.get("b", tenant="t") == b"2"
-
-
 class TestKeyAliases:
     """``1``, ``1.0`` and ``True`` under one tenant are one record, and
     its stored key is always the form the ring routes."""
@@ -238,7 +133,7 @@ class TestKeyAliases:
         svc.delete(True, tenant="t")  # the record's slot: queued by slot
         svc.flush()
         # No slot now: a put or delete would be queued, and stored,
-        # under its own form, which growth could not re-route.
+        # under its own form, which the ring's key rule refuses.
         with pytest.raises(RouterError):
             svc.put(True, b"b", tenant="t")
         with pytest.raises(RouterError):
@@ -249,11 +144,6 @@ class TestKeyAliases:
         svc.flush()
         assert [key for kv in svc.pool.shards for key in kv.keys()] == [("t", 1)]
         assert type(next(iter(svc.pool[svc.shard_of(1, "t")].keys()))[1]) is int
-        svc.scale_to(3)
-        # The memo starts over: the alias reads once 1 routed again.
-        with pytest.raises(RouterError):
-            svc.get(True, tenant="t")
-        assert svc.get(1, tenant="t") == b"c"
         assert svc.get(True, tenant="t") == b"c"
 
 

@@ -1,8 +1,8 @@
 """Model-based test of the service stack: a Hypothesis state machine
 over :class:`~repro.service.Service` against a per-tenant dict.
 
-The first slice of ROADMAP item 4: client ops, the service clock,
-explicit flushes and growth, on a geometry where every shard has a
+The first slice of ROADMAP item 4: client ops, the service clock and
+explicit flushes, on a geometry where every shard has a
 sorting buffer (32 segments: ``n // 16`` = 2) and is small enough that
 a few hundred record writes run it through cleaning.  Client values
 include ones no shard would store (not bytes, or over
@@ -17,7 +17,6 @@ After every step:
   or in a segment;
 * ``pool.check_consistency()`` — per shard, the buffered-record rule
   of ``kv.check_consistency`` and the store's ``check_invariants``;
-* ``pool.n_shards == len(queue.shards) == len(observers)``;
 * queue depth ``<= max_depth``.
 
 ``max_examples`` is left to the profile (``tests/conftest.py``): 100 in
@@ -32,7 +31,6 @@ from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -46,11 +44,10 @@ CONFIG = StoreConfig(
 )
 UNIT_BYTES = 8
 TENANTS = ("a", "b")
-#: Sized so the fullest shard (92 of the 160 keys, before any growth)
-#: stays at 72 % of its device with every record at two units.
+#: Sized so the fullest shard (92 of the 160 keys) stays at 72 % of
+#: its device with every record at two units.
 N_KEYS = 80
 MAX_DEPTH = 32
-MAX_SHARDS = 4
 
 tenants = st.sampled_from(TENANTS)
 keys = st.integers(0, N_KEYS - 1)
@@ -133,16 +130,6 @@ class ServiceMachine(RuleBasedStateMachine):
         self.service.flush()
         assert self.service.queue.depth == 0
 
-    @precondition(lambda self: self.service.pool.n_shards < MAX_SHARDS)
-    @rule()
-    def grow(self):
-        service = self.service
-        before = service.pool.n_shards
-        moved = service.scale_to(before + 1)
-        assert service.pool.n_shards == before + 1
-        assert moved == len(service.pool[before])  # all onto the new shard
-        self.stored_equals_model()
-
     def stored_equals_model(self):
         """With nothing queued, the shards hold the model: each key on
         exactly one shard, the one it routes to."""
@@ -169,12 +156,6 @@ class ServiceMachine(RuleBasedStateMachine):
     def layers_agree(self):
         service = self.service
         service.pool.check_consistency()
-        assert (
-            service.pool.n_shards
-            == len(service.pool.cleaners)
-            == len(service.queue.shards)
-            == len(service.observers)
-        )
         assert service.queue.depth <= MAX_DEPTH
         assert service.queue.depth == sum(
             service.queue.shard_depth(i) for i in range(service.pool.n_shards)
@@ -194,10 +175,9 @@ TestServiceMachine = ServiceMachine.TestCase
 
 def test_the_machines_geometry_buffers_drains_and_cleans():
     """The premise of the machine, shown on one fixed walk of its own
-    rules: every shard (the grown ones too) drains its buffer and runs
-    cleaning cycles, pages are relocated (while two shards are the whole
-    pool, at fill 0.5-0.7) mostly in governed rounds, and those leave
-    cycles mid-flight for the invariants to meet."""
+    rules: every shard drains its buffer and runs cleaning cycles, pages
+    are relocated (at fill 0.5-0.7) mostly in governed rounds, and those
+    leave cycles mid-flight for the invariants to meet."""
     machine = ServiceMachine()
     rng = random.Random(0)
     mid_flight = 0
@@ -211,8 +191,6 @@ def test_the_machines_geometry_buffers_drains_and_cleans():
             machine.delete(tenant, rng.randrange(N_KEYS))
         if step % 3 == 0:
             machine.tick()
-        if step in (180, 270):
-            machine.grow()
         machine.read_your_writes()
         machine.layers_agree()
         mid_flight += any(
@@ -220,7 +198,6 @@ def test_the_machines_geometry_buffers_drains_and_cleans():
             for kv in machine.service.pool.shards
         )
     pool = machine.service.pool
-    assert pool.n_shards == MAX_SHARDS
     for kv in pool.shards:
         stats = kv.store.stats
         assert stats.user_device_writes > 0  # drained
