@@ -184,7 +184,7 @@ def run(ops: int, seed: int, policy: str, probe):
     rng = np.random.default_rng(seed)
     pool = StorePool(1, CONFIG, policy=policy, unit_bytes=UNIT_BYTES)
     kv = pool[0]
-    StoreObserver(kv.store, capture_failpoints=False).attach()
+    StoreObserver(kv.store).attach()
     lengths = rng.integers(1, MAX_VALUE_BYTES + 1, size=KEYS + ops).tolist()
     kv.put_many((key, b"x" * lengths[key]) for key in range(KEYS))
     keys = zipf_keys(rng, ops).tolist()

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics-out", default=None, metavar="JSONL",
         help="record observability rows (time series, cleaning decisions, "
-        "events) for every simulation of the grid into one metrics.jsonl "
+        "metrics) for every simulation of the grid into one metrics.jsonl "
         "file",
     )
     p.add_argument(
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default=None, metavar="DIR",
         help="write the service + per-shard observability rows to "
-        "DIR/metrics.jsonl (schema v2; byte-identical across same-seed "
+        "DIR/metrics.jsonl (schema v3; byte-identical across same-seed "
         "runs) and, with --trace-sample, causal spans to DIR/spans.jsonl; "
         "read both with 'repro obs report'",
     )
@@ -524,7 +524,7 @@ def _run_obs_report(args: argparse.Namespace) -> int:
 
     series = []
     spans = []
-    dropped = [0, 0, 0]
+    dropped = [0, 0]
     for path in args.files:
         try:
             rows = load_rows(path)
@@ -548,10 +548,8 @@ def _run_obs_report(args: argparse.Namespace) -> int:
             )
             extra = ""
             drops = []
-            if run["events_dropped"] or run["decisions_dropped"]:
-                drops.append(
-                    "%d ev/%d dec" % (run["events_dropped"], run["decisions_dropped"])
-                )
+            if run["decisions_dropped"]:
+                drops.append("%d dec" % run["decisions_dropped"])
             if run["trees_dropped"]:
                 drops.append("%d trees" % run["trees_dropped"])
             if drops:
@@ -574,9 +572,8 @@ def _run_obs_report(args: argparse.Namespace) -> int:
                     extra,
                 )
             )
-        dropped[0] += summary["events_dropped"]
-        dropped[1] += summary["decisions_dropped"]
-        dropped[2] += summary["trees_dropped"]
+        dropped[0] += summary["decisions_dropped"]
+        dropped[1] += summary["trees_dropped"]
         series += [block for block in aggregate_convergence(rows) if block["clock"]]
         # A span row's parent indexes its own file's span rows.
         base = len(spans)
@@ -588,10 +585,10 @@ def _run_obs_report(args: argparse.Namespace) -> int:
                 spans.append(span)
     if any(dropped):
         print(
-            "  capture rings dropped %d event(s), %d decision "
-            "record(s) and %d span tree(s) across all runs; retained "
-            "rows under-count the run (grow ring_capacity/max_decisions, "
-            "or lower --trace-sample, to keep more)"
+            "  capture rings dropped %d decision record(s) and %d span "
+            "tree(s) across all runs; retained rows under-count the run "
+            "(grow MAX_DECISIONS or CAPACITY, or lower --trace-sample, "
+            "to keep more)"
             % tuple(dropped)
         )
 

@@ -1,12 +1,12 @@
-"""Observability for the store: events, metrics, time-series, tracing.
+"""Observability for the store: metrics, decisions, time-series, tracing.
 
-See OBSERVABILITY.md for the model and the overhead budget.  The public
-surface:
+See OBSERVABILITY.md for the model and the overhead budget.  Each store
+moment is one record: a counter, histogram or gauge in the metrics row,
+a decision row, or a sample row.  The public surface:
 
 * :class:`StoreObserver` — attach to a store; captures everything.
-* :class:`EventBus` / :class:`Event` — the typed ring-buffered stream.
-* :class:`MetricsRegistry` — counters / gauges / histograms with
-  snapshot-delta windowing.
+* :class:`MetricsRegistry` — counters / gauges / histograms and their
+  immutable snapshots.
 * :class:`TimeSeriesSampler` — clock-keyed convergence sampling.
 * :class:`SpanRecorder` — causal spans recorded from outside the code:
   timing wrappers installed on a built service's boundary methods,
@@ -18,27 +18,13 @@ surface:
 * :mod:`repro.obs.export` — the JSONL writer, validation, aggregation.
 """
 
-from repro.obs.events import (
-    BUFFER_FLUSH,
-    CLEAN_CYCLE,
-    EVENT_KINDS,
-    FAILPOINT_FIRED,
-    SEGMENT_SEALED,
-    VICTIM_SELECTED,
-    WRITE_STALL,
-    Event,
-    EventBus,
-)
 from repro.obs.export import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     MetricsWriter,
     aggregate_convergence,
     load_rows,
     summarize_rows,
-    validate_file,
     validate_rows,
-    write_jsonl,
 )
 from repro.obs.metrics import (
     Counter,
@@ -61,19 +47,9 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BUFFER_FLUSH",
-    "CLEAN_CYCLE",
-    "EVENT_KINDS",
-    "FAILPOINT_FIRED",
-    "SEGMENT_SEALED",
-    "VICTIM_SELECTED",
-    "WRITE_STALL",
     "PAGES_EDGES",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMAS",
     "Counter",
-    "Event",
-    "EventBus",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -91,9 +67,7 @@ __all__ = [
     "load_spans",
     "summarize_rows",
     "percentile_from_buckets",
-    "validate_file",
     "validate_rows",
     "write_chrome_trace",
-    "write_jsonl",
     "write_spans",
 ]

@@ -3,18 +3,16 @@
 The on-disk format is line-delimited JSON (``metrics.jsonl``).  Each run
 contributes a block of rows opened by a ``meta`` header::
 
-    {"type": "meta", "schema": 2, "run": {"label": ..., "policy": ...}}
+    {"type": "meta", "schema": 3, "run": {"label": ..., "policy": ...}}
     {"type": "sample", "clock": ..., "wamp_win": ..., ...}
     {"type": "decision", "clock": ..., "policy": ..., "victims": [...]}
     {"type": "metrics", "counters": {...}, "gauges": {...}, ...}
-    {"type": "event", "seq": ..., "kind": "clean_cycle", ...}
 
-Schema v2 adds one row type on top of v1 (which stays valid): ``span``
-rows (causal trace spans, in their own span file — see
-:mod:`repro.obs.trace`).  Metrics rows may carry ``ring_capacity`` so
-drop counts can be read against the ring size.  Wall-clock fields
+A span file holds ``span`` rows instead (causal trace spans — see
+:mod:`repro.obs.trace`) under the same meta header.  Wall-clock fields
 appear only in span rows; the metrics export stays byte-deterministic
-across same-seed runs.
+across same-seed runs.  One schema is read: a file whose meta declares
+another version is refused, not guessed at.
 
 Several runs (a fig5 policy grid, a sweep) concatenate blocks in one
 file; :func:`aggregate_convergence` splits them back apart on the meta
@@ -29,17 +27,12 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.events import EVENT_KINDS
-
-#: Version stamped into every meta row; bump on breaking row changes.
-SCHEMA_VERSION = 2
-
-#: Versions :func:`validate_rows` accepts — v1 files stay valid; v2
-#: adds ``span`` rows and the ``ring_capacity`` field.
-SUPPORTED_SCHEMAS = (1, 2)
+#: Version stamped into every meta row, and the one :func:`validate_rows`
+#: accepts; bump on breaking row changes.
+SCHEMA_VERSION = 3
 
 #: Every row type a metrics.jsonl may contain.
-ROW_TYPES = ("meta", "sample", "decision", "event", "metrics", "span")
+ROW_TYPES = ("meta", "sample", "decision", "metrics", "span")
 
 _SAMPLE_KEYS = (
     "clock",
@@ -58,7 +51,6 @@ _SAMPLE_KEYS = (
 )
 _DECISION_KEYS = ("clock", "policy", "candidates", "victims")
 _VICTIM_KEYS = ("seg", "A", "C", "up2", "score")
-_EVENT_KEYS = ("seq", "clock", "kind")
 _METRICS_KEYS = ("counters", "gauges", "histograms")
 _SPAN_KEYS = ("name", "start", "end", "parent", "size")
 
@@ -85,11 +77,6 @@ class MetricsWriter:
                 n += 1
         self.rows_written += n
         return n
-
-
-def write_jsonl(path: str, rows: Iterable[Dict]) -> int:
-    """Write ``rows`` to a fresh JSONL file; returns the row count."""
-    return MetricsWriter(path).write_rows(rows)
 
 
 def load_rows(path: str) -> List[Dict]:
@@ -123,9 +110,9 @@ def validate_rows(
     valid).
 
     Enforced: every row typed and preceded by a ``meta`` header; meta
-    carries the supported schema version; samples carry the full
-    time-series key set; decisions carry non-empty victim lists with the
-    common ranking keys; events carry known kinds.  With
+    carries :data:`SCHEMA_VERSION`; samples carry the full time-series
+    key set; decisions carry non-empty victim lists with the common
+    ranking keys; span rows carry ordered second timestamps.  With
     ``require_decisions``, every run block must contain at least one
     decision record (the fig5 acceptance criterion).
     """
@@ -133,9 +120,13 @@ def validate_rows(
     runs = 0
     decisions_in_run = 0
     saw_rows_in_run = False
+    foreign = False
     for i, row in enumerate(rows):
         where = "row %d" % i
         rtype = row.get("type")
+        if foreign and rtype != "meta":
+            # A block of another schema is refused by its header alone.
+            continue
         if rtype not in ROW_TYPES:
             errors.append("%s: unknown type %r" % (where, rtype))
             continue
@@ -147,14 +138,11 @@ def validate_rows(
             runs += 1
             decisions_in_run = 0
             saw_rows_in_run = False
-            if row.get("schema") not in SUPPORTED_SCHEMAS:
+            foreign = row.get("schema") != SCHEMA_VERSION
+            if foreign:
                 errors.append(
-                    "%s: schema %r, expected one of %s"
-                    % (
-                        where,
-                        row.get("schema"),
-                        ", ".join(str(v) for v in SUPPORTED_SCHEMAS),
-                    )
+                    "%s: schema %r, expected %d"
+                    % (where, row.get("schema"), SCHEMA_VERSION)
                 )
             if not isinstance(row.get("run"), dict):
                 errors.append("%s: meta.run must be an object" % where)
@@ -179,12 +167,6 @@ def validate_rows(
                 _check_keys(
                     victim, _VICTIM_KEYS, "%s victim %d" % (where, j), errors
                 )
-        elif rtype == "event":
-            if _check_keys(row, _EVENT_KEYS, where, errors):
-                if row["kind"] not in EVENT_KINDS:
-                    errors.append(
-                        "%s: unknown event kind %r" % (where, row["kind"])
-                    )
         elif rtype == "metrics":
             _check_keys(row, _METRICS_KEYS, where, errors)
         elif rtype == "span":
@@ -202,11 +184,6 @@ def validate_rows(
     elif require_decisions and saw_rows_in_run and decisions_in_run == 0:
         errors.append("run %d has no decision records" % (runs - 1))
     return errors
-
-
-def validate_file(path: str, require_decisions: bool = False) -> List[str]:
-    """:func:`validate_rows` over a JSONL file."""
-    return validate_rows(load_rows(path), require_decisions=require_decisions)
 
 
 # ----------------------------------------------------------------------
@@ -254,33 +231,26 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
     """Compact summary of a metrics file (the run lines of ``repro obs
     report``): the schema versions its meta headers declare and, per
     run, the final clock and windowed Wamp, sample/decision/span counts,
-    and how much the capture rings dropped (cumulative EventBus/
-    decision-deque drops from the metrics rows, and the root span trees
-    a span recorder evicted, from a span file's meta header — nonzero
-    means the retained rows under-count what actually happened)."""
+    and how much the capture rings dropped (cumulative decision-deque
+    drops from the metrics rows, and the root span trees a span recorder
+    evicted, from a span file's meta header, beside its ring capacity —
+    nonzero means the retained rows under-count what actually
+    happened)."""
     blocks = _split_runs(rows)
     runs = []
-    total_events_dropped = 0
     total_decisions_dropped = 0
     total_trees_dropped = 0
     for block in blocks:
         samples = [r for r in block["rows"] if r.get("type") == "sample"]
         decisions = [r for r in block["rows"] if r.get("type") == "decision"]
         spans = [r for r in block["rows"] if r.get("type") == "span"]
-        events_dropped = 0
-        decisions_dropped = 0
-        ring_capacity: Optional[int] = None
-        for row in block["rows"]:
-            if row.get("type") == "metrics":
-                events_dropped += int(row.get("events_dropped", 0) or 0)
-                decisions_dropped += int(row.get("decisions_dropped", 0) or 0)
-                if row.get("ring_capacity") is not None:
-                    cap = int(row["ring_capacity"])
-                    ring_capacity = cap if ring_capacity is None else max(ring_capacity, cap)
-        if ring_capacity is None and block["run"].get("ring_capacity") is not None:
-            ring_capacity = int(block["run"]["ring_capacity"])
+        decisions_dropped = sum(
+            int(row.get("decisions_dropped", 0) or 0)
+            for row in block["rows"]
+            if row.get("type") == "metrics"
+        )
+        ring_capacity = block["run"].get("ring_capacity")
         trees_dropped = int(block["run"].get("trees_dropped", 0) or 0)
-        total_events_dropped += events_dropped
         total_decisions_dropped += decisions_dropped
         total_trees_dropped += trees_dropped
         last = samples[-1] if samples else None
@@ -292,7 +262,6 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
                 "spans": len(spans),
                 "final_clock": last["clock"] if last else None,
                 "final_wamp_win": last["wamp_win"] if last else None,
-                "events_dropped": events_dropped,
                 "decisions_dropped": decisions_dropped,
                 "trees_dropped": trees_dropped,
                 "ring_capacity": ring_capacity,
@@ -302,7 +271,6 @@ def summarize_rows(rows: Iterable[Dict]) -> Dict:
         "schemas": sorted({block["schema"] for block in blocks}, key=str),
         "runs": len(blocks),
         "per_run": runs,
-        "events_dropped": total_events_dropped,
         "decisions_dropped": total_decisions_dropped,
         "trees_dropped": total_trees_dropped,
     }

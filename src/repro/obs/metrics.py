@@ -1,18 +1,12 @@
-"""Counters, gauges, and fixed-bucket histograms with snapshot/delta
-semantics.
+"""Counters, gauges, and fixed-bucket histograms, with immutable
+snapshots.
 
-The store's own :class:`~repro.store.stats.StoreStats` follows a
-snapshot-then-delta discipline: cumulative counters, immutable
-snapshots, windows as snapshot differences.  This module generalizes
-that to arbitrary named instruments so observers can measure anything
-(events per kind, cleaned-emptiness distributions, free-pool depth)
-with the same windowing model — :meth:`MetricsSnapshot.delta` is to
-:meth:`MetricsRegistry.snapshot` exactly what
-:meth:`~repro.store.stats.StatsSnapshot.delta` is to
-:meth:`~repro.store.stats.StoreStats.snapshot`.
-
-Counters and histogram bucket counts subtract in a delta; gauges are
-instantaneous, so a delta carries the *later* snapshot's value.
+Observers name the instruments they need (cleaning cycles, cleaned
+emptiness, free-pool depth, stall pages) and a registry creates each on
+first use; :meth:`MetricsRegistry.snapshot` copies them all into the
+``type: "metrics"`` export row.  Windowed store figures come from the
+store's own :meth:`~repro.store.stats.StatsSnapshot.delta`, not from
+here.
 """
 
 from __future__ import annotations
@@ -159,38 +153,6 @@ class MetricsSnapshot:
         str, Tuple[Tuple[float, ...], Tuple[int, ...], float, int]
     ]
 
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The window from ``earlier`` to this snapshot.
-
-        Counters and histogram buckets subtract (an instrument absent
-        from ``earlier`` counts from zero); gauges keep this snapshot's
-        instantaneous value.
-        """
-        counters = {
-            name: value - earlier.counters.get(name, 0)
-            for name, value in self.counters.items()
-        }
-        histograms = {}
-        for name, (edges, buckets, total, count) in self.histograms.items():
-            prev = earlier.histograms.get(name)
-            if prev is None:
-                histograms[name] = (edges, buckets, total, count)
-                continue
-            p_edges, p_buckets, p_total, p_count = prev
-            if p_edges != edges:
-                raise ValueError(
-                    "histogram %r changed bucket edges between snapshots" % name
-                )
-            histograms[name] = (
-                edges,
-                tuple(b - pb for b, pb in zip(buckets, p_buckets)),
-                total - p_total,
-                count - p_count,
-            )
-        return MetricsSnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=histograms
-        )
-
     def to_dict(self) -> Dict:
         """JSON-ready form (the ``type: "metrics"`` export row body).
 
@@ -269,7 +231,3 @@ class MetricsRegistry:
                 for n, h in self._histograms.items()
             },
         )
-
-    def window_since(self, earlier: MetricsSnapshot) -> MetricsSnapshot:
-        """Instrument deltas since ``earlier`` (gauges stay current)."""
-        return self.snapshot().delta(earlier)

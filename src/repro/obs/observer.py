@@ -19,10 +19,12 @@ for the chosen victims via
 The hook contract: **record scalars and copies; format on read.**  A hook
 runs inside the write path, so it appends a tuple (the clock, a few
 ints, the decision columns as the small array copies the policy hands
-over) and bumps instruments it holds; the row dicts, the ``Event``
-objects and the JSON-ready cells are built by :attr:`StoreObserver.
-decisions`, ``bus.events()`` and :meth:`StoreObserver.rows`, which run
-once, at export.
+over) and bumps instruments it holds; the row dicts and the JSON-ready
+cells are built by :attr:`StoreObserver.decisions` and
+:meth:`StoreObserver.rows`, which run once, at export.
+
+Each store moment is one record: a counter, histogram or gauge in the
+metrics row, a decision row, or a sample row.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs import events as ev
 from repro.obs.export import SCHEMA_VERSION
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import TimeSeriesSampler
 from repro.store.stats import WindowStats
-from repro.testkit.failpoints import FAILPOINTS
+
+#: Most recent decision records an observer retains; older ones are
+#: counted in ``decisions_dropped``.
+MAX_DECISIONS = 1024
 
 #: Bucket edges of the cleaned-emptiness histogram (fractions of a
 #: segment; the overflow bucket is unreachable but keeps edges regular).
@@ -65,41 +69,23 @@ def _bound(kind: str, name: str, *edges) -> cached_property:
 
 
 class StoreObserver:
-    """Event stream + metrics + time-series sampling for one store.
+    """Metrics + decision records + time-series sampling for one store.
 
     Args:
         store: The store to observe; ``attach`` links the two.
         sample_interval: Update ticks between time-series samples
             (default: :func:`~repro.obs.samplers.default_interval`).
-        ring_capacity: Event ring size.
-        hist_buckets: Emptiness-histogram buckets in samples.
-        capture_failpoints: Subscribe to the failpoint registry so armed
-            or traced failpoints show up in the event stream.
-        max_decisions: Most recent decision records retained.
     """
 
-    def __init__(
-        self,
-        store,
-        sample_interval: Optional[int] = None,
-        ring_capacity: int = 4096,
-        hist_buckets: int = 10,
-        capture_failpoints: bool = True,
-        max_decisions: int = 1024,
-    ) -> None:
+    def __init__(self, store, sample_interval: Optional[int] = None) -> None:
         self.store = store
-        self.bus = ev.EventBus(capacity=ring_capacity)
         self.metrics = MetricsRegistry()
-        self.sampler = TimeSeriesSampler(
-            store, interval=sample_interval, hist_buckets=hist_buckets
-        )
+        self.sampler = TimeSeriesSampler(store, interval=sample_interval)
         #: Recorded decisions ``(clock, policy, candidates, victim ids,
         #: decision columns)``; :attr:`decisions` formats them.
-        self._decisions: "deque[tuple]" = deque(maxlen=max_decisions)
+        self._decisions: "deque[tuple]" = deque(maxlen=MAX_DECISIONS)
         self.decisions_dropped = 0
-        self._capture_failpoints = capture_failpoints
         self._start = store.stats.snapshot()
-        self._attached = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -108,18 +94,12 @@ class StoreObserver:
         if self.store.obs is not None and self.store.obs is not self:
             raise RuntimeError("store already has an observer attached")
         self.store.obs = self
-        if self._capture_failpoints and not self._attached:
-            FAILPOINTS.add_listener(self._on_failpoint)
-        self._attached = True
         return self
 
     def detach(self) -> None:
         """Remove from the store; the captured data stays readable."""
         if self.store.obs is self:
             self.store.obs = None
-        if self._attached and self._capture_failpoints:
-            FAILPOINTS.remove_listener(self._on_failpoint)
-        self._attached = False
 
     def __enter__(self) -> "StoreObserver":
         return self.attach()
@@ -130,8 +110,8 @@ class StoreObserver:
     # -- store hooks (per-segment frequency, never per-write) ----------
     #
     # A hook records: scalars and small array copies, on instruments it
-    # binds the first time it runs.  Formatting (row dicts, ``Event``s)
-    # happens when ``decisions`` / ``bus.events()`` / ``rows()`` are read.
+    # binds the first time it runs.  Formatting (row dicts) happens when
+    # ``decisions`` / ``rows()`` are read.
 
     _sealed = _bound("counter", "segments_sealed")
     _flushes = _bound("counter", "buffer_flushes")
@@ -148,23 +128,13 @@ class StoreObserver:
     _pending = _bound("gauge", "cleaner_pending")
     _stalls = _bound("counter", "write_stalls")
     _stall_pages = _bound("histogram", "write_stall_pages", _PAGES_EDGES)
-    _failpoints = _bound("counter", "failpoints_hit")
 
     def on_seal(self, seg: int) -> None:
-        segs = self.store.segments
         self._sealed.value += 1
-        self.bus.emit(
-            ev.SEGMENT_SEALED,
-            self.store.clock,
-            seg=int(seg),
-            live_count=int(segs.live_count[seg]),
-            used_units=int(segs.used_units[seg]),
-        )
 
     def on_flush(self, pages: int) -> None:
         self._flushes.value += 1
         self._flush_pages.inc(pages)
-        self.bus.emit(ev.BUFFER_FLUSH, self.store.clock, pages=int(pages))
 
     def on_victims(self, candidates: np.ndarray, victims: Sequence[int]) -> None:
         """Called right after victim validation, before the victims'
@@ -173,7 +143,6 @@ class StoreObserver:
         store = self.store
         policy = store.policy
         ids = np.asarray(victims, dtype=np.int64)
-        victim_ids = ids.tolist()
         if len(self._decisions) == self._decisions.maxlen:
             self.decisions_dropped += 1
         self._decisions.append(
@@ -181,17 +150,11 @@ class StoreObserver:
                 store.clock,
                 getattr(policy, "name", type(policy).__name__),
                 len(candidates),
-                victim_ids,
+                ids.tolist(),
                 policy.decision_columns(store.segments, ids),
             )
         )
         self._selections.value += 1
-        self.bus.emit(
-            ev.VICTIM_SELECTED,
-            store.clock,
-            victims=victim_ids,
-            candidates=len(candidates),
-        )
 
     @property
     def decisions(self) -> List[Dict]:
@@ -229,17 +192,9 @@ class StoreObserver:
         for e in np.asarray(emptiness).tolist():
             observe(e)
         self._free.value = float(self.store.free_segment_count)
-        self.bus.emit(
-            ev.CLEAN_CYCLE,
-            self.store.clock,
-            victims=list(victims),
-            moved=int(moved),
-            reclaimed_units=int(reclaimed_units),
-        )
 
     def on_clean_step(self, relocated: int, skipped: int, remaining: int) -> None:
-        """Called after each incremental cleaner step (metrics only —
-        steps are too frequent for the event ring)."""
+        """Called after each incremental cleaner step."""
         self._steps.value += 1
         self._skipped.inc(int(skipped))
         self._step_pages.observe(relocated)
@@ -250,11 +205,6 @@ class StoreObserver:
         ``pages`` is how many GC relocations it waited behind."""
         self._stalls.value += 1
         self._stall_pages.observe(pages)
-        self.bus.emit(ev.WRITE_STALL, self.store.clock, pages=int(pages))
-
-    def _on_failpoint(self, name: str, ctx: Dict) -> None:
-        self._failpoints.value += 1
-        self.bus.emit(ev.FAILPOINT_FIRED, self.store.clock, name=name)
 
     # -- sampling ------------------------------------------------------
 
@@ -275,8 +225,7 @@ class StoreObserver:
 
     def rows(self, meta: Optional[Dict] = None) -> Iterator[Dict]:
         """All captured data as JSONL-ready rows: one ``meta`` header,
-        then samples, decision records, a metrics snapshot, and the
-        retained events."""
+        then samples, decision records and a metrics snapshot."""
         header = {"type": "meta", "schema": SCHEMA_VERSION}
         header["run"] = dict(meta) if meta else {}
         header["run"].setdefault(
@@ -291,10 +240,5 @@ class StoreObserver:
         row = self.metrics.snapshot().to_dict()
         row["type"] = "metrics"
         row["clock"] = self.store.clock
-        row["events_dropped"] = self.bus.dropped
         row["decisions_dropped"] = self.decisions_dropped
-        row["ring_capacity"] = self.bus.capacity
-        row["event_counts"] = dict(self.bus.counts)
         yield row
-        for event in self.bus.events():
-            yield event.to_dict()

@@ -24,6 +24,9 @@ from typing import Dict, List, Optional
 from repro.store.reporting import emptiness_histogram, temperature_report
 from repro.store.stats import StatsSnapshot
 
+#: Buckets of the per-sample emptiness histogram.
+HIST_BUCKETS = 10
+
 
 def default_interval(store) -> int:
     """One quarter of the user page population per sample: four samples
@@ -38,20 +41,13 @@ class TimeSeriesSampler:
     Args:
         store: The :class:`~repro.store.LogStructuredStore` to observe.
         interval: Ticks between marks; default :func:`default_interval`.
-        hist_buckets: Buckets of the per-sample emptiness histogram.
     """
 
-    def __init__(
-        self,
-        store,
-        interval: Optional[int] = None,
-        hist_buckets: int = 10,
-    ) -> None:
+    def __init__(self, store, interval: Optional[int] = None) -> None:
         if interval is not None and interval < 1:
             raise ValueError("interval must be >= 1")
         self.store = store
         self.interval = interval or default_interval(store)
-        self.hist_buckets = hist_buckets
         self.samples: List[Dict] = []
         self._last: StatsSnapshot = store.stats.snapshot()
         self._next_mark = self._mark_after(store.clock)
@@ -102,7 +98,7 @@ class TimeSeriesSampler:
             "fill": store.fill_factor_now(),
             "free_segments": store.free_segment_count,
             "live_pages": store.live_page_count(),
-            "emptiness_hist": emptiness_histogram(store, self.hist_buckets),
+            "emptiness_hist": emptiness_histogram(store, HIST_BUCKETS),
             "temperature_cv": temperature_report(store)["cv"],
             "wear_cv": store.wear_summary()["cv"],
         }

@@ -24,7 +24,7 @@ marked with the exception's class name.
 * **A bound.**  At most :data:`CAPACITY` spans are held.  A span past it
   evicts the oldest whole root trees, counted in the file's header.
 
-Spans export as schema-v2 JSONL rows (``type: "span"``) under a meta
+Spans export as JSONL rows (``type: "span"``) under a meta
 header, so ``repro obs validate`` works on span files unchanged.  A
 row's ``parent`` is the index of its parent among the file's span rows
 (-1 for a root).  A Chrome trace-event exporter makes the same spans
@@ -188,7 +188,7 @@ class SpanRecorder:
     # -- export --------------------------------------------------------
 
     def rows(self) -> List[Dict[str, Any]]:
-        """The held spans as schema-v2 rows, in start order.  A span
+        """The held spans as export rows, in start order.  A span
         still running ends the list: every span after it runs inside it."""
         out: List[Dict[str, Any]] = []
         base = self.base

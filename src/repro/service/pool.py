@@ -127,7 +127,7 @@ class StorePool:
                 "StorePool needs a policy name; policy instances bind to "
                 "exactly one store and cannot be shared across shards"
             )
-        self.config = config = with_sort_buffer(config)
+        config = with_sort_buffer(config)
         self.policy_name = policy
         self.shards: List[LogStructuredKVStore] = [
             LogStructuredKVStore(config, policy=policy, unit_bytes=unit_bytes)

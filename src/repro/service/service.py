@@ -19,9 +19,9 @@ is already visible.
 
 Observability rides the existing ``repro.obs`` machinery: every shard
 carries a :class:`~repro.obs.StoreObserver` (per-shard Wamp/fill time
-series, cleaning decisions, seal/clean events), the service keeps its
-own :class:`~repro.obs.MetricsRegistry` (ingest queue depth, batch-size
-histogram, per-shard op counters), and
+series, cleaning decisions, seal/clean/stall counters), the service
+keeps its own :class:`~repro.obs.MetricsRegistry` (ingest queue depth,
+batch-size histogram, per-shard op counters), and
 :meth:`Service.export_rows` emits one schema block for the service
 plus one per shard — a file ``repro obs report`` and ``repro obs
 validate`` consume unchanged.
@@ -113,11 +113,7 @@ class Service:
         self._c_gets = self.metrics.counter("gets")
         self._c_flushed = self.metrics.counter("ops_flushed")
         self.observers: List[StoreObserver] = [
-            StoreObserver(
-                kv.store,
-                sample_interval=sample_interval,
-                capture_failpoints=False,
-            ).attach()
+            StoreObserver(kv.store, sample_interval=sample_interval).attach()
             for kv in self.pool.shards
         ]
 
@@ -193,7 +189,7 @@ class Service:
         return samples[min(len(samples) - 1, int(0.95 * len(samples)))]
 
     def rows(self, meta: Optional[Dict] = None) -> Iterator[Dict]:
-        """Schema-v2 rows: one service-level block (meta + metrics),
+        """Export rows: one service-level block (meta + metrics),
         then one block per shard from its :class:`StoreObserver`."""
         header = {"type": "meta", "schema": SCHEMA_VERSION}
         header["run"] = dict(meta) if meta else {}

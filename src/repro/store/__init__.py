@@ -23,7 +23,6 @@ from repro.store.log_store import (
     CleanCursor,
     GC_STREAM,
     LogStructuredStore,
-    segments_needed,
 )
 from repro.store.pagetable import (
     IN_BUFFER,
@@ -74,5 +73,4 @@ __all__ = [
     "emptiness_histogram",
     "temperature_report",
     "paper_config",
-    "segments_needed",
 ]

@@ -37,7 +37,6 @@ emission; :mod:`repro.store.cycle` the cleaning cycle.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Optional, Sequence
 
@@ -639,8 +638,3 @@ class LogStructuredStore(WritePath, CleaningCycle):
                 getattr(self.policy, "name", type(self.policy).__name__),
             )
         )
-
-
-def segments_needed(units: int, segment_units: int) -> int:
-    """Number of whole segments needed to hold ``units`` of data."""
-    return int(math.ceil(units / segment_units))

@@ -28,7 +28,10 @@ Arming supports:
   something custom) instead of raising :class:`InjectedFault`.
 
 The registry also counts hits while any arm or tracing is active, which
-lets tests assert that a code path actually passed a given point.
+lets tests assert that a code path actually passed a given point.  It
+has no subscribers: it is process-wide, so a hit belongs to whichever
+store reached the site, and only an arm or a tracing scope makes the
+sites live.
 """
 
 from __future__ import annotations
@@ -106,10 +109,9 @@ class FailpointRegistry:
     def __init__(self) -> None:
         self._arms: Dict[str, List[_Arm]] = {}
         self._hits: Dict[str, int] = {}
-        self._listeners: List[Callable[[str, Dict[str, Any]], None]] = []
         self._tracing = False
         #: Fast-path flag read by :func:`failpoint`; True only while at
-        #: least one arm, listener, or tracing scope exists.
+        #: least one arm or tracing scope exists.
         self.active = False
 
     # -- arming --------------------------------------------------------
@@ -133,33 +135,11 @@ class FailpointRegistry:
         return arm
 
     def clear(self) -> None:
-        """Remove all arms, listeners, and hit counters."""
+        """Remove all arms and hit counters."""
         self._arms.clear()
         self._hits.clear()
-        self._listeners.clear()
         self._tracing = False
         self.active = False
-
-    # -- listeners -----------------------------------------------------
-
-    def add_listener(
-        self, callback: Callable[[str, Dict[str, Any]], None]
-    ) -> None:
-        """Observe every hit without injecting anything: ``callback``
-        runs as ``callback(name, ctx)`` before any armed behavior fires
-        (observers see the hit even when the arm then raises)."""
-        self._listeners.append(callback)
-        self.active = True
-
-    def remove_listener(
-        self, callback: Callable[[str, Dict[str, Any]], None]
-    ) -> None:
-        """Detach a listener added with :meth:`add_listener`."""
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_active()
 
     @contextmanager
     def armed(self, name: str, **kwargs) -> Iterator[_Arm]:
@@ -190,15 +170,13 @@ class FailpointRegistry:
             self._refresh_active()
 
     def _refresh_active(self) -> None:
-        self.active = bool(self._arms) or bool(self._listeners) or self._tracing
+        self.active = bool(self._arms) or self._tracing
 
     # -- the call site -------------------------------------------------
 
     def hit(self, name: str, ctx: Dict[str, Any]) -> None:
         """Record a hit and fire any matching arms (may raise)."""
         self._hits[name] = self._hits.get(name, 0) + 1
-        for listener in self._listeners:
-            listener(name, ctx)
         for arm in self._arms.get(name, ()):
             arm.fire(ctx)
 

@@ -58,7 +58,7 @@ def bits(values):
 def test_recorded_rows_are_the_columns_computed_before_the_cycle(policy):
     store = aged_store(policy)
     copies = copies_before_begin(store)
-    with StoreObserver(store, capture_failpoints=False) as observer:
+    with StoreObserver(store) as observer:
         for _ in range(3):
             store.clean()
     decisions = observer.decisions

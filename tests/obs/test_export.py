@@ -10,9 +10,7 @@ from repro.obs import (
     aggregate_convergence,
     load_rows,
     summarize_rows,
-    validate_file,
     validate_rows,
-    write_jsonl,
 )
 
 
@@ -53,10 +51,6 @@ def _metrics():
     return {"type": "metrics", "counters": {}, "gauges": {}, "histograms": {}}
 
 
-def _event(seq, kind="clean_cycle"):
-    return {"type": "event", "seq": seq, "clock": seq, "kind": kind}
-
-
 def _valid_rows():
     return [
         _meta(policy="greedy"),
@@ -64,7 +58,6 @@ def _valid_rows():
         _sample(200, wamp=0.25),
         _decision(150),
         _metrics(),
-        _event(1),
     ]
 
 
@@ -72,7 +65,7 @@ class TestWriterAndLoad:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"
         rows = _valid_rows()
-        assert write_jsonl(str(path), rows) == len(rows)
+        assert MetricsWriter(str(path)).write_rows(rows) == len(rows)
         assert load_rows(str(path)) == rows
 
     def test_writer_truncates_once_then_appends(self, tmp_path):
@@ -104,9 +97,13 @@ class TestValidation:
         del rows[1]["wamp_win"]
         assert any("wamp_win" in e for e in validate_rows(rows))
 
-    def test_unknown_event_kind_rejected(self):
-        rows = _valid_rows() + [_event(2, kind="made_up")]
-        assert any("made_up" in e for e in validate_rows(rows))
+    def test_event_rows_rejected(self):
+        """Event rows only restated the metrics row; no block of this
+        schema holds one."""
+        rows = _valid_rows() + [
+            {"type": "event", "seq": 1, "clock": 1, "kind": "clean_cycle"}
+        ]
+        assert validate_rows(rows) == ["row 5: unknown type 'event'"]
 
     def test_empty_victims_rejected(self):
         rows = _valid_rows()
@@ -127,8 +124,8 @@ class TestValidation:
 
     def test_validate_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        write_jsonl(str(path), _valid_rows())
-        assert validate_file(str(path), require_decisions=True) == []
+        MetricsWriter(str(path)).write_rows(_valid_rows())
+        assert validate_rows(load_rows(str(path)), require_decisions=True) == []
 
 
 class TestAggregation:
@@ -158,33 +155,33 @@ class TestAggregation:
         assert run["final_wamp_win"] == 0.25
 
     def test_summarize_reports_the_schema_the_file_declares(self):
-        """A valid v1 file is summarized as v1, not as the writer's
-        current version; a file mixing blocks names both."""
-        v1 = _valid_rows()
-        v1[0]["schema"] = 1
-        assert validate_rows(v1) == []
-        assert summarize_rows(v1)["schemas"] == [1]
-        assert summarize_rows(v1 + _valid_rows())["schemas"] == [1, SCHEMA_VERSION]
+        """An older file is summarized as what it declares, not as the
+        writer's current version (validation refuses it); a file mixing
+        blocks names both."""
+        old = _valid_rows()
+        old[0]["schema"] = SCHEMA_VERSION - 1
+        assert validate_rows(old) != []
+        assert summarize_rows(old)["schemas"] == [SCHEMA_VERSION - 1]
+        assert summarize_rows(old + _valid_rows())["schemas"] == [
+            SCHEMA_VERSION - 1,
+            SCHEMA_VERSION,
+        ]
 
     def test_summarize_surfaces_ring_drops(self):
         dropped = _metrics()
-        dropped["events_dropped"] = 7
         dropped["decisions_dropped"] = 2
         rows = (
             [_meta(policy="greedy"), _sample(100), dropped]
             + [_meta(policy="mdc"), _sample(100), _metrics()]
         )
         summary = summarize_rows(rows)
-        assert summary["per_run"][0]["events_dropped"] == 7
         assert summary["per_run"][0]["decisions_dropped"] == 2
-        assert summary["per_run"][1]["events_dropped"] == 0
         assert summary["per_run"][1]["decisions_dropped"] == 0
-        assert summary["events_dropped"] == 7
         assert summary["decisions_dropped"] == 2
 
     def test_summarize_without_drop_keys_defaults_to_zero(self):
         summary = summarize_rows(_valid_rows())
-        assert summary["events_dropped"] == 0
+        assert summary["decisions_dropped"] == 0
         assert summary["per_run"][0]["decisions_dropped"] == 0
 
 
@@ -203,8 +200,8 @@ class TestSimulationExport:
             config, "mdc", workload, write_multiplier=6.0, observe=str(path)
         )
         assert result.window.user_writes > 0
-        assert validate_file(str(path), require_decisions=True) == []
         rows = load_rows(str(path))
+        assert validate_rows(rows, require_decisions=True) == []
         meta = rows[0]["run"]
         assert meta["policy"] == "mdc"
         assert meta["wamp"] == pytest.approx(

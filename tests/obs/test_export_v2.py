@@ -1,8 +1,7 @@
-"""Schema v2: span rows, v1 back-compat, ring capacity."""
+"""The one schema: its version, span rows, a span ring's capacity."""
 
 from repro.obs.export import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     summarize_rows,
     validate_rows,
 )
@@ -26,20 +25,20 @@ def _span(**over):
 
 
 class TestVersioning:
-    def test_current_version_is_two(self):
-        assert SCHEMA_VERSION == 2
-        assert SUPPORTED_SCHEMAS == (1, 2)
-
-    def test_v1_meta_still_validates(self):
-        rows = [
-            _meta(schema=1, policy="mdc"),
-            {"type": "metrics", "counters": {}, "gauges": {}, "histograms": {}},
-        ]
-        assert validate_rows(rows) == []
+    def test_current_version_is_three(self):
+        assert SCHEMA_VERSION == 3
 
     def test_unsupported_schema_rejected(self):
-        (problem,) = validate_rows([_meta(schema=3)])
-        assert "expected one of 1, 2" in problem
+        """Only the current version validates.  An older block is
+        refused by its header alone: its rows (a v2 file's ``event``
+        rows) are not checked against this schema."""
+        for schema in (1, 2, 4):
+            rows = [
+                _meta(schema=schema),
+                {"type": "event", "seq": 1, "clock": 1, "kind": "clean_cycle"},
+            ]
+            (problem,) = validate_rows(rows)
+            assert problem == "row 0: schema %d, expected 3" % schema
 
 
 class TestSpanRows:
@@ -81,22 +80,6 @@ class TestSummarizeV2:
     def test_span_counts_surface(self):
         rows = [_meta(), _span(), _span(parent=0)]
         assert summarize_rows(rows)["per_run"][0]["spans"] == 2
-
-    def test_ring_capacity_from_metrics_row(self):
-        rows = [
-            _meta(),
-            {
-                "type": "metrics",
-                "counters": {},
-                "gauges": {},
-                "histograms": {},
-                "events_dropped": 7,
-                "ring_capacity": 512,
-            },
-        ]
-        run = summarize_rows(rows)["per_run"][0]
-        assert run["ring_capacity"] == 512
-        assert run["events_dropped"] == 7
 
     def test_ring_capacity_falls_back_to_run_meta(self):
         rows = [_meta(ring_capacity=64), _span()]

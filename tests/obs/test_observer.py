@@ -1,4 +1,4 @@
-"""The store observer: hooks, decision tracing, failpoints, export rows."""
+"""The store observer: hooks, decision tracing, export rows."""
 
 import functools
 import json
@@ -8,22 +8,17 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    BUFFER_FLUSH,
-    CLEAN_CYCLE,
-    SEGMENT_SEALED,
-    VICTIM_SELECTED,
-    WRITE_STALL,
     MetricsRegistry,
     StoreObserver,
     TimeSeriesSampler,
     validate_rows,
 )
+from repro.obs import observer as observer_module
 from repro.obs.export import SCHEMA_VERSION
 from repro.obs.observer import PAGES_EDGES
 from repro.policies import make_policy
 from repro.store import LogStructuredStore, StoreConfig
-from repro.testkit.failpoints import failpoint
-from tests.obs.test_events import EagerBus
+from repro.testkit.failpoints import FAILPOINTS, failpoint
 
 
 def _drive(store, n_writes, stride=7):
@@ -69,7 +64,7 @@ class TestLifecycle:
 
 
 class TestHooks:
-    def test_cleaning_populates_metrics_and_events(self, observed_store):
+    def test_cleaning_populates_metrics(self, observed_store):
         store, observer = observed_store
         _drive(store, 5000)
         stats = store.stats
@@ -81,8 +76,6 @@ class TestHooks:
         assert counters["pages_relocated"] == stats.gc_writes
         hist = observer.metrics.histogram("cleaned_emptiness")
         assert hist.count == stats.segments_cleaned
-        kinds = {e.kind for e in observer.bus.events()}
-        assert {SEGMENT_SEALED, CLEAN_CYCLE, VICTIM_SELECTED} <= kinds
 
     def test_flush_hook_counts_buffered_pages(self, buffered_config):
         # mdc uses the sort buffer (greedy would leave it unbuilt).
@@ -93,9 +86,6 @@ class TestHooks:
             counters = observer.metrics.snapshot().counters
             assert counters.get("buffer_flushes", 0) > 0
             assert counters["buffer_flush_pages"] >= counters["buffer_flushes"]
-            assert any(
-                e.kind == BUFFER_FLUSH for e in observer.bus.events()
-            )
 
     def test_detached_observer_stops_capturing(self, observed_store):
         store, observer = observed_store
@@ -181,29 +171,42 @@ class TestDecisions:
                 list(map(type, row.values())) for row in reference
             ]
 
-    def test_decision_ring_bounds_memory(self, small_config):
+    def test_decision_ring_bounds_memory(self, small_config, monkeypatch):
+        monkeypatch.setattr(observer_module, "MAX_DECISIONS", 3)
         store = LogStructuredStore(small_config, make_policy("greedy"))
         store.load_sequential(small_config.user_pages)
-        with StoreObserver(store, max_decisions=3) as observer:
+        with StoreObserver(store) as observer:
             _drive(store, 6000)
             assert len(observer.decisions) == 3
             assert observer.decisions_dropped > 0
 
 
 class TestFailpoints:
-    def test_failpoint_hits_become_events(self, observed_store):
-        store, observer = observed_store
-        failpoint("obs.test.site", detail="x")
-        counters = observer.metrics.snapshot().counters
-        assert counters["failpoints_hit"] == 1
-        events = [e for e in observer.bus.events() if e.kind == "failpoint"]
-        assert events and events[0].payload["name"] == "obs.test.site"
+    def test_another_stores_failpoints_leave_the_observer_alone(
+        self, small_config, buffered_config
+    ):
+        """The failpoint registry is process-wide: an observer that
+        subscribed to it counted every store's hits as its own, and kept
+        every site in the process live while attached."""
+        idle = LogStructuredStore(small_config, make_policy("greedy"))
+        with StoreObserver(idle) as observer:
+            before = observer.metrics.snapshot()
+            busy = LogStructuredStore(buffered_config, make_policy("mdc"))
+            busy.load_sequential(buffered_config.user_pages)
+            _drive(busy, 3000)
+            busy.flush()
+            assert busy.stats.clean_cycles > 0
+            assert observer.metrics.snapshot() == before
+            assert not FAILPOINTS.active
 
     def test_detach_unsubscribes(self, small_config):
         store = LogStructuredStore(small_config, make_policy("greedy"))
         observer = StoreObserver(store).attach()
         observer.detach()
-        failpoint("obs.test.after")
+        assert not FAILPOINTS.active
+        with FAILPOINTS.tracing():
+            failpoint("obs.test.after")
+        assert FAILPOINTS.count("obs.test.after") == 1
         assert "failpoints_hit" not in observer.metrics.snapshot().counters
 
 
@@ -218,7 +221,7 @@ class TestExportRows:
         assert rows[0]["run"]["policy"] == "greedy"
         assert validate_rows(rows, require_decisions=True) == []
         types = {row["type"] for row in rows}
-        assert types == {"meta", "sample", "decision", "metrics", "event"}
+        assert types == {"meta", "sample", "decision", "metrics"}
 
     def test_window_covers_observed_interval(self, observed_store):
         store, observer = observed_store
@@ -236,14 +239,12 @@ class TestExportRows:
 class EagerObserver:
     """The observer's hooks as they were when every hook *formatted*:
     instruments looked up by name per call, decision rows built at
-    ``on_victims``, an ``Event`` built at every emit.  Shares no code
-    with :class:`StoreObserver` — it is the reference the recording
-    hooks are driven beside, on the same store events."""
+    ``on_victims``.  Shares no code with :class:`StoreObserver` — it is
+    the reference the recording hooks are driven beside, on the same
+    store events."""
 
-    def __init__(self, store, sample_interval=None, ring_capacity=4096,
-                 max_decisions=1024):
+    def __init__(self, store, sample_interval=None, max_decisions=1024):
         self.store = store
-        self.bus = EagerBus(capacity=ring_capacity)
         self.metrics = MetricsRegistry()
         self.sampler = TimeSeriesSampler(store, interval=sample_interval)
         self.decisions = deque(maxlen=max_decisions)
@@ -252,16 +253,10 @@ class EagerObserver:
     def on_seal(self, seg):
         segs = self.store.segments
         self.metrics.counter("segments_sealed").inc()
-        self.bus.emit(
-            SEGMENT_SEALED, self.store.clock, seg=int(seg),
-            live_count=int(segs.live_count[seg]),
-            used_units=int(segs.used_units[seg]),
-        )
 
     def on_flush(self, pages):
         self.metrics.counter("buffer_flushes").inc()
         self.metrics.counter("buffer_flush_pages").inc(pages)
-        self.bus.emit(BUFFER_FLUSH, self.store.clock, pages=int(pages))
 
     def on_victims(self, candidates, victims):
         store = self.store
@@ -284,10 +279,6 @@ class EagerObserver:
             }
         )
         self.metrics.counter("victim_selections").inc()
-        self.bus.emit(
-            VICTIM_SELECTED, store.clock, victims=victim_ids,
-            candidates=int(len(candidates)),
-        )
 
     def on_clean(self, victims, moved, reclaimed_units, emptiness):
         self.metrics.counter("clean_cycles").inc()
@@ -299,10 +290,6 @@ class EagerObserver:
         for e in emptiness:
             hist.observe(float(e))
         self.metrics.gauge("free_segments").set(self.store.free_segment_count)
-        self.bus.emit(
-            CLEAN_CYCLE, self.store.clock, victims=[int(v) for v in victims],
-            moved=int(moved), reclaimed_units=int(reclaimed_units),
-        )
 
     def on_clean_step(self, relocated, skipped, remaining):
         self.metrics.counter("cleaner_steps").inc()
@@ -317,7 +304,6 @@ class EagerObserver:
         self.metrics.histogram("write_stall_pages", PAGES_EDGES).observe(
             float(pages)
         )
-        self.bus.emit(WRITE_STALL, self.store.clock, pages=int(pages))
 
     def rows(self, meta=None):
         header = {"type": "meta", "schema": SCHEMA_VERSION}
@@ -329,13 +315,8 @@ class EagerObserver:
         row = self.metrics.snapshot().to_dict()
         row["type"] = "metrics"
         row["clock"] = self.store.clock
-        row["events_dropped"] = self.bus.dropped
         row["decisions_dropped"] = self.decisions_dropped
-        row["ring_capacity"] = self.bus.capacity
-        row["event_counts"] = dict(self.bus.counts)
         yield row
-        for event in self.bus.events():
-            yield event.to_dict()
 
 
 _HOOKS = ("on_seal", "on_flush", "on_victims", "on_clean", "on_clean_step",
@@ -365,7 +346,8 @@ class FanOut:
 def drive_beside(make_observer, policy, buffered, stepped, **bounds):
     """One store, two observers: a random write stream (optionally with
     an incremental cycle begun and stepped between batches), then every
-    export compared.  Raises ``AssertionError`` on the first difference."""
+    export compared.  ``bounds`` go to the reference only.  Raises
+    ``AssertionError`` on the first difference."""
     cfg = StoreConfig(
         n_segments=48, segment_units=16, fill_factor=0.7, clean_trigger=3,
         clean_batch=4, sort_buffer_segments=2 if buffered else 0,
@@ -376,7 +358,7 @@ def drive_beside(make_observer, policy, buffered, stepped, **bounds):
     if policy.endswith("-opt"):
         store.set_oracle_frequencies(rng.random(n))
     store.load_sequential(n)
-    observer = make_observer(store, sample_interval=500, **bounds)
+    observer = make_observer(store, sample_interval=500)
     reference = EagerObserver(store, sample_interval=500, **bounds)
     store.obs = fan = FanOut(observer, reference)
     for _ in range(30):
@@ -390,8 +372,6 @@ def drive_beside(make_observer, policy, buffered, stepped, **bounds):
     store.obs = None
     assert store.stats.clean_cycles > 5 and fan.hook_calls > 100
     assert observer.decisions_dropped == reference.decisions_dropped
-    assert observer.bus.dropped == reference.bus.dropped
-    assert observer.bus.events() == reference.bus.events()
     assert list(observer.decisions) == list(reference.decisions)
     ours, theirs = (
         [json.dumps(row) for row in obs.rows({"run": 1})] for obs in fan.pair
@@ -419,12 +399,13 @@ class TestRecordingEqualsEager:
         )
 
     @pytest.mark.parametrize("policy", ["mdc", "multi-log"])
-    def test_bounded_rings_drop_the_same_records(self, policy):
+    def test_bounded_rings_drop_the_same_records(self, policy, monkeypatch):
+        monkeypatch.setattr(observer_module, "MAX_DECISIONS", 3)
         _, observer = drive_beside(
-            StoreObserver, policy, False, True, max_decisions=3, ring_capacity=4
+            StoreObserver, policy, False, True, max_decisions=3
         )
-        assert observer.decisions_dropped > 0 and observer.bus.dropped > 0
-        assert len(observer.decisions) == 3 and len(observer.bus) == 4
+        assert observer.decisions_dropped > 0
+        assert len(observer.decisions) == 3
 
     def test_mutant_reading_columns_at_export_fails(self):
         """Formatting is deferred; *capturing* must not be: the victims'

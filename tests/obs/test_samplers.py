@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import TimeSeriesSampler, default_interval
+from repro.obs.samplers import HIST_BUCKETS
 from repro.policies import make_policy
 from repro.store import LogStructuredStore
 
@@ -63,14 +64,14 @@ class TestRows:
 
     def test_row_contents(self, loaded_store):
         n = loaded_store.config.user_pages
-        sampler = TimeSeriesSampler(loaded_store, interval=10, hist_buckets=5)
+        sampler = TimeSeriesSampler(loaded_store, interval=10)
         for i in range(2000):
             loaded_store.write((i * 3) % n)
         row = sampler.sample_now()
         assert row["type"] == "sample"
         assert row["clock"] == loaded_store.clock
         assert row["user_writes"] == loaded_store.stats.user_writes
-        assert len(row["emptiness_hist"]) == 5
+        assert len(row["emptiness_hist"]) == HIST_BUCKETS
         assert row["fill"] == pytest.approx(loaded_store.fill_factor_now())
         assert row["free_segments"] == loaded_store.free_segment_count
         assert row["wamp_win"] >= 0.0

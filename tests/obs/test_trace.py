@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import trace
-from repro.obs.export import load_rows, validate_rows
+from repro.obs.export import SCHEMA_VERSION, load_rows, validate_rows
 from repro.obs.trace import (
     SpanRecorder,
     chrome_trace,
@@ -170,9 +170,9 @@ class TestReportedDrops:
         out = capsys.readouterr().out.splitlines()
         assert out[1].endswith(" dropped=3 trees (ring=5) spans=4")
         assert out[2] == (
-            "  capture rings dropped 0 event(s), 0 decision record(s) and "
-            "3 span tree(s) across all runs; retained rows under-count the "
-            "run (grow ring_capacity/max_decisions, or lower --trace-sample, "
+            "  capture rings dropped 0 decision record(s) and 3 span "
+            "tree(s) across all runs; retained rows under-count the run "
+            "(grow MAX_DECISIONS or CAPACITY, or lower --trace-sample, "
             "to keep more)"
         )
 
@@ -225,7 +225,7 @@ class TestSpanFile:
         rows = load_rows(str(path))
         assert validate_rows(rows) == []
         meta = rows[0]
-        assert meta["schema"] == 2
+        assert meta["schema"] == SCHEMA_VERSION
         assert meta["run"]["component"] == "trace"
         assert meta["run"]["trees_dropped"] == 0
         assert meta["run"]["ring_capacity"] == 65536
@@ -297,7 +297,7 @@ class TestChromeExport:
         assert loaded["traceEvents"][0]["name"] == "Work.outer"
 
     def test_non_span_rows_skipped(self):
-        rows = [{"type": "meta", "schema": 2, "run": {}}]
+        rows = [{"type": "meta", "schema": 3, "run": {}}]
         assert chrome_trace(rows)["traceEvents"] == []
 
 
@@ -389,7 +389,7 @@ class TestCriticalPath:
         """0 of 0 tail samples is a fraction of 1.0, so the >= 95 % gate
         passed on a run where no flush stalled — having examined
         nothing.  Without the gate the report is just a report."""
-        rows = [{"type": "meta", "schema": 2, "run": {"component": "trace"}}]
+        rows = [{"type": "meta", "schema": 3, "run": {"component": "trace"}}]
         rows.extend(self._flushes([0.0] * 5))
         spans = tmp_path / "spans.jsonl"
         spans.write_text("".join(json.dumps(row) + "\n" for row in rows))

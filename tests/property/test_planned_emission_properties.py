@@ -12,10 +12,10 @@ that leave first-fit gaps, drains that stall mid-stretch, the
 ``mdc-opt`` ``freq_sum`` fold, multi-log's per-class GC streams,
 incremental cycles stepped between batches, and new pages that run the
 device out of space mid-plan — they must end every op in the same
-state digest, raise the same error at the same point, and have shown an
-attached observer the same events (seal clocks, live counts, stalls)
-and called the drain, write-stall and cleaning boundaries at the same
-clocks.
+state digest, raise the same error at the same point, and have called
+an attached observer's hooks at the same clocks with the same arguments
+(seal live counts and used units, flush sizes, victims, stalls) and the
+drain, write-stall and cleaning boundaries at the same clocks.
 
 A direct run does not pass through ``_emit_run``, but it shares its
 planner: ``_plan`` lays out a direct run's destinations as it does every
@@ -38,7 +38,7 @@ from repro.policies import make_policy
 from repro.store import LogStructuredStore, StoreConfig
 from repro.store.errors import OutOfSpaceError
 from repro.testkit.trace import state_digest
-from tests.property.test_write_batch_properties import record_spans
+from tests.property.test_write_batch_properties import record_hooks, record_spans
 
 N_PAGES = 48
 N_LOADED = 40
@@ -101,15 +101,15 @@ def build_store(cls, policy_name, sort_buffer_segments):
     store = cls(cfg, make_policy(policy_name))
     if policy_name.endswith("-opt"):
         store.set_oracle_frequencies(np.linspace(0.001, 0.2, 4 * N_PAGES).tolist())
-    StoreObserver(store, capture_failpoints=False).attach()
+    StoreObserver(store).attach()
+    record_hooks(store)
     record_spans(store)
     store.load_sequential(N_LOADED, [1 + p % MAX_SIZE for p in range(N_LOADED)])
     return store
 
 
 def _observed(store):
-    events = [event.to_dict() for event in store.obs.bus.events()]
-    return events, store.span_log
+    return store.hook_log, store.span_log
 
 
 def _apply(store, kind, arg):

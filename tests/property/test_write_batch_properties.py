@@ -13,10 +13,11 @@ leave a gap at a segment's end, new pages that do not fit,
 first-writes (NaN carried estimates), trims between batches, pages
 staged by a mid-flight cleaning cycle and rewritten twice in one batch
 — the batch execution must leave the store byte-identical to the
-scalar ``write`` loop, and an attached observer must have seen the
-same events (seal clocks, live counts, stalls), and the store's drain,
-write-stall and cleaning boundaries must have been called at the same
-clocks.
+scalar ``write`` loop, and the attached observer's hooks must have
+been called at the same clocks with the same arguments (seal live
+counts and used units, flush sizes, victims, stalls), and the store's
+drain, write-stall and cleaning boundaries must have been called at the
+same clocks.
 """
 
 import hypothesis.strategies as st
@@ -69,6 +70,30 @@ def record_spans(store):
         setattr(store, name, wrapper)
 
 
+#: The observer hooks whose calls the differentials compare: one per
+#: store moment a run's batching could move (``on_clean_step`` follows
+#: ``clean_step``, which :data:`SPANNED` already logs).
+HOOKS = ("on_seal", "on_flush", "on_victims", "on_clean", "on_write_stall")
+
+
+def record_hooks(store):
+    """Wrap :data:`HOOKS` as instance attributes of ``store.obs``, each
+    call logging ``(hook, store.clock, args)`` to ``store.hook_log``,
+    plus the sealed segment's ``live_count`` and ``used_units`` at
+    ``on_seal``."""
+    store.hook_log = []
+    segs = store.segments
+    for name in HOOKS:
+        def wrapper(*args, _inner=getattr(store.obs, name), _name=name):
+            entry = (_name, store.clock, [np.asarray(a).tolist() for a in args])
+            if _name == "on_seal":
+                entry += (int(segs.live_count[args[0]]), int(segs.used_units[args[0]]))
+            store.hook_log.append(entry)
+            return _inner(*args)
+
+        setattr(store.obs, name, wrapper)
+
+
 def build_store(policy_name, sort_buffer_segments):
     """An observed, span-logged store: the buffered engine when the policy
     takes a sort buffer (``greedy`` never does), the direct one
@@ -87,18 +112,18 @@ def build_store(policy_name, sort_buffer_segments):
     )
     if policy_name.endswith("-opt"):
         store.set_oracle_frequencies(np.linspace(0.001, 0.2, N_PAGES).tolist())
-    StoreObserver(store, capture_failpoints=False).attach()
+    StoreObserver(store).attach()
+    record_hooks(store)
     record_spans(store)
     store.load_sequential(N_LOADED)
     return store
 
 
 def _observed(store):
-    """Everything the observer saw — the event stream (``SEGMENT_SEALED``
-    clock / live_count / used_units, ``WRITE_STALL`` pages, ...) — and
-    the boundary calls as ``(name, clock)``."""
-    events = [event.to_dict() for event in store.obs.bus.events()]
-    return events, store.span_log
+    """Every observer hook call (clock, arguments, a sealed segment's
+    live count and used units) and the boundary calls as ``(name,
+    clock)``."""
+    return store.hook_log, store.span_log
 
 
 def _writes(max_page):

@@ -72,7 +72,7 @@ def _stalled_flush_rows(child_end):
     """A span file's rows: one flush stalled behind 9 GC pages, whose
     one child ends at ``child_end`` (the flush runs 10 us)."""
     return [
-        {"type": "meta", "schema": 2, "run": {"component": "trace"}},
+        {"type": "meta", "schema": 3, "run": {"component": "trace"}},
         {"type": "span", "parent": -1, "name": "IngestQueue.flush_shard",
          "start": 0.0, "end": 1e-5, "size": 4},
         {"type": "span", "parent": 0,
@@ -126,8 +126,8 @@ class TestObsReport:
         spans, metrics = _traced_run(tmp_path, capsys)
         assert main(["obs", "report", str(metrics), str(spans)]) == 0
         out = capsys.readouterr().out
-        assert "%s: schema 2, 5 runs" % metrics in out
-        assert "%s: schema 2, 1 runs" % spans in out
+        assert "%s: schema 3, 5 runs" % metrics in out
+        assert "%s: schema 3, 1 runs" % spans in out
         assert "service (4 shards, mdc)" in out
         assert "convergence of shard 0/4 (mdc):" in out
         assert "convergence of service" not in out  # no samples, no table
@@ -153,11 +153,14 @@ class TestObsReport:
         assert "attributed 2/2 tail sample(s)" in out
 
     def test_a_v1_file_reads_as_v1(self, tmp_path, capsys):
+        """Validation refuses an old version; the report still names
+        what the file declares."""
         path = _write(
             tmp_path / "v1.jsonl",
             [{"type": "meta", "schema": 1, "run": {"policy": "mdc"}}],
         )
-        assert main(["obs", "validate", str(path)]) == 0
+        assert main(["obs", "validate", str(path)]) == 1
+        assert "schema 1, expected 3" in capsys.readouterr().err
         assert main(["obs", "report", str(path)]) == 0
         assert "%s: schema 1, 1 runs" % path in capsys.readouterr().out
 

@@ -209,7 +209,7 @@ class TestStallBound:
         """With no inline (reactive) cleaning, all a flush waits behind
         is one loaded round: at most one step per shard."""
         hist, write_stalls, pool = drive(LOADED_CFG.scaled(seed=seed))
-        assert pool.config.sort_buffer_segments == 1
+        assert pool[0].store.config.sort_buffer_segments == 1
         assert write_stalls == 0
         assert hist.total > 0  # loaded rounds did relocate pages
         assert hist.max_observed <= loaded_round_bound(pool)
@@ -234,7 +234,7 @@ class TestFloorRule:
     def test_latency_shape_holds_the_derived_floor(self):
         cfg = latency_config(quick=True)
         svc = build_service(cfg)
-        buffer_segments = svc.pool.config.sort_buffer_segments
+        buffer_segments = svc.pool[0].store.config.sort_buffer_segments
         assert buffer_segments > 1
         assert [c.floor for c in svc.pool.cleaners] == [
             cfg.clean_trigger + 1 + buffer_segments

@@ -69,13 +69,13 @@ class TestShardBufferAndFloor:
             n_segments=n_segments, sort_buffer_segments=named
         )
         pool = StorePool(1, config, policy="mdc")
-        assert pool.config.sort_buffer_segments == built
+        assert pool[0].store.config.sort_buffer_segments == built
         buffer = pool[0].store.buffer
         if built == 0:
             assert buffer is None
         else:
             assert buffer.capacity_units == built * config.segment_units
-        assert pool.config == config.scaled(sort_buffer_segments=built)
+        assert pool[0].store.config == config.scaled(sort_buffer_segments=built)
 
     @pytest.mark.parametrize(
         "policy", ["greedy", "age", "mdc-no-sep-user", "multi-log"]

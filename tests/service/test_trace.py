@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.obs import (
+    SCHEMA_VERSION,
     SLOTracker,
     SpanRecorder,
     critical_path_report,
@@ -45,11 +46,11 @@ class TestServiceSpans:
         run_harness(CFG, trace_out=str(trace))
         return load_spans(str(trace)), str(trace)
 
-    def test_span_file_validates_as_schema_v2(self, spans):
+    def test_span_file_validates_as_the_schema(self, spans):
         rows, path = spans
         all_rows = load_rows(path)
         assert validate_rows(all_rows) == []
-        assert all_rows[0]["schema"] == 2
+        assert all_rows[0]["schema"] == SCHEMA_VERSION
         assert all_rows[0]["run"]["component"] == "trace"
 
     def test_expected_span_kinds_present(self, spans):

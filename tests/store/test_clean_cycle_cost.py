@@ -57,7 +57,7 @@ class TestRankOnce:
     def test_one_evaluation_per_cycle_and_none_over_the_victims(self, policy):
         store = aged_store(policy)
         ranked = count_rankings(store.policy)
-        with StoreObserver(store, capture_failpoints=False) as observer:
+        with StoreObserver(store) as observer:
             candidates = store.sealed_segments().size
             store.clean()
         assert ranked == [candidates]
@@ -108,7 +108,7 @@ class TestRankOnce:
 
     def test_multi_log_explains_its_own_choice_without_a_stash(self):
         store = aged_store("multi-log")
-        with StoreObserver(store, capture_failpoints=False) as observer:
+        with StoreObserver(store) as observer:
             store.clean()
         (decision,) = observer.decisions
         assert [row["score"] for row in decision["victims"]] == [

@@ -1,20 +1,6 @@
-"""Small public helpers."""
+"""Public store constants."""
 
-import pytest
-
-from repro.store import segments_needed
 from repro.store.log_store import GC_STREAM
-
-
-class TestSegmentsNeeded:
-    def test_exact_fit(self):
-        assert segments_needed(128, 64) == 2
-
-    def test_rounds_up(self):
-        assert segments_needed(129, 64) == 3
-
-    def test_zero(self):
-        assert segments_needed(0, 64) == 0
 
 
 class TestConstants:

@@ -110,7 +110,6 @@ def test_package_exports():
             "load_store",
             "paper_config",
             "save_store",
-            "segments_needed",
             "temperature_report",
         ]
     )

@@ -377,7 +377,7 @@ def _watch(store):
     the store's ``(clean_cycles, clean_pending)`` at that moment (see
     :func:`_rolls_cleaned`)."""
     seals = []
-    obs = StoreObserver(store, capture_failpoints=False).attach()
+    obs = StoreObserver(store).attach()
     on_seal = obs.on_seal
 
     def seal(seg):

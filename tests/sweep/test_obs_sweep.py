@@ -14,7 +14,7 @@ from repro.bench.sweep import (
     expand_grid,
     parallel_experiment,
 )
-from repro.obs import load_rows, validate_file, write_jsonl
+from repro.obs import MetricsWriter, load_rows, validate_rows
 
 
 class TestObsJobRunner:
@@ -25,8 +25,8 @@ class TestObsJobRunner:
         )
         assert payload["policy"] == spec.policy
         path = str(tmp_path / "job.jsonl")
-        write_jsonl(path, rows)
-        assert validate_file(path, require_decisions=True) == []
+        MetricsWriter(path).write_rows(rows)
+        assert validate_rows(load_rows(path), require_decisions=True) == []
 
     def test_is_picklable(self):
         """Rows cross the pool's process boundary with the result."""
@@ -58,7 +58,7 @@ class TestParallelExperimentObs:
             demo_experiment, workers=2, metrics_out=str(swept),
             sample_interval=50,
         )
-        assert validate_file(str(swept), require_decisions=True) == []
+        assert validate_rows(load_rows(str(swept)), require_decisions=True) == []
         assert swept.read_bytes() == serial.read_bytes()
         metas = [r for r in load_rows(str(swept)) if r["type"] == "meta"]
         assert [m["run"]["policy"] for m in metas] == [
